@@ -1,7 +1,7 @@
 """The benchmark's three workloads: seeded inputs, set-up and cell runners.
 
 Every workload is built from the ``--seed`` alone.  The seed picks workload
-*instances* (generator seeds of server/client traces, the consolidation
+*instances* (generator seeds of server traces, the consolidation
 recipe's seed), never their size: footprint scales, tenant counts and
 stream lengths are fixed here, so host cost stays comparable from seed to
 seed while the simulated inputs change.
@@ -47,12 +47,15 @@ ORGANIZATIONS = tuple(BTBStyle)
 BUDGETS_KIB = (0.90625, 14.5)
 ASID_MODES = (ASIDMode.FLUSH, ASIDMode.TAGGED, ASIDMode.PARTITIONED)
 
-#: Footprint scales of the three ``paper_grid`` traces: one in the range of
-#: the suite's high-footprint cluster (server_023..035 span 3.0..7.8), one
-#: moderate server and one client.
-PAPER_TRACE_SCALES = (("server_high", "server", 4.2), ("server_mid", "server", 1.8),
-                      ("client", "client", 0.8))
-PAPER_INSTRUCTIONS = 10_000
+#: Footprint scales of the two ``paper_grid`` traces: one in the range of
+#: the suite's high-footprint cluster (server_023..035 span 3.0..7.8) and
+#: one moderate server.  A client trace fits a 14.5 KiB BTB outright, so it
+#: would add host time without capacity pressure at the paper's budget.
+PAPER_TRACE_SCALES = (("server_high", "server", 4.2), ("server_mid", "server", 1.8))
+#: Long enough that the high-footprint server evicts from a 14.5 KiB BTB and
+#: per-cell throughput is within a few per cent of a 160 k-instruction cell
+#: (see README.md, "Cell length").
+PAPER_INSTRUCTIONS = 80_000
 
 CONSOLIDATION_INSTRUCTIONS = 20_000
 CONSOLIDATION_TENANTS = 16
@@ -152,9 +155,11 @@ def run_plain_cell(trace, style: BTBStyle, budget_kib: float, backend: str) -> d
 
 
 class PaperGrid:
-    """Three traces x five organizations x two budgets, run inline."""
+    """Two server traces x five organizations x two budgets, run inline."""
 
     name = "paper_grid"
+    #: Cold passes (each after its own fresh set-up); one pass is ~25 s.
+    cold_passes = 1
 
     def __init__(self, seed: int) -> None:
         self.trace_names = paper_trace_names(seed)
@@ -244,6 +249,7 @@ class Consolidation:
     """One generated many-tenant scenario on BTB-X under three ASID modes."""
 
     name = "consolidation"
+    cold_passes = 3
 
     def __init__(self, seed: int) -> None:
         self.recipe = consolidation_recipe(

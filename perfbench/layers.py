@@ -1,9 +1,10 @@
 """The traced run: per-layer metrics and the end-to-end metric each should move.
 
-:data:`PER_LAYER` is the whole per-layer schema, in output order, with the
-prediction written down before measuring: which end-to-end metric the layer
-metric should move, on which workload (``ips_*`` means both backends).  On
-the workloads a prediction does not name, the expected change is none.
+:data:`TARGETS` holds, per metric, the prediction written down before
+measuring: which end-to-end metric the layer metric should move, on which
+workload (``ips_*`` means both backends).  On the workloads a prediction does
+not name, the expected change is none.  The metric names and units are read
+from ``BENCHMARK.json``.
 
 :func:`traced_run` first runs the workload once untraced (set-up plus one
 pass, or one engine cold/warm cycle), then again with every layer probe
@@ -36,107 +37,104 @@ from tracer import Tracer
 
 SIM = "paper_grid,consolidation"
 ENGINE = "cold_s,warm_s@engine_cold_warm (ungated; traced with consolidation)"
+EXACT = "none: exact, checked"
 _SCALAR_ONLY_BTBS = ("rbtb", "pdede", "ideal")
 
 
-def _btb_rows():
-    rows = []
+def _btb_targets() -> dict:
+    targets = {}
     for style in ORGANIZATIONS:
         org = style.value
         target = "ips_python@paper_grid"
         if org in _SCALAR_ONLY_BTBS:
             target = "ips_*@paper_grid (no batch_plan: scalar on numpy too)"
         for op in ("lookup", "update"):
-            rows.append((f"btb.{org}.{op}.calls", "count", "lower", target))
-            rows.append((f"btb.{org}.{op}.self_s", "s", "lower", target))
+            targets[f"btb.{org}.{op}.calls"] = targets[f"btb.{org}.{op}.self_s"] = target
         if org not in _SCALAR_ONLY_BTBS:
-            rows.append((f"btb.{org}.batch_plan.self_s", "s", "lower", "ips_numpy@paper_grid"))
-        rows.append((f"btb.{org}.invalidate_all.self_s", "s", "lower",
-                     "ips_*@consolidation (flush)"))
-    return rows
+            targets[f"btb.{org}.batch_plan.self_s"] = "ips_numpy@paper_grid"
+        targets[f"btb.{org}.invalidate_all.self_s"] = "ips_*@consolidation (flush)"
+    return targets
 
 
-def _model_rows():
-    rows = [
-        (f"model.btb_mpki.{style.value}.{budget}", "MPKI", "lower", "none: exact, checked")
+def _model_targets() -> dict:
+    targets = {
+        f"model.btb_mpki.{style.value}.{budget}": EXACT
         for style in ORGANIZATIONS
         for budget in BUDGETS_KIB
-    ]
-    rows += [
-        (f"model.btbx_over_conv_mpki.{budget}", "ratio", "lower", "none: exact, checked")
-        for budget in BUDGETS_KIB
-    ]
-    rows += [
-        ("model.l1i_mpki", "MPKI", "lower", "none: exact, checked"),
-        ("model.context_switches", "count", "lower", "none: exact, checked"),
-        ("model.execute_flushes", "count", "lower", "none: exact, checked"),
-        ("batch.fast_share", "ratio", "higher", "ips_numpy@" + SIM),
-    ]
-    return rows
+    }
+    targets.update({f"model.btbx_over_conv_mpki.{budget}": EXACT for budget in BUDGETS_KIB})
+    for name in ("model.l1i_mpki", "model.context_switches", "model.execute_flushes"):
+        targets[name] = EXACT
+    return targets
 
 
-def _replay_rows():
-    rows = []
+def _replay_targets() -> dict:
+    targets = {}
     for style in ORGANIZATIONS:
-        rows.append((f"replay.btb.{style.value}.ops_per_s", "1/s", "higher",
-                     "ips_python@paper_grid"))
-        rows.append((f"replay.btb.{style.value}.numpy_ops_per_s", "1/s", "higher",
-                     "ips_numpy@paper_grid"))
+        targets[f"replay.btb.{style.value}.ops_per_s"] = "ips_python@paper_grid"
+        targets[f"replay.btb.{style.value}.numpy_ops_per_s"] = "ips_numpy@paper_grid"
     for layer in ("predictor", "memory"):
-        rows.append((f"replay.{layer}.ops_per_s", "1/s", "higher", "ips_python@" + SIM))
-        rows.append((f"replay.{layer}.numpy_ops_per_s", "1/s", "higher", "ips_numpy@" + SIM))
-    return rows
+        targets[f"replay.{layer}.ops_per_s"] = "ips_python@" + SIM
+        targets[f"replay.{layer}.numpy_ops_per_s"] = "ips_numpy@" + SIM
+    return targets
 
 
-#: (name, unit, better, predicted end-to-end target).
-PER_LAYER = (
-    [
-        ("traces.store_get.calls", "count", "lower", "setup_s@all; cold_s@engine_cold_warm"),
-        ("traces.store_get.misses", "count", "lower", "setup_s@all; cold_s@engine_cold_warm"),
-        ("traces.build.self_s", "s", "lower", "setup_s@all; cold_s@engine_cold_warm"),
-        ("traces.worker_build_s", "s", "lower", "cold_s@engine_cold_warm"),
-        ("scenarios.generate.self_s", "s", "lower", "setup_s,peak_rss_mib@consolidation"),
-        ("scenarios.composer_init.self_s", "s", "lower", "setup_s,peak_rss_mib@consolidation"),
-        ("scenarios.stream.self_s", "s", "lower", "ips_python@consolidation"),
-        ("scenarios.pipeline_wait_s", "s", "lower", "ips_numpy@consolidation"),
-        ("core.run.self_s", "s", "lower", "ips_*@paper_grid"),
-        ("core.run_scenario.self_s", "s", "lower", "ips_python@consolidation"),
-        ("core.batch.self_s", "s", "lower", "ips_numpy@" + SIM),
-        ("frontend.bpu_process.calls", "count", "lower", "ips_python@" + SIM),
-        ("frontend.bpu_process.self_s", "s", "lower", "ips_python@" + SIM),
-        ("frontend.fdip.calls", "count", "lower", "ips_python@" + SIM),
-        ("frontend.fdip.self_s", "s", "lower", "ips_python@" + SIM),
-        ("frontend.bpu_context_switch.calls", "count", "lower", "ips_*@consolidation"),
-        ("frontend.bpu_context_switch.self_s", "s", "lower", "ips_*@consolidation"),
-    ]
-    + _btb_rows()
-    + [
-        ("predictor.predict.calls", "count", "lower", "ips_python@" + SIM),
-        ("predictor.predict.self_s", "s", "lower", "ips_python@" + SIM),
-        ("predictor.update.calls", "count", "lower", "ips_python@" + SIM),
-        ("predictor.update.self_s", "s", "lower", "ips_python@" + SIM),
-        ("predictor.plan_commits.self_s", "s", "lower", "ips_numpy@" + SIM),
-        ("memory.fetch.calls", "count", "lower", "ips_*@" + SIM),
-        ("memory.fetch.self_s", "s", "lower", "ips_*@" + SIM),
-        ("memory.fetch_batch.self_s", "s", "lower", "ips_numpy@" + SIM),
-        ("memory.prefetch.calls", "count", "lower", "ips_*@" + SIM + " (0: FDIP never calls it)"),
-        ("memory.context_switch.calls", "count", "lower", "ips_*@consolidation"),
-        ("memory.context_switch.self_s", "s", "lower", "ips_*@consolidation"),
-        ("experiments.config_hash.calls", "count", "lower", ENGINE),
-        ("experiments.config_hash.self_s", "s", "lower", ENGINE),
-        ("experiments.cache_get.calls", "count", "lower", "warm_s@engine_cold_warm"),
-        ("experiments.cache_get.self_s", "s", "lower", ENGINE),
-        ("experiments.cache_put.calls", "count", "lower", "cold_s@engine_cold_warm"),
-        ("experiments.cache_put.self_s", "s", "lower", ENGINE),
-        ("experiments.queue_wait_s", "s", "lower", "cold_s@engine_cold_warm"),
-        ("experiments.pool_busy", "ratio", "higher", "cold_s@engine_cold_warm"),
-        ("experiments.executed", "count", "lower", "warm_s@engine_cold_warm (warm leg: 0)"),
-        ("experiments.disk_hits", "count", "higher", "warm_s@engine_cold_warm (warm leg: all)"),
-    ]
-    + _model_rows()
-    + [("trace_overhead", "ratio", "lower", "none: traced wall / untraced wall")]
-    + _replay_rows()
-)
+#: Per-layer metric name -> predicted end-to-end target.  Names, units and
+#: order come from ``BENCHMARK.json``; :func:`check_schema` keeps the two in step.
+TARGETS = {
+    "traces.store_get.calls": "setup_s@all; cold_s@engine_cold_warm",
+    "traces.store_get.misses": "setup_s@all; cold_s@engine_cold_warm",
+    "traces.build.self_s": "setup_s@all; cold_s@engine_cold_warm",
+    "traces.worker_build_s": "cold_s@engine_cold_warm",
+    "scenarios.generate.self_s": "setup_s,peak_rss_mib@consolidation",
+    "scenarios.composer_init.self_s": "setup_s,peak_rss_mib@consolidation",
+    "scenarios.stream.self_s": "ips_python@consolidation",
+    "scenarios.pipeline_wait_s": "ips_numpy@consolidation",
+    "core.run.self_s": "ips_*@paper_grid",
+    "core.run_scenario.self_s": "ips_python@consolidation",
+    "core.batch.self_s": "ips_numpy@" + SIM,
+    "frontend.bpu_process.calls": "ips_python@" + SIM,
+    "frontend.bpu_process.self_s": "ips_python@" + SIM,
+    "frontend.fdip.calls": "ips_python@" + SIM,
+    "frontend.fdip.self_s": "ips_python@" + SIM,
+    "frontend.bpu_context_switch.calls": "ips_*@consolidation",
+    "frontend.bpu_context_switch.self_s": "ips_*@consolidation",
+    **_btb_targets(),
+    "predictor.predict.calls": "ips_python@" + SIM,
+    "predictor.predict.self_s": "ips_python@" + SIM,
+    "predictor.update.calls": "ips_python@" + SIM,
+    "predictor.update.self_s": "ips_python@" + SIM,
+    "predictor.plan_commits.self_s": "ips_numpy@" + SIM,
+    "memory.fetch.calls": "ips_*@" + SIM,
+    "memory.fetch.self_s": "ips_*@" + SIM,
+    "memory.fetch_batch.self_s": "ips_numpy@" + SIM,
+    "memory.prefetch.calls": "ips_*@" + SIM + " (0: FDIP never calls it)",
+    "memory.context_switch.calls": "ips_*@consolidation",
+    "memory.context_switch.self_s": "ips_*@consolidation",
+    "experiments.config_hash.calls": ENGINE,
+    "experiments.config_hash.self_s": ENGINE,
+    "experiments.cache_get.calls": "warm_s@engine_cold_warm",
+    "experiments.cache_get.self_s": ENGINE,
+    "experiments.cache_put.calls": "cold_s@engine_cold_warm",
+    "experiments.cache_put.self_s": ENGINE,
+    "experiments.queue_wait_s": "cold_s@engine_cold_warm",
+    "experiments.pool_busy": "cold_s@engine_cold_warm",
+    "experiments.executed": "warm_s@engine_cold_warm (warm leg: 0)",
+    "experiments.disk_hits": "warm_s@engine_cold_warm (warm leg: all)",
+    **_model_targets(),
+    "batch.fast_share": "ips_numpy@" + SIM,
+    "trace_overhead": "none: traced wall / untraced wall",
+    **_replay_targets(),
+}
+
+
+def check_schema(names) -> list:
+    """Messages for every per-layer name without a target, or target without a name."""
+    names = set(names)
+    return [f"per-layer metric {name!r} has no predicted target in layers.TARGETS"
+            for name in sorted(names - TARGETS.keys())] + [
+            f"layers.TARGETS names {name!r}, which BENCHMARK.json does not declare"
+            for name in sorted(TARGETS.keys() - names)]
 
 
 # -- probes ---------------------------------------------------------------------
@@ -302,8 +300,11 @@ def pool_metrics(recorder: JsonlRecorder, cycle: legs.Measured) -> dict:
 # -- the traced run -------------------------------------------------------------
 
 
-def _inline_once(workload, checker, keep=None) -> None:
-    legs.run_pass(workload.cells(workload.setup()), checker, keep=keep)
+def _inline_once(workload, checker, keep=None) -> list:
+    """Set-up and one pass; the names of the cells it ran."""
+    cells = workload.cells(workload.setup())
+    legs.run_pass(cells, checker, keep=keep)
+    return [cell.name for cell in cells]
 
 
 def _engine_cycle(grid, checker, tmp_root, keep=None) -> legs.Measured:
@@ -314,13 +315,15 @@ def _engine_cycle(grid, checker, tmp_root, keep=None) -> legs.Measured:
         )
 
 
-def traced_run(workload, seed: int, checker, tmp_root: str, out_dir: Path) -> dict:
-    """Untraced then traced run of ``workload``; every PER_LAYER value.
+def traced_run(workload, seed: int, checker, tmp_root: str, out_dir: Path,
+               units: dict, engine_reference: dict | None = None) -> dict:
+    """Untraced then traced run of ``workload``; every per-layer value in ``units``.
 
     ``engine_cold_warm`` is not a gated workload, so the traced run of
     ``consolidation`` also pushes the seed's engine grid through the pool,
     with its own recorder so none of it mixes into consolidation's layers;
-    its cells join the checks under an ``engine/`` prefix.
+    its cells are checked against ``engine_reference`` and join the checks
+    under an ``engine/`` prefix.
     """
     engine_workload = isinstance(workload, EngineColdWarm)
     start = time.perf_counter()
@@ -335,7 +338,7 @@ def traced_run(workload, seed: int, checker, tmp_root: str, out_dir: Path) -> di
     tracer = Tracer()
     recorder = JsonlRecorder()
     engine_recorder = JsonlRecorder()
-    engine_checker = legs.Checker(None)
+    engine_checker = legs.Checker(engine_reference)
     payloads: dict = {}
     cycle = None
     install_probes(tracer)
@@ -343,22 +346,27 @@ def traced_run(workload, seed: int, checker, tmp_root: str, out_dir: Path) -> di
         with use_recorder(recorder):
             start = time.perf_counter()
             if engine_workload:
-                cycle = _engine_cycle(workload.setup(), checker, tmp_root, payloads)
+                grid = workload.setup()
+                cycle = _engine_cycle(grid, checker, tmp_root, payloads)
                 engine_recorder = recorder
+                cell_names = list(grid.jobs)
             else:
-                _inline_once(workload, checker, payloads)
+                cell_names = _inline_once(workload, checker, payloads)
             traced = time.perf_counter() - start
         if engine_grid is not None:
             with use_recorder(engine_recorder):
                 cycle = _engine_cycle(engine_grid, engine_checker, tmp_root)
     finally:
         tracer.unpatch()
+    checker.finish(cell_names)
+    if engine_grid is not None:
+        engine_checker.finish(list(engine_grid.jobs))
     for cell, entry in engine_checker.digests.items():
         checker.digests[f"engine/{cell}"] = entry
     for cell, reason in engine_checker.failures.items():
         checker.failures[f"engine/{cell}"] = reason
 
-    values = {name: 0.0 for name, *_ in PER_LAYER}
+    values = {name: 0.0 for name in units}
     values.update(_span_metrics(tracer.summary()))
     values.update(model_metrics(payloads))
     values.update(batch_share(recorder))
@@ -374,12 +382,12 @@ def traced_run(workload, seed: int, checker, tmp_root: str, out_dir: Path) -> di
     recorder.write(out_dir / f"obs-{stem}.jsonl")
     if engine_grid is not None:
         engine_recorder.write(out_dir / f"obs-engine-{stem}.jsonl")
-    print_table(workload.name, values)
+    print_table(workload.name, values, units)
     return values
 
 
-def print_table(workload: str, values: dict) -> None:
+def print_table(workload: str, values: dict, units: dict) -> None:
     print(f"per-layer metrics, workload {workload} (target: end-to-end metric@workload)")
-    for name, unit, _better, target in PER_LAYER:
-        print(f"  {name:44s} {values[name]:>16.6g} {unit:8s} {target}")
+    for name, unit in units.items():
+        print(f"  {name:44s} {values[name]:>16.6g} {unit:8s} {TARGETS[name]}")
     sys.stdout.flush()

@@ -30,6 +30,8 @@ SETUP_REPS = 3
 WARM_REPS = 5
 #: Calibration samples taken before and after each set-up or engine leg.
 BRACKET_SAMPLES = 8
+#: Calibration samples taken between consecutive cell runs of a pass.
+CELL_SAMPLES = 2
 
 
 class Checker:
@@ -111,16 +113,18 @@ def timed_setup(workload, speed: HostSpeed, out: Measured, reps: int = SETUP_REP
 
 
 def run_pass(cells: List[Cell], checker: Checker, speed: HostSpeed | None = None,
-             keep: dict | None = None) -> Dict[str, Dict[str, float]]:
-    """Every cell on every backend once; backend -> cell -> seconds.
+             keep: dict | None = None) -> Dict[str, Dict[str, tuple[float, float]]]:
+    """Every cell on every backend once; backend -> cell -> (seconds, scaled).
 
-    ``speed`` takes a calibration sample before each cell; ``keep``
+    With ``speed``, calibration samples bracket every cell run outside its
+    timed span, and the run's scaled time is divided by the factor of the
+    samples just before and after it; without, scaled equals raw.  ``keep``
     collects each cell's scalar-backend payload.
     """
-    times: Dict[str, Dict[str, float]] = {backend: {} for backend in BACKENDS}
+    times: Dict[str, Dict[str, tuple[float, float]]] = {backend: {} for backend in BACKENDS}
+    if speed is not None:
+        speed.sample(CELL_SAMPLES)
     for cell in cells:
-        if speed is not None:
-            speed.sample()
         for backend in BACKENDS:
             start = time.perf_counter()
             try:
@@ -129,57 +133,63 @@ def run_pass(cells: List[Cell], checker: Checker, speed: HostSpeed | None = None
                 traceback.print_exc(file=sys.stderr)
                 checker.fail(cell.name, f"{backend} raised {exc!r}")
                 continue
-            times[backend][cell.name] = time.perf_counter() - start
+            elapsed = time.perf_counter() - start
+            factor = 1.0
+            if speed is not None:
+                since = speed.mark() - CELL_SAMPLES
+                speed.sample(CELL_SAMPLES)
+                factor = speed.factor(since)
+            times[backend][cell.name] = (elapsed, elapsed / factor)
             checker.record(cell.name, backend, payload)
             if keep is not None and backend == "python":
                 keep[cell.name] = payload
     return times
 
 
-def inline_metrics(workload, seconds: float, checker: Checker, speed: HostSpeed) -> Measured:
-    """paper_grid / consolidation: set-up and a cold pass, repeated; then timed passes.
+def pass_total(times) -> tuple[float, float]:
+    """(seconds, scaled seconds) of one pass: the sum of its cell runs."""
+    runs = [run for by_cell in times.values() for run in by_cell.values()]
+    return sum(raw for raw, _ in runs), sum(scaled for _, scaled in runs)
 
-    Each repetition builds fresh state (new traces, new composer), so every
-    cold pass pays first-use costs such as the numpy backend's array decode.
+
+def inline_metrics(workload, seconds: float, checker: Checker, speed: HostSpeed) -> Measured:
+    """paper_grid / consolidation: set-ups and cold passes, then timed passes.
+
+    Every set-up builds fresh state (new traces, new composer); the last
+    ``workload.cold_passes`` of them are each followed by a cold pass, which
+    pays first-use costs such as the numpy backend's array decode.  Timed
+    passes then repeat over the last state until ``seconds`` have elapsed.
+    Pass times are sums of cell runs, so calibration time is not in them.
     """
     out = Measured()
     setup, cold = [], []
     cells = state = None
-    for _ in range(SETUP_REPS):
+    for rep in range(SETUP_REPS):
         cells = state = None  # drop the previous repetition's state first
         elapsed, elapsed_scaled, state = _setup_once(workload, speed)
         setup.append((elapsed_scaled, elapsed))
-        cells = workload.cells(state)
-        mark = speed.mark()
-        start = time.perf_counter()
-        run_pass(cells, checker, speed)
-        elapsed = time.perf_counter() - start
-        cold.append((elapsed / speed.factor(mark), elapsed))
+        if rep >= SETUP_REPS - workload.cold_passes:
+            cells = workload.cells(state)
+            raw, scaled = pass_total(run_pass(cells, checker, speed))
+            cold.append((scaled, raw))
     for name, samples in (("setup_s", setup), ("cold_s", cold)):
         out.put(name, median(v for v, _ in samples), median(r for _, r in samples))
 
-    passes = []  # (backend -> cell -> seconds, wall seconds, speed factor)
+    passes = []
     begin = time.perf_counter()
     while not passes or time.perf_counter() - begin < seconds:
-        mark = speed.mark()
-        start = time.perf_counter()
-        times = run_pass(cells, checker, speed)
-        passes.append((times, time.perf_counter() - start, speed.factor(mark)))
-    out.put("warm_s", median(wall / f for _, wall, f in passes),
-            median(wall for _, wall, _ in passes))
+        passes.append(run_pass(cells, checker, speed))
+    totals = [pass_total(times) for times in passes]
+    out.put("warm_s", median(s for _, s in totals), median(r for r, _ in totals))
     for backend in BACKENDS:
         instructions = 0
         scaled = raw = 0.0
         for cell in cells:
-            samples = [
-                (times[backend][cell.name], f)
-                for times, _, f in passes
-                if cell.name in times[backend]
-            ]
-            if samples:
+            runs = [times[backend][cell.name] for times in passes if cell.name in times[backend]]
+            if runs:
                 instructions += cell.instructions
-                scaled += median(t / f for t, f in samples)
-                raw += median(t for t, _ in samples)
+                raw += median(r for r, _ in runs)
+                scaled += median(s for _, s in runs)
         out.put(f"ips_{backend}", instructions / scaled if scaled else 0.0,
                 instructions / raw if raw else 0.0)
     checker.finish([cell.name for cell in cells])

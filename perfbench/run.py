@@ -26,6 +26,8 @@ BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
 REFERENCE = BENCH_DIR / "reference.json"
+#: Declares the metric names and units this script prints.
+BENCHMARK = ROOT / "BENCHMARK.json"
 #: Scratch space for engine caches; inside the checkout, removed on exit.
 TMP_ROOT = ROOT / ".perfbench_tmp"
 #: Where the traced run writes its spans.
@@ -46,10 +48,20 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
-def load_reference(workload: str, seed: int, default_seed: int):
+def load_schema() -> dict:
+    """``end_to_end`` and ``per_layer``: metric name -> unit, in declared order."""
+    spec = json.loads(BENCHMARK.read_text())
+    return {
+        kind: {metric["name"]: metric["unit"] for metric in spec[kind]}
+        for kind in ("end_to_end", "per_layer")
+    }
+
+
+def load_references(seed: int, default_seed: int) -> dict:
+    """Pinned cell digests by workload; empty unless ``seed`` is the default."""
     if seed != default_seed or not REFERENCE.is_file():
-        return None
-    return json.loads(REFERENCE.read_text()).get(workload)
+        return {}
+    return json.loads(REFERENCE.read_text())
 
 
 def write_reference(workload: str, checker) -> None:
@@ -63,6 +75,10 @@ def main(argv=None) -> int:
     if not (SRC / "repro" / "__init__.py").is_file():
         print(f"perfbench: no simulator sources under {SRC}", file=sys.stderr)
         return 2
+    if not BENCHMARK.is_file():
+        print(f"perfbench: no metric declarations in {BENCHMARK}", file=sys.stderr)
+        return 2
+    schema = load_schema()
     sys.path.insert(0, str(SRC))
 
     import grids
@@ -80,18 +96,23 @@ def main(argv=None) -> int:
         return 2
 
     workload = grids.WORKLOADS[args.workload](args.seed)
-    reference = None
+    references = {}
     if not args.write_reference:
-        reference = load_reference(args.workload, args.seed, grids.DEFAULT_SEED)
-    checker = legs.Checker(reference)
+        references = load_references(args.seed, grids.DEFAULT_SEED)
+    checker = legs.Checker(references.get(args.workload))
     TMP_ROOT.mkdir(exist_ok=True)
     tmp_root = tempfile.mkdtemp(dir=TMP_ROOT)
     try:
         if args.trace:
             import layers
 
-            values = layers.traced_run(workload, args.seed, checker, tmp_root, OUT_DIR)
-            units = {name: unit for name, unit, _better, _target in layers.PER_LAYER}
+            units = schema["per_layer"]
+            problems = layers.check_schema(units)
+            if problems:
+                print("perfbench: " + "\n".join(problems), file=sys.stderr)
+                return 2
+            values = layers.traced_run(workload, args.seed, checker, tmp_root, OUT_DIR, units,
+                                       references.get("engine_cold_warm"))
         else:
             speed = HostSpeed()
             if args.workload == "engine_cold_warm":
@@ -100,7 +121,7 @@ def main(argv=None) -> int:
                 measured = legs.inline_metrics(workload, args.seconds, checker, speed)
             values = measured.scaled
             values["peak_rss_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-            units = {name: unit for name, unit, _better in E2E_METRICS}
+            units = schema["end_to_end"]
             print(f"host speed factor {speed.factor():.4f} over {len(speed.samples)} samples; "
                   f"raw host values: {json.dumps(measured.raw, sort_keys=True)}")
     finally:
@@ -124,17 +145,6 @@ def main(argv=None) -> int:
     }
     print(json.dumps(result))
     return 0
-
-
-#: End-to-end metrics: (name, unit, better).
-E2E_METRICS = (
-    ("setup_s", "s", "lower"),
-    ("ips_python", "instr/s", "higher"),
-    ("ips_numpy", "instr/s", "higher"),
-    ("peak_rss_mib", "MiB", "lower"),
-    ("cold_s", "s", "lower"),
-    ("warm_s", "s", "lower"),
-)
 
 
 if __name__ == "__main__":
