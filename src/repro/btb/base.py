@@ -85,6 +85,13 @@ class BTBBase(abc.ABC):
         #: -- valid because the pc->location mapping only changes with the
         #: active ASID or the partition map, both of which clear the hint.
         self._update_hint: tuple[int, int, int] | None = None
+        #: Residency shadow of the ways (numpy ``(valid, tag)`` per set x
+        #: way), built by the first batch plan and written through from then
+        #: on; ``_set_gen`` is each set's residency generation, bumped on
+        #: every ``(valid, tag)`` change and NOT on refreshes or LRU movement.
+        self._shadow_valid = None
+        self._shadow_tags = None
+        self._set_gen: list[int] = []
 
     # -- mandatory interface ----------------------------------------------
 
@@ -119,7 +126,7 @@ class BTBBase(abc.ABC):
         """Switch the address space the BTB tags its entries with.
 
         Organizations fold the active ASID into their partial-tag hash (see
-        :meth:`asid_colored`), so entries installed by one tenant never hit for
+        :meth:`_locate`), so entries installed by one tenant never hit for
         another while all tenants share the same storage.  ASID 0 is the
         neutral color: with it, tagging is a no-op.
         """
@@ -177,6 +184,29 @@ class BTBBase(abc.ABC):
         """Sets per tenant partition (``None`` when the structure is shared)."""
         return self.asid_policy.domain_counts(self._MAIN_DOMAIN)
 
+    def _locate(self, pc: int) -> tuple[int, int]:
+        """Set index and partial tag of ``pc`` in the main array.
+
+        Shared by every set-associative organization (``num_sets``,
+        ``tag_bits`` and ``isa`` attributes); :func:`batch_locate` is its
+        vectorized twin.  The set index uses the raw PC, confined to the
+        active tenant's partition slice when there is one.  The partial tag
+        XOR-folds the whole ASID-colored PC above the alignment bits down to
+        ``tag_bits``, as real BTBs do to keep tag storage small with minimal
+        aliasing.  The index bits are deliberately *included* in the hash:
+        organizations sized to an exact storage budget can have
+        non-power-of-two set counts (e.g. a 1856-entry conventional BTB)
+        whose modulo indexing would otherwise let two PCs that differ only in
+        low-order bits share both a set and a tag.  Only the tag sees the
+        ASID color -- set indexing and target recovery (BTB-X offset
+        concatenation, PDede same-page rebuild) keep the raw PC.
+        """
+        policy = self.asid_policy
+        align = self.isa.alignment_bits
+        index = policy.set_index(self._MAIN_DOMAIN, pc, self.num_sets, align)
+        high = policy.colored(pc) >> align
+        return index, (fold_xor(high, self.tag_bits) if high else 0)
+
     def _locate_for_update(self, pc: int) -> tuple[int, int]:
         """``_locate(pc)``, short-circuited by the batch plan's lookup hint.
 
@@ -187,7 +217,7 @@ class BTBBase(abc.ABC):
         hint = self._update_hint
         if hint is not None and hint[0] == pc:
             return hint[1], hint[2]
-        return self._locate(pc)  # type: ignore[attr-defined]
+        return self._locate(pc)
 
     def secondary_partition_counts(self) -> dict[str, list[int]]:
         """Per-tenant capacity of each partitioned *secondary* structure.
@@ -202,67 +232,121 @@ class BTBBase(abc.ABC):
         """
         return self.asid_policy.partition_report(exclude=(self._MAIN_DOMAIN,))
 
-    def partitioned_set_index(self, pc: int, num_sets: int, alignment_bits: int) -> int:
-        """Set index for ``pc``, confined to the active tenant's partition.
-
-        With no partitions configured this is exactly :func:`set_index` over
-        the whole structure; with partitions, the PC indexes *within* the
-        active slice and is offset to the slice's base, so lookups and updates
-        of different tenants can never touch the same set.
-        """
-        return self.asid_policy.set_index(self._MAIN_DOMAIN, pc, num_sets, alignment_bits)
-
-    def asid_colored(self, pc: int) -> int:
-        """``pc`` with the active ASID mixed into the bits the tag hash folds.
-
-        Used by ``_locate`` implementations for the partial-tag hash ONLY --
-        set indexing and target recovery (BTB-X offset concatenation, PDede
-        same-page rebuild) must keep using the raw PC.
-        """
-        return self.asid_policy.colored(pc)
-
     def storage_kib(self) -> float:
         """Storage requirement in KiB."""
         return self.storage_bits() / 8.0 / 1024.0
 
     # -- batched backend hooks ---------------------------------------------
+    #
+    # The shared guaranteed-miss machinery.  Set-associative organizations
+    # (every bounded one) provide ``num_sets``, ``associativity``,
+    # ``tag_bits``, ``isa``, a ``_sets`` list of per-set way lists (or
+    # ``None`` for a set not yet materialized) whose entries carry ``valid``
+    # and ``tag``, and ``lookup_prelocated(pc, index, tag, way=None)``.
+    # They call :meth:`_shadow_install`, :meth:`_shadow_evict` and
+    # :meth:`_shadow_clear` -- guarded by ``if self._shadow_tags is not
+    # None``, so the scalar backend, which never builds the shadow, pays one
+    # attribute test -- wherever a way's ``(valid, tag)`` changes.
 
-    def batch_plan(self, pcs, taken_branch_pcs) -> "object | None":
+    def batch_plan(self, pcs, taken_branch_pcs) -> "BatchPlan":
         """Plan one scheduling chunk's lookups over the ``pcs`` array.
 
-        Supported organizations return a plan object with two members the
-        batched engine consumes:
+        Every organization returns a :class:`BatchPlan`, whose two members
+        the batched engine consumes:
 
         * ``guaranteed_miss`` -- a boolean array marking PCs that *provably*
           miss for the whole chunk: their lookup key is neither resident now
           nor among the keys any taken branch of the chunk
           (``taken_branch_pcs``) could install.  Within a chunk the active
           ASID -- hence coloring and partition slice -- is constant, updates
-          install only at taken-branch keys and evictions only remove
+          install only at taken-branch keys and evictions (LRU victims,
+          dangling Page-/Region-BTB pointers, reallocations) only remove
           entries, so the filter is static and exact;
         * ``lookup(position, pc)`` -- perform the real lookup for the chunk's
-          ``position``-th instruction using the plan's pre-vectorized set
-          index and partial tag (identical integers to ``_locate``, so the
-          result, LRU movement and counters match the scalar path bit for
-          bit).
+          ``position``-th instruction, with the result, LRU movement and
+          counters of the scalar probe bit for bit.
 
-        The default returns ``None``: the engine then runs every instruction
-        through the ordinary scalar path, which keeps organizations with
-        richer lookup behaviour (PDede's two-cycle page probes, R-BTB,
-        ideal) exact without a vectorized twin.
+        This implementation serves every set-associative organization: the
+        keys are located by :func:`batch_locate`, residency is read from the
+        numpy shadow of the ways, and the plan *preresolves* each probe to a
+        hit way or a certain miss, guarded at lookup time by the set's
+        residency generation.  An unchanged generation proves the set's
+        ``(valid, tag)`` state is exactly the plan-time shadow (refreshes and
+        LRU movement never bump it, and a preresolved hit reads the live
+        entry, so payload refreshes are always observed); a set that did
+        change is probed by scanning its ways as the scalar path does.
+        Organizations without sets (the ideal BTB) override this.
         """
-        del pcs, taken_branch_pcs
-        return None
+        from repro.traces.batch import np
+
+        index, tag = batch_locate(self, pcs, self.num_sets)
+        valid, tags = self._ensure_shadow()
+        match = valid[index] & (tags[index] == tag[:, None])
+        hit_any = match.any(axis=1)
+        resolved = np.where(hit_any, match.argmax(axis=1).astype(np.int64), np.int64(-1))
+        guaranteed_miss = ~hit_any
+        if len(taken_branch_pcs):
+            tb_index, tb_tag = batch_locate(self, taken_branch_pcs, self.num_sets)
+            shift = np.uint64(self.tag_bits)
+            guaranteed_miss &= ~np.isin((index << shift) | tag, (tb_index << shift) | tb_tag)
+        gen = np.asarray(self._set_gen, dtype=np.int64)[index]
+        return SetBatchPlan(
+            self, guaranteed_miss, index.tolist(), tag.tolist(), resolved.tolist(), gen.tolist()
+        )
 
     def note_skipped_miss_lookups(self, count: int) -> None:
         """Account ``count`` lookups the batched engine proved to be misses.
 
         The engine never performs those probes; this applies their only
         architectural footprint -- read-access and miss counters (a missing
-        lookup touches no LRU state).  Only meaningful for organizations
-        whose :meth:`batch_plan` can mark guaranteed misses.
+        lookup touches no LRU state).
         """
-        raise NotImplementedError(f"{type(self).__name__} has no batched miss path")
+        self.reads["main"] = self.reads.get("main", 0) + count
+        self.stats.inc("misses", count)
+
+    def _resident_ways(self):
+        """``(set, way, tag)`` of every valid way (the shadow's first scan)."""
+        for index, entries in enumerate(self._sets):
+            for way, entry in enumerate(entries or ()):
+                if entry.valid:
+                    yield index, way, entry.tag
+
+    def _ensure_shadow(self):
+        """Build (once) and return the numpy ``(valid, tags)`` residency shadow.
+
+        The shadow mirrors exactly the ``(entry.valid, entry.tag)`` pairs the
+        scalar probe compares against, and ``_set_gen`` counts each set's
+        residency changes.  Every later mutation writes through, so after
+        this first full scan the resident set is always readable as two
+        array gathers.
+        """
+        if self._shadow_tags is None:
+            from repro.traces.batch import np
+
+            shape = (self.num_sets, self.associativity)
+            self._shadow_valid = np.zeros(shape, dtype=bool)
+            self._shadow_tags = np.zeros(shape, dtype=np.uint64)
+            self._set_gen = [0] * self.num_sets
+            for index, way, tag in self._resident_ways():
+                self._shadow_valid[index, way] = True
+                self._shadow_tags[index, way] = tag
+        return self._shadow_valid, self._shadow_tags
+
+    def _shadow_install(self, index: int, way: int, tag: int) -> None:
+        """Write an allocation of ``(index, way)`` through to the shadow."""
+        self._set_gen[index] += 1
+        self._shadow_valid[index, way] = True
+        self._shadow_tags[index, way] = tag
+
+    def _shadow_evict(self, index: int, way: int) -> None:
+        """Write an invalidation of ``(index, way)`` through to the shadow."""
+        self._set_gen[index] += 1
+        self._shadow_valid[index, way] = False
+
+    def _shadow_clear(self) -> None:
+        """Write a whole-structure invalidation through to the shadow."""
+        self._set_gen = [gen + 1 for gen in self._set_gen]
+        self._shadow_valid[:] = False
 
     def record_allocation(self, structure: str, key: int) -> None:
         """Note that ``structure`` was asked to track ``key`` (duplication stats).
@@ -339,8 +423,64 @@ class BTBBase(abc.ABC):
         )
 
 
+class BatchPlan:
+    """One scheduling chunk's lookup plan (see :meth:`BTBBase.batch_plan`).
+
+    This base form carries only the guaranteed-miss filter; its lookups are
+    the organization's ordinary scalar probe.
+    """
+
+    __slots__ = ("_btb", "guaranteed_miss")
+
+    def __init__(self, btb: BTBBase, guaranteed_miss) -> None:
+        self._btb = btb
+        self.guaranteed_miss = guaranteed_miss
+
+    def lookup(self, position: int, pc: int) -> BTBLookupResult:
+        """The real lookup for the chunk's ``position``-th instruction."""
+        del position
+        return self._btb.lookup(pc)
+
+
+class SetBatchPlan(BatchPlan):
+    """Plan of a set-associative organization: pre-located, preresolved probes."""
+
+    __slots__ = ("_index", "_tag", "_resolved", "_gen", "secondary")
+
+    def __init__(self, btb: BTBBase, guaranteed_miss, index, tag, resolved, gen) -> None:
+        super().__init__(btb, guaranteed_miss)
+        self._index = index
+        self._tag = tag
+        #: Per-position preresolution against the plan-time shadow: ``-1``
+        #: certain miss, ``>= 0`` the hit way.  Valid while the set's
+        #: residency generation still equals the plan-time snapshot.
+        self._resolved = resolved
+        self._gen = gen
+        #: Plan of a secondary structure probed on a main miss (BTB-X's
+        #: companion), passed through to ``lookup_prelocated``.
+        self.secondary: BatchPlan | None = None
+
+    def lookup(self, position: int, pc: int) -> BTBLookupResult:
+        """Probe with the chunk-vectorized location of ``position``.
+
+        A preresolved position skips the way scan, and the organization's
+        ``lookup_prelocated`` replays the scan's every side effect; a
+        position whose set changed residency since plan time (generation
+        mismatch) scans.  Either way the location doubles as the update hint
+        (:meth:`BTBBase._locate_for_update`) for a taken branch's commit.
+        """
+        btb = self._btb
+        index = self._index[position]
+        tag = self._tag[position]
+        btb._update_hint = (pc, index, tag)
+        way = self._resolved[position] if btb._set_gen[index] == self._gen[position] else None
+        if self.secondary is None:
+            return btb.lookup_prelocated(pc, index, tag, way)
+        return btb.lookup_prelocated(pc, index, tag, way, self.secondary, position)
+
+
 def batch_locate(btb: "BTBBase", pcs, num_sets: int):
-    """Vectorized twin of the ``_locate`` used by conventional-style arrays.
+    """Vectorized twin of :meth:`BTBBase._locate`.
 
     Computes the set index and partial tag of every PC in the uint64 array
     ``pcs`` for ``btb``'s *current* ASID state -- the same
@@ -370,27 +510,3 @@ def batch_locate(btb: "BTBBase", pcs, num_sets: int):
     if color:
         tags = tags ^ np.uint64(fold_xor(color >> align, btb.tag_bits))
     return index, tags
-
-
-def partial_tag(pc: int, index_bits_consumed: int, tag_bits: int, alignment_bits: int) -> int:
-    """Hash the PC down to a partial tag.
-
-    The full PC above the alignment bits is XOR-folded to ``tag_bits``, as
-    real BTBs do to keep tag storage small with minimal aliasing.  The index
-    bits are deliberately *included* in the hash: organizations sized to match
-    an exact storage budget can have non-power-of-two set counts (e.g. a
-    1856-entry conventional BTB) whose modulo indexing would otherwise let two
-    PCs that differ only in low-order bits share both a set and a tag,
-    creating systematic false hits.  ``index_bits_consumed`` is accepted for
-    interface stability but no longer skipped.
-    """
-    del index_bits_consumed  # see docstring: always fold the full PC
-    high = pc >> alignment_bits
-    return fold_xor(high, tag_bits) if high else 0
-
-
-def index_bits_of(num_sets: int) -> int:
-    """Number of PC bits consumed by the set index (ceil(log2(sets)))."""
-    if num_sets <= 1:
-        return 0
-    return (num_sets - 1).bit_length()

@@ -30,7 +30,7 @@ from repro.common.lru import LRUState
 from repro.common.stats import Stats
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
-from repro.btb.base import BTBBase, BTBLookupResult, batch_locate, index_bits_of, partial_tag
+from repro.btb.base import BTBBase, BTBLookupResult
 from repro.btb.offsets import stored_offset_bits
 
 #: Per-way offset widths for Arm64 (Figure 8) and x86 (Section VI-G).
@@ -95,28 +95,30 @@ class BTBXC(BTBBase):
         self.isa = isa
         self.tag_bits = tag_bits
         self.num_entries = entries
-        # Direct-mapped: every entry is its own set (partitioning granularity).
+        # Direct-mapped: every entry is its own one-way set (partitioning
+        # granularity, and the shape of the batched residency shadow).
         self.num_sets = entries
-        self._index_bits = index_bits_of(entries)
+        self.associativity = 1
         self._entries = [_CompanionEntry() for _ in range(entries)]
-
-    def _locate(self, pc: int) -> tuple[int, int]:
-        index = self.partitioned_set_index(pc, self.num_entries, self.isa.alignment_bits)
-        tag = partial_tag(
-            self.asid_colored(pc), self._index_bits, self.tag_bits, self.isa.alignment_bits
-        )
-        return index, tag
 
     def lookup(self, pc: int) -> BTBLookupResult:
         """Direct-mapped probe; accessed in parallel with BTB-X."""
         index, tag = self._locate(pc)
         return self.lookup_prelocated(pc, index, tag)
 
-    def lookup_prelocated(self, pc: int, index: int, tag: int) -> BTBLookupResult:
-        """The probe proper, with index and tag precomputed (batched backend)."""
+    def lookup_prelocated(
+        self, pc: int, index: int, tag: int, way: int | None = None
+    ) -> BTBLookupResult:
+        """The probe proper, with index and tag precomputed (batched backend).
+
+        ``way`` is a batch plan's preresolution (``-1`` miss, ``0`` hit);
+        ``None`` compares the entry.
+        """
         self.record_read("companion")
         entry = self._entries[index]
-        if entry.valid and entry.tag == tag:
+        if way is None:
+            way = 0 if entry.valid and entry.tag == tag else -1
+        if way == 0:
             self.stats.inc("hits")
             return BTBLookupResult(
                 hit=True,
@@ -135,6 +137,8 @@ class BTBXC(BTBBase):
         entry = self._entries[index]
         if entry.valid and entry.tag != tag:
             self.stats.inc("evictions")
+        if self._shadow_tags is not None:
+            self._shadow_install(index, 0, tag)
         entry.valid = True
         entry.tag = tag
         entry.branch_type = instruction.branch_type
@@ -153,15 +157,14 @@ class BTBXC(BTBBase):
         """Clear every companion entry."""
         for entry in self._entries:
             entry.valid = False
+        if self._shadow_tags is not None:
+            self._shadow_clear()
 
-    def _resident_lookup_keys(self) -> List[int]:
-        """``(slot << tag_bits) | tag`` of every valid entry (miss filtering)."""
-        tag_bits = self.tag_bits
-        return [
-            (index << tag_bits) | entry.tag
-            for index, entry in enumerate(self._entries)
-            if entry.valid
-        ]
+    def _resident_ways(self):
+        """``(slot, 0, tag)`` of every valid entry (the shadow's first scan)."""
+        for index, entry in enumerate(self._entries):
+            if entry.valid:
+                yield index, 0, entry.tag
 
     def note_skipped_miss_lookups(self, count: int) -> None:
         """Bulk-account ``count`` proven-miss probes the engine skipped."""
@@ -199,22 +202,11 @@ class BTBX(BTBBase):
         self.way_offset_bits = widths
         self.associativity = associativity
         self.num_sets = entries // associativity
-        self._index_bits = index_bits_of(self.num_sets)
         # Sets materialize lazily on first install (see
         # SetAssociativeCache.__init__ for the bit-exactness argument): a
         # probe of an unmaterialized set is a miss with nothing to scan.
         self._sets: List[List[_Entry] | None] = [None] * self.num_sets
         self._lru: List[LRUState | None] = [None] * self.num_sets
-        # Residency shadow (numpy ``(valid, tag)`` per set x way), built
-        # lazily by the first batch_plan and kept write-through from then on;
-        # the scalar backend never builds it, so it costs that path nothing.
-        self._shadow_valid = None
-        self._shadow_tags = None
-        # Per-set residency generation: bumped on every ``(valid, tag)``
-        # mutation (allocation, reallocation-invalidation, invalidation) and
-        # NOT on refreshes or LRU movement.  Batch plans snapshot it to
-        # certify preresolved probes at lookup time.
-        self._set_gen = [0] * self.num_sets
         # Per-way hit/allocation counters (kept as plain lists for speed; they
         # are exposed through way_hit_counts()/way_allocation_counts()).
         self._way_hits = [0] * associativity
@@ -254,13 +246,6 @@ class BTBX(BTBBase):
         return self.num_sets * self.associativity + companion
 
     # -- operations --------------------------------------------------------
-
-    def _locate(self, pc: int) -> tuple[int, int]:
-        index = self.partitioned_set_index(pc, self.num_sets, self.isa.alignment_bits)
-        tag = partial_tag(
-            self.asid_colored(pc), self._index_bits, self.tag_bits, self.isa.alignment_bits
-        )
-        return index, tag
 
     def set_active_asid(self, asid: int) -> None:
         """Propagate the ASID to the companion so both structures agree."""
@@ -335,50 +320,57 @@ class BTBX(BTBBase):
     def lookup(self, pc: int) -> BTBLookupResult:
         """Probe all ways (and BTB-XC) in parallel with the PC."""
         index, tag = self._locate(pc)
-        return self.lookup_prelocated(pc, index, tag, None, None)
+        return self.lookup_prelocated(pc, index, tag)
 
     def lookup_prelocated(
         self,
         pc: int,
         index: int,
         tag: int,
-        companion_index: int | None,
-        companion_tag: int | None,
+        way: int | None = None,
+        companion_plan=None,
+        position: int = -1,
     ) -> BTBLookupResult:
-        """The probe proper, with main (and optionally companion) pre-located.
+        """The probe proper, with the main-array location precomputed.
 
-        ``companion_index=None`` locates the companion lazily, preserving the
-        scalar path's behaviour of only computing it when the main ways miss;
-        the batched backend passes both pairs from its chunk-vectorized
-        arrays.
+        ``way`` is a batch plan's preresolution of the main ways (``-1``
+        certain main miss, ``>= 0`` the hit way; ``None`` scans).  On a main
+        miss the companion is probed through ``companion_plan`` (the batched
+        backend's plan of BTB-XC, at the same chunk ``position``) or, without
+        one, located lazily -- the scalar path computes the companion's
+        location only when the main ways miss.
         """
         self.record_read("main")
-        for way, entry in enumerate(self._sets[index] or ()):
-            if entry.valid and entry.tag == tag:
-                self._lru[index].touch(way)
-                self.stats.inc("hits")
-                self._way_hits[way] += 1
-                if entry.branch_type.target_from_ras:
-                    return BTBLookupResult(
-                        hit=True,
-                        branch_type=entry.branch_type,
-                        target=None,
-                        target_from_ras=True,
-                        structure=f"way{way}",
-                    )
+        if way is None:
+            way = -1
+            for candidate, entry in enumerate(self._sets[index] or ()):
+                if entry.valid and entry.tag == tag:
+                    way = candidate
+                    break
+        if way >= 0:
+            entry = self._sets[index][way]
+            self._lru[index].touch(way)
+            self.stats.inc("hits")
+            self._way_hits[way] += 1
+            if entry.branch_type.target_from_ras:
                 return BTBLookupResult(
                     hit=True,
                     branch_type=entry.branch_type,
-                    target=self._recover_target(pc, entry),
+                    target=None,
+                    target_from_ras=True,
                     structure=f"way{way}",
                 )
+            return BTBLookupResult(
+                hit=True,
+                branch_type=entry.branch_type,
+                target=self._recover_target(pc, entry),
+                structure=f"way{way}",
+            )
         if self.companion is not None:
-            if companion_index is None:
+            if companion_plan is None:
                 companion_result = self.companion.lookup(pc)
             else:
-                companion_result = self.companion.lookup_prelocated(
-                    pc, companion_index, companion_tag
-                )
+                companion_result = companion_plan.lookup(position, pc)
             if companion_result.hit:
                 self.stats.inc("hits")
                 self.stats.inc("hits.companion")
@@ -435,9 +427,8 @@ class BTBX(BTBBase):
                 # The target moved out of this way's reach (indirect branch):
                 # drop the stale entry and re-allocate below.
                 entry.valid = False
-                self._set_gen[index] += 1
-                if self._shadow_valid is not None:
-                    self._shadow_valid[index, way] = False
+                if self._shadow_tags is not None:
+                    self._shadow_evict(index, way)
                 self.stats.inc("reallocations")
                 break
 
@@ -453,10 +444,8 @@ class BTBX(BTBBase):
         entry.offset_payload = payload
         entry.offset_width = required
         self._lru[index].touch(victim)
-        self._set_gen[index] += 1
         if self._shadow_tags is not None:
-            self._shadow_valid[index, victim] = True
-            self._shadow_tags[index, victim] = tag
+            self._shadow_install(index, victim, tag)
         self.record_write("main")
         self.stats.inc("allocations")
         self._way_allocations[victim] += 1
@@ -486,187 +475,31 @@ class BTBX(BTBBase):
         """Clear every entry, including the companion (tests/warmup control)."""
         self._sets = [None] * self.num_sets
         self._lru = [None] * self.num_sets
-        self._set_gen = [gen + 1 for gen in self._set_gen]
-        if self._shadow_valid is not None:
-            self._shadow_valid[:] = False
+        if self._shadow_tags is not None:
+            self._shadow_clear()
         if self.companion is not None:
             self.companion.invalidate_all()
 
     # -- batched backend ---------------------------------------------------
 
-    def _ensure_shadow(self):
-        """Build (once) and return the numpy ``(valid, tags)`` residency shadow.
-
-        Mirrors exactly the ``(entry.valid, entry.tag)`` pairs of the main
-        ways; allocation, reallocation-invalidation and
-        :meth:`invalidate_all` write through after this first full scan.
-        """
-        if self._shadow_tags is None:
-            from repro.traces.batch import np
-
-            self._shadow_valid = np.zeros((self.num_sets, self.associativity), dtype=bool)
-            self._shadow_tags = np.zeros((self.num_sets, self.associativity), dtype=np.uint64)
-            for index, entries in enumerate(self._sets):
-                if entries is None:
-                    continue
-                for way, entry in enumerate(entries):
-                    if entry.valid:
-                        self._shadow_valid[index, way] = True
-                        self._shadow_tags[index, way] = entry.tag
-        return self._shadow_valid, self._shadow_tags
-
     def batch_plan(self, pcs, taken_branch_pcs):
-        """Chunk plan over main ways *and* the companion.
+        """The shared set-associative plan, with the companion planned too.
 
         A PC is a guaranteed miss only when it provably misses both
-        structures; the chunk's taken-branch keys are conservatively blocked
-        in both (overflow branches install in the companion, the rest in the
-        main ways -- blocking both merely shrinks the fast set, never breaks
-        exactness).  See :meth:`repro.btb.base.BTBBase.batch_plan`.
-
-        On top of that, the plan *preresolves* the main ways of every probe
-        against the residency shadow, guarded at lookup time by the set's
-        residency generation (same argument as
-        :meth:`ConventionalBTB.batch_plan`): a known hit way skips the scan,
-        a known main miss degrades to the companion's one-entry direct-mapped
-        probe, performed live so companion mutations mid-chunk (overflow
-        installs) need no static analysis at all.
+        structures: the companion's own plan blocks its resident keys and the
+        chunk's taken-branch keys (overflow branches install there, the rest
+        in the main ways -- blocking both merely shrinks the fast set, never
+        breaks exactness).  A main miss probes the companion through its
+        plan, live, so companion mutations mid-chunk need no static analysis.
         """
-        from repro.traces.batch import np
-
-        index, tag = batch_locate(self, pcs, self.num_sets)
-        valid, tags = self._ensure_shadow()
-        match = valid[index] & (tags[index] == tag[:, None])
-        hit_any = match.any(axis=1)
-        resolved = np.where(hit_any, match.argmax(axis=1).astype(np.int64), np.int64(-1))
-        has_taken = len(taken_branch_pcs) > 0
-        if has_taken:
-            tb_index, tb_tag = batch_locate(self, taken_branch_pcs, self.num_sets)
-            shift = np.uint64(self.tag_bits)
-            keys = (index << shift) | tag
-            installed = (tb_index << shift) | tb_tag
-            guaranteed_miss = ~hit_any & ~np.isin(keys, installed)
-        else:
-            guaranteed_miss = ~hit_any
-        gen = np.asarray(self._set_gen, dtype=np.int64)[index]
-        resolved_list = resolved.tolist()
-        gen_list = gen.tolist()
-
-        companion = self.companion
-        if companion is None:
-            return _BTBXBatchPlan(
-                self,
-                index.tolist(),
-                tag.tolist(),
-                None,
-                None,
-                resolved_list,
-                gen_list,
-                guaranteed_miss,
-            )
-        c_index, c_tag = batch_locate(companion, pcs, companion.num_entries)
-        c_shift = np.uint64(companion.tag_bits)
-        c_keys = (c_index << c_shift) | c_tag
-        c_blocked = np.asarray(companion._resident_lookup_keys(), dtype=np.uint64)
-        if has_taken:
-            tb_c_index, tb_c_tag = batch_locate(companion, taken_branch_pcs, companion.num_entries)
-            c_blocked = np.concatenate([c_blocked, (tb_c_index << c_shift) | tb_c_tag])
-        guaranteed_miss &= ~np.isin(c_keys, c_blocked)
-        return _BTBXBatchPlan(
-            self,
-            index.tolist(),
-            tag.tolist(),
-            c_index.tolist(),
-            c_tag.tolist(),
-            resolved_list,
-            gen_list,
-            guaranteed_miss,
-        )
+        plan = super().batch_plan(pcs, taken_branch_pcs)
+        if self.companion is not None:
+            plan.secondary = self.companion.batch_plan(pcs, taken_branch_pcs)
+            plan.guaranteed_miss &= plan.secondary.guaranteed_miss
+        return plan
 
     def note_skipped_miss_lookups(self, count: int) -> None:
         """Bulk-account ``count`` proven-miss lookups (main and companion)."""
-        self.reads["main"] = self.reads.get("main", 0) + count
-        self.stats.inc("misses", count)
+        super().note_skipped_miss_lookups(count)
         if self.companion is not None:
             self.companion.note_skipped_miss_lookups(count)
-
-
-class _BTBXBatchPlan:
-    """Per-chunk lookup plan of a :class:`BTBX` (main plus companion)."""
-
-    __slots__ = (
-        "_btb", "_index", "_tag", "_c_index", "_c_tag", "_resolved", "_gen", "guaranteed_miss",
-    )
-
-    def __init__(
-        self, btb: BTBX, index, tag, c_index, c_tag, resolved, gen, guaranteed_miss
-    ) -> None:
-        self._btb = btb
-        self._index = index
-        self._tag = tag
-        self._c_index = c_index
-        self._c_tag = c_tag
-        #: Per-position preresolution of the main ways against the plan-time
-        #: shadow: ``-1`` certain main miss (only the companion is probed,
-        #: live), ``>= 0`` the main hit way.  Valid while the set's residency
-        #: generation still equals the plan-time snapshot.
-        self._resolved = resolved
-        self._gen = gen
-        self.guaranteed_miss = guaranteed_miss
-
-    def lookup(self, position: int, pc: int) -> BTBLookupResult:
-        """Probe with the chunk-vectorized resolution of ``position``.
-
-        Preresolved positions skip the main way scan but replay its every
-        side effect -- read/hit/miss counters, per-way hit counts, the hit
-        way's LRU touch, the companion fallthrough on a main miss -- so the
-        result and all architectural state match the scalar probe bit for
-        bit.  A position whose set changed residency since plan time
-        (generation mismatch) replays through the ordinary scalar probe.
-        Either way the main-array location doubles as the update hint
-        (``_locate_for_update``) for a taken branch's commit-time
-        :meth:`BTBX.update`.
-        """
-        btb = self._btb
-        index = self._index[position]
-        tag = self._tag[position]
-        btb._update_hint = (pc, index, tag)
-        if btb._set_gen[index] != self._gen[position]:
-            if self._c_index is None:
-                return btb.lookup_prelocated(pc, index, tag, None, None)
-            return btb.lookup_prelocated(
-                pc, index, tag, self._c_index[position], self._c_tag[position]
-            )
-        way = self._resolved[position]
-        btb.reads["main"] = btb.reads.get("main", 0) + 1
-        if way >= 0:
-            entry = btb._sets[index][way]
-            btb._lru[index].touch(way)
-            btb.stats.inc("hits")
-            btb._way_hits[way] += 1
-            if entry.branch_type.target_from_ras:
-                return BTBLookupResult(
-                    hit=True,
-                    branch_type=entry.branch_type,
-                    target=None,
-                    target_from_ras=True,
-                    structure=f"way{way}",
-                )
-            return BTBLookupResult(
-                hit=True,
-                branch_type=entry.branch_type,
-                target=btb._recover_target(pc, entry),
-                structure=f"way{way}",
-            )
-        # way == -1: certain main miss -- only the companion can hit.
-        companion = btb.companion
-        if companion is not None:
-            result = companion.lookup_prelocated(
-                pc, self._c_index[position], self._c_tag[position]
-            )
-            if result.hit:
-                btb.stats.inc("hits")
-                btb.stats.inc("hits.companion")
-                return result
-        btb.stats.inc("misses")
-        return BTBLookupResult.miss()

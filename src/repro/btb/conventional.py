@@ -17,7 +17,7 @@ from repro.common.lru import LRUState
 from repro.common.stats import Stats
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
-from repro.btb.base import BTBBase, BTBLookupResult, batch_locate, index_bits_of, partial_tag
+from repro.btb.base import BTBBase, BTBLookupResult
 
 #: Field widths of a conventional BTB entry (Figure 1).
 VALID_BITS = 1
@@ -60,21 +60,10 @@ class ConventionalBTB(BTBBase):
         self.associativity = associativity
         self.num_sets = entries // associativity
         self.virtual_address_bits = virtual_address_bits
-        self._index_bits = index_bits_of(self.num_sets)
         # Sets materialize lazily on first install (see
         # SetAssociativeCache.__init__ for the bit-exactness argument).
         self._sets: List[List[_Entry] | None] = [None] * self.num_sets
         self._lru: List[LRUState | None] = [None] * self.num_sets
-        # Residency shadow (numpy ``(valid, tag)`` per set x way), built
-        # lazily by the first batch_plan and kept write-through from then on;
-        # the scalar backend never builds it, so it costs that path nothing.
-        self._shadow_valid = None
-        self._shadow_tags = None
-        # Per-set residency generation: bumped on every ``(valid, tag)``
-        # mutation (allocation, invalidation) and NOT on refreshes or LRU
-        # movement.  Batch plans snapshot it to certify that a preresolved
-        # hit way / certain miss is still current at lookup time.
-        self._set_gen = [0] * self.num_sets
 
     # -- geometry ----------------------------------------------------------
 
@@ -97,39 +86,40 @@ class ConventionalBTB(BTBBase):
 
     # -- operations --------------------------------------------------------
 
-    def _locate(self, pc: int) -> tuple[int, int]:
-        index = self.partitioned_set_index(pc, self.num_sets, self.isa.alignment_bits)
-        tag = partial_tag(
-            self.asid_colored(pc), self._index_bits, self.tag_bits, self.isa.alignment_bits
-        )
-        return index, tag
-
     def lookup(self, pc: int) -> BTBLookupResult:
         """Probe all ways of the indexed set in parallel."""
         index, tag = self._locate(pc)
         return self.lookup_prelocated(pc, index, tag)
 
-    def lookup_prelocated(self, pc: int, index: int, tag: int) -> BTBLookupResult:
+    def lookup_prelocated(
+        self, pc: int, index: int, tag: int, way: int | None = None
+    ) -> BTBLookupResult:
         """The lookup proper, with set index and tag already computed.
 
-        The batched backend vectorizes ``_locate`` over a whole scheduling
-        chunk and probes through here; :meth:`lookup` is now a thin scalar
-        wrapper, so the two paths share one probe implementation.
+        ``way`` is a batch plan's preresolution (``-1`` certain miss, ``>= 0``
+        the hit way); ``None`` scans the ways.  Both give the same result,
+        counters and LRU movement.
         """
         self.record_read("main")
-        for way, entry in enumerate(self._sets[index] or ()):
-            if entry.valid and entry.tag == tag:
-                self._lru[index].touch(way)
-                self.stats.inc("hits")
-                return BTBLookupResult(
-                    hit=True,
-                    branch_type=entry.branch_type,
-                    target=entry.target,
-                    target_from_ras=entry.branch_type.target_from_ras,
-                    structure="main",
-                )
-        self.stats.inc("misses")
-        return BTBLookupResult.miss()
+        if way is None:
+            way = -1
+            for candidate, entry in enumerate(self._sets[index] or ()):
+                if entry.valid and entry.tag == tag:
+                    way = candidate
+                    break
+        if way < 0:
+            self.stats.inc("misses")
+            return BTBLookupResult.miss()
+        entry = self._sets[index][way]
+        self._lru[index].touch(way)
+        self.stats.inc("hits")
+        return BTBLookupResult(
+            hit=True,
+            branch_type=entry.branch_type,
+            target=entry.target,
+            target_from_ras=entry.branch_type.target_from_ras,
+            structure="main",
+        )
 
     def _materialize(self, index: int) -> List[_Entry]:
         """Allocate the ways (and LRU state) of set ``index`` on first install."""
@@ -169,10 +159,8 @@ class ConventionalBTB(BTBBase):
         entry.branch_type = instruction.branch_type
         entry.target = instruction.target
         self._lru[index].touch(victim)
-        self._set_gen[index] += 1
         if self._shadow_tags is not None:
-            self._shadow_valid[index, victim] = True
-            self._shadow_tags[index, victim] = tag
+            self._shadow_install(index, victim, tag)
         self.record_write("main")
         self.stats.inc("allocations")
 
@@ -180,117 +168,5 @@ class ConventionalBTB(BTBBase):
         """Clear every entry (used by tests and warmup control)."""
         self._sets = [None] * self.num_sets
         self._lru = [None] * self.num_sets
-        self._set_gen = [gen + 1 for gen in self._set_gen]
-        if self._shadow_valid is not None:
-            self._shadow_valid[:] = False
-
-    # -- batched backend ---------------------------------------------------
-
-    def _ensure_shadow(self):
-        """Build (once) and return the numpy ``(valid, tags)`` residency shadow.
-
-        The shadow mirrors exactly the ``(entry.valid, entry.tag)`` pairs the
-        scalar probe compares against; every later mutation point (allocation,
-        :meth:`invalidate_all`) writes through, so after this first full scan
-        the resident set is always readable as two array gathers.
-        """
-        if self._shadow_tags is None:
-            from repro.traces.batch import np
-
-            self._shadow_valid = np.zeros((self.num_sets, self.associativity), dtype=bool)
-            self._shadow_tags = np.zeros((self.num_sets, self.associativity), dtype=np.uint64)
-            for index, entries in enumerate(self._sets):
-                if entries is None:
-                    continue
-                for way, entry in enumerate(entries):
-                    if entry.valid:
-                        self._shadow_valid[index, way] = True
-                        self._shadow_tags[index, way] = entry.tag
-        return self._shadow_valid, self._shadow_tags
-
-    def batch_plan(self, pcs, taken_branch_pcs):
-        """Chunk plan: preresolved probes plus a static guaranteed-miss filter.
-
-        Beyond the contract of :meth:`repro.btb.base.BTBBase.batch_plan`, the
-        plan *preresolves* every probe against the residency shadow: hit way
-        or certain miss, each guarded at lookup time by the set's residency
-        generation.  An unchanged generation proves the set's ``(valid, tag)``
-        state is exactly the plan-time shadow (refreshes and LRU movement
-        never bump it, and a preresolved hit reads the live entry anyway, so
-        payload refreshes are always observed); any set that did change falls
-        back to the ordinary scalar probe.
-        """
-        from repro.traces.batch import np
-
-        index, tag = batch_locate(self, pcs, self.num_sets)
-        valid, tags = self._ensure_shadow()
-        match = valid[index] & (tags[index] == tag[:, None])
-        hit_any = match.any(axis=1)
-        resolved = np.where(hit_any, match.argmax(axis=1).astype(np.int64), np.int64(-1))
-        if len(taken_branch_pcs):
-            tb_index, tb_tag = batch_locate(self, taken_branch_pcs, self.num_sets)
-            shift = np.uint64(self.tag_bits)
-            installed = (tb_index << shift) | tb_tag
-            keys = (index << shift) | tag
-            guaranteed_miss = ~hit_any & ~np.isin(keys, installed)
-        else:
-            guaranteed_miss = ~hit_any
-        gen = np.asarray(self._set_gen, dtype=np.int64)[index]
-        return _ConventionalBatchPlan(
-            self, index.tolist(), tag.tolist(), resolved.tolist(), gen.tolist(), guaranteed_miss
-        )
-
-    def note_skipped_miss_lookups(self, count: int) -> None:
-        """Bulk-account ``count`` proven-miss lookups the engine skipped."""
-        self.reads["main"] = self.reads.get("main", 0) + count
-        self.stats.inc("misses", count)
-
-
-class _ConventionalBatchPlan:
-    """Per-chunk lookup plan of a :class:`ConventionalBTB`."""
-
-    __slots__ = ("_btb", "_index", "_tag", "_resolved", "_gen", "guaranteed_miss")
-
-    def __init__(self, btb: ConventionalBTB, index, tag, resolved, gen, guaranteed_miss) -> None:
-        self._btb = btb
-        self._index = index
-        self._tag = tag
-        #: Per-position preresolution against the plan-time shadow: ``-1``
-        #: certain miss, ``>= 0`` the hit way.  Valid while the set's
-        #: residency generation still equals the plan-time snapshot.
-        self._resolved = resolved
-        self._gen = gen
-        self.guaranteed_miss = guaranteed_miss
-
-    def lookup(self, position: int, pc: int) -> BTBLookupResult:
-        """Probe with the chunk-vectorized resolution of ``position``.
-
-        Preresolved positions skip the way scan but replay its every side
-        effect -- read/hit/miss counters and the hit way's LRU touch -- so
-        the result and all architectural state match the scalar probe bit
-        for bit.  A position whose set changed residency since plan time
-        (generation mismatch) replays through the ordinary scalar probe.
-        Either way the location doubles as the update hint
-        (``_locate_for_update``) for a taken branch's commit-time update.
-        """
-        btb = self._btb
-        index = self._index[position]
-        tag = self._tag[position]
-        btb._update_hint = (pc, index, tag)
-        if btb._set_gen[index] != self._gen[position]:
-            return btb.lookup_prelocated(pc, index, tag)
-        way = self._resolved[position]
-        btb.reads["main"] = btb.reads.get("main", 0) + 1
-        if way < 0:
-            btb.stats.inc("misses")
-            return BTBLookupResult.miss()
-        entry = btb._sets[index][way]
-        btb._lru[index].touch(way)
-        btb.stats.inc("hits")
-        return BTBLookupResult(
-            hit=True,
-            branch_type=entry.branch_type,
-            target=entry.target,
-            target_from_ras=entry.branch_type.target_from_ras,
-            structure="main",
-        )
+        if self._shadow_tags is not None:
+            self._shadow_clear()

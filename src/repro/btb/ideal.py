@@ -14,7 +14,7 @@ from repro.common.config import validate_partition_weights
 from repro.common.stats import Stats
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
-from repro.btb.base import BTBBase, BTBLookupResult
+from repro.btb.base import BatchPlan, BTBBase, BTBLookupResult
 
 
 class IdealBTB(BTBBase):
@@ -77,3 +77,26 @@ class IdealBTB(BTBBase):
         """
         if weights is not None:
             validate_partition_weights(weights)
+
+    def batch_plan(self, pcs, taken_branch_pcs) -> BatchPlan:
+        """Guaranteed misses: ``(active_asid, pc)`` not resident, not installable.
+
+        Within a chunk the active ASID is constant and only the chunk's taken
+        branches install, so a PC that is neither resident now nor among
+        ``taken_branch_pcs`` misses all chunk long.  Residency is probed once
+        per distinct PC of the chunk -- O(chunk), never O(resident entries).
+        Lookups are the ordinary scalar probe (a dictionary hit needs no
+        pre-location).
+        """
+        from repro.traces.batch import np
+
+        unique, inverse = np.unique(pcs, return_inverse=True)
+        asid = self.active_asid
+        entries = self._entries
+        resident = np.fromiter(
+            ((asid, pc) in entries for pc in unique.tolist()), dtype=bool, count=len(unique)
+        )
+        if len(taken_branch_pcs):
+            resident |= np.isin(unique, taken_branch_pcs)
+        return BatchPlan(self, ~resident[inverse])
+

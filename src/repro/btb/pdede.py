@@ -34,7 +34,7 @@ from repro.common.lru import LRUState
 from repro.common.stats import Stats
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
-from repro.btb.base import BTBBase, BTBLookupResult, index_bits_of, partial_tag
+from repro.btb.base import BTBBase, BTBLookupResult
 
 VALID_BITS = 1
 TAG_BITS = 12
@@ -115,7 +115,6 @@ class PDedeBTB(BTBBase):
         self.page_entries = page_entries
         self.region_entries = region_entries
         self.page_associativity = min(page_associativity, page_entries)
-        self._index_bits = index_bits_of(self.num_sets)
         # Ways [0, same_page_ways) are reserved for same-page entries; the rest
         # may hold either kind (the paper reserves half for same-page).
         self.same_page_ways = int(round(associativity * same_page_way_fraction))
@@ -302,27 +301,22 @@ class PDedeBTB(BTBBase):
         return slot
 
     def _invalidate_page_pointers(self, page_slot: int) -> None:
-        for entries in self._sets:
-            for entry in entries:
-                if entry.valid and not entry.same_page and entry.page_pointer == page_slot:
-                    entry.valid = False
-                    self.stats.inc("pointer_invalidations")
+        self._invalidate_pointers("page_pointer", page_slot)
 
     def _invalidate_region_pointers(self, region_slot: int) -> None:
-        for entries in self._sets:
-            for entry in entries:
-                if entry.valid and not entry.same_page and entry.region_pointer == region_slot:
+        self._invalidate_pointers("region_pointer", region_slot)
+
+    def _invalidate_pointers(self, field: str, slot: int) -> None:
+        """Invalidate the different-page entries whose ``field`` points at ``slot``."""
+        for index, entries in enumerate(self._sets):
+            for way, entry in enumerate(entries):
+                if entry.valid and not entry.same_page and getattr(entry, field) == slot:
                     entry.valid = False
                     self.stats.inc("pointer_invalidations")
+                    if self._shadow_tags is not None:
+                        self._shadow_evict(index, way)
 
     # -- operations --------------------------------------------------------
-
-    def _locate(self, pc: int) -> tuple[int, int]:
-        index = self.partitioned_set_index(pc, self.num_sets, self.isa.alignment_bits)
-        tag = partial_tag(
-            self.asid_colored(pc), self._index_bits, self.tag_bits, self.isa.alignment_bits
-        )
-        return index, tag
 
     def invalidate_all(self) -> None:
         """Clear the Main-, Page- and Region-BTB (context-switch flush)."""
@@ -333,55 +327,74 @@ class PDedeBTB(BTBBase):
             page.valid = False
         for region in self._regions:
             region.valid = False
+        if self._shadow_tags is not None:
+            self._shadow_clear()
 
     def lookup(self, pc: int) -> BTBLookupResult:
         """Probe the Main-BTB; different-page hits follow both pointers serially."""
-        self.record_read("main")
         index, tag = self._locate(pc)
-        for way, entry in enumerate(self._sets[index]):
-            if not entry.valid or entry.tag != tag:
-                continue
-            self._lru[index].touch(way)
-            if entry.same_page:
-                # Page and region numbers are recovered from the branch PC.
-                target = (
-                    ((pc >> PAGE_BITS) << PAGE_BITS)
-                    | (entry.page_offset << self.isa.alignment_bits)
-                )
-                self.stats.inc("hits")
-                self.stats.inc("hits.same_page")
-                return BTBLookupResult(
-                    hit=True,
-                    branch_type=entry.branch_type,
-                    target=target,
-                    target_from_ras=entry.branch_type.target_from_ras,
-                    latency_cycles=1,
-                    structure="main",
-                )
-            page = self._pages[entry.page_pointer]
-            region = self._regions[entry.region_pointer]
-            if not page.valid or not region.valid:
-                entry.valid = False
-                self.stats.inc("misses")
-                return BTBLookupResult.miss()
-            self.record_read("page")
+        return self.lookup_prelocated(pc, index, tag)
+
+    def lookup_prelocated(
+        self, pc: int, index: int, tag: int, way: int | None = None
+    ) -> BTBLookupResult:
+        """The lookup proper, with set index and tag already computed.
+
+        ``way`` is a batch plan's preresolution (``-1`` certain miss, ``>= 0``
+        the hit way); ``None`` scans the ways.
+        """
+        self.record_read("main")
+        if way is None:
+            way = -1
+            for candidate, entry in enumerate(self._sets[index]):
+                if entry.valid and entry.tag == tag:
+                    way = candidate
+                    break
+        if way < 0:
+            self.stats.inc("misses")
+            return BTBLookupResult.miss()
+        entry = self._sets[index][way]
+        self._lru[index].touch(way)
+        if entry.same_page:
+            # Page and region numbers are recovered from the branch PC.
             target = (
-                (region.region_number << (PAGE_BITS + REGION_PAGE_BITS))
-                | (page.page_number << PAGE_BITS)
+                ((pc >> PAGE_BITS) << PAGE_BITS)
                 | (entry.page_offset << self.isa.alignment_bits)
             )
             self.stats.inc("hits")
-            self.stats.inc("hits.different_page")
+            self.stats.inc("hits.same_page")
             return BTBLookupResult(
                 hit=True,
                 branch_type=entry.branch_type,
                 target=target,
                 target_from_ras=entry.branch_type.target_from_ras,
-                latency_cycles=2,
-                structure="main+page",
+                latency_cycles=1,
+                structure="main",
             )
-        self.stats.inc("misses")
-        return BTBLookupResult.miss()
+        page = self._pages[entry.page_pointer]
+        region = self._regions[entry.region_pointer]
+        if not page.valid or not region.valid:
+            entry.valid = False
+            if self._shadow_tags is not None:
+                self._shadow_evict(index, way)
+            self.stats.inc("misses")
+            return BTBLookupResult.miss()
+        self.record_read("page")
+        target = (
+            (region.region_number << (PAGE_BITS + REGION_PAGE_BITS))
+            | (page.page_number << PAGE_BITS)
+            | (entry.page_offset << self.isa.alignment_bits)
+        )
+        self.stats.inc("hits")
+        self.stats.inc("hits.different_page")
+        return BTBLookupResult(
+            hit=True,
+            branch_type=entry.branch_type,
+            target=target,
+            target_from_ras=entry.branch_type.target_from_ras,
+            latency_cycles=2,
+            structure="main+page",
+        )
 
     def _eligible_ways(self, same_page: bool) -> List[int]:
         """Ways an entry of the given kind may occupy.
@@ -398,7 +411,7 @@ class PDedeBTB(BTBBase):
         if not instruction.is_branch:
             return
         self.record_allocation("main", instruction.pc)
-        index, tag = self._locate(instruction.pc)
+        index, tag = self._locate_for_update(instruction.pc)
         entries = self._sets[index]
         region_number, page_number, page_offset_full = self._split_target(instruction.target)
         page_offset = page_offset_full >> self.isa.alignment_bits
@@ -420,6 +433,8 @@ class PDedeBTB(BTBBase):
                     # A previously same-page branch (or alias) now needs pointer
                     # fields that this reserved way cannot hold: re-allocate.
                     entry.valid = False
+                    if self._shadow_tags is not None:
+                        self._shadow_evict(index, way)
                     self.stats.inc("reallocations")
                     break
                 entry.branch_type = instruction.branch_type
@@ -450,5 +465,7 @@ class PDedeBTB(BTBBase):
         entry.page_pointer = page_pointer
         entry.region_pointer = region_pointer
         self._lru[index].touch(victim)
+        if self._shadow_tags is not None:
+            self._shadow_install(index, victim, tag)
         self.record_write("main")
         self.stats.inc("allocations")

@@ -27,7 +27,7 @@ from repro.common.lru import LRUState
 from repro.common.stats import Stats
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
-from repro.btb.base import BTBBase, BTBLookupResult, index_bits_of, partial_tag
+from repro.btb.base import BTBBase, BTBLookupResult
 
 VALID_BITS = 1
 TAG_BITS = 12
@@ -82,7 +82,6 @@ class ReducedBTB(BTBBase):
         self.associativity = associativity
         self.num_sets = entries // associativity
         self.page_entries = page_entries
-        self._index_bits = index_bits_of(self.num_sets)
         self._sets: List[List[_MainEntry]] = [
             [_MainEntry() for _ in range(associativity)] for _ in range(self.num_sets)
         ]
@@ -178,20 +177,15 @@ class ReducedBTB(BTBBase):
         return slot
 
     def _invalidate_pointers(self, page_slot: int) -> None:
-        for entries in self._sets:
-            for entry in entries:
+        for index, entries in enumerate(self._sets):
+            for way, entry in enumerate(entries):
                 if entry.valid and entry.page_pointer == page_slot:
                     entry.valid = False
                     self.stats.inc("pointer_invalidations")
+                    if self._shadow_tags is not None:
+                        self._shadow_evict(index, way)
 
     # -- operations --------------------------------------------------------
-
-    def _locate(self, pc: int) -> tuple[int, int]:
-        index = self.partitioned_set_index(pc, self.num_sets, self.isa.alignment_bits)
-        tag = partial_tag(
-            self.asid_colored(pc), self._index_bits, self.tag_bits, self.isa.alignment_bits
-        )
-        return index, tag
 
     def invalidate_all(self) -> None:
         """Clear the Main-BTB and the Page-BTB (context-switch flush)."""
@@ -200,43 +194,63 @@ class ReducedBTB(BTBBase):
                 entry.valid = False
         for page in self._pages:
             page.valid = False
+        if self._shadow_tags is not None:
+            self._shadow_clear()
 
     def lookup(self, pc: int) -> BTBLookupResult:
         """Probe the Main-BTB, then follow the page pointer (serial access)."""
-        self.record_read("main")
         index, tag = self._locate(pc)
-        for way, entry in enumerate(self._sets[index]):
-            if entry.valid and entry.tag == tag:
-                self._lru[index].touch(way)
-                page = self._pages[entry.page_pointer]
-                if not page.valid:
-                    # Stale pointer (page evicted): treat as a BTB miss.
-                    entry.valid = False
-                    self.stats.inc("misses")
-                    return BTBLookupResult.miss()
-                self.record_read("page")
-                target = (
-                    (page.page_number << PAGE_BITS)
-                    | (entry.page_offset << self.isa.alignment_bits)
-                )
-                self.stats.inc("hits")
-                return BTBLookupResult(
-                    hit=True,
-                    branch_type=entry.branch_type,
-                    target=target,
-                    target_from_ras=entry.branch_type.target_from_ras,
-                    latency_cycles=2,
-                    structure="main+page",
-                )
-        self.stats.inc("misses")
-        return BTBLookupResult.miss()
+        return self.lookup_prelocated(pc, index, tag)
+
+    def lookup_prelocated(
+        self, pc: int, index: int, tag: int, way: int | None = None
+    ) -> BTBLookupResult:
+        """The lookup proper, with set index and tag already computed.
+
+        ``way`` is a batch plan's preresolution (``-1`` certain miss, ``>= 0``
+        the hit way); ``None`` scans the ways.
+        """
+        self.record_read("main")
+        if way is None:
+            way = -1
+            for candidate, entry in enumerate(self._sets[index]):
+                if entry.valid and entry.tag == tag:
+                    way = candidate
+                    break
+        if way < 0:
+            self.stats.inc("misses")
+            return BTBLookupResult.miss()
+        entry = self._sets[index][way]
+        self._lru[index].touch(way)
+        page = self._pages[entry.page_pointer]
+        if not page.valid:
+            # Stale pointer (page evicted): treat as a BTB miss.
+            entry.valid = False
+            if self._shadow_tags is not None:
+                self._shadow_evict(index, way)
+            self.stats.inc("misses")
+            return BTBLookupResult.miss()
+        self.record_read("page")
+        target = (
+            (page.page_number << PAGE_BITS)
+            | (entry.page_offset << self.isa.alignment_bits)
+        )
+        self.stats.inc("hits")
+        return BTBLookupResult(
+            hit=True,
+            branch_type=entry.branch_type,
+            target=target,
+            target_from_ras=entry.branch_type.target_from_ras,
+            latency_cycles=2,
+            structure="main+page",
+        )
 
     def update(self, instruction: Instruction) -> None:
         """Insert/refresh the branch; finds or allocates its target page."""
         if not instruction.is_branch:
             return
         self.record_allocation("main", instruction.pc)
-        index, tag = self._locate(instruction.pc)
+        index, tag = self._locate_for_update(instruction.pc)
         entries = self._sets[index]
         page_number = instruction.target >> PAGE_BITS
         page_offset = (instruction.target & mask(PAGE_BITS)) >> self.isa.alignment_bits
@@ -261,5 +275,7 @@ class ReducedBTB(BTBBase):
         entry.page_offset = page_offset
         entry.page_pointer = page_slot
         self._lru[index].touch(victim)
+        if self._shadow_tags is not None:
+            self._shadow_install(index, victim, tag)
         self.record_write("main")
         self.stats.inc("allocations")

@@ -262,10 +262,10 @@ class AddressSpacePolicy:
         slice and is offset to the slice's base, so lookups and updates of
         different tenants can never touch the same set.
         """
-        sliced = self._slice(domain)
-        if sliced is None:
+        ranges = self._domains.get(domain)  # _slice, inlined: once per BTB probe
+        if ranges is None:
             return set_index(key, num_sets, alignment_bits)
-        base, count = sliced
+        base, count = ranges[self.active_asid % len(ranges)]
         return base + set_index(key, count, alignment_bits)
 
     def modulo_index(self, domain: str, value: int, num_sets: int) -> int:

@@ -96,8 +96,9 @@ def fold_xor(value: int, width: int) -> int:
         raise ValueError(f"fold width must be positive, got {width}")
     folded = 0
     remaining = value
+    low = (1 << width) - 1
     while remaining:
-        folded ^= remaining & mask(width)
+        folded ^= remaining & low
         remaining >>= width
     return folded
 

@@ -13,7 +13,8 @@ vectorizes everything stream-pure over the chunk's structure-of-arrays view:
   hoisted per chunk because ASID color and partition slice are constant
   within a scheduling turn;
 * a static *guaranteed-miss* filter (:meth:`repro.btb.base.BTBBase.batch_plan`)
-  marking PCs that provably miss the BTB for the whole chunk.
+  marking PCs that provably miss the BTB for the whole chunk -- every BTB
+  organization plans its chunks, so this engine has a single walk.
 
 Instructions that are non-branches and guaranteed BTB misses have **no**
 observable effect beyond bumping read/miss counters, enqueueing their PC in
@@ -21,9 +22,9 @@ the FTQ, demand-fetching where they cross a cache-block boundary and retiring
 -- so runs of them are compensated in bulk (``note_skipped_miss_lookups``,
 FTQ ``extend`` one block segment at a time, ``retire_instructions(count)``)
 without touching the BPU at all.  Everything
-else goes through the exact scalar machinery (``process_resolved`` with the
-chunk-vectorized set index/tag, or plain ``process`` when the organization
-has no batch plan), so the engine is bit-exact against the oracle loops --
+else goes through the exact scalar machinery (the BPU's classify/commit
+pipeline against the plan's lookup, which reuses the chunk-vectorized set
+index and tag), so the engine is bit-exact against the oracle loops --
 enforced cell-for-cell by the differential backend suite.
 
 The one tolerated divergence: demand fetches of a chunk are pre-executed
@@ -154,10 +155,9 @@ class _BatchEngine:
         self.context_switches = 0
         self.accounts: dict[str, object] = {}
         self.tenant_order: list[str] = []
-        # Vectorized-vs-scalar-fallback telemetry: plain int adds in the hot
+        # Fast/slow split telemetry: plain int adds in the hot
         # path, emitted once per run via emit_metrics() so recording is free.
         self.chunks_planned = 0
-        self.chunks_scalar = 0
         self.instructions_fast = 0
         self.instructions_slow = 0
         self.commits_vectorized = 0
@@ -171,7 +171,6 @@ class _BatchEngine:
         if not recorder.enabled:
             return
         recorder.count("batch.chunks_planned", self.chunks_planned)
-        recorder.count("batch.chunks_scalar", self.chunks_scalar)
         recorder.count("batch.instructions_fast", self.instructions_fast)
         recorder.count("batch.instructions_slow", self.instructions_slow)
         recorder.count("batch.commits_vectorized", self.commits_vectorized)
@@ -255,15 +254,10 @@ class _BatchEngine:
 
         taken_branch_pcs = np.unique(pcs[is_branch & taken])
         plan = self.btb.batch_plan(pcs, taken_branch_pcs)
-        if plan is None:
-            self.chunks_scalar += 1
-            self.instructions_slow += n
-            self._run_scalar(chunk.trace, start, stop, new_block, is_branch, taken, cond_mask, dplan)
-        else:
-            self.chunks_planned += 1
-            self._run_planned(
-                plan, chunk.trace, start, stop, pcs, new_block, is_branch, taken, cond_mask, dplan
-            )
+        self.chunks_planned += 1
+        self._run_planned(
+            plan, chunk.trace, start, stop, pcs, new_block, is_branch, taken, cond_mask, dplan
+        )
         if dplan is not None:
             dplan.finish()
         self.previous_block = int(blocks[n - 1])
@@ -300,57 +294,6 @@ class _BatchEngine:
             self.current_account = account
 
     # -- instruction walks -------------------------------------------------
-
-    def _run_scalar(
-        self, trace: Trace, start: int, stop: int, new_block, is_branch, taken, cond_mask, dplan
-    ) -> None:
-        """Exact scalar fallback for organizations without a batch plan.
-
-        Even here the direction predictor runs on the commit plan when one
-        exists: conditional commits are a pure function of the trace, not of
-        the BTB organization, so chunks that replay scalarly for BTB reasons
-        still take the vectorized commit path.
-        """
-        instructions = trace.instructions
-        bpu = self.bpu
-        fdip = self.fdip
-        fetch = self.hierarchy.fetch
-        observe = fdip.observe_predicted_address
-        measuring = self.measuring
-        account = self.current_account
-        new_block_list = new_block.tolist()
-        is_branch_list = is_branch.tolist()
-        taken_list = taken.tolist()
-        cond_list = cond_mask.tolist() if dplan is not None else None
-        dk = -1
-        for i in range(stop - start):
-            instruction = instructions[start + i]
-            if cond_list is not None and cond_list[i]:
-                dk += 1
-                prediction = bpu.process(instruction, dplan, dk)
-            else:
-                prediction = bpu.process(instruction)
-            is_new_block = new_block_list[i]
-            stall_cycles = 0.0
-            miss = False
-            covered = False
-            beyond_l2 = False
-            if is_new_block:
-                result = fetch(instruction.pc)
-                miss = not result.l1i_hit
-                if miss:
-                    beyond_l2 = result.level != "L2"
-                    coverage = fdip.cover_demand_miss(result.latency)
-                    stall_cycles = coverage.residual_latency
-                    covered = coverage.coverage == "full"
-            observe(instruction.pc)
-            if prediction.stream_break:
-                fdip.on_stream_break()
-            if measuring:
-                self._account_instruction(
-                    account, prediction, is_new_block, miss, covered, beyond_l2,
-                    stall_cycles, is_branch_list[i], taken_list[i],
-                )
 
     def _run_planned(
         self, plan, trace: Trace, start: int, stop: int, pcs, new_block,
@@ -617,41 +560,3 @@ class _BatchEngine:
                 account.l2_misses += beyond_l2
                 account.l1i_misses_covered += covered_cnt
         return nb_ptr
-
-    def _account_instruction(
-        self, account, prediction,
-        new_block: bool, miss: bool, covered: bool, beyond_l2: bool, stall_cycles: float,
-        is_branch: bool, taken: bool,
-    ) -> None:
-        """Measured-phase accounting, identical to the scalar loops' blocks.
-
-        ``is_branch``/``taken`` come from the piece's SoA view (identical to
-        the instruction's attributes, and far cheaper than the per-object
-        property walk this method used to pay twice per instruction).
-        """
-        timing = account.timing
-        timing.retire_instructions(1)
-        timing.icache_stall(stall_cycles)
-        if prediction.extra_btb_cycles and self.ftq.occupancy < 2 * self.core.fetch_width:
-            timing.btb_extra_cycle(prediction.extra_btb_cycles)
-        if prediction.outcome is PredictionOutcome.EXECUTE_FLUSH:
-            timing.execute_flush()
-            account.execute_flushes += 1
-        elif prediction.outcome is PredictionOutcome.DECODE_RESTEER:
-            timing.decode_resteer()
-            account.decode_resteers += 1
-        if prediction.btb_miss_taken_branch:
-            account.btb_misses_taken += 1
-        if is_branch:
-            account.branches += 1
-            if taken:
-                account.taken_branches += 1
-        if new_block:
-            account.l1i_accesses += 1
-            if miss:
-                account.l1i_misses += 1
-                account.l2_accesses += 1
-                if beyond_l2:
-                    account.l2_misses += 1
-                if covered:
-                    account.l1i_misses_covered += 1

@@ -118,8 +118,9 @@ def aggregate(events: List[Dict[str, Any]]) -> Dict[str, Any]:
         report["service"] = service
 
     # Batched-backend split: how much of the stream ran on the vectorized
-    # paths (bulk-compensated fast runs, planned commits) versus the scalar
-    # fallbacks.  Emitted once per batched run by _BatchEngine.emit_metrics.
+    # paths (bulk-compensated fast runs, planned commits) versus the exact
+    # per-instruction replay.  Emitted once per batched run by
+    # _BatchEngine.emit_metrics.
     commits_vectorized = counters.get("batch.commits_vectorized", 0)
     commits_scalar = counters.get("batch.commits_scalar", 0)
     fast = counters.get("batch.instructions_fast", 0)
@@ -131,7 +132,6 @@ def aggregate(events: List[Dict[str, Any]]) -> Dict[str, Any]:
             "instructions_fast": fast,
             "instructions_slow": slow,
             "chunks_planned": counters.get("batch.chunks_planned", 0),
-            "chunks_scalar": counters.get("batch.chunks_scalar", 0),
         }
         if commits_vectorized + commits_scalar:
             batch["commit_vectorized_fraction"] = round(
@@ -265,8 +265,7 @@ def format_report(report: Dict[str, Any]) -> str:
                 f"batch stream : {batch['instructions_fast']} fast,"
                 f" {batch['instructions_slow']} slow"
                 f" ({batch['instructions_fast_fraction']:.1%} fast),"
-                f" chunks {batch['chunks_planned']} planned"
-                f" / {batch['chunks_scalar']} scalar"
+                f" {batch['chunks_planned']} chunks"
             )
 
     pipeline = report.get("pipeline")

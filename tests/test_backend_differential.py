@@ -11,7 +11,12 @@ counter, without paying for two simulations per cell.
 
 On top of the distilled golden counters, a small subset of cells is run on
 *both* backends in-process and compared over the full raw statistics
-registry, so divergence in an unpinned counter cannot hide.  The single
+registry and the BTB's access/event counters, so divergence in an unpinned
+counter cannot hide.  A further set of *capacity-pressure* cells does the
+same for R-BTB, PDede and the ideal BTB at the smallest budget, where
+evictions, Page-BTB evictions and dangling-pointer invalidations are
+frequent -- the paths that must write through to the batched residency
+shadow.  The single
 tolerated exception is ``fdip.prefetches_issued``: the batched engine
 pre-executes a chunk's demand fetches front-to-back, which can make FDIP's
 redundant-prefetch statistic observe slightly warmer L1-I state (documented
@@ -26,9 +31,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.config import ASIDMode, BTBStyle
+from repro.btb.storage import make_btb_for_budget
+from repro.common.config import ASIDMode, BTBStyle, default_machine_config
+from repro.core.simulator import FrontEndSimulator
+from repro.obs import JsonlRecorder, use_recorder
 from repro.scenarios.run import execute_scenario
 from repro.traces.batch import HAVE_NUMPY
+from repro.traces.store import default_store
 
 from test_golden_scenarios import (
     GOLDEN_BUDGET_KIB,
@@ -95,43 +104,81 @@ def test_numpy_backend_matches_cache_golden_cell(fixture, preset, style, cache_m
     )
 
 
-def _cell_stats(preset, style, mode, cache_mode, backend):
+#: Smallest budget of the evaluation: the BTBs are under capacity pressure.
+PRESSURE_BUDGET_KIB = 0.90625
+
+#: ``(preset, style, mode)`` capacity-pressure cells (``preset=None``: the
+#: single-trace ``run`` of :data:`PRESSURE_WORKLOAD`).
+PRESSURE_CELLS = (
+    (None, BTBStyle.REDUCED, None),
+    ("consolidated_server", BTBStyle.REDUCED, ASIDMode.FLUSH),
+    ("consolidated_server", BTBStyle.REDUCED, ASIDMode.TAGGED),
+    ("consolidated_server", BTBStyle.REDUCED, ASIDMode.PARTITIONED),
+    (None, BTBStyle.PDEDE, None),
+    ("consolidated_server", BTBStyle.PDEDE, ASIDMode.FLUSH),
+    ("consolidated_server", BTBStyle.PDEDE, ASIDMode.TAGGED),
+    ("consolidated_server", BTBStyle.PDEDE, ASIDMode.PARTITIONED),
+    (None, BTBStyle.IDEAL, None),
+    ("consolidated_server", BTBStyle.IDEAL, ASIDMode.FLUSH),
+    ("consolidated_server", BTBStyle.IDEAL, ASIDMode.TAGGED),
+)
+PRESSURE_WORKLOAD = "server_001"
+
+#: Counters that prove the bounded organizations were really under pressure.
+PRESSURE_COUNTERS = ("evictions", "page_evictions", "pointer_invalidations")
+#: Pressure counters a cell cannot reach: a flush empties PDede's Page-BTB
+#: before its evictions strand any Main-BTB pointer.  PDede's pointer path
+#: is covered by its other cells and by ``tests/test_btb_batch_plan.py``.
+PRESSURE_UNREACHABLE = {(BTBStyle.PDEDE, ASIDMode.FLUSH): ("pointer_invalidations",)}
+
+_RESULT_FIELDS = (
+    "cycles",
+    "instructions",
+    "branches",
+    "taken_branches",
+    "btb_misses_taken",
+    "l1i_misses",
+    "l2_misses",
+    "context_switches",
+)
+
+
+def _raw_stats(result, btb_counts) -> dict:
+    """The raw statistics registry, headline result fields and BTB counters."""
+    stats = dict(result.stats.to_dict())
+    for name in _RESULT_FIELDS:
+        stats[f"result.{name}"] = getattr(result, name, None)
+    for key, value in btb_counts.items():
+        stats[f"btb.{key}"] = value
+    return stats
+
+
+def _cell_stats(preset, style, mode, cache_mode, backend, budget_kib=GOLDEN_BUDGET_KIB):
     result = execute_scenario(
         preset,
         style=style,
         asid_mode=mode,
         cache_mode=cache_mode,
-        budget_kib=GOLDEN_BUDGET_KIB,
+        budget_kib=budget_kib,
         instructions=GOLDEN_INSTRUCTIONS,
         warmup_instructions=GOLDEN_WARMUP,
         backend=backend,
     )
-    stats = dict(result.aggregate.stats.to_dict())
-    for name in (
-        "cycles",
-        "instructions",
-        "branches",
-        "taken_branches",
-        "btb_misses_taken",
-        "l1i_misses",
-        "l2_misses",
-        "context_switches",
-    ):
-        stats[f"result.{name}"] = getattr(result.aggregate, name, None)
-    return stats
+    return _raw_stats(result.aggregate, result.btb_access_counts)
 
 
-@pytest.mark.parametrize(
-    "preset,style,mode,cache_mode",
-    FULL_STATS_CELLS,
-    ids=[
-        f"{preset}/{style.value}/{mode.value}/cache-{cache.value if cache else 'none'}"
-        for preset, style, mode, cache in FULL_STATS_CELLS
-    ],
-)
-def test_full_raw_stats_match_between_backends(preset, style, mode, cache_mode):
-    python = _cell_stats(preset, style, mode, cache_mode, "python")
-    numpy = _cell_stats(preset, style, mode, cache_mode, "numpy")
+def _run_stats(style, backend, budget_kib):
+    """Raw stats of a single-trace ``run`` cell (same length and warmup)."""
+    trace = default_store().get(PRESSURE_WORKLOAD, GOLDEN_INSTRUCTIONS)
+    machine = default_machine_config(
+        btb_style=style, fdip_enabled=True, isa=trace.isa, backend=backend
+    )
+    btb = make_btb_for_budget(style, budget_kib, isa=trace.isa)
+    result = FrontEndSimulator(machine, btb=btb).run(trace, warmup_instructions=GOLDEN_WARMUP)
+    return _raw_stats(result, btb.energy_access_counts())
+
+
+def _assert_backends_agree(python: dict, numpy: dict) -> None:
     differing = {
         key
         for key in set(python) | set(numpy)
@@ -145,3 +192,47 @@ def test_full_raw_stats_match_between_backends(preset, style, mode, cache_mode):
             for key in sorted(unexpected)
         )
     )
+
+
+@pytest.mark.parametrize(
+    "preset,style,mode,cache_mode",
+    FULL_STATS_CELLS,
+    ids=[
+        f"{preset}/{style.value}/{mode.value}/cache-{cache.value if cache else 'none'}"
+        for preset, style, mode, cache in FULL_STATS_CELLS
+    ],
+)
+def test_full_raw_stats_match_between_backends(preset, style, mode, cache_mode):
+    python = _cell_stats(preset, style, mode, cache_mode, "python")
+    numpy = _cell_stats(preset, style, mode, cache_mode, "numpy")
+    _assert_backends_agree(python, numpy)
+
+
+@pytest.mark.parametrize(
+    "preset,style,mode",
+    PRESSURE_CELLS,
+    ids=[
+        f"{preset or 'run'}/{style.value}/{mode.value if mode else PRESSURE_WORKLOAD}"
+        for preset, style, mode in PRESSURE_CELLS
+    ],
+)
+def test_backends_agree_under_capacity_pressure(preset, style, mode):
+    def stats(backend):
+        if preset is None:
+            return _run_stats(style, backend, PRESSURE_BUDGET_KIB)
+        return _cell_stats(preset, style, mode, None, backend, PRESSURE_BUDGET_KIB)
+
+    python = stats("python")
+    recorder = JsonlRecorder()
+    with use_recorder(recorder):
+        numpy = stats("numpy")
+    _assert_backends_agree(python, numpy)
+    assert recorder.metrics_snapshot()["counters"].get("batch.instructions_fast", 0) > 0
+    if style is not BTBStyle.IDEAL:
+        unreachable = PRESSURE_UNREACHABLE.get((style, mode), ())
+        idle = [
+            name
+            for name in PRESSURE_COUNTERS
+            if name not in unreachable and not python.get(f"btb.{name}")
+        ]
+        assert not idle, f"no capacity pressure on this cell: {idle} stayed zero"
