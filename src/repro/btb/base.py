@@ -21,8 +21,7 @@ policy), so the context-switch semantics live in exactly one module.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.common.asid import AddressSpacePolicy
 from repro.common.bitutils import fold_xor
@@ -32,9 +31,12 @@ from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
 
 
-@dataclass(frozen=True)
-class BTBLookupResult:
-    """Outcome of probing a BTB with a PC."""
+class BTBLookupResult(NamedTuple):
+    """Outcome of probing a BTB with a PC.
+
+    An immutable tuple, which is cheap to build on every hit; every miss
+    shares one instance (:meth:`miss`).
+    """
 
     hit: bool
     branch_type: BranchType | None = None

@@ -361,7 +361,6 @@ class _BatchEngine:
         taken_branches = 0
         l1i_acc = 0
         l1i_miss = 0
-        l2_acc = 0
         l2_miss = 0
         covered_cnt = 0
         ftq = self.ftq
@@ -408,7 +407,6 @@ class _BatchEngine:
                         stall_sum += coverage.residual_latency
                         l1i_acc += 1
                         l1i_miss += 1
-                        l2_acc += 1
                         if result.level != "L2":
                             l2_miss += 1
                         if coverage.coverage == "full":
@@ -464,7 +462,6 @@ class _BatchEngine:
                     l1i_acc += 1
                     if miss:
                         l1i_miss += 1
-                        l2_acc += 1
                         if beyond_l2:
                             l2_miss += 1
                         if covered:
@@ -479,24 +476,10 @@ class _BatchEngine:
         if skipped_probes:
             self.btb.note_skipped_miss_lookups(skipped_probes)
         if measuring:
-            timing = account.timing
-            timing.retire_instructions(fast_total + retired)
-            timing.icache_stall(stall_sum)
-            if flushes:
-                timing.execute_flush(flushes)
-                account.execute_flushes += flushes
-            if resteers:
-                timing.decode_resteer(resteers)
-                account.decode_resteers += resteers
-            timing.btb_extra_cycle(btb_extra)
-            account.btb_misses_taken += btb_miss_taken
-            account.branches += branches
-            account.taken_branches += taken_branches
-            account.l1i_accesses += l1i_acc
-            account.l1i_misses += l1i_miss
-            account.l2_accesses += l2_acc
-            account.l2_misses += l2_miss
-            account.l1i_misses_covered += covered_cnt
+            account.charge(
+                fast_total + retired, stall_sum, flushes, resteers, btb_extra, btb_miss_taken,
+                branches, taken_branches, l1i_acc, l1i_miss, l2_miss, covered_cnt,
+            )
 
     def _fast_run(
         self, pcs_list, i0: int, i1: int, nb_positions, nb_ptr: int,

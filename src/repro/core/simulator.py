@@ -30,15 +30,20 @@ from repro.core.timing import TimingModel
 from repro.frontend.bpu import BranchPredictionUnit, PredictionOutcome
 from repro.frontend.fdip import FDIPPrefetcher
 from repro.frontend.ftq import FetchTargetQueue
+from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.btb.base import BTBBase
 from repro.btb.storage import make_btb
 from repro.traces.trace import Trace
 
+_FLUSH = PredictionOutcome.EXECUTE_FLUSH
+_RESTEER = PredictionOutcome.DECODE_RESTEER
+_NOT_BRANCH = BranchType.NOT_BRANCH
+
 
 class _TenantAccount:
-    """Measured-phase counters of one tenant in a scenario run."""
+    """Measured-phase counters of one tenant (or of a single-trace run)."""
 
     __slots__ = (
         "timing",
@@ -70,6 +75,47 @@ class _TenantAccount:
         self.l1i_misses_covered = 0
         self.l2_accesses = 0
         self.l2_misses = 0
+
+    def charge(
+        self,
+        retired: int,
+        stall_cycles: float,
+        execute_flushes: int,
+        decode_resteers: int,
+        btb_extra_cycles: int,
+        btb_misses_taken: int,
+        branches: int,
+        taken_branches: int,
+        l1i_accesses: int,
+        l1i_misses: int,
+        l2_misses: int,
+        l1i_misses_covered: int,
+    ) -> None:
+        """Add the loop-local sums of a run of measured instructions.
+
+        The simulation loops count in locals and charge them here at the end
+        of a run (and at each tenant switch).  Every term is an
+        integer-valued commutative sum, so one charge is bit-exact against
+        per-instruction timing calls.  Every L1-I miss is an L2 access.
+        """
+        timing = self.timing
+        timing.retire_instructions(retired)
+        timing.icache_stall(stall_cycles)
+        if execute_flushes:
+            timing.execute_flush(execute_flushes)
+            self.execute_flushes += execute_flushes
+        if decode_resteers:
+            timing.decode_resteer(decode_resteers)
+            self.decode_resteers += decode_resteers
+        timing.btb_extra_cycle(btb_extra_cycles)
+        self.btb_misses_taken += btb_misses_taken
+        self.branches += branches
+        self.taken_branches += taken_branches
+        self.l1i_accesses += l1i_accesses
+        self.l1i_misses += l1i_misses
+        self.l2_accesses += l1i_misses
+        self.l2_misses += l2_misses
+        self.l1i_misses_covered += l1i_misses_covered
 
 
 class FrontEndSimulator:
@@ -105,9 +151,15 @@ class FrontEndSimulator:
         the trace).
 
         NOTE: the per-instruction body of this loop is intentionally mirrored
-        in :meth:`run_scenario` (locals instead of shared helpers keep this
-        inner loop fast in pure Python).  Any change here must be applied
-        there too; the solo-equivalence test
+        in :meth:`run_scenario`.  Both keep the inner loop fast in pure
+        Python the same way: bound methods hoisted out of the loop, measured
+        counts kept in loop locals and charged once through
+        :meth:`_TenantAccount.charge`, and the most common instruction -- a
+        non-branch the BTB misses -- settled inside
+        :meth:`~repro.frontend.bpu.BranchPredictionUnit.process`, which
+        returns the shared :data:`~repro.frontend.bpu.SEQUENTIAL` prediction
+        for it.  Any change here must be applied there too; the
+        solo-equivalence test
         (``test_solo_baseline_reproduces_single_trace_simulation``) fails if
         the two copies drift apart.
         """
@@ -117,131 +169,101 @@ class FrontEndSimulator:
             from repro.core.batch import run_batched
 
             return run_batched(self, trace, warmup_instructions, max_instructions)
-        timing = TimingModel(self.machine.core)
+        account = _TenantAccount(TimingModel(self.machine.core))
         line_mask = ~(self.hierarchy.line_size() - 1)
+        process = self.bpu.process
+        fetch = self.hierarchy.fetch
+        cover = self.fdip.cover_demand_miss
+        observe = self.fdip.observe_predicted_address
+        on_stream_break = self.fdip.on_stream_break
+        ftq = self.ftq
+        width2 = 2 * self.machine.core.fetch_width
+        bpu_stats = self.bpu.stats
 
+        # Measured-phase counts, charged to ``account`` after the loop.
         measured = 0
-        btb_misses_taken = 0
-        decode_resteers = 0
-        execute_flushes = 0
-        direction_mispredictions = 0
-        target_mispredictions = 0
-        taken_branches = 0
-        branches = 0
-        l1i_accesses = 0
-        l1i_misses = 0
-        l1i_misses_covered = 0
-        l2_accesses = 0
-        l2_misses = 0
+        stall_sum = 0.0
+        flushes = resteers = btb_extra = btb_misses_taken = 0
+        branches = taken_branches = 0
+        l1i_accesses = l1i_misses = l2_misses = covered_misses = 0
 
         previous_block = None
         measuring = warmup_instructions == 0
         measurement_limit = max_instructions
 
-        direction_mispred_before = self.bpu.stats.get("direction_mispredictions")
-        target_mispred_before = self.bpu.stats.get("target_mispredictions")
+        direction_mispred_before = bpu_stats.get("direction_mispredictions")
+        target_mispred_before = bpu_stats.get("target_mispredictions")
 
         for position, instruction in enumerate(trace):
             if not measuring and position >= warmup_instructions:
                 measuring = True
                 previous_block = None
                 self.btb.reset_stats()
-                direction_mispred_before = self.bpu.stats.get("direction_mispredictions")
-                target_mispred_before = self.bpu.stats.get("target_mispredictions")
+                direction_mispred_before = bpu_stats.get("direction_mispredictions")
+                target_mispred_before = bpu_stats.get("target_mispredictions")
             if measuring and measurement_limit is not None and measured >= measurement_limit:
                 break
 
-            prediction = self.bpu.process(instruction)
+            prediction = process(instruction)
 
             # --- instruction fetch through the L1-I -----------------------------
-            block = instruction.pc & line_mask
-            new_block = block != previous_block
-            previous_block = block
-            stall_cycles = 0.0
-            miss = False
-            covered = False
-            beyond_l2 = False
-            if new_block:
-                fetch = self.hierarchy.fetch(instruction.pc)
-                miss = not fetch.l1i_hit
-                if miss:
-                    beyond_l2 = fetch.level != "L2"
-                    coverage = self.fdip.cover_demand_miss(fetch.latency)
-                    stall_cycles = coverage.residual_latency
-                    covered = coverage.coverage == "full"
+            pc = instruction.pc
+            block = pc & line_mask
+            if block != previous_block:
+                previous_block = block
+                fetched = fetch(pc)
+                if fetched.l1i_hit:
+                    if measuring:
+                        l1i_accesses += 1
+                else:
+                    coverage = cover(fetched.latency)
+                    if measuring:
+                        l1i_accesses += 1
+                        l1i_misses += 1
+                        stall_sum += coverage.residual_latency
+                        if fetched.level != "L2":
+                            l2_misses += 1
+                        if coverage.coverage == "full":
+                            covered_misses += 1
 
             # --- FTQ / FDIP run-ahead maintenance -------------------------------
-            self.fdip.observe_predicted_address(instruction.pc)
+            observe(pc)
             if prediction.stream_break:
-                self.fdip.on_stream_break()
+                on_stream_break()
 
             # --- timing ----------------------------------------------------------
             if measuring:
                 measured += 1
-                timing.retire_instructions(1)
-                timing.icache_stall(stall_cycles)
-                if prediction.extra_btb_cycles and self.ftq.occupancy < 2 * self.machine.core.fetch_width:
+                extra = prediction.extra_btb_cycles
+                if extra and ftq.occupancy < width2:
                     # A multi-cycle BTB lookup (PDede different-page access)
                     # only lengthens the critical path while the decoupled
                     # front end has no run-ahead slack, i.e. just after a
                     # flush or resteer.
-                    timing.btb_extra_cycle(prediction.extra_btb_cycles)
-                if prediction.outcome is PredictionOutcome.EXECUTE_FLUSH:
-                    timing.execute_flush()
-                    execute_flushes += 1
-                elif prediction.outcome is PredictionOutcome.DECODE_RESTEER:
-                    timing.decode_resteer()
-                    decode_resteers += 1
+                    btb_extra += extra
+                outcome = prediction.outcome
+                if outcome is _FLUSH:
+                    flushes += 1
+                elif outcome is _RESTEER:
+                    resteers += 1
                 if prediction.btb_miss_taken_branch:
                     btb_misses_taken += 1
-                if instruction.is_branch:
+                if instruction.branch_type is not _NOT_BRANCH:
                     branches += 1
                     if instruction.taken:
                         taken_branches += 1
-                if new_block:
-                    l1i_accesses += 1
-                    if miss:
-                        l1i_misses += 1
-                        l2_accesses += 1
-                        if beyond_l2:
-                            l2_misses += 1
-                        if covered:
-                            l1i_misses_covered += 1
 
-        breakdown = timing.finalize()
-        direction_mispredictions = int(
-            self.bpu.stats.get("direction_mispredictions") - direction_mispred_before
+        account.charge(
+            measured, stall_sum, flushes, resteers, btb_extra, btb_misses_taken,
+            branches, taken_branches, l1i_accesses, l1i_misses, l2_misses, covered_misses,
         )
-        target_mispredictions = int(
-            self.bpu.stats.get("target_mispredictions") - target_mispred_before
+        account.direction_mispredictions = int(
+            bpu_stats.get("direction_mispredictions") - direction_mispred_before
         )
-
-        return SimulationResult(
-            workload=trace.name,
-            btb_style=self.btb.name,
-            btb_storage_kib=self.btb.storage_kib(),
-            fdip_enabled=self.machine.fdip.enabled,
-            instructions=measured,
-            cycles=breakdown.total,
-            base_cycles=breakdown.base_cycles,
-            flush_cycles=breakdown.flush_cycles,
-            resteer_cycles=breakdown.resteer_cycles,
-            icache_stall_cycles=breakdown.icache_stall_cycles,
-            btb_extra_cycles=breakdown.btb_extra_cycles,
-            btb_misses_taken=btb_misses_taken,
-            decode_resteers=decode_resteers,
-            execute_flushes=execute_flushes,
-            direction_mispredictions=direction_mispredictions,
-            target_mispredictions=target_mispredictions,
-            taken_branches=taken_branches,
-            branches=branches,
-            l1i_accesses=l1i_accesses,
-            l1i_misses=l1i_misses,
-            l1i_misses_covered=l1i_misses_covered,
-            l2_accesses=l2_accesses,
-            l2_misses=l2_misses,
-            stats=self.stats,
+        account.target_mispredictions = int(
+            bpu_stats.get("target_mispredictions") - target_mispred_before
         )
+        return self._account_result(trace.name, account, self.stats)
 
     # -- scenario simulation ------------------------------------------------------
 
@@ -267,16 +289,30 @@ class FrontEndSimulator:
         With a single-ASID stream this loop performs exactly the same work as
         :meth:`run`, so a one-tenant scenario reproduces the solo result
         bit-for-bit.  The per-instruction body deliberately mirrors
-        :meth:`run`'s (see the note there) -- keep the two in lockstep.
-        Events are attributed to the tenant whose instruction incurred them;
-        direction/target mispredictions are drained from the BPU's counters at
-        switch boundaries (they are cheap to read there and switches are rare
-        relative to instructions).
+        :meth:`run`'s (see the note there: hoisted bound methods, loop-local
+        counts, the non-branch BTB-miss short-circuit in
+        :meth:`~repro.frontend.bpu.BranchPredictionUnit.process`) -- keep the
+        two in lockstep.  Events are attributed to the tenant whose
+        instruction incurred them: the loop-local counts are charged to the
+        current tenant's account at every tenant switch and at the end, and
+        direction/target mispredictions are drained from the BPU's counters
+        at switch boundaries (they are cheap to read there and switches are
+        rare relative to instructions).
         """
         if warmup_instructions < 0:
             raise SimulationError("warmup length cannot be negative")
         core = self.machine.core
         line_mask = ~(self.hierarchy.line_size() - 1)
+        bpu = self.bpu
+        hierarchy = self.hierarchy
+        process = bpu.process
+        fetch = hierarchy.fetch
+        cover = self.fdip.cover_demand_miss
+        observe = self.fdip.observe_predicted_address
+        on_stream_break = self.fdip.on_stream_break
+        ftq = self.ftq
+        width2 = 2 * core.fetch_width
+        bpu_stats = bpu.stats
 
         accounts: dict[str, _TenantAccount] = {}
         tenant_order: list[str] = []
@@ -285,102 +321,115 @@ class FrontEndSimulator:
         current_tenant: str | None = None
         context_switches = 0
 
+        # Measured-phase counts of the current tenant's run, charged to its
+        # account at the next tenant switch and after the loop.
+        retired = 0
+        stall_sum = 0.0
+        flushes = resteers = btb_extra = btb_misses_taken = 0
+        branches = taken_branches = 0
+        l1i_accesses = l1i_misses = l2_misses = covered_misses = 0
+
         previous_block = None
         measuring = warmup_instructions == 0
-        dir_before = self.bpu.stats.get("direction_mispredictions")
-        tgt_before = self.bpu.stats.get("target_mispredictions")
+        dir_before = bpu_stats.get("direction_mispredictions")
+        tgt_before = bpu_stats.get("target_mispredictions")
 
         for position, (asid, tenant, instruction) in enumerate(schedule):
             if not measuring and position >= warmup_instructions:
                 measuring = True
                 previous_block = None
                 self.btb.reset_stats()
-                dir_before = self.bpu.stats.get("direction_mispredictions")
-                tgt_before = self.bpu.stats.get("target_mispredictions")
+                dir_before = bpu_stats.get("direction_mispredictions")
+                tgt_before = bpu_stats.get("target_mispredictions")
 
             if asid != current_asid:
                 if current_asid is None:
                     # The machine boots already owned by the first ASID: no
                     # switch penalty, but tagged BTBs and caches must adopt
                     # its color.
-                    self.bpu.context_switch(asid)
-                    self.hierarchy.context_switch(asid)
+                    bpu.context_switch(asid)
+                    hierarchy.context_switch(asid)
                 else:
                     if measuring:
                         context_switches += 1
                         if current_account is not None:
-                            now_dir = self.bpu.stats.get("direction_mispredictions")
-                            now_tgt = self.bpu.stats.get("target_mispredictions")
+                            now_dir = bpu_stats.get("direction_mispredictions")
+                            now_tgt = bpu_stats.get("target_mispredictions")
                             current_account.direction_mispredictions += int(now_dir - dir_before)
                             current_account.target_mispredictions += int(now_tgt - tgt_before)
                             dir_before, tgt_before = now_dir, now_tgt
-                    self.bpu.context_switch(asid)
-                    self.hierarchy.context_switch(asid)
-                    self.fdip.on_stream_break()
+                    bpu.context_switch(asid)
+                    hierarchy.context_switch(asid)
+                    on_stream_break()
                     previous_block = None
                 current_asid = asid
                 current_tenant = None
             if tenant != current_tenant:
+                if current_account is not None:
+                    current_account.charge(
+                        retired, stall_sum, flushes, resteers, btb_extra, btb_misses_taken,
+                        branches, taken_branches, l1i_accesses, l1i_misses, l2_misses,
+                        covered_misses,
+                    )
+                    retired = flushes = resteers = btb_extra = btb_misses_taken = 0
+                    branches = taken_branches = 0
+                    l1i_accesses = l1i_misses = l2_misses = covered_misses = 0
+                    stall_sum = 0.0
                 current_tenant = tenant
                 current_account = accounts.get(tenant)
                 if current_account is None:
                     current_account = accounts[tenant] = _TenantAccount(TimingModel(core))
                     tenant_order.append(tenant)
 
-            prediction = self.bpu.process(instruction)
+            prediction = process(instruction)
 
-            block = instruction.pc & line_mask
-            new_block = block != previous_block
-            previous_block = block
-            stall_cycles = 0.0
-            miss = False
-            covered = False
-            beyond_l2 = False
-            if new_block:
-                fetch = self.hierarchy.fetch(instruction.pc)
-                miss = not fetch.l1i_hit
-                if miss:
-                    beyond_l2 = fetch.level != "L2"
-                    coverage = self.fdip.cover_demand_miss(fetch.latency)
-                    stall_cycles = coverage.residual_latency
-                    covered = coverage.coverage == "full"
+            pc = instruction.pc
+            block = pc & line_mask
+            if block != previous_block:
+                previous_block = block
+                fetched = fetch(pc)
+                if fetched.l1i_hit:
+                    if measuring:
+                        l1i_accesses += 1
+                else:
+                    coverage = cover(fetched.latency)
+                    if measuring:
+                        l1i_accesses += 1
+                        l1i_misses += 1
+                        stall_sum += coverage.residual_latency
+                        if fetched.level != "L2":
+                            l2_misses += 1
+                        if coverage.coverage == "full":
+                            covered_misses += 1
 
-            self.fdip.observe_predicted_address(instruction.pc)
+            observe(pc)
             if prediction.stream_break:
-                self.fdip.on_stream_break()
+                on_stream_break()
 
             if measuring:
-                account = current_account
-                timing = account.timing
-                timing.retire_instructions(1)
-                timing.icache_stall(stall_cycles)
-                if prediction.extra_btb_cycles and self.ftq.occupancy < 2 * core.fetch_width:
-                    timing.btb_extra_cycle(prediction.extra_btb_cycles)
-                if prediction.outcome is PredictionOutcome.EXECUTE_FLUSH:
-                    timing.execute_flush()
-                    account.execute_flushes += 1
-                elif prediction.outcome is PredictionOutcome.DECODE_RESTEER:
-                    timing.decode_resteer()
-                    account.decode_resteers += 1
+                retired += 1
+                extra = prediction.extra_btb_cycles
+                if extra and ftq.occupancy < width2:
+                    btb_extra += extra
+                outcome = prediction.outcome
+                if outcome is _FLUSH:
+                    flushes += 1
+                elif outcome is _RESTEER:
+                    resteers += 1
                 if prediction.btb_miss_taken_branch:
-                    account.btb_misses_taken += 1
-                if instruction.is_branch:
-                    account.branches += 1
+                    btb_misses_taken += 1
+                if instruction.branch_type is not _NOT_BRANCH:
+                    branches += 1
                     if instruction.taken:
-                        account.taken_branches += 1
-                if new_block:
-                    account.l1i_accesses += 1
-                    if miss:
-                        account.l1i_misses += 1
-                        account.l2_accesses += 1
-                        if beyond_l2:
-                            account.l2_misses += 1
-                        if covered:
-                            account.l1i_misses_covered += 1
+                        taken_branches += 1
 
         if current_account is not None:
-            now_dir = self.bpu.stats.get("direction_mispredictions")
-            now_tgt = self.bpu.stats.get("target_mispredictions")
+            current_account.charge(
+                retired, stall_sum, flushes, resteers, btb_extra, btb_misses_taken,
+                branches, taken_branches, l1i_accesses, l1i_misses, l2_misses, covered_misses,
+            )
+            now_dir = bpu_stats.get("direction_mispredictions")
+            now_tgt = bpu_stats.get("target_mispredictions")
             current_account.direction_mispredictions += int(now_dir - dir_before)
             current_account.target_mispredictions += int(now_tgt - tgt_before)
 

@@ -24,7 +24,7 @@ The resolution rules follow the improved branch handling of Section VI-A:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.common.asid import ASIDCheckpointStore, retains_across_switch
 from repro.common.config import MachineConfig
@@ -48,11 +48,15 @@ class PredictionOutcome(enum.Enum):
     EXECUTE_FLUSH = "execute_flush"
 
 
-@dataclass(frozen=True, slots=True)
-class FrontEndPrediction:
-    """Everything the front end decided about one instruction."""
+class FrontEndPrediction(NamedTuple):
+    """Everything the front end decided about one instruction.
 
-    pc: int
+    An immutable tuple rather than a frozen dataclass, because one is built
+    for every BTB hit and every taken-branch miss and a tuple is cheaper to
+    construct.  The record carries no PC, so the outcome that depends on
+    nothing per-instruction is one shared instance (:data:`SEQUENTIAL`).
+    """
+
     btb_hit: bool
     identified_branch: bool
     predicted_taken: bool
@@ -66,6 +70,21 @@ class FrontEndPrediction:
     #: True when the prediction breaks the fetch stream (any wrong next-PC);
     #: used by the FTQ/FDIP model to reset the run-ahead distance.
     stream_break: bool = False
+
+
+#: The prediction of every BTB miss that is not a taken branch: the front end
+#: continues on the sequential path, which is correct.  Shared, because it
+#: is by far the most common outcome (every non-branch the BTB misses).
+SEQUENTIAL = FrontEndPrediction(
+    btb_hit=False,
+    identified_branch=False,
+    predicted_taken=False,
+    predicted_target=None,
+    outcome=PredictionOutcome.CORRECT,
+    btb_miss_taken_branch=False,
+)
+
+_NOT_BRANCH = BranchType.NOT_BRANCH
 
 
 class BranchPredictionUnit:
@@ -124,45 +143,26 @@ class BranchPredictionUnit:
 
     # -- prediction -----------------------------------------------------------
 
-    def process(self, instruction: Instruction, dplan=None, dk: int = -1) -> FrontEndPrediction:
+    def process(self, instruction: Instruction) -> FrontEndPrediction:
         """Predict the instruction's control flow and resolve it against truth.
 
         The architectural outcome carried by ``instruction`` is only used to
         classify the prediction (correct / decode resteer / execute flush) and
         to train the predictors at commit -- the prediction itself relies
         exclusively on the BTB, the direction predictor and the RAS.
+
+        A BTB miss on a non-branch -- most instructions -- is settled right
+        here: the sequential path is correct and nothing trains on a
+        non-branch, so it returns :data:`SEQUENTIAL` without classifying or
+        committing.  A non-branch that *hits* (partial-tag aliasing) takes
+        the full path, since a predicted-taken false hit breaks the stream.
         """
-        return self.process_resolved(instruction, self.btb.lookup(instruction.pc), dplan, dk)
-
-    def process_resolved(
-        self,
-        instruction: Instruction,
-        lookup: BTBLookupResult,
-        dplan=None,
-        dk: int = -1,
-        is_branch: bool | None = None,
-    ) -> FrontEndPrediction:
-        """Classify and commit ``instruction`` against an already-performed lookup.
-
-        Split out of :meth:`process` for the batched backend, which probes the
-        BTB itself with pre-vectorized set indices and tags and must then run
-        the identical classification/commit pipeline.
-
-        ``dplan``/``dk`` carry the batched backend's direction-predictor
-        commit plan (:mod:`repro.predictor.batch`): when ``dk >= 0`` the
-        instruction is the plan's ``dk``-th conditional-branch commit and its
-        direction prediction and training apply through the plan's
-        precomputed indices -- bit-exact twins of the scalar calls.  The
-        scalar loops never pass them, so their path is unchanged.
-
-        ``is_branch``, when given, is the caller's already-known
-        ``instruction.is_branch`` (the batched backend holds it as a chunk
-        SoA column), skipping two property hops per instruction.
-        """
-        if is_branch is None:
-            is_branch = instruction.is_branch
-        prediction = self._classify(instruction, lookup, dplan, dk, is_branch)
-        self._commit(instruction, prediction, dplan, dk, is_branch)
+        lookup = self.btb.lookup(instruction.pc)
+        is_branch = instruction.branch_type is not _NOT_BRANCH
+        if not (is_branch or lookup.hit):
+            return SEQUENTIAL
+        prediction = self._classify(instruction, lookup, None, -1, is_branch)
+        self._commit(instruction, prediction, None, -1, is_branch)
         return prediction
 
     def _classify(
@@ -173,7 +173,20 @@ class BranchPredictionUnit:
         dk: int,
         is_branch: bool,
     ) -> FrontEndPrediction:
-        pc = instruction.pc
+        """Classify ``instruction`` against an already-performed BTB lookup.
+
+        The batched backend calls this (and :meth:`_commit`) directly: it
+        probes the BTB itself with pre-vectorized set indices and tags.
+        ``dplan``/``dk`` carry its direction-predictor commit plan
+        (:mod:`repro.predictor.batch`): when ``dk >= 0`` the instruction is
+        the plan's ``dk``-th conditional-branch commit and its direction
+        prediction and training apply through the plan's precomputed indices
+        -- bit-exact twins of the scalar calls, which pass ``None, -1``.
+        ``is_branch`` is the caller's already-known ``instruction.is_branch``.
+
+        Records are built positionally, in :class:`FrontEndPrediction` field
+        order: keyword construction of a tuple costs about twice as much.
+        """
         actually_taken = instruction.taken
 
         if not lookup.hit:
@@ -183,30 +196,18 @@ class BranchPredictionUnit:
             # consulted here when that prediction influences the outcome
             # (a taken conditional branch that decode might resteer).
             if not is_branch or not actually_taken:
-                outcome = PredictionOutcome.CORRECT
-                stream_break = False
+                return SEQUENTIAL
+            self.stats.inc("btb_miss_taken")
+            branch_type = instruction.branch_type
+            if branch_type is BranchType.UNCONDITIONAL or branch_type is BranchType.CALL:
+                outcome = PredictionOutcome.DECODE_RESTEER
+            elif branch_type is BranchType.CONDITIONAL and (
+                dplan.predict(dk) if dk >= 0 else self.direction_predictor.predict(instruction.pc)
+            ):
+                outcome = PredictionOutcome.DECODE_RESTEER
             else:
-                self.stats.inc("btb_miss_taken")
-                stream_break = True
-                if instruction.branch_type in (BranchType.UNCONDITIONAL, BranchType.CALL):
-                    outcome = PredictionOutcome.DECODE_RESTEER
-                elif instruction.branch_type is BranchType.CONDITIONAL and (
-                    dplan.predict(dk) if dk >= 0 else self.direction_predictor.predict(pc)
-                ):
-                    outcome = PredictionOutcome.DECODE_RESTEER
-                else:
-                    outcome = PredictionOutcome.EXECUTE_FLUSH
-            return FrontEndPrediction(
-                pc=pc,
-                btb_hit=False,
-                identified_branch=False,
-                predicted_taken=False,
-                predicted_target=None,
-                outcome=outcome,
-                btb_miss_taken_branch=is_branch and actually_taken,
-                extra_btb_cycles=0,
-                stream_break=stream_break,
-            )
+                outcome = PredictionOutcome.EXECUTE_FLUSH
+            return FrontEndPrediction(False, False, False, None, outcome, True, 0, True)
 
         # BTB hit: the front end knows the branch type and (usually) its target.
         identified_type = lookup.branch_type or instruction.branch_type
@@ -214,7 +215,9 @@ class BranchPredictionUnit:
             # dk >= 0 marks the plan's dk-th conditional-branch commit; a
             # false hit that merely *identifies* as conditional (dk == -1)
             # reads the live tables through the scalar call.
-            predicted_taken = dplan.predict(dk) if dk >= 0 else self.direction_predictor.predict(pc)
+            predicted_taken = (
+                dplan.predict(dk) if dk >= 0 else self.direction_predictor.predict(instruction.pc)
+            )
         else:
             predicted_taken = True
 
@@ -230,21 +233,13 @@ class BranchPredictionUnit:
             # predicted taken the fetch stream is broken until decode notices.
             if predicted_taken:
                 self.stats.inc("false_hits")
-                outcome = PredictionOutcome.DECODE_RESTEER
-                stream_break = True
-            else:
-                outcome = PredictionOutcome.CORRECT
-                stream_break = False
+                return FrontEndPrediction(
+                    True, True, predicted_taken, predicted_target,
+                    PredictionOutcome.DECODE_RESTEER, False, extra_cycles, True,
+                )
             return FrontEndPrediction(
-                pc=pc,
-                btb_hit=True,
-                identified_branch=True,
-                predicted_taken=predicted_taken,
-                predicted_target=predicted_target,
-                outcome=outcome,
-                btb_miss_taken_branch=False,
-                extra_btb_cycles=extra_cycles,
-                stream_break=stream_break,
+                True, True, predicted_taken, predicted_target,
+                PredictionOutcome.CORRECT, False, extra_cycles, False,
             )
 
         if predicted_taken != actually_taken:
@@ -261,15 +256,8 @@ class BranchPredictionUnit:
             stream_break = False
 
         return FrontEndPrediction(
-            pc=pc,
-            btb_hit=True,
-            identified_branch=True,
-            predicted_taken=predicted_taken,
-            predicted_target=predicted_target,
-            outcome=outcome,
-            btb_miss_taken_branch=False,
-            extra_btb_cycles=extra_cycles,
-            stream_break=stream_break,
+            True, True, predicted_taken, predicted_target, outcome, False, extra_cycles,
+            stream_break,
         )
 
     # -- commit-time updates ------------------------------------------------------

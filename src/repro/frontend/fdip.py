@@ -19,7 +19,7 @@ misses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.common.config import MachineConfig
 from repro.common.stats import Stats
@@ -27,8 +27,7 @@ from repro.frontend.ftq import FetchTargetQueue
 from repro.memory.hierarchy import MemoryHierarchy
 
 
-@dataclass(frozen=True)
-class PrefetchCoverage:
+class PrefetchCoverage(NamedTuple):
     """How an L1-I demand miss interacts with FDIP."""
 
     #: Cycles of miss latency the demand fetch still has to wait for.

@@ -18,7 +18,7 @@ to the historical untagged model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.common.asid import AddressSpacePolicy
 from repro.common.config import CacheConfig
@@ -26,8 +26,7 @@ from repro.common.lru import LRUState
 from repro.common.stats import Stats
 
 
-@dataclass(frozen=True, slots=True)
-class CacheAccessResult:
+class CacheAccessResult(NamedTuple):
     """Outcome of an access to one cache level."""
 
     hit: bool
@@ -35,8 +34,8 @@ class CacheAccessResult:
 
 
 #: Shared results for the two common outcomes; access() is called once per
-#: probe of every level, so the allocations are worth dodging (the dataclass
-#: is frozen, making the sharing invisible).
+#: probe of every level, so the allocations are worth dodging (the record
+#: is immutable, making the sharing invisible).
 _HIT_RESULT = CacheAccessResult(hit=True)
 _MISS_RESULT = CacheAccessResult(hit=False)
 

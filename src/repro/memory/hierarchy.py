@@ -39,8 +39,7 @@ All four behaviours are driven by the same
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, NamedTuple, Sequence
 
 from repro.common.asid import retains_across_switch
 from repro.common.config import ASIDMode, MachineConfig
@@ -48,8 +47,7 @@ from repro.common.stats import Stats
 from repro.memory.cache import SetAssociativeCache
 
 
-@dataclass(frozen=True, slots=True)
-class FetchResult:
+class FetchResult(NamedTuple):
     """Outcome of a demand fetch or prefetch."""
 
     latency: int
@@ -59,8 +57,9 @@ class FetchResult:
 
 #: Shared results for the zero-latency outcomes; fetch() runs once per cache
 #: block of the instruction stream and hits dominate, so the per-call
-#: allocation is worth dodging (the dataclass is frozen, making the sharing
-#: invisible).
+#: allocation is worth dodging (the record is immutable, making the sharing
+#: invisible).  Misses share one result per supplier level, built per
+#: hierarchy from its latencies.
 _L1I_HIT = FetchResult(latency=0, level="L1I", l1i_hit=True)
 _L1D_HIT = FetchResult(latency=0, level="L1D", l1i_hit=False)
 _PREFETCH_REDUNDANT = FetchResult(latency=0, level="L1I", l1i_hit=True)
@@ -92,6 +91,14 @@ class MemoryHierarchy:
         #: ASID-oblivious hierarchy (see the module docstring).
         self.asid_mode = config.cache_asid_mode
         self._active_asid = 0
+        self._miss_results = {
+            level: FetchResult(latency=latency, level=level, l1i_hit=False)
+            for level, latency in (
+                ("L2", self.l2.hit_latency),
+                ("LLC", self.llc.hit_latency),
+                ("DRAM", self.memory_latency),
+            )
+        }
 
     def _levels(self) -> tuple[SetAssociativeCache, ...]:
         return (self.l1i, self.l1d, self.l2, self.llc)
@@ -149,17 +156,17 @@ class MemoryHierarchy:
 
     # -- instruction side -----------------------------------------------------
 
-    def _miss_latency(self, addr: int, is_prefetch: bool) -> tuple[int, str]:
-        """Latency and supplier level for a block missing in the L1-I."""
+    def _miss_result(self, addr: int, is_prefetch: bool) -> FetchResult:
+        """The (shared) result of a block missing in the L1-I, by supplier."""
         if self.l2.access(addr, is_prefetch=is_prefetch).hit:
-            return self.l2.hit_latency, "L2"
+            return self._miss_results["L2"]
         if self.llc.access(addr, is_prefetch=is_prefetch).hit:
             self.l2.fill(addr, prefetched=is_prefetch)
-            return self.llc.hit_latency, "LLC"
+            return self._miss_results["LLC"]
         # Miss everywhere: fetch from memory and fill the whole hierarchy.
         self.llc.fill(addr, prefetched=is_prefetch)
         self.l2.fill(addr, prefetched=is_prefetch)
-        return self.memory_latency, "DRAM"
+        return self._miss_results["DRAM"]
 
     def fetch(self, addr: int) -> FetchResult:
         """Demand instruction fetch of the block containing ``addr``."""
@@ -167,10 +174,10 @@ class MemoryHierarchy:
         if self.l1i.access(addr).hit:
             return _L1I_HIT
         self.stats.inc("ifetch.l1i_misses")
-        latency, level = self._miss_latency(addr, is_prefetch=False)
+        result = self._miss_result(addr, is_prefetch=False)
         self.l1i.fill(addr)
-        self.stats.inc(_IFETCH_FILL_KEYS[level])
-        return FetchResult(latency=latency, level=level, l1i_hit=False)
+        self.stats.inc(_IFETCH_FILL_KEYS[result.level])
+        return result
 
     def fetch_batch(self, addresses: Sequence[int]) -> List[FetchResult]:
         """Demand-fetch ``addresses`` in order, returning one result each.
@@ -193,10 +200,10 @@ class MemoryHierarchy:
             # All MSHRs busy: the prefetch is dropped.
             self.stats.inc("prefetch.dropped")
             return _PREFETCH_DROPPED
-        latency, level = self._miss_latency(addr, is_prefetch=True)
+        result = self._miss_result(addr, is_prefetch=True)
         self.l1i.fill(addr, prefetched=True)
-        self.stats.inc(_PREFETCH_FILL_KEYS[level])
-        return FetchResult(latency=latency, level=level, l1i_hit=False)
+        self.stats.inc(_PREFETCH_FILL_KEYS[result.level])
+        return result
 
     # -- data side (provided for completeness) ---------------------------------
 
@@ -205,9 +212,9 @@ class MemoryHierarchy:
         self.stats.inc("dfetch.accesses")
         if self.l1d.access(addr, is_write=is_write).hit:
             return _L1D_HIT
-        latency, level = self._miss_latency(addr, is_prefetch=False)
+        result = self._miss_result(addr, is_prefetch=False)
         self.l1d.fill(addr, dirty=is_write)
-        return FetchResult(latency=latency, level=level, l1i_hit=False)
+        return result
 
     # -- maintenance -------------------------------------------------------------
 

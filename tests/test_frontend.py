@@ -11,9 +11,12 @@ from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
 from repro.btb.conventional import ConventionalBTB
 from repro.btb.ideal import IdealBTB
-from repro.frontend.bpu import BranchPredictionUnit, PredictionOutcome
+from repro.btb import base as btb_base
+from repro.frontend.bpu import SEQUENTIAL, BranchPredictionUnit, PredictionOutcome
 from repro.frontend.fdip import FDIPPrefetcher
 from repro.frontend.ftq import FetchTargetQueue
+from repro.memory import cache as cache_module
+from repro.memory import hierarchy as hierarchy_module
 from repro.memory.hierarchy import MemoryHierarchy
 
 
@@ -178,3 +181,93 @@ class TestBPU:
         not_taken = Instruction.branch(0x401000, BranchType.CONDITIONAL, False, 0x401100)
         bpu.process(not_taken)
         assert not btb.lookup(0x401000).hit
+
+
+def _aliasing_pc(btb: ConventionalBTB, pc: int) -> int:
+    """Another PC with ``pc``'s set index and partial tag (a false-hit alias)."""
+    located = btb._locate(pc)
+    stride = btb.num_sets << btb.isa.alignment_bits
+    for step in range(1, 1 << 16):
+        candidate = pc + step * stride
+        if btb._locate(candidate) == located:
+            return candidate
+    raise AssertionError("no aliasing PC found")
+
+
+class TestNonBranchMissShortCircuit:
+    """``process`` settles a non-branch BTB miss without classify/commit."""
+
+    def _warm_bpu(self):
+        stats = Stats()
+        btb = ConventionalBTB(512, stats=stats)
+        machine = default_machine_config(btb_style=BTBStyle.CONVENTIONAL, btb_entries=512)
+        bpu = BranchPredictionUnit(btb, machine, stats)
+        jump = Instruction.branch(0x401000, BranchType.UNCONDITIONAL, True, 0x402000)
+        call = Instruction.branch(0x402000, BranchType.CALL, True, 0x500000)
+        for instruction in (jump, call):
+            bpu.process(instruction)
+        return bpu, btb, stats, jump
+
+    def test_non_branch_miss_returns_shared_prediction_and_only_probes(self, monkeypatch):
+        bpu, btb, stats, _ = self._warm_bpu()
+        counters = stats.counters()
+        reads = dict(btb.reads)
+        ras = bpu.ras.snapshot()
+        resident = sorted(btb._resident_ways())
+
+        def never(*args):
+            raise AssertionError("a non-branch BTB miss must not be classified or committed")
+
+        monkeypatch.setattr(bpu, "_classify", never)
+        monkeypatch.setattr(bpu, "_commit", never)
+        prediction = bpu.process(Instruction.non_branch(0x600000))
+
+        assert prediction is SEQUENTIAL
+        assert prediction.outcome is PredictionOutcome.CORRECT
+        assert not prediction.stream_break and not prediction.extra_btb_cycles
+        assert not prediction.btb_miss_taken_branch
+        moved = {
+            name: value - counters.get(name, 0.0)
+            for name, value in stats.counters().items()
+            if value != counters.get(name, 0.0)
+        }
+        assert moved == {"btb.conventional.misses": 1}
+        assert btb.reads == {**reads, "main": reads["main"] + 1}
+        assert bpu.ras.snapshot() == ras
+        assert sorted(btb._resident_ways()) == resident
+
+    def test_aliasing_non_branch_hit_is_still_classified(self):
+        bpu, btb, stats, jump = self._warm_bpu()
+        alias = Instruction.non_branch(_aliasing_pc(btb, jump.pc))
+        false_hits = stats.get("bpu.false_hits")
+
+        prediction = bpu.process(alias)
+
+        assert prediction is not SEQUENTIAL
+        assert prediction.btb_hit and prediction.predicted_taken
+        assert prediction.outcome is PredictionOutcome.DECODE_RESTEER
+        assert prediction.stream_break
+        assert stats.get("bpu.false_hits") == false_hits + 1
+
+
+def _shared_records():
+    hierarchy = MemoryHierarchy(default_machine_config())
+    records = {
+        "bpu.SEQUENTIAL": SEQUENTIAL,
+        "btb._MISS_RESULT": btb_base._MISS_RESULT,
+        "cache._HIT_RESULT": cache_module._HIT_RESULT,
+        "cache._MISS_RESULT": cache_module._MISS_RESULT,
+    }
+    for name in ("_L1I_HIT", "_L1D_HIT", "_PREFETCH_REDUNDANT", "_PREFETCH_DROPPED"):
+        records[f"hierarchy.{name}"] = getattr(hierarchy_module, name)
+    for level, result in hierarchy._miss_results.items():
+        records[f"hierarchy.miss.{level}"] = result
+    return records
+
+
+@pytest.mark.parametrize("name", sorted(_shared_records()))
+def test_shared_records_reject_attribute_assignment(name):
+    record = _shared_records()[name]
+    for attribute in type(record).__match_args__ + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(record, attribute, 0)
