@@ -117,6 +117,20 @@ def tenant_code_pages(trace: Trace) -> list[int]:
     return sorted(pages)
 
 
+def _source_code_pages(trace: Trace) -> list[int]:
+    """:func:`tenant_code_pages` of a remap source, derived once per trace.
+
+    Cached on the trace object next to its ``_remap_cache``: every tenant
+    remapped from one source ranks the same page list, so deriving it per
+    tenant repeated a full pass over the trace for nothing.
+    """
+    pages: list[int] | None = getattr(trace, "_code_pages", None)
+    if pages is None:
+        pages = tenant_code_pages(trace)
+        trace._code_pages = pages  # type: ignore[attr-defined]
+    return pages
+
+
 def shared_page_split(page_count: int, shared_fraction: float) -> int:
     """Number of pages of a ``page_count``-page footprint that are shared.
 
@@ -175,6 +189,11 @@ def remap_tenant_trace(
     replaying the same workload get identical *shared* mappings (their shared
     prefixes land on the same addresses) while their private pages land in
     disjoint per-tenant windows.
+
+    Trace records are shared immutable values: the source's sorted page list
+    is derived once per source trace, and each distinct source record is
+    remapped once per call, so every repeat of it in the tenant trace is the
+    same remapped :class:`Instruction` object.
     """
     if tenant_index >= _MAX_REMAP_TENANTS or shared_slot >= _MAX_REMAP_TENANTS:
         raise ConfigurationError(
@@ -182,7 +201,7 @@ def remap_tenant_trace(
             f"tenants/workloads within the 48-bit address space, got "
             f"index {tenant_index} / slot {shared_slot}"
         )
-    pages = tenant_code_pages(trace)
+    pages = _source_code_pages(trace)
     shared_count = shared_page_split(len(pages), shared_fraction)
     shared_base = SHARED_BASE_PAGE + shared_slot * SHARED_SLOT_STRIDE_PAGES
     private_base = PRIVATE_BASE_PAGE + tenant_index * PRIVATE_TENANT_STRIDE_PAGES
@@ -196,24 +215,31 @@ def remap_tenant_trace(
     def remap(address: int) -> int:
         return (page_map[address >> PAGE_SHIFT] << PAGE_SHIFT) | (address & _PAGE_MASK)
 
+    # Keyed by id() of the source record: the source trace keeps every record
+    # alive for the whole loop, so no id can be reused while the memo lives.
+    remapped: Dict[int, Instruction] = {}
     instructions = []
+    append = instructions.append
     for instruction in trace:
-        pc = remap(instruction.pc)
-        # Keep fall-throughs consistent with the remapped return targets: the
-        # remap is order-preserving, so the stretched size is always positive.
-        size = remap(instruction.fall_through) - pc
-        if instruction.is_branch:
-            instructions.append(
-                Instruction(
+        record = remapped.get(id(instruction))
+        if record is None:
+            pc = remap(instruction.pc)
+            # Keep fall-throughs consistent with the remapped return targets:
+            # the remap is order-preserving, so the stretched size is always
+            # positive.
+            size = remap(instruction.fall_through) - pc
+            if instruction.is_branch:
+                record = Instruction(
                     pc=pc,
                     size=size,
                     branch_type=instruction.branch_type,
                     taken=instruction.taken,
                     target=remap(instruction.target),
                 )
-            )
-        else:
-            instructions.append(Instruction(pc=pc, size=size))
+            else:
+                record = Instruction(pc=pc, size=size)
+            remapped[id(instruction)] = record
+        append(record)
     metadata = dict(trace.metadata)
     metadata["shared_fraction"] = shared_fraction
     metadata["shared_pages"] = shared_count

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import enum
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Sequence, Tuple
 
 from repro.common.config import ISAStyle
@@ -513,7 +515,7 @@ class ProgramBuilder:
         if roll < neighbor_cut and len(pool) > 2:
             # Neighbour class: callee laid out close to the caller, producing
             # short cross-function distances (the 7-12 bit band).
-            anchor = min(range(len(pool)), key=lambda i: abs(pool[i].index - caller.index))
+            anchor = _nearest_position(pool, caller.index)
             lo = max(0, anchor - spec.neighbor_window)
             hi = min(len(pool), anchor + spec.neighbor_window + 1)
             return rng.choice(pool[lo:hi]).index
@@ -567,6 +569,21 @@ class ProgramBuilder:
         if self.spec.isa is ISAStyle.ARM64:
             return (4,) * count
         return tuple(self._rng.choice(_X86_SIZES) for _ in range(count))
+
+
+def _nearest_position(pool: Sequence[Function], index: int) -> int:
+    """Position of the function in ``pool`` whose index is closest to ``index``.
+
+    ``pool`` is sorted by function index, so the answer is one of the two
+    entries around the bisection point; on a distance tie the lower position
+    wins, exactly as a linear ``min`` scan over the pool would pick.
+    """
+    position = bisect_left(pool, index, key=attrgetter("index"))
+    if position == len(pool):
+        return position - 1
+    if position > 0 and index - pool[position - 1].index <= pool[position].index - index:
+        return position - 1
+    return position
 
 
 def _align(value: int, alignment: int) -> int:

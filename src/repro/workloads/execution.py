@@ -20,6 +20,7 @@ from typing import Dict, List, Tuple
 from repro.common.errors import WorkloadError
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
+from repro.obs import get_recorder
 from repro.traces.trace import Trace
 from repro.workloads.cfg import Program, TerminatorKind, build_program
 from repro.workloads.spec import WorkloadSpec
@@ -34,7 +35,13 @@ _TERMINATOR_TO_BRANCH = {
 
 
 class TraceGenerator:
-    """Walks a program to emit a dynamic instruction trace."""
+    """Walks a program to emit a dynamic instruction trace.
+
+    Trace records are shared immutable values: every visit to a plain PC, and
+    every repeat of a branch with the same outcome and target, appends the
+    same :class:`Instruction` object.  Consumers compare records by value and
+    never mutate them, so sharing changes nothing but memory and build time.
+    """
 
     def __init__(self, program: Program, seed: int | None = None) -> None:
         self.program = program
@@ -50,6 +57,19 @@ class TraceGenerator:
         rng = random.Random(self._seed)
         instructions: List[Instruction] = []
         append = instructions.append
+        # Interning tables live for this walk only (see the class docstring).
+        plain_records: Dict[int, Instruction] = {}
+        branch_records: Dict[Tuple[int, bool, int], Instruction] = {}
+
+        def append_branch(pc: int, size: int, branch_type: BranchType, taken: bool,
+                          target: int) -> None:
+            key = (pc, taken, target)
+            record = branch_records.get(key)
+            if record is None:
+                record = branch_records[key] = Instruction(
+                    pc=pc, size=size, branch_type=branch_type, taken=taken, target=target
+                )
+            append(record)
 
         dispatcher = program.dispatcher_index
         root_indices = program.root_indices
@@ -69,7 +89,10 @@ class TraceGenerator:
             # Plain (non-branch) instructions of the block.
             pc = block.start_pc
             for size in block.instruction_sizes:
-                append(Instruction(pc=pc, size=size))
+                record = plain_records.get(pc)
+                if record is None:
+                    record = plain_records[pc] = Instruction(pc=pc, size=size)
+                append(record)
                 pc += size
                 if len(instructions) >= num_instructions:
                     break
@@ -87,27 +110,13 @@ class TraceGenerator:
                 # The target field always records the branch's architectural
                 # target (where it goes when taken); the not-taken successor is
                 # the fall-through, recovered via Instruction.next_pc.
-                append(
-                    Instruction(
-                        pc=branch_pc,
-                        size=branch_size,
-                        branch_type=BranchType.CONDITIONAL,
-                        taken=taken,
-                        target=target_block.start_pc,
-                    )
-                )
+                append_branch(branch_pc, branch_size, BranchType.CONDITIONAL, taken,
+                              target_block.start_pc)
                 current_block = block.taken_block if taken else current_block + 1
             elif kind is TerminatorKind.JUMP:
                 target_block = function.blocks[block.taken_block]
-                append(
-                    Instruction(
-                        pc=branch_pc,
-                        size=branch_size,
-                        branch_type=BranchType.UNCONDITIONAL,
-                        taken=True,
-                        target=target_block.start_pc,
-                    )
-                )
+                append_branch(branch_pc, branch_size, BranchType.UNCONDITIONAL, True,
+                              target_block.start_pc)
                 current_block = block.taken_block
             elif kind is TerminatorKind.CALL or kind is TerminatorKind.INDIRECT_CALL:
                 if kind is TerminatorKind.CALL:
@@ -120,15 +129,7 @@ class TraceGenerator:
                     else:
                         callee_index = rng.choice(block.callee_candidates)
                 callee = functions[callee_index]
-                append(
-                    Instruction(
-                        pc=branch_pc,
-                        size=branch_size,
-                        branch_type=branch_type,
-                        taken=True,
-                        target=callee.entry_pc,
-                    )
-                )
+                append_branch(branch_pc, branch_size, branch_type, True, callee.entry_pc)
                 stack.append((current_function, current_block + 1, fall_through))
                 max_depth = max(max_depth, len(stack))
                 current_function = callee_index
@@ -141,15 +142,7 @@ class TraceGenerator:
                     # builder prevents; restart the request loop defensively.
                     caller_function, resume_block = dispatcher, 0
                     return_pc = functions[dispatcher].blocks[0].start_pc
-                append(
-                    Instruction(
-                        pc=branch_pc,
-                        size=branch_size,
-                        branch_type=BranchType.RETURN,
-                        taken=True,
-                        target=return_pc,
-                    )
-                )
+                append_branch(branch_pc, branch_size, BranchType.RETURN, True, return_pc)
                 current_function = caller_function
                 current_block = resume_block
             else:  # pragma: no cover - exhaustive enum
@@ -175,8 +168,11 @@ def generate_trace(
     spec: WorkloadSpec, num_instructions: int, name: str | None = None
 ) -> Trace:
     """Build the program for ``spec`` and emit a trace of ``num_instructions``."""
-    program = build_program(spec)
-    return TraceGenerator(program).generate(num_instructions, name=name)
+    recorder = get_recorder()
+    with recorder.span("trace.program", workload=spec.name):
+        program = build_program(spec)
+    with recorder.span("trace.walk", workload=spec.name, instructions=num_instructions):
+        return TraceGenerator(program).generate(num_instructions, name=name)
 
 
 def verify_trace_consistency(trace: Trace) -> None:

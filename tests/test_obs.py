@@ -37,6 +37,7 @@ from repro.obs import (
 )
 from repro.obs.chrome import export_chrome, to_chrome_events
 from repro.obs.report import aggregate, format_report, percentile
+from repro.traces.store import TraceStore
 
 
 @pytest.fixture(autouse=True)
@@ -370,6 +371,23 @@ class TestReport:
         assert "phase" in text and "scenario.simulate" in text
         assert "engine cache: 2 submitted" in text
         assert "counters:" in text
+
+
+class TestTraceBuildSpans:
+    def test_store_miss_splits_build_into_program_and_walk(self):
+        recorder = JsonlRecorder(origin="t")
+        store = TraceStore()
+        with use_recorder(recorder):
+            store.get("client_001", 2_000)
+            store.get("client_001", 2_000)  # a hit records no build spans
+        events = recorder.drain()
+        spans = [e for e in events if e["type"] == "span"]
+        builds = [s for s in spans if s["name"] == "trace.build"]
+        assert len(builds) == 1
+        children = sorted(s["name"] for s in spans if s["parent_id"] == builds[0]["span_id"])
+        assert children == ["trace.program", "trace.walk"]
+        phases = aggregate(events)["phases"]
+        assert phases["trace.program"]["count"] == phases["trace.walk"]["count"] == 1
 
 
 class TestEngineIntegration:

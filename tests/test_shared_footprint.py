@@ -27,6 +27,7 @@ from repro.experiments.engine import ExperimentEngine, ScenarioJob, _result_to_p
 from repro.experiments.runner import clear_trace_cache
 from repro.experiments import shared_footprint
 from repro.experiments.shared_footprint import shared_variant
+from repro.isa.instruction import Instruction
 from repro.scenarios.compose import (
     PAGE_SHIFT,
     PRIVATE_BASE_PAGE,
@@ -36,6 +37,7 @@ from repro.scenarios.compose import (
     TraceComposer,
     remap_tenant_trace,
     shared_page_split,
+    _PAGE_MASK,
     tenant_code_pages,
 )
 from repro.scenarios.presets import get_scenario
@@ -217,6 +219,60 @@ class TestRemapPageProperties:
         second = remap_tenant_trace(trace, 1, 0.4)
         assert [i.pc for i in first] == [i.pc for i in second]
         assert [i.target for i in first] == [i.target for i in second]
+
+
+def _reference_remap(trace, tenant_index, fraction, slot):
+    """Reference remap: per-tenant pages, a page map and a fresh record per position."""
+    pages = tenant_code_pages(trace)
+    shared_count = shared_page_split(len(pages), fraction)
+    shared_base = SHARED_BASE_PAGE + slot * SHARED_SLOT_STRIDE_PAGES
+    private_base = PRIVATE_BASE_PAGE + tenant_index * PRIVATE_TENANT_STRIDE_PAGES
+    page_map = {
+        page: shared_base + rank if rank < shared_count else private_base + rank - shared_count
+        for rank, page in enumerate(pages)
+    }
+
+    def remap(address):
+        return (page_map[address >> PAGE_SHIFT] << PAGE_SHIFT) | (address & _PAGE_MASK)
+
+    records = []
+    for instruction in trace:
+        pc = remap(instruction.pc)
+        size = remap(instruction.fall_through) - pc
+        if instruction.is_branch:
+            records.append(Instruction(pc=pc, size=size, branch_type=instruction.branch_type,
+                                       taken=instruction.taken, target=remap(instruction.target)))
+        else:
+            records.append(Instruction(pc=pc, size=size))
+    return records
+
+
+class TestRemapEquivalence:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        workload=st.sampled_from(_WORKLOADS),
+        tenant_index=st.integers(min_value=0, max_value=64),
+        fraction=st.floats(min_value=0.0, max_value=1.0),
+        slot=st.integers(min_value=0, max_value=8),
+    )
+    def test_remap_matches_the_reference_field_by_field(
+        self, workload, tenant_index, fraction, slot
+    ):
+        trace = default_store().get(workload, 2_048)
+        remapped = remap_tenant_trace(trace, tenant_index, fraction, shared_slot=slot)
+        expected = _reference_remap(trace, tenant_index, fraction, slot)
+        assert len(remapped) == len(expected)
+        for position, (actual, reference) in enumerate(zip(remapped, expected)):
+            assert (actual.pc, actual.size, actual.branch_type, actual.taken, actual.target) == (
+                reference.pc, reference.size, reference.branch_type, reference.taken,
+                reference.target,
+            ), position
+        # The page list cached on the source is the per-tenant derivation.
+        assert trace._code_pages == tenant_code_pages(trace)
+        # One remapped object per distinct source object.
+        image = {}
+        for source, record in zip(trace, remapped):
+            assert image.setdefault(id(source), record) is record
 
 
 class TestRemapScheduleProperties:

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.config import ISAStyle
 from repro.common.errors import WorkloadError
 from repro.analysis.offset_analysis import offset_distribution
-from repro.workloads.cfg import ProgramBuilder, TerminatorKind, build_program
+from repro.workloads.cfg import (
+    Function,
+    ProgramBuilder,
+    TerminatorKind,
+    _nearest_position,
+    build_program,
+)
 from repro.workloads.execution import TraceGenerator, generate_trace, verify_trace_consistency
 from repro.workloads.spec import WorkloadClass, WorkloadSpec, client_spec, server_spec
 from repro.workloads.suites import (
@@ -82,6 +89,30 @@ class TestProgramBuilder:
             for size in block.instruction_sizes
         }
         assert len(sizes) > 1
+
+
+def _linear_anchor(pool, index):
+    """Reference: the linear neighbour-anchor scan over the whole pool."""
+    return min(range(len(pool)), key=lambda i: abs(pool[i].index - index))
+
+
+class TestNeighbourAnchor:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        indices=st.lists(st.integers(0, 60), min_size=1, max_size=25, unique=True),
+        caller=st.integers(0, 70),
+    )
+    @example(indices=[2, 6], caller=4)  # equal distance: the lower position wins
+    @example(indices=[2, 6, 10], caller=8)
+    @example(indices=[5, 9, 20], caller=0)  # caller below the first entry
+    @example(indices=[5, 9, 20], caller=70)  # caller above the last entry
+    @example(indices=[5, 9, 20], caller=9)  # caller is a pool member
+    def test_bisected_anchor_equals_linear_scan(self, indices, caller):
+        pool = [
+            Function(index=index, name=f"f{index}", module=0, level=1, is_library=False)
+            for index in sorted(indices)
+        ]
+        assert _nearest_position(pool, caller) == _linear_anchor(pool, caller)
 
 
 class TestTraceGeneration:
