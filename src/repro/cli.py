@@ -476,78 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output file (default: <trace>.chrome.json)",
     )
 
-    serve_parser = sub.add_parser(
-        "serve",
-        help="run the long-lived sweep service: many clients, one engine, "
-        "one cache, exactly-once cells (NDJSON over unix socket or TCP)",
-    )
-    listen = serve_parser.add_mutually_exclusive_group()
-    listen.add_argument(
-        "--socket", dest="socket_path", help="listen on this unix socket path"
-    )
-    listen.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="listen on TCP (0 picks a free port); default transport when "
-        "--socket is not given",
-    )
-    serve_parser.add_argument(
-        "--host", default="127.0.0.1", help="TCP bind host (default: 127.0.0.1)"
-    )
-    serve_parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=2,
-        help="simulation worker processes shared by all clients",
-    )
-    serve_parser.add_argument(
-        "--cache-dir", help="sharded on-disk result cache shared by all clients"
-    )
-    serve_parser.add_argument(
-        "--backend",
-        choices=sorted(BACKENDS),
-        default=None,
-        help="simulation backend threaded explicitly to every worker",
-    )
-    serve_parser.add_argument(
-        "--trace-out",
-        dest="trace_out",
-        default=None,
-        help="record service + worker telemetry to the given file",
-    )
-    serve_parser.add_argument(
-        "--trace-format",
-        dest="trace_format",
-        choices=["jsonl", "chrome"],
-        default=None,
-        help="trace file format (default: jsonl)",
-    )
-    serve_parser.add_argument(
-        "--budget-instructions",
-        type=_positive_int,
-        default=None,
-        help="per-client instruction budget per window (admission control)",
-    )
-    serve_parser.add_argument(
-        "--budget-window-s",
-        type=float,
-        default=None,
-        help="budget window length in seconds (default: 3600)",
-    )
-    serve_parser.add_argument(
-        "--janitor-interval-s",
-        type=float,
-        default=300.0,
-        help="seconds between background cache-prune sweeps",
-    )
-    serve_parser.add_argument(
-        "--max-age-days",
-        type=float,
-        default=None,
-        help="janitor prunes cache entries older than this (default: janitor off)",
-    )
-
     cache_parser = sub.add_parser("cache", help="inspect or prune the on-disk result cache")
     cache_sub = cache_parser.add_subparsers(dest="cache_command", required=True)
     cache_stats = cache_sub.add_parser("stats", help="entry count, total bytes, age range")
@@ -1174,53 +1102,6 @@ def run_obs_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     return 0
 
 
-def run_serve_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    """Run the sweep service until a client sends ``shutdown`` (or Ctrl-C)."""
-    import asyncio
-
-    from repro.service.budget import (
-        DEFAULT_BUDGET_INSTRUCTIONS,
-        DEFAULT_WINDOW_SECONDS,
-    )
-    from repro.service.server import ServiceConfig, SweepService
-
-    config = ServiceConfig(
-        socket_path=args.socket_path,
-        host=args.host,
-        port=args.port or 0,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        backend=args.backend,
-        budget_instructions=args.budget_instructions or DEFAULT_BUDGET_INSTRUCTIONS,
-        budget_window_seconds=(
-            DEFAULT_WINDOW_SECONDS if args.budget_window_s is None else args.budget_window_s
-        ),
-        janitor_interval_seconds=args.janitor_interval_s,
-        max_age_seconds=(
-            None if args.max_age_days is None else args.max_age_days * 86_400.0
-        ),
-    )
-    service = SweepService(config)
-
-    async def _serve() -> None:
-        runner = asyncio.ensure_future(service.run())
-        while not service.started.is_set() and not runner.done():
-            await asyncio.sleep(0.01)
-        if service.started.is_set():
-            address = service.address
-            shown = address if isinstance(address, str) else f"{address[0]}:{address[1]}"
-            log.result(f"sweep service listening on {shown}")
-        await runner
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        log.info("(service interrupted)")
-    except OSError as exc:
-        parser.error(f"cannot listen: {exc}")
-    return 0
-
-
 def _write_trace(recorder: JsonlRecorder, path: str, trace_format: str) -> str:
     """Serialize a finished recording in the requested format."""
     if trace_format == "chrome":
@@ -1262,9 +1143,7 @@ def main(argv: list[str] | None = None) -> int:
     # One central knob for the simulation backend: subcommands that build an
     # engine expose --backend, which routes through the environment so pooled
     # worker processes inherit it (the ``plot`` subcommand's --backend is its
-    # unrelated rendering knob).  The export is scoped to this command; the
-    # service additionally threads the backend to its workers explicitly, so
-    # it never depends on ambient environment state.
+    # unrelated rendering knob).  The export is scoped to this command.
     env_updates: Dict[str, str] = {}
     if args.command != "plot" and getattr(args, "backend", None):
         from repro.common.config import resolve_backend
@@ -1327,9 +1206,6 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
     if args.command == "obs":
         return run_obs_command(args, parser)
-
-    if args.command == "serve":
-        return run_serve_command(args, parser)
 
     try:
         engine = make_engine(workers=args.workers, cache_dir=args.cache_dir)

@@ -1,6 +1,6 @@
 """Batched (numpy) execution engine: the fast twin of the scalar simulator.
 
-The scalar loops in :mod:`repro.core.simulator` process one instruction at a
+The scalar loop in :mod:`repro.core.simulator` processes one instruction at a
 time and spend most of their cycles recomputing per-PC quantities -- cache
 block boundaries, BTB set indices and partial tags -- that are pure functions
 of the instruction stream.  This engine processes one *scheduling chunk*
@@ -24,7 +24,7 @@ FTQ ``extend`` one block segment at a time, ``retire_instructions(count)``)
 without touching the BPU at all.  Everything
 else goes through the exact scalar machinery (the BPU's classify/commit
 pipeline against the plan's lookup, which reuses the chunk-vectorized set
-index and tag), so the engine is bit-exact against the oracle loops --
+index and tag), so the engine is bit-exact against the oracle loop --
 enforced cell-for-cell by the differential backend suite.
 
 The one tolerated divergence: demand fetches of a chunk are pre-executed
@@ -42,7 +42,7 @@ from typing import Iterable
 
 from repro.common.errors import SimulationError
 from repro.common.stats import Stats
-from repro.core.metrics import ScenarioResult, SimulationResult
+from repro.core.metrics import ScenarioResult
 from repro.core.timing import TimingModel
 from repro.frontend.bpu import PredictionOutcome
 from repro.isa.branch import BranchType
@@ -55,33 +55,6 @@ _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
 #: ``TraceArrays.branch_type`` code for conditional branches (enum order).
 _CONDITIONAL_CODE = tuple(BranchType).index(BranchType.CONDITIONAL)
-
-
-def run_batched(
-    simulator,
-    trace: Trace,
-    warmup_instructions: int = 0,
-    max_instructions: int | None = None,
-) -> SimulationResult:
-    """Batched twin of :meth:`~repro.core.simulator.FrontEndSimulator.run`.
-
-    Bit-exact against the scalar loop on every reported metric; the
-    measurement cap is applied up front (the scalar loop stops at exactly
-    ``warmup + max_instructions`` stream positions).
-    """
-    from repro.core.simulator import _TenantAccount
-
-    engine = _BatchEngine(simulator, warmup_instructions, scenario=False)
-    engine.current_account = account = _TenantAccount(TimingModel(simulator.machine.core))
-    total = len(trace)
-    if max_instructions is not None:
-        total = min(total, warmup_instructions + max_instructions)
-    engine.process_chunk(
-        ScheduledChunk(asid=0, tenant=trace.name, trace=trace, start=0, stop=total)
-    )
-    engine.drain_mispredictions()
-    engine.emit_metrics()
-    return simulator._account_result(trace.name, account, simulator.stats)
 
 
 def run_scenario_batched(
@@ -97,10 +70,11 @@ def run_scenario_batched(
     covers the identical ``(asid, tenant, instruction)`` sequence the scalar
     loop consumes via :meth:`~repro.scenarios.compose.TraceComposer.stream`.
     """
-    engine = _BatchEngine(simulator, warmup_instructions, scenario=True)
+    engine = _BatchEngine(simulator, warmup_instructions)
     for chunk in chunks:
         engine.process_chunk(chunk)
-    engine.drain_mispredictions()
+    if engine.measuring:
+        engine.drain_mispredictions()
     engine.emit_metrics()
     per_tenant = {
         name: simulator._account_result(name, engine.accounts[name], Stats())
@@ -121,14 +95,14 @@ def run_scenario_batched(
 class _BatchEngine:
     """Mutable state of one batched simulation run.
 
-    Mirrors the scalar loops of :class:`~repro.core.simulator.FrontEndSimulator`
+    Follows the scalar loop of :meth:`~repro.core.simulator.FrontEndSimulator.run_scenario`
     step for step: the warmup flip, ASID switch handling, per-instruction
     prediction/fetch/FDIP/timing order and every measured counter follow the
     oracle exactly -- only the *schedule* of equivalent work differs (bulk
     compensation of guaranteed-miss runs, chunk-ahead demand fetches).
     """
 
-    def __init__(self, simulator, warmup_instructions: int, scenario: bool) -> None:
+    def __init__(self, simulator, warmup_instructions: int) -> None:
         if warmup_instructions < 0:
             raise SimulationError("warmup length cannot be negative")
         self.sim = simulator
@@ -142,13 +116,11 @@ class _BatchEngine:
         self.line_mask = ~(line_size - 1)
         self._line_mask_u64 = np.uint64(~(line_size - 1) & _U64_MASK)
         self.warmup = warmup_instructions
-        self.scenario = scenario
         self.position = 0
         self.measuring = warmup_instructions == 0
         self.previous_block: int | None = None
         self.dir_before = self.bpu.stats.get("direction_mispredictions")
         self.tgt_before = self.bpu.stats.get("target_mispredictions")
-        # Scenario bookkeeping (unused on the single-trace path).
         self.current_asid: int | None = None
         self.current_tenant: str | None = None
         self.current_account = None
@@ -179,7 +151,7 @@ class _BatchEngine:
     # -- boundaries --------------------------------------------------------
 
     def _flip_to_measuring(self) -> None:
-        """The warmup/measurement boundary, identical to the scalar loops."""
+        """The warmup/measurement boundary, identical to the scalar loop."""
         self.measuring = True
         self.previous_block = None
         self.btb.reset_stats()
@@ -203,7 +175,7 @@ class _BatchEngine:
 
         ``measuring`` must be constant over a processed piece (the vectorized
         walk accounts a whole piece under one flag), so a chunk straddling the
-        boundary is cut in two; the scalar loops flip at exactly the same
+        boundary is cut in two; the scalar loop flips at exactly the same
         stream position.
         """
         n = len(chunk)
@@ -222,8 +194,7 @@ class _BatchEngine:
             return
         if not self.measuring and self.position >= self.warmup:
             self._flip_to_measuring()
-        if self.scenario:
-            self._enter_chunk_context(chunk)
+        self._enter_chunk_context(chunk)
 
         arrays = trace_arrays(chunk.trace)
         pcs = arrays.pc[start:stop]
@@ -499,7 +470,7 @@ class _BatchEngine:
         ``nb_positions``/``fetch_results`` are the chunk's new-block positions
         and their pre-executed fetches; returns the advanced ``nb_ptr``.  Each
         block head's miss coverage is computed *before* its PC enters the FTQ,
-        exactly like the scalar loops.  (The skipped-probe counters and the
+        exactly like the scalar loop.  (The skipped-probe counters and the
         run's retired instructions are compensated once per piece by
         :meth:`_run_planned`, not here.)
         """

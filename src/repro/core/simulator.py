@@ -20,6 +20,7 @@ measurement protocol (at a smaller scale).
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Tuple
 
 from repro.common.config import BTBStyle, MachineConfig, default_machine_config
@@ -43,7 +44,7 @@ _NOT_BRANCH = BranchType.NOT_BRANCH
 
 
 class _TenantAccount:
-    """Measured-phase counters of one tenant (or of a single-trace run)."""
+    """Measured-phase counters of one tenant (a single-trace run is one tenant)."""
 
     __slots__ = (
         "timing",
@@ -150,120 +151,24 @@ class FrontEndSimulator:
         ``max_instructions`` caps the measured phase (defaults to the rest of
         the trace).
 
-        NOTE: the per-instruction body of this loop is intentionally mirrored
-        in :meth:`run_scenario`.  Both keep the inner loop fast in pure
-        Python the same way: bound methods hoisted out of the loop, measured
-        counts kept in loop locals and charged once through
-        :meth:`_TenantAccount.charge`, and the most common instruction -- a
-        non-branch the BTB misses -- settled inside
-        :meth:`~repro.frontend.bpu.BranchPredictionUnit.process`, which
-        returns the shared :data:`~repro.frontend.bpu.SEQUENTIAL` prediction
-        for it.  Any change here must be applied there too; the
-        solo-equivalence test
-        (``test_solo_baseline_reproduces_single_trace_simulation``) fails if
-        the two copies drift apart.
+        A single trace is a one-tenant scenario that never switches context,
+        so this runs the scenario loop of the machine's backend and returns
+        its aggregate, named after the trace.
         """
         if warmup_instructions < 0:
             raise SimulationError("warmup length cannot be negative")
+        total = len(trace)
+        if max_instructions is not None:
+            total = min(total, warmup_instructions + max_instructions)
         if self.machine.backend == "numpy":
-            from repro.core.batch import run_batched
+            from repro.scenarios.compose import ScheduledChunk
 
-            return run_batched(self, trace, warmup_instructions, max_instructions)
-        account = _TenantAccount(TimingModel(self.machine.core))
-        line_mask = ~(self.hierarchy.line_size() - 1)
-        process = self.bpu.process
-        fetch = self.hierarchy.fetch
-        cover = self.fdip.cover_demand_miss
-        observe = self.fdip.observe_predicted_address
-        on_stream_break = self.fdip.on_stream_break
-        ftq = self.ftq
-        width2 = 2 * self.machine.core.fetch_width
-        bpu_stats = self.bpu.stats
-
-        # Measured-phase counts, charged to ``account`` after the loop.
-        measured = 0
-        stall_sum = 0.0
-        flushes = resteers = btb_extra = btb_misses_taken = 0
-        branches = taken_branches = 0
-        l1i_accesses = l1i_misses = l2_misses = covered_misses = 0
-
-        previous_block = None
-        measuring = warmup_instructions == 0
-        measurement_limit = max_instructions
-
-        direction_mispred_before = bpu_stats.get("direction_mispredictions")
-        target_mispred_before = bpu_stats.get("target_mispredictions")
-
-        for position, instruction in enumerate(trace):
-            if not measuring and position >= warmup_instructions:
-                measuring = True
-                previous_block = None
-                self.btb.reset_stats()
-                direction_mispred_before = bpu_stats.get("direction_mispredictions")
-                target_mispred_before = bpu_stats.get("target_mispredictions")
-            if measuring and measurement_limit is not None and measured >= measurement_limit:
-                break
-
-            prediction = process(instruction)
-
-            # --- instruction fetch through the L1-I -----------------------------
-            pc = instruction.pc
-            block = pc & line_mask
-            if block != previous_block:
-                previous_block = block
-                fetched = fetch(pc)
-                if fetched.l1i_hit:
-                    if measuring:
-                        l1i_accesses += 1
-                else:
-                    coverage = cover(fetched.latency)
-                    if measuring:
-                        l1i_accesses += 1
-                        l1i_misses += 1
-                        stall_sum += coverage.residual_latency
-                        if fetched.level != "L2":
-                            l2_misses += 1
-                        if coverage.coverage == "full":
-                            covered_misses += 1
-
-            # --- FTQ / FDIP run-ahead maintenance -------------------------------
-            observe(pc)
-            if prediction.stream_break:
-                on_stream_break()
-
-            # --- timing ----------------------------------------------------------
-            if measuring:
-                measured += 1
-                extra = prediction.extra_btb_cycles
-                if extra and ftq.occupancy < width2:
-                    # A multi-cycle BTB lookup (PDede different-page access)
-                    # only lengthens the critical path while the decoupled
-                    # front end has no run-ahead slack, i.e. just after a
-                    # flush or resteer.
-                    btb_extra += extra
-                outcome = prediction.outcome
-                if outcome is _FLUSH:
-                    flushes += 1
-                elif outcome is _RESTEER:
-                    resteers += 1
-                if prediction.btb_miss_taken_branch:
-                    btb_misses_taken += 1
-                if instruction.branch_type is not _NOT_BRANCH:
-                    branches += 1
-                    if instruction.taken:
-                        taken_branches += 1
-
-        account.charge(
-            measured, stall_sum, flushes, resteers, btb_extra, btb_misses_taken,
-            branches, taken_branches, l1i_accesses, l1i_misses, l2_misses, covered_misses,
-        )
-        account.direction_mispredictions = int(
-            bpu_stats.get("direction_mispredictions") - direction_mispred_before
-        )
-        account.target_mispredictions = int(
-            bpu_stats.get("target_mispredictions") - target_mispred_before
-        )
-        return self._account_result(trace.name, account, self.stats)
+            chunk = ScheduledChunk(asid=0, tenant=trace.name, trace=trace, start=0, stop=total)
+            scenario = self.run_scenario_batches((chunk,), warmup_instructions, trace.name)
+        else:
+            schedule = ((0, trace.name, instruction) for instruction in islice(trace, total))
+            scenario = self.run_scenario(schedule, warmup_instructions, trace.name)
+        return scenario.aggregate
 
     # -- scenario simulation ------------------------------------------------------
 
@@ -286,18 +191,20 @@ class FrontEndSimulator:
         isolates the *microarchitectural* cost of consolidation, which is what
         the BTB study is about.
 
-        With a single-ASID stream this loop performs exactly the same work as
-        :meth:`run`, so a one-tenant scenario reproduces the solo result
-        bit-for-bit.  The per-instruction body deliberately mirrors
-        :meth:`run`'s (see the note there: hoisted bound methods, loop-local
-        counts, the non-branch BTB-miss short-circuit in
-        :meth:`~repro.frontend.bpu.BranchPredictionUnit.process`) -- keep the
-        two in lockstep.  Events are attributed to the tenant whose
-        instruction incurred them: the loop-local counts are charged to the
-        current tenant's account at every tenant switch and at the end, and
-        direction/target mispredictions are drained from the BPU's counters
-        at switch boundaries (they are cheap to read there and switches are
-        rare relative to instructions).
+        This is the scalar oracle loop (:meth:`run` is its one-tenant case).
+        It stays fast in pure Python by hoisting bound methods out of the
+        loop, counting measured events in loop locals charged through
+        :meth:`_TenantAccount.charge`, and letting
+        :meth:`~repro.frontend.bpu.BranchPredictionUnit.process` settle the
+        most common instruction -- a non-branch the BTB misses -- with the
+        shared :data:`~repro.frontend.bpu.SEQUENTIAL` prediction.  Events are
+        attributed to the tenant whose instruction incurred them: the
+        loop-local counts are charged to the current tenant's account at
+        every tenant switch and at the end, and direction/target
+        mispredictions are drained from the BPU's counters at switch
+        boundaries and at the end of the measured phase (they are cheap to
+        read there and switches are rare relative to instructions).  A
+        stream that ends inside its warmup measures nothing.
         """
         if warmup_instructions < 0:
             raise SimulationError("warmup length cannot be negative")
@@ -428,10 +335,11 @@ class FrontEndSimulator:
                 retired, stall_sum, flushes, resteers, btb_extra, btb_misses_taken,
                 branches, taken_branches, l1i_accesses, l1i_misses, l2_misses, covered_misses,
             )
-            now_dir = bpu_stats.get("direction_mispredictions")
-            now_tgt = bpu_stats.get("target_mispredictions")
-            current_account.direction_mispredictions += int(now_dir - dir_before)
-            current_account.target_mispredictions += int(now_tgt - tgt_before)
+            if measuring:
+                now_dir = bpu_stats.get("direction_mispredictions")
+                now_tgt = bpu_stats.get("target_mispredictions")
+                current_account.direction_mispredictions += int(now_dir - dir_before)
+                current_account.target_mispredictions += int(now_tgt - tgt_before)
 
         per_tenant = {
             name: self._account_result(name, accounts[name], Stats()) for name in tenant_order

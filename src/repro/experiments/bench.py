@@ -53,10 +53,6 @@ _PHASE_SPANS = {
     "trace.build": "decode_s",
     "trace.decode": "decode_s",
     "scenario.compose": "compose_s",
-    # Pipelined SoA decode, emitted from the producer thread *during* the
-    # simulate window; it is compose work, so the phase split files it there
-    # (phases may sum past wall_s exactly when the pipeline overlaps).
-    "scenario.compose.decode": "compose_s",
     "scenario.simulate": "simulate_s",
 }
 
@@ -307,9 +303,8 @@ def compare(
             "regressed": failed,
         }
         # Informational per-phase deltas (format-v2 records carry a
-        # decode/compose/simulate split per leg).  Never gates: phases
-        # overlap under the pipelined composer and sum past wall_s, so only
-        # the throughput ratio above is a fair regression signal.
+        # decode/compose/simulate split per leg).  Never gates: the
+        # throughput ratio above is the one regression signal.
         fresh_phases = fresh_backends[backend].get("phases")
         base_phases = base_backends[backend].get("phases")
         if fresh_phases and base_phases:

@@ -394,9 +394,9 @@ class ResultCache:
 
     One file per job, named by the job's config hash and sharded into
     subdirectories by the hash's leading hex byte (``ab/<hash>.json``), so a
-    service-scale cache of tens of thousands of entries never piles every
-    file into one directory (directory scans stay cheap, and concurrent
-    writers spread their ``os.replace`` traffic across 256 directories).
+    cache of tens of thousands of entries never piles every file into one
+    directory (directory scans stay cheap, and concurrent writers spread
+    their ``os.replace`` traffic across 256 directories).
     Writes go through a temp file in the entry's shard plus
     :func:`os.replace`, so concurrent processes sharing a cache directory
     never observe partial entries.  Pre-sharding caches are still readable:
@@ -709,10 +709,9 @@ class ExperimentEngine:
     ) -> Dict[str, object] | None:
         """Resolve ``job`` from the memo or disk cache without executing it.
 
-        Counts the hit (and promotes disk hits into the memo) exactly like
-        :meth:`run_jobs` does, so callers that schedule their own execution —
-        the sweep service resolves cache hits before admission control — keep
-        the counters meaningful.  Returns None on a true miss.
+        Counts the hit and promotes disk hits into the memo; :meth:`run_jobs`
+        resolves every job through here before executing the misses.
+        Returns None on a true miss.
         """
         recorder = get_recorder()
         if config_hash is None:
@@ -731,24 +730,6 @@ class ExperimentEngine:
                 self._memoize(config_hash, payload)
                 return payload
         return None
-
-    def record_executed(self, job: "EngineJob", payload: Dict[str, object]) -> None:
-        """Absorb a payload executed outside :meth:`run_jobs` (service path).
-
-        Memoizes, persists to the disk cache and advances the executed /
-        instructions-simulated counters, so external executors (the sweep
-        service runs cells on its own pool) look identical in ``stats()``.
-        """
-        recorder = get_recorder()
-        config_hash = job.config_hash()
-        self.counters.executed += 1
-        recorder.count("engine.executed")
-        self.counters.instructions_simulated += job.instructions
-        recorder.count("engine.instructions_simulated", job.instructions)
-        self._memoize(config_hash, payload)
-        if self.cache is not None:
-            with recorder.span("engine.cache_write", job=config_hash[:12]):
-                self.cache.put(job, payload)
 
     def _execute(
         self,

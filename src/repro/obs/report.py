@@ -100,23 +100,6 @@ def aggregate(events: List[Dict[str, Any]]) -> Dict[str, Any]:
     if caches:
         report["caches"] = caches
 
-    # Sweep-service traffic: request/dedup/admission counters plus the wait
-    # picture (how long clients blocked on in-flight cells).
-    requests = counters.get("service.requests", 0)
-    if requests:
-        waits = durations.get("service.wait", [])
-        service: Dict[str, Any] = {
-            "requests": requests,
-            "submitted": counters.get("service.submitted", 0),
-            "dedup_hits": counters.get("service.dedup_hits", 0),
-            "rejected": counters.get("service.rejected", 0),
-            "connections": len(durations.get("service.accept", [])),
-            "cells_executed": len(durations.get("service.execute", [])),
-        }
-        if waits:
-            service["wait_p95_s"] = round(percentile(waits, 0.95), 6)
-        report["service"] = service
-
     # Batched-backend split: how much of the stream ran on the vectorized
     # paths (bulk-compensated fast runs, planned commits) versus the exact
     # per-instruction replay.  Emitted once per batched run by
@@ -140,33 +123,6 @@ def aggregate(events: List[Dict[str, Any]]) -> Dict[str, Any]:
         if fast + slow:
             batch["instructions_fast_fraction"] = round(fast / (fast + slow), 4)
         report["batch"] = batch
-
-    # Pipelined-compose overlap: SoA decode spans emitted by the producer
-    # thread while the consumer sat inside a scenario.simulate window.  A
-    # nonzero overlap is the observable proof that compose work ran
-    # concurrently with simulation.
-    decode_spans = [s for s in spans if s["name"] == "scenario.compose.decode"]
-    simulate_windows = [
-        (float(s.get("ts", 0.0)), float(s.get("ts", 0.0)) + float(s.get("dur", 0.0)))
-        for s in spans
-        if s["name"] == "scenario.simulate"
-    ]
-    if decode_spans:
-        overlap = 0.0
-        for span in decode_spans:
-            t0 = float(span.get("ts", 0.0))
-            t1 = t0 + float(span.get("dur", 0.0))
-            for w0, w1 in simulate_windows:
-                lo, hi = max(t0, w0), min(t1, w1)
-                if hi > lo:
-                    overlap += hi - lo
-        report["pipeline"] = {
-            "decode_spans": len(decode_spans),
-            "decode_total_s": round(
-                sum(float(s.get("dur", 0.0)) for s in decode_spans), 6
-            ),
-            "overlap_s": round(overlap, 6),
-        }
 
     # Instructions/sec per driver from run-all's driver.* spans.
     drivers: Dict[str, Any] = {}
@@ -229,23 +185,6 @@ def format_report(report: Dict[str, Any]) -> str:
             f" {store['evictions']} evictions (hit rate {store['hit_rate']:.1%})"
         )
 
-    service = report.get("service")
-    if service:
-        lines.append("")
-        wait = (
-            f", result-wait p95 {service['wait_p95_s']:.3f}s"
-            if "wait_p95_s" in service
-            else ""
-        )
-        lines.append(
-            f"service     : {service['requests']} requests over"
-            f" {service['connections']} connections,"
-            f" {service['submitted']} jobs submitted,"
-            f" {service['cells_executed']} cells executed,"
-            f" {service['dedup_hits']} dedup hits,"
-            f" {service['rejected']} rejected{wait}"
-        )
-
     batch = report.get("batch")
     if batch:
         lines.append("")
@@ -267,15 +206,6 @@ def format_report(report: Dict[str, Any]) -> str:
                 f" ({batch['instructions_fast_fraction']:.1%} fast),"
                 f" {batch['chunks_planned']} chunks"
             )
-
-    pipeline = report.get("pipeline")
-    if pipeline:
-        lines.append("")
-        lines.append(
-            f"pipeline    : {pipeline['decode_spans']} decode spans,"
-            f" {pipeline['decode_total_s']:.3f}s decoded,"
-            f" {pipeline['overlap_s']:.3f}s overlapping simulate"
-        )
 
     drivers = report.get("drivers")
     if drivers:

@@ -145,21 +145,11 @@ def execute_scenario(
         quantum=spec.quantum_instructions,
     ) as sim_span:
         if machine.backend == "numpy":
-            from repro.scenarios.pipeline import ChunkPipeline
-
-            # Bounded producer thread: composes the chunk schedule and decodes
-            # each chunk's SoA view ahead of the simulate loop.  The finally
-            # guarantees the thread is joined on every exit -- normal
-            # completion, simulate failure or producer failure alike.
-            pipeline = ChunkPipeline(composer.stream_batches(instructions))
-            try:
-                result = simulator.run_scenario_batches(
-                    pipeline,
-                    warmup_instructions=warmup_instructions,
-                    scenario_name=spec.name,
-                )
-            finally:
-                pipeline.close()
+            result = simulator.run_scenario_batches(
+                composer.stream_batches(instructions),
+                warmup_instructions=warmup_instructions,
+                scenario_name=spec.name,
+            )
         else:
             result = simulator.run_scenario(
                 composer.stream(instructions),

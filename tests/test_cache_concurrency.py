@@ -1,10 +1,11 @@
 """Concurrency tests for the sharded on-disk result cache.
 
-The service shares one cache directory between its pool workers, the janitor
-task and any number of concurrent CLI runs, so the atomic tmp+replace write
-discipline has to hold up under real multi-process traffic: concurrent
-writers of the same and different entries, readers racing writers, and a
-prune sweeping the directory while writes are in flight.
+``run-all`` shares one cache directory between its pool workers, and any
+number of concurrent CLI runs (plus a ``cache prune``) may use the same
+directory, so the atomic tmp+replace write discipline has to hold up under
+real multi-process traffic: concurrent writers of the same and different
+entries, readers racing writers, and a prune sweeping the directory while
+writes are in flight.
 """
 
 from __future__ import annotations

@@ -177,12 +177,7 @@ def compute_cell(
 
 
 def distill_cell(result, style: BTBStyle) -> dict:
-    """Distill a ScenarioResult to the pinned counters of a main-grid cell.
-
-    Shared by the direct path above and the service-path replay
-    (tests/test_service_golden.py), so both compare against the fixture
-    through exactly the same projection.
-    """
+    """Distill a ScenarioResult to the pinned counters of a main-grid cell."""
     cell = {
         "context_switches": result.context_switches,
         "partition_sets": result.partition_sets,

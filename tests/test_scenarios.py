@@ -10,6 +10,8 @@ disk-cacheable).
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.common.config import ASIDMode, BTBStyle, default_machine_config
@@ -521,6 +523,52 @@ class TestRunScenario:
         flush, tagged = results[ASIDMode.FLUSH], results[ASIDMode.TAGGED]
         assert flush.context_switches == tagged.context_switches > 0
         assert tagged.aggregate.btb_mpki >= flush.aggregate.btb_mpki * 0.9
+
+
+class TestNumpyScenarioPath:
+    """The numpy backend decodes each scheduled chunk on the caller's thread."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy(self):
+        pytest.importorskip("numpy")
+
+    def _run(self):
+        return execute_scenario(
+            "consolidated_server",
+            style=BTBStyle.CONVENTIONAL,
+            asid_mode=ASIDMode.FLUSH,
+            instructions=2_000,
+            backend="numpy",
+        )
+
+    def test_chunks_are_decoded_on_the_calling_thread(self, monkeypatch):
+        from repro.core import batch
+
+        decoded_on = []
+        decode = batch.trace_arrays
+
+        def recording(trace):
+            decoded_on.append(threading.get_ident())
+            return decode(trace)
+
+        monkeypatch.setattr(batch, "trace_arrays", recording)
+        threads_before = {thread.ident for thread in threading.enumerate()}
+        result = self._run()
+        assert result.aggregate.instructions > 0
+        assert decoded_on and set(decoded_on) == {threading.get_ident()}
+        assert {thread.ident for thread in threading.enumerate()} <= threads_before
+
+    def test_decode_failure_propagates_from_execute_scenario(self, monkeypatch):
+        from repro.core import batch
+
+        def explode(trace):
+            raise RuntimeError("injected decode failure")
+
+        monkeypatch.setattr(batch, "trace_arrays", explode)
+        threads_before = {thread.ident for thread in threading.enumerate()}
+        with pytest.raises(RuntimeError, match="injected decode failure"):
+            self._run()
+        assert {thread.ident for thread in threading.enumerate()} <= threads_before
 
 
 class TestScenarioJobs:

@@ -9,6 +9,18 @@ from repro.core.simulator import FrontEndSimulator, simulate_trace
 from repro.core.timing import TimingModel
 from repro.btb.ideal import IdealBTB
 from repro.btb.storage import make_btb_for_budget
+from repro.experiments.engine import _result_to_payload
+from repro.scenarios.run import execute_scenario
+from repro.scenarios.spec import ScenarioSpec, TenantSpec
+from repro.traces.batch import HAVE_NUMPY
+from repro.traces.store import default_store
+
+BACKENDS = (
+    "python",
+    pytest.param(
+        "numpy", marks=pytest.mark.skipif(not HAVE_NUMPY, reason="numpy backend not available")
+    ),
+)
 
 
 class TestTimingModel:
@@ -142,3 +154,59 @@ class TestPaperShapes:
             machine, btb=make_btb_for_budget(BTBStyle.CONVENTIONAL, 29.0)
         ).run(small_server_trace, warmup_instructions=10_000)
         assert large.btb_mpki <= small.btb_mpki
+
+
+class TestWarmupCoveringTheStream:
+    """A stream that ends inside its warmup measures nothing, mispredictions included."""
+
+    @staticmethod
+    def _measured(result) -> tuple:
+        return (result.instructions, result.direction_mispredictions,
+                result.target_mispredictions)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("warmup", (4_000, 4_100))
+    def test_run(self, backend, warmup):
+        trace = default_store().get("server_001", 4_000)
+        machine = default_machine_config(isa=trace.isa, backend=backend)
+        result = FrontEndSimulator(machine).run(trace, warmup_instructions=warmup)
+        assert self._measured(result) == (0, 0, 0)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_two_tenant_scenario(self, backend):
+        spec = ScenarioSpec(
+            name="warmup_only_pair",
+            tenants=(TenantSpec("front", "server_001"), TenantSpec("back", "server_009")),
+            quantum_instructions=1_000,
+        )
+        result = execute_scenario(
+            spec, instructions=4_000, warmup_instructions=4_000, backend=backend
+        )
+        assert result.context_switches == 0
+        assert sorted(result.per_tenant) == ["back", "front"]
+        for tenant_result in (result.aggregate, *result.per_tenant.values()):
+            assert self._measured(tenant_result) == (0, 0, 0)
+
+
+class TestRunIsAOneTenantScenario:
+    """``run`` is the one-tenant scenario of the machine's backend."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_result_is_named_after_the_trace_and_carries_the_simulator_stats(self, backend):
+        trace = default_store().get("server_001", 4_000)
+        simulator = FrontEndSimulator(default_machine_config(isa=trace.isa, backend=backend))
+        result = simulator.run(trace, warmup_instructions=1_000)
+        assert result.workload == trace.name
+        assert result.stats is simulator.stats
+        assert result.instructions == 3_000
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_max_instructions_past_the_trace_end_measures_the_rest(self, backend):
+        trace = default_store().get("server_001", 4_000)
+        machine = default_machine_config(isa=trace.isa, backend=backend)
+        capped = FrontEndSimulator(machine).run(
+            trace, warmup_instructions=1_000, max_instructions=10_000
+        )
+        uncapped = FrontEndSimulator(machine).run(trace, warmup_instructions=1_000)
+        assert capped.instructions == 3_000
+        assert _result_to_payload(capped) == _result_to_payload(uncapped)
