@@ -2,7 +2,7 @@
 
 from repro.analysis.offset_analysis import OffsetDistribution, offset_distribution, combined_distribution
 from repro.analysis.aggregate import geometric_mean, summarize_results
-from repro.analysis.plotting import PlotSchemaError, detect_schema, plot_csv, render_svg
+from repro.analysis.plotting import PlotSchemaError, plot_csv, render_svg
 
 __all__ = [
     "OffsetDistribution",
@@ -11,7 +11,6 @@ __all__ = [
     "geometric_mean",
     "summarize_results",
     "PlotSchemaError",
-    "detect_schema",
     "plot_csv",
     "render_svg",
 ]

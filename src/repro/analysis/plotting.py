@@ -1,10 +1,11 @@
-"""Sweep-aware plotting: turn the sweep CSVs into committed figures.
+"""Sweep plotting: turn the sweep CSVs into committed figures.
 
-``btbx-repro sweep scenarios|shared|caches --csv`` emit flat, plot-ready rows;
-this module recognises which sweep a CSV came from by its header and renders
-one line chart per (sweep-axis, metric) combination, each with one series per
-``style/mode`` configuration (aggregate rows only -- per-tenant curves are a
-``--json`` analysis, not a headline figure).
+Every ``btbx-repro sweep ... --csv`` writes the same long-format rows (see
+:mod:`repro.experiments.sweep`), so one reading serves every sweep.  Each
+``(aggregate)`` row names its own x axis (``axis`` / ``axis_value``), its
+facet (``preset``) and its series (``config``); this module renders one
+line chart per (axis, preset, metric), one series per ``config``.  Per-tenant
+rows are a ``--json`` analysis, not a headline figure.
 
 Two backends:
 
@@ -21,57 +22,17 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
+
+from repro.experiments.sweep import AGGREGATE, METRICS
 
 
 class PlotSchemaError(ValueError):
-    """The CSV header does not match any known sweep schema."""
+    """The CSV is not a sweep's row output (or the backend is unusable)."""
 
 
-#: Header signature -> (schema name, x-axis column, series-key columns,
-#: metric columns plotted, row filter column/value).
-_SCHEMAS: Dict[str, Dict[str, object]] = {
-    "scenario_sweep": {
-        "required": {"sweep", "preset", "axis_value", "style", "asid_mode", "tenant", "btb_mpki"},
-        "x": "axis_value",
-        "series": ("style", "asid_mode"),
-        "metrics": ("btb_mpki", "ipc"),
-        "aggregate": ("tenant", "(aggregate)"),
-        "facets": ("sweep", "preset"),
-    },
-    "shared_footprint": {
-        "required": {"preset", "shared_fraction", "style", "asid_mode", "record", "btb_mpki"},
-        "x": "shared_fraction",
-        "series": ("style", "asid_mode"),
-        "metrics": ("btb_mpki", "ipc"),
-        "aggregate": ("record", "(aggregate)"),
-        "facets": ("preset",),
-    },
-    "cache_interference": {
-        "required": {"sweep", "preset", "axis_value", "style", "cache_mode", "tenant", "l1i_mpki"},
-        "x": "axis_value",
-        "series": ("style", "cache_mode"),
-        "metrics": ("l1i_mpki", "l2_mpki"),
-        "aggregate": ("tenant", "(aggregate)"),
-        "facets": ("sweep", "preset"),
-    },
-}
-
-
-def detect_schema(header: Sequence[str]) -> str:
-    """Name of the sweep schema a CSV header belongs to.
-
-    Checked most-specific first (cache_interference's header is a superset
-    test away from scenario_sweep's shape but uses different metric columns).
-    """
-    columns = set(header)
-    for name in ("cache_interference", "shared_footprint", "scenario_sweep"):
-        if _SCHEMAS[name]["required"] <= columns:
-            return name
-    raise PlotSchemaError(
-        "unrecognised sweep CSV header: expected columns of 'sweep scenarios', "
-        f"'sweep shared' or 'sweep caches' output, got {sorted(columns)}"
-    )
+#: Columns every sweep row carries that the charts are built from.
+_ROW_COLUMNS = ("preset", "axis", "axis_value", "config", "tenant")
 
 
 @dataclass
@@ -85,35 +46,31 @@ class LineChart:
     series: Dict[str, List[Tuple[float, float]]] = field(default_factory=dict)
 
 
-def _rows_to_charts(schema_name: str, rows: List[Dict[str, str]]) -> List[LineChart]:
-    """Group aggregate rows into one chart per (facet-values, metric)."""
-    schema = _SCHEMAS[schema_name]
-    filter_column, filter_value = schema["aggregate"]
-    facets: Tuple[str, ...] = schema["facets"]
-    x_column: str = schema["x"]
-    series_columns: Tuple[str, ...] = schema["series"]
+def _rows_to_charts(rows: List[Dict[str, str]]) -> List[LineChart]:
+    """Group ``(aggregate)`` rows into one chart per (axis, preset, metric).
 
-    charts: Dict[Tuple[Tuple[str, ...], str], LineChart] = {}
-    for row in rows:
-        if row.get(filter_column) != filter_value:
-            continue
-        facet_values = tuple(row[column] for column in facets)
-        series_key = "/".join(row[column] for column in series_columns)
-        for metric in schema["metrics"]:
+    The title names the preset, prefixed by the axis when the CSV holds more
+    than one axis (the quantum and tenant-count sweeps share a preset).
+    """
+    aggregates = [row for row in rows if row["tenant"] == AGGREGATE]
+    several_axes = len({row["axis"] for row in aggregates}) > 1
+    charts: Dict[Tuple[str, str, str], LineChart] = {}
+    for row in aggregates:
+        for metric in METRICS:
             value = row.get(metric, "")
             if value in ("", None):
                 continue
-            chart_key = (facet_values, metric)
+            chart_key = (row["axis"], row["preset"], metric)
             chart = charts.get(chart_key)
             if chart is None:
-                facet_label = " ".join(facet_values)
+                facet = f"{row['axis']} {row['preset']}" if several_axes else row["preset"]
                 chart = charts[chart_key] = LineChart(
-                    title=f"{facet_label}: {metric}",
-                    x_label=x_column,
+                    title=f"{facet}: {metric}",
+                    x_label=row["axis"],
                     y_label=metric,
                 )
-            chart.series.setdefault(series_key, []).append(
-                (float(row[x_column]), float(value))
+            chart.series.setdefault(row["config"], []).append(
+                (float(row["axis_value"]), float(value))
             )
     ordered = list(charts.values())
     for chart in ordered:
@@ -330,9 +287,14 @@ def plot_csv(
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise PlotSchemaError(f"{csv_path} is empty (no CSV header)")
-        schema_name = detect_schema(reader.fieldnames)
+        missing = [column for column in _ROW_COLUMNS if column not in reader.fieldnames]
+        if missing:
+            raise PlotSchemaError(
+                f"unrecognised sweep CSV: {csv_path} lacks the row columns {missing} "
+                "every 'btbx-repro sweep ... --csv' output carries"
+            )
         rows = list(reader)
-    charts = _rows_to_charts(schema_name, rows)
+    charts = _rows_to_charts(rows)
 
     directory = out_dir if out_dir is not None else (os.path.dirname(csv_path) or ".")
     os.makedirs(directory, exist_ok=True)

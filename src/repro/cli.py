@@ -11,6 +11,9 @@ Examples::
     btbx-repro sweep scenarios --preset consolidated_server --json sweep.json --csv sweep.csv
     btbx-repro sweep shared --preset shared_services --json shared.json --csv shared.csv
     btbx-repro sweep scenarios --scale smoke --backend numpy
+    btbx-repro sweep caches --preset consolidated_server --json caches.json --csv caches.csv
+    btbx-repro sweep tenants --tenant-counts 4,64,1024 --csv tenants.csv
+    btbx-repro plot caches.csv --out-dir figures --backend svg
     btbx-repro bench smoke --repeats 2 --json BENCH_fresh.json
     btbx-repro bench compare --fresh BENCH_fresh.json --json BENCH_verdict.json
     btbx-repro cache stats --cache-dir results/cache
@@ -38,7 +41,7 @@ import time
 from typing import Dict, Iterator, List
 
 from repro.common import log
-from repro.common.config import BACKEND_ENV_VAR, BACKENDS, ASIDMode
+from repro.common.config import BACKEND_ENV_VAR, BACKENDS, ASIDMode, BTBStyle, ISAStyle
 from repro.experiments.config import (
     FULL_SCALE,
     QUICK_SCALE,
@@ -84,6 +87,263 @@ def _positive_int(value: str) -> int:
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value!r}")
     return count
+
+
+# -- sweep option parsing -------------------------------------------------------
+#
+# Each parse function takes the flag's value (a string, or what argparse's
+# ``type`` made of it), the flag as typed and the parser, and returns the
+# driver's ``run`` argument or exits 2 through ``parser.error``.
+
+
+def _positive(value: float, flag: str, parser: argparse.ArgumentParser) -> float:
+    if value <= 0:
+        parser.error(f"{flag} must be positive, got {value}")
+    return value
+
+
+def _non_negative(value: int, flag: str, parser: argparse.ArgumentParser) -> int:
+    if value < 0:
+        parser.error(f"{flag} must be non-negative, got {value}")
+    return value
+
+
+def _unit_interval(value: float, flag: str, parser: argparse.ArgumentParser) -> float:
+    if not 0.0 <= value <= 1.0:
+        parser.error(f"{flag} must be within [0, 1], got {value}")
+    return value
+
+
+def _number_list(text: str, flag: str, parser: argparse.ArgumentParser, kind, check) -> list:
+    values = []
+    for token in text.split(","):
+        try:
+            value = kind(token.strip())
+        except ValueError:
+            parser.error(f"{flag} expects comma-separated {kind.__name__} values, got {token!r}")
+        values.append(check(value, flag, parser))
+    return values
+
+
+def _int_list(text: str, flag: str, parser: argparse.ArgumentParser) -> List[int]:
+    """Comma-separated positive integers."""
+    return _number_list(text, flag, parser, int, _positive)
+
+
+def _fraction_list(text: str, flag: str, parser: argparse.ArgumentParser) -> List[float]:
+    """Comma-separated numbers within [0, 1]."""
+    return _number_list(text, flag, parser, float, _unit_interval)
+
+
+def _enum_list(text: str, flag: str, parser: argparse.ArgumentParser, kind) -> list:
+    try:
+        return [kind(token.strip()) for token in text.split(",")]
+    except ValueError as exc:
+        parser.error(f"{flag}: {exc}")
+
+
+def _styles(text: str, flag: str, parser: argparse.ArgumentParser) -> List[BTBStyle]:
+    """Comma-separated BTB styles."""
+    return _enum_list(text, flag, parser, BTBStyle)
+
+
+def _style(text: str, flag: str, parser: argparse.ArgumentParser) -> BTBStyle:
+    """Exactly one BTB style."""
+    styles = _styles(text, flag, parser)
+    if len(styles) != 1:
+        parser.error(f"{flag} expects exactly one BTB style, got {len(styles)}: {text!r}")
+    return styles[0]
+
+
+def _modes(text: str, flag: str, parser: argparse.ArgumentParser) -> List[ASIDMode]:
+    """Comma-separated ASID modes."""
+    return _enum_list(text, flag, parser, ASIDMode)
+
+
+def _modes_or_shared(
+    text: str, flag: str, parser: argparse.ArgumentParser
+) -> List[ASIDMode | None]:
+    """Comma-separated cache modes, ``shared`` (``None``) being the legacy hierarchy."""
+    return [
+        None if token.strip() == "shared" else _modes(token, flag, parser)[0]
+        for token in text.split(",")
+    ]
+
+
+def _preset(name: str, flag: str, parser: argparse.ArgumentParser) -> str:
+    """A registered scenario preset."""
+    from repro.common.errors import ConfigurationError
+    from repro.scenarios.presets import get_scenario
+
+    try:
+        get_scenario(name)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
+    return name
+
+
+def _presets(names: List[str], flag: str, parser: argparse.ArgumentParser) -> List[str]:
+    return [_preset(name, flag, parser) for name in names]
+
+
+def _isa(value: str, flag: str, parser: argparse.ArgumentParser) -> ISAStyle:
+    return ISAStyle(value)
+
+
+def _option(flag: str, help: str, parse=None, **settings) -> tuple:
+    """One sweep flag: its help, parse function and extra ``add_argument`` settings."""
+    return (flag, help, parse, settings)
+
+
+_STYLES_HELP = "comma-separated BTB styles (conventional,rbtb,pdede,btbx,ideal; default: {})"
+_PRESETS_OPTION = _option(
+    "--preset",
+    "scenario preset to sweep (repeatable; default: every registered preset)",
+    _presets,
+    action="append",
+    dest="presets",
+    metavar="NAME",
+)
+_QUANTA_OPTION = _option(
+    "--quanta",
+    "comma-separated quantum lengths in instructions (default: 1024..16384)",
+    _int_list,
+)
+_PRESET_TENANT_COUNTS_OPTION = _option(
+    "--tenant-counts",
+    "comma-separated tenant counts (default: 1..len(preset tenants))",
+    _int_list,
+)
+_ASID_MODES_OPTION = _option(
+    "--asid-modes",
+    "comma-separated ASID modes (flush,tagged,partitioned; default: all three)",
+    _modes,
+)
+_STYLE_OPTION = _option(
+    "--style",
+    "BTB style the sweep runs on (conventional,rbtb,pdede,btbx,ideal; default: btbx)",
+    _style,
+)
+_BUDGET_OPTION = _option(
+    "--budget-kib",
+    "BTB storage budget in KiB (default: the paper's 14.5)",
+    _positive,
+    type=float,
+)
+
+#: ``sweep`` subcommand -> (driver module, help, options).  Each option's
+#: dest is the driver's ``run`` keyword it sets; ``None`` marks where the
+#: engine arguments go.  ``--json`` and ``--csv`` close every option list.
+SWEEP_COMMANDS: Dict[str, tuple] = {
+    "scenarios": (
+        "repro.experiments.scenario_sweep",
+        "MPKI vs quantum and vs tenant count across BTB styles and ASID modes",
+        (
+            _PRESETS_OPTION,
+            None,
+            _QUANTA_OPTION,
+            _PRESET_TENANT_COUNTS_OPTION,
+            _option("--styles", _STYLES_HELP.format("conventional,btbx"), _styles),
+            _ASID_MODES_OPTION,
+            _BUDGET_OPTION,
+        ),
+    ),
+    "shared": (
+        "repro.experiments.shared_footprint",
+        "MPKI + duplication vs shared-code overlap fraction "
+        "(ASID tagging's duplication cost)",
+        (
+            _option(
+                "--preset",
+                "scenario preset to sweep (default: shared_services)",
+                _preset,
+                default="shared_services",
+            ),
+            None,
+            _option(
+                "--fractions",
+                "comma-separated overlap fractions in [0, 1] (default: 0,0.25,0.5,0.75,1)",
+                _fraction_list,
+            ),
+            _option("--styles", _STYLES_HELP.format("conventional,pdede,rbtb"), _styles),
+            _ASID_MODES_OPTION,
+            _BUDGET_OPTION,
+        ),
+    ),
+    "caches": (
+        "repro.experiments.cache_interference",
+        "per-tenant L1-I/L2 MPKI vs quantum and tenant count across cache "
+        "ASID modes (flush/tagged/partitioned hierarchy)",
+        (
+            _PRESETS_OPTION,
+            None,
+            _QUANTA_OPTION,
+            _PRESET_TENANT_COUNTS_OPTION,
+            _STYLE_OPTION,
+            _option(
+                "--cache-modes",
+                "comma-separated cache ASID modes (flush,tagged,partitioned; "
+                "default: all three)",
+                _modes,
+            ),
+            _BUDGET_OPTION,
+        ),
+    ),
+    "tenants": (
+        "repro.experiments.tenant_scale",
+        "tenant-count scaling (4..1024+) on seeded generated scenarios: "
+        "aggregate/percentile MPKI and partition-fallback occupancy per "
+        "(tenant count x ASID mode x cache mode)",
+        (
+            None,
+            _option(
+                "--tenant-counts",
+                "comma-separated tenant counts (default: 4,16,64,256,1024)",
+                _int_list,
+            ),
+            _option(
+                "--asid-modes",
+                "comma-separated BTB ASID modes (flush,tagged,partitioned; default: all three)",
+                _modes,
+            ),
+            _option(
+                "--cache-modes",
+                "comma-separated cache hierarchy modes; 'shared' is the legacy "
+                "untagged hierarchy (shared,flush,tagged,partitioned; default: "
+                "shared,partitioned)",
+                _modes_or_shared,
+            ),
+            _STYLE_OPTION,
+            _option(
+                "--seed",
+                "recipe seed; one seed draws one workload population for the whole axis",
+                _non_negative,
+                type=int,
+            ),
+            _option(
+                "--isa",
+                "ISA flavour of the generated tenant population (default: arm64)",
+                _isa,
+                choices=["arm64", "x86"],
+            ),
+            _option(
+                "--quantum",
+                "scheduling quantum in instructions (default: 256)",
+                type=_positive_int,
+                dest="quantum_instructions",
+                metavar="QUANTUM",
+            ),
+            _option(
+                "--shared-fraction",
+                "fraction of each tenant's code pages remapped onto the shared "
+                "region (default: 0, no remap)",
+                _unit_interval,
+                type=float,
+            ),
+            _BUDGET_OPTION,
+        ),
+    ),
+}
 
 
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
@@ -187,192 +447,19 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="grid sweeps over the scenario presets"
     )
     sweep_sub = sweep_parser.add_subparsers(dest="sweep_command", required=True)
-    sweep_scenarios = sweep_sub.add_parser(
-        "scenarios",
-        help="MPKI vs quantum and vs tenant count across BTB styles and ASID modes",
-    )
-    sweep_scenarios.add_argument(
-        "--preset",
-        action="append",
-        dest="presets",
-        metavar="NAME",
-        help="scenario preset to sweep (repeatable; default: every registered preset)",
-    )
-    _add_engine_arguments(sweep_scenarios)
-    sweep_scenarios.add_argument(
-        "--quanta",
-        help="comma-separated quantum lengths in instructions (default: 1024..16384)",
-    )
-    sweep_scenarios.add_argument(
-        "--tenant-counts",
-        dest="tenant_counts",
-        help="comma-separated tenant counts (default: 1..len(preset tenants))",
-    )
-    sweep_scenarios.add_argument(
-        "--styles",
-        help="comma-separated BTB styles (conventional,rbtb,pdede,btbx,ideal; "
-        "default: conventional,btbx)",
-    )
-    sweep_scenarios.add_argument(
-        "--asid-modes",
-        dest="asid_modes",
-        help="comma-separated ASID modes (flush,tagged,partitioned; default: all three)",
-    )
-    sweep_scenarios.add_argument(
-        "--budget-kib",
-        dest="budget_kib",
-        type=float,
-        default=None,
-        help="BTB storage budget in KiB (default: the paper's 14.5)",
-    )
-    sweep_scenarios.add_argument("--json", dest="json_path", help="dump the raw result as JSON")
-    sweep_scenarios.add_argument("--csv", dest="csv_path", help="dump flat per-point rows as CSV")
-
-    sweep_shared = sweep_sub.add_parser(
-        "shared",
-        help="MPKI + duplication vs shared-code overlap fraction "
-        "(ASID tagging's duplication cost)",
-    )
-    sweep_shared.add_argument(
-        "--preset",
-        default="shared_services",
-        help="scenario preset to sweep (default: shared_services)",
-    )
-    _add_engine_arguments(sweep_shared)
-    sweep_shared.add_argument(
-        "--fractions",
-        help="comma-separated overlap fractions in [0, 1] (default: 0,0.25,0.5,0.75,1)",
-    )
-    sweep_shared.add_argument(
-        "--styles",
-        help="comma-separated BTB styles (conventional,rbtb,pdede,btbx,ideal; "
-        "default: conventional,pdede,rbtb)",
-    )
-    sweep_shared.add_argument(
-        "--asid-modes",
-        dest="asid_modes",
-        help="comma-separated ASID modes (flush,tagged,partitioned; default: all three)",
-    )
-    sweep_shared.add_argument(
-        "--budget-kib",
-        dest="budget_kib",
-        type=float,
-        default=None,
-        help="BTB storage budget in KiB (default: the paper's 14.5)",
-    )
-    sweep_shared.add_argument("--json", dest="json_path", help="dump the raw result as JSON")
-    sweep_shared.add_argument("--csv", dest="csv_path", help="dump flat per-point rows as CSV")
-
-    sweep_caches = sweep_sub.add_parser(
-        "caches",
-        help="per-tenant L1-I/L2 MPKI vs quantum and tenant count across cache "
-        "ASID modes (flush/tagged/partitioned hierarchy)",
-    )
-    sweep_caches.add_argument(
-        "--preset",
-        action="append",
-        dest="presets",
-        metavar="NAME",
-        help="scenario preset to sweep (repeatable; default: every registered preset)",
-    )
-    _add_engine_arguments(sweep_caches)
-    sweep_caches.add_argument(
-        "--quanta",
-        help="comma-separated quantum lengths in instructions (default: 1024..16384)",
-    )
-    sweep_caches.add_argument(
-        "--tenant-counts",
-        dest="tenant_counts",
-        help="comma-separated tenant counts (default: 1..len(preset tenants))",
-    )
-    sweep_caches.add_argument(
-        "--style",
-        help="BTB style the sweep runs on (conventional,rbtb,pdede,btbx,ideal; "
-        "default: btbx)",
-    )
-    sweep_caches.add_argument(
-        "--cache-modes",
-        dest="cache_modes",
-        help="comma-separated cache ASID modes (flush,tagged,partitioned; "
-        "default: all three)",
-    )
-    sweep_caches.add_argument(
-        "--budget-kib",
-        dest="budget_kib",
-        type=float,
-        default=None,
-        help="BTB storage budget in KiB (default: the paper's 14.5)",
-    )
-    sweep_caches.add_argument("--json", dest="json_path", help="dump the raw result as JSON")
-    sweep_caches.add_argument("--csv", dest="csv_path", help="dump flat per-point rows as CSV")
-
-    sweep_tenants = sweep_sub.add_parser(
-        "tenants",
-        help="tenant-count scaling (4..1024+) on seeded generated scenarios: "
-        "aggregate/percentile MPKI and partition-fallback occupancy per "
-        "(tenant count x ASID mode x cache mode)",
-    )
-    _add_engine_arguments(sweep_tenants)
-    sweep_tenants.add_argument(
-        "--tenant-counts",
-        dest="tenant_counts",
-        help="comma-separated tenant counts (default: 4,16,64,256,1024)",
-    )
-    sweep_tenants.add_argument(
-        "--asid-modes",
-        dest="asid_modes",
-        help="comma-separated BTB ASID modes (flush,tagged,partitioned; default: all three)",
-    )
-    sweep_tenants.add_argument(
-        "--cache-modes",
-        dest="cache_modes",
-        help="comma-separated cache hierarchy modes; 'shared' is the legacy "
-        "untagged hierarchy (shared,flush,tagged,partitioned; default: "
-        "shared,partitioned)",
-    )
-    sweep_tenants.add_argument(
-        "--style",
-        help="BTB style the sweep runs on (conventional,rbtb,pdede,btbx,ideal; "
-        "default: btbx)",
-    )
-    sweep_tenants.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="recipe seed; one seed draws one workload population for the whole axis",
-    )
-    sweep_tenants.add_argument(
-        "--isa",
-        choices=["arm64", "x86"],
-        default=None,
-        help="ISA flavour of the generated tenant population (default: arm64)",
-    )
-    sweep_tenants.add_argument(
-        "--quantum",
-        type=_positive_int,
-        default=None,
-        help="scheduling quantum in instructions (default: 256)",
-    )
-    sweep_tenants.add_argument(
-        "--shared-fraction",
-        dest="shared_fraction",
-        type=float,
-        default=None,
-        help="fraction of each tenant's code pages remapped onto the shared "
-        "region (default: 0, no remap)",
-    )
-    sweep_tenants.add_argument(
-        "--budget-kib",
-        dest="budget_kib",
-        type=float,
-        default=None,
-        help="BTB storage budget in KiB (default: the paper's 14.5)",
-    )
-    sweep_tenants.add_argument("--json", dest="json_path", help="dump the raw result as JSON")
-    sweep_tenants.add_argument("--csv", dest="csv_path", help="dump flat per-point rows as CSV")
+    for name, (_module, help_text, options) in SWEEP_COMMANDS.items():
+        command = sweep_sub.add_parser(name, help=help_text)
+        for option in options:
+            if option is None:
+                _add_engine_arguments(command)
+                continue
+            flag, option_help, _parse, settings = option
+            command.add_argument(flag, help=option_help, **settings)
+        command.add_argument("--json", dest="json_path", help="dump the raw result as JSON")
+        command.add_argument("--csv", dest="csv_path", help="dump flat per-point rows as CSV")
 
     plot_parser = sub.add_parser(
-        "plot", help="render sweep CSV output (scenario/shared/cache sweeps) as figures"
+        "plot", help="render the CSV output of any sweep subcommand as figures"
     )
     plot_parser.add_argument("csv_path", help="sweep CSV produced by a --csv flag")
     plot_parser.add_argument(
@@ -604,16 +691,17 @@ def _write_result_outputs(
     result: Dict[str, object],
     json_path: str | None,
     csv_path: str | None = None,
-    write_csv=None,
 ) -> None:
-    """Dump a driver result to the requested ``--json``/``--csv`` side files."""
+    """Dump a driver result to ``--json`` and a sweep's rows to ``--csv``."""
     if json_path:
         with open(json_path, "w", encoding="utf-8") as handle:
             json.dump(result, handle, indent=2, default=str)
         log.info(f"\n(raw result written to {json_path})")
-    if csv_path and write_csv is not None:
+    if csv_path:
+        from repro.experiments.sweep import write_csv
+
         write_csv(result, csv_path)
-        log.info(f"(per-point CSV written to {csv_path})")
+        log.info(f"(rows CSV written to {csv_path})")
 
 
 def run_scenario_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -658,289 +746,28 @@ def run_scenario_command(args: argparse.Namespace, parser: argparse.ArgumentPars
     return 0
 
 
-def _parse_int_list(text: str, flag: str, parser: argparse.ArgumentParser) -> List[int]:
-    """Parse a comma-separated list of positive integers or parser.error out."""
-    values: List[int] = []
-    for token in text.split(","):
-        token = token.strip()
-        try:
-            value = int(token)
-        except ValueError:
-            parser.error(f"{flag} expects comma-separated integers, got {token!r}")
-        if value < 1:
-            parser.error(f"{flag} values must be positive, got {value}")
-        values.append(value)
-    return values
-
-
-def _parse_float_list(text: str, flag: str, parser: argparse.ArgumentParser) -> List[float]:
-    """Parse a comma-separated list of floats in [0, 1] or parser.error out."""
-    values: List[float] = []
-    for token in text.split(","):
-        token = token.strip()
-        try:
-            value = float(token)
-        except ValueError:
-            parser.error(f"{flag} expects comma-separated numbers, got {token!r}")
-        if not 0.0 <= value <= 1.0:
-            parser.error(f"{flag} values must be within [0, 1], got {value}")
-        values.append(value)
-    return values
-
-
-def _parse_styles(text: str, parser: argparse.ArgumentParser) -> list:
-    from repro.common.config import BTBStyle
-
-    try:
-        return [BTBStyle(token.strip()) for token in text.split(",")]
-    except ValueError as exc:
-        parser.error(f"--styles: {exc}")
-
-
-def _parse_asid_modes(
-    text: str, parser: argparse.ArgumentParser, flag: str = "--asid-modes"
-) -> List[ASIDMode]:
-    try:
-        return [ASIDMode(token.strip()) for token in text.split(",")]
-    except ValueError as exc:
-        parser.error(f"{flag}: {exc}")
-
-
-def run_shared_sweep_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    """Handle ``sweep shared``."""
-    from repro.common.errors import ConfigurationError
-    from repro.experiments import shared_footprint
-    from repro.experiments.config import DEFAULT_BUDGET_KIB
-    from repro.scenarios.presets import get_scenario
-
-    try:
-        get_scenario(args.preset)
-    except ConfigurationError as exc:
-        parser.error(str(exc))
-    fractions = (
-        _parse_float_list(args.fractions, "--fractions", parser)
-        if args.fractions
-        else shared_footprint.DEFAULT_FRACTIONS
-    )
-    styles = (
-        _parse_styles(args.styles, parser)
-        if args.styles
-        else list(shared_footprint.SWEEP_STYLES)
-    )
-    asid_modes = (
-        _parse_asid_modes(args.asid_modes, parser)
-        if args.asid_modes
-        else list(shared_footprint.SWEEP_ASID_MODES)
-    )
-    if args.budget_kib is not None and args.budget_kib <= 0:
-        parser.error(f"--budget-kib must be positive, got {args.budget_kib}")
-    try:
-        engine = make_engine(workers=args.workers, cache_dir=args.cache_dir)
-    except OSError as exc:
-        parser.error(f"cannot use cache directory {args.cache_dir!r}: {exc}")
-    result = shared_footprint.run(
-        resolve_scale(args.scale),
-        budget_kib=args.budget_kib if args.budget_kib is not None else DEFAULT_BUDGET_KIB,
-        preset=args.preset,
-        fractions=fractions,
-        styles=styles,
-        asid_modes=asid_modes,
-        engine=engine,
-    )
-    log.result(shared_footprint.format_report(result))
-    _write_result_outputs(
-        result, args.json_path, args.csv_path, shared_footprint.write_csv
-    )
-    return 0
-
-
-def run_cache_sweep_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    """Handle ``sweep caches``."""
-    from repro.common.errors import ConfigurationError
-    from repro.experiments import cache_interference
-    from repro.experiments.config import DEFAULT_BUDGET_KIB
-    from repro.scenarios.presets import get_scenario
-
-    presets = args.presets
-    if presets:
-        for name in presets:
-            try:
-                get_scenario(name)
-            except ConfigurationError as exc:
-                parser.error(str(exc))
-    quanta = (
-        _parse_int_list(args.quanta, "--quanta", parser)
-        if args.quanta
-        else cache_interference.DEFAULT_QUANTA
-    )
-    tenant_counts = (
-        _parse_int_list(args.tenant_counts, "--tenant-counts", parser)
-        if args.tenant_counts
-        else None
-    )
-    if args.style:
-        styles = _parse_styles(args.style, parser)
-        if len(styles) != 1:
-            parser.error(
-                f"--style expects exactly one BTB style, got {len(styles)}: {args.style!r}"
-            )
-        style = styles[0]
-    else:
-        style = cache_interference.DEFAULT_STYLE
-    cache_modes = (
-        _parse_asid_modes(args.cache_modes, parser, flag="--cache-modes")
-        if args.cache_modes
-        else list(cache_interference.SWEEP_CACHE_MODES)
-    )
-    if args.budget_kib is not None and args.budget_kib <= 0:
-        parser.error(f"--budget-kib must be positive, got {args.budget_kib}")
-    try:
-        engine = make_engine(workers=args.workers, cache_dir=args.cache_dir)
-    except OSError as exc:
-        parser.error(f"cannot use cache directory {args.cache_dir!r}: {exc}")
-    result = cache_interference.run(
-        resolve_scale(args.scale),
-        budget_kib=args.budget_kib if args.budget_kib is not None else DEFAULT_BUDGET_KIB,
-        presets=presets,
-        style=style,
-        cache_modes=cache_modes,
-        quanta=quanta,
-        tenant_counts=tenant_counts,
-        engine=engine,
-    )
-    log.result(cache_interference.format_report(result))
-    _write_result_outputs(result, args.json_path, args.csv_path, cache_interference.write_csv)
-    return 0
-
-
-def run_tenant_sweep_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    """Handle ``sweep tenants``."""
-    from repro.common.config import BTBStyle, ISAStyle
-    from repro.experiments import tenant_scale
-    from repro.experiments.config import DEFAULT_BUDGET_KIB
-
-    tenant_counts = (
-        _parse_int_list(args.tenant_counts, "--tenant-counts", parser)
-        if args.tenant_counts
-        else list(tenant_scale.DEFAULT_TENANT_COUNTS)
-    )
-    asid_modes = (
-        _parse_asid_modes(args.asid_modes, parser)
-        if args.asid_modes
-        else list(tenant_scale.SWEEP_ASID_MODES)
-    )
-    if args.cache_modes:
-        cache_modes: List[ASIDMode | None] = []
-        for token in args.cache_modes.split(","):
-            token = token.strip()
-            if token == "shared":
-                cache_modes.append(None)
-            else:
-                cache_modes.extend(_parse_asid_modes(token, parser, flag="--cache-modes"))
-    else:
-        cache_modes = list(tenant_scale.SWEEP_CACHE_MODES)
-    if args.style:
-        styles = _parse_styles(args.style, parser)
-        if len(styles) != 1:
-            parser.error(
-                f"--style expects exactly one BTB style, got {len(styles)}: {args.style!r}"
-            )
-        style = styles[0]
-    else:
-        style = BTBStyle.BTBX
-    if args.seed is not None and args.seed < 0:
-        parser.error(f"--seed must be non-negative, got {args.seed}")
-    if args.shared_fraction is not None and not 0.0 <= args.shared_fraction <= 1.0:
-        parser.error(f"--shared-fraction must be within [0, 1], got {args.shared_fraction}")
-    if args.budget_kib is not None and args.budget_kib <= 0:
-        parser.error(f"--budget-kib must be positive, got {args.budget_kib}")
-    try:
-        engine = make_engine(workers=args.workers, cache_dir=args.cache_dir)
-    except OSError as exc:
-        parser.error(f"cannot use cache directory {args.cache_dir!r}: {exc}")
-    result = tenant_scale.run(
-        resolve_scale(args.scale),
-        budget_kib=args.budget_kib if args.budget_kib is not None else DEFAULT_BUDGET_KIB,
-        tenant_counts=tenant_counts,
-        asid_modes=asid_modes,
-        cache_modes=cache_modes,
-        style=style,
-        seed=args.seed if args.seed is not None else tenant_scale.DEFAULT_SEED,
-        isa=ISAStyle.X86 if args.isa == "x86" else ISAStyle.ARM64,
-        quantum_instructions=(
-            args.quantum if args.quantum is not None else tenant_scale.DEFAULT_QUANTUM
-        ),
-        shared_fraction=args.shared_fraction if args.shared_fraction is not None else 0.0,
-        engine=engine,
-    )
-    log.result(tenant_scale.format_report(result))
-    _write_result_outputs(result, args.json_path, args.csv_path, tenant_scale.write_csv)
-    return 0
-
-
 def run_sweep_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    """Handle ``sweep scenarios``, ``sweep shared``, ``sweep caches`` and
-    ``sweep tenants``."""
-    from repro.common.errors import ConfigurationError
-    from repro.experiments import scenario_sweep
-    from repro.experiments.config import DEFAULT_BUDGET_KIB
-    from repro.scenarios.presets import get_scenario
+    """Handle ``sweep <name>`` as its :data:`SWEEP_COMMANDS` entry declares.
 
-    if args.sweep_command == "shared":
-        return run_shared_sweep_command(args, parser)
-    if args.sweep_command == "caches":
-        return run_cache_sweep_command(args, parser)
-    if args.sweep_command == "tenants":
-        return run_tenant_sweep_command(args, parser)
-
-    presets = args.presets
-    if presets:
-        for name in presets:
-            try:
-                get_scenario(name)
-            except ConfigurationError as exc:
-                parser.error(str(exc))
-
-    quanta = (
-        _parse_int_list(args.quanta, "--quanta", parser)
-        if args.quanta
-        else scenario_sweep.DEFAULT_QUANTA
-    )
-    tenant_counts = (
-        _parse_int_list(args.tenant_counts, "--tenant-counts", parser)
-        if args.tenant_counts
-        else None
-    )
-    styles = (
-        _parse_styles(args.styles, parser)
-        if args.styles
-        else list(scenario_sweep.SWEEP_STYLES)
-    )
-    asid_modes = (
-        _parse_asid_modes(args.asid_modes, parser)
-        if args.asid_modes
-        else list(scenario_sweep.SWEEP_ASID_MODES)
-    )
-
-    if args.budget_kib is not None and args.budget_kib <= 0:
-        parser.error(f"--budget-kib must be positive, got {args.budget_kib}")
-
+    Every flag the user set is checked and converted by its parse function
+    and passed to the driver's ``run`` under its dest; unset flags keep the
+    driver's defaults.
+    """
+    module_name, _help, options = SWEEP_COMMANDS[args.sweep_command]
+    kwargs: Dict[str, object] = {}
+    for flag, _option_help, parse, settings in filter(None, options):
+        dest = settings.get("dest", flag[2:].replace("-", "_"))
+        value = getattr(args, dest)
+        if value is not None:
+            kwargs[dest] = value if parse is None else parse(value, flag, parser)
     try:
         engine = make_engine(workers=args.workers, cache_dir=args.cache_dir)
     except OSError as exc:
         parser.error(f"cannot use cache directory {args.cache_dir!r}: {exc}")
-    result = scenario_sweep.run(
-        resolve_scale(args.scale),
-        budget_kib=args.budget_kib if args.budget_kib is not None else DEFAULT_BUDGET_KIB,
-        presets=presets,
-        styles=styles,
-        asid_modes=asid_modes,
-        quanta=quanta,
-        tenant_counts=tenant_counts,
-        engine=engine,
-    )
-    log.result(scenario_sweep.format_report(result))
-    _write_result_outputs(result, args.json_path, args.csv_path, scenario_sweep.write_csv)
+    module = importlib.import_module(module_name)
+    result = module.run(resolve_scale(args.scale), engine=engine, **kwargs)
+    log.result(module.format_report(result))
+    _write_result_outputs(result, args.json_path, args.csv_path)
     return 0
 
 

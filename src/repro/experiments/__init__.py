@@ -23,7 +23,12 @@ module                    reproduces
 ``scenario_sweep``        (extension) MPKI vs quantum / tenant-count sweeps
 ``shared_footprint``      (extension) duplication vs shared-code overlap
 ``cache_interference``    (extension) per-tenant L1-I/L2 MPKI vs cache ASID mode
+``tenant_scale``          (extension) MPKI and partition fallback vs tenant count
 ========================  ====================================================
+
+The four extension sweeps are declarations over one core,
+:mod:`repro.experiments.sweep`, which expands their grids and emits the same
+long-format result rows for all of them.
 
 The amount of simulated work is controlled by :class:`ExperimentScale`
 (``QUICK_SCALE`` for benchmarks/CI, ``FULL_SCALE`` for paper-style runs; the

@@ -20,27 +20,20 @@ presets.  The BTB itself runs in ``tagged`` retention throughout, so the
 curves isolate the *hierarchy's* contribution to consolidation cost.
 
 Every (preset x axis-value x cache-mode) cell is an ordinary cacheable
-:class:`~repro.experiments.engine.ScenarioJob` (with ``cache_asid_mode`` set),
-submitted in one pooled engine pass like every other grid.
+:class:`~repro.experiments.engine.ScenarioJob` (with ``cache_asid_mode`` set);
+the axes are :mod:`scenario_sweep`'s, and the :mod:`~repro.experiments.sweep`
+core submits the grid in one pooled engine pass like every other grid.
 """
 
 from __future__ import annotations
 
-import csv
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.common.config import ASIDMode, BTBStyle
+from repro.experiments import sweep
 from repro.experiments.config import DEFAULT_BUDGET_KIB, ExperimentScale, QUICK_SCALE
-from repro.experiments.engine import ExperimentEngine, ScenarioJob, get_active_engine
-from repro.experiments.runner import style_label
-from repro.experiments.scenario_sweep import (
-    DEFAULT_QUANTA,
-    QUANTUM_AXIS,
-    TENANT_AXIS,
-    quantum_variant,
-    tenant_count_variant,
-)
-from repro.scenarios.presets import get_scenario, scenario_names
+from repro.experiments.engine import ExperimentEngine
+from repro.experiments.scenario_sweep import DEFAULT_QUANTA, pressure_axes
 
 #: Cache context-switch policies swept by default (the legacy ASID-oblivious
 #: hierarchy is deliberately absent: it false-shares lines between tenants,
@@ -56,9 +49,6 @@ SWEEP_CACHE_MODES: Tuple[ASIDMode, ...] = (
 DEFAULT_STYLE = BTBStyle.BTBX
 DEFAULT_BTB_ASID_MODE = ASIDMode.TAGGED
 
-def _curve_key(style: BTBStyle, cache_mode: ASIDMode) -> str:
-    return f"{style_label(style)}/cache-{cache_mode.value}"
-
 
 def run(
     scale: ExperimentScale = QUICK_SCALE,
@@ -71,183 +61,28 @@ def run(
     tenant_counts: Sequence[int] | None = None,
     engine: ExperimentEngine | None = None,
 ) -> Dict[str, object]:
-    """Run both sweep axes for every preset through one pooled engine pass.
+    """Run both sweep axes for every preset (``None``: all) in one engine pass.
 
-    ``tenant_counts=None`` sweeps 1..len(tenants) per preset.  Returns a
-    result dict with ``quantum_sweep`` and ``tenant_sweep`` sections, each
-    mapping preset -> {"axis": [...], "curves": {"<style>/cache-<mode>":
-    ...}}; a curve carries aligned ``aggregate_l1i_mpki`` /
-    ``aggregate_l2_mpki`` / ``aggregate_ipc`` / ``context_switches`` /
-    ``cache_partition_sets`` lists plus ``per_tenant_l1i_mpki`` (one
-    {tenant: mpki} dict per axis point).
+    ``tenant_counts=None`` sweeps 1..len(tenants) per preset.  Returns the
+    :func:`~repro.experiments.sweep.run_sweep` rows; a curve (``config``) is
+    ``<style>/cache-<mode>``.
     """
-    engine = engine or get_active_engine()
-    names = list(presets) if presets is not None else scenario_names()
-    names = list(dict.fromkeys(names))
-    quanta = list(dict.fromkeys(quanta))
-    cache_modes = list(dict.fromkeys(cache_modes))
-    if tenant_counts is not None:
-        tenant_counts = list(dict.fromkeys(tenant_counts))
-
-    cells: List[Tuple[str, str, int, ASIDMode]] = []
-    jobs: List[ScenarioJob] = []
-    axes: Dict[str, Dict[str, List[int]]] = {QUANTUM_AXIS: {}, TENANT_AXIS: {}}
-    for name in names:
-        spec = get_scenario(name)
-        counts = (
-            list(tenant_counts)
-            if tenant_counts is not None
-            else list(range(1, len(spec.tenants) + 1))
-        )
-        axes[QUANTUM_AXIS][name] = list(quanta)
-        axes[TENANT_AXIS][name] = counts
-        variants = [(QUANTUM_AXIS, value, quantum_variant(spec, value)) for value in quanta]
-        variants += [(TENANT_AXIS, value, tenant_count_variant(spec, value)) for value in counts]
-        for axis, value, variant in variants:
-            for cache_mode in cache_modes:
-                cells.append((axis, name, value, cache_mode))
-                jobs.append(
-                    ScenarioJob(
-                        scenario=variant.name,
-                        instructions=scale.instructions,
-                        warmup_instructions=scale.warmup_instructions,
-                        style=style,
-                        asid_mode=btb_asid_mode,
-                        fdip_enabled=True,
-                        budget_kib=budget_kib,
-                        cache_asid_mode=cache_mode,
-                        spec=variant,
-                    )
-                )
-    outcomes = engine.run_jobs(jobs)
-
-    sections: Dict[str, Dict[str, Dict[str, object]]] = {QUANTUM_AXIS: {}, TENANT_AXIS: {}}
-    for (axis, preset, _value, cache_mode), outcome in zip(cells, outcomes):
-        scenario = outcome.scenario
-        section = sections[axis].setdefault(
-            preset, {"axis": axes[axis][preset], "curves": {}}
-        )
-        curve = section["curves"].setdefault(
-            _curve_key(style, cache_mode),
-            {
-                "aggregate_l1i_mpki": [],
-                "aggregate_l2_mpki": [],
-                "aggregate_ipc": [],
-                "context_switches": [],
-                "cache_partition_sets": [],
-                "per_tenant_l1i_mpki": [],
-                "per_tenant_l2_mpki": [],
-            },
-        )
-        curve["aggregate_l1i_mpki"].append(scenario.aggregate.l1i_mpki)
-        curve["aggregate_l2_mpki"].append(scenario.aggregate.l2_mpki)
-        curve["aggregate_ipc"].append(scenario.aggregate.ipc)
-        curve["context_switches"].append(scenario.context_switches)
-        curve["cache_partition_sets"].append(scenario.cache_partition_sets)
-        curve["per_tenant_l1i_mpki"].append(
-            {name: result.l1i_mpki for name, result in scenario.per_tenant.items()}
-        )
-        curve["per_tenant_l2_mpki"].append(
-            {name: result.l2_mpki for name, result in scenario.per_tenant.items()}
-        )
-    return {
-        "experiment": "cache_interference",
-        "scale": scale.name,
-        "budget_kib": budget_kib,
-        "instructions": scale.instructions,
-        "presets": names,
-        "style": style_label(style),
-        "btb_asid_mode": btb_asid_mode.value,
-        "cache_modes": [mode.value for mode in cache_modes],
-        "quantum_sweep": sections[QUANTUM_AXIS],
-        "tenant_sweep": sections[TENANT_AXIS],
-    }
-
-
-# -- output -------------------------------------------------------------------
-
-#: Column order of the flat CSV form (one row per curve point per tenant,
-#: plus an ``(aggregate)`` row per point).
-CSV_FIELDS = (
-    "sweep",
-    "preset",
-    "axis_value",
-    "style",
-    "cache_mode",
-    "tenant",
-    "l1i_mpki",
-    "l2_mpki",
-    "ipc",
-    "context_switches",
-)
-
-
-def csv_rows(result: Dict[str, object]) -> List[Dict[str, object]]:
-    """Flatten a sweep result into plot-ready CSV rows (see ``CSV_FIELDS``)."""
-    rows: List[Dict[str, object]] = []
-    for sweep_name, section_key in (("quantum", "quantum_sweep"), ("tenant_count", "tenant_sweep")):
-        for preset, section in result[section_key].items():
-            for config, curve in section["curves"].items():
-                style, cache_mode = config.split("/cache-", 1)
-                for position, value in enumerate(section["axis"]):
-                    base = {
-                        "sweep": sweep_name,
-                        "preset": preset,
-                        "axis_value": value,
-                        "style": style,
-                        "cache_mode": cache_mode,
-                        "context_switches": curve["context_switches"][position],
-                    }
-                    rows.append(
-                        {
-                            **base,
-                            "tenant": "(aggregate)",
-                            "l1i_mpki": curve["aggregate_l1i_mpki"][position],
-                            "l2_mpki": curve["aggregate_l2_mpki"][position],
-                            "ipc": curve["aggregate_ipc"][position],
-                        }
-                    )
-                    l2_by_tenant = curve["per_tenant_l2_mpki"][position]
-                    for tenant, mpki in curve["per_tenant_l1i_mpki"][position].items():
-                        rows.append(
-                            {
-                                **base,
-                                "tenant": tenant,
-                                "l1i_mpki": mpki,
-                                "l2_mpki": l2_by_tenant.get(tenant, ""),
-                                "ipc": "",
-                            }
-                        )
-    return rows
-
-
-def write_csv(result: Dict[str, object], path: str) -> None:
-    """Write the flattened sweep to ``path`` as CSV."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(CSV_FIELDS))
-        writer.writeheader()
-        writer.writerows(csv_rows(result))
+    return sweep.run_sweep(
+        sweep.Sweep(
+            experiment="cache_interference",
+            bases=sweep.preset_bases(presets),
+            axes=pressure_axes(quanta, tenant_counts),
+            styles=(style,),
+            asid_modes=(btb_asid_mode,),
+            cache_modes=cache_modes,
+            budget_kib=budget_kib,
+            series=("style", "cache_mode"),
+        ),
+        scale,
+        engine,
+    )
 
 
 def format_report(result: Dict[str, object]) -> str:
-    """Text rendering of both sweep axes (aggregate L1-I MPKI curves)."""
-    lines = [
-        f"Cache-interference sweep at {result['budget_kib']} KB, "
-        f"{result['instructions']} instructions per cell "
-        f"({result['style']} BTB in {result['btb_asid_mode']} retention; "
-        f"cache modes: {', '.join(result['cache_modes'])})",
-    ]
-    for title, section_key, unit in (
-        ("L1-I MPKI vs scheduling quantum", "quantum_sweep", "instr"),
-        ("L1-I MPKI vs tenant count", "tenant_sweep", "tenants"),
-    ):
-        lines.append("")
-        lines.append(f"  {title}:")
-        for preset, section in result[section_key].items():
-            axis = section["axis"]
-            lines.append(f"    {preset} ({unit}: {', '.join(str(v) for v in axis)})")
-            for config, curve in section["curves"].items():
-                series = " ".join(f"{value:8.2f}" for value in curve["aggregate_l1i_mpki"])
-                l2 = " ".join(f"{value:6.2f}" for value in curve["aggregate_l2_mpki"])
-                lines.append(f"      {config:<24} {series}   (L2: {l2})")
-    return "\n".join(lines)
+    """Aggregate L1-I and L2 MPKI per curve, per axis and preset."""
+    return sweep.format_report(result, "Cache-interference sweep", ("l1i_mpki", "l2_mpki"))

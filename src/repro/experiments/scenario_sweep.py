@@ -14,23 +14,22 @@ along two axes:
   slices are private), and the gap between them *is* the pollution.
 
 Every (preset x axis-value x organization x ASID-mode) cell is an ordinary
-cacheable :class:`~repro.experiments.engine.ScenarioJob`; the whole grid is
-submitted to the pooled engine in one pass, so sweeps parallelize and memoize
-exactly like the figure grids (and share cache cells with
-:mod:`~repro.experiments.scenario_study` wherever the grids overlap).
+cacheable :class:`~repro.experiments.engine.ScenarioJob`; the
+:mod:`~repro.experiments.sweep` core submits the whole grid in one pooled
+engine pass, so sweeps parallelize and memoize exactly like the figure grids
+(and share cache cells with :mod:`~repro.experiments.scenario_study`
+wherever the grids overlap).
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import replace
 from typing import Dict, List, Sequence, Tuple
 
 from repro.common.config import ASIDMode, BTBStyle, require_positive_int
+from repro.experiments import sweep
 from repro.experiments.config import DEFAULT_BUDGET_KIB, ExperimentScale, QUICK_SCALE
-from repro.experiments.engine import ExperimentEngine, ScenarioJob, get_active_engine
-from repro.experiments.runner import style_label
-from repro.scenarios.presets import get_scenario, scenario_names
+from repro.experiments.engine import ExperimentEngine
 from repro.scenarios.spec import ScenarioSpec, TenantSpec
 
 #: Organizations swept by default (the paper's baseline and its proposal).
@@ -47,8 +46,8 @@ SWEEP_ASID_MODES: Tuple[ASIDMode, ...] = (
 #: Default timeslice lengths (instructions per scheduling turn).
 DEFAULT_QUANTA: Tuple[int, ...] = (1_024, 2_048, 4_096, 8_192, 16_384)
 
-#: Axis labels used in results, CSV rows and reports.
-QUANTUM_AXIS = "quantum_instructions"
+#: Axis names (the ``axis`` column of the result rows).
+QUANTUM_AXIS = "quantum"
 TENANT_AXIS = "tenant_count"
 
 
@@ -88,11 +87,25 @@ def tenant_count_variant(spec: ScenarioSpec, count: int) -> ScenarioSpec:
     return replace(spec, name=f"{spec.name}@t{count}", tenants=tuple(tenants))
 
 
+def pressure_axes(
+    quanta: Sequence[int], tenant_counts: Sequence[int] | None = None
+) -> Tuple[sweep.Axis, sweep.Axis]:
+    """The quantum and tenant-count axes over preset bases.
+
+    ``tenant_counts=None`` sweeps 1..len(tenants) per preset.
+    """
+    counts = (
+        tenant_counts
+        if tenant_counts is not None
+        else lambda spec: range(1, len(spec.tenants) + 1)
+    )
+    return (
+        sweep.Axis(QUANTUM_AXIS, quanta, quantum_variant),
+        sweep.Axis(TENANT_AXIS, counts, tenant_count_variant),
+    )
+
+
 # -- the sweep ----------------------------------------------------------------
-
-
-def _config_key(style: BTBStyle, mode: ASIDMode) -> str:
-    return f"{style_label(style)}/{mode.value}"
 
 
 def run(
@@ -105,177 +118,25 @@ def run(
     tenant_counts: Sequence[int] | None = None,
     engine: ExperimentEngine | None = None,
 ) -> Dict[str, object]:
-    """Run both sweep axes for every preset through one pooled engine pass.
+    """Run both sweep axes for every preset (``None``: all) in one engine pass.
 
-    ``tenant_counts=None`` sweeps 1..len(tenants) per preset.  Returns a
-    result dict with ``quantum_sweep`` and ``tenant_sweep`` sections, each
-    mapping preset -> {"axis": [...], "curves": {"<style>/<mode>": ...}}; a
-    curve carries aligned ``aggregate_mpki`` / ``aggregate_ipc`` /
-    ``context_switches`` / ``partition_sets`` lists plus ``per_tenant_mpki``
-    (one {tenant: mpki} dict per axis point).
+    Returns the :func:`~repro.experiments.sweep.run_sweep` rows; a curve
+    (``config``) is ``<style>/<asid_mode>``.
     """
-    engine = engine or get_active_engine()
-    names = list(presets) if presets is not None else scenario_names()
-    # A repeated preset would append duplicate points onto the same curves;
-    # repeated axis values would duplicate points within one, and repeated
-    # styles/modes would append extra points onto one curve key.
-    names = list(dict.fromkeys(names))
-    quanta = list(dict.fromkeys(quanta))
-    styles = list(dict.fromkeys(styles))
-    asid_modes = list(dict.fromkeys(asid_modes))
-    if tenant_counts is not None:
-        tenant_counts = list(dict.fromkeys(tenant_counts))
-
-    # Expand the full (preset x axis x style x mode) grid up front: one
-    # run_jobs() call keeps every worker busy across preset boundaries.
-    cells: List[Tuple[str, str, int, BTBStyle, ASIDMode]] = []
-    jobs: List[ScenarioJob] = []
-    axes: Dict[str, Dict[str, List[int]]] = {QUANTUM_AXIS: {}, TENANT_AXIS: {}}
-    for name in names:
-        spec = get_scenario(name)
-        counts = (
-            list(tenant_counts)
-            if tenant_counts is not None
-            else list(range(1, len(spec.tenants) + 1))
-        )
-        axes[QUANTUM_AXIS][name] = list(quanta)
-        axes[TENANT_AXIS][name] = counts
-        variants = [(QUANTUM_AXIS, value, quantum_variant(spec, value)) for value in quanta]
-        variants += [(TENANT_AXIS, value, tenant_count_variant(spec, value)) for value in counts]
-        for axis, value, variant in variants:
-            for style in styles:
-                for mode in asid_modes:
-                    cells.append((axis, name, value, style, mode))
-                    jobs.append(
-                        ScenarioJob(
-                            scenario=variant.name,
-                            instructions=scale.instructions,
-                            warmup_instructions=scale.warmup_instructions,
-                            style=style,
-                            asid_mode=mode,
-                            fdip_enabled=True,
-                            budget_kib=budget_kib,
-                            spec=variant,
-                        )
-                    )
-    outcomes = engine.run_jobs(jobs)
-
-    sections: Dict[str, Dict[str, Dict[str, object]]] = {QUANTUM_AXIS: {}, TENANT_AXIS: {}}
-    for (axis, preset, _value, style, mode), outcome in zip(cells, outcomes):
-        scenario = outcome.scenario
-        section = sections[axis].setdefault(
-            preset, {"axis": axes[axis][preset], "curves": {}}
-        )
-        curve = section["curves"].setdefault(
-            _config_key(style, mode),
-            {
-                "aggregate_mpki": [],
-                "aggregate_ipc": [],
-                "context_switches": [],
-                "partition_sets": [],
-                "per_tenant_mpki": [],
-            },
-        )
-        curve["aggregate_mpki"].append(scenario.aggregate.btb_mpki)
-        curve["aggregate_ipc"].append(scenario.aggregate.ipc)
-        curve["context_switches"].append(scenario.context_switches)
-        curve["partition_sets"].append(scenario.partition_sets)
-        curve["per_tenant_mpki"].append(
-            {name: result.btb_mpki for name, result in scenario.per_tenant.items()}
-        )
-    return {
-        "experiment": "scenario_sweep",
-        "scale": scale.name,
-        "budget_kib": budget_kib,
-        "instructions": scale.instructions,
-        "presets": names,
-        "styles": [style_label(style) for style in styles],
-        "asid_modes": [mode.value for mode in asid_modes],
-        "quantum_sweep": sections[QUANTUM_AXIS],
-        "tenant_sweep": sections[TENANT_AXIS],
-    }
-
-
-# -- output -------------------------------------------------------------------
-
-#: Column order of the flat CSV form (one row per curve point per tenant,
-#: plus an ``(aggregate)`` row per point).
-CSV_FIELDS = (
-    "sweep",
-    "preset",
-    "axis_value",
-    "style",
-    "asid_mode",
-    "tenant",
-    "btb_mpki",
-    "ipc",
-    "context_switches",
-    "partition_sets",
-)
-
-
-def csv_rows(result: Dict[str, object]) -> List[Dict[str, object]]:
-    """Flatten a sweep result into plot-ready CSV rows (see ``CSV_FIELDS``)."""
-    rows: List[Dict[str, object]] = []
-    for sweep_name, section_key in (("quantum", "quantum_sweep"), ("tenant_count", "tenant_sweep")):
-        for preset, section in result[section_key].items():
-            for config, curve in section["curves"].items():
-                style, asid_mode = config.split("/", 1)
-                for position, value in enumerate(section["axis"]):
-                    partitions = curve["partition_sets"][position]
-                    base = {
-                        "sweep": sweep_name,
-                        "preset": preset,
-                        "axis_value": value,
-                        "style": style,
-                        "asid_mode": asid_mode,
-                        "context_switches": curve["context_switches"][position],
-                        "partition_sets": "" if partitions is None else (
-                            ";".join(f"{t}={n}" for t, n in partitions.items())
-                        ),
-                    }
-                    rows.append(
-                        {
-                            **base,
-                            "tenant": "(aggregate)",
-                            "btb_mpki": curve["aggregate_mpki"][position],
-                            "ipc": curve["aggregate_ipc"][position],
-                        }
-                    )
-                    for tenant, mpki in curve["per_tenant_mpki"][position].items():
-                        rows.append({**base, "tenant": tenant, "btb_mpki": mpki, "ipc": ""})
-    return rows
-
-
-def write_csv(result: Dict[str, object], path: str) -> None:
-    """Write the flattened sweep to ``path`` as CSV."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(CSV_FIELDS))
-        writer.writeheader()
-        writer.writerows(csv_rows(result))
+    return sweep.run_sweep(
+        sweep.Sweep(
+            experiment="scenario_sweep",
+            bases=sweep.preset_bases(presets),
+            axes=pressure_axes(quanta, tenant_counts),
+            styles=styles,
+            asid_modes=asid_modes,
+            budget_kib=budget_kib,
+        ),
+        scale,
+        engine,
+    )
 
 
 def format_report(result: Dict[str, object]) -> str:
-    """Text rendering of both sweep axes (aggregate MPKI curves)."""
-    lines = [
-        f"Scenario sweep at {result['budget_kib']} KB, "
-        f"{result['instructions']} instructions per cell "
-        f"(styles: {', '.join(result['styles'])}; "
-        f"asid modes: {', '.join(result['asid_modes'])})",
-    ]
-    for title, section_key, unit in (
-        ("MPKI vs scheduling quantum", "quantum_sweep", "instr"),
-        ("MPKI vs tenant count", "tenant_sweep", "tenants"),
-    ):
-        lines.append("")
-        lines.append(f"  {title}:")
-        for preset, section in result[section_key].items():
-            axis = section["axis"]
-            lines.append(f"    {preset} ({unit}: {', '.join(str(v) for v in axis)})")
-            for config, curve in section["curves"].items():
-                series = " ".join(f"{value:8.2f}" for value in curve["aggregate_mpki"])
-                switches = curve["context_switches"]
-                lines.append(
-                    f"      {config:<24} {series}   (switches {switches[0]}..{switches[-1]})"
-                )
-    return "\n".join(lines)
+    """Aggregate MPKI and context switches per curve, per axis and preset."""
+    return sweep.format_report(result, "Scenario sweep", ("btb_mpki", "context_switches"))

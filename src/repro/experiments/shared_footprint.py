@@ -18,7 +18,8 @@ to fully-shared footprints and reports, per BTB organization and ASID mode,
 * the partition maps of main and secondary structures under ``partitioned``.
 
 Every (fraction x organization x ASID-mode) cell is an ordinary cacheable
-:class:`~repro.experiments.engine.ScenarioJob` submitted in one pooled engine
+:class:`~repro.experiments.engine.ScenarioJob`; the
+:mod:`~repro.experiments.sweep` core submits the grid in one pooled engine
 pass, so the sweep parallelizes and memoizes like every other grid.  The
 fraction-zero cell is the preset's historical, remap-free layout; note that
 tenants replaying the same binary then overlap *incidentally* (every workload
@@ -29,16 +30,15 @@ pages are genuinely disjoint.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.common.config import ASIDMode, BTBStyle
 from repro.common.errors import ConfigurationError
+from repro.core.metrics import ScenarioResult
+from repro.experiments import sweep
 from repro.experiments.config import DEFAULT_BUDGET_KIB, ExperimentScale, QUICK_SCALE
-from repro.experiments.engine import ExperimentEngine, ScenarioJob, get_active_engine
-from repro.experiments.runner import style_label
-from repro.scenarios.presets import get_scenario
+from repro.experiments.engine import ExperimentEngine, ScenarioJob
 from repro.scenarios.spec import ScenarioSpec
 
 #: The preset swept by default: three instances of one service binary.
@@ -63,6 +63,12 @@ SWEEP_ASID_MODES: Tuple[ASIDMode, ...] = (
     ASIDMode.PARTITIONED,
 )
 
+#: Axis name (the ``axis`` column of the result rows).
+SHARED_AXIS = "shared_fraction"
+
+#: Structures whose duplication counters the text report prints.
+REPORTED_STRUCTURES: Tuple[str, ...] = ("main", "page", "region", "companion")
+
 
 def shared_variant(spec: ScenarioSpec, fraction: float) -> ScenarioSpec:
     """``spec`` with its shared-code fraction replaced by ``fraction``.
@@ -83,8 +89,17 @@ def shared_variant(spec: ScenarioSpec, fraction: float) -> ScenarioSpec:
     return replace(spec, name=f"{spec.name}@s{fraction:g}", shared_fraction=float(fraction))
 
 
-def _config_key(style: BTBStyle, mode: ASIDMode) -> str:
-    return f"{style_label(style)}/{mode.value}"
+def duplication_counters(_job: ScenarioJob, scenario: ScenarioResult) -> Dict[str, int]:
+    """A cell's duplication counters as ``<structure>_<counter>`` columns.
+
+    ``distinct`` contents ever allocated, ``tag_distinct`` ``(asid, content)``
+    pairs and their gap ``duplicated``, per BTB structure.
+    """
+    return {
+        f"{structure}_{counter}": count
+        for structure, counters in (scenario.duplication or {}).items()
+        for counter, count in counters.items()
+    }
 
 
 def run(
@@ -96,172 +111,31 @@ def run(
     asid_modes: Sequence[ASIDMode] = SWEEP_ASID_MODES,
     engine: ExperimentEngine | None = None,
 ) -> Dict[str, object]:
-    """Sweep the overlap fraction for one preset through a pooled engine pass.
+    """Sweep the overlap fraction of one preset in one engine pass.
 
-    Returns ``{"axis": [...fractions...], "curves": {"<style>/<mode>": ...}}``
-    where each curve carries aligned ``aggregate_mpki`` / ``aggregate_ipc`` /
-    ``context_switches`` / ``partition_sets`` / ``secondary_partition_sets``
-    lists, a ``duplication`` list (one per-structure counter dict per axis
-    point) and ``per_tenant_mpki``.
+    Returns the :func:`~repro.experiments.sweep.run_sweep` rows; a curve
+    (``config``) is ``<style>/<asid_mode>``, and every ``(aggregate)`` row
+    carries the :func:`duplication_counters` of its cell.
     """
-    engine = engine or get_active_engine()
-    spec = get_scenario(preset)
-    axis = list(dict.fromkeys(float(f) for f in fractions))
-    # Duplicate styles/modes would append extra points onto one curve and
-    # silently misalign it against the axis; dedupe like the fractions.
-    styles = list(dict.fromkeys(styles))
-    asid_modes = list(dict.fromkeys(asid_modes))
-
-    cells: List[Tuple[float, BTBStyle, ASIDMode]] = []
-    jobs: List[ScenarioJob] = []
-    for fraction in axis:
-        variant = shared_variant(spec, fraction)
-        for style in styles:
-            for mode in asid_modes:
-                cells.append((fraction, style, mode))
-                jobs.append(
-                    ScenarioJob(
-                        scenario=variant.name,
-                        instructions=scale.instructions,
-                        warmup_instructions=scale.warmup_instructions,
-                        style=style,
-                        asid_mode=mode,
-                        fdip_enabled=True,
-                        budget_kib=budget_kib,
-                        spec=variant,
-                    )
-                )
-    outcomes = engine.run_jobs(jobs)
-
-    curves: Dict[str, Dict[str, List[object]]] = {}
-    for (_fraction, style, mode), outcome in zip(cells, outcomes):
-        scenario = outcome.scenario
-        curve = curves.setdefault(
-            _config_key(style, mode),
-            {
-                "aggregate_mpki": [],
-                "aggregate_ipc": [],
-                "context_switches": [],
-                "partition_sets": [],
-                "secondary_partition_sets": [],
-                "duplication": [],
-                "per_tenant_mpki": [],
-            },
-        )
-        curve["aggregate_mpki"].append(scenario.aggregate.btb_mpki)
-        curve["aggregate_ipc"].append(scenario.aggregate.ipc)
-        curve["context_switches"].append(scenario.context_switches)
-        curve["partition_sets"].append(scenario.partition_sets)
-        curve["secondary_partition_sets"].append(scenario.secondary_partition_sets)
-        curve["duplication"].append(scenario.duplication)
-        curve["per_tenant_mpki"].append(
-            {name: result.btb_mpki for name, result in scenario.per_tenant.items()}
-        )
-    return {
-        "experiment": "shared_footprint",
-        "scale": scale.name,
-        "budget_kib": budget_kib,
-        "instructions": scale.instructions,
-        "preset": preset,
-        "styles": [style_label(style) for style in styles],
-        "asid_modes": [mode.value for mode in asid_modes],
-        "axis": axis,
-        "curves": curves,
-    }
-
-
-# -- output -------------------------------------------------------------------
-
-#: Column order of the flat CSV form.  One ``(aggregate)`` row per curve
-#: point, one row per tenant, and one ``dup:<structure>`` row per structure
-#: with the duplication counters filled in.
-CSV_FIELDS = (
-    "preset",
-    "shared_fraction",
-    "style",
-    "asid_mode",
-    "record",
-    "btb_mpki",
-    "ipc",
-    "context_switches",
-    "distinct",
-    "tag_distinct",
-    "duplicated",
-)
-
-
-def csv_rows(result: Dict[str, object]) -> List[Dict[str, object]]:
-    """Flatten a sweep result into plot-ready CSV rows (see ``CSV_FIELDS``)."""
-    rows: List[Dict[str, object]] = []
-    for config, curve in result["curves"].items():
-        style, asid_mode = config.split("/", 1)
-        for position, fraction in enumerate(result["axis"]):
-            base = {
-                "preset": result["preset"],
-                "shared_fraction": fraction,
-                "style": style,
-                "asid_mode": asid_mode,
-                "context_switches": curve["context_switches"][position],
-            }
-            rows.append(
-                {
-                    **base,
-                    "record": "(aggregate)",
-                    "btb_mpki": curve["aggregate_mpki"][position],
-                    "ipc": curve["aggregate_ipc"][position],
-                }
-            )
-            for tenant, mpki in curve["per_tenant_mpki"][position].items():
-                rows.append({**base, "record": tenant, "btb_mpki": mpki})
-            duplication = curve["duplication"][position] or {}
-            for structure, counters in duplication.items():
-                rows.append(
-                    {
-                        **base,
-                        "record": f"dup:{structure}",
-                        "distinct": counters["distinct"],
-                        "tag_distinct": counters["tag_distinct"],
-                        "duplicated": counters["duplicated"],
-                    }
-                )
-    return rows
-
-
-def write_csv(result: Dict[str, object], path: str) -> None:
-    """Write the flattened sweep to ``path`` as CSV."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(CSV_FIELDS), restval="")
-        writer.writeheader()
-        writer.writerows(csv_rows(result))
+    return sweep.run_sweep(
+        sweep.Sweep(
+            experiment="shared_footprint",
+            bases=sweep.preset_bases([preset]),
+            axes=(sweep.Axis(SHARED_AXIS, [float(f) for f in fractions], shared_variant),),
+            styles=styles,
+            asid_modes=asid_modes,
+            budget_kib=budget_kib,
+            derive=duplication_counters,
+        ),
+        scale,
+        engine,
+    )
 
 
 def format_report(result: Dict[str, object]) -> str:
-    """Text rendering: MPKI curves plus the page/main duplication gaps."""
-    axis = result["axis"]
-    lines = [
-        f"Shared-footprint sweep of {result['preset']} at {result['budget_kib']} KB, "
-        f"{result['instructions']} instructions per cell "
-        f"(styles: {', '.join(result['styles'])}; "
-        f"asid modes: {', '.join(result['asid_modes'])})",
-        "",
-        f"  overlap fraction: {', '.join(f'{value:g}' for value in axis)}",
-        "",
-        "  aggregate MPKI:",
-    ]
-    for config, curve in result["curves"].items():
-        series = " ".join(f"{value:8.2f}" for value in curve["aggregate_mpki"])
-        lines.append(f"    {config:<24} {series}")
-    lines.append("")
-    lines.append("  duplicated allocations (tag-distinct minus distinct):")
-    for config, curve in result["curves"].items():
-        structures: List[str] = []
-        for structure in ("main", "page", "region", "companion"):
-            if any(structure in (point or {}) for point in curve["duplication"]):
-                structures.append(structure)
-        for structure in structures:
-            series = " ".join(
-                f"{(point or {}).get(structure, {}).get('duplicated', 0):8d}"
-                for point in curve["duplication"]
-            )
-            lines.append(f"    {config + ' ' + structure:<24} {series}")
-    return "\n".join(lines)
+    """Aggregate MPKI plus duplicated allocations (tag-distinct minus distinct)."""
+    return sweep.format_report(
+        result,
+        "Shared-footprint sweep",
+        ("btb_mpki",) + tuple(f"{name}_duplicated" for name in REPORTED_STRUCTURES),
+    )

@@ -22,20 +22,23 @@ survives at each consolidation level.
 Every cell is an ordinary cacheable :class:`~repro.experiments.engine.
 ScenarioJob` with the generated spec pinned in the job, so pooled workers
 never need a scenario registry and the whole grid memoizes like any other
-experiment.
+experiment; the :mod:`~repro.experiments.sweep` core expands and submits it.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import ASIDMode, BTBStyle, ISAStyle
+from repro.core.metrics import ScenarioResult
+from repro.experiments import sweep
 from repro.experiments.config import DEFAULT_BUDGET_KIB, ExperimentScale, QUICK_SCALE
-from repro.experiments.engine import ExperimentEngine, ScenarioJob, get_active_engine
-from repro.experiments.runner import style_label
+from repro.experiments.engine import ExperimentEngine, ScenarioJob
+from repro.experiments.scenario_sweep import TENANT_AXIS
 from repro.scenarios.generate import ScenarioRecipe, generate_scenario
+from repro.scenarios.spec import ScenarioSpec
 
 #: Tenant counts swept by default; 1024 is the headline consolidation point.
 DEFAULT_TENANT_COUNTS: Tuple[int, ...] = (4, 16, 64, 256, 1024)
@@ -112,7 +115,7 @@ def _fallback_summary(
     style: BTBStyle,
     asid_mode: ASIDMode,
     cache_mode: Optional[ASIDMode],
-    scenario,
+    scenario: ScenarioResult,
 ) -> Dict[str, object]:
     """Which partition candidates took a slice, which fell back to sharing."""
     candidates: List[str] = []
@@ -134,9 +137,23 @@ def _fallback_summary(
     }
 
 
-def _config_key(asid_mode: ASIDMode, cache_mode: Optional[ASIDMode]) -> str:
-    cache = "shared" if cache_mode is None else cache_mode.value
-    return f"{asid_mode.value}/cache-{cache}"
+def cell_summary(job: ScenarioJob, scenario: ScenarioResult) -> Dict[str, object]:
+    """Per-tenant MPKI percentiles plus the partition-fallback summary.
+
+    Percentiles are nearest-rank over the tenants actually scheduled at the
+    cell's scale (``scheduled_tenants``); ``None`` when none was.
+    """
+    per_tenant = sorted(result.btb_mpki for result in scenario.per_tenant.values())
+    return {
+        "scheduled_tenants": len(per_tenant),
+        **{f"mpki_{label}": _nearest_rank(per_tenant, fraction) for label, fraction in PERCENTILES},
+        "mpki_max": per_tenant[-1] if per_tenant else None,
+        **_fallback_summary(job.style, job.asid_mode, job.cache_asid_mode, scenario),
+    }
+
+
+def _generated_variant(recipe: Callable[[int], ScenarioRecipe], count: int) -> ScenarioSpec:
+    return generate_scenario(recipe(count))
 
 
 def run(
@@ -154,178 +171,42 @@ def run(
 ) -> Dict[str, object]:
     """Sweep tenant count x ASID mode x cache mode on generated scenarios.
 
-    Returns ``{"axis": [...tenant counts...], "curves": {"<mode>/cache-<mode>":
-    {...aligned lists...}}}`` plus run metadata.  A curve carries
-    ``aggregate_mpki`` / ``aggregate_ipc`` / ``context_switches``, the
-    per-tenant MPKI percentiles (``mpki_p50``/``p90``/``p99``/``mpki_max``
-    over scheduled tenants, with ``scheduled_tenants`` recording the
-    denominator), and one ``partition`` fallback summary per point.
+    Returns the :func:`~repro.experiments.sweep.run_sweep` rows; a curve
+    (``config``) is ``<asid_mode>/cache-<mode>``, and every ``(aggregate)``
+    row carries the :func:`cell_summary` of its cell.
     """
-    engine = engine or get_active_engine()
-    tenant_counts = list(dict.fromkeys(tenant_counts))
-    asid_modes = list(dict.fromkeys(asid_modes))
-    cache_modes = list(dict.fromkeys(cache_modes))
-
-    specs = {
-        count: generate_scenario(
-            recipe_for(
-                count,
-                seed=seed,
-                isa=isa,
-                quantum_instructions=quantum_instructions,
-                shared_fraction=shared_fraction,
-            )
-        )
-        for count in tenant_counts
-    }
-    cells: List[Tuple[int, ASIDMode, Optional[ASIDMode]]] = []
-    jobs: List[ScenarioJob] = []
-    for count in tenant_counts:
-        for asid_mode in asid_modes:
-            for cache_mode in cache_modes:
-                cells.append((count, asid_mode, cache_mode))
-                jobs.append(
-                    ScenarioJob(
-                        scenario=specs[count].name,
-                        instructions=scale.instructions,
-                        warmup_instructions=scale.warmup_instructions,
-                        style=style,
-                        asid_mode=asid_mode,
-                        fdip_enabled=True,
-                        budget_kib=budget_kib,
-                        cache_asid_mode=cache_mode,
-                        spec=specs[count],
-                    )
-                )
-    outcomes = engine.run_jobs(jobs)
-
-    curves: Dict[str, Dict[str, List[object]]] = {}
-    for (count, asid_mode, cache_mode), outcome in zip(cells, outcomes):
-        scenario = outcome.scenario
-        curve = curves.setdefault(
-            _config_key(asid_mode, cache_mode),
-            {
-                "aggregate_mpki": [],
-                "aggregate_ipc": [],
-                "context_switches": [],
-                "scheduled_tenants": [],
-                "mpki_p50": [],
-                "mpki_p90": [],
-                "mpki_p99": [],
-                "mpki_max": [],
-                "partition": [],
+    recipe = partial(
+        recipe_for,
+        seed=seed,
+        isa=isa,
+        quantum_instructions=quantum_instructions,
+        shared_fraction=shared_fraction,
+    )
+    return sweep.run_sweep(
+        sweep.Sweep(
+            experiment="tenant_scale",
+            bases={f"gen_tenants_{seed}": recipe},
+            axes=(sweep.Axis(TENANT_AXIS, tenant_counts, _generated_variant),),
+            styles=(style,),
+            asid_modes=asid_modes,
+            cache_modes=cache_modes,
+            budget_kib=budget_kib,
+            series=("asid_mode", "cache_mode"),
+            derive=cell_summary,
+            metadata={
+                "seed": seed,
+                "isa": isa.value,
+                "quantum_instructions": quantum_instructions,
+                "shared_fraction": float(shared_fraction),
             },
-        )
-        per_tenant = sorted(
-            result.btb_mpki for result in scenario.per_tenant.values()
-        )
-        curve["aggregate_mpki"].append(scenario.aggregate.btb_mpki)
-        curve["aggregate_ipc"].append(scenario.aggregate.ipc)
-        curve["context_switches"].append(scenario.context_switches)
-        curve["scheduled_tenants"].append(len(per_tenant))
-        for label, fraction in PERCENTILES:
-            curve[f"mpki_{label}"].append(_nearest_rank(per_tenant, fraction))
-        curve["mpki_max"].append(per_tenant[-1] if per_tenant else None)
-        curve["partition"].append(_fallback_summary(style, asid_mode, cache_mode, scenario))
-    return {
-        "experiment": "tenant_scale",
-        "scale": scale.name,
-        "budget_kib": budget_kib,
-        "instructions": scale.instructions,
-        "style": style_label(style),
-        "seed": seed,
-        "isa": isa.value,
-        "quantum_instructions": quantum_instructions,
-        "shared_fraction": float(shared_fraction),
-        "asid_modes": [mode.value for mode in asid_modes],
-        "cache_modes": ["shared" if mode is None else mode.value for mode in cache_modes],
-        "axis": tenant_counts,
-        "scenarios": {count: specs[count].name for count in tenant_counts},
-        "curves": curves,
-    }
-
-
-# -- output -------------------------------------------------------------------
-
-#: Column order of the flat CSV form (one row per curve point).
-CSV_FIELDS = (
-    "tenant_count",
-    "asid_mode",
-    "cache_mode",
-    "btb_mpki",
-    "ipc",
-    "context_switches",
-    "scheduled_tenants",
-    "mpki_p50",
-    "mpki_p90",
-    "mpki_p99",
-    "mpki_max",
-    "partitioned",
-    "fallback",
-    "fallback_occupancy",
-)
-
-
-def csv_rows(result: Dict[str, object]) -> List[Dict[str, object]]:
-    """Flatten a tenant-scale result into plot-ready CSV rows."""
-    rows: List[Dict[str, object]] = []
-    for config, curve in result["curves"].items():
-        asid_mode, cache = config.split("/cache-", 1)
-        for position, count in enumerate(result["axis"]):
-            partition = curve["partition"][position]
-            rows.append(
-                {
-                    "tenant_count": count,
-                    "asid_mode": asid_mode,
-                    "cache_mode": cache,
-                    "btb_mpki": curve["aggregate_mpki"][position],
-                    "ipc": curve["aggregate_ipc"][position],
-                    "context_switches": curve["context_switches"][position],
-                    "scheduled_tenants": curve["scheduled_tenants"][position],
-                    "mpki_p50": curve["mpki_p50"][position],
-                    "mpki_p90": curve["mpki_p90"][position],
-                    "mpki_p99": curve["mpki_p99"][position],
-                    "mpki_max": curve["mpki_max"][position],
-                    "partitioned": ";".join(partition["partitioned"]),
-                    "fallback": ";".join(partition["fallback"]),
-                    "fallback_occupancy": partition["fallback_occupancy"],
-                }
-            )
-    return rows
-
-
-def write_csv(result: Dict[str, object], path: str) -> None:
-    """Write the flattened sweep to ``path`` as CSV."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(CSV_FIELDS))
-        writer.writeheader()
-        writer.writerows(csv_rows(result))
+        ),
+        scale,
+        engine,
+    )
 
 
 def format_report(result: Dict[str, object]) -> str:
-    """Text rendering: one MPKI curve per configuration plus fallback notes."""
-    axis = result["axis"]
-    lines = [
-        f"Tenant scaling on {result['style']} at {result['budget_kib']} KB, "
-        f"{result['instructions']} instructions per cell "
-        f"(seed {result['seed']}, quantum {result['quantum_instructions']}, "
-        f"tenants: {', '.join(str(v) for v in axis)})",
-    ]
-    for config, curve in result["curves"].items():
-        series = " ".join(f"{value:8.2f}" for value in curve["aggregate_mpki"])
-        lines.append(f"  {config:<28} {series}")
-        tails = " ".join(
-            "   (n/a)" if value is None else f"{value:8.2f}" for value in curve["mpki_p99"]
-        )
-        lines.append(f"    {'p99 per-tenant':<26} {tails}")
-        notes = []
-        for position, count in enumerate(axis):
-            partition = curve["partition"][position]
-            if partition["fallback"]:
-                notes.append(
-                    f"t={count}: {', '.join(partition['fallback'])} shared "
-                    f"({partition['fallback_occupancy']:.0%} of candidates)"
-                )
-        if notes:
-            lines.append(f"    fallback: {'; '.join(notes)}")
-    return "\n".join(lines)
+    """Aggregate and p99 per-tenant MPKI plus the fallback occupancy per curve."""
+    return sweep.format_report(
+        result, "Tenant scaling", ("btb_mpki", "mpki_p99", "fallback_occupancy")
+    )

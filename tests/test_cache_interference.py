@@ -11,6 +11,7 @@ from repro.experiments import cache_interference
 from repro.experiments.config import ExperimentScale
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.runner import clear_trace_cache
+from repro.experiments.sweep import aggregate_curves, write_csv
 
 TINY_SCALE = ExperimentScale(
     name="tiny",
@@ -39,64 +40,77 @@ def sweep_result():
     )
 
 
+def _curves(result, axis):
+    return aggregate_curves(result["rows"])[(axis, "consolidated_server")]
+
+
+def _series(points, metric):
+    return [point[metric] for point in points]
+
+
 class TestSweepStructure:
     def test_sections_and_curve_alignment(self, sweep_result):
-        for section_key, axis in (("quantum_sweep", [1024, 4096]),
-                                  ("tenant_sweep", [1, 2, 4])):
-            section = sweep_result[section_key]["consolidated_server"]
-            assert section["axis"] == axis
-            assert set(section["curves"]) == {
+        for axis, values in (("quantum", [1024, 4096]), ("tenant_count", [1, 2, 4])):
+            curves = _curves(sweep_result, axis)
+            assert set(curves) == {
                 "BTB-X/cache-flush", "BTB-X/cache-tagged", "BTB-X/cache-partitioned"
             }
-            for curve in section["curves"].values():
-                for series in ("aggregate_l1i_mpki", "aggregate_l2_mpki",
-                               "aggregate_ipc", "context_switches",
-                               "per_tenant_l1i_mpki", "per_tenant_l2_mpki"):
-                    assert len(curve[series]) == len(axis), series
+            for points in curves.values():
+                assert _series(points, "axis_value") == values
+                for point in points:
+                    for metric in ("l1i_mpki", "l2_mpki", "ipc", "context_switches"):
+                        assert point[metric] is not None, metric
 
     def test_flush_pays_at_least_tagged_l1i_mpki_at_every_quantum(self, sweep_result):
         """The CI smoke assertion, at test scale: flushing the hierarchy on
         every switch can never miss less than tagged retention."""
-        curves = sweep_result["quantum_sweep"]["consolidated_server"]["curves"]
-        flush = curves["BTB-X/cache-flush"]["aggregate_l1i_mpki"]
-        tagged = curves["BTB-X/cache-tagged"]["aggregate_l1i_mpki"]
+        curves = _curves(sweep_result, "quantum")
+        flush = _series(curves["BTB-X/cache-flush"], "l1i_mpki")
+        tagged = _series(curves["BTB-X/cache-tagged"], "l1i_mpki")
         assert all(f >= t for f, t in zip(flush, tagged)), (flush, tagged)
 
     def test_solo_point_identical_across_cache_modes(self, sweep_result):
         """One tenant means zero switches: the tenant-count=1 point must be
         bit-identical for every cache mode."""
-        curves = sweep_result["tenant_sweep"]["consolidated_server"]["curves"]
+        curves = _curves(sweep_result, "tenant_count")
         solo_values = {
-            mode: curves[f"BTB-X/cache-{mode}"]["aggregate_l1i_mpki"][0]
+            mode: curves[f"BTB-X/cache-{mode}"][0]["l1i_mpki"]
             for mode in ("flush", "tagged", "partitioned")
         }
         assert len(set(solo_values.values())) == 1, solo_values
-        assert curves["BTB-X/cache-flush"]["context_switches"][0] == 0
+        assert curves["BTB-X/cache-flush"][0]["context_switches"] == 0
 
     def test_partitioned_curves_report_cache_slices(self, sweep_result):
-        curves = sweep_result["tenant_sweep"]["consolidated_server"]["curves"]
-        partitioned = curves["BTB-X/cache-partitioned"]["cache_partition_sets"]
+        curves = _curves(sweep_result, "tenant_count")
+        partitioned = _series(curves["BTB-X/cache-partitioned"], "cache_partition_sets")
         # Multi-tenant points carry per-level slices; the solo point is one
         # tenant owning everything (still reported).
         assert partitioned[-1] is not None
         assert set(partitioned[-1]) == {"l1i", "l1d", "l2", "llc"}
-        shared = curves["BTB-X/cache-tagged"]["cache_partition_sets"]
+        shared = _series(curves["BTB-X/cache-tagged"], "cache_partition_sets")
         assert all(point is None for point in shared)
 
     def test_per_tenant_l1i_mpki_present_for_scheduled_tenants(self, sweep_result):
-        curves = sweep_result["quantum_sweep"]["consolidated_server"]["curves"]
-        per_tenant = curves["BTB-X/cache-flush"]["per_tenant_l1i_mpki"][0]
+        first_cell = sweep_result["rows"][0]
+        assert first_cell["tenant"] == "(aggregate)"
+        per_tenant = []
+        for row in sweep_result["rows"][1:]:
+            if row["tenant"] == "(aggregate)":
+                break
+            per_tenant.append(row)
         assert per_tenant  # at least the first tenants got scheduled
-        assert all(mpki >= 0.0 for mpki in per_tenant.values())
+        for row in per_tenant:
+            assert row["config"] == first_cell["config"] == "BTB-X/cache-flush"
+            assert row["l1i_mpki"] >= 0.0 and row["l2_mpki"] >= 0.0
 
 
 class TestCsvOutput:
     def test_csv_round_trip(self, sweep_result, tmp_path):
         path = tmp_path / "caches.csv"
-        cache_interference.write_csv(sweep_result, str(path))
+        write_csv(sweep_result, str(path))
         with open(path, newline="", encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
-        assert rows and set(rows[0]) == set(cache_interference.CSV_FIELDS)
+        assert len(rows) == len(sweep_result["rows"])
         aggregates = [row for row in rows if row["tenant"] == "(aggregate)"]
         # 2 sweeps x (2 + 3 axis points) x 3 cache modes = 15 aggregate rows.
         assert len(aggregates) == 15
@@ -107,9 +121,10 @@ class TestCsvOutput:
 
     def test_format_report_renders_curves(self, sweep_result):
         report = cache_interference.format_report(sweep_result)
-        assert "L1-I MPKI vs scheduling quantum" in report
+        assert "Cache-interference sweep" in report
+        assert "consolidated_server vs quantum: 1024, 4096" in report
         assert "BTB-X/cache-flush" in report
-        assert "L2:" in report
+        assert "l1i_mpki" in report and "l2_mpki" in report
 
 
 class TestEnergyExport:

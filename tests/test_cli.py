@@ -19,6 +19,7 @@ from repro.common.config import BTBStyle
 from repro.experiments.config import FULL_SCALE, QUICK_SCALE, SMOKE_SCALE
 from repro.experiments.engine import ExperimentEngine, ResultCache, SimJob
 from repro.experiments.runner import clear_trace_cache
+from repro.experiments.sweep import aggregate_curves
 
 
 @pytest.fixture(autouse=True)
@@ -26,6 +27,17 @@ def _clean_state(monkeypatch):
     monkeypatch.delenv("REPRO_SCALE", raising=False)
     yield
     clear_trace_cache()
+
+
+def _csv_matches_json_rows(csv_path, record) -> None:
+    """``--csv`` holds the same rows as ``--json``, in the same order."""
+    import csv
+
+    with open(csv_path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(row["axis_value"], row["config"], row["tenant"]) for row in rows] == [
+        (str(row["axis_value"]), row["config"], row["tenant"]) for row in record["rows"]
+    ]
 
 
 def _seed_cache(cache_dir) -> int:
@@ -189,14 +201,23 @@ class TestSweepCommand:
         )
         assert exit_code == 0
         out = capsys.readouterr().out
-        assert "MPKI vs scheduling quantum" in out
+        assert "Scenario sweep" in out
+        assert "solo_baseline vs quantum: 1024, 4096" in out
         record = json.loads(json_path.read_text())
         assert record["experiment"] == "scenario_sweep"
-        assert record["quantum_sweep"]["solo_baseline"]["axis"] == [1024, 4096]
-        assert set(record["quantum_sweep"]["solo_baseline"]["curves"]) == {
-            "BTB-X/flush", "BTB-X/tagged"
-        }
-        assert csv_path.read_text().startswith("sweep,preset,axis_value")
+        curves = aggregate_curves(record["rows"])[("quantum", "solo_baseline")]
+        assert set(curves) == {"BTB-X/flush", "BTB-X/tagged"}
+        for points in curves.values():
+            assert [point["axis_value"] for point in points] == [1024, 4096]
+        assert csv_path.read_text().startswith("preset,axis,axis_value")
+        _csv_matches_json_rows(csv_path, record)
+
+    @pytest.mark.parametrize("command", ["scenarios", "shared"])
+    def test_bad_styles_error_names_the_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", command, "--styles", "nope"])
+        assert excinfo.value.code == 2
+        assert "--styles:" in capsys.readouterr().err
 
 
 class TestSharedSweepCommand:
@@ -236,15 +257,17 @@ class TestSharedSweepCommand:
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "Shared-footprint sweep" in out
-        assert "duplicated allocations" in out
+        assert "page_duplicated" in out
         record = json.loads(json_path.read_text())
         assert record["experiment"] == "shared_footprint"
-        assert record["axis"] == [0.5, 1.0]
-        assert set(record["curves"]) == {"R-BTB/flush", "R-BTB/tagged"}
-        tagged = record["curves"]["R-BTB/tagged"]
-        for point in tagged["duplication"]:
-            assert point["page"]["tag_distinct"] > point["page"]["distinct"]
-        assert csv_path.read_text().startswith("preset,shared_fraction,style")
+        curves = aggregate_curves(record["rows"])[("shared_fraction", "shared_services")]
+        assert set(curves) == {"R-BTB/flush", "R-BTB/tagged"}
+        for points in curves.values():
+            assert [point["axis_value"] for point in points] == [0.5, 1.0]
+        for point in curves["R-BTB/tagged"]:
+            assert point["page_tag_distinct"] > point["page_distinct"]
+        assert csv_path.read_text().startswith("preset,axis,axis_value")
+        _csv_matches_json_rows(csv_path, record)
 
 
 class TestCacheSweepCommand:
@@ -298,16 +321,81 @@ class TestCacheSweepCommand:
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "Cache-interference sweep" in out
-        assert "L1-I MPKI vs scheduling quantum" in out
+        assert "consolidated_server vs quantum: 1024, 4096" in out
         record = json.loads(json_path.read_text())
         assert record["experiment"] == "cache_interference"
-        section = record["quantum_sweep"]["consolidated_server"]
-        assert section["axis"] == [1024, 4096]
-        assert set(section["curves"]) == {"BTB-X/cache-flush", "BTB-X/cache-tagged"}
-        flush = section["curves"]["BTB-X/cache-flush"]["aggregate_l1i_mpki"]
-        tagged = section["curves"]["BTB-X/cache-tagged"]["aggregate_l1i_mpki"]
+        curves = aggregate_curves(record["rows"])[("quantum", "consolidated_server")]
+        assert set(curves) == {"BTB-X/cache-flush", "BTB-X/cache-tagged"}
+        for points in curves.values():
+            assert [point["axis_value"] for point in points] == [1024, 4096]
+        flush = [point["l1i_mpki"] for point in curves["BTB-X/cache-flush"]]
+        tagged = [point["l1i_mpki"] for point in curves["BTB-X/cache-tagged"]]
         assert all(f >= t for f, t in zip(flush, tagged)), (flush, tagged)
-        assert csv_path.read_text().startswith("sweep,preset,axis_value")
+        assert csv_path.read_text().startswith("preset,axis,axis_value")
+        _csv_matches_json_rows(csv_path, record)
+
+
+class TestTenantSweepCommand:
+    def test_tenant_sweep_arguments(self):
+        args = build_parser().parse_args(
+            ["sweep", "tenants", "--tenant-counts", "4,16", "--asid-modes", "partitioned",
+             "--cache-modes", "shared,partitioned", "--style", "pdede", "--seed", "7",
+             "--isa", "x86", "--quantum", "128", "--shared-fraction", "0.5",
+             "--budget-kib", "7.25", "--json", "t.json", "--csv", "t.csv"]
+        )
+        assert args.sweep_command == "tenants"
+        assert args.tenant_counts == "4,16"
+        assert args.cache_modes == "shared,partitioned"
+        assert args.seed == 7
+        assert args.isa == "x86"
+        assert args.quantum_instructions == 128
+        assert args.shared_fraction == 0.5
+        assert args.json_path == "t.json"
+        assert args.csv_path == "t.csv"
+
+    def test_bad_tenant_sweep_flags_exit_2(self, capsys):
+        for flags in (["--tenant-counts", "0"], ["--asid-modes", "lukewarm"],
+                      ["--cache-modes", "shared,lukewarm"], ["--style", "pdede,btbx"],
+                      ["--seed", "-1"], ["--isa", "riscv"], ["--quantum", "0"],
+                      ["--shared-fraction", "1.5"], ["--budget-kib", "0"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["sweep", "tenants"] + flags)
+            assert excinfo.value.code == 2, flags
+
+    @pytest.mark.parametrize("command", ["caches", "tenants"])
+    def test_bad_style_error_names_the_flag_typed(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", command, "--style", "nope"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--style:" in err
+        assert "--styles" not in err
+
+    def test_tenant_sweep_end_to_end_writes_json_and_csv(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_SCALE", "smoke")
+        json_path, csv_path = tmp_path / "tenants.json", tmp_path / "tenants.csv"
+        exit_code = main(
+            ["sweep", "tenants", "--tenant-counts", "4,4", "--asid-modes", "partitioned",
+             "--cache-modes", "shared,partitioned",
+             "--json", str(json_path), "--csv", str(csv_path)]
+        )
+        assert exit_code == 0
+        assert "Tenant scaling" in capsys.readouterr().out
+        record = json.loads(json_path.read_text())
+        assert record["experiment"] == "tenant_scale"
+        assert record["cache_modes"] == ["shared", "partitioned"]
+        curves = aggregate_curves(record["rows"])[("tenant_count", "gen_tenants_2023")]
+        assert set(curves) == {"partitioned/cache-shared", "partitioned/cache-partitioned"}
+        for (point,) in curves.values():
+            assert point["axis_value"] == 4
+            assert point["scheduled_tenants"] == 4
+            assert point["mpki_p50"] <= point["mpki_p99"] <= point["mpki_max"]
+            assert "main" in point["partitioned"]
+        cache_point = curves["partitioned/cache-partitioned"][0]
+        assert {"cache.l1i", "cache.llc"} <= set(cache_point["candidates"])
+        _csv_matches_json_rows(csv_path, record)
 
 
 class TestPlotCommand:

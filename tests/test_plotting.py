@@ -14,32 +14,68 @@ SMOKE_CSV = REPO_ROOT / "results" / "shared_footprint_smoke.csv"
 COMMITTED_FIGURE = REPO_ROOT / "results" / "shared_footprint_smoke_shared_services_btb_mpki.svg"
 
 
-class TestSchemaDetection:
-    def test_detects_all_three_sweep_schemas(self):
-        from repro.experiments import cache_interference, scenario_sweep, shared_footprint
-
-        assert plotting.detect_schema(scenario_sweep.CSV_FIELDS) == "scenario_sweep"
-        assert plotting.detect_schema(shared_footprint.CSV_FIELDS) == "shared_footprint"
-        assert plotting.detect_schema(cache_interference.CSV_FIELDS) == "cache_interference"
-
-    def test_unknown_header_raises(self):
-        with pytest.raises(plotting.PlotSchemaError, match="unrecognised"):
-            plotting.detect_schema(["foo", "bar"])
-
-
 def _tiny_csv(tmp_path) -> str:
     path = tmp_path / "sweep.csv"
     path.write_text(
-        "sweep,preset,axis_value,style,asid_mode,tenant,btb_mpki,ipc,"
-        "context_switches,partition_sets\n"
-        "quantum,demo,1024,BTB-X,flush,(aggregate),10.5,1.1,4,\n"
-        "quantum,demo,1024,BTB-X,flush,t0,12.0,,4,\n"
-        "quantum,demo,2048,BTB-X,flush,(aggregate),8.25,1.2,2,\n"
-        "quantum,demo,1024,BTB-X,tagged,(aggregate),6.0,1.3,4,\n"
-        "quantum,demo,2048,BTB-X,tagged,(aggregate),5.5,1.35,2,\n",
+        "preset,axis,axis_value,style,asid_mode,cache_mode,config,tenant,btb_mpki,ipc\n"
+        "demo,quantum,1024,BTB-X,flush,shared,BTB-X/flush,(aggregate),10.5,1.1\n"
+        "demo,quantum,1024,BTB-X,flush,shared,BTB-X/flush,t0,12.0,0.9\n"
+        "demo,quantum,2048,BTB-X,flush,shared,BTB-X/flush,(aggregate),8.25,1.2\n"
+        "demo,quantum,1024,BTB-X,tagged,shared,BTB-X/tagged,(aggregate),6.0,1.3\n"
+        "demo,quantum,2048,BTB-X,tagged,shared,BTB-X/tagged,(aggregate),5.5,1.35\n",
         encoding="utf-8",
     )
     return str(path)
+
+
+class TestEverySweepPlots:
+    """``plot`` renders the ``--csv`` output of each of the four sweeps."""
+
+    @pytest.mark.parametrize(
+        "argv,figure",
+        [
+            (["scenarios", "--preset", "solo_baseline", "--quanta", "1024,4096",
+              "--tenant-counts", "1", "--styles", "btbx", "--asid-modes", "flush,tagged"],
+             "quantum_solo_baseline_btb_mpki"),
+            (["shared", "--fractions", "0.5,1", "--styles", "rbtb",
+              "--asid-modes", "flush,tagged"],
+             "shared_services_btb_mpki"),
+            (["caches", "--preset", "solo_baseline", "--quanta", "1024,4096",
+              "--tenant-counts", "1", "--cache-modes", "flush,tagged"],
+             "quantum_solo_baseline_l1i_mpki"),
+            (["tenants", "--tenant-counts", "4,8", "--asid-modes", "flush,partitioned",
+              "--cache-modes", "shared"],
+             "gen_tenants_2023_btb_mpki"),
+        ],
+        ids=["scenarios", "shared", "caches", "tenants"],
+    )
+    def test_sweep_csv_renders(self, argv, figure, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_SCALE", "smoke")
+        csv_path = tmp_path / "sweep.csv"
+        assert main(["sweep"] + argv + ["--csv", str(csv_path)]) == 0
+        figures = plotting.plot_csv(str(csv_path), backend="svg")
+        by_name = {pathlib.Path(p).name: pathlib.Path(p) for p in figures}
+        assert f"sweep_{figure}.svg" in by_name, sorted(by_name)
+        text = by_name[f"sweep_{figure}.svg"].read_text(encoding="utf-8")
+        assert ElementTree.fromstring(text).tag.endswith("svg")
+        assert text.count("<polyline") == 2  # one series per swept mode
+
+    def test_x_axis_and_series_come_from_the_rows(self, tmp_path):
+        (figure,) = [
+            p for p in plotting.plot_csv(_tiny_csv(tmp_path), backend="svg")
+            if p.endswith("btb_mpki.svg")
+        ]
+        text = pathlib.Path(figure).read_text(encoding="utf-8")
+        assert ">quantum</text>" in text
+        assert ">demo: btb_mpki</text>" in text
+
+    def test_csv_without_row_columns_raises(self, tmp_path):
+        bogus = tmp_path / "bogus.csv"
+        bogus.write_text("foo,bar\n1,2\n", encoding="utf-8")
+        with pytest.raises(plotting.PlotSchemaError, match="unrecognised"):
+            plotting.plot_csv(str(bogus))
 
 
 class TestSvgRendering:

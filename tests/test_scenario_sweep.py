@@ -16,6 +16,7 @@ pinned numbers (the golden suite owns bit-exactness):
 from __future__ import annotations
 
 import csv
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,7 @@ from repro.experiments.engine import (
 )
 from repro.experiments.runner import clear_trace_cache
 from repro.experiments import scenario_sweep
+from repro.experiments.sweep import aggregate_curves, write_csv
 from repro.experiments.scenario_sweep import (
     DEFAULT_QUANTA,
     quantum_variant,
@@ -232,44 +234,47 @@ class TestSweepEngineProperties:
         assert warm_engine.stats()["disk_hits"] > 0
         assert warm == cold
 
-    def test_sweep_result_structure_and_partition_sets(self):
+    def test_sweep_rows_structure_and_partition_sets(self):
         result = _tiny_sweep(ExperimentEngine(workers=1))
-        quantum_section = result["quantum_sweep"]["consolidated_server"]
-        assert quantum_section["axis"] == [512, 2_048]
-        assert set(quantum_section["curves"]) == {
-            "BTB-X/flush", "BTB-X/tagged", "BTB-X/partitioned"
-        }
-        for curve in quantum_section["curves"].values():
-            assert len(curve["aggregate_mpki"]) == 2
-            assert len(curve["per_tenant_mpki"]) == 2
-        partitioned = quantum_section["curves"]["BTB-X/partitioned"]
-        assert all(isinstance(p, dict) and p for p in partitioned["partition_sets"])
-        shared = quantum_section["curves"]["BTB-X/tagged"]
-        assert all(p is None for p in shared["partition_sets"])
+        curves = aggregate_curves(result["rows"])
+        assert list(curves) == [
+            ("quantum", "consolidated_server"), ("tenant_count", "consolidated_server")
+        ]
+        quantum_section = curves[("quantum", "consolidated_server")]
+        assert set(quantum_section) == {"BTB-X/flush", "BTB-X/tagged", "BTB-X/partitioned"}
+        for points in quantum_section.values():
+            assert [point["axis_value"] for point in points] == [512, 2_048]
+        # Every cell is followed by one row per scheduled tenant.
+        tenant_rows = [row for row in result["rows"] if row["tenant"] != "(aggregate)"]
+        assert tenant_rows and all(row["btb_mpki"] >= 0.0 for row in tenant_rows)
+        partitioned = quantum_section["BTB-X/partitioned"]
+        assert all(isinstance(p["partition_sets"], dict) and p["partition_sets"]
+                   for p in partitioned)
+        shared = quantum_section["BTB-X/tagged"]
+        assert all(p["partition_sets"] is None for p in shared)
         # More tenants on the tenant axis -> at least as many context switches.
-        tenant_section = result["tenant_sweep"]["consolidated_server"]
-        for curve in tenant_section["curves"].values():
-            assert curve["context_switches"][0] == 0  # solo anchor never switches
-            assert curve["context_switches"][-1] > 0
+        for points in curves[("tenant_count", "consolidated_server")].values():
+            assert points[0]["context_switches"] == 0  # solo anchor never switches
+            assert points[-1]["context_switches"] > 0
 
     def test_shorter_quanta_mean_more_context_switches(self):
         result = _tiny_sweep(ExperimentEngine(workers=1))
-        for curve in result["quantum_sweep"]["consolidated_server"]["curves"].values():
-            switches = curve["context_switches"]
+        for points in aggregate_curves(result["rows"])[("quantum", "consolidated_server")].values():
+            switches = [point["context_switches"] for point in points]
             assert switches[0] > switches[-1] >= 0
 
     def test_csv_rows_cover_every_point(self, tmp_path):
         result = _tiny_sweep(ExperimentEngine(workers=1))
         path = tmp_path / "sweep.csv"
-        scenario_sweep.write_csv(result, str(path))
+        write_csv(result, str(path))
         with open(path, newline="", encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
-        assert rows and set(rows[0]) == set(scenario_sweep.CSV_FIELDS)
+        assert len(rows) == len(result["rows"])
         aggregates = [row for row in rows if row["tenant"] == "(aggregate)"]
         # 3 modes x 1 style x (2 quanta + 2 tenant counts) = 12 aggregate rows.
         assert len(aggregates) == 12
         partitioned = [row for row in aggregates if row["asid_mode"] == "partitioned"]
-        assert all(row["partition_sets"] for row in partitioned)
+        assert all(json.loads(row["partition_sets"]) for row in partitioned)
 
     def test_default_quanta_are_sane(self):
         assert list(DEFAULT_QUANTA) == sorted(DEFAULT_QUANTA)

@@ -27,6 +27,7 @@ from repro.experiments.engine import ExperimentEngine, ScenarioJob, _result_to_p
 from repro.experiments.runner import clear_trace_cache
 from repro.experiments import shared_footprint
 from repro.experiments.shared_footprint import shared_variant
+from repro.experiments.sweep import aggregate_curves, write_csv
 from repro.isa.instruction import Instruction
 from repro.scenarios.compose import (
     PAGE_SHIFT,
@@ -368,36 +369,40 @@ def _tiny_sweep(engine, **overrides):
     return shared_footprint.run(TINY, **settings_)
 
 
+def _curves(result):
+    return aggregate_curves(result["rows"])[("shared_fraction", "shared_services")]
+
+
 class TestSharedFootprintSweep:
     def test_result_structure_and_duplication_monotonicity(self):
         result = _tiny_sweep(ExperimentEngine(workers=1))
-        assert result["axis"] == [0.25, 0.5, 1.0]
-        assert set(result["curves"]) == {"PDede/flush", "PDede/tagged"}
-        for curve in result["curves"].values():
-            for series in ("aggregate_mpki", "aggregate_ipc", "context_switches",
-                           "duplication", "per_tenant_mpki"):
-                assert len(curve[series]) == 3
-        tagged = result["curves"]["PDede/tagged"]
-        duplicated = [point["page"]["duplicated"] for point in tagged["duplication"]]
+        curves = _curves(result)
+        assert set(curves) == {"PDede/flush", "PDede/tagged"}
+        for points in curves.values():
+            assert [point["axis_value"] for point in points] == [0.25, 0.5, 1.0]
+            for point in points:
+                for column in ("btb_mpki", "ipc", "context_switches",
+                               "page_distinct", "page_tag_distinct", "page_duplicated"):
+                    assert point[column] is not None, column
+        tagged = curves["PDede/tagged"]
+        duplicated = [point["page_duplicated"] for point in tagged]
         # Acceptance: more overlap, more duplicated page allocations -- and a
         # strict excess of tag-distinct over distinct as soon as code is shared.
         assert duplicated == sorted(duplicated)
-        for point in tagged["duplication"]:
-            assert point["page"]["tag_distinct"] > point["page"]["distinct"]
+        for point in tagged:
+            assert point["page_tag_distinct"] > point["page_distinct"]
         # Flush never retags across tenants, so it never duplicates.
-        flush = result["curves"]["PDede/flush"]
-        assert all(point["page"]["duplicated"] == 0 for point in flush["duplication"])
+        assert all(point["page_duplicated"] == 0 for point in curves["PDede/flush"])
 
     def test_partitioned_curve_reports_secondary_partitions(self):
         result = _tiny_sweep(
             ExperimentEngine(workers=1), asid_modes=(ASIDMode.PARTITIONED,)
         )
-        curve = result["curves"]["PDede/partitioned"]
-        for secondary in curve["secondary_partition_sets"]:
+        for point in _curves(result)["PDede/partitioned"]:
+            secondary = point["secondary_partition_sets"]
             assert set(secondary) == {"page", "region"}
             assert set(secondary["page"]) == {"svc_a", "svc_b", "svc_c"}
-        for partitions in curve["partition_sets"]:
-            assert set(partitions) == {"svc_a", "svc_b", "svc_c"}
+            assert set(point["partition_sets"]) == {"svc_a", "svc_b", "svc_c"}
 
     def test_warm_cache_replays_sweep_with_zero_simulations(self, tmp_path):
         cold_engine = ExperimentEngine(workers=1, cache_dir=tmp_path)
@@ -415,22 +420,26 @@ class TestSharedFootprintSweep:
 
         result = _tiny_sweep(ExperimentEngine(workers=1))
         path = tmp_path / "shared.csv"
-        shared_footprint.write_csv(result, str(path))
+        write_csv(result, str(path))
         with open(path, newline="", encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
-        assert rows and set(rows[0]) == set(shared_footprint.CSV_FIELDS)
-        records = {row["record"] for row in rows}
-        assert "(aggregate)" in records
+        assert len(rows) == len(result["rows"])
+        tenants = {row["tenant"] for row in rows}
+        assert "(aggregate)" in tenants
         # At the tiny scale only the first two tenants ever get scheduled.
-        assert {"svc_a", "svc_b"} <= records
-        assert {"dup:main", "dup:page", "dup:region"} <= records
-        dup_rows = [row for row in rows if row["record"].startswith("dup:")]
-        assert all(row["tag_distinct"] != "" and row["distinct"] != "" for row in dup_rows)
+        assert {"svc_a", "svc_b"} <= tenants
+        aggregates = [row for row in rows if row["tenant"] == "(aggregate)"]
+        for structure in ("main", "page", "region"):
+            assert all(row[f"{structure}_tag_distinct"] != "" for row in aggregates)
+            assert all(row[f"{structure}_distinct"] != "" for row in aggregates)
+        tenant_rows = [row for row in rows if row["tenant"] != "(aggregate)"]
+        assert all(row["page_duplicated"] == "" for row in tenant_rows)
 
     def test_format_report_mentions_duplication(self):
         result = _tiny_sweep(ExperimentEngine(workers=1))
         report = shared_footprint.format_report(result)
-        assert "duplicated allocations" in report
+        assert "Shared-footprint sweep" in report
+        assert "page_duplicated" in report
         assert "PDede/tagged" in report
 
 
