@@ -14,8 +14,6 @@ Examples::
     btbx-repro sweep caches --preset consolidated_server --json caches.json --csv caches.csv
     btbx-repro sweep tenants --tenant-counts 4,64,1024 --csv tenants.csv
     btbx-repro plot caches.csv --out-dir figures --backend svg
-    btbx-repro bench smoke --repeats 2 --json BENCH_fresh.json
-    btbx-repro bench compare --fresh BENCH_fresh.json --json BENCH_verdict.json
     btbx-repro cache stats --cache-dir results/cache
     btbx-repro cache prune --cache-dir results/cache --max-age-days 30
     btbx-repro run-all --scale smoke --workers 4 --trace-out run_all.trace.jsonl
@@ -475,68 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(if installed); 'auto' prefers matplotlib when available",
     )
 
-    bench_parser = sub.add_parser(
-        "bench", help="perf-trajectory benchmark: measure or gate sweep throughput"
-    )
-    bench_sub = bench_parser.add_subparsers(dest="bench_command", required=True)
-    bench_smoke = bench_sub.add_parser(
-        "smoke",
-        help="time the smoke-scale `sweep scenarios` grid per backend "
-        "(instructions/sec, best of --repeats)",
-    )
-    bench_smoke.add_argument(
-        "--backends",
-        help="comma-separated backends to time (default: every importable backend)",
-    )
-    bench_smoke.add_argument(
-        "--repeats",
-        type=_positive_int,
-        default=2,
-        help="repetitions per backend; the fastest wall time is kept (default: 2)",
-    )
-    bench_smoke.add_argument("--json", dest="json_path", help="dump the record as JSON")
-    bench_smoke.add_argument(
-        "--append-history",
-        dest="append_history",
-        action="store_true",
-        help="append the record to the committed perf trajectory "
-        "(results/bench_history.jsonl)",
-    )
-    bench_smoke.add_argument(
-        "--history-path",
-        dest="history_path",
-        default=None,
-        help="override the history file used by --append-history",
-    )
-    bench_compare = bench_sub.add_parser(
-        "compare",
-        help="diff a fresh bench record against the committed baseline; exit 1 on "
-        "a >threshold throughput regression",
-    )
-    bench_compare.add_argument(
-        "--fresh",
-        required=True,
-        help="fresh record JSON file (written by `bench smoke --json`)",
-    )
-    bench_compare.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline history JSONL; its last record is the baseline "
-        "(default: results/bench_history.jsonl)",
-    )
-    bench_compare.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="fractional throughput drop that fails the gate (default: 0.20)",
-    )
-    bench_compare.add_argument(
-        "--json",
-        dest="json_path",
-        help="dump the per-field verdict (per-backend baseline/fresh/ratio/"
-        "regressed) as JSON for the CI gate",
-    )
-
     obs_parser = sub.add_parser(
         "obs", help="inspect recorded telemetry traces (--trace-out output)"
     )
@@ -848,61 +784,6 @@ def run_cache_command(args: argparse.Namespace, parser: argparse.ArgumentParser)
     return 0
 
 
-def run_bench_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    """Handle ``bench smoke`` and ``bench compare``."""
-    from repro.common.errors import ConfigurationError
-    from repro.experiments import bench
-
-    if args.bench_command == "smoke":
-        backends = (
-            [token.strip() for token in args.backends.split(",") if token.strip()]
-            if args.backends
-            else None
-        )
-        try:
-            record = bench.run_smoke(backends=backends, repeats=args.repeats)
-        except (ConfigurationError, ValueError) as exc:
-            parser.error(str(exc))
-        log.result(bench.format_record(record))
-        if args.json_path:
-            with open(args.json_path, "w", encoding="utf-8") as handle:
-                json.dump(record, handle, indent=2, sort_keys=True)
-            log.info(f"(record written to {args.json_path})")
-        if args.append_history:
-            history_path = args.history_path or bench.DEFAULT_HISTORY_PATH
-            bench.append_history(record, history_path)
-            log.info(f"(record appended to {history_path})")
-        return 0
-
-    try:
-        with open(args.fresh, "r", encoding="utf-8") as handle:
-            fresh = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read fresh record {args.fresh!r}: {exc}")
-    baseline_path = args.baseline or bench.DEFAULT_HISTORY_PATH
-    try:
-        history = bench.load_history(baseline_path)
-    except (OSError, ValueError) as exc:
-        parser.error(str(exc))
-    if not history:
-        parser.error(
-            f"no baseline records in {baseline_path!r}; run "
-            "`btbx-repro bench smoke --append-history` and commit the result"
-        )
-    threshold = (
-        args.threshold if args.threshold is not None else bench.DEFAULT_REGRESSION_THRESHOLD
-    )
-    if not 0.0 < threshold < 1.0:
-        parser.error(f"--threshold must be within (0, 1), got {threshold}")
-    verdict = bench.compare(fresh, history[-1], threshold=threshold)
-    log.result(bench.format_comparison(verdict))
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(verdict, handle, indent=2, sort_keys=True)
-        log.info(f"(verdict written to {args.json_path})")
-    return 1 if verdict["regressed"] else 0
-
-
 def run_obs_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """Handle ``obs report`` and ``obs export``."""
     from repro.obs import read_trace
@@ -1027,9 +908,6 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
     if args.command == "cache":
         return run_cache_command(args, parser)
-
-    if args.command == "bench":
-        return run_bench_command(args, parser)
 
     if args.command == "obs":
         return run_obs_command(args, parser)

@@ -399,9 +399,11 @@ class ResultCache:
     their ``os.replace`` traffic across 256 directories).
     Writes go through a temp file in the entry's shard plus
     :func:`os.replace`, so concurrent processes sharing a cache directory
-    never observe partial entries.  Pre-sharding caches are still readable:
-    lookups fall back to the legacy flat path, and maintenance walks both
-    layouts.
+    never observe partial entries.  Lookups read the sharded path only:
+    flat-layout entries predate sharding and a cache-format bump, so no
+    current job hash names one.  Maintenance (``stats``, ``prune``,
+    ``clear``, ``format_versions``) still walks the flat directory, so old
+    caches can be inspected and cleaned.
     """
 
     def __init__(self, directory: str | os.PathLike) -> None:
@@ -414,28 +416,21 @@ class ResultCache:
     def _path(self, config_hash: str) -> str:
         return os.path.join(self._shard_dir(config_hash), f"{config_hash}.json")
 
-    def _legacy_path(self, config_hash: str) -> str:
-        return os.path.join(self.directory, f"{config_hash}.json")
-
     def get(self, job: "EngineJob") -> Dict[str, object] | None:
         """Load the payload of ``job`` or None on a miss/corrupt entry.
 
         Any unreadable entry — missing, corrupt, permission-denied on a
         shared cache directory — is a miss: the job simply re-simulates.
-        Entries written before sharding are found at the legacy flat path.
         """
-        config_hash = job.config_hash()
-        for path in (self._path(config_hash), self._legacy_path(config_hash)):
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    entry = json.load(handle)
-            except (OSError, json.JSONDecodeError):
-                continue
-            payload = entry.get("payload")
-            if not isinstance(payload, dict) or "result" not in payload:
-                continue
-            return payload
-        return None
+        try:
+            with open(self._path(job.config_hash()), "r", encoding="utf-8") as handle:
+                entry = json.load(handle)
+        except (OSError, json.JSONDecodeError):
+            return None
+        payload = entry.get("payload")
+        if not isinstance(payload, dict) or "result" not in payload:
+            return None
+        return payload
 
     def put(self, job: "EngineJob", payload: Mapping[str, object]) -> None:
         """Persist the payload of ``job`` atomically (into its shard)."""

@@ -125,17 +125,21 @@ def test_prune_leaves_fresh_inflight_tmp_writes_alone(tmp_path):
     os.replace(fresh_tmp, cache._path(job.config_hash()))
 
 
-def test_legacy_flat_entries_remain_readable_and_prunable(tmp_path):
+def test_legacy_flat_entries_are_never_served_but_still_pruned(tmp_path):
+    """A pre-sharding flat entry is a miss, yet maintenance still sees it."""
     cache = ResultCache(tmp_path / "cache")
     job = make_job(1)
-    legacy = cache._legacy_path(job.config_hash())
-    with open(legacy, "w", encoding="utf-8") as handle:
+    flat = os.path.join(cache.directory, f"{job.config_hash()}.json")
+    with open(flat, "w", encoding="utf-8") as handle:
         json.dump({"job": job.config_dict(), "payload": make_payload(1)}, handle)
-    assert cache.get(job) == make_payload(1)
+    assert cache.get(job) is None
     assert len(cache) == 1
-    # A sharded write of the same job shadows the legacy entry...
+    assert cache.stats()["entries"] == 1
+    assert cache.format_versions() == [job.config_dict()["cache_format"]]
+    # A sharded write of the same job is what lookups serve...
     cache.put(job, make_payload(2))
     assert cache.get(job) == make_payload(2)
     # ...and prune sweeps both layouts.
     assert cache.prune(max_age_seconds=None) == 2
+    assert not os.path.exists(flat)
     assert cache.get(job) is None

@@ -106,6 +106,13 @@ class TestArgumentParsing:
         assert args.cache_command == "prune"
         assert args.max_age_days == 7.0
 
+    def test_benchmarking_is_not_a_subcommand(self):
+        """perfbench/ and tools/perf_gate.py measure and gate; the CLI does not."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["bench", "smoke"])
+        assert excinfo.value.code == 2
+        assert "bench" not in build_parser().format_help()
+
 
 class TestScaleResolution:
     def test_env_overrides_flag(self, monkeypatch):
@@ -690,108 +697,3 @@ class TestBackendFlag:
         monkeypatch.setattr(config, "resolve_backend", deny_numpy)
         with pytest.raises(SystemExit):
             main(["run", "table4_capacity", "--scale", "smoke", "--backend", "numpy"])
-
-
-def _fake_record(commit: str, python_ips: float, numpy_ips: float | None = None):
-    backends = {"python": {"wall_s": 1.0, "ips": python_ips}}
-    if numpy_ips is not None:
-        backends["numpy"] = {"wall_s": 1.0, "ips": numpy_ips}
-    return {
-        "format": 1,
-        "benchmark": "sweep_scenarios_smoke",
-        "commit": commit,
-        "date": "2026-01-01T00:00:00+00:00",
-        "scale": "smoke",
-        "repeats": 2,
-        "cells": 210,
-        "instructions": 4_200_000,
-        "backends": backends,
-    }
-
-
-class TestBenchCommand:
-    def _write(self, path, payload):
-        path.write_text(json.dumps(payload) + "\n")
-        return str(path)
-
-    def test_compare_within_threshold_exits_0(self, tmp_path, capsys):
-        fresh = self._write(tmp_path / "fresh.json", _fake_record("new", 95.0, 190.0))
-        baseline = self._write(
-            tmp_path / "history.jsonl", _fake_record("old", 100.0, 200.0)
-        )
-        assert main(["bench", "compare", "--fresh", fresh, "--baseline", baseline]) == 0
-        assert "within threshold" in capsys.readouterr().out
-
-    def test_compare_regression_exits_1_and_names_override_label(self, tmp_path, capsys):
-        from repro.experiments.bench import OVERRIDE_LABEL
-
-        fresh = self._write(tmp_path / "fresh.json", _fake_record("new", 50.0, 200.0))
-        baseline = self._write(
-            tmp_path / "history.jsonl", _fake_record("old", 100.0, 200.0)
-        )
-        assert main(["bench", "compare", "--fresh", fresh, "--baseline", baseline]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out and OVERRIDE_LABEL in out
-
-    def test_compare_uses_last_history_record_as_baseline(self, tmp_path, capsys):
-        fresh = self._write(tmp_path / "fresh.json", _fake_record("new", 100.0))
-        history = tmp_path / "history.jsonl"
-        with history.open("w") as handle:
-            handle.write(json.dumps(_fake_record("ancient", 500.0)) + "\n")
-            handle.write(json.dumps(_fake_record("latest", 100.0)) + "\n")
-        assert main(
-            ["bench", "compare", "--fresh", fresh, "--baseline", str(history)]
-        ) == 0
-        assert "latest" in capsys.readouterr().out
-
-    def test_compare_never_gates_on_backends_missing_from_one_side(
-        self, tmp_path, capsys
-    ):
-        """The numpy-free CI leg must pass against a numpy-bearing baseline."""
-        fresh = self._write(tmp_path / "fresh.json", _fake_record("new", 100.0))
-        baseline = self._write(
-            tmp_path / "history.jsonl", _fake_record("old", 100.0, 400.0)
-        )
-        assert main(["bench", "compare", "--fresh", fresh, "--baseline", baseline]) == 0
-        assert "only one record" in capsys.readouterr().out
-
-    def test_compare_missing_baseline_is_a_usage_error(self, tmp_path):
-        fresh = self._write(tmp_path / "fresh.json", _fake_record("new", 100.0))
-        with pytest.raises(SystemExit):
-            main(
-                ["bench", "compare", "--fresh", fresh,
-                 "--baseline", str(tmp_path / "absent.jsonl")]
-            )
-
-    def test_smoke_writes_json_and_appends_history(self, monkeypatch, tmp_path, capsys):
-        from repro.experiments import bench
-
-        monkeypatch.setattr(
-            bench, "run_smoke",
-            lambda backends=None, repeats=2, **kw: _fake_record("fake", 100.0, 250.0),
-        )
-        json_out = tmp_path / "record.json"
-        history = tmp_path / "history.jsonl"
-        assert main(
-            ["bench", "smoke", "--repeats", "1", "--json", str(json_out),
-             "--append-history", "--history-path", str(history)]
-        ) == 0
-        assert json.loads(json_out.read_text())["commit"] == "fake"
-        assert len(bench.load_history(history)) == 1
-        out = capsys.readouterr().out
-        assert "instructions/s" in out
-
-    def test_committed_history_parses_and_demonstrates_numpy_speedup(self):
-        """The first committed trajectory record exists and carries real numbers."""
-        import pathlib
-
-        from repro.experiments import bench
-
-        path = pathlib.Path(__file__).resolve().parent.parent / bench.DEFAULT_HISTORY_PATH
-        records = bench.load_history(path)
-        assert records, "results/bench_history.jsonl must hold the seed record"
-        first = records[0]
-        assert first["benchmark"] == "sweep_scenarios_smoke"
-        assert first["backends"]["python"]["ips"] > 0
-        if "numpy" in first["backends"]:
-            assert first["backends"]["numpy"]["ips"] > first["backends"]["python"]["ips"]

@@ -7,8 +7,7 @@ export (deterministic, Perfetto-loadable shape), the report aggregation
 (percentiles, pool utilization, cache hit rates, per-driver throughput), the
 cross-process story (pool workers ship spans back and the parent merges them
 under consistent parent ids), and the CLI surface (``--trace-out``,
-``--trace-format chrome``, ``obs report|export``, ``--quiet``/``--verbose``,
-``bench compare --json``).
+``--trace-format chrome``, ``obs report|export``, ``--quiet``/``--verbose``).
 """
 
 from __future__ import annotations
@@ -522,54 +521,3 @@ class TestCliSurface:
         with pytest.raises(SystemExit) as excinfo:
             main(["--quiet", "--verbose", "scenario", "list"])
         assert excinfo.value.code == 2
-
-    def test_bench_compare_json_writes_per_field_verdict(self, tmp_path):
-        from test_cli import _fake_record
-
-        fresh = tmp_path / "fresh.json"
-        baseline = tmp_path / "history.jsonl"
-        fresh.write_text(json.dumps(_fake_record("new", 95.0, 190.0)) + "\n")
-        baseline.write_text(json.dumps(_fake_record("old", 100.0, 200.0)) + "\n")
-        verdict_path = tmp_path / "verdict.json"
-        assert main(
-            ["bench", "compare", "--fresh", str(fresh), "--baseline", str(baseline),
-             "--json", str(verdict_path)]
-        ) == 0
-        verdict = json.loads(verdict_path.read_text())
-        assert verdict["regressed"] is False
-        assert verdict["comparisons"]["python"]["ratio"] == 0.95
-        assert verdict["comparisons"]["numpy"]["regressed"] is False
-
-
-class TestBenchPhases:
-    def test_phase_seconds_splits_spans_by_name(self):
-        from repro.experiments.bench import _phase_seconds
-
-        events = [
-            {"type": "span", "name": "trace.decode", "dur": 0.25},
-            {"type": "span", "name": "trace.build", "dur": 0.25},
-            {"type": "span", "name": "scenario.compose", "dur": 1.0},
-            {"type": "span", "name": "scenario.simulate", "dur": 2.0},
-            {"type": "span", "name": "engine.run_jobs", "dur": 9.0},
-            {"type": "counter", "name": "trace.decode", "value": 3},
-        ]
-        assert _phase_seconds(events) == {
-            "decode_s": 0.5, "compose_s": 1.0, "simulate_s": 2.0,
-        }
-
-    def test_format_record_includes_the_phase_breakdown(self):
-        from repro.experiments.bench import format_record
-        from test_cli import _fake_record
-
-        record = _fake_record("abc", 100.0)
-        record["backends"]["python"]["phases"] = {
-            "decode_s": 0.1, "compose_s": 0.2, "simulate_s": 0.7,
-        }
-        text = format_record(record)
-        assert "decode 0.100 s / compose 0.200 s / simulate 0.700 s" in text
-
-    def test_v1_records_without_phases_still_format(self):
-        from repro.experiments.bench import format_record
-        from test_cli import _fake_record
-
-        assert "instructions/s" in format_record(_fake_record("abc", 100.0))
