@@ -1,9 +1,9 @@
 """Batched (numpy) execution engine: the fast twin of the scalar simulator.
 
 The scalar loop in :mod:`repro.core.simulator` processes one instruction at a
-time and spend most of their cycles recomputing per-PC quantities -- cache
-block boundaries, BTB set indices and partial tags -- that are pure functions
-of the instruction stream.  This engine processes one *scheduling chunk*
+time and recomputes per-PC quantities -- cache block boundaries, BTB set
+indices and partial tags -- that are pure functions of the instruction
+stream.  This engine processes one *scheduling chunk*
 (a contiguous trace slice with a constant ASID/tenant, see
 :meth:`repro.scenarios.compose.TraceComposer.stream_batches`) per step and
 vectorizes everything stream-pure over the chunk's structure-of-arrays view:
@@ -17,27 +17,25 @@ vectorizes everything stream-pure over the chunk's structure-of-arrays view:
   organization plans its chunks, so this engine has a single walk.
 
 Instructions that are non-branches and guaranteed BTB misses have **no**
-observable effect beyond bumping read/miss counters, enqueueing their PC in
-the FTQ, demand-fetching where they cross a cache-block boundary and retiring
--- so runs of them are compensated in bulk (``note_skipped_miss_lookups``,
-FTQ ``extend`` one block segment at a time, ``retire_instructions(count)``)
-without touching the BPU at all.  Everything
+observable effect beyond bumping read/miss counters, advancing the FTQ's
+occupancy, demand-fetching where they cross a cache-block boundary and
+retiring -- so runs of them are compensated in bulk
+(``note_skipped_miss_lookups``, one saturating occupancy add per run, piece
+counts from numpy) without touching the BPU at all; the walk visits only
+their L1-I misses, whose FDIP coverage reads the occupancy.  Everything
 else goes through the exact scalar machinery (the BPU's classify/commit
 pipeline against the plan's lookup, which reuses the chunk-vectorized set
 index and tag), so the engine is bit-exact against the oracle loop --
-enforced cell-for-cell by the differential backend suite.
-
-The one tolerated divergence: demand fetches of a chunk are pre-executed
-front-to-back (:meth:`repro.memory.hierarchy.MemoryHierarchy.fetch_batch`),
-which can make FDIP's redundant-prefetch *statistic* (``prefetches_issued``)
-observe slightly warmer L1-I state.  No serialized result reads it; every
-reported metric is unaffected because the hierarchy is mutated only by those
-same fetches, in the same order.
+enforced cell-for-cell, over the full raw statistics, by the differential
+backend suite.  Demand fetches of a chunk are pre-executed front-to-back
+(:meth:`repro.memory.hierarchy.MemoryHierarchy.fetch_batch`); that is exact
+because nothing else mutates the hierarchy within a chunk and nothing
+between them reads it.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Iterable
 
 from repro.common.errors import SimulationError
@@ -112,9 +110,7 @@ class _BatchEngine:
         self.fdip = simulator.fdip
         self.hierarchy = simulator.hierarchy
         self.core = simulator.machine.core
-        line_size = self.hierarchy.line_size()
-        self.line_mask = ~(line_size - 1)
-        self._line_mask_u64 = np.uint64(~(line_size - 1) & _U64_MASK)
+        self._line_mask_u64 = np.uint64(~(self.hierarchy.line_size() - 1) & _U64_MASK)
         self.warmup = warmup_instructions
         self.position = 0
         self.measuring = warmup_instructions == 0
@@ -250,7 +246,7 @@ class _BatchEngine:
                         self.drain_mispredictions()
                 self.bpu.context_switch(asid)
                 self.hierarchy.context_switch(asid)
-                self.fdip.on_stream_break()
+                self.ftq.flush()
                 self.previous_block = None
             self.current_asid = asid
             self.current_tenant = None
@@ -270,34 +266,47 @@ class _BatchEngine:
         self, plan, trace: Trace, start: int, stop: int, pcs, new_block,
         is_branch, taken, cond_mask, dplan,
     ) -> None:
-        """The planned walk: bulk-compensated fast runs, pre-located slow path."""
+        """The planned walk: slow positions and L1-I miss heads only.
+
+        A fast instruction (a guaranteed-miss non-branch) has no scalar
+        footprint beyond a proven-miss BTB probe, one FTQ push, a demand
+        fetch where it enters a new cache block and, when measuring, its
+        share of the piece's counts.  So a gap of fast instructions advances
+        a local FTQ occupancy in one step.  The only demand fetches visited
+        are the L1-I misses, in a gap or at a slow position alike, each
+        covered at the occupancy before its own push, exactly like the scalar
+        loop.  Counts that need no per-instruction state (retired
+        instructions, branches, L1-I accesses and misses, skipped probes)
+        come from numpy once per piece.
+        """
         n = stop - start
         guaranteed_miss = plan.guaranteed_miss
         fast = guaranteed_miss & ~is_branch
-        pcs_list = pcs.tolist()
-        nb_positions = np.flatnonzero(new_block).tolist()
-        fetch_results = self.hierarchy.fetch_batch([pcs_list[i] for i in nb_positions])
-        nb_ptr = 0
+        slow = np.flatnonzero(~fast)
+        slow_positions = slow.tolist()
+        # Every demand fetch of the piece runs here, front to back; the walk
+        # visits only the misses, through a pointer into their positions.
+        nb_positions = np.flatnonzero(new_block)
+        fetch_results = self.hierarchy.fetch_batch(pcs[nb_positions].tolist())
+        missed = [not result.l1i_hit for result in fetch_results]
+        miss_results = list(compress(fetch_results, missed))
+        miss_heads = list(compress(nb_positions.tolist(), missed))
+        miss_heads.append(n)  # sentinel: no head is ever past the piece
+        head_ptr = 0
+        next_head = miss_heads[0]
+
         instructions = trace.instructions
         bpu = self.bpu
         classify = bpu._classify
         commit = bpu._commit
         predictor = bpu.direction_predictor
-        fdip = self.fdip
-        observe = fdip.observe_predicted_address
-        cover = fdip.cover_demand_miss
+        cover = self.fdip.cover_demand_miss
         measuring = self.measuring
-        account = self.current_account
         plan_lookup = plan.lookup
-        slow = np.flatnonzero(~fast)
-        slow_positions = slow.tolist()
         # Per-slow-position columns, gathered once so the walk below reads
-        # one zipped tuple per instruction instead of indexing six
-        # piece-wide lists.
+        # one zipped tuple per instruction.
         slow_pc = pcs[slow].tolist()
-        slow_nb = new_block[slow].tolist()
         slow_br = is_branch[slow].tolist()
-        slow_tk = taken[slow].tolist()
         # A guaranteed-miss *not-taken* branch is provably conditional (the
         # ISA validates always-taken classes as taken) and resolves CORRECT
         # with no stream break, no RAS movement and no BTB training -- its
@@ -305,7 +314,8 @@ class _BatchEngine:
         # proven-miss probe counters, so it skips classify/commit entirely.
         # Taken guaranteed misses keep the full path (decode-resteer logic,
         # miss stats, RAS and BTB allocation all fire there).
-        slow_bf = (guaranteed_miss & is_branch & ~taken)[slow].tolist()
+        bf_mask = guaranteed_miss & is_branch & ~taken
+        slow_bf = bf_mask[slow].tolist()
         use_plan = dplan is not None
         slow_cond = cond_mask[slow].tolist() if use_plan else repeat(False)
         dk = -1
@@ -313,54 +323,48 @@ class _BatchEngine:
         fast_total = n - len(slow_positions)
         self.instructions_fast += fast_total
         self.instructions_slow += len(slow_positions)
-        # Skipped proven-miss probes (fast runs + fast branches) are replayed
-        # in one bulk call at the end of the piece: the probe counters are
-        # plain commutative sums, only read (or reset) at piece boundaries.
-        skipped_probes = fast_total
 
         # Measured-phase accumulators, applied once at the end of the piece.
         # Every timing hook is a commutative sum of integer-valued terms, so
-        # batching is bit-exact; only the PDede extra-cycle gate reads live
-        # FTQ occupancy and stays inline.
-        retired = 0
+        # batching is bit-exact.
         stall_sum = 0.0
         flushes = 0
         resteers = 0
         btb_extra = 0
         btb_miss_taken = 0
-        branches = 0
-        taken_branches = 0
-        l1i_acc = 0
-        l1i_miss = 0
-        l2_miss = 0
         covered_cnt = 0
+        # The FTQ's occupancy lives in a local for the piece; it is written
+        # back before every coverage read and at the end, and its flush
+        # statistics are added once.
         ftq = self.ftq
+        cap = ftq.capacity
+        occ = ftq.occupancy
+        ftq_flushes = 0
+        ftq_flushed = 0
         width2 = 2 * self.core.fetch_width
         FLUSH = PredictionOutcome.EXECUTE_FLUSH
         RESTEER = PredictionOutcome.DECODE_RESTEER
 
-        observe_run = fdip.observe_predicted_block_run
-        total_blocks = len(nb_positions)
-
         cursor = 0
-        for i, pc, is_bf, is_new_block, is_br, is_tk, is_cond in zip(
-            slow_positions, slow_pc, slow_bf, slow_nb, slow_br, slow_tk, slow_cond
+        for i, pc, is_bf, is_br, is_cond in zip(
+            slow_positions, slow_pc, slow_bf, slow_br, slow_cond
         ):
-            if i > cursor:
-                # A gap with no new-block head inside it has exactly one
-                # effect: the run's PCs enter the FTQ (one dedup'd block
-                # observation).  Skipping the _fast_run frame for this
-                # dominant case is pure overhead removal.
-                if nb_ptr < total_blocks and nb_positions[nb_ptr] < i:
-                    nb_ptr = self._fast_run(
-                        pcs_list, cursor, i, nb_positions, nb_ptr, fetch_results,
-                        measuring, account,
-                    )
-                else:
-                    observe_run(pcs_list[cursor:i])
+            # Positions cursor..i each push once, every miss head among them
+            # covered at the occupancy before its own push.
+            while next_head <= i:
+                head_occ = occ + (next_head - cursor)
+                ftq.occupancy = head_occ if head_occ < cap else cap
+                coverage = cover(miss_results[head_ptr].latency)
+                stall_sum += coverage.residual_latency
+                if coverage.coverage == "full":
+                    covered_cnt += 1
+                head_ptr += 1
+                next_head = miss_heads[head_ptr]
+            occ += i + 1 - cursor
+            if occ > cap:
+                occ = cap
             cursor = i + 1
             if is_bf:
-                skipped_probes += 1
                 if use_plan:
                     dk += 1
                     dplan.record_outcome(False, False)
@@ -368,23 +372,6 @@ class _BatchEngine:
                 else:
                     predictor.record_outcome(False, False)
                     predictor.update(pc, False)
-                if is_new_block:
-                    result = fetch_results[nb_ptr]
-                    nb_ptr += 1
-                    if result.l1i_hit:
-                        l1i_acc += 1
-                    else:
-                        coverage = cover(result.latency)
-                        stall_sum += coverage.residual_latency
-                        l1i_acc += 1
-                        l1i_miss += 1
-                        if result.level != "L2":
-                            l2_miss += 1
-                        if coverage.coverage == "full":
-                            covered_cnt += 1
-                observe(pc)
-                retired += 1
-                branches += 1
                 continue
             instruction = instructions[start + i]
             if is_cond:
@@ -396,27 +383,13 @@ class _BatchEngine:
                 lookup = plan_lookup(i, pc)
                 prediction = classify(instruction, lookup, None, -1, is_br)
                 commit(instruction, prediction, None, -1, is_br)
-            miss = False
-            covered = False
-            beyond_l2 = False
-            stall_cycles = 0.0
-            if is_new_block:
-                result = fetch_results[nb_ptr]
-                nb_ptr += 1
-                miss = not result.l1i_hit
-                if miss:
-                    beyond_l2 = result.level != "L2"
-                    coverage = cover(result.latency)
-                    stall_cycles = coverage.residual_latency
-                    covered = coverage.coverage == "full"
-            observe(pc)
-            if prediction.stream_break:
-                fdip.on_stream_break()
+            if prediction.stream_break and occ:
+                ftq_flushes += 1
+                ftq_flushed += occ
+                occ = 0
             if measuring:
-                retired += 1
-                stall_sum += stall_cycles
                 extra = prediction.extra_btb_cycles
-                if extra and ftq.occupancy < width2:
+                if extra and occ < width2:
                     btb_extra += extra
                 outcome = prediction.outcome
                 if outcome is FLUSH:
@@ -425,92 +398,27 @@ class _BatchEngine:
                     resteers += 1
                 if prediction.btb_miss_taken_branch:
                     btb_miss_taken += 1
-                if is_br:
-                    branches += 1
-                    if is_tk:
-                        taken_branches += 1
-                if is_new_block:
-                    l1i_acc += 1
-                    if miss:
-                        l1i_miss += 1
-                        if beyond_l2:
-                            l2_miss += 1
-                        if covered:
-                            covered_cnt += 1
-        if cursor < n:
-            if nb_ptr < total_blocks:
-                self._fast_run(
-                    pcs_list, cursor, n, nb_positions, nb_ptr, fetch_results, measuring, account
-                )
-            else:
-                observe_run(pcs_list[cursor:n])
+        while next_head < n:
+            head_occ = occ + (next_head - cursor)
+            ftq.occupancy = head_occ if head_occ < cap else cap
+            coverage = cover(miss_results[head_ptr].latency)
+            stall_sum += coverage.residual_latency
+            if coverage.coverage == "full":
+                covered_cnt += 1
+            head_ptr += 1
+            next_head = miss_heads[head_ptr]
+        occ += n - cursor
+        ftq.occupancy = occ if occ < cap else cap
+        if ftq_flushes:
+            ftq.stats.inc("flushes", ftq_flushes)
+            ftq.stats.inc("flushed_entries", ftq_flushed)
+        skipped_probes = fast_total + int(np.count_nonzero(bf_mask))
         if skipped_probes:
             self.btb.note_skipped_miss_lookups(skipped_probes)
         if measuring:
-            account.charge(
-                fast_total + retired, stall_sum, flushes, resteers, btb_extra, btb_miss_taken,
-                branches, taken_branches, l1i_acc, l1i_miss, l2_miss, covered_cnt,
+            beyond_l2 = sum(1 for result in miss_results if result.level != "L2")
+            self.current_account.charge(
+                n, stall_sum, flushes, resteers, btb_extra, btb_miss_taken,
+                int(np.count_nonzero(is_branch)), int(np.count_nonzero(is_branch & taken)),
+                len(nb_positions), len(miss_results), beyond_l2, covered_cnt,
             )
-
-    def _fast_run(
-        self, pcs_list, i0: int, i1: int, nb_positions, nb_ptr: int,
-        fetch_results, measuring: bool, account,
-    ) -> int:
-        """Bulk-compensate a run of guaranteed-miss non-branch instructions.
-
-        Each such instruction's full scalar footprint is: one proven-miss BTB
-        probe (read + miss counters, no LRU movement), its PC entering the
-        FTQ, the FDIP block-dedup check (at most once per cache block -- runs
-        are walked one block segment at a time), a demand fetch where the run
-        enters a new block and, when measuring, one retired instruction of
-        base throughput plus the fetch's L1-I accounting.  Nothing else: no
-        predictor/RAS/BTB training (non-branch), no branch penalties (a BTB
-        miss on a non-branch is the correct prediction).
-
-        ``nb_positions``/``fetch_results`` are the chunk's new-block positions
-        and their pre-executed fetches; returns the advanced ``nb_ptr``.  Each
-        block head's miss coverage is computed *before* its PC enters the FTQ,
-        exactly like the scalar loop.  (The skipped-probe counters and the
-        run's retired instructions are compensated once per piece by
-        :meth:`_run_planned`, not here.)
-        """
-        fdip = self.fdip
-        observe_run = fdip.observe_predicted_block_run
-        cover = fdip.cover_demand_miss
-        total_blocks = len(nb_positions)
-        segment = i0
-        blocks = 0
-        misses = 0
-        beyond_l2 = 0
-        covered_cnt = 0
-        stall_sum = 0.0
-        while nb_ptr < total_blocks:
-            head = nb_positions[nb_ptr]
-            if head >= i1:
-                break
-            if head > segment:
-                observe_run(pcs_list[segment:head])
-            result = fetch_results[nb_ptr]
-            nb_ptr += 1
-            if not result.l1i_hit:
-                coverage = cover(result.latency)
-                stall_sum += coverage.residual_latency
-                misses += 1
-                if result.level != "L2":
-                    beyond_l2 += 1
-                if coverage.coverage == "full":
-                    covered_cnt += 1
-            blocks += 1
-            segment = head
-        observe_run(pcs_list[segment:i1])
-        # One accounting flush per run: every term is a commutative sum, so
-        # batching the per-block adds is bit-exact.
-        if measuring and blocks:
-            account.timing.icache_stall(stall_sum)
-            account.l1i_accesses += blocks
-            if misses:
-                account.l1i_misses += misses
-                account.l2_accesses += misses
-                account.l2_misses += beyond_l2
-                account.l1i_misses_covered += covered_cnt
-        return nb_ptr

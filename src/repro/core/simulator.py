@@ -134,7 +134,7 @@ class FrontEndSimulator:
         self.bpu = BranchPredictionUnit(self.btb, self.machine, self.stats)
         self.hierarchy = MemoryHierarchy(self.machine, self.stats)
         self.ftq = FetchTargetQueue(self.machine.fdip.ftq_instructions, self.stats)
-        self.fdip = FDIPPrefetcher(self.machine, self.ftq, self.hierarchy, self.stats)
+        self.fdip = FDIPPrefetcher(self.machine, self.ftq, self.stats)
 
     # -- simulation --------------------------------------------------------------
 
@@ -215,9 +215,8 @@ class FrontEndSimulator:
         process = bpu.process
         fetch = hierarchy.fetch
         cover = self.fdip.cover_demand_miss
-        observe = self.fdip.observe_predicted_address
-        on_stream_break = self.fdip.on_stream_break
         ftq = self.ftq
+        push = ftq.push
         width2 = 2 * core.fetch_width
         bpu_stats = bpu.stats
 
@@ -267,7 +266,7 @@ class FrontEndSimulator:
                             dir_before, tgt_before = now_dir, now_tgt
                     bpu.context_switch(asid)
                     hierarchy.context_switch(asid)
-                    on_stream_break()
+                    ftq.flush()
                     previous_block = None
                 current_asid = asid
                 current_tenant = None
@@ -309,9 +308,9 @@ class FrontEndSimulator:
                         if coverage.coverage == "full":
                             covered_misses += 1
 
-            observe(pc)
+            push()
             if prediction.stream_break:
-                on_stream_break()
+                ftq.flush()
 
             if measuring:
                 retired += 1

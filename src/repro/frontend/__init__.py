@@ -5,11 +5,12 @@ The decoupled front end of Figure 2 is composed of:
 * :class:`repro.frontend.bpu.BranchPredictionUnit` -- BTB + direction
   predictor + return address stack, producing a next-PC prediction for every
   instruction the BPU walks over;
-* :class:`repro.frontend.ftq.FetchTargetQueue` -- the queue of predicted fetch
-  addresses that decouples the BPU from the fetch engine and whose occupancy
-  determines how much L1-I miss latency FDIP can hide;
-* :class:`repro.frontend.fdip.FDIPPrefetcher` -- the prefetch engine scanning
-  the FTQ and issuing L1-I prefetches.
+* :class:`repro.frontend.ftq.FetchTargetQueue` -- the occupancy of the queue
+  of predicted fetch addresses that decouples the BPU from the fetch engine;
+  it determines how much L1-I miss latency FDIP can hide;
+* :class:`repro.frontend.fdip.FDIPPrefetcher` -- the prefetch engine's
+  coverage of L1-I demand misses, modelled from FTQ occupancy (it issues no
+  prefetches).
 """
 
 from repro.frontend.bpu import BranchPredictionUnit, FrontEndPrediction, PredictionOutcome

@@ -2,23 +2,24 @@
 
 The FTQ decouples the branch prediction unit from the fetch engine (Figure 2).
 The BPU pushes predicted instruction addresses at its own pace; the fetch
-engine pops them.  Its occupancy therefore measures how far ahead of fetch the
-BPU is running, which is exactly the lead time available to FDIP for hiding
-L1-I miss latency.  A pipeline flush or resteer empties the queue: the BPU
-must start over on the corrected path.
+engine consumes them.  Its occupancy therefore measures how far ahead of fetch
+the BPU is running, which is exactly the lead time available to FDIP for
+hiding L1-I miss latency.  A pipeline flush or resteer empties the queue: the
+BPU must start over on the corrected path.
+
+Occupancy is the only FTQ state the model reads, so the queue is a saturating
+counter: it stores no addresses.  A push into a full queue stands for the
+fetch engine consuming the oldest entry, keeping occupancy at capacity.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from typing import Deque, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.common.stats import Stats
 
 
 class FetchTargetQueue:
-    """Bounded FIFO of predicted fetch addresses."""
+    """Occupancy of a bounded FIFO of predicted fetch addresses."""
 
     def __init__(self, capacity: int = 128, stats: Stats | None = None) -> None:
         if capacity <= 0:
@@ -26,60 +27,23 @@ class FetchTargetQueue:
         self.capacity = capacity
         registry = stats if stats is not None else Stats()
         self.stats = registry.group("ftq")
-        # maxlen lets the deque itself discard spilled entries at C speed;
-        # push/extend only have to *report* the spill, not perform it.
-        self._entries: Deque[int] = deque(maxlen=capacity)
+        #: Number of addresses currently queued (the BPU's run-ahead distance).
+        self.occupancy = 0
 
-    def push(self, address: int) -> Optional[int]:
-        """Push a predicted instruction address.
+    def push(self, count: int = 1) -> None:
+        """Enqueue ``count`` predicted addresses, saturating at capacity.
 
-        When the queue is full the oldest address is returned (the fetch
-        engine is modelled as consuming it), keeping occupancy at capacity.
         (This is the simulator's inner loop, so no per-push statistics are
         recorded; flushes are counted because they are rare and meaningful.)
         """
-        entries = self._entries
-        spilled = entries[0] if len(entries) == self.capacity else None
-        entries.append(address)
-        return spilled
-
-    def extend(self, addresses) -> int:
-        """Bulk-push predicted addresses; returns how many oldest ones spilled.
-
-        Equivalent to calling :meth:`push` once per address: the queue ends
-        with the same contents and occupancy, and any overflow is consumed
-        from the old end.  Used by the batched backend to enqueue a whole run
-        of sequential fetch addresses in one call.
-        """
-        entries = self._entries
-        overflow = len(entries) + len(addresses) - self.capacity
-        entries.extend(addresses)
-        return overflow if overflow > 0 else 0
-
-    def pop(self) -> Optional[int]:
-        """Pop the oldest predicted address (fetch engine consumption)."""
-        if not self._entries:
-            return None
-        return self._entries.popleft()
+        occupancy = self.occupancy + count
+        self.occupancy = occupancy if occupancy < self.capacity else self.capacity
 
     def flush(self) -> int:
         """Drop every queued address (pipeline flush / resteer); returns count."""
-        dropped = len(self._entries)
-        self._entries.clear()
+        dropped = self.occupancy
+        self.occupancy = 0
         if dropped:
             self.stats.inc("flushes")
             self.stats.inc("flushed_entries", dropped)
         return dropped
-
-    @property
-    def occupancy(self) -> int:
-        """Number of addresses currently queued (the BPU's run-ahead distance)."""
-        return len(self._entries)
-
-    @property
-    def is_full(self) -> bool:
-        """True when the BPU cannot run further ahead."""
-        return len(self._entries) >= self.capacity
-
-    def __len__(self) -> int:
-        return len(self._entries)

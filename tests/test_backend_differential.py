@@ -16,12 +16,8 @@ counter cannot hide.  A further set of *capacity-pressure* cells does the
 same for R-BTB, PDede and the ideal BTB at the smallest budget, where
 evictions, Page-BTB evictions and dangling-pointer invalidations are
 frequent -- the paths that must write through to the batched residency
-shadow.  The single
-tolerated exception is ``fdip.prefetches_issued``: the batched engine
-pre-executes a chunk's demand fetches front-to-back, which can make FDIP's
-redundant-prefetch statistic observe slightly warmer L1-I state (documented
-in :mod:`repro.core.batch`).  No reported metric reads it, and the suite
-asserts it is the *only* raw counter allowed to differ.
+shadow.  No raw counter is tolerated to differ: the two backends must report
+identical raw statistics on every compared cell.
 
 Requires numpy; the module skips cleanly on the numpy-free CI leg, where the
 scalar half of the equality is still enforced by the golden suite itself.
@@ -34,10 +30,13 @@ import pytest
 from repro.btb.storage import make_btb_for_budget
 from repro.common.config import ASIDMode, BTBStyle, default_machine_config
 from repro.core.simulator import FrontEndSimulator
+from repro.isa.branch import BranchType
+from repro.isa.instruction import Instruction
 from repro.obs import JsonlRecorder, use_recorder
 from repro.scenarios.run import execute_scenario
 from repro.traces.batch import HAVE_NUMPY
 from repro.traces.store import default_store
+from repro.traces.trace import Trace
 
 from test_golden_scenarios import (
     GOLDEN_BUDGET_KIB,
@@ -56,10 +55,6 @@ pytestmark = [
     pytest.mark.differential,
     pytest.mark.skipif(not HAVE_NUMPY, reason="numpy backend not available"),
 ]
-
-#: Counters the batched backend is allowed to report differently (see module
-#: docstring); everything else in the raw registry must match bit-for-bit.
-TOLERATED_STAT_KEYS = frozenset({"fdip.prefetches_issued"})
 
 #: Cells compared over the full raw statistics registry (one per BTB family
 #: plus a partitioned-hierarchy cell, where chunk boundaries are busiest).
@@ -124,6 +119,20 @@ PRESSURE_CELLS = (
 )
 PRESSURE_WORKLOAD = "server_001"
 
+#: ``(style, warmup)`` single-trace cells at :data:`PRESSURE_BUDGET_KIB` whose
+#: warmup boundary -- the batched walk's only piece boundary in a ``run`` --
+#: splits a gap of non-branches fewer than 128 instructions after a stream
+#: break, with an L1-I miss in the gap a few instructions later.  The FTQ
+#: occupancy crosses the boundary unsaturated, and the miss's FDIP coverage
+#: (``fdip.hidden_cycles``) and the next flush (``ftq.flushed_entries``) read it.
+BOUNDARY_CELLS = (
+    (BTBStyle.CONVENTIONAL, 2061),
+    (BTBStyle.REDUCED, 2044),
+    (BTBStyle.PDEDE, 2285),
+    (BTBStyle.BTBX, 1854),
+    (BTBStyle.IDEAL, 1042),
+)
+
 #: Counters that prove the bounded organizations were really under pressure.
 PRESSURE_COUNTERS = ("evictions", "page_evictions", "pointer_invalidations")
 #: Pressure counters a cell cannot reach: a flush empties PDede's Page-BTB
@@ -167,30 +176,30 @@ def _cell_stats(preset, style, mode, cache_mode, backend, budget_kib=GOLDEN_BUDG
     return _raw_stats(result.aggregate, result.btb_access_counts)
 
 
-def _run_stats(style, backend, budget_kib):
-    """Raw stats of a single-trace ``run`` cell (same length and warmup)."""
+def _run_simulator(style, backend, budget_kib):
     trace = default_store().get(PRESSURE_WORKLOAD, GOLDEN_INSTRUCTIONS)
     machine = default_machine_config(
         btb_style=style, fdip_enabled=True, isa=trace.isa, backend=backend
     )
     btb = make_btb_for_budget(style, budget_kib, isa=trace.isa)
-    result = FrontEndSimulator(machine, btb=btb).run(trace, warmup_instructions=GOLDEN_WARMUP)
-    return _raw_stats(result, btb.energy_access_counts())
+    return FrontEndSimulator(machine, btb=btb), trace
+
+
+def _run_stats(style, backend, budget_kib, warmup=GOLDEN_WARMUP):
+    """Raw stats of a single-trace ``run`` cell (same length as the golden cells)."""
+    simulator, trace = _run_simulator(style, backend, budget_kib)
+    result = simulator.run(trace, warmup_instructions=warmup)
+    return _raw_stats(result, simulator.btb.energy_access_counts())
 
 
 def _assert_backends_agree(python: dict, numpy: dict) -> None:
-    differing = {
+    differing = sorted(
         key
         for key in set(python) | set(numpy)
         if python.get(key) != numpy.get(key)
-    }
-    unexpected = differing - TOLERATED_STAT_KEYS
-    assert not unexpected, (
-        "backends diverged beyond the documented tolerance: "
-        + ", ".join(
-            f"{key}: python={python.get(key)} numpy={numpy.get(key)}"
-            for key in sorted(unexpected)
-        )
+    )
+    assert not differing, "backends diverged: " + ", ".join(
+        f"{key}: python={python.get(key)} numpy={numpy.get(key)}" for key in differing
     )
 
 
@@ -236,3 +245,40 @@ def test_backends_agree_under_capacity_pressure(preset, style, mode):
             if name not in unreachable and not python.get(f"btb.{name}")
         ]
         assert not idle, f"no capacity pressure on this cell: {idle} stayed zero"
+
+
+@pytest.mark.parametrize(
+    "style,warmup",
+    BOUNDARY_CELLS,
+    ids=[f"run/{style.value}/warmup{warmup}" for style, warmup in BOUNDARY_CELLS],
+)
+def test_backends_agree_across_unsaturated_occupancy_boundary(style, warmup):
+    simulator, trace = _run_simulator(style, "python", PRESSURE_BUDGET_KIB)
+    assert all(
+        trace.instructions[position].branch_type is BranchType.NOT_BRANCH
+        for position in (warmup - 1, warmup)
+    ), "the warmup boundary does not split a run of non-branches"
+    simulator.run(trace, warmup_instructions=warmup, max_instructions=0)
+    assert 0 < simulator.ftq.occupancy < simulator.ftq.capacity, (
+        "the FTQ occupancy at the warmup boundary is empty or saturated"
+    )
+    _assert_backends_agree(
+        _run_stats(style, "python", PRESSURE_BUDGET_KIB, warmup),
+        _run_stats(style, "numpy", PRESSURE_BUDGET_KIB, warmup),
+    )
+
+
+def test_ftq_occupancy_after_a_run_matches_across_backends():
+    """A straight-line run carries an over-full gap across the warmup boundary.
+
+    Neither piece of the batched walk has a slow position, so the FTQ
+    occupancy written back at each piece end must already be saturated;
+    context-switch flushes read it there.
+    """
+    trace = Trace("straight_line", [Instruction(pc=0x400000 + 4 * i) for i in range(600)])
+    occupancy = {}
+    for backend in ("python", "numpy"):
+        simulator = FrontEndSimulator(default_machine_config(fdip_enabled=True, backend=backend))
+        simulator.run(trace, warmup_instructions=300)
+        occupancy[backend] = simulator.ftq.occupancy
+    assert occupancy["numpy"] == occupancy["python"] == simulator.ftq.capacity

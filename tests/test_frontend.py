@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.common.config import BTBStyle, MachineConfig, default_machine_config
 from repro.common.errors import ConfigurationError
@@ -23,31 +24,35 @@ from repro.memory.hierarchy import MemoryHierarchy
 class TestFTQ:
     def test_capacity_bounded(self):
         ftq = FetchTargetQueue(capacity=4)
-        for i in range(10):
-            ftq.push(0x1000 + 4 * i)
-        assert ftq.occupancy == 4
-        assert ftq.is_full
-
-    def test_push_returns_displaced_oldest(self):
-        ftq = FetchTargetQueue(capacity=2)
-        assert ftq.push(0x1) is None
-        assert ftq.push(0x2) is None
-        assert ftq.push(0x3) == 0x1
-
-    def test_pop_order(self):
-        ftq = FetchTargetQueue(capacity=4)
-        ftq.push(0xA)
-        ftq.push(0xB)
-        assert ftq.pop() == 0xA
-        assert ftq.pop() == 0xB
-        assert ftq.pop() is None
+        for _ in range(10):
+            ftq.push()
+        assert ftq.occupancy == ftq.capacity == 4
 
     def test_flush(self):
-        ftq = FetchTargetQueue(capacity=8)
-        for i in range(5):
-            ftq.push(i)
+        stats = Stats()
+        ftq = FetchTargetQueue(capacity=8, stats=stats)
+        for _ in range(5):
+            ftq.push()
         assert ftq.flush() == 5
         assert ftq.occupancy == 0
+        assert ftq.flush() == 0
+        assert stats.get("ftq.flushes") == 1
+        assert stats.get("ftq.flushed_entries") == 5
+
+    @given(
+        capacity=st.integers(min_value=1, max_value=200),
+        start=st.integers(min_value=0, max_value=200),
+        count=st.integers(min_value=0, max_value=400),
+    )
+    def test_bulk_push_equals_single_pushes_and_saturates(self, capacity, start, count):
+        bulk = FetchTargetQueue(capacity=capacity)
+        single = FetchTargetQueue(capacity=capacity)
+        bulk.push(start)
+        single.push(start)
+        bulk.push(count)
+        for _ in range(count):
+            single.push()
+        assert bulk.occupancy == single.occupancy == min(capacity, start + count)
 
     def test_requires_positive_capacity(self):
         with pytest.raises(ConfigurationError):
@@ -58,34 +63,29 @@ class TestFDIP:
     def _make(self, enabled=True):
         machine = default_machine_config(fdip_enabled=enabled)
         stats = Stats()
-        hierarchy = MemoryHierarchy(machine, stats)
         ftq = FetchTargetQueue(machine.fdip.ftq_instructions, stats)
-        return FDIPPrefetcher(machine, ftq, hierarchy, stats), ftq
+        return FDIPPrefetcher(machine, ftq, stats), ftq
 
     def test_lead_grows_with_run_ahead(self):
-        fdip, _ = self._make()
+        fdip, ftq = self._make()
         assert fdip.lead_cycles == 0
-        for i in range(60):
-            fdip.observe_predicted_address(0x400000 + 4 * i)
+        ftq.push(60)
         assert fdip.lead_cycles == 60 // 6
 
     def test_lead_capped_by_ftq(self):
         fdip, ftq = self._make()
-        for i in range(1000):
-            fdip.observe_predicted_address(0x400000 + 4 * i)
+        ftq.push(1000)
         assert fdip.lead_cycles == ftq.capacity // 6
 
     def test_stream_break_resets_lead(self):
-        fdip, _ = self._make()
-        for i in range(100):
-            fdip.observe_predicted_address(0x400000 + 4 * i)
-        fdip.on_stream_break()
+        fdip, ftq = self._make()
+        ftq.push(100)
+        ftq.flush()
         assert fdip.lead_cycles == 0
 
     def test_coverage_full_partial_none(self):
-        fdip, _ = self._make()
-        for i in range(200):
-            fdip.observe_predicted_address(0x400000 + 4 * i)
+        fdip, ftq = self._make()
+        ftq.push(200)
         lead = fdip.lead_cycles
         full = fdip.cover_demand_miss(lead - 1)
         partial = fdip.cover_demand_miss(lead + 10)
@@ -93,9 +93,8 @@ class TestFDIP:
         assert partial.coverage == "partial" and partial.residual_latency == 10
 
     def test_disabled_fdip_hides_nothing(self):
-        fdip, _ = self._make(enabled=False)
-        for i in range(200):
-            fdip.observe_predicted_address(0x400000 + 4 * i)
+        fdip, ftq = self._make(enabled=False)
+        ftq.push(200)
         coverage = fdip.cover_demand_miss(14)
         assert coverage.coverage == "none"
         assert coverage.residual_latency == 14

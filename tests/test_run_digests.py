@@ -7,9 +7,9 @@ warmup, for every BTB organization at the paper's budget (14.5 KiB) and at
 the smallest evaluated one (0.90625 KiB, where the BTBs are under capacity
 pressure), plus one cell whose measured phase is capped by
 ``max_instructions``.  Both backends must reproduce the same result digest;
-the python backend also pins the full raw statistics registry (the numpy
-backend may differ there in ``fdip.prefetches_issued`` only, see
-``tests/test_backend_differential.py``).  A failure names the cell.
+the python backend also pins the full raw statistics registry, which
+``tests/test_backend_differential.py`` requires the numpy backend to match
+exactly.  A failure names the cell.
 
 When a change is *intentionally* result-altering, regenerate the fixture and
 commit it together with the change (see TESTING.md)::
