@@ -22,27 +22,30 @@ occupancy, demand-fetching where they cross a cache-block boundary and
 retiring -- so runs of them are compensated in bulk
 (``note_skipped_miss_lookups``, one saturating occupancy add per run, piece
 counts from numpy) without touching the BPU at all; the walk visits only
-their L1-I misses, whose FDIP coverage reads the occupancy.  Everything
-else goes through the exact scalar machinery (the BPU's classify/commit
-pipeline against the plan's lookup, which reuses the chunk-vectorized set
-index and tag), so the engine is bit-exact against the oracle loop --
-enforced cell-for-cell, over the full raw statistics, by the differential
-backend suite.  Demand fetches of a chunk are pre-executed front-to-back
-(:meth:`repro.memory.hierarchy.MemoryHierarchy.fetch_batch`); that is exact
-because nothing else mutates the hierarchy within a chunk and nothing
-between them reads it.
+their L1-I misses, whose FDIP coverage reads the occupancy.  Every other
+instruction is resolved by the walk itself: the BTB probe is the plan's
+lookup (the organization's own code, reusing the chunk-vectorized set index
+and tag), and the Section VI-A resolution rules and commit-time training of
+:class:`~repro.frontend.bpu.BranchPredictionUnit` are applied inline, the
+direction predictor going through the piece's commit plan
+(:mod:`repro.predictor.batch`).  Allocations stay the organizations' own
+``update``.  The engine is bit-exact against the oracle loop -- enforced
+cell-for-cell, over the full raw statistics, by the differential backend
+suite.  Demand fetches of a chunk are pre-executed front-to-back
+(:meth:`repro.memory.hierarchy.MemoryHierarchy.fetch_batch`, which settles
+L1-I hits in bulk); that is exact because nothing else mutates the hierarchy
+within a chunk and nothing between them reads it.
 """
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import compress
 from typing import Iterable
 
 from repro.common.errors import SimulationError
 from repro.common.stats import Stats
 from repro.core.metrics import ScenarioResult
 from repro.core.timing import TimingModel
-from repro.frontend.bpu import PredictionOutcome
 from repro.isa.branch import BranchType
 from repro.predictor.batch import plan_commits
 from repro.scenarios.compose import ScheduledChunk
@@ -53,6 +56,12 @@ _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
 #: ``TraceArrays.branch_type`` code for conditional branches (enum order).
 _CONDITIONAL_CODE = tuple(BranchType).index(BranchType.CONDITIONAL)
+
+_CONDITIONAL = BranchType.CONDITIONAL
+_UNCONDITIONAL = BranchType.UNCONDITIONAL
+_CALL = BranchType.CALL
+_INDIRECT_CALL = BranchType.INDIRECT_CALL
+_RETURN = BranchType.RETURN
 
 
 def run_scenario_batched(
@@ -278,6 +287,16 @@ class _BatchEngine:
         loop.  Counts that need no per-instruction state (retired
         instructions, branches, L1-I accesses and misses, skipped probes)
         come from numpy once per piece.
+
+        A slow position is resolved here, by the Section VI-A rules of
+        :class:`~repro.frontend.bpu.BranchPredictionUnit` and its commit-time
+        training, against the plan's lookup: the direction predictor through
+        the piece's commit plan (or the live predictor when there is none,
+        and for a false hit that merely identifies as conditional), calls
+        push and returns pop the RAS, and taken branches train the BTB.  No
+        prediction record is built, and the BPU's resolution counters are
+        summed in locals and added once per piece -- only the piece
+        boundaries (the warmup flip and the misprediction drain) read them.
         """
         n = stop - start
         guaranteed_miss = plan.guaranteed_miss
@@ -297,9 +316,9 @@ class _BatchEngine:
 
         instructions = trace.instructions
         bpu = self.bpu
-        classify = bpu._classify
-        commit = bpu._commit
         predictor = bpu.direction_predictor
+        ras = bpu.ras
+        btb_update = self.btb.update
         cover = self.fdip.cover_demand_miss
         measuring = self.measuring
         plan_lookup = plan.lookup
@@ -307,31 +326,32 @@ class _BatchEngine:
         # one zipped tuple per instruction.
         slow_pc = pcs[slow].tolist()
         slow_br = is_branch[slow].tolist()
+        slow_cond = cond_mask[slow].tolist()
         # A guaranteed-miss *not-taken* branch is provably conditional (the
         # ISA validates always-taken classes as taken) and resolves CORRECT
         # with no stream break, no RAS movement and no BTB training -- its
         # whole scalar footprint is the direction-predictor commit plus the
-        # proven-miss probe counters, so it skips classify/commit entirely.
-        # Taken guaranteed misses keep the full path (decode-resteer logic,
-        # miss stats, RAS and BTB allocation all fire there).
+        # proven-miss probe counters, so it skips the lookup entirely.
         bf_mask = guaranteed_miss & is_branch & ~taken
         slow_bf = bf_mask[slow].tolist()
         use_plan = dplan is not None
-        slow_cond = cond_mask[slow].tolist() if use_plan else repeat(False)
         dk = -1
 
         fast_total = n - len(slow_positions)
         self.instructions_fast += fast_total
         self.instructions_slow += len(slow_positions)
 
-        # Measured-phase accumulators, applied once at the end of the piece.
-        # Every timing hook is a commutative sum of integer-valued terms, so
-        # batching is bit-exact.
+        # Accumulators, applied once at the end of the piece.  Every timing
+        # hook is a commutative sum of integer-valued terms, so batching is
+        # bit-exact; the measured ones are charged only when measuring.
         stall_sum = 0.0
         flushes = 0
         resteers = 0
         btb_extra = 0
         btb_miss_taken = 0
+        false_hits = 0
+        direction_mispredictions = 0
+        target_mispredictions = 0
         covered_cnt = 0
         # The FTQ's occupancy lives in a local for the piece; it is written
         # back before every coverage read and at the end, and its flush
@@ -342,8 +362,6 @@ class _BatchEngine:
         ftq_flushes = 0
         ftq_flushed = 0
         width2 = 2 * self.core.fetch_width
-        FLUSH = PredictionOutcome.EXECUTE_FLUSH
-        RESTEER = PredictionOutcome.DECODE_RESTEER
 
         cursor = 0
         for i, pc, is_bf, is_br, is_cond in zip(
@@ -364,40 +382,98 @@ class _BatchEngine:
             if occ > cap:
                 occ = cap
             cursor = i + 1
+            # k >= 0: this is the plan's k-th conditional-branch commit.
+            if is_cond and use_plan:
+                dk += 1
+                k = dk
+            else:
+                k = -1
             if is_bf:
-                if use_plan:
-                    dk += 1
+                if k >= 0:
                     dplan.record_outcome(False, False)
-                    dplan.update(dk)
+                    dplan.update(k)
                 else:
                     predictor.record_outcome(False, False)
                     predictor.update(pc, False)
                 continue
             instruction = instructions[start + i]
-            if is_cond:
-                dk += 1
-                lookup = plan_lookup(i, pc)
-                prediction = classify(instruction, lookup, dplan, dk, is_br)
-                commit(instruction, prediction, dplan, dk, is_br)
+            actually_taken = instruction.taken
+            lookup = plan_lookup(i, pc)
+            if lookup.hit:
+                # The front end knows the branch type and (usually) its target.
+                identified = lookup.branch_type or instruction.branch_type
+                if identified is _CONDITIONAL:
+                    predicted = dplan.predict(k) if k >= 0 else predictor.predict(pc)
+                else:
+                    predicted = True
+                if not is_br:
+                    # A false hit (partial-tag aliasing) on a non-branch
+                    # breaks the stream until decode if predicted taken.
+                    if not predicted:
+                        continue
+                    false_hits += 1
+                    resteers += 1
+                    stream_break = True
+                elif predicted != actually_taken:
+                    direction_mispredictions += 1
+                    flushes += 1
+                    stream_break = True
+                elif actually_taken and (
+                    ras.peek()
+                    if lookup.target_from_ras or identified is _RETURN
+                    else lookup.target
+                ) != instruction.target:
+                    # Stale indirect target, RAS mismatch or aliasing.
+                    target_mispredictions += 1
+                    flushes += 1
+                    stream_break = True
+                else:
+                    stream_break = False
+                extra = lookup.latency_cycles - 1 if predicted else 0
+            elif actually_taken:
+                # A taken branch the front end does not know: decode resteers
+                # it when the target is encoded -- unconditional branches and
+                # calls always, conditional ones only if predicted taken.
+                btb_miss_taken += 1
+                branch_type = instruction.branch_type
+                if branch_type is _UNCONDITIONAL or branch_type is _CALL or (
+                    branch_type is _CONDITIONAL
+                    and (dplan.predict(k) if k >= 0 else predictor.predict(pc))
+                ):
+                    resteers += 1
+                else:
+                    flushes += 1
+                predicted = False
+                stream_break = True
+                extra = 0
+            elif is_br:
+                # A not-taken conditional branch missing the BTB is harmless.
+                predicted = False
+                stream_break = False
+                extra = 0
             else:
-                lookup = plan_lookup(i, pc)
-                prediction = classify(instruction, lookup, None, -1, is_br)
-                commit(instruction, prediction, None, -1, is_br)
-            if prediction.stream_break and occ:
+                continue
+            # Commit-time training.
+            if is_cond:
+                if k >= 0:
+                    dplan.record_outcome(predicted, actually_taken)
+                    dplan.update(k)
+                else:
+                    predictor.record_outcome(predicted, actually_taken)
+                    predictor.update(pc, actually_taken)
+            if actually_taken:
+                branch_type = instruction.branch_type
+                if branch_type is _CALL or branch_type is _INDIRECT_CALL:
+                    ras.push(instruction.fall_through)
+                elif branch_type is _RETURN:
+                    ras.pop()
+                btb_update(instruction)
+            if stream_break and occ:
                 ftq_flushes += 1
                 ftq_flushed += occ
                 occ = 0
-            if measuring:
-                extra = prediction.extra_btb_cycles
-                if extra and occ < width2:
-                    btb_extra += extra
-                outcome = prediction.outcome
-                if outcome is FLUSH:
-                    flushes += 1
-                elif outcome is RESTEER:
-                    resteers += 1
-                if prediction.btb_miss_taken_branch:
-                    btb_miss_taken += 1
+            if extra and occ < width2:
+                btb_extra += extra
         while next_head < n:
             head_occ = occ + (next_head - cursor)
             ftq.occupancy = head_occ if head_occ < cap else cap
@@ -412,6 +488,15 @@ class _BatchEngine:
         if ftq_flushes:
             ftq.stats.inc("flushes", ftq_flushes)
             ftq.stats.inc("flushed_entries", ftq_flushed)
+        bpu_stats = bpu.stats
+        if btb_miss_taken:
+            bpu_stats.inc("btb_miss_taken", btb_miss_taken)
+        if false_hits:
+            bpu_stats.inc("false_hits", false_hits)
+        if direction_mispredictions:
+            bpu_stats.inc("direction_mispredictions", direction_mispredictions)
+        if target_mispredictions:
+            bpu_stats.inc("target_mispredictions", target_mispredictions)
         skipped_probes = fast_total + int(np.count_nonzero(bf_mask))
         if skipped_probes:
             self.btb.note_skipped_miss_lookups(skipped_probes)

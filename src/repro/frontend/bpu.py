@@ -19,6 +19,11 @@ The resolution rules follow the improved branch handling of Section VI-A:
 * a BTB miss for a not-taken conditional branch is harmless;
 * on a BTB hit, a wrong predicted direction or wrong predicted target causes a
   full execute-stage flush.
+
+These rules and the commit-time training live here once for the scalar
+oracle.  The batched backend (:mod:`repro.core.batch`) applies the same rules
+inline in its walk, without building a :class:`FrontEndPrediction`; the
+oracle-differential suite holds the two to identical raw statistics.
 """
 
 from __future__ import annotations
@@ -161,27 +166,15 @@ class BranchPredictionUnit:
         is_branch = instruction.branch_type is not _NOT_BRANCH
         if not (is_branch or lookup.hit):
             return SEQUENTIAL
-        prediction = self._classify(instruction, lookup, None, -1, is_branch)
-        self._commit(instruction, prediction, None, -1, is_branch)
+        prediction = self._classify(instruction, lookup, is_branch)
+        self._commit(instruction, prediction, is_branch)
         return prediction
 
     def _classify(
-        self,
-        instruction: Instruction,
-        lookup: BTBLookupResult,
-        dplan,
-        dk: int,
-        is_branch: bool,
+        self, instruction: Instruction, lookup: BTBLookupResult, is_branch: bool
     ) -> FrontEndPrediction:
-        """Classify ``instruction`` against an already-performed BTB lookup.
+        """Classify ``instruction`` against its BTB lookup (Section VI-A rules).
 
-        The batched backend calls this (and :meth:`_commit`) directly: it
-        probes the BTB itself with pre-vectorized set indices and tags.
-        ``dplan``/``dk`` carry its direction-predictor commit plan
-        (:mod:`repro.predictor.batch`): when ``dk >= 0`` the instruction is
-        the plan's ``dk``-th conditional-branch commit and its direction
-        prediction and training apply through the plan's precomputed indices
-        -- bit-exact twins of the scalar calls, which pass ``None, -1``.
         ``is_branch`` is the caller's already-known ``instruction.is_branch``.
 
         Records are built positionally, in :class:`FrontEndPrediction` field
@@ -201,8 +194,8 @@ class BranchPredictionUnit:
             branch_type = instruction.branch_type
             if branch_type is BranchType.UNCONDITIONAL or branch_type is BranchType.CALL:
                 outcome = PredictionOutcome.DECODE_RESTEER
-            elif branch_type is BranchType.CONDITIONAL and (
-                dplan.predict(dk) if dk >= 0 else self.direction_predictor.predict(instruction.pc)
+            elif branch_type is BranchType.CONDITIONAL and self.direction_predictor.predict(
+                instruction.pc
             ):
                 outcome = PredictionOutcome.DECODE_RESTEER
             else:
@@ -212,12 +205,7 @@ class BranchPredictionUnit:
         # BTB hit: the front end knows the branch type and (usually) its target.
         identified_type = lookup.branch_type or instruction.branch_type
         if identified_type.is_conditional:
-            # dk >= 0 marks the plan's dk-th conditional-branch commit; a
-            # false hit that merely *identifies* as conditional (dk == -1)
-            # reads the live tables through the scalar call.
-            predicted_taken = (
-                dplan.predict(dk) if dk >= 0 else self.direction_predictor.predict(instruction.pc)
-            )
+            predicted_taken = self.direction_predictor.predict(instruction.pc)
         else:
             predicted_taken = True
 
@@ -263,12 +251,7 @@ class BranchPredictionUnit:
     # -- commit-time updates ------------------------------------------------------
 
     def _commit(
-        self,
-        instruction: Instruction,
-        prediction: FrontEndPrediction,
-        dplan,
-        dk: int,
-        is_branch: bool,
+        self, instruction: Instruction, prediction: FrontEndPrediction, is_branch: bool
     ) -> None:
         """Commit-time training: predictors, RAS and BTB updates."""
         if not is_branch:
@@ -276,12 +259,8 @@ class BranchPredictionUnit:
         branch_type = instruction.branch_type
         if branch_type.is_conditional:
             predicted = prediction.predicted_taken if prediction.identified_branch else False
-            if dk >= 0:
-                dplan.record_outcome(predicted, instruction.taken)
-                dplan.update(dk)
-            else:
-                self.direction_predictor.record_outcome(predicted, instruction.taken)
-                self.direction_predictor.update(instruction.pc, instruction.taken)
+            self.direction_predictor.record_outcome(predicted, instruction.taken)
+            self.direction_predictor.update(instruction.pc, instruction.taken)
         # Architectural RAS maintenance: calls push, returns pop.
         if branch_type.is_call:
             self.ras.push(instruction.fall_through)

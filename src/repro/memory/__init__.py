@@ -5,11 +5,11 @@ a 512 KB/8-way unified L2 and a 2 MB/16-way LLC.  The front-end experiments
 only exercise the instruction side, but the hierarchy is modelled generally:
 
 * :class:`repro.memory.cache.SetAssociativeCache` -- one set-associative level
-  with LRU replacement, an MSHR book-keeping limit and an
+  with LRU replacement and an
   :class:`~repro.common.asid.AddressSpacePolicy` for ASID tagging and
   per-tenant set partitioning (``Cache`` remains as the historical alias);
 * :class:`repro.memory.hierarchy.MemoryHierarchy` -- the L1-I/L2/LLC/memory
-  chain used for instruction fetch and FDIP prefetch fills, with
+  chain used for demand instruction fetch, with
   flush/tagged/partitioned context-switch behaviour selected by
   :attr:`~repro.common.config.MachineConfig.cache_asid_mode`.
 """

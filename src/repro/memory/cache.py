@@ -1,8 +1,8 @@
 """A single set-associative cache level with LRU replacement.
 
-The model is functional (hit/miss state plus access counters) with enough
-timing metadata (hit latency, MSHR count) for the interval timing model and
-the FDIP prefetch engine.  Writes are modelled as allocate-on-miss like reads;
+The model is functional (hit/miss state plus access counters) with the hit
+latency the interval timing model charges.  Writes are modelled as
+allocate-on-miss like reads;
 dirty state is tracked so write-back traffic can be reported, although the
 front-end experiments never generate dirty lines.
 
@@ -48,7 +48,6 @@ class _Line:
     #: without inverting the ASID color or the partition remap.
     block: int = 0
     dirty: bool = False
-    prefetched: bool = False
 
 
 class SetAssociativeCache:
@@ -86,14 +85,11 @@ class SetAssociativeCache:
         # and probes become one dict lookup instead of a way scan.  Kept
         # write-through by fill/eviction/invalidation.
         self._where: Dict[int, int] = {}
-        # MSHR occupancy is tracked as a set of outstanding miss block
-        # addresses; the functional model clears it when fills complete.
-        self._outstanding: Dict[int, int] = {}
         # Precomputed per-kind counter names: access() is the memory model's
         # innermost loop and must not build f-strings per probe.
         self._kind_keys = {
             kind: (f"accesses.{kind}", f"hits.{kind}", f"misses.{kind}")
-            for kind in ("read", "write", "prefetch")
+            for kind in ("read", "write")
         }
         #: ASID mechanics (tag coloring + set partitioning) for this level.
         self.asid_policy = AddressSpacePolicy()
@@ -103,10 +99,6 @@ class SetAssociativeCache:
         self._policy_trivial = True
 
     # -- address helpers ----------------------------------------------------
-
-    def block_address(self, addr: int) -> int:
-        """Align ``addr`` down to its cache-block address."""
-        return addr >> self._offset_bits << self._offset_bits
 
     def _index_tag(self, addr: int) -> tuple[int, int]:
         block = addr >> self._offset_bits
@@ -171,26 +163,15 @@ class SetAssociativeCache:
         """Hit latency of this level in cycles."""
         return self.config.hit_latency
 
-    @property
-    def mshrs(self) -> int:
-        """Number of miss status holding registers."""
-        return self.config.mshrs
-
-    def outstanding_misses(self) -> int:
-        """Number of blocks currently tracked as outstanding misses."""
-        return len(self._outstanding)
-
     # -- operations -----------------------------------------------------------
 
-    def access(self, addr: int, is_write: bool = False, is_prefetch: bool = False) -> CacheAccessResult:
+    def access(self, addr: int, is_write: bool = False) -> CacheAccessResult:
         """Access the block containing ``addr``; on a miss the line is *not* filled.
 
-        The caller (the hierarchy) decides whether and when to fill, which lets
-        prefetches and demand fetches share one code path.
+        The caller (the hierarchy) decides whether and when to fill.
         """
         index, tag = self._index_tag(addr)
-        kind = "prefetch" if is_prefetch else ("write" if is_write else "read")
-        accesses_key, hits_key, misses_key = self._kind_keys[kind]
+        accesses_key, hits_key, misses_key = self._kind_keys["write" if is_write else "read"]
         self.stats.inc(accesses_key)
         way = self._where.get(tag)
         if way is not None:
@@ -198,15 +179,12 @@ class SetAssociativeCache:
             self._lru[index].touch(way)
             if is_write:
                 line.dirty = True
-            if line.prefetched and not is_prefetch:
-                self.stats.inc("useful_prefetches")
-                line.prefetched = False
             self.stats.inc(hits_key)
             return _HIT_RESULT
         self.stats.inc(misses_key)
         return _MISS_RESULT
 
-    def fill(self, addr: int, dirty: bool = False, prefetched: bool = False) -> Optional[int]:
+    def fill(self, addr: int, dirty: bool = False) -> Optional[int]:
         """Install the block containing ``addr``; returns the evicted block, if any."""
         index, tag = self._index_tag(addr)
         lines = self._sets[index]
@@ -214,7 +192,7 @@ class SetAssociativeCache:
             lines = self._materialize(index)
         present = self._where.get(tag)
         if present is not None:
-            # Already present (e.g. demand fill racing a prefetch).
+            # Already present: refresh recency and dirtiness.
             line = lines[present]
             self._lru[index].touch(present)
             line.dirty = line.dirty or dirty
@@ -237,23 +215,9 @@ class SetAssociativeCache:
         line.tag = tag
         line.block = addr >> self._offset_bits
         line.dirty = dirty
-        line.prefetched = prefetched
         self._lru[index].touch(victim_way)
         self.stats.inc("fills")
-        self._outstanding.pop(self.block_address(addr), None)
         return evicted
-
-    def note_outstanding(self, addr: int) -> bool:
-        """Record an outstanding miss; returns False when all MSHRs are busy."""
-        block = self.block_address(addr)
-        if block in self._outstanding:
-            self.stats.inc("mshr_merges")
-            return True
-        if len(self._outstanding) >= self.config.mshrs:
-            self.stats.inc("mshr_full")
-            return False
-        self._outstanding[block] = 1
-        return True
 
     def invalidate_all(self) -> None:
         """Drop every line (context-switch flush, between experiments)."""
@@ -262,7 +226,6 @@ class SetAssociativeCache:
                 self._sets[index] = None
                 self._lru[index] = None
         self._where.clear()
-        self._outstanding.clear()
 
     def occupancy(self) -> int:
         """Number of valid lines currently resident."""

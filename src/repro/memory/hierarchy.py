@@ -1,15 +1,19 @@
 """The instruction-side memory hierarchy: L1-I -> L2 -> LLC -> memory.
 
-Two operations are exposed:
+The instruction side is one operation, the demand fetch:
 
-* :meth:`MemoryHierarchy.fetch` -- a demand instruction fetch.  Returns the
+* :meth:`MemoryHierarchy.fetch` -- one demand instruction fetch.  Returns the
   latency in cycles (the L1-I hit latency is considered pipelined and costs
   nothing extra; misses cost the latency of the level that supplies the block)
   and fills all levels on the way back (inclusive fill).
-* :meth:`MemoryHierarchy.prefetch` -- an FDIP prefetch for a block.  It probes
-  the L1-I without disturbing demand-path statistics and, on a miss, fills the
-  block into the L1-I (and below), returning the latency after which the block
-  becomes usable.
+* :meth:`MemoryHierarchy.fetch_batch` -- the same fetches for a whole
+  scheduling chunk, in order.  L1-I hits are settled in bulk (a directory
+  probe and an LRU touch each, their counters added once per batch); misses
+  take :meth:`~MemoryHierarchy.fetch`.
+
+FDIP issues no prefetches into the hierarchy: it charges each L1-I miss the
+residual latency its run-ahead could not hide
+(:meth:`repro.frontend.fdip.FDIPPrefetcher.cover_demand_miss`).
 
 The L1-D is constructed for completeness (data accesses can be replayed
 through :meth:`MemoryHierarchy.data_access`) but the paper's experiments only
@@ -48,7 +52,7 @@ from repro.memory.cache import SetAssociativeCache
 
 
 class FetchResult(NamedTuple):
-    """Outcome of a demand fetch or prefetch."""
+    """Outcome of a demand fetch."""
 
     latency: int
     level: str
@@ -62,17 +66,10 @@ class FetchResult(NamedTuple):
 #: hierarchy from its latencies.
 _L1I_HIT = FetchResult(latency=0, level="L1I", l1i_hit=True)
 _L1D_HIT = FetchResult(latency=0, level="L1D", l1i_hit=False)
-_PREFETCH_REDUNDANT = FetchResult(latency=0, level="L1I", l1i_hit=True)
-_PREFETCH_DROPPED = FetchResult(latency=0, level="dropped", l1i_hit=False)
 
-#: Per-supplier fill counter names, precomputed so the miss paths don't build
+#: Per-supplier fill counter names, precomputed so the miss path doesn't build
 #: f-strings per fill.
 _IFETCH_FILL_KEYS = {"L2": "ifetch.fills.l2", "LLC": "ifetch.fills.llc", "DRAM": "ifetch.fills.dram"}
-_PREFETCH_FILL_KEYS = {
-    "L2": "prefetch.fills.l2",
-    "LLC": "prefetch.fills.llc",
-    "DRAM": "prefetch.fills.dram",
-}
 
 
 class MemoryHierarchy:
@@ -156,16 +153,16 @@ class MemoryHierarchy:
 
     # -- instruction side -----------------------------------------------------
 
-    def _miss_result(self, addr: int, is_prefetch: bool) -> FetchResult:
+    def _miss_result(self, addr: int) -> FetchResult:
         """The (shared) result of a block missing in the L1-I, by supplier."""
-        if self.l2.access(addr, is_prefetch=is_prefetch).hit:
+        if self.l2.access(addr).hit:
             return self._miss_results["L2"]
-        if self.llc.access(addr, is_prefetch=is_prefetch).hit:
-            self.l2.fill(addr, prefetched=is_prefetch)
+        if self.llc.access(addr).hit:
+            self.l2.fill(addr)
             return self._miss_results["LLC"]
         # Miss everywhere: fetch from memory and fill the whole hierarchy.
-        self.llc.fill(addr, prefetched=is_prefetch)
-        self.l2.fill(addr, prefetched=is_prefetch)
+        self.llc.fill(addr)
+        self.l2.fill(addr)
         return self._miss_results["DRAM"]
 
     def fetch(self, addr: int) -> FetchResult:
@@ -174,7 +171,7 @@ class MemoryHierarchy:
         if self.l1i.access(addr).hit:
             return _L1I_HIT
         self.stats.inc("ifetch.l1i_misses")
-        result = self._miss_result(addr, is_prefetch=False)
+        result = self._miss_result(addr)
         self.l1i.fill(addr)
         self.stats.inc(_IFETCH_FILL_KEYS[result.level])
         return result
@@ -186,24 +183,39 @@ class MemoryHierarchy:
         chunk through here.  Within a chunk only demand fetches mutate the
         hierarchy, so running them front-to-back before the per-instruction
         walk observes exactly the state the scalar loop would have.
-        """
-        fetch = self.fetch
-        return [fetch(addr) for addr in addresses]
 
-    def prefetch(self, addr: int) -> FetchResult:
-        """FDIP prefetch of the block containing ``addr`` into the L1-I."""
-        self.stats.inc("prefetch.issued")
-        if self.l1i.contains(addr):
-            self.stats.inc("prefetch.redundant")
-            return _PREFETCH_REDUNDANT
-        if not self.l1i.note_outstanding(addr):
-            # All MSHRs busy: the prefetch is dropped.
-            self.stats.inc("prefetch.dropped")
-            return _PREFETCH_DROPPED
-        result = self._miss_result(addr, is_prefetch=True)
-        self.l1i.fill(addr, prefetched=True)
-        self.stats.inc(_PREFETCH_FILL_KEYS[result.level])
-        return result
+        An L1-I hit is settled here, bit-exact against :meth:`fetch`: the
+        probe reads the L1-I's resident-line directory with the set index and
+        colored tag of the active ASID policy -- constant within a chunk, so
+        its slice and color are read once -- and touches the way's LRU state;
+        the three hit counters are added once for the batch (nothing reads
+        them in between).  A miss takes :meth:`fetch`, whose fills the later
+        probes observe.
+        """
+        l1i = self.l1i
+        where = l1i._where
+        lru = l1i._lru
+        shift = l1i._offset_bits
+        base, count = l1i.asid_policy.entry_slice("sets", l1i.num_sets)
+        color = l1i.asid_policy.colored(0)
+        fetch = self.fetch
+        results: List[FetchResult] = []
+        append = results.append
+        hits = 0
+        for addr in addresses:
+            block = addr >> shift
+            way = where.get(block ^ color)
+            if way is None:
+                append(fetch(addr))
+            else:
+                lru[base + block % count].touch(way)
+                append(_L1I_HIT)
+                hits += 1
+        if hits:
+            self.stats.inc("ifetch.accesses", hits)
+            l1i.stats.inc("accesses.read", hits)
+            l1i.stats.inc("hits.read", hits)
+        return results
 
     # -- data side (provided for completeness) ---------------------------------
 
@@ -212,7 +224,7 @@ class MemoryHierarchy:
         self.stats.inc("dfetch.accesses")
         if self.l1d.access(addr, is_write=is_write).hit:
             return _L1D_HIT
-        result = self._miss_result(addr, is_prefetch=False)
+        result = self._miss_result(addr)
         self.l1d.fill(addr, dirty=is_write)
         return result
 

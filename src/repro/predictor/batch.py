@@ -311,12 +311,21 @@ class _PerceptronPlan(_PlanStats):
         taken = self._taken[k]
         predicted = total >= 0
         if predicted != taken or abs(total) < predictor.threshold:
-            direction = 1 if taken else -1
-            weight_min = predictor.weight_min
-            weight_max = predictor.weight_max
-            for table, index in zip(predictor._tables, indices):
-                updated = table[index] + direction
-                table[index] = max(weight_min, min(weight_max, updated))
+            # Weights start at 0 and only ever move by one inside
+            # [weight_min, weight_max], so the scalar clamp reduces to a
+            # bound check per weight.
+            if taken:
+                weight_max = predictor.weight_max
+                for table, index in zip(predictor._tables, indices):
+                    weight = table[index]
+                    if weight < weight_max:
+                        table[index] = weight + 1
+            else:
+                weight_min = predictor.weight_min
+                for table, index in zip(predictor._tables, indices):
+                    weight = table[index]
+                    if weight > weight_min:
+                        table[index] = weight - 1
         predictor._history = self._history_after[k]
         predictor._memo_pc = None
         self.commits_applied += 1

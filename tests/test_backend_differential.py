@@ -16,7 +16,10 @@ counter cannot hide.  A further set of *capacity-pressure* cells does the
 same for R-BTB, PDede and the ideal BTB at the smallest budget, where
 evictions, Page-BTB evictions and dangling-pointer invalidations are
 frequent -- the paths that must write through to the batched residency
-shadow.  No raw counter is tolerated to differ: the two backends must report
+shadow.  *Predictor-kind* cells run every direction predictor on Conv-BTB and
+BTB-X, so each Section VI-A resolution rule the batched walk applies inline
+fires against both a commit plan and the live predictor (``always_taken``
+has no plan).  No raw counter is tolerated to differ: the two backends must report
 identical raw statistics on every compared cell.
 
 Requires numpy; the module skips cleanly on the numpy-free CI leg, where the
@@ -24,6 +27,8 @@ scalar half of the equality is still enforced by the golden suite itself.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -133,6 +138,14 @@ BOUNDARY_CELLS = (
     (BTBStyle.IDEAL, 1042),
 )
 
+#: Direction predictors of the predictor-kind cells; ``always_taken`` has no
+#: commit plan, so its cells drive the walk's live-predictor path.
+PREDICTOR_KINDS = ("always_taken", "gshare", "bimodal", "hashed_perceptron")
+PREDICTOR_STYLES = (BTBStyle.CONVENTIONAL, BTBStyle.BTBX)
+#: Resolution counters every predictor-kind cell must fire: false hits,
+#: target mispredictions and taken BTB misses.
+RESOLUTION_COUNTERS = ("bpu.false_hits", "bpu.target_mispredictions", "bpu.btb_miss_taken")
+
 #: Counters that prove the bounded organizations were really under pressure.
 PRESSURE_COUNTERS = ("evictions", "page_evictions", "pointer_invalidations")
 #: Pressure counters a cell cannot reach: a flush empties PDede's Page-BTB
@@ -176,18 +189,23 @@ def _cell_stats(preset, style, mode, cache_mode, backend, budget_kib=GOLDEN_BUDG
     return _raw_stats(result.aggregate, result.btb_access_counts)
 
 
-def _run_simulator(style, backend, budget_kib):
+def _run_simulator(style, backend, budget_kib, predictor=None):
     trace = default_store().get(PRESSURE_WORKLOAD, GOLDEN_INSTRUCTIONS)
     machine = default_machine_config(
         btb_style=style, fdip_enabled=True, isa=trace.isa, backend=backend
     )
+    if predictor is not None:
+        machine = dataclasses.replace(
+            machine,
+            branch_predictor=dataclasses.replace(machine.branch_predictor, kind=predictor),
+        )
     btb = make_btb_for_budget(style, budget_kib, isa=trace.isa)
     return FrontEndSimulator(machine, btb=btb), trace
 
 
-def _run_stats(style, backend, budget_kib, warmup=GOLDEN_WARMUP):
+def _run_stats(style, backend, budget_kib, warmup=GOLDEN_WARMUP, predictor=None):
     """Raw stats of a single-trace ``run`` cell (same length as the golden cells)."""
-    simulator, trace = _run_simulator(style, backend, budget_kib)
+    simulator, trace = _run_simulator(style, backend, budget_kib, predictor)
     result = simulator.run(trace, warmup_instructions=warmup)
     return _raw_stats(result, simulator.btb.energy_access_counts())
 
@@ -245,6 +263,16 @@ def test_backends_agree_under_capacity_pressure(preset, style, mode):
             if name not in unreachable and not python.get(f"btb.{name}")
         ]
         assert not idle, f"no capacity pressure on this cell: {idle} stayed zero"
+
+
+@pytest.mark.parametrize("style", PREDICTOR_STYLES, ids=[style.value for style in PREDICTOR_STYLES])
+@pytest.mark.parametrize("predictor", PREDICTOR_KINDS)
+def test_backends_agree_for_every_direction_predictor(predictor, style):
+    python = _run_stats(style, "python", PRESSURE_BUDGET_KIB, predictor=predictor)
+    numpy = _run_stats(style, "numpy", PRESSURE_BUDGET_KIB, predictor=predictor)
+    _assert_backends_agree(python, numpy)
+    idle = [name for name in RESOLUTION_COUNTERS if not python.get(name)]
+    assert not idle, f"resolution rules never fired on this cell: {idle} stayed zero"
 
 
 @pytest.mark.parametrize(

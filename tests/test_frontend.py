@@ -257,7 +257,7 @@ def _shared_records():
         "cache._HIT_RESULT": cache_module._HIT_RESULT,
         "cache._MISS_RESULT": cache_module._MISS_RESULT,
     }
-    for name in ("_L1I_HIT", "_L1D_HIT", "_PREFETCH_REDUNDANT", "_PREFETCH_DROPPED"):
+    for name in ("_L1I_HIT", "_L1D_HIT"):
         records[f"hierarchy.{name}"] = getattr(hierarchy_module, name)
     for level, result in hierarchy._miss_results.items():
         records[f"hierarchy.miss.{level}"] = result

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import random
+
+import pytest
+
 from repro.common.config import ASIDMode, CacheConfig, MachineConfig
 from repro.memory.cache import Cache, SetAssociativeCache
 from repro.memory.hierarchy import MemoryHierarchy
 
 
-def _small_cache(size=4096, assoc=4, line=64, mshrs=2) -> Cache:
-    return Cache(CacheConfig("T", size, assoc, line_size=line, hit_latency=3, mshrs=mshrs))
+def _small_cache(size=4096, assoc=4, line=64) -> Cache:
+    return Cache(CacheConfig("T", size, assoc, line_size=line, hit_latency=3))
 
 
 class TestCache:
@@ -53,21 +57,6 @@ class TestCache:
         cache.fill(0x0, dirty=True)
         cache.fill(0x10000)
         assert cache.stats.get("writebacks") == 1
-
-    def test_prefetched_line_marked_useful_on_demand_hit(self):
-        cache = _small_cache()
-        cache.fill(0x3000, prefetched=True)
-        cache.access(0x3000)
-        assert cache.stats.get("useful_prefetches") == 1
-
-    def test_mshr_limit(self):
-        cache = _small_cache(mshrs=2)
-        assert cache.note_outstanding(0x1000)
-        assert cache.note_outstanding(0x2000)
-        assert not cache.note_outstanding(0x3000)
-        assert cache.note_outstanding(0x1000)  # merge with existing entry
-        cache.fill(0x1000)
-        assert cache.note_outstanding(0x3000)
 
     def test_invalidate_all(self):
         cache = _small_cache()
@@ -188,6 +177,38 @@ class TestHierarchyASIDModes:
         assert hierarchy.fetch(0x500000).l1i_hit
         assert hierarchy.stats.get("context_switches") == 1
 
+    @pytest.mark.parametrize("mode", [None, ASIDMode.TAGGED, ASIDMode.PARTITIONED])
+    def test_fetch_batch_matches_sequential_fetches(self, mode):
+        """Bulk-settled L1-I hits leave the results, counters and LRU order of ``fetch``.
+
+        ASID 1 is active, so the tagged and partitioned cells probe with a
+        colored tag and (partitioned) a slice-relative set index.
+        """
+
+        def hierarchy():
+            built = self._hierarchy(mode)
+            if mode is ASIDMode.PARTITIONED:
+                built.configure_partitions((3, 1))
+            built.context_switch(1)
+            return built
+
+        rng = random.Random(7)
+        addresses = [0x400000 + rng.randrange(768) * 64 + rng.randrange(64) for _ in range(3000)]
+        scalar, batched = hierarchy(), hierarchy()
+        expected = [scalar.fetch(addr) for addr in addresses]
+        fetched = []
+        fetch = batched.fetch
+        batched.fetch = lambda addr: fetched.append(addr) or fetch(addr)
+        assert batched.fetch_batch(addresses) == expected
+        # Only the misses take the scalar fetch path.
+        assert len(fetched) == sum(not result.l1i_hit for result in expected)
+        assert batched._stats_registry.to_dict() == scalar._stats_registry.to_dict()
+        assert [lru and lru.recency_order() for lru in batched.l1i._lru] == [
+            lru and lru.recency_order() for lru in scalar.l1i._lru
+        ]
+        assert any(result.l1i_hit for result in expected)
+        assert scalar.l1i.stats.get("evictions") > 0
+
     def test_partition_report_covers_every_level(self):
         hierarchy = self._hierarchy(ASIDMode.PARTITIONED)
         hierarchy.configure_partitions((3, 1))
@@ -226,29 +247,6 @@ class TestHierarchy:
         assert not result.l1i_hit
         assert result.level == "L2"
         assert result.latency == hierarchy.l2.hit_latency
-
-    def test_prefetch_fills_l1i(self):
-        hierarchy = MemoryHierarchy(MachineConfig())
-        hierarchy.prefetch(0x500000)
-        result = hierarchy.fetch(0x500000)
-        assert result.l1i_hit
-
-    def test_redundant_prefetch_detected(self):
-        hierarchy = MemoryHierarchy(MachineConfig())
-        hierarchy.fetch(0x600000)
-        result = hierarchy.prefetch(0x600000)
-        assert result.l1i_hit
-        assert hierarchy.stats.get("prefetch.redundant") == 1
-
-    def test_prefetch_dropped_when_mshrs_full(self):
-        machine = MachineConfig()
-        hierarchy = MemoryHierarchy(machine)
-        dropped = 0
-        for i in range(machine.l1i.mshrs + 4):
-            result = hierarchy.prefetch(0x700000 + i * 64)
-            if result.level == "dropped":
-                dropped += 1
-        assert dropped == 0 or hierarchy.stats.get("prefetch.dropped") == dropped
 
     def test_data_access_path(self):
         hierarchy = MemoryHierarchy(MachineConfig())

@@ -13,6 +13,8 @@ Hypothesis drives the dimensions the plan's correctness argument leans on:
   vectorized >=8-element segments and the scalar short-segment path);
 * **history lengths** -- gshare/perceptron history register widths around the
   sliding-window edge cases (0, 1, < table_bits, > table_bits);
+* **weight widths** -- perceptron weights as narrow as 2 bits saturate within
+  a few commits, exercising the training rule's bounds;
 * **warmup-boundary mid-segment** -- a stream cut at an arbitrary point into
   two consecutive plans (exactly what the engine does when a chunk straddles
   the warmup boundary) must equal one uncut scalar replay.
@@ -35,7 +37,7 @@ from repro.predictor.gshare import GSharePredictor
 from repro.predictor.perceptron import HashedPerceptronPredictor
 
 
-def _make(kind: str, geometry: int, history: int):
+def _make(kind: str, geometry: int, history: int, weight_bits: int = 8):
     stats = Stats()
     if kind == "bimodal":
         return BimodalPredictor(table_bits=geometry, stats=stats)
@@ -44,6 +46,7 @@ def _make(kind: str, geometry: int, history: int):
     return HashedPerceptronPredictor(
         history_lengths=tuple(sorted({1, history, 2 * history + 1})),
         table_bits=geometry,
+        weight_bits=weight_bits,
         stats=stats,
     )
 
@@ -106,13 +109,21 @@ _commits = st.lists(
 _kinds = st.sampled_from(["bimodal", "gshare", "perceptron"])
 _geometry = st.integers(min_value=1, max_value=6)
 _history = st.integers(min_value=0, max_value=20)
+_weight_bits = st.integers(min_value=2, max_value=8)
 
 
 class TestCommitPlanProperties:
     @settings(deadline=None, max_examples=60)
-    @given(commits=_commits, kind=_kinds, geometry=_geometry, history=_history, data=st.data())
+    @given(
+        commits=_commits,
+        kind=_kinds,
+        geometry=_geometry,
+        history=_history,
+        weight_bits=_weight_bits,
+        data=st.data(),
+    )
     def test_plan_matches_scalar_with_interleaved_reads(
-        self, commits, kind, geometry, history, data
+        self, commits, kind, geometry, history, weight_bits, data
     ):
         if kind == "perceptron":
             history = max(history, 1)
@@ -123,8 +134,8 @@ class TestCommitPlanProperties:
             position: 0x40_0000 + 4 * data.draw(st.integers(0, 7), label="probe pc")
             for position in probe_positions
         }
-        scalar = _make(kind, geometry, history)
-        planned = _make(kind, geometry, history)
+        scalar = _make(kind, geometry, history, weight_bits)
+        planned = _make(kind, geometry, history, weight_bits)
 
         scalar_pred, scalar_reads = _scalar_replay(scalar, commits, probes)
         plan_pred, plan_reads = _plan_replay(planned, commits, probes)
@@ -141,10 +152,11 @@ class TestCommitPlanProperties:
         kind=_kinds,
         geometry=_geometry,
         history=_history,
+        weight_bits=_weight_bits,
         cut_fraction=st.floats(min_value=0.0, max_value=1.0),
     )
     def test_split_plans_equal_one_scalar_stream(
-        self, commits, kind, geometry, history, cut_fraction
+        self, commits, kind, geometry, history, weight_bits, cut_fraction
     ):
         """A stream cut into two consecutive plans (the warmup boundary falling
         mid-chunk) trains the predictor identically to one uncut scalar pass --
@@ -152,8 +164,8 @@ class TestCommitPlanProperties:
         if kind == "perceptron":
             history = max(history, 1)
         cut = int(cut_fraction * len(commits))
-        scalar = _make(kind, geometry, history)
-        planned = _make(kind, geometry, history)
+        scalar = _make(kind, geometry, history, weight_bits)
+        planned = _make(kind, geometry, history, weight_bits)
 
         scalar_pred, _ = _scalar_replay(scalar, commits, {})
         head_pred, _ = _plan_replay(planned, commits[:cut], {}) if cut else ([], [])
