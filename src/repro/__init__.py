@@ -34,7 +34,6 @@ from repro.common.config import (
     BTBStyle,
     ISAStyle,
     MachineConfig,
-    SimulationConfig,
     default_machine_config,
 )
 from repro.core.metrics import ScenarioResult, SimulationResult
@@ -61,7 +60,6 @@ __all__ = [
     "BTBStyle",
     "ISAStyle",
     "MachineConfig",
-    "SimulationConfig",
     "default_machine_config",
     "ScenarioResult",
     "ScenarioSpec",

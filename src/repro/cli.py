@@ -749,31 +749,16 @@ def run_cache_command(args: argparse.Namespace, parser: argparse.ArgumentParser)
     except OSError as exc:
         parser.error(f"cannot use cache directory {args.cache_dir!r}: {exc}")
 
-    from repro.experiments.engine import CACHE_FORMAT_VERSION
-
     if args.cache_command == "stats":
         stats = cache.stats()
-        versions = cache.format_versions()
         log.result(f"cache directory : {stats['directory']}")
         log.result(f"entries         : {stats['entries']}")
         log.result(f"total bytes     : {stats['total_bytes']}")
-        if versions:
-            rendered = ", ".join(f"v{version}" for version in versions)
-            log.result(f"format versions : {rendered} (this tool writes v{CACHE_FORMAT_VERSION})")
         if stats["entries"]:
             age_s = time.time() - stats["oldest_mtime"]
             log.result(f"oldest entry    : {age_s / 86400.0:.2f} days old")
         return 0
 
-    newer = cache.newer_format_than(CACHE_FORMAT_VERSION)
-    if newer is not None:
-        print(
-            f"not pruning {args.cache_dir}: it holds entries written by cache "
-            f"format v{newer}, newer than the v{CACHE_FORMAT_VERSION} this "
-            "tool understands.  A newer btbx-repro is actively using this "
-            "directory; prune with that version instead."
-        )
-        return 0
     max_age_s = None if args.max_age_days is None else args.max_age_days * 86400.0
     removed = cache.prune(max_age_seconds=max_age_s)
     what = "entries" if removed != 1 else "entry"

@@ -41,7 +41,6 @@ from repro.common.config import (
     CoreConfig,
     FDIPConfig,
     MachineConfig,
-    SimulationConfig,
     default_machine_config,
 )
 from repro.common.errors import (
@@ -73,7 +72,6 @@ __all__ = [
     "CoreConfig",
     "FDIPConfig",
     "MachineConfig",
-    "SimulationConfig",
     "default_machine_config",
     "ConfigurationError",
     "ReproError",

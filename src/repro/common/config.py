@@ -384,34 +384,6 @@ class MachineConfig:
         """Return a copy of this machine with FDIP enabled or disabled."""
         return replace(self, fdip=replace(self.fdip, enabled=enabled))
 
-    def with_asid_mode(self, mode: ASIDMode) -> "MachineConfig":
-        """Return a copy of this machine with the given ASID mode."""
-        return replace(self, asid_mode=mode)
-
-    def with_cache_asid_mode(self, mode: ASIDMode | None) -> "MachineConfig":
-        """Return a copy of this machine with the given cache ASID mode."""
-        return replace(self, cache_asid_mode=mode)
-
-    def with_backend(self, backend: str) -> "MachineConfig":
-        """Return a copy of this machine with the given simulation backend."""
-        return replace(self, backend=resolve_backend(backend))
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Run-length parameters of a single simulation."""
-
-    warmup_instructions: int = 0
-    simulation_instructions: int | None = None
-    seed: int = 0
-    collect_per_branch_stats: bool = False
-
-    def __post_init__(self) -> None:
-        if self.warmup_instructions < 0:
-            raise ConfigurationError("warmup length cannot be negative")
-        if self.simulation_instructions is not None and self.simulation_instructions <= 0:
-            raise ConfigurationError("simulation length must be positive when given")
-
 
 def default_machine_config(
     btb_style: BTBStyle = BTBStyle.BTBX,

@@ -139,24 +139,23 @@ class ScenarioResult:
     #: ``{"distinct", "tag_distinct", "duplicated"}`` allocations (see
     #: :meth:`repro.btb.base.BTBBase.duplication_counts`).  The ``duplicated``
     #: gap is the storage ASID tagging spends on branches/pages that tenants
-    #: share.  ``None`` for results that predate the counters (old caches).
+    #: share.
     duplication: Dict[str, Dict[str, int]] | None = None
     #: Context-switch policy of the cache hierarchy for this run: one of
     #: ``"flush"``/``"tagged"``/``"partitioned"``, or ``None`` for the legacy
-    #: ASID-oblivious shared hierarchy (and for results predating the field).
+    #: ASID-oblivious shared hierarchy.
     cache_mode: str | None = None
     #: Per-tenant set counts of every partitioned cache level (level name ->
     #: tenant name -> sets); ``None`` unless the hierarchy ran partitioned.
     cache_partition_sets: Dict[str, Dict[str, int]] | None = None
     #: The BTB's raw access counters over the whole run (reads/writes/searches
     #: per structure plus event counters), the input of the Table V energy
-    #: model; ``None`` for results that predate the field.
+    #: model.
     btb_access_counts: Dict[str, float] | None = None
     #: Per-scenario Table V counterpart: the BTB energy model evaluated on
     #: this run's access counters -- ``{"design", "total_energy_uj",
     #: "lookup_latency_ns", "structures": {name: {...}}}``.  ``None`` when no
-    #: energy model exists for the organization (ideal) or the result
-    #: predates the field.
+    #: energy model exists for the organization (ideal).
     energy: Dict[str, object] | None = None
 
     @property

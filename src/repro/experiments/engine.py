@@ -10,9 +10,11 @@ that observation into throughput:
   (``workers>1``), with worker processes regenerating their traces locally
   from the deterministic workload specs — nothing heavyweight is pickled;
 * every finished job is memoized in-process and, when a ``cache_dir`` is
-  given, persisted as JSON keyed by a content hash of the job config, so
-  reruns and overlapping figures (fig09/fig10/fig11/table5 share most of
-  their grid) skip completed work entirely.
+  given, persisted as JSON keyed by a content hash of the job config and
+  stamped with a digest of the simulator's source, so reruns and
+  overlapping figures (fig09/fig10/fig11/table5 share most of their grid)
+  skip completed work entirely, and an edit to the source never replays
+  old numbers.
 
 Results are bit-identical across worker counts and cache states: the engine
 always round-trips :class:`SimulationResult` through the same JSON payload,
@@ -22,6 +24,7 @@ whether a job ran inline, in a worker, or was loaded from disk.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -29,9 +32,10 @@ import tempfile
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, Iterator, List, Mapping, Sequence
 
+import repro
 from repro.common.config import ASIDMode, BTBStyle, default_machine_config
 from repro.common.errors import ConfigurationError
 from repro.common.stats import Stats
@@ -44,53 +48,48 @@ from repro.btb.storage import make_btb_for_budget
 from repro.traces.store import TraceStore, default_store
 from repro.traces.trace import Trace
 
-#: Bump when the payload layout or simulation semantics change: stale disk
-#: cache entries from an older format then miss instead of corrupting runs.
-#: v2: scenario jobs (multi-tenant payloads carry per-tenant results).
-#: v3: partitioned ASID mode (scenario payloads carry partition_sets; BTB set
-#: indexing gained the partition remap, which shifts some aliasing patterns).
-#: v4: shared code footprints (specs carry shared_fraction, payloads carry
-#: duplication counters and secondary_partition_sets) and ASID-tagged /
-#: partitionable Page-/Region-BTBs, which change PDede and R-BTB results in
-#: multi-tenant tagged/partitioned runs.
-#: v5: ASID-aware memory hierarchy (scenario jobs carry cache_asid_mode;
-#: payloads carry l2_accesses/l2_misses, cache_mode, cache_partition_sets,
-#: btb_access_counts and the per-scenario Table V energy report); plain-job
-#: access_counts now merge BTB-X's companion traffic (energy_access_counts)
-#: and reset it at the warmup boundary, changing Table V inputs.
-#: v6: shared_page_split floors over the fraction's decimal value instead of
-#: its binary float (0.7 of 10 pages is now 7, not 6), shifting shared-
-#: footprint cells at non-binary-exact fractions; binary-exact fractions
-#: (0, 0.25, 0.5, 0.75, 1) and all golden cells are unchanged, but entries
-#: computed with the truncating split must miss rather than be replayed.
+#: Part of every job's config hash, frozen at 6 and never bumped again: cache
+#: entries go stale through :func:`source_digest` instead.
 CACHE_FORMAT_VERSION = 6
 
 #: SimulationResult fields carried through the payload (everything but stats).
-_RESULT_FIELDS = (
-    "workload",
-    "btb_style",
-    "btb_storage_kib",
-    "fdip_enabled",
-    "instructions",
-    "cycles",
-    "base_cycles",
-    "flush_cycles",
-    "resteer_cycles",
-    "icache_stall_cycles",
-    "btb_extra_cycles",
-    "btb_misses_taken",
-    "decode_resteers",
-    "execute_flushes",
-    "direction_mispredictions",
-    "target_mispredictions",
-    "taken_branches",
-    "branches",
-    "l1i_accesses",
-    "l1i_misses",
-    "l1i_misses_covered",
-    "l2_accesses",
-    "l2_misses",
-)
+_RESULT_FIELDS = tuple(field.name for field in fields(SimulationResult) if field.name != "stats")
+
+
+def _hash_config(config: Mapping[str, object]) -> str:
+    """sha256 of a job's canonical JSON config; the on-disk cache key."""
+    canonical = json.dumps(config, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def source_digest(root: str | os.PathLike | None = None) -> str:
+    """sha256 over every ``.py`` file under ``root``, as sorted relative path plus bytes.
+
+    ``root`` defaults to the imported ``repro`` package; that digest is
+    computed once per process, on the first cache read or write.  A cache
+    entry stored under another digest is a miss, so any edit to the
+    simulator's source re-simulates instead of replaying old numbers.
+    """
+    if root is None:
+        return _package_digest()
+    files = sorted(
+        os.path.relpath(os.path.join(directory, name), root).replace(os.sep, "/")
+        for directory, _dirs, names in os.walk(root)
+        for name in names
+        if name.endswith(".py")
+    )
+    digest = hashlib.sha256()
+    for relative in files:
+        with open(os.path.join(root, relative), "rb") as handle:
+            data = handle.read()
+        digest.update(f"{relative}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.cache
+def _package_digest() -> str:
+    return source_digest(os.path.dirname(repro.__file__))
 
 
 @dataclass(frozen=True)
@@ -130,8 +129,7 @@ class SimJob:
 
     def config_hash(self) -> str:
         """Content hash of the job config; the on-disk cache key."""
-        canonical = json.dumps(self.config_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return _hash_config(self.config_dict())
 
 
 @dataclass(frozen=True)
@@ -190,8 +188,7 @@ class ScenarioJob:
 
     def config_hash(self) -> str:
         """Content hash of the job config; the on-disk cache key."""
-        canonical = json.dumps(self.config_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return _hash_config(self.config_dict())
 
 
 #: Anything the engine can execute, memoize and cache.
@@ -264,46 +261,23 @@ def _execute_scenario_job(job: ScenarioJob,
         trace_store=trace_store,
         cache_mode=job.cache_asid_mode,
     )
-    return {
-        "result": _result_to_payload(scenario_result.aggregate),
-        "scenario": {
-            "scenario": scenario_result.scenario,
-            "asid_mode": scenario_result.asid_mode,
-            "cache_mode": scenario_result.cache_mode,
-            "context_switches": scenario_result.context_switches,
-            "partition_sets": scenario_result.partition_sets,
-            "secondary_partition_sets": scenario_result.secondary_partition_sets,
-            "cache_partition_sets": scenario_result.cache_partition_sets,
-            "duplication": scenario_result.duplication,
-            "btb_access_counts": scenario_result.btb_access_counts,
-            "energy": scenario_result.energy,
-            "per_tenant": {
-                name: _result_to_payload(result)
-                for name, result in scenario_result.per_tenant.items()
-            },
-        },
+    scenario = {
+        field.name: getattr(scenario_result, field.name)
+        for field in fields(ScenarioResult)
+        if field.name != "aggregate"
     }
+    scenario["per_tenant"] = {
+        name: _result_to_payload(result) for name, result in scenario_result.per_tenant.items()
+    }
+    return {"result": _result_to_payload(scenario_result.aggregate), "scenario": scenario}
 
 
 def _payload_to_scenario(payload: Mapping[str, object]) -> ScenarioResult:
-    scenario = payload["scenario"]
-    return ScenarioResult(
-        scenario=scenario["scenario"],
-        asid_mode=scenario["asid_mode"],
-        context_switches=scenario["context_switches"],
-        aggregate=_payload_to_result(payload["result"]),
-        per_tenant={
-            name: _payload_to_result(tenant)
-            for name, tenant in scenario["per_tenant"].items()
-        },
-        partition_sets=scenario.get("partition_sets"),
-        secondary_partition_sets=scenario.get("secondary_partition_sets"),
-        duplication=scenario.get("duplication"),
-        cache_mode=scenario.get("cache_mode"),
-        cache_partition_sets=scenario.get("cache_partition_sets"),
-        btb_access_counts=scenario.get("btb_access_counts"),
-        energy=scenario.get("energy"),
-    )
+    scenario = dict(payload["scenario"])
+    scenario["per_tenant"] = {
+        name: _payload_to_result(tenant) for name, tenant in scenario["per_tenant"].items()
+    }
+    return ScenarioResult(aggregate=_payload_to_result(payload["result"]), **scenario)
 
 
 def execute_job(job: "EngineJob", trace: Trace | None = None,
@@ -399,10 +373,12 @@ class ResultCache:
     their ``os.replace`` traffic across 256 directories).
     Writes go through a temp file in the entry's shard plus
     :func:`os.replace`, so concurrent processes sharing a cache directory
-    never observe partial entries.  Lookups read the sharded path only:
-    flat-layout entries predate sharding and a cache-format bump, so no
-    current job hash names one.  Maintenance (``stats``, ``prune``,
-    ``clear``, ``format_versions``) still walks the flat directory, so old
+    never observe partial entries.  Each entry records the
+    :func:`source_digest` it was computed under, and lookups serve only
+    entries of the running source, so an edit to the simulator never replays
+    old numbers.  Lookups read the sharded path only: flat-layout entries
+    predate sharding, so no current job hash names one.  Maintenance
+    (``stats``, ``prune``, ``clear``) still walks the flat directory, so old
     caches can be inspected and cleaned.
     """
 
@@ -417,15 +393,18 @@ class ResultCache:
         return os.path.join(self._shard_dir(config_hash), f"{config_hash}.json")
 
     def get(self, job: "EngineJob") -> Dict[str, object] | None:
-        """Load the payload of ``job`` or None on a miss/corrupt entry.
+        """Load the payload of ``job`` or None on a miss/corrupt/stale entry.
 
         Any unreadable entry — missing, corrupt, permission-denied on a
-        shared cache directory — is a miss: the job simply re-simulates.
+        shared cache directory — is a miss, and so is one stored under
+        another source digest: the job simply re-simulates.
         """
         try:
             with open(self._path(job.config_hash()), "r", encoding="utf-8") as handle:
                 entry = json.load(handle)
         except (OSError, json.JSONDecodeError):
+            return None
+        if not isinstance(entry, dict) or entry.get("source") != source_digest():
             return None
         payload = entry.get("payload")
         if not isinstance(payload, dict) or "result" not in payload:
@@ -434,7 +413,7 @@ class ResultCache:
 
     def put(self, job: "EngineJob", payload: Mapping[str, object]) -> None:
         """Persist the payload of ``job`` atomically (into its shard)."""
-        entry = {"job": job.config_dict(), "payload": payload}
+        entry = {"job": job.config_dict(), "source": source_digest(), "payload": payload}
         config_hash = job.config_hash()
         shard = self._shard_dir(config_hash)
         os.makedirs(shard, exist_ok=True)
@@ -505,43 +484,6 @@ class ResultCache:
             "oldest_mtime": oldest,
             "newest_mtime": newest,
         }
-
-    def _entry_format_versions(self) -> Iterator[int]:
-        """Format version of each readable entry, lazily.
-
-        Every entry records the ``cache_format`` its job config was hashed
-        under; pre-versioning entries report as 0, unreadable ones are
-        skipped (like :meth:`get`).
-        """
-        for path in self._entry_paths():
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    entry = json.load(handle)
-            except (OSError, json.JSONDecodeError):
-                continue
-            job = entry.get("job")
-            version = job.get("cache_format", 0) if isinstance(job, dict) else 0
-            yield version if isinstance(version, int) else 0
-
-    def format_versions(self) -> List[int]:
-        """Sorted distinct on-disk format versions of the cached entries.
-
-        A full-content scan, which is fine for the informational ``cache
-        stats`` path (result caches are thousands of small JSON files).
-        """
-        return sorted(set(self._entry_format_versions()))
-
-    def newer_format_than(self, version: int) -> int | None:
-        """First on-disk format newer than ``version``, or None.
-
-        Stops at the first offending entry, so guarding ``prune`` against a
-        newer tool's cache does not pay a whole-directory parse when the
-        very first entry already answers the question.
-        """
-        return next(
-            (found for found in self._entry_format_versions() if found > version),
-            None,
-        )
 
     #: A ``.tmp`` file younger than this is an in-flight atomic write of a
     #: concurrent run, not a crash orphan; prune leaves it alone.

@@ -496,48 +496,6 @@ class TestCacheCommands:
         assert cache.prune(max_age_seconds=86400.0) == expected
         assert len(cache) == 0
 
-    def test_stats_reports_on_disk_format_version(self, tmp_path, capsys):
-        from repro.experiments.engine import CACHE_FORMAT_VERSION
-
-        _seed_cache(tmp_path)
-        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert f"format versions : v{CACHE_FORMAT_VERSION}" in out
-        assert f"(this tool writes v{CACHE_FORMAT_VERSION})" in out
-
-    @staticmethod
-    def _forge_newer_entry(tmp_path) -> None:
-        import os
-
-        entry_path = next(
-            os.path.join(root, name)
-            for root, _dirs, files in os.walk(tmp_path)
-            for name in files
-            if name.endswith(".json")
-        )
-        with open(entry_path, encoding="utf-8") as handle:
-            entry = json.load(handle)
-        entry["job"]["cache_format"] = 999
-        # Forge at the legacy flat path: stats/prune must scan both layouts.
-        (tmp_path / "forged_newer.json").write_text(json.dumps(entry))
-
-    def test_prune_refuses_newer_format_caches_with_friendly_exit_0(
-        self, tmp_path, capsys
-    ):
-        expected = _seed_cache(tmp_path)
-        self._forge_newer_entry(tmp_path)
-        assert main(["cache", "prune", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "not pruning" in out and "v999" in out
-        # Nothing was deleted -- neither the newer entry nor the older ones.
-        assert len(ResultCache(tmp_path)) == expected + 1
-
-    def test_stats_still_works_on_newer_format_caches(self, tmp_path, capsys):
-        _seed_cache(tmp_path)
-        self._forge_newer_entry(tmp_path)
-        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
-        assert "v999" in capsys.readouterr().out
-
 
 class TestRunAllResilience:
     @pytest.fixture

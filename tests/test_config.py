@@ -15,7 +15,6 @@ from repro.common.config import (
     FDIPConfig,
     ISAStyle,
     MachineConfig,
-    SimulationConfig,
     default_machine_config,
     partition_set_counts,
     resolve_backend,
@@ -238,13 +237,3 @@ class TestPartitionMaps:
                 ), f"divergence at num_sets={num_sets} weights={weights}"
                 checked += 1
         assert checked >= 90
-
-
-class TestSimulationConfig:
-    def test_negative_warmup_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(warmup_instructions=-1)
-
-    def test_zero_measured_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(simulation_instructions=0)

@@ -9,9 +9,15 @@ bounded trace store actually bounds memory.
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main, make_engine, resolve_scale, run_all, run_experiment
 from repro.common.config import BTBStyle
 from repro.experiments.config import SMOKE_SCALE
@@ -23,6 +29,7 @@ from repro.experiments.engine import (
     get_active_engine,
     grid_jobs,
     set_active_engine,
+    source_digest,
     use_engine,
 )
 from repro.experiments.runner import clear_trace_cache, evaluation_traces, simulate_grid
@@ -167,6 +174,32 @@ class TestResultCache:
         (tmp_path / f"{job.config_hash()}.json").write_text("{not json")
         assert cache.get(job) is None
 
+    def test_entry_under_another_source_digest_is_a_miss(self, tmp_path):
+        """An entry computed by other simulator source is re-simulated, then rewritten."""
+        job = _small_jobs()[0]
+        ExperimentEngine(workers=1, cache_dir=tmp_path).run_jobs([job])
+        path = ResultCache(tmp_path)._path(job.config_hash())
+        with open(path, encoding="utf-8") as handle:
+            entry = json.load(handle)
+        assert entry["source"] == source_digest()
+        entry["source"] = "0" * 64
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(entry, handle)
+
+        engine = ExperimentEngine(workers=1, cache_dir=tmp_path)
+        engine.run_jobs([job])
+        assert (engine.stats()["executed"], engine.stats()["disk_hits"]) == (1, 0)
+        with open(path, encoding="utf-8") as handle:
+            assert json.load(handle)["source"] == source_digest()
+
+    def test_package_digest_is_not_computed_at_import(self):
+        code = (
+            "import repro.cli, repro.experiments.engine as engine; "
+            "assert engine._package_digest.cache_info().currsize == 0"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
     def test_table5_cells_shared_with_other_figures(self):
         """Access counts ride in every payload, so grids share cache cells."""
         job = _small_jobs(styles=(BTBStyle.BTBX,), budgets=(14.5,))[0]
@@ -196,6 +229,38 @@ class TestResultCache:
         assert rerun_engine.stats()["executed"] == 0
         assert rerun_engine.stats()["disk_hits"] == rerun_engine.stats()["submitted"]
         assert rerun == result
+
+
+class TestSourceDigest:
+    @pytest.fixture
+    def package(self, tmp_path):
+        root = tmp_path / "repro"
+        shutil.copytree(
+            os.path.dirname(repro.__file__), root, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        return root
+
+    def test_default_root_is_the_imported_package(self):
+        assert source_digest() == source_digest(os.path.dirname(repro.__file__))
+
+    def test_one_changed_byte_in_any_module_changes_the_digest(self, package):
+        base = source_digest(package)
+        modules = sorted(package.rglob("*.py"))
+        assert len(modules) > 50
+        for path in modules:
+            data = path.read_bytes()
+            path.write_bytes(bytes([data[0] ^ 1]) + data[1:] if data else b"#")
+            assert source_digest(package) != base, path
+            path.write_bytes(data)
+        assert source_digest(package) == base
+
+    def test_non_python_files_and_bytecode_do_not_count(self, package):
+        base = source_digest(package)
+        (package / "NOTES.txt").write_text("not source\n")
+        bytecode = package / "core" / "__pycache__"
+        bytecode.mkdir()
+        (bytecode / "metrics.cpython-311.pyc").write_bytes(b"\0" * 16)
+        assert source_digest(package) == base
 
 
 class TestTraceStore:
