@@ -80,13 +80,20 @@ class BTBBase(abc.ABC):
         #: All ASID machinery (tag coloring, partitioning, duplication
         #: accounting) for this organization and its secondary structures.
         self.asid_policy = AddressSpacePolicy()
-        #: Batched-backend fast path: the last chunk-vectorized ``(pc, index,
-        #: tag)`` handed out by a batch plan's lookup.  ``update`` consults it
-        #: through :meth:`_locate_for_update` so a commit-time insertion
-        #: reuses the lookup's set index and partial tag instead of re-hashing
-        #: -- valid because the pc->location mapping only changes with the
-        #: active ASID or the partition map, both of which clear the hint.
-        self._update_hint: tuple[int, int, int] | None = None
+        #: Location memo of set-associative organizations (see
+        #: :meth:`_locate`): ``pc -> (index << tag_bits) | raw_tag`` for the
+        #: active partition slice, one dict per slice in ``_loc_memos``
+        #: (keyed by the ``(base, count)`` slice, ``None`` when shared).
+        self._loc_memo: dict[int, int] = {}
+        self._loc_memos: dict[tuple[int, int] | None, dict[int, int]] = {None: self._loc_memo}
+        #: The active ASID's color, folded to ``tag_bits``: XORed into a
+        #: memoized location it gives the colored lookup key.
+        self._tag_color = 0
+        #: Resident-tag index: ``(index << tag_bits) | tag -> way`` of every
+        #: valid way.  No two valid ways of a set share a tag (an update
+        #: refreshes a matching way before it would allocate), so a probe is
+        #: one ``get`` instead of a scan of the set's ways.
+        self._resident: dict[int, int] = {}
         #: Residency shadow of the ways (numpy ``(valid, tag)`` per set x
         #: way), built by the first batch plan and written through from then
         #: on; ``_set_gen`` is each set's residency generation, bumped on
@@ -132,8 +139,8 @@ class BTBBase(abc.ABC):
         another while all tenants share the same storage.  ASID 0 is the
         neutral color: with it, tagging is a no-op.
         """
-        self._update_hint = None
         self.asid_policy.activate(asid)
+        self._select_locations()
 
     def configure_partitions(self, weights: Sequence[int] | None) -> None:
         """Split this organization's sets among tenants (``None`` to share).
@@ -159,17 +166,20 @@ class BTBBase(abc.ABC):
 
         The structure is invalidated whenever the partition map changes
         (including back to shared): entries installed under a different map
-        would be unreachable or, worse, reachable from the wrong slice.
+        would be unreachable or, worse, reachable from the wrong slice.  The
+        per-slice location memos are dropped with the old map.
         """
-        self._update_hint = None
         if weights is not None:
             validate_partition_weights(weights)
         if weights is None or self._partitionable_sets() < len(weights):
-            if self.asid_policy.clear(self._MAIN_DOMAIN):
-                self.invalidate_all()
-            return
-        self.asid_policy.configure(self._MAIN_DOMAIN, self._partitionable_sets(), weights)
-        self.invalidate_all()
+            changed = self.asid_policy.clear(self._MAIN_DOMAIN)
+        else:
+            self.asid_policy.configure(self._MAIN_DOMAIN, self._partitionable_sets(), weights)
+            changed = True
+        self._loc_memos = {}
+        self._select_locations()
+        if changed:
+            self.invalidate_all()
 
     def _partitionable_sets(self) -> int:
         """Number of sets :meth:`configure_partitions` may divide up.
@@ -186,40 +196,51 @@ class BTBBase(abc.ABC):
         """Sets per tenant partition (``None`` when the structure is shared)."""
         return self.asid_policy.domain_counts(self._MAIN_DOMAIN)
 
-    def _locate(self, pc: int) -> tuple[int, int]:
-        """Set index and partial tag of ``pc`` in the main array.
+    def _locate(self, pc: int) -> int:
+        """Lookup key ``(index << tag_bits) | tag`` of ``pc`` in the main array.
 
         Shared by every set-associative organization (``num_sets``,
-        ``tag_bits`` and ``isa`` attributes); :func:`batch_locate` is its
-        vectorized twin.  The set index uses the raw PC, confined to the
-        active tenant's partition slice when there is one.  The partial tag
-        XOR-folds the whole ASID-colored PC above the alignment bits down to
-        ``tag_bits``, as real BTBs do to keep tag storage small with minimal
-        aliasing.  The index bits are deliberately *included* in the hash:
-        organizations sized to an exact storage budget can have
-        non-power-of-two set counts (e.g. a 1856-entry conventional BTB)
-        whose modulo indexing would otherwise let two PCs that differ only in
-        low-order bits share both a set and a tag.  Only the tag sees the
-        ASID color -- set indexing and target recovery (BTB-X offset
-        concatenation, PDede same-page rebuild) keep the raw PC.
+        ``tag_bits`` and ``alignment_bits`` attributes); :func:`batch_locate`
+        is its vectorized twin.  The key is also the resident-tag index's
+        key, so a probe is ``_resident.get(_locate(pc), -1)``.
+
+        Locations come from the active slice's memo; a PC seen for the first
+        time is located by :meth:`_locate_raw`.  The memo holds the
+        *uncolored* tag and the ASID color is one XOR with the folded color
+        constant -- exact because :func:`~repro.common.bitutils.fold_xor` is
+        XOR-linear -- so a context switch never invalidates the memo.
         """
+        location = self._loc_memo.get(pc)
+        if location is None:
+            location = self._loc_memo[pc] = self._locate_raw(pc)
+        return location ^ self._tag_color
+
+    def _locate_raw(self, pc: int) -> int:
+        """``(index << tag_bits) | raw_tag`` of ``pc``, computed from scratch.
+
+        The set index uses the raw PC, confined to the active tenant's
+        partition slice when there is one.  The partial tag XOR-folds the
+        whole PC above the alignment bits down to ``tag_bits``, as real BTBs
+        do to keep tag storage small with minimal aliasing.  The index bits
+        are deliberately *included* in the hash: organizations sized to an
+        exact storage budget can have non-power-of-two set counts (e.g. a
+        1856-entry conventional BTB) whose modulo indexing would otherwise
+        let two PCs that differ only in low-order bits share both a set and a
+        tag.  Only the tag sees the ASID color (:meth:`_locate` applies it)
+        -- set indexing and target recovery (BTB-X offset concatenation,
+        PDede same-page rebuild) keep the raw PC.
+        """
+        align = self.alignment_bits
+        index = self.asid_policy.set_index(self._MAIN_DOMAIN, pc, self.num_sets, align)
+        high = pc >> align
+        return (index << self.tag_bits) | (fold_xor(high, self.tag_bits) if high else 0)
+
+    def _select_locations(self) -> None:
+        """Point the location memo and tag color at the active ASID."""
         policy = self.asid_policy
-        align = self.isa.alignment_bits
-        index = policy.set_index(self._MAIN_DOMAIN, pc, self.num_sets, align)
-        high = policy.colored(pc) >> align
-        return index, (fold_xor(high, self.tag_bits) if high else 0)
-
-    def _locate_for_update(self, pc: int) -> tuple[int, int]:
-        """``_locate(pc)``, short-circuited by the batch plan's lookup hint.
-
-        Scalar-path behaviour is unchanged (the hint is only ever set by a
-        batch plan); with a hint for the same ``pc`` the commit-time update
-        reuses the chunk-vectorized set index and partial tag bit-for-bit.
-        """
-        hint = self._update_hint
-        if hint is not None and hint[0] == pc:
-            return hint[1], hint[2]
-        return self._locate(pc)
+        color = policy.color_constant()
+        self._tag_color = fold_xor(color >> self.alignment_bits, self.tag_bits) if color else 0
+        self._loc_memo = self._loc_memos.setdefault(policy.active_slice(self._MAIN_DOMAIN), {})
 
     def secondary_partition_counts(self) -> dict[str, list[int]]:
         """Per-tenant capacity of each partitioned *secondary* structure.
@@ -238,17 +259,62 @@ class BTBBase(abc.ABC):
         """Storage requirement in KiB."""
         return self.storage_bits() / 8.0 / 1024.0
 
-    # -- batched backend hooks ---------------------------------------------
+    # -- residency -----------------------------------------------------------
     #
-    # The shared guaranteed-miss machinery.  Set-associative organizations
-    # (every bounded one) provide ``num_sets``, ``associativity``,
-    # ``tag_bits``, ``isa``, a ``_sets`` list of per-set way lists (or
-    # ``None`` for a set not yet materialized) whose entries carry ``valid``
-    # and ``tag``, and ``lookup_prelocated(pc, index, tag, way=None)``.
-    # They call :meth:`_shadow_install`, :meth:`_shadow_evict` and
-    # :meth:`_shadow_clear` -- guarded by ``if self._shadow_tags is not
-    # None``, so the scalar backend, which never builds the shadow, pays one
-    # attribute test -- wherever a way's ``(valid, tag)`` changes.
+    # Set-associative organizations (every bounded one) provide ``num_sets``,
+    # ``associativity``, ``tag_bits``, ``alignment_bits``, a ``_sets`` list
+    # of per-set way lists (or ``None`` for a set not yet materialized) whose
+    # entries carry ``valid`` and ``tag``, and ``lookup_prelocated(pc, key,
+    # way=None)``.  A way's ``(valid, tag)`` changes only through
+    # :meth:`_fill_way` and :meth:`_clear_way`, and a whole-structure
+    # invalidation ends with :meth:`_clear_index`.  The hooks keep the
+    # resident-tag index, which every probe reads, and -- once a batch plan
+    # has built it -- the batched backend's numpy shadow.
+
+    def _fill_way(self, key: int, way: int, entry) -> None:
+        """Make ``entry``, way ``way`` of ``key``'s set, valid with ``key``'s tag.
+
+        A valid ``entry`` is the victim: its old key leaves the index first.
+        """
+        tag_bits = self.tag_bits
+        index = key >> tag_bits
+        tag = key ^ (index << tag_bits)
+        if entry.valid:
+            del self._resident[(index << tag_bits) | entry.tag]
+        self._resident[key] = way
+        entry.valid = True
+        entry.tag = tag
+        if self._shadow_tags is not None:
+            self._set_gen[index] += 1
+            self._shadow_valid[index, way] = True
+            self._shadow_tags[index, way] = tag
+
+    def _clear_way(self, index: int, way: int, entry) -> None:
+        """Invalidate ``entry``, way ``way`` of set ``index``."""
+        del self._resident[(index << self.tag_bits) | entry.tag]
+        entry.valid = False
+        if self._shadow_tags is not None:
+            self._set_gen[index] += 1
+            self._shadow_valid[index, way] = False
+
+    def _clear_index(self) -> None:
+        """Empty the index once the caller has invalidated every way."""
+        self._resident.clear()
+        if self._shadow_tags is not None:
+            self._set_gen = [gen + 1 for gen in self._set_gen]
+            self._shadow_valid[:] = False
+
+    def _resident_ways(self):
+        """``(set, way, tag)`` of every valid way, scanned from the entries."""
+        for index, entries in enumerate(self._sets):
+            for way, entry in enumerate(entries or ()):
+                if entry.valid:
+                    yield index, way, entry.tag
+
+    # -- batched backend -------------------------------------------------------
+    #
+    # The shared guaranteed-miss machinery, for set-associative
+    # organizations.
 
     def batch_plan(self, pcs, taken_branch_pcs) -> "BatchPlan":
         """Plan one scheduling chunk's lookups over the ``pcs`` array.
@@ -276,7 +342,8 @@ class BTBBase(abc.ABC):
         ``(valid, tag)`` state is exactly the plan-time shadow (refreshes and
         LRU movement never bump it, and a preresolved hit reads the live
         entry, so payload refreshes are always observed); a set that did
-        change is probed by scanning its ways as the scalar path does.
+        change is probed through the resident-tag index, as the scalar path
+        is.
         Organizations without sets (the ideal BTB) override this.
         """
         from repro.traces.batch import np
@@ -287,13 +354,14 @@ class BTBBase(abc.ABC):
         hit_any = match.any(axis=1)
         resolved = np.where(hit_any, match.argmax(axis=1).astype(np.int64), np.int64(-1))
         guaranteed_miss = ~hit_any
+        shift = np.uint64(self.tag_bits)
+        key = (index << shift) | tag
         if len(taken_branch_pcs):
             tb_index, tb_tag = batch_locate(self, taken_branch_pcs, self.num_sets)
-            shift = np.uint64(self.tag_bits)
-            guaranteed_miss &= ~np.isin((index << shift) | tag, (tb_index << shift) | tb_tag)
+            guaranteed_miss &= ~np.isin(key, (tb_index << shift) | tb_tag)
         gen = np.asarray(self._set_gen, dtype=np.int64)[index]
         return SetBatchPlan(
-            self, guaranteed_miss, index.tolist(), tag.tolist(), resolved.tolist(), gen.tolist()
+            self, guaranteed_miss, index.tolist(), key.tolist(), resolved.tolist(), gen.tolist()
         )
 
     def note_skipped_miss_lookups(self, count: int) -> None:
@@ -306,21 +374,14 @@ class BTBBase(abc.ABC):
         self.reads["main"] = self.reads.get("main", 0) + count
         self.stats.inc("misses", count)
 
-    def _resident_ways(self):
-        """``(set, way, tag)`` of every valid way (the shadow's first scan)."""
-        for index, entries in enumerate(self._sets):
-            for way, entry in enumerate(entries or ()):
-                if entry.valid:
-                    yield index, way, entry.tag
-
     def _ensure_shadow(self):
         """Build (once) and return the numpy ``(valid, tags)`` residency shadow.
 
-        The shadow mirrors exactly the ``(entry.valid, entry.tag)`` pairs the
-        scalar probe compares against, and ``_set_gen`` counts each set's
-        residency changes.  Every later mutation writes through, so after
-        this first full scan the resident set is always readable as two
-        array gathers.
+        The shadow mirrors exactly the ``(entry.valid, entry.tag)`` pairs of
+        the resident-tag index, and ``_set_gen`` counts each set's residency
+        changes.  Every later mutation writes through (:meth:`_fill_way`,
+        :meth:`_clear_way`, :meth:`_clear_index`), so after this first full
+        scan the resident set is always readable as two array gathers.
         """
         if self._shadow_tags is None:
             from repro.traces.batch import np
@@ -333,22 +394,6 @@ class BTBBase(abc.ABC):
                 self._shadow_valid[index, way] = True
                 self._shadow_tags[index, way] = tag
         return self._shadow_valid, self._shadow_tags
-
-    def _shadow_install(self, index: int, way: int, tag: int) -> None:
-        """Write an allocation of ``(index, way)`` through to the shadow."""
-        self._set_gen[index] += 1
-        self._shadow_valid[index, way] = True
-        self._shadow_tags[index, way] = tag
-
-    def _shadow_evict(self, index: int, way: int) -> None:
-        """Write an invalidation of ``(index, way)`` through to the shadow."""
-        self._set_gen[index] += 1
-        self._shadow_valid[index, way] = False
-
-    def _shadow_clear(self) -> None:
-        """Write a whole-structure invalidation through to the shadow."""
-        self._set_gen = [gen + 1 for gen in self._set_gen]
-        self._shadow_valid[:] = False
 
     def record_allocation(self, structure: str, key: int) -> None:
         """Note that ``structure`` was asked to track ``key`` (duplication stats).
@@ -447,12 +492,12 @@ class BatchPlan:
 class SetBatchPlan(BatchPlan):
     """Plan of a set-associative organization: pre-located, preresolved probes."""
 
-    __slots__ = ("_index", "_tag", "_resolved", "_gen", "secondary")
+    __slots__ = ("_index", "_key", "_resolved", "_gen", "secondary")
 
-    def __init__(self, btb: BTBBase, guaranteed_miss, index, tag, resolved, gen) -> None:
+    def __init__(self, btb: BTBBase, guaranteed_miss, index, key, resolved, gen) -> None:
         super().__init__(btb, guaranteed_miss)
         self._index = index
-        self._tag = tag
+        self._key = key
         #: Per-position preresolution against the plan-time shadow: ``-1``
         #: certain miss, ``>= 0`` the hit way.  Valid while the set's
         #: residency generation still equals the plan-time snapshot.
@@ -465,39 +510,40 @@ class SetBatchPlan(BatchPlan):
     def lookup(self, position: int, pc: int) -> BTBLookupResult:
         """Probe with the chunk-vectorized location of ``position``.
 
-        A preresolved position skips the way scan, and the organization's
-        ``lookup_prelocated`` replays the scan's every side effect; a
-        position whose set changed residency since plan time (generation
-        mismatch) scans.  Either way the location doubles as the update hint
-        (:meth:`BTBBase._locate_for_update`) for a taken branch's commit.
+        A preresolved position skips the resident-tag index, and the
+        organization's ``lookup_prelocated`` replays the probe's every side
+        effect; a position whose set changed residency since plan time
+        (generation mismatch) reads the index.
         """
         btb = self._btb
-        index = self._index[position]
-        tag = self._tag[position]
-        btb._update_hint = (pc, index, tag)
-        way = self._resolved[position] if btb._set_gen[index] == self._gen[position] else None
+        key = self._key[position]
+        way = (
+            self._resolved[position]
+            if btb._set_gen[self._index[position]] == self._gen[position]
+            else None
+        )
         if self.secondary is None:
-            return btb.lookup_prelocated(pc, index, tag, way)
-        return btb.lookup_prelocated(pc, index, tag, way, self.secondary, position)
+            return btb.lookup_prelocated(pc, key, way)
+        return btb.lookup_prelocated(pc, key, way, self.secondary, position)
 
 
 def batch_locate(btb: "BTBBase", pcs, num_sets: int):
     """Vectorized twin of :meth:`BTBBase._locate`.
 
     Computes the set index and partial tag of every PC in the uint64 array
-    ``pcs`` for ``btb``'s *current* ASID state -- the same
-    :class:`~repro.common.asid.AddressSpacePolicy` slice and color the scalar
-    ``_locate`` consults per call, hoisted out because both are constant
-    within a scheduling chunk.  The arithmetic is element-wise identical:
-    raw-PC set indexing (confined to the active partition slice) and an
-    XOR-folded tag over the ASID-colored PC.  Color constants can exceed 64
-    bits (cold-semantics ASIDs), so the constant is folded in arbitrary
-    precision and XORed into the vectorized fold -- exact, because XOR-folding
-    is XOR-linear.
+    ``pcs`` for ``btb``'s *current* ASID state -- the active
+    :class:`~repro.common.asid.AddressSpacePolicy` slice and the folded color
+    (``_tag_color``) the scalar ``_locate`` XORs into its memoized locations,
+    both constant within a scheduling chunk.  The arithmetic is element-wise
+    identical: raw-PC set indexing (confined to the active partition slice)
+    and an XOR-folded tag over the ASID-colored PC.  Color constants can
+    exceed 64 bits (cold-semantics ASIDs), so the constant is folded in
+    arbitrary precision once per ASID switch and XORed into the vectorized
+    fold -- exact, because XOR-folding is XOR-linear.
     """
     from repro.traces.batch import fold_xor_array, np, set_index_array
 
-    align = btb.isa.alignment_bits
+    align = btb.alignment_bits
     shifted = pcs >> np.uint64(align)
     sliced = btb.asid_policy.active_slice(btb._MAIN_DOMAIN)
     if sliced is None:
@@ -508,7 +554,6 @@ def batch_locate(btb: "BTBBase", pcs, num_sets: int):
         if base:
             index = index + np.uint64(base)
     tags = fold_xor_array(shifted, btb.tag_bits)
-    color = btb.asid_policy.color_constant()
-    if color:
-        tags = tags ^ np.uint64(fold_xor(color >> align, btb.tag_bits))
+    if btb._tag_color:
+        tags = tags ^ np.uint64(btb._tag_color)
     return index, tags

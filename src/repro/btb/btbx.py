@@ -93,6 +93,7 @@ class BTBXC(BTBBase):
         if entries <= 0:
             raise ConfigurationError("BTB-XC needs at least one entry")
         self.isa = isa
+        self.alignment_bits = isa.alignment_bits
         self.tag_bits = tag_bits
         self.num_entries = entries
         # Direct-mapped: every entry is its own one-way set (partitioning
@@ -103,22 +104,19 @@ class BTBXC(BTBBase):
 
     def lookup(self, pc: int) -> BTBLookupResult:
         """Direct-mapped probe; accessed in parallel with BTB-X."""
-        index, tag = self._locate(pc)
-        return self.lookup_prelocated(pc, index, tag)
+        return self.lookup_prelocated(pc, self._locate(pc))
 
-    def lookup_prelocated(
-        self, pc: int, index: int, tag: int, way: int | None = None
-    ) -> BTBLookupResult:
-        """The probe proper, with index and tag precomputed (batched backend).
+    def lookup_prelocated(self, pc: int, key: int, way: int | None = None) -> BTBLookupResult:
+        """The probe proper, with the lookup key (:meth:`_locate`) computed.
 
         ``way`` is a batch plan's preresolution (``-1`` miss, ``0`` hit);
-        ``None`` compares the entry.
+        ``None`` reads the resident-tag index.
         """
         self.record_read("companion")
-        entry = self._entries[index]
         if way is None:
-            way = 0 if entry.valid and entry.tag == tag else -1
+            way = self._resident.get(key, -1)
         if way == 0:
+            entry = self._entries[key >> self.tag_bits]
             self.stats.inc("hits")
             return BTBLookupResult(
                 hit=True,
@@ -133,14 +131,11 @@ class BTBXC(BTBBase):
     def update(self, instruction: Instruction) -> None:
         """Insert/refresh; direct-mapped, so the indexed entry is overwritten."""
         self.record_allocation("companion", instruction.pc)
-        index, tag = self._locate(instruction.pc)
-        entry = self._entries[index]
-        if entry.valid and entry.tag != tag:
+        key = self._locate(instruction.pc)
+        entry = self._entries[key >> self.tag_bits]
+        if entry.valid and key not in self._resident:
             self.stats.inc("evictions")
-        if self._shadow_tags is not None:
-            self._shadow_install(index, 0, tag)
-        entry.valid = True
-        entry.tag = tag
+        self._fill_way(key, 0, entry)
         entry.branch_type = instruction.branch_type
         entry.target = instruction.target
         self.record_write("companion")
@@ -157,11 +152,10 @@ class BTBXC(BTBBase):
         """Clear every companion entry."""
         for entry in self._entries:
             entry.valid = False
-        if self._shadow_tags is not None:
-            self._shadow_clear()
+        self._clear_index()
 
     def _resident_ways(self):
-        """``(slot, 0, tag)`` of every valid entry (the shadow's first scan)."""
+        """``(slot, 0, tag)`` of every valid entry, scanned from the entries."""
         for index, entry in enumerate(self._entries):
             if entry.valid:
                 yield index, 0, entry.tag
@@ -198,6 +192,7 @@ class BTBX(BTBBase):
                 f"BTB-X entries ({entries}) must be a positive multiple of the way count ({associativity})"
             )
         self.isa = isa
+        self.alignment_bits = isa.alignment_bits
         self.tag_bits = tag_bits
         self.way_offset_bits = widths
         self.associativity = associativity
@@ -301,8 +296,11 @@ class BTBX(BTBBase):
         dicts and stats prefix; without this override a warmup/measurement
         boundary would reset the main BTB only, leaving warmup traffic in
         the companion's counters (and so in the exported energy numbers).
+        The per-way hit and allocation counters restart with them.
         """
         super().reset_stats()
+        self._way_hits = [0] * self.associativity
+        self._way_allocations = [0] * self.associativity
         if self.companion is not None:
             self.companion.reset_stats()
 
@@ -314,40 +312,36 @@ class BTBX(BTBBase):
         which PC and target differ, the concatenation reproduces the full
         target exactly and needs no adder (Section V-B).
         """
-        width = entry.offset_width + self.isa.alignment_bits
-        return ((pc >> width) << width) | (entry.offset_payload << self.isa.alignment_bits)
+        align = self.alignment_bits
+        width = entry.offset_width + align
+        return ((pc >> width) << width) | (entry.offset_payload << align)
 
     def lookup(self, pc: int) -> BTBLookupResult:
         """Probe all ways (and BTB-XC) in parallel with the PC."""
-        index, tag = self._locate(pc)
-        return self.lookup_prelocated(pc, index, tag)
+        return self.lookup_prelocated(pc, self._locate(pc))
 
     def lookup_prelocated(
         self,
         pc: int,
-        index: int,
-        tag: int,
+        key: int,
         way: int | None = None,
         companion_plan=None,
         position: int = -1,
     ) -> BTBLookupResult:
-        """The probe proper, with the main-array location precomputed.
+        """The probe proper, with the main array's lookup key computed.
 
         ``way`` is a batch plan's preresolution of the main ways (``-1``
-        certain main miss, ``>= 0`` the hit way; ``None`` scans).  On a main
-        miss the companion is probed through ``companion_plan`` (the batched
-        backend's plan of BTB-XC, at the same chunk ``position``) or, without
-        one, located lazily -- the scalar path computes the companion's
-        location only when the main ways miss.
+        certain main miss, ``>= 0`` the hit way; ``None`` reads the
+        resident-tag index).  On a main miss the companion is probed through
+        ``companion_plan`` (the batched backend's plan of BTB-XC, at the same
+        chunk ``position``) or, without one, located lazily -- the scalar
+        path computes the companion's location only when the main ways miss.
         """
         self.record_read("main")
         if way is None:
-            way = -1
-            for candidate, entry in enumerate(self._sets[index] or ()):
-                if entry.valid and entry.tag == tag:
-                    way = candidate
-                    break
+            way = self._resident.get(key, -1)
         if way >= 0:
+            index = key >> self.tag_bits
             entry = self._sets[index][way]
             self._lru[index].touch(way)
             self.stats.inc("hits")
@@ -401,7 +395,8 @@ class BTBX(BTBBase):
             return
 
         self.record_allocation("main", instruction.pc)
-        index, tag = self._locate_for_update(instruction.pc)
+        key = self._locate(instruction.pc)
+        index = key >> self.tag_bits
         entries = self._sets[index]
         if entries is None:
             entries = self._materialize(index)
@@ -409,28 +404,26 @@ class BTBX(BTBBase):
 
         # Refresh an existing entry if the branch is already present and its
         # (possibly new, for indirect branches) offset still fits that way.
-        for way, entry in enumerate(entries):
-            if entry.valid and entry.tag == tag:
-                if self.way_offset_bits[way] >= required:
-                    changed = (
-                        entry.offset_payload != payload
-                        or entry.branch_type != instruction.branch_type
-                        or entry.offset_width != required
-                    )
-                    entry.branch_type = instruction.branch_type
-                    entry.offset_payload = payload
-                    entry.offset_width = required
-                    self._lru[index].touch(way)
-                    if changed:
-                        self.record_write("main")
-                    return
-                # The target moved out of this way's reach (indirect branch):
-                # drop the stale entry and re-allocate below.
-                entry.valid = False
-                if self._shadow_tags is not None:
-                    self._shadow_evict(index, way)
-                self.stats.inc("reallocations")
-                break
+        way = self._resident.get(key, -1)
+        if way >= 0:
+            entry = entries[way]
+            if self.way_offset_bits[way] >= required:
+                changed = (
+                    entry.offset_payload != payload
+                    or entry.branch_type != instruction.branch_type
+                    or entry.offset_width != required
+                )
+                entry.branch_type = instruction.branch_type
+                entry.offset_payload = payload
+                entry.offset_width = required
+                self._lru[index].touch(way)
+                if changed:
+                    self.record_write("main")
+                return
+            # The target moved out of this way's reach (indirect branch):
+            # drop the stale entry and re-allocate below.
+            self._clear_way(index, way, entry)
+            self.stats.inc("reallocations")
 
         eligible = self._eligible_ways(required)
         victim = next((way for way in eligible if not entries[way].valid), None)
@@ -438,14 +431,11 @@ class BTBX(BTBBase):
             victim = self._lru[index].victim(eligible)
             self.stats.inc("evictions")
         entry = entries[victim]
-        entry.valid = True
-        entry.tag = tag
+        self._fill_way(key, victim, entry)
         entry.branch_type = instruction.branch_type
         entry.offset_payload = payload
         entry.offset_width = required
         self._lru[index].touch(victim)
-        if self._shadow_tags is not None:
-            self._shadow_install(index, victim, tag)
         self.record_write("main")
         self.stats.inc("allocations")
         self._way_allocations[victim] += 1
@@ -461,7 +451,7 @@ class BTBX(BTBBase):
         """The stored offset payload: low target bits above the alignment bits."""
         if required_bits == 0:
             return 0
-        return (instruction.target >> self.isa.alignment_bits) & ((1 << required_bits) - 1)
+        return (instruction.target >> self.alignment_bits) & ((1 << required_bits) - 1)
 
     def way_hit_counts(self) -> List[int]:
         """Per-way hit counts accumulated so far."""
@@ -475,8 +465,7 @@ class BTBX(BTBBase):
         """Clear every entry, including the companion (tests/warmup control)."""
         self._sets = [None] * self.num_sets
         self._lru = [None] * self.num_sets
-        if self._shadow_tags is not None:
-            self._shadow_clear()
+        self._clear_index()
         if self.companion is not None:
             self.companion.invalidate_all()
 

@@ -56,6 +56,7 @@ class ConventionalBTB(BTBBase):
                 f"entries ({entries}) must be a positive multiple of associativity ({associativity})"
             )
         self.isa = isa
+        self.alignment_bits = isa.alignment_bits
         self.tag_bits = tag_bits
         self.associativity = associativity
         self.num_sets = entries // associativity
@@ -70,7 +71,7 @@ class ConventionalBTB(BTBBase):
     @property
     def target_bits(self) -> int:
         """Bits needed to store a full target for the configured ISA."""
-        return self.virtual_address_bits - self.isa.alignment_bits
+        return self.virtual_address_bits - self.alignment_bits
 
     def entry_bits(self) -> int:
         """Storage bits of a single entry (64 for the paper's parameters)."""
@@ -88,28 +89,22 @@ class ConventionalBTB(BTBBase):
 
     def lookup(self, pc: int) -> BTBLookupResult:
         """Probe all ways of the indexed set in parallel."""
-        index, tag = self._locate(pc)
-        return self.lookup_prelocated(pc, index, tag)
+        return self.lookup_prelocated(pc, self._locate(pc))
 
-    def lookup_prelocated(
-        self, pc: int, index: int, tag: int, way: int | None = None
-    ) -> BTBLookupResult:
-        """The lookup proper, with set index and tag already computed.
+    def lookup_prelocated(self, pc: int, key: int, way: int | None = None) -> BTBLookupResult:
+        """The lookup proper, with the lookup key (:meth:`_locate`) computed.
 
         ``way`` is a batch plan's preresolution (``-1`` certain miss, ``>= 0``
-        the hit way); ``None`` scans the ways.  Both give the same result,
-        counters and LRU movement.
+        the hit way); ``None`` reads the resident-tag index.  Both give the
+        same result, counters and LRU movement.
         """
         self.record_read("main")
         if way is None:
-            way = -1
-            for candidate, entry in enumerate(self._sets[index] or ()):
-                if entry.valid and entry.tag == tag:
-                    way = candidate
-                    break
+            way = self._resident.get(key, -1)
         if way < 0:
             self.stats.inc("misses")
             return BTBLookupResult.miss()
+        index = key >> self.tag_bits
         entry = self._sets[index][way]
         self._lru[index].touch(way)
         self.stats.inc("hits")
@@ -133,18 +128,20 @@ class ConventionalBTB(BTBBase):
         if not instruction.is_branch:
             return
         self.record_allocation("main", instruction.pc)
-        index, tag = self._locate_for_update(instruction.pc)
+        key = self._locate(instruction.pc)
+        index = key >> self.tag_bits
+        way = self._resident.get(key, -1)
+        if way >= 0:
+            entry = self._sets[index][way]
+            if entry.target != instruction.target or entry.branch_type != instruction.branch_type:
+                self.record_write("main")
+            entry.target = instruction.target
+            entry.branch_type = instruction.branch_type
+            self._lru[index].touch(way)
+            return
         entries = self._sets[index]
         if entries is None:
             entries = self._materialize(index)
-        for way, entry in enumerate(entries):
-            if entry.valid and entry.tag == tag:
-                if entry.target != instruction.target or entry.branch_type != instruction.branch_type:
-                    self.record_write("main")
-                entry.target = instruction.target
-                entry.branch_type = instruction.branch_type
-                self._lru[index].touch(way)
-                return
         # Allocate: prefer an invalid way, otherwise evict the LRU way.
         victim = next(
             (way for way, entry in enumerate(entries) if not entry.valid),
@@ -154,13 +151,10 @@ class ConventionalBTB(BTBBase):
             victim = self._lru[index].victim()
             self.stats.inc("evictions")
         entry = entries[victim]
-        entry.valid = True
-        entry.tag = tag
+        self._fill_way(key, victim, entry)
         entry.branch_type = instruction.branch_type
         entry.target = instruction.target
         self._lru[index].touch(victim)
-        if self._shadow_tags is not None:
-            self._shadow_install(index, victim, tag)
         self.record_write("main")
         self.stats.inc("allocations")
 
@@ -168,5 +162,4 @@ class ConventionalBTB(BTBBase):
         """Clear every entry (used by tests and warmup control)."""
         self._sets = [None] * self.num_sets
         self._lru = [None] * self.num_sets
-        if self._shadow_tags is not None:
-            self._shadow_clear()
+        self._clear_index()

@@ -68,6 +68,9 @@ class IdealBTB(BTBBase):
         """Forget everything (context-switch flush)."""
         self._entries.clear()
 
+    def _select_locations(self) -> None:
+        """Nothing to select: entries are keyed by ``(asid, pc)`` directly."""
+
     def configure_partitions(self, weights: Sequence[int] | None) -> None:
         """Accept (and validate) a partition map, but change nothing.
 

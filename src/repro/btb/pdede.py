@@ -109,6 +109,7 @@ class PDedeBTB(BTBBase):
         if not 0.0 <= same_page_way_fraction <= 1.0:
             raise ConfigurationError("same-page way fraction must be within [0, 1]")
         self.isa = isa
+        self.alignment_bits = isa.alignment_bits
         self.tag_bits = tag_bits
         self.associativity = associativity
         self.num_sets = entries // associativity
@@ -143,7 +144,7 @@ class PDedeBTB(BTBBase):
     @property
     def page_offset_bits(self) -> int:
         """Stored page-offset bits (12 minus the ISA alignment bits)."""
-        return PAGE_BITS - self.isa.alignment_bits
+        return PAGE_BITS - self.alignment_bits
 
     def same_page_entry_bits(self) -> int:
         """Storage bits of a same-page Main-BTB entry (Figure 7, 29 bits)."""
@@ -311,10 +312,8 @@ class PDedeBTB(BTBBase):
         for index, entries in enumerate(self._sets):
             for way, entry in enumerate(entries):
                 if entry.valid and not entry.same_page and getattr(entry, field) == slot:
-                    entry.valid = False
+                    self._clear_way(index, way, entry)
                     self.stats.inc("pointer_invalidations")
-                    if self._shadow_tags is not None:
-                        self._shadow_evict(index, way)
 
     # -- operations --------------------------------------------------------
 
@@ -327,39 +326,32 @@ class PDedeBTB(BTBBase):
             page.valid = False
         for region in self._regions:
             region.valid = False
-        if self._shadow_tags is not None:
-            self._shadow_clear()
+        self._clear_index()
 
     def lookup(self, pc: int) -> BTBLookupResult:
         """Probe the Main-BTB; different-page hits follow both pointers serially."""
-        index, tag = self._locate(pc)
-        return self.lookup_prelocated(pc, index, tag)
+        return self.lookup_prelocated(pc, self._locate(pc))
 
-    def lookup_prelocated(
-        self, pc: int, index: int, tag: int, way: int | None = None
-    ) -> BTBLookupResult:
-        """The lookup proper, with set index and tag already computed.
+    def lookup_prelocated(self, pc: int, key: int, way: int | None = None) -> BTBLookupResult:
+        """The lookup proper, with the lookup key (:meth:`_locate`) computed.
 
         ``way`` is a batch plan's preresolution (``-1`` certain miss, ``>= 0``
-        the hit way); ``None`` scans the ways.
+        the hit way); ``None`` reads the resident-tag index.
         """
         self.record_read("main")
         if way is None:
-            way = -1
-            for candidate, entry in enumerate(self._sets[index]):
-                if entry.valid and entry.tag == tag:
-                    way = candidate
-                    break
+            way = self._resident.get(key, -1)
         if way < 0:
             self.stats.inc("misses")
             return BTBLookupResult.miss()
+        index = key >> self.tag_bits
         entry = self._sets[index][way]
         self._lru[index].touch(way)
         if entry.same_page:
             # Page and region numbers are recovered from the branch PC.
             target = (
                 ((pc >> PAGE_BITS) << PAGE_BITS)
-                | (entry.page_offset << self.isa.alignment_bits)
+                | (entry.page_offset << self.alignment_bits)
             )
             self.stats.inc("hits")
             self.stats.inc("hits.same_page")
@@ -374,16 +366,14 @@ class PDedeBTB(BTBBase):
         page = self._pages[entry.page_pointer]
         region = self._regions[entry.region_pointer]
         if not page.valid or not region.valid:
-            entry.valid = False
-            if self._shadow_tags is not None:
-                self._shadow_evict(index, way)
+            self._clear_way(index, way, entry)
             self.stats.inc("misses")
             return BTBLookupResult.miss()
         self.record_read("page")
         target = (
             (region.region_number << (PAGE_BITS + REGION_PAGE_BITS))
             | (page.page_number << PAGE_BITS)
-            | (entry.page_offset << self.isa.alignment_bits)
+            | (entry.page_offset << self.alignment_bits)
         )
         self.stats.inc("hits")
         self.stats.inc("hits.different_page")
@@ -411,10 +401,11 @@ class PDedeBTB(BTBBase):
         if not instruction.is_branch:
             return
         self.record_allocation("main", instruction.pc)
-        index, tag = self._locate_for_update(instruction.pc)
+        key = self._locate(instruction.pc)
+        index = key >> self.tag_bits
         entries = self._sets[index]
         region_number, page_number, page_offset_full = self._split_target(instruction.target)
-        page_offset = page_offset_full >> self.isa.alignment_bits
+        page_offset = page_offset_full >> self.alignment_bits
         # Returns take their target from the RAS, so they never need page or
         # region pointers and behave like same-page entries.
         same_page = instruction.branch_type.target_from_ras or (
@@ -427,16 +418,17 @@ class PDedeBTB(BTBBase):
             region_pointer = self._allocate_region(region_number)
             page_pointer = self._allocate_page(page_number, region_number)
 
-        for way, entry in enumerate(entries):
-            if entry.valid and entry.tag == tag:
-                if not same_page and way < self.same_page_ways:
-                    # A previously same-page branch (or alias) now needs pointer
-                    # fields that this reserved way cannot hold: re-allocate.
-                    entry.valid = False
-                    if self._shadow_tags is not None:
-                        self._shadow_evict(index, way)
-                    self.stats.inc("reallocations")
-                    break
+        # Allocating the page/region may invalidate Main-BTB entries (this
+        # one included), so the resident-tag index is read after it.
+        way = self._resident.get(key, -1)
+        if way >= 0:
+            entry = entries[way]
+            if not same_page and way < self.same_page_ways:
+                # A previously same-page branch (or alias) now needs pointer
+                # fields that this reserved way cannot hold: re-allocate.
+                self._clear_way(index, way, entry)
+                self.stats.inc("reallocations")
+            else:
                 entry.branch_type = instruction.branch_type
                 entry.page_offset = page_offset
                 entry.same_page = same_page
@@ -457,15 +449,12 @@ class PDedeBTB(BTBBase):
             victim = self._lru[index].victim(eligible)
             self.stats.inc("evictions")
         entry = entries[victim]
-        entry.valid = True
-        entry.tag = tag
+        self._fill_way(key, victim, entry)
         entry.branch_type = instruction.branch_type
         entry.page_offset = page_offset
         entry.same_page = same_page
         entry.page_pointer = page_pointer
         entry.region_pointer = region_pointer
         self._lru[index].touch(victim)
-        if self._shadow_tags is not None:
-            self._shadow_install(index, victim, tag)
         self.record_write("main")
         self.stats.inc("allocations")

@@ -78,6 +78,7 @@ class ReducedBTB(BTBBase):
         if page_entries <= 0:
             raise ConfigurationError("Page-BTB needs at least one entry")
         self.isa = isa
+        self.alignment_bits = isa.alignment_bits
         self.tag_bits = tag_bits
         self.associativity = associativity
         self.num_sets = entries // associativity
@@ -99,7 +100,7 @@ class ReducedBTB(BTBBase):
     @property
     def page_offset_bits(self) -> int:
         """Stored page-offset bits (12 minus the ISA alignment bits)."""
-        return PAGE_BITS - self.isa.alignment_bits
+        return PAGE_BITS - self.alignment_bits
 
     def main_entry_bits(self) -> int:
         """Storage bits of one Main-BTB entry."""
@@ -180,10 +181,8 @@ class ReducedBTB(BTBBase):
         for index, entries in enumerate(self._sets):
             for way, entry in enumerate(entries):
                 if entry.valid and entry.page_pointer == page_slot:
-                    entry.valid = False
+                    self._clear_way(index, way, entry)
                     self.stats.inc("pointer_invalidations")
-                    if self._shadow_tags is not None:
-                        self._shadow_evict(index, way)
 
     # -- operations --------------------------------------------------------
 
@@ -194,46 +193,37 @@ class ReducedBTB(BTBBase):
                 entry.valid = False
         for page in self._pages:
             page.valid = False
-        if self._shadow_tags is not None:
-            self._shadow_clear()
+        self._clear_index()
 
     def lookup(self, pc: int) -> BTBLookupResult:
         """Probe the Main-BTB, then follow the page pointer (serial access)."""
-        index, tag = self._locate(pc)
-        return self.lookup_prelocated(pc, index, tag)
+        return self.lookup_prelocated(pc, self._locate(pc))
 
-    def lookup_prelocated(
-        self, pc: int, index: int, tag: int, way: int | None = None
-    ) -> BTBLookupResult:
-        """The lookup proper, with set index and tag already computed.
+    def lookup_prelocated(self, pc: int, key: int, way: int | None = None) -> BTBLookupResult:
+        """The lookup proper, with the lookup key (:meth:`_locate`) computed.
 
         ``way`` is a batch plan's preresolution (``-1`` certain miss, ``>= 0``
-        the hit way); ``None`` scans the ways.
+        the hit way); ``None`` reads the resident-tag index.
         """
         self.record_read("main")
         if way is None:
-            way = -1
-            for candidate, entry in enumerate(self._sets[index]):
-                if entry.valid and entry.tag == tag:
-                    way = candidate
-                    break
+            way = self._resident.get(key, -1)
         if way < 0:
             self.stats.inc("misses")
             return BTBLookupResult.miss()
+        index = key >> self.tag_bits
         entry = self._sets[index][way]
         self._lru[index].touch(way)
         page = self._pages[entry.page_pointer]
         if not page.valid:
             # Stale pointer (page evicted): treat as a BTB miss.
-            entry.valid = False
-            if self._shadow_tags is not None:
-                self._shadow_evict(index, way)
+            self._clear_way(index, way, entry)
             self.stats.inc("misses")
             return BTBLookupResult.miss()
         self.record_read("page")
         target = (
             (page.page_number << PAGE_BITS)
-            | (entry.page_offset << self.isa.alignment_bits)
+            | (entry.page_offset << self.alignment_bits)
         )
         self.stats.inc("hits")
         return BTBLookupResult(
@@ -250,32 +240,33 @@ class ReducedBTB(BTBBase):
         if not instruction.is_branch:
             return
         self.record_allocation("main", instruction.pc)
-        index, tag = self._locate_for_update(instruction.pc)
+        key = self._locate(instruction.pc)
+        index = key >> self.tag_bits
         entries = self._sets[index]
         page_number = instruction.target >> PAGE_BITS
-        page_offset = (instruction.target & mask(PAGE_BITS)) >> self.isa.alignment_bits
+        page_offset = (instruction.target & mask(PAGE_BITS)) >> self.alignment_bits
 
+        # Allocating the page may invalidate Main-BTB entries (this one
+        # included), so the resident-tag index is read after it.
         page_slot = self._allocate_page(page_number)
-        for way, entry in enumerate(entries):
-            if entry.valid and entry.tag == tag:
-                entry.branch_type = instruction.branch_type
-                entry.page_offset = page_offset
-                entry.page_pointer = page_slot
-                self._lru[index].touch(way)
-                self.record_write("main")
-                return
+        way = self._resident.get(key, -1)
+        if way >= 0:
+            entry = entries[way]
+            entry.branch_type = instruction.branch_type
+            entry.page_offset = page_offset
+            entry.page_pointer = page_slot
+            self._lru[index].touch(way)
+            self.record_write("main")
+            return
         victim = next((way for way, entry in enumerate(entries) if not entry.valid), None)
         if victim is None:
             victim = self._lru[index].victim()
             self.stats.inc("evictions")
         entry = entries[victim]
-        entry.valid = True
-        entry.tag = tag
+        self._fill_way(key, victim, entry)
         entry.branch_type = instruction.branch_type
         entry.page_offset = page_offset
         entry.page_pointer = page_slot
         self._lru[index].touch(victim)
-        if self._shadow_tags is not None:
-            self._shadow_install(index, victim, tag)
         self.record_write("main")
         self.stats.inc("allocations")

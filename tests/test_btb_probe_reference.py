@@ -1,0 +1,260 @@
+"""The memoized, indexed BTB probe against a from-scratch reference.
+
+Every set-associative organization probes through a per-PC location memo
+and a resident-tag index (``BTBBase._locate`` and ``BTBBase._resident``).
+Here each organization runs in lockstep with a *reference* instance of the
+same class whose location is recomputed from scratch on every call (the
+ASID-colored PC folded down to a partial tag) and whose probe scans the
+set's ways.  Budgets are tiny, so LRU evictions, Page-/Region-BTB evictions
+with their pointer invalidations, BTB-X/PDede reallocations and BTB-XC
+conflicts all happen; lookups, taken-branch updates, tagged ASID switches,
+partition-map changes and whole-structure invalidations interleave.
+
+After every step the two instances must agree on the lookup result, every
+counter, every entry and every LRU stamp, and the resident-tag index must
+equal ``{key: way}`` over the valid entries, with no tag twice in a set.
+No numpy: this is the scalar probe's own proof.
+"""
+
+from __future__ import annotations
+
+import types
+
+from hypothesis import given, settings, strategies as st
+
+from repro.btb.btbx import BTBX, BTBXC
+from repro.btb.conventional import ConventionalBTB
+from repro.btb.pdede import PDedeBTB
+from repro.btb.rbtb import ReducedBTB
+from repro.common.bitutils import fold_xor
+from repro.common.config import ISAStyle
+from repro.common.lru import LRUState
+from repro.isa.branch import BranchType
+from repro.isa.instruction import Instruction
+
+#: Tiny geometries: 2-3 main sets of 8 ways (3 sets index modulo), a 2-entry
+#: R-BTB Page-BTB, a 2x2 PDede Page-BTB with a 2-entry Region-BTB, and a
+#: BTB-XC of one entry per main set.
+FACTORIES = {
+    "conventional": lambda sets, isa: ConventionalBTB(8 * sets, isa=isa),
+    "rbtb": lambda sets, isa: ReducedBTB(8 * sets, page_entries=2, isa=isa),
+    "pdede": lambda sets, isa: PDedeBTB(
+        8 * sets, page_entries=4, region_entries=2, page_associativity=2, isa=isa
+    ),
+    "btbx": lambda sets, isa: BTBX(8 * sets, companion_divisor=8, isa=isa),
+}
+
+#: Branch PCs: a dense code region plus a far one, so PCs repeat, share sets
+#: and differ in the high bits the partial tag folds.
+PCS = tuple(0x40_0000 + 4 * k for k in range(40)) + tuple(
+    0x7F_1234_5000 + 4 * k for k in range(16)
+)
+
+#: Target displacements from the branch PC: same page, different page
+#: (PDede/R-BTB pointers), 19- and 25-bit BTB-X ways, a different PDede
+#: region, and offsets too wide for any BTB-X way (BTB-XC).
+DELTAS = (8, -16, 0x300, 0x5000, -0x4_0000, 0x300_0000, 0x1000_0000, 0x40_0000_0000)
+
+BRANCH_TYPES = (
+    BranchType.CONDITIONAL,
+    BranchType.UNCONDITIONAL,
+    BranchType.CALL,
+    BranchType.RETURN,
+    BranchType.INDIRECT,
+)
+
+#: ASIDs, including ones whose color constant exceeds 64 bits.
+ASIDS = (0, 1, 2, 7, 1_000_003)
+
+PARTITIONS = (None, (1, 1), (1, 3), (2, 1, 1))
+
+#: Per-structure state excluded from the lockstep comparison: the memo and
+#: index under test, the reference's patched-in probe, and objects compared
+#: through their own reports.
+_UNCOMPARED = frozenset({
+    "_loc_memo", "_loc_memos", "_tag_color", "_resident", "_locate",
+    "_shadow_valid", "_shadow_tags", "_set_gen",
+    "_stats_registry", "stats", "asid_policy", "companion", "isa",
+})
+
+OPS = st.one_of(
+    st.tuples(st.just("lookup"), st.sampled_from(PCS)),
+    st.tuples(
+        st.just("update"),
+        st.sampled_from(PCS),
+        st.sampled_from(DELTAS),
+        st.sampled_from(BRANCH_TYPES),
+    ),
+    st.tuples(st.just("asid"), st.sampled_from(ASIDS)),
+    st.tuples(st.just("partition"), st.sampled_from(PARTITIONS)),
+    st.tuples(st.just("invalidate")),
+)
+
+
+def _structures(btb):
+    """``btb`` and, for BTB-X, its companion."""
+    companion = getattr(btb, "companion", None)
+    return (btb,) if companion is None else (btb, companion)
+
+
+def _ways(btb, index):
+    """The entries of set ``index`` (BTB-XC: its one direct-mapped entry)."""
+    if isinstance(btb, BTBXC):
+        return [btb._entries[index]]
+    return btb._sets[index] or ()
+
+
+def _scratch_locate(btb, pc):
+    """Lookup key from scratch: raw-PC set index, tag over the colored PC."""
+    align = btb.isa.alignment_bits
+    index = btb.asid_policy.set_index(btb._MAIN_DOMAIN, pc, btb.num_sets, align)
+    high = btb.asid_policy.colored(pc) >> align
+    return (index << btb.tag_bits) | (fold_xor(high, btb.tag_bits) if high else 0)
+
+
+class _WayScan:
+    """A stand-in resident-tag index whose ``get`` scans the set's ways.
+
+    Writes are ignored: the reference keeps no index, so every probe sees
+    exactly the live entries.
+    """
+
+    def __init__(self, btb) -> None:
+        self._btb = btb
+
+    def get(self, key, default):
+        btb = self._btb
+        index, tag = key >> btb.tag_bits, key & ((1 << btb.tag_bits) - 1)
+        for way, entry in enumerate(_ways(btb, index)):
+            if entry.valid and entry.tag == tag:
+                return way
+        return default
+
+    def __contains__(self, key) -> bool:
+        return self.get(key, -1) >= 0
+
+    def __setitem__(self, key, way) -> None:
+        pass
+
+    def __delitem__(self, key) -> None:
+        pass
+
+    def clear(self) -> None:
+        pass
+
+
+def _reference(name, sets, isa):
+    btb = FACTORIES[name](sets, isa)
+    for structure in _structures(btb):
+        structure._locate = types.MethodType(_scratch_locate, structure)
+        structure._resident = _WayScan(structure)
+    return btb
+
+
+def _plain(value):
+    if isinstance(value, LRUState):
+        return ("lru", tuple(value._stamps), value._clock)
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    return value
+
+
+def _observable(btb):
+    """Entries, LRU stamps, counters and ASID reports of every structure."""
+    state = []
+    for structure in _structures(btb):
+        fields = {
+            key: _plain(value)
+            for key, value in vars(structure).items()
+            if key not in _UNCOMPARED
+        }
+        state.append((
+            fields,
+            structure.access_counts(),
+            structure.partition_set_counts(),
+            structure.duplication_counts(),
+            structure.active_asid,
+        ))
+    return state
+
+
+def _assert_index_is_live(btb) -> None:
+    for structure in _structures(btb):
+        live = {}
+        for index in range(structure.num_sets):
+            tags = [entry.tag for entry in _ways(structure, index) if entry.valid]
+            assert len(tags) == len(set(tags)), f"{structure.name}: set {index} repeats a tag"
+            for way, entry in enumerate(_ways(structure, index)):
+                if entry.valid:
+                    live[(index << structure.tag_bits) | entry.tag] = way
+        assert structure._resident == live, f"{structure.name}: index != valid entries"
+
+
+def _apply(btb, op):
+    kind = op[0]
+    if kind == "lookup":
+        return btb.lookup(op[1])
+    if kind == "update":
+        _, pc, delta, branch_type = op
+        btb.update(Instruction.branch(pc, branch_type, True, pc + delta))
+    elif kind == "asid":
+        btb.set_active_asid(op[1])
+    elif kind == "partition":
+        btb.configure_partitions(op[1])
+    else:
+        btb.invalidate_all()
+    return None
+
+
+#: A closing burst of updates: near targets (any main way) for every PC,
+#: then far ones in distinct pages and regions (pointer ways, BTB-XC).
+#: Whatever the drawn operations left behind, it overflows every structure.
+PRESSURE = tuple(("update", pc, 0x40, BranchType.CALL) for pc in PCS) + tuple(
+    ("update", pc, (k + 1) * 0x1000_3000, BranchType.CALL) for k, pc in enumerate(PCS[::3])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(FACTORIES)),
+    sets=st.sampled_from((2, 3)),
+    isa=st.sampled_from(tuple(ISAStyle)),
+    ops=st.lists(OPS, max_size=120),
+)
+def test_memoized_probe_matches_scratch_reference(name, sets, isa, ops):
+    btb = FACTORIES[name](sets, isa)
+    reference = _reference(name, sets, isa)
+    for op in (*ops, *PRESSURE):
+        if op[0] == "lookup":
+            for structure in _structures(btb):
+                assert structure._locate(op[1]) == _scratch_locate(structure, op[1])
+        assert _apply(btb, op) == _apply(reference, op), op
+        assert _observable(btb) == _observable(reference), op
+        _assert_index_is_live(btb)
+    counts = btb.access_counts()
+    assert counts["evictions"] > 0
+    if name == "rbtb":
+        assert counts["page_evictions"] > 0 and counts["pointer_invalidations"] > 0
+    if name == "pdede":
+        assert counts["page_evictions"] > 0 and counts["region_evictions"] > 0
+    if name == "btbx":
+        assert btb.companion.access_counts()["evictions"] > 0
+
+
+def test_reallocations_are_exercised():
+    """The reallocation paths the drawn operations reach, pinned directly."""
+    for name, far in (("btbx", 0x40_0000), ("pdede", 0x5000)):
+        btb = FACTORIES[name](2, ISAStyle.ARM64)
+        reference = _reference(name, 2, ISAStyle.ARM64)
+        pc = PCS[0]
+        for op in (
+            ("update", pc, 8, BranchType.INDIRECT),
+            ("lookup", pc),
+            ("update", pc, far, BranchType.INDIRECT),
+            ("lookup", pc),
+        ):
+            assert _apply(btb, op) == _apply(reference, op)
+            assert _observable(btb) == _observable(reference)
+            _assert_index_is_live(btb)
+        assert btb.access_counts()["reallocations"] == 1
+        assert btb.lookup(pc).target == pc + far

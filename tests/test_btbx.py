@@ -134,6 +134,27 @@ class TestAllocationPolicy:
         btb.lookup(branch.pc)
         assert sum(btb.way_hit_counts()) == 1
 
+    def test_reset_stats_restarts_way_counters(self):
+        """After the warmup boundary the way counters cover measured traffic only."""
+        btb = BTBX(entries=64, companion_divisor=8)
+        near = _branch(0x401000, 0x401010)
+        far_call = _branch(0x402000, 0x7F00_0000_1000, BranchType.CALL)
+        for branch in (near, far_call):
+            btb.update(branch)
+            btb.lookup(branch.pc)
+        assert sum(btb.way_hit_counts()) == 1
+        assert sum(btb.way_allocation_counts()) == 1
+
+        btb.reset_stats()
+        assert btb.way_hit_counts() == [0] * btb.associativity
+        assert btb.way_allocation_counts() == [0] * btb.associativity
+        for _ in range(3):
+            btb.lookup(near.pc)
+            btb.lookup(far_call.pc)
+        counts = btb.access_counts()
+        assert counts["hits"] == 6
+        assert sum(btb.way_hit_counts()) == counts["hits"] - counts["hits.companion"] == 3
+
 
 class TestCompanion:
     def test_direct_mapped_conflict(self):
