@@ -14,11 +14,30 @@ After every step the two instances must agree on the lookup result, every
 counter, every entry and every LRU stamp, and the resident-tag index must
 equal ``{key: way}`` over the valid entries, with no tag twice in a set.
 No numpy: this is the scalar probe's own proof.
+
+Lockstep runs two instances of the *same* class, so a change to code both
+share (allocation, replacement, pointer tables) is invisible to it.  The
+pinned half closes that gap: fixed ``random.Random`` operation streams per
+organization, ISA and set count, each ending in :data:`PRESSURE`, are
+digested over every lookup result and, after every operation, the public
+counter and partition reports -- never the internal layout.  The digests
+live in ``tests/golden/btb_org_digests.json``; a failure names the cell.
+When a change is *intentionally* behaviour-altering, regenerate the fixture
+and commit it with the change (see TESTING.md)::
+
+    PYTHONPATH=src python tests/test_btb_probe_reference.py regenerate
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import pathlib
+import random
+import sys
 import types
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -258,3 +277,116 @@ def test_reallocations_are_exercised():
             _assert_index_is_live(btb)
         assert btb.access_counts()["reallocations"] == 1
         assert btb.lookup(pc).target == pc + far
+
+
+# -- pinned organization digests ---------------------------------------------
+
+FIXTURE_PATH = pathlib.Path(__file__).parent / "golden" / "btb_org_digests.json"
+
+#: Seeds of the pinned operation streams (one stream per seed and cell).
+DIGEST_SEEDS = (2023, 7)
+DIGEST_OPS = 250
+
+#: ``(organization, isa, sets, seed)`` of every pinned stream.
+DIGEST_CELLS = tuple(
+    (name, isa, sets, seed)
+    for name in sorted(FACTORIES)
+    for isa in ISAStyle
+    for sets in (2, 3)
+    for seed in DIGEST_SEEDS
+)
+
+
+def digest_key(name, isa, sets, seed) -> str:
+    return f"{name}/{isa.value}/{sets}sets/seed{seed}"
+
+
+def _draw_ops(seed: int) -> list:
+    """A fixed operation stream: mostly lookups and updates, some switches.
+
+    Most lookups probe one of the last few updated PCs, so hits (and stale
+    pointers met on a hit) are common, not only misses.
+    """
+    rng = random.Random(seed)
+    ops = []
+    recent = list(PCS[:4])
+    for _ in range(DIGEST_OPS):
+        roll = rng.random()
+        if roll < 0.42:
+            ops.append(("lookup", rng.choice(recent if rng.random() < 0.7 else PCS)))
+        elif roll < 0.88:
+            pc = rng.choice(PCS)
+            recent = [*recent[-7:], pc]
+            ops.append(("update", pc, rng.choice(DELTAS), rng.choice(BRANCH_TYPES)))
+        elif roll < 0.95:
+            ops.append(("asid", rng.choice(ASIDS)))
+        elif roll < 0.98:
+            ops.append(("partition", rng.choice(PARTITIONS)))
+        else:
+            ops.append(("invalidate",))
+    return ops
+
+
+def _reports(btb, result) -> list:
+    """What one operation shows outside the organization."""
+    if result is not None:
+        result = list(result)
+        result[1] = None if result[1] is None else result[1].name
+    return [
+        result,
+        btb.access_counts(),
+        btb.energy_access_counts(),
+        btb.duplication_counts(),
+        btb.partition_set_counts(),
+        btb.secondary_partition_counts(),
+    ]
+
+
+def run_digest_cell(name, isa, sets, seed) -> str:
+    """sha256 over the reports of every operation of one pinned stream."""
+    btb = FACTORIES[name](sets, isa)
+    digest = hashlib.sha256()
+    for op in (*_draw_ops(seed), *PRESSURE):
+        reports = _reports(btb, _apply(btb, op))
+        digest.update(json.dumps(reports, sort_keys=True, separators=(",", ":")).encode())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def org_digests():
+    if not FIXTURE_PATH.exists():
+        pytest.fail(
+            f"organization digest fixture {FIXTURE_PATH} is missing; regenerate it with "
+            "'PYTHONPATH=src python tests/test_btb_probe_reference.py regenerate'"
+        )
+    return json.loads(FIXTURE_PATH.read_text(encoding="utf-8"))
+
+
+def test_org_digest_fixture_matches_the_pinned_set(org_digests):
+    assert sorted(org_digests["cells"]) == sorted(digest_key(*cell) for cell in DIGEST_CELLS)
+
+
+@pytest.mark.parametrize("cell", DIGEST_CELLS, ids=[digest_key(*cell) for cell in DIGEST_CELLS])
+def test_organization_digest_is_pinned(org_digests, cell):
+    key = digest_key(*cell)
+    assert run_digest_cell(*cell) == org_digests["cells"][key], (
+        f"organization behaviour of {key} drifted from its pinned digest; if the change "
+        "is intentional, regenerate tests/golden/btb_org_digests.json (see TESTING.md)"
+    )
+
+
+def regenerate() -> None:  # pragma: no cover - developer tool
+    """Recompute every pinned organization digest and rewrite the fixture."""
+    cells = {digest_key(*cell): run_digest_cell(*cell) for cell in DIGEST_CELLS}
+    fixture = {"format": 1, "ops": DIGEST_OPS, "cells": cells}
+    FIXTURE_PATH.write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n",
+                            encoding="utf-8")
+    print(f"wrote {len(cells)} cells to {FIXTURE_PATH}")
+
+
+if __name__ == "__main__":  # pragma: no cover - developer tool
+    if len(sys.argv) == 2 and sys.argv[1] == "regenerate":
+        regenerate()
+    else:
+        print(__doc__)
+        raise SystemExit(f"usage: {sys.argv[0]} regenerate")
