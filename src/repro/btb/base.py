@@ -12,6 +12,14 @@ The lookup result distinguishes three cases the branch-prediction unit treats
 differently: a miss, a hit whose target is supplied by the BTB, and a hit on a
 return whose target must be read from the return address stack.
 
+Every bounded organization is a :class:`SetAssociativeBTB`: one main array of
+tagged, true-LRU ways, which owns the geometry, the probe, the allocator and
+the residency bookkeeping.  An organization adds only what its entries store
+(how a hit way becomes a target), which ways an entry may occupy, and any
+secondary structure.  R-BTB's Page-BTB and PDede's Page- and Region-BTB are
+each a :class:`PointerTable`.  The ideal BTB has no sets and derives from
+:class:`BTBBase` directly.
+
 Everything ASID-shaped -- tag coloring, capacity partitioning, duplication
 accounting -- is delegated to one :class:`repro.common.asid.AddressSpacePolicy`
 per organization (secondary structures register extra *domains* on the same
@@ -21,11 +29,14 @@ policy), so the context-switch semantics live in exactly one module.
 from __future__ import annotations
 
 import abc
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import List, NamedTuple, Sequence
 
 from repro.common.asid import AddressSpacePolicy
 from repro.common.bitutils import fold_xor
-from repro.common.config import validate_partition_weights
+from repro.common.config import ISAStyle, validate_partition_weights
+from repro.common.errors import ConfigurationError
+from repro.common.lru import LRUState
 from repro.common.stats import StatGroup, Stats
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
@@ -68,6 +79,9 @@ class BTBBase(abc.ABC):
     #: Policy domain of the organization's primary (main) array.
     _MAIN_DOMAIN = "main"
 
+    #: Access-counter name of the primary array (BTB-XC counts "companion").
+    _STRUCTURE = "main"
+
     def __init__(self, stats: Stats | None = None) -> None:
         self._stats_registry = stats if stats is not None else Stats()
         self.stats: StatGroup = self._stats_registry.group(f"btb.{self.name}")
@@ -80,27 +94,6 @@ class BTBBase(abc.ABC):
         #: All ASID machinery (tag coloring, partitioning, duplication
         #: accounting) for this organization and its secondary structures.
         self.asid_policy = AddressSpacePolicy()
-        #: Location memo of set-associative organizations (see
-        #: :meth:`_locate`): ``pc -> (index << tag_bits) | raw_tag`` for the
-        #: active partition slice, one dict per slice in ``_loc_memos``
-        #: (keyed by the ``(base, count)`` slice, ``None`` when shared).
-        self._loc_memo: dict[int, int] = {}
-        self._loc_memos: dict[tuple[int, int] | None, dict[int, int]] = {None: self._loc_memo}
-        #: The active ASID's color, folded to ``tag_bits``: XORed into a
-        #: memoized location it gives the colored lookup key.
-        self._tag_color = 0
-        #: Resident-tag index: ``(index << tag_bits) | tag -> way`` of every
-        #: valid way.  No two valid ways of a set share a tag (an update
-        #: refreshes a matching way before it would allocate), so a probe is
-        #: one ``get`` instead of a scan of the set's ways.
-        self._resident: dict[int, int] = {}
-        #: Residency shadow of the ways (numpy ``(valid, tag)`` per set x
-        #: way), built by the first batch plan and written through from then
-        #: on; ``_set_gen`` is each set's residency generation, bumped on
-        #: every ``(valid, tag)`` change and NOT on refreshes or LRU movement.
-        self._shadow_valid = None
-        self._shadow_tags = None
-        self._set_gen: list[int] = []
 
     # -- mandatory interface ----------------------------------------------
 
@@ -134,113 +127,24 @@ class BTBBase(abc.ABC):
     def set_active_asid(self, asid: int) -> None:
         """Switch the address space the BTB tags its entries with.
 
-        Organizations fold the active ASID into their partial-tag hash (see
-        :meth:`_locate`), so entries installed by one tenant never hit for
-        another while all tenants share the same storage.  ASID 0 is the
-        neutral color: with it, tagging is a no-op.
+        ASID 0 is the neutral color: with it, tagging is a no-op.
         """
         self.asid_policy.activate(asid)
-        self._select_locations()
 
     def configure_partitions(self, weights: Sequence[int] | None) -> None:
-        """Split this organization's sets among tenants (``None`` to share).
+        """Split this organization's capacity among tenants (``None`` to share).
 
-        Partitioning is by **sets**, not ways: BTB-X's ways have heterogeneous
-        offset widths, so carving up ways would skew which branches each
-        tenant can even store, while set ranges scale capacity uniformly for
-        every organization.  Tenant *i*'s slice holds ``weights[i] / sum``
-        of the sets (at least one), apportioned by
-        :func:`repro.common.config.partition_set_counts`.  ASID ``a`` indexes
-        partition ``a % len(weights)`` -- under warm switch semantics that is
-        the tenant itself, and under cold semantics every incarnation of a
-        tenant lands in the same slice (so dead incarnations pollute only
-        their own tenant's capacity, never a neighbour's).
-
-        A structure with fewer sets than tenants cannot give everyone a
-        slice; it stays shared (still ASID-tagged) instead, exactly like the
-        small secondaries (BTB-XC, PDede's Region-BTB) always have.  That is
-        what lets partitioned-mode scenarios scale past a structure's set
-        count -- a 1024-tenant consolidation on a 512-set BTB degrades to
-        tagged sharing, reported as such (:meth:`partition_set_counts`
-        returns ``None``), rather than refusing to run.
-
-        The structure is invalidated whenever the partition map changes
-        (including back to shared): entries installed under a different map
-        would be unreachable or, worse, reachable from the wrong slice.  The
-        per-slice location memos are dropped with the old map.
+        The base accepts (and validates) a partition map but changes nothing:
+        an unbounded BTB has no capacity to divide, and keying entries by
+        ASID already isolates every tenant.  :class:`SetAssociativeBTB`
+        partitions its sets.
         """
         if weights is not None:
             validate_partition_weights(weights)
-        if weights is None or self._partitionable_sets() < len(weights):
-            changed = self.asid_policy.clear(self._MAIN_DOMAIN)
-        else:
-            self.asid_policy.configure(self._MAIN_DOMAIN, self._partitionable_sets(), weights)
-            changed = True
-        self._loc_memos = {}
-        self._select_locations()
-        if changed:
-            self.invalidate_all()
-
-    def _partitionable_sets(self) -> int:
-        """Number of sets :meth:`configure_partitions` may divide up.
-
-        Organizations with a ``num_sets`` attribute (all bounded ones) are
-        covered by this default.
-        """
-        num_sets = getattr(self, "num_sets", None)
-        if num_sets is None:
-            raise NotImplementedError(f"{type(self).__name__} does not support partitioning")
-        return num_sets
 
     def partition_set_counts(self) -> list[int] | None:
         """Sets per tenant partition (``None`` when the structure is shared)."""
         return self.asid_policy.domain_counts(self._MAIN_DOMAIN)
-
-    def _locate(self, pc: int) -> int:
-        """Lookup key ``(index << tag_bits) | tag`` of ``pc`` in the main array.
-
-        Shared by every set-associative organization (``num_sets``,
-        ``tag_bits`` and ``alignment_bits`` attributes); :func:`batch_locate`
-        is its vectorized twin.  The key is also the resident-tag index's
-        key, so a probe is ``_resident.get(_locate(pc), -1)``.
-
-        Locations come from the active slice's memo; a PC seen for the first
-        time is located by :meth:`_locate_raw`.  The memo holds the
-        *uncolored* tag and the ASID color is one XOR with the folded color
-        constant -- exact because :func:`~repro.common.bitutils.fold_xor` is
-        XOR-linear -- so a context switch never invalidates the memo.
-        """
-        location = self._loc_memo.get(pc)
-        if location is None:
-            location = self._loc_memo[pc] = self._locate_raw(pc)
-        return location ^ self._tag_color
-
-    def _locate_raw(self, pc: int) -> int:
-        """``(index << tag_bits) | raw_tag`` of ``pc``, computed from scratch.
-
-        The set index uses the raw PC, confined to the active tenant's
-        partition slice when there is one.  The partial tag XOR-folds the
-        whole PC above the alignment bits down to ``tag_bits``, as real BTBs
-        do to keep tag storage small with minimal aliasing.  The index bits
-        are deliberately *included* in the hash: organizations sized to an
-        exact storage budget can have non-power-of-two set counts (e.g. a
-        1856-entry conventional BTB) whose modulo indexing would otherwise
-        let two PCs that differ only in low-order bits share both a set and a
-        tag.  Only the tag sees the ASID color (:meth:`_locate` applies it)
-        -- set indexing and target recovery (BTB-X offset concatenation,
-        PDede same-page rebuild) keep the raw PC.
-        """
-        align = self.alignment_bits
-        index = self.asid_policy.set_index(self._MAIN_DOMAIN, pc, self.num_sets, align)
-        high = pc >> align
-        return (index << self.tag_bits) | (fold_xor(high, self.tag_bits) if high else 0)
-
-    def _select_locations(self) -> None:
-        """Point the location memo and tag color at the active ASID."""
-        policy = self.asid_policy
-        color = policy.color_constant()
-        self._tag_color = fold_xor(color >> self.alignment_bits, self.tag_bits) if color else 0
-        self._loc_memo = self._loc_memos.setdefault(policy.active_slice(self._MAIN_DOMAIN), {})
 
     def secondary_partition_counts(self) -> dict[str, list[int]]:
         """Per-tenant capacity of each partitioned *secondary* structure.
@@ -259,111 +163,6 @@ class BTBBase(abc.ABC):
         """Storage requirement in KiB."""
         return self.storage_bits() / 8.0 / 1024.0
 
-    # -- residency -----------------------------------------------------------
-    #
-    # Set-associative organizations (every bounded one) provide ``num_sets``,
-    # ``associativity``, ``tag_bits``, ``alignment_bits``, a ``_sets`` list
-    # of per-set way lists (or ``None`` for a set not yet materialized) whose
-    # entries carry ``valid`` and ``tag``, and ``lookup_prelocated(pc, key,
-    # way=None)``.  A way's ``(valid, tag)`` changes only through
-    # :meth:`_fill_way` and :meth:`_clear_way`, and a whole-structure
-    # invalidation ends with :meth:`_clear_index`.  The hooks keep the
-    # resident-tag index, which every probe reads, and -- once a batch plan
-    # has built it -- the batched backend's numpy shadow.
-
-    def _fill_way(self, key: int, way: int, entry) -> None:
-        """Make ``entry``, way ``way`` of ``key``'s set, valid with ``key``'s tag.
-
-        A valid ``entry`` is the victim: its old key leaves the index first.
-        """
-        tag_bits = self.tag_bits
-        index = key >> tag_bits
-        tag = key ^ (index << tag_bits)
-        if entry.valid:
-            del self._resident[(index << tag_bits) | entry.tag]
-        self._resident[key] = way
-        entry.valid = True
-        entry.tag = tag
-        if self._shadow_tags is not None:
-            self._set_gen[index] += 1
-            self._shadow_valid[index, way] = True
-            self._shadow_tags[index, way] = tag
-
-    def _clear_way(self, index: int, way: int, entry) -> None:
-        """Invalidate ``entry``, way ``way`` of set ``index``."""
-        del self._resident[(index << self.tag_bits) | entry.tag]
-        entry.valid = False
-        if self._shadow_tags is not None:
-            self._set_gen[index] += 1
-            self._shadow_valid[index, way] = False
-
-    def _clear_index(self) -> None:
-        """Empty the index once the caller has invalidated every way."""
-        self._resident.clear()
-        if self._shadow_tags is not None:
-            self._set_gen = [gen + 1 for gen in self._set_gen]
-            self._shadow_valid[:] = False
-
-    def _resident_ways(self):
-        """``(set, way, tag)`` of every valid way, scanned from the entries."""
-        for index, entries in enumerate(self._sets):
-            for way, entry in enumerate(entries or ()):
-                if entry.valid:
-                    yield index, way, entry.tag
-
-    # -- batched backend -------------------------------------------------------
-    #
-    # The shared guaranteed-miss machinery, for set-associative
-    # organizations.
-
-    def batch_plan(self, pcs, taken_branch_pcs) -> "BatchPlan":
-        """Plan one scheduling chunk's lookups over the ``pcs`` array.
-
-        Every organization returns a :class:`BatchPlan`, whose two members
-        the batched engine consumes:
-
-        * ``guaranteed_miss`` -- a boolean array marking PCs that *provably*
-          miss for the whole chunk: their lookup key is neither resident now
-          nor among the keys any taken branch of the chunk
-          (``taken_branch_pcs``) could install.  Within a chunk the active
-          ASID -- hence coloring and partition slice -- is constant, updates
-          install only at taken-branch keys and evictions (LRU victims,
-          dangling Page-/Region-BTB pointers, reallocations) only remove
-          entries, so the filter is static and exact;
-        * ``lookup(position, pc)`` -- perform the real lookup for the chunk's
-          ``position``-th instruction, with the result, LRU movement and
-          counters of the scalar probe bit for bit.
-
-        This implementation serves every set-associative organization: the
-        keys are located by :func:`batch_locate`, residency is read from the
-        numpy shadow of the ways, and the plan *preresolves* each probe to a
-        hit way or a certain miss, guarded at lookup time by the set's
-        residency generation.  An unchanged generation proves the set's
-        ``(valid, tag)`` state is exactly the plan-time shadow (refreshes and
-        LRU movement never bump it, and a preresolved hit reads the live
-        entry, so payload refreshes are always observed); a set that did
-        change is probed through the resident-tag index, as the scalar path
-        is.
-        Organizations without sets (the ideal BTB) override this.
-        """
-        from repro.traces.batch import np
-
-        index, tag = batch_locate(self, pcs, self.num_sets)
-        valid, tags = self._ensure_shadow()
-        match = valid[index] & (tags[index] == tag[:, None])
-        hit_any = match.any(axis=1)
-        resolved = np.where(hit_any, match.argmax(axis=1).astype(np.int64), np.int64(-1))
-        guaranteed_miss = ~hit_any
-        shift = np.uint64(self.tag_bits)
-        key = (index << shift) | tag
-        if len(taken_branch_pcs):
-            tb_index, tb_tag = batch_locate(self, taken_branch_pcs, self.num_sets)
-            guaranteed_miss &= ~np.isin(key, (tb_index << shift) | tb_tag)
-        gen = np.asarray(self._set_gen, dtype=np.int64)[index]
-        return SetBatchPlan(
-            self, guaranteed_miss, index.tolist(), key.tolist(), resolved.tolist(), gen.tolist()
-        )
-
     def note_skipped_miss_lookups(self, count: int) -> None:
         """Account ``count`` lookups the batched engine proved to be misses.
 
@@ -371,29 +170,8 @@ class BTBBase(abc.ABC):
         architectural footprint -- read-access and miss counters (a missing
         lookup touches no LRU state).
         """
-        self.reads["main"] = self.reads.get("main", 0) + count
+        self.reads[self._STRUCTURE] = self.reads.get(self._STRUCTURE, 0) + count
         self.stats.inc("misses", count)
-
-    def _ensure_shadow(self):
-        """Build (once) and return the numpy ``(valid, tags)`` residency shadow.
-
-        The shadow mirrors exactly the ``(entry.valid, entry.tag)`` pairs of
-        the resident-tag index, and ``_set_gen`` counts each set's residency
-        changes.  Every later mutation writes through (:meth:`_fill_way`,
-        :meth:`_clear_way`, :meth:`_clear_index`), so after this first full
-        scan the resident set is always readable as two array gathers.
-        """
-        if self._shadow_tags is None:
-            from repro.traces.batch import np
-
-            shape = (self.num_sets, self.associativity)
-            self._shadow_valid = np.zeros(shape, dtype=bool)
-            self._shadow_tags = np.zeros(shape, dtype=np.uint64)
-            self._set_gen = [0] * self.num_sets
-            for index, way, tag in self._resident_ways():
-                self._shadow_valid[index, way] = True
-                self._shadow_tags[index, way] = tag
-        return self._shadow_valid, self._shadow_tags
 
     def record_allocation(self, structure: str, key: int) -> None:
         """Note that ``structure`` was asked to track ``key`` (duplication stats).
@@ -470,8 +248,450 @@ class BTBBase(abc.ABC):
         )
 
 
+class SetAssociativeBTB(BTBBase):
+    """A main array of ``num_sets`` x ``associativity`` tagged, true-LRU ways.
+
+    Owns everything the bounded organizations share: the geometry, the probe
+    (:meth:`lookup`), the allocator (invalid eligible way first, else the
+    constrained-LRU victim), whole-array invalidation, the per-PC location
+    memo, the resident-tag index and the batched backend's residency shadow.
+    A subclass names its entry type (a slotted dataclass with ``valid`` and
+    ``tag`` fields) and implements :meth:`_hit`, its :meth:`update` and its
+    storage formulas.
+
+    Sets materialize lazily on first install, and :meth:`invalidate_all`
+    drops them back to ``None`` together with their LRU state.  That is
+    bit-identical to clearing valid bits: a victim is picked by LRU only when
+    every eligible way is valid, and each valid way was touched by the fill
+    that made it valid, so every stamp compared was written after the set
+    last materialized.
+    """
+
+    #: Entry type of the main array's ways.
+    _entry_type: type
+
+    def __init__(
+        self, entries: int, associativity: int, tag_bits: int, isa: ISAStyle, stats: Stats | None
+    ) -> None:
+        super().__init__(stats)
+        if entries <= 0 or associativity <= 0 or entries % associativity != 0:
+            raise ConfigurationError(
+                f"{self.name} entries ({entries}) must be a positive multiple of "
+                f"the associativity ({associativity})"
+            )
+        self.isa = isa
+        self.alignment_bits = isa.alignment_bits
+        self.tag_bits = tag_bits
+        self.associativity = associativity
+        self.num_sets = entries // associativity
+        self._sets: List[list | None] = [None] * self.num_sets
+        self._lru: List[LRUState | None] = [None] * self.num_sets
+        #: Location memo (see :meth:`_locate`): ``pc -> (index << tag_bits) |
+        #: raw_tag`` for the active partition slice, one dict per slice in
+        #: ``_loc_memos`` (keyed by the ``(base, count)`` slice, ``None`` when
+        #: shared).
+        self._loc_memo: dict[int, int] = {}
+        self._loc_memos: dict[tuple[int, int] | None, dict[int, int]] = {None: self._loc_memo}
+        #: The active ASID's color, folded to ``tag_bits``: XORed into a
+        #: memoized location it gives the colored lookup key.
+        self._tag_color = 0
+        #: Resident-tag index: ``(index << tag_bits) | tag -> way`` of every
+        #: valid way.  No two valid ways of a set share a tag (an update
+        #: refreshes a matching way before it would allocate), so a probe is
+        #: one ``get`` instead of a scan of the set's ways.
+        self._resident: dict[int, int] = {}
+        #: Residency shadow of the ways (numpy ``(valid, tag)`` per set x
+        #: way), built by the first batch plan and written through from then
+        #: on; ``_set_gen`` is each set's residency generation, bumped on
+        #: every ``(valid, tag)`` change and NOT on refreshes or LRU movement.
+        self._shadow_valid = None
+        self._shadow_tags = None
+        self._set_gen: list[int] = []
+
+    def capacity_entries(self) -> int:
+        """Number of main-array entries."""
+        return self.num_sets * self.associativity
+
+    # -- probe ---------------------------------------------------------------
+
+    def lookup(self, pc: int) -> BTBLookupResult:
+        """Probe all ways of the indexed set in parallel."""
+        return self.lookup_prelocated(pc, self._locate(pc))
+
+    def lookup_prelocated(self, pc: int, key: int, way: int | None = None) -> BTBLookupResult:
+        """The lookup proper, with the lookup key (:meth:`_locate`) computed.
+
+        ``way`` is a batch plan's preresolution (``-1`` certain miss, ``>= 0``
+        the hit way); ``None`` reads the resident-tag index.  Both give the
+        same result, counters and LRU movement.  A miss costs no call beyond
+        the read counter: most probes miss, because most instructions are
+        not branches.
+        """
+        self.record_read(self._STRUCTURE)
+        if way is None:
+            way = self._resident.get(key, -1)
+        if way < 0:
+            self.stats.inc("misses")
+            return _MISS_RESULT
+        index = key >> self.tag_bits
+        self._lru[index].touch(way)
+        return self._hit(pc, index, way)
+
+    @abc.abstractmethod
+    def _hit(self, pc: int, index: int, way: int) -> BTBLookupResult:
+        """The result of a tag match in way ``way`` of set ``index``.
+
+        Counts the hit -- or, for an entry whose pointer went stale, clears
+        the way and counts a miss.
+        """
+
+    # -- allocation ----------------------------------------------------------
+
+    def _resident_entry(self, key: int, eligible: Sequence[int] | None = None):
+        """The entry ``key`` occupies, made most recent, or ``None``.
+
+        A resident way outside ``eligible`` cannot hold the update's payload
+        (a BTB-X offset grown past the way's width, a PDede branch that now
+        needs pointers in a same-page way): it is invalidated and counted as
+        a reallocation, and the caller allocates anew.
+        """
+        way = self._resident.get(key, -1)
+        if way < 0:
+            return None
+        index = key >> self.tag_bits
+        entry = self._sets[index][way]
+        if eligible is None or way in eligible:
+            self._lru[index].touch(way)
+            return entry
+        self._clear_way(index, way, entry)
+        self.stats.inc("reallocations")
+        return None
+
+    def _allocate(self, key: int, eligible: Sequence[int] | None = None):
+        """Install ``key`` in its set; returns ``(way, entry)``.
+
+        The first invalid way among ``eligible`` (default: every way) is
+        taken, else the least recently used of them is evicted -- BTB-X's
+        constrained LRU.  The caller fills in the payload fields.
+        """
+        index = key >> self.tag_bits
+        entries = self._sets[index]
+        if entries is None:
+            entries = self._materialize(index)
+        ways = range(self.associativity) if eligible is None else eligible
+        victim = next((way for way in ways if not entries[way].valid), None)
+        lru = self._lru[index]
+        if victim is None:
+            victim = lru.victim(eligible)
+            self.stats.inc("evictions")
+        entry = entries[victim]
+        self._fill_way(key, victim, entry)
+        lru.touch(victim)
+        self.record_write(self._STRUCTURE)
+        self.stats.inc("allocations")
+        return victim, entry
+
+    def _materialize(self, index: int) -> list:
+        """Allocate the ways (and LRU state) of set ``index`` on first install."""
+        entries = [self._entry_type() for _ in range(self.associativity)]
+        self._sets[index] = entries
+        self._lru[index] = LRUState(self.associativity)
+        return entries
+
+    def _invalidate_pointers(self, field: str, slot: int) -> None:
+        """Invalidate the entries whose ``field`` points at pointer-table ``slot``."""
+        for index, entries in enumerate(self._sets):
+            if entries is None:
+                continue
+            for way, entry in enumerate(entries):
+                if entry.valid and getattr(entry, field) == slot:
+                    self._clear_way(index, way, entry)
+                    self.stats.inc("pointer_invalidations")
+
+    def invalidate_all(self) -> None:
+        """Clear every way of the main array."""
+        self._sets = [None] * self.num_sets
+        self._lru = [None] * self.num_sets
+        self._resident.clear()
+        if self._shadow_tags is not None:
+            self._set_gen = [gen + 1 for gen in self._set_gen]
+            self._shadow_valid[:] = False
+
+    # -- ASID: locations and partitions ------------------------------------
+
+    def set_active_asid(self, asid: int) -> None:
+        """Switch the address space; its color is folded into the partial tag.
+
+        Entries installed by one tenant never hit for another while all
+        tenants share the same storage (see :meth:`_locate`).
+        """
+        super().set_active_asid(asid)
+        self._select_locations()
+
+    def configure_partitions(self, weights: Sequence[int] | None) -> None:
+        """Split this organization's sets among tenants (``None`` to share).
+
+        Partitioning is by **sets**, not ways: BTB-X's ways have heterogeneous
+        offset widths, so carving up ways would skew which branches each
+        tenant can even store, while set ranges scale capacity uniformly for
+        every organization.  Tenant *i*'s slice holds ``weights[i] / sum``
+        of the sets (at least one), apportioned by
+        :func:`repro.common.config.partition_set_counts`.  ASID ``a`` indexes
+        partition ``a % len(weights)`` -- under warm switch semantics that is
+        the tenant itself, and under cold semantics every incarnation of a
+        tenant lands in the same slice (so dead incarnations pollute only
+        their own tenant's capacity, never a neighbour's).
+
+        A structure with fewer sets than tenants cannot give everyone a
+        slice; it stays shared (still ASID-tagged) instead, exactly like the
+        small secondaries (BTB-XC, PDede's Region-BTB) always have.  That is
+        what lets partitioned-mode scenarios scale past a structure's set
+        count -- a 1024-tenant consolidation on a 512-set BTB degrades to
+        tagged sharing, reported as such (:meth:`partition_set_counts`
+        returns ``None``), rather than refusing to run.
+
+        The structure is invalidated whenever the partition map changes
+        (including back to shared): entries installed under a different map
+        would be unreachable or, worse, reachable from the wrong slice.  The
+        per-slice location memos are dropped with the old map.
+        """
+        super().configure_partitions(weights)
+        if weights is None or self.num_sets < len(weights):
+            changed = self.asid_policy.clear(self._MAIN_DOMAIN)
+        else:
+            self.asid_policy.configure(self._MAIN_DOMAIN, self.num_sets, weights)
+            changed = True
+        self._loc_memos = {}
+        self._select_locations()
+        if changed:
+            self.invalidate_all()
+
+    def _locate(self, pc: int) -> int:
+        """Lookup key ``(index << tag_bits) | tag`` of ``pc`` in the main array.
+
+        :func:`batch_locate` is its vectorized twin.  The key is also the
+        resident-tag index's key, so a probe is
+        ``_resident.get(_locate(pc), -1)``.
+
+        Locations come from the active slice's memo; a PC seen for the first
+        time is located by :meth:`_locate_raw`.  The memo holds the
+        *uncolored* tag and the ASID color is one XOR with the folded color
+        constant -- exact because :func:`~repro.common.bitutils.fold_xor` is
+        XOR-linear -- so a context switch never invalidates the memo.
+        """
+        location = self._loc_memo.get(pc)
+        if location is None:
+            location = self._loc_memo[pc] = self._locate_raw(pc)
+        return location ^ self._tag_color
+
+    def _locate_raw(self, pc: int) -> int:
+        """``(index << tag_bits) | raw_tag`` of ``pc``, computed from scratch.
+
+        The set index uses the raw PC, confined to the active tenant's
+        partition slice when there is one.  The partial tag XOR-folds the
+        whole PC above the alignment bits down to ``tag_bits``, as real BTBs
+        do to keep tag storage small with minimal aliasing.  The index bits
+        are deliberately *included* in the hash: organizations sized to an
+        exact storage budget can have non-power-of-two set counts (e.g. a
+        1856-entry conventional BTB) whose modulo indexing would otherwise
+        let two PCs that differ only in low-order bits share both a set and a
+        tag.  Only the tag sees the ASID color (:meth:`_locate` applies it)
+        -- set indexing and target recovery (BTB-X offset concatenation,
+        PDede same-page rebuild) keep the raw PC.
+        """
+        align = self.alignment_bits
+        index = self.asid_policy.set_index(self._MAIN_DOMAIN, pc, self.num_sets, align)
+        high = pc >> align
+        return (index << self.tag_bits) | (fold_xor(high, self.tag_bits) if high else 0)
+
+    def _select_locations(self) -> None:
+        """Point the location memo and tag color at the active ASID."""
+        policy = self.asid_policy
+        color = policy.color_constant()
+        self._tag_color = fold_xor(color >> self.alignment_bits, self.tag_bits) if color else 0
+        self._loc_memo = self._loc_memos.setdefault(policy.active_slice(self._MAIN_DOMAIN), {})
+
+    # -- residency -----------------------------------------------------------
+    #
+    # A way's ``(valid, tag)`` changes only through :meth:`_fill_way` and
+    # :meth:`_clear_way`, and a whole-array invalidation only through
+    # :meth:`invalidate_all`.  They keep the resident-tag index, which every
+    # probe reads, and -- once a batch plan has built it -- the batched
+    # backend's numpy shadow.
+
+    def _fill_way(self, key: int, way: int, entry) -> None:
+        """Make ``entry``, way ``way`` of ``key``'s set, valid with ``key``'s tag.
+
+        A valid ``entry`` is the victim: its old key leaves the index first.
+        """
+        tag_bits = self.tag_bits
+        index = key >> tag_bits
+        tag = key ^ (index << tag_bits)
+        if entry.valid:
+            del self._resident[(index << tag_bits) | entry.tag]
+        self._resident[key] = way
+        entry.valid = True
+        entry.tag = tag
+        if self._shadow_tags is not None:
+            self._set_gen[index] += 1
+            self._shadow_valid[index, way] = True
+            self._shadow_tags[index, way] = tag
+
+    def _clear_way(self, index: int, way: int, entry) -> None:
+        """Invalidate ``entry``, way ``way`` of set ``index``."""
+        del self._resident[(index << self.tag_bits) | entry.tag]
+        entry.valid = False
+        if self._shadow_tags is not None:
+            self._set_gen[index] += 1
+            self._shadow_valid[index, way] = False
+
+    def _resident_ways(self):
+        """``(set, way, tag)`` of every valid way, scanned from the entries."""
+        for index, entries in enumerate(self._sets):
+            for way, entry in enumerate(entries or ()):
+                if entry.valid:
+                    yield index, way, entry.tag
+
+    # -- batched backend -------------------------------------------------------
+
+    def batch_plan(self, pcs, taken_branch_pcs) -> "BatchPlan":
+        """Plan one scheduling chunk's lookups over the ``pcs`` array.
+
+        Every organization returns a :class:`BatchPlan`, whose two members
+        the batched engine consumes:
+
+        * ``guaranteed_miss`` -- a boolean array marking PCs that *provably*
+          miss for the whole chunk: their lookup key is neither resident now
+          nor among the keys any taken branch of the chunk
+          (``taken_branch_pcs``) could install.  Within a chunk the active
+          ASID -- hence coloring and partition slice -- is constant, updates
+          install only at taken-branch keys and evictions (LRU victims,
+          dangling Page-/Region-BTB pointers, reallocations) only remove
+          entries, so the filter is static and exact;
+        * ``lookup(position, pc)`` -- perform the real lookup for the chunk's
+          ``position``-th instruction, with the result, LRU movement and
+          counters of the scalar probe bit for bit.
+
+        Here the keys are located by :func:`batch_locate`, residency is read
+        from the numpy shadow of the ways, and the plan *preresolves* each
+        probe to a hit way or a certain miss, guarded at lookup time by the
+        set's residency generation.  An unchanged generation proves the set's
+        ``(valid, tag)`` state is exactly the plan-time shadow (refreshes and
+        LRU movement never bump it, and a preresolved hit reads the live
+        entry, so payload refreshes are always observed); a set that did
+        change is probed through the resident-tag index, as the scalar path
+        is.  The ideal BTB, which has no sets, plans its own.
+        """
+        from repro.traces.batch import np
+
+        index, tag = batch_locate(self, pcs, self.num_sets)
+        valid, tags = self._ensure_shadow()
+        match = valid[index] & (tags[index] == tag[:, None])
+        hit_any = match.any(axis=1)
+        resolved = np.where(hit_any, match.argmax(axis=1).astype(np.int64), np.int64(-1))
+        guaranteed_miss = ~hit_any
+        shift = np.uint64(self.tag_bits)
+        key = (index << shift) | tag
+        if len(taken_branch_pcs):
+            tb_index, tb_tag = batch_locate(self, taken_branch_pcs, self.num_sets)
+            guaranteed_miss &= ~np.isin(key, (tb_index << shift) | tb_tag)
+        gen = np.asarray(self._set_gen, dtype=np.int64)[index]
+        return SetBatchPlan(
+            self, guaranteed_miss, index.tolist(), key.tolist(), resolved.tolist(), gen.tolist()
+        )
+
+    def _ensure_shadow(self):
+        """Build (once) and return the numpy ``(valid, tags)`` residency shadow.
+
+        The shadow mirrors exactly the ``(entry.valid, entry.tag)`` pairs of
+        the resident-tag index, and ``_set_gen`` counts each set's residency
+        changes.  Every later mutation writes through (:meth:`_fill_way`,
+        :meth:`_clear_way`, :meth:`invalidate_all`), so after this first full
+        scan the resident set is always readable as two array gathers.
+        """
+        if self._shadow_tags is None:
+            from repro.traces.batch import np
+
+            shape = (self.num_sets, self.associativity)
+            self._shadow_valid = np.zeros(shape, dtype=bool)
+            self._shadow_tags = np.zeros(shape, dtype=np.uint64)
+            self._set_gen = [0] * self.num_sets
+            for index, way, tag in self._resident_ways():
+                self._shadow_valid[index, way] = True
+                self._shadow_tags[index, way] = tag
+        return self._shadow_valid, self._shadow_tags
+
+
+# NOTE on the ``asid`` field below: page/region numbers are exact-matched
+# content (they rebuild targets), so ASID disambiguation needs a real field
+# rather than the main tag's hash *coloring*.  Its storage is deliberately
+# not charged in the Page-/Region-BTB entry bits: budget-sized geometries
+# stay identical across ASID modes (and match the paper's untagged Table IV
+# accounting), at the cost of making tagged-mode PDede/R-BTB results an
+# optimistic bound -- real hardware would spend a few bits per entry or a
+# small ASID-remap table.  The same free-coloring convention already applies
+# to every main structure's tags.
+@dataclass(slots=True)
+class _PointerSlot:
+    valid: bool = False
+    value: int = 0  # the deduplicated target fragment (page or region number)
+    asid: int = 0   # owning address space under tagged/partitioned retention
+
+
+class PointerTable:
+    """A content-addressed table of deduplicated target fragments.
+
+    R-BTB's Page-BTB and PDede's Page- and Region-BTB store each distinct
+    page or region number once per address space; main-array entries hold a
+    slot pointer (field ``<name>_pointer``) instead.  One LRU clock orders
+    every slot, so a set-associative table (PDede's Page-BTB) is a sequence
+    of slot ranges searched one range at a time.
+    """
+
+    __slots__ = ("name", "pointer_field", "slots", "_lru")
+
+    def __init__(self, name: str, entries: int) -> None:
+        self.name = name
+        self.pointer_field = f"{name}_pointer"
+        self.slots = [_PointerSlot() for _ in range(entries)]
+        self._lru = LRUState(entries)
+
+    def find_or_install(self, btb: SetAssociativeBTB, value: int, first: int, count: int) -> int:
+        """The slot of ``(value, btb.active_asid)`` among ``[first, first + count)``.
+
+        A hit is made most recent.  A miss installs the pair in the range's
+        first invalid slot, else in its least recently used one, after
+        ``btb`` invalidated the main-array entries pointing at that slot.
+        """
+        asid = btb.active_asid
+        slots = self.slots
+        candidates = range(first, first + count)
+        for slot in candidates:
+            entry = slots[slot]
+            if entry.valid and entry.value == value and entry.asid == asid:
+                self._lru.touch(slot)
+                return slot
+        slot = next((slot for slot in candidates if not slots[slot].valid), None)
+        if slot is None:
+            slot = self._lru.victim(candidates)
+            btb._invalidate_pointers(self.pointer_field, slot)
+            btb.stats.inc(f"{self.name}_evictions")
+        entry = slots[slot]
+        entry.valid = True
+        entry.value = value
+        entry.asid = asid
+        self._lru.touch(slot)
+        btb.record_write(self.name)
+        return slot
+
+    def invalidate(self) -> None:
+        """Clear every slot."""
+        for entry in self.slots:
+            entry.valid = False
+
+
 class BatchPlan:
-    """One scheduling chunk's lookup plan (see :meth:`BTBBase.batch_plan`).
+    """One scheduling chunk's lookup plan (see :meth:`SetAssociativeBTB.batch_plan`).
 
     This base form carries only the guaranteed-miss filter; its lookups are
     the organization's ordinary scalar probe.
@@ -494,7 +714,7 @@ class SetBatchPlan(BatchPlan):
 
     __slots__ = ("_index", "_key", "_resolved", "_gen", "secondary")
 
-    def __init__(self, btb: BTBBase, guaranteed_miss, index, key, resolved, gen) -> None:
+    def __init__(self, btb: SetAssociativeBTB, guaranteed_miss, index, key, resolved, gen) -> None:
         super().__init__(btb, guaranteed_miss)
         self._index = index
         self._key = key
@@ -527,8 +747,8 @@ class SetBatchPlan(BatchPlan):
         return btb.lookup_prelocated(pc, key, way, self.secondary, position)
 
 
-def batch_locate(btb: "BTBBase", pcs, num_sets: int):
-    """Vectorized twin of :meth:`BTBBase._locate`.
+def batch_locate(btb: SetAssociativeBTB, pcs, num_sets: int):
+    """Vectorized twin of :meth:`SetAssociativeBTB._locate`.
 
     Computes the set index and partial tag of every PC in the uint64 array
     ``pcs`` for ``btb``'s *current* ASID state -- the active

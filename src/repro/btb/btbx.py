@@ -26,11 +26,11 @@ from typing import List, Sequence, Tuple
 
 from repro.common.config import ISAStyle
 from repro.common.errors import ConfigurationError
-from repro.common.lru import LRUState
 from repro.common.stats import Stats
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
-from repro.btb.base import BTBBase, BTBLookupResult
+from repro.btb.base import BTBLookupResult, SetAssociativeBTB
+from repro.btb.conventional import ConventionalBTB, full_target_entry_bits
 from repro.btb.offsets import stored_offset_bits
 
 #: Per-way offset widths for Arm64 (Figure 8) and x86 (Section VI-G).
@@ -44,8 +44,9 @@ TYPE_BITS = 2
 REPL_BITS = 3
 METADATA_BITS = VALID_BITS + TAG_BITS + TYPE_BITS + REPL_BITS
 
-#: A BTB-XC entry stores a full target, like a conventional entry: 64 bits.
-BTBXC_ENTRY_BITS = 64
+#: A BTB-XC entry stores a full target, like a conventional entry: 64 bits,
+#: charged at the paper's Arm64 figure on both ISAs (Table III).
+BTBXC_ENTRY_BITS = full_target_entry_bits(ISAStyle.ARM64)
 
 
 def default_way_offsets(isa: ISAStyle) -> Tuple[int, ...]:
@@ -53,6 +54,14 @@ def default_way_offsets(isa: ISAStyle) -> Tuple[int, ...]:
     if isa is ISAStyle.ARM64:
         return BTBX_WAY_OFFSET_BITS_ARM64
     return BTBX_WAY_OFFSET_BITS_X86
+
+
+def btbx_set_bits(way_offset_bits: Sequence[int]) -> int:
+    """Storage bits of one set: every entry's metadata plus all offset fields.
+
+    With the paper's Arm64 widths this is 8*18 + 80 = 224 bits (Table III).
+    """
+    return len(way_offset_bits) * METADATA_BITS + sum(way_offset_bits)
 
 
 @dataclass(slots=True)
@@ -64,23 +73,18 @@ class _Entry:
     offset_width: int = 0  # stored-bit width actually used (<= way width)
 
 
-@dataclass(slots=True)
-class _CompanionEntry:
-    valid: bool = False
-    tag: int = 0
-    branch_type: BranchType = BranchType.CONDITIONAL
-    target: int = 0
-
-
-class BTBXC(BTBBase):
+class BTBXC(ConventionalBTB):
     """The small direct-mapped companion BTB holding full targets.
 
     It captures the <1 % of branches whose offsets do not fit even the widest
     BTB-X way; the paper sizes it at 1/64th of the BTB-X entry count (one
-    eighth of the number of BTB-X sets).
+    eighth of the number of BTB-X sets).  Direct-mapped: every entry is its
+    own one-way set (the partitioning granularity, and the shape of the
+    batched residency shadow).
     """
 
     name = "btbxc"
+    _STRUCTURE = "companion"
 
     def __init__(
         self,
@@ -89,50 +93,14 @@ class BTBXC(BTBBase):
         isa: ISAStyle = ISAStyle.ARM64,
         stats: Stats | None = None,
     ) -> None:
-        super().__init__(stats)
-        if entries <= 0:
-            raise ConfigurationError("BTB-XC needs at least one entry")
-        self.isa = isa
-        self.alignment_bits = isa.alignment_bits
-        self.tag_bits = tag_bits
-        self.num_entries = entries
-        # Direct-mapped: every entry is its own one-way set (partitioning
-        # granularity, and the shape of the batched residency shadow).
-        self.num_sets = entries
-        self.associativity = 1
-        self._entries = [_CompanionEntry() for _ in range(entries)]
-
-    def lookup(self, pc: int) -> BTBLookupResult:
-        """Direct-mapped probe; accessed in parallel with BTB-X."""
-        return self.lookup_prelocated(pc, self._locate(pc))
-
-    def lookup_prelocated(self, pc: int, key: int, way: int | None = None) -> BTBLookupResult:
-        """The probe proper, with the lookup key (:meth:`_locate`) computed.
-
-        ``way`` is a batch plan's preresolution (``-1`` miss, ``0`` hit);
-        ``None`` reads the resident-tag index.
-        """
-        self.record_read("companion")
-        if way is None:
-            way = self._resident.get(key, -1)
-        if way == 0:
-            entry = self._entries[key >> self.tag_bits]
-            self.stats.inc("hits")
-            return BTBLookupResult(
-                hit=True,
-                branch_type=entry.branch_type,
-                target=entry.target,
-                target_from_ras=entry.branch_type.target_from_ras,
-                structure="companion",
-            )
-        self.stats.inc("misses")
-        return BTBLookupResult.miss()
+        super().__init__(entries, associativity=1, tag_bits=tag_bits, isa=isa, stats=stats)
 
     def update(self, instruction: Instruction) -> None:
         """Insert/refresh; direct-mapped, so the indexed entry is overwritten."""
         self.record_allocation("companion", instruction.pc)
         key = self._locate(instruction.pc)
-        entry = self._entries[key >> self.tag_bits]
+        index = key >> self.tag_bits
+        entry = (self._sets[index] or self._materialize(index))[0]
         if entry.valid and key not in self._resident:
             self.stats.inc("evictions")
         self._fill_way(key, 0, entry)
@@ -142,34 +110,14 @@ class BTBXC(BTBBase):
 
     def storage_bits(self) -> int:
         """Total storage of the companion."""
-        return self.num_entries * BTBXC_ENTRY_BITS
-
-    def capacity_entries(self) -> int:
-        """Number of companion entries."""
-        return self.num_entries
-
-    def invalidate_all(self) -> None:
-        """Clear every companion entry."""
-        for entry in self._entries:
-            entry.valid = False
-        self._clear_index()
-
-    def _resident_ways(self):
-        """``(slot, 0, tag)`` of every valid entry, scanned from the entries."""
-        for index, entry in enumerate(self._entries):
-            if entry.valid:
-                yield index, 0, entry.tag
-
-    def note_skipped_miss_lookups(self, count: int) -> None:
-        """Bulk-account ``count`` proven-miss probes the engine skipped."""
-        self.reads["companion"] = self.reads.get("companion", 0) + count
-        self.stats.inc("misses", count)
+        return self.capacity_entries() * BTBXC_ENTRY_BITS
 
 
-class BTBX(BTBBase):
+class BTBX(SetAssociativeBTB):
     """BTB-X proper: skewed-width offset ways plus the BTB-XC companion."""
 
     name = "btbx"
+    _entry_type = _Entry
 
     def __init__(
         self,
@@ -180,32 +128,23 @@ class BTBX(BTBBase):
         isa: ISAStyle = ISAStyle.ARM64,
         stats: Stats | None = None,
     ) -> None:
-        super().__init__(stats)
         widths = tuple(way_offset_bits) if way_offset_bits is not None else default_way_offsets(isa)
         if not widths:
             raise ConfigurationError("BTB-X needs at least one way")
         if sorted(widths) != list(widths):
             raise ConfigurationError("BTB-X way offset widths must be non-decreasing")
-        associativity = len(widths)
-        if entries <= 0 or entries % associativity != 0:
-            raise ConfigurationError(
-                f"BTB-X entries ({entries}) must be a positive multiple of the way count ({associativity})"
-            )
-        self.isa = isa
-        self.alignment_bits = isa.alignment_bits
-        self.tag_bits = tag_bits
+        super().__init__(entries, len(widths), tag_bits, isa, stats)
         self.way_offset_bits = widths
-        self.associativity = associativity
-        self.num_sets = entries // associativity
-        # Sets materialize lazily on first install (see
-        # SetAssociativeCache.__init__ for the bit-exactness argument): a
-        # probe of an unmaterialized set is a miss with nothing to scan.
-        self._sets: List[List[_Entry] | None] = [None] * self.num_sets
-        self._lru: List[LRUState | None] = [None] * self.num_sets
+        #: Constrained-LRU candidates: the ways whose offset field holds
+        #: ``required`` stored bits, indexed by ``required``.
+        self._eligible = [
+            [way for way, width in enumerate(widths) if width >= required]
+            for required in range(widths[-1] + 1)
+        ]
         # Per-way hit/allocation counters (kept as plain lists for speed; they
         # are exposed through way_hit_counts()/way_allocation_counts()).
-        self._way_hits = [0] * associativity
-        self._way_allocations = [0] * associativity
+        self._way_hits = [0] * self.associativity
+        self._way_allocations = [0] * self.associativity
         if companion_divisor and companion_divisor > 0:
             companion_entries = max(entries // companion_divisor, 1)
             self.companion: BTBXC | None = BTBXC(
@@ -222,11 +161,8 @@ class BTBX(BTBBase):
         return self.way_offset_bits[-1]
 
     def set_bits(self) -> int:
-        """Storage bits of one set: 8 entries' metadata plus all offset fields.
-
-        With the paper's Arm64 widths this is 8*18 + 80 = 224 bits (Table III).
-        """
-        return self.associativity * METADATA_BITS + sum(self.way_offset_bits)
+        """Storage bits of one set (224 with the paper's Arm64 widths)."""
+        return btbx_set_bits(self.way_offset_bits)
 
     def storage_bits(self) -> int:
         """Total storage, including the BTB-XC companion when present."""
@@ -238,7 +174,7 @@ class BTBX(BTBBase):
     def capacity_entries(self) -> int:
         """Branch capacity: BTB-X entries plus companion entries."""
         companion = self.companion.capacity_entries() if self.companion is not None else 0
-        return self.num_sets * self.associativity + companion
+        return super().capacity_entries() + companion
 
     # -- operations --------------------------------------------------------
 
@@ -316,10 +252,6 @@ class BTBX(BTBBase):
         width = entry.offset_width + align
         return ((pc >> width) << width) | (entry.offset_payload << align)
 
-    def lookup(self, pc: int) -> BTBLookupResult:
-        """Probe all ways (and BTB-XC) in parallel with the PC."""
-        return self.lookup_prelocated(pc, self._locate(pc))
-
     def lookup_prelocated(
         self,
         pc: int,
@@ -328,53 +260,49 @@ class BTBX(BTBBase):
         companion_plan=None,
         position: int = -1,
     ) -> BTBLookupResult:
-        """The probe proper, with the main array's lookup key computed.
+        """The main probe, then BTB-XC's on a main miss (both ways in parallel).
 
-        ``way`` is a batch plan's preresolution of the main ways (``-1``
-        certain main miss, ``>= 0`` the hit way; ``None`` reads the
-        resident-tag index).  On a main miss the companion is probed through
-        ``companion_plan`` (the batched backend's plan of BTB-XC, at the same
-        chunk ``position``) or, without one, located lazily -- the scalar
-        path computes the companion's location only when the main ways miss.
+        ``way`` is a batch plan's preresolution of the main ways (see
+        :meth:`SetAssociativeBTB.lookup_prelocated`).  On a main miss the
+        companion is probed through ``companion_plan`` (the batched
+        backend's plan of BTB-XC, at the same chunk ``position``) or, without
+        one, located lazily -- the scalar path computes the companion's
+        location only when the main ways miss.
         """
-        self.record_read("main")
         if way is None:
             way = self._resident.get(key, -1)
-        if way >= 0:
-            index = key >> self.tag_bits
-            entry = self._sets[index][way]
-            self._lru[index].touch(way)
+        if way >= 0 or self.companion is None:
+            return super().lookup_prelocated(pc, key, way)
+        self.record_read("main")
+        if companion_plan is None:
+            companion_result = self.companion.lookup(pc)
+        else:
+            companion_result = companion_plan.lookup(position, pc)
+        if companion_result.hit:
             self.stats.inc("hits")
-            self._way_hits[way] += 1
-            if entry.branch_type.target_from_ras:
-                return BTBLookupResult(
-                    hit=True,
-                    branch_type=entry.branch_type,
-                    target=None,
-                    target_from_ras=True,
-                    structure=f"way{way}",
-                )
-            return BTBLookupResult(
-                hit=True,
-                branch_type=entry.branch_type,
-                target=self._recover_target(pc, entry),
-                structure=f"way{way}",
-            )
-        if self.companion is not None:
-            if companion_plan is None:
-                companion_result = self.companion.lookup(pc)
-            else:
-                companion_result = companion_plan.lookup(position, pc)
-            if companion_result.hit:
-                self.stats.inc("hits")
-                self.stats.inc("hits.companion")
-                return companion_result
+            self.stats.inc("hits.companion")
+            return companion_result
         self.stats.inc("misses")
         return BTBLookupResult.miss()
 
-    def _eligible_ways(self, required_bits: int) -> List[int]:
-        """Ways whose offset field can hold ``required_bits`` stored bits."""
-        return [way for way, width in enumerate(self.way_offset_bits) if width >= required_bits]
+    def _hit(self, pc: int, index: int, way: int) -> BTBLookupResult:
+        entry = self._sets[index][way]
+        self.stats.inc("hits")
+        self._way_hits[way] += 1
+        if entry.branch_type.target_from_ras:
+            return BTBLookupResult(
+                hit=True,
+                branch_type=entry.branch_type,
+                target=None,
+                target_from_ras=True,
+                structure=f"way{way}",
+            )
+        return BTBLookupResult(
+            hit=True,
+            branch_type=entry.branch_type,
+            target=self._recover_target(pc, entry),
+            structure=f"way{way}",
+        )
 
     def update(self, instruction: Instruction) -> None:
         """Allocate or refresh the entry for a committed taken branch.
@@ -396,56 +324,23 @@ class BTBX(BTBBase):
 
         self.record_allocation("main", instruction.pc)
         key = self._locate(instruction.pc)
-        index = key >> self.tag_bits
-        entries = self._sets[index]
-        if entries is None:
-            entries = self._materialize(index)
         payload = self._offset_payload(instruction, required)
-
-        # Refresh an existing entry if the branch is already present and its
-        # (possibly new, for indirect branches) offset still fits that way.
-        way = self._resident.get(key, -1)
-        if way >= 0:
-            entry = entries[way]
-            if self.way_offset_bits[way] >= required:
-                changed = (
-                    entry.offset_payload != payload
-                    or entry.branch_type != instruction.branch_type
-                    or entry.offset_width != required
-                )
-                entry.branch_type = instruction.branch_type
-                entry.offset_payload = payload
-                entry.offset_width = required
-                self._lru[index].touch(way)
-                if changed:
-                    self.record_write("main")
-                return
-            # The target moved out of this way's reach (indirect branch):
-            # drop the stale entry and re-allocate below.
-            self._clear_way(index, way, entry)
-            self.stats.inc("reallocations")
-
-        eligible = self._eligible_ways(required)
-        victim = next((way for way in eligible if not entries[way].valid), None)
-        if victim is None:
-            victim = self._lru[index].victim(eligible)
-            self.stats.inc("evictions")
-        entry = entries[victim]
-        self._fill_way(key, victim, entry)
+        # A resident entry is refreshed in place while its (possibly new, for
+        # indirect branches) offset still fits its way, else reallocated.
+        eligible = self._eligible[required]
+        entry = self._resident_entry(key, eligible)
+        if entry is None:
+            way, entry = self._allocate(key, eligible)
+            self._way_allocations[way] += 1
+        elif (
+            entry.offset_payload != payload
+            or entry.branch_type != instruction.branch_type
+            or entry.offset_width != required
+        ):
+            self.record_write("main")
         entry.branch_type = instruction.branch_type
         entry.offset_payload = payload
         entry.offset_width = required
-        self._lru[index].touch(victim)
-        self.record_write("main")
-        self.stats.inc("allocations")
-        self._way_allocations[victim] += 1
-
-    def _materialize(self, index: int) -> List[_Entry]:
-        """Allocate the ways (and LRU state) of set ``index`` on first install."""
-        entries = [_Entry() for _ in range(self.associativity)]
-        self._sets[index] = entries
-        self._lru[index] = LRUState(self.associativity)
-        return entries
 
     def _offset_payload(self, instruction: Instruction, required_bits: int) -> int:
         """The stored offset payload: low target bits above the alignment bits."""
@@ -463,9 +358,7 @@ class BTBX(BTBBase):
 
     def invalidate_all(self) -> None:
         """Clear every entry, including the companion (tests/warmup control)."""
-        self._sets = [None] * self.num_sets
-        self._lru = [None] * self.num_sets
-        self._clear_index()
+        super().invalidate_all()
         if self.companion is not None:
             self.companion.invalidate_all()
 

@@ -8,9 +8,8 @@ BTB misses after the first visit to each branch), and for ablations.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
-from repro.common.config import validate_partition_weights
 from repro.common.stats import Stats
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
@@ -25,7 +24,9 @@ class IdealBTB(BTBBase):
     def __init__(self, stats: Stats | None = None) -> None:
         super().__init__(stats)
         # Keyed by (asid, pc): the ideal BTB discriminates address spaces
-        # perfectly, mirroring what tag coloring does for the bounded designs.
+        # perfectly, mirroring what tag coloring does for the bounded designs,
+        # so partitioned and tagged retention are identical upper bounds (a
+        # partition map is validated and otherwise ignored).
         self._entries: Dict[Tuple[int, int], Tuple[BranchType, int]] = {}
 
     def lookup(self, pc: int) -> BTBLookupResult:
@@ -67,19 +68,6 @@ class IdealBTB(BTBBase):
     def invalidate_all(self) -> None:
         """Forget everything (context-switch flush)."""
         self._entries.clear()
-
-    def _select_locations(self) -> None:
-        """Nothing to select: entries are keyed by ``(asid, pc)`` directly."""
-
-    def configure_partitions(self, weights: Sequence[int] | None) -> None:
-        """Accept (and validate) a partition map, but change nothing.
-
-        An unbounded BTB has no capacity to divide: the per-``(asid, pc)``
-        keying already gives every tenant perfect isolation, so partitioned
-        and tagged retention are identical upper bounds by construction.
-        """
-        if weights is not None:
-            validate_partition_weights(weights)
 
     def batch_plan(self, pcs, taken_branch_pcs) -> BatchPlan:
         """Guaranteed misses: ``(active_asid, pc)`` not resident, not installable.

@@ -22,33 +22,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.common.bitutils import kib_to_bits, log2_ceil
+from repro.common.bitutils import kib_to_bits
 from repro.common.config import BTBConfig, BTBStyle, ISAStyle
 from repro.common.errors import ConfigurationError
 from repro.common.stats import Stats
 from repro.btb.base import BTBBase
-from repro.btb.btbx import (
-    BTBX,
-    BTBXC_ENTRY_BITS,
-    METADATA_BITS,
-    default_way_offsets,
-)
-from repro.btb.conventional import ConventionalBTB
+from repro.btb.btbx import BTBX, BTBXC_ENTRY_BITS, btbx_set_bits, default_way_offsets
+from repro.btb.conventional import ConventionalBTB, full_target_entry_bits
 from repro.btb.ideal import IdealBTB
-from repro.btb.pdede import PDedeBTB
-from repro.btb.rbtb import ReducedBTB
+from repro.btb.pdede import PDedeBTB, pdede_different_page_entry_bits, pdede_same_page_entry_bits
+from repro.btb.rbtb import PAGE_ENTRY_BITS as RBTB_PAGE_ENTRY_BITS, ReducedBTB, rbtb_main_entry_bits
 
 #: BTB-X entry counts evaluated in the paper (Table III / Figure 11).
 CANONICAL_BTBX_ENTRIES: tuple[int, ...] = (256, 512, 1024, 2048, 4096, 8192, 16384)
-
-#: Conventional BTB entry bits (Figure 1).
-CONVENTIONAL_ENTRY_BITS = 64
 
 #: PDede constants from the paper's budget split (Section VI-B / Table IV).
 PDEDE_PAGE_BUDGET_FRACTION = 2.5 / 29.0
 PDEDE_REGION_ENTRIES = 4
 PDEDE_REGION_STORAGE_KIB = 0.0107
-PDEDE_PAGE_ENTRY_BITS = 20  # 16-bit page number + 4 replacement bits
 PDEDE_PAGE_ENTRIES_AT_29KIB = 1024
 
 
@@ -111,7 +102,7 @@ class BTBStorageModel:
 
     def btbx_set_bits(self) -> int:
         """Bits per BTB-X set: 8 entries of metadata plus the offset fields."""
-        return len(self.way_offset_bits) * METADATA_BITS + sum(self.way_offset_bits)
+        return btbx_set_bits(self.way_offset_bits)
 
     def btbx_storage_row(self, btbx_entries: int) -> BTBStorageRow:
         """Table III row for a BTB-X with ``btbx_entries`` entries."""
@@ -158,8 +149,12 @@ class BTBStorageModel:
     # -- Conventional ----------------------------------------------------------
 
     def conventional_entry_bits(self) -> int:
-        """Entry bits of the conventional BTB (64 for 48-bit Arm64 addresses)."""
-        return CONVENTIONAL_ENTRY_BITS
+        """Entry bits of the conventional BTB: the paper's 64-bit Arm64 entry.
+
+        Table IV (and Section VI-G's x86 ratio) charge the Arm64 figure on
+        both ISAs.
+        """
+        return full_target_entry_bits(ISAStyle.ARM64)
 
     def conventional_capacity_for_budget(self, budget_kib: float) -> int:
         """Branches a conventional BTB can track within ``budget_kib``."""
@@ -187,11 +182,8 @@ class BTBStorageModel:
 
     def pdede_entry_bits(self, page_entries: int) -> tuple[int, int, float]:
         """(same-page, different-page, average) Main-BTB entry bits."""
-        page_pointer = log2_ceil(page_entries)
-        region_pointer = log2_ceil(PDEDE_REGION_ENTRIES)
-        offset_bits = 12 - self.isa.alignment_bits
-        same = 1 + 12 + 2 + 3 + offset_bits + 1
-        different = 1 + 12 + 2 + 3 + offset_bits + page_pointer + region_pointer
+        same = pdede_same_page_entry_bits(self.isa)
+        different = pdede_different_page_entry_bits(self.isa, page_entries, PDEDE_REGION_ENTRIES)
         return same, different, (same + different) / 2.0
 
     def pdede_capacity_for_budget(self, budget_kib: float) -> tuple[int, int, float, float, float]:
@@ -310,10 +302,9 @@ def make_btb_for_budget(
     if style is BTBStyle.REDUCED:
         # R-BTB follows the same budget split as PDede's Page-BTB share.
         page_budget_bits = kib_to_bits(budget_kib * PDEDE_PAGE_BUDGET_FRACTION)
-        page_entries = max(int(page_budget_bits // 37), 4)
-        probe = ReducedBTB(8, page_entries=page_entries, isa=isa)
-        main_budget_bits = kib_to_bits(budget_kib) - page_entries * probe.page_entry_bits()
-        entries = int(main_budget_bits // probe.main_entry_bits())
+        page_entries = max(int(page_budget_bits // RBTB_PAGE_ENTRY_BITS), 4)
+        main_budget_bits = kib_to_bits(budget_kib) - page_entries * RBTB_PAGE_ENTRY_BITS
+        entries = int(main_budget_bits // rbtb_main_entry_bits(isa, page_entries))
         return ReducedBTB(
             _round_down_multiple(entries, 8), page_entries=page_entries, isa=isa, stats=stats
         )

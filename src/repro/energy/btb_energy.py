@@ -13,11 +13,11 @@ from typing import Dict, Mapping
 
 from repro.common.config import ISAStyle
 from repro.btb.base import BTBBase
-from repro.btb.btbx import BTBX
+from repro.btb.btbx import BTBX, BTBXC_ENTRY_BITS
 from repro.btb.conventional import ConventionalBTB
-from repro.btb.pdede import PDedeBTB
+from repro.btb.pdede import PAGE_ENTRY_BITS, REGION_ENTRY_BITS, PDedeBTB
 from repro.btb.rbtb import ReducedBTB
-from repro.btb.storage import BTBStorageModel
+from repro.btb.storage import PDEDE_REGION_ENTRIES, BTBStorageModel
 from repro.energy.sram import SRAMArray
 
 
@@ -94,7 +94,8 @@ class BTBEnergyModel:
     def arrays_for_conventional(self) -> Dict[str, SRAMArray]:
         """Arrays of the conventional BTB at the configured budget."""
         entries = self.storage.conventional_capacity_for_budget(self.budget_kib)
-        return {"main": SRAMArray("conv.main", entries, 64, associativity=8)}
+        entry_bits = self.storage.conventional_entry_bits()
+        return {"main": SRAMArray("conv.main", entries, entry_bits, associativity=8)}
 
     def arrays_for_btbx(self) -> Dict[str, SRAMArray]:
         """Arrays of BTB-X (main ways plus the BTB-XC companion)."""
@@ -104,7 +105,9 @@ class BTBEnergyModel:
         avg_entry_bits = self.storage.btbx_set_bits() / ways
         arrays = {"main": SRAMArray("btbx.main", sets * ways, avg_entry_bits, associativity=ways)}
         if companion:
-            arrays["companion"] = SRAMArray("btbx.companion", companion, 64, associativity=1)
+            arrays["companion"] = SRAMArray(
+                "btbx.companion", companion, BTBXC_ENTRY_BITS, associativity=1
+            )
         return arrays
 
     def arrays_for_pdede(self) -> Dict[str, SRAMArray]:
@@ -114,8 +117,11 @@ class BTBEnergyModel:
         )
         return {
             "main": SRAMArray("pdede.main", main_entries, avg_bits, associativity=8),
-            "page": SRAMArray("pdede.page", page_entries, 20, associativity=16),
-            "region": SRAMArray("pdede.region", 4, 22, associativity=4),
+            "page": SRAMArray("pdede.page", page_entries, PAGE_ENTRY_BITS, associativity=16),
+            "region": SRAMArray(
+                "pdede.region", PDEDE_REGION_ENTRIES, REGION_ENTRY_BITS,
+                associativity=PDEDE_REGION_ENTRIES,
+            ),
         }
 
     def arrays_for(self, design: str) -> Dict[str, SRAMArray]:

@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence
 from repro.analysis.aggregate import arithmetic_mean
 from repro.analysis.offset_analysis import combined_distribution
 from repro.common.config import BTBStyle
-from repro.btb.btbx import BTBX_WAY_OFFSET_BITS_ARM64, METADATA_BITS, BTBXC_ENTRY_BITS
+from repro.btb.btbx import BTBX_WAY_OFFSET_BITS_ARM64, BTBXC_ENTRY_BITS, btbx_set_bits
 from repro.common.bitutils import kib_to_bits
 from repro.experiments.config import DEFAULT_BUDGET_KIB, ExperimentScale, QUICK_SCALE
 from repro.experiments.engine import ExperimentEngine, SimJob, get_active_engine
@@ -31,7 +31,7 @@ from repro.experiments.runner import evaluation_traces
 def _entries_for_budget(way_bits: Sequence[int], budget_kib: float, companion_divisor: int = 64) -> int:
     """Largest entry count whose storage fits the budget for given way widths."""
     ways = len(way_bits)
-    set_bits = ways * METADATA_BITS + sum(way_bits)
+    set_bits = btbx_set_bits(way_bits)
     budget_bits = kib_to_bits(budget_kib)
     sets = 0
     while True:

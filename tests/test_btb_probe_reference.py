@@ -41,7 +41,8 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repro.btb.btbx import BTBX, BTBXC
+from repro.btb.base import PointerTable
+from repro.btb.btbx import BTBX
 from repro.btb.conventional import ConventionalBTB
 from repro.btb.pdede import PDedeBTB
 from repro.btb.rbtb import ReducedBTB
@@ -117,9 +118,7 @@ def _structures(btb):
 
 
 def _ways(btb, index):
-    """The entries of set ``index`` (BTB-XC: its one direct-mapped entry)."""
-    if isinstance(btb, BTBXC):
-        return [btb._entries[index]]
+    """The entries of set ``index`` (none while it is not materialized)."""
     return btb._sets[index] or ()
 
 
@@ -173,6 +172,8 @@ def _reference(name, sets, isa):
 def _plain(value):
     if isinstance(value, LRUState):
         return ("lru", tuple(value._stamps), value._clock)
+    if isinstance(value, PointerTable):
+        return ("pointers", value.name, _plain(value.slots), _plain(value._lru))
     if isinstance(value, list):
         return [_plain(item) for item in value]
     return value
