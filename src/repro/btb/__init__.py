@@ -5,8 +5,9 @@ companion BTB-XC) and every BTB organization it is compared against:
 
 * :mod:`repro.btb.offsets` -- the target-offset arithmetic of Section III
   (prefix-difference offsets, stored-bit counts, full-target recovery).
-* :mod:`repro.btb.base` -- the common lookup/update/allocate interface and
-  shared set-associative machinery.
+* :mod:`repro.btb.base` -- the common interface, the set-associative main
+  array every bounded organization builds on (probe, allocator, residency)
+  and the Page-/Region-BTB pointer table.
 * :mod:`repro.btb.conventional` -- the conventional BTB of Figure 1 (full
   46-bit targets).
 * :mod:`repro.btb.rbtb` -- Seznec's Reduced BTB (Main-BTB + Page-BTB pointer

@@ -30,7 +30,7 @@ from repro.common.stats import Stats
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
 from repro.btb.base import BTBLookupResult, SetAssociativeBTB
-from repro.btb.conventional import ConventionalBTB, full_target_entry_bits
+from repro.btb.conventional import FullTargetBTB, full_target_entry_bits
 from repro.btb.offsets import stored_offset_bits
 
 #: Per-way offset widths for Arm64 (Figure 8) and x86 (Section VI-G).
@@ -73,7 +73,7 @@ class _Entry:
     offset_width: int = 0  # stored-bit width actually used (<= way width)
 
 
-class BTBXC(ConventionalBTB):
+class BTBXC(FullTargetBTB):
     """The small direct-mapped companion BTB holding full targets.
 
     It captures the <1 % of branches whose offsets do not fit even the widest

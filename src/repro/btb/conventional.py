@@ -38,11 +38,30 @@ class _Entry:
     target: int = 0
 
 
-class ConventionalBTB(SetAssociativeBTB):
+class FullTargetBTB(SetAssociativeBTB):
+    """A set-associative array whose entries store full target addresses.
+
+    Conv-BTB is one; BTB-X's direct-mapped companion BTB-XC is another.
+    """
+
+    _entry_type = _Entry
+
+    def _hit(self, pc: int, index: int, way: int) -> BTBLookupResult:
+        entry = self._sets[index][way]
+        self.stats.inc("hits")
+        return BTBLookupResult(
+            hit=True,
+            branch_type=entry.branch_type,
+            target=entry.target,
+            target_from_ras=entry.branch_type.target_from_ras,
+            structure=self._STRUCTURE,
+        )
+
+
+class ConventionalBTB(FullTargetBTB):
     """Set-associative BTB storing full target addresses."""
 
     name = "conventional"
-    _entry_type = _Entry
 
     def __init__(
         self,
@@ -63,17 +82,6 @@ class ConventionalBTB(SetAssociativeBTB):
     def storage_bits(self) -> int:
         """Total storage of the BTB."""
         return self.capacity_entries() * self.entry_bits()
-
-    def _hit(self, pc: int, index: int, way: int) -> BTBLookupResult:
-        entry = self._sets[index][way]
-        self.stats.inc("hits")
-        return BTBLookupResult(
-            hit=True,
-            branch_type=entry.branch_type,
-            target=entry.target,
-            target_from_ras=entry.branch_type.target_from_ras,
-            structure=self._STRUCTURE,
-        )
 
     def update(self, instruction: Instruction) -> None:
         """Insert or refresh the committed taken branch ``instruction``."""

@@ -12,7 +12,7 @@ vectorizes everything stream-pure over the chunk's structure-of-arrays view:
 * BTB set indices/partial tags via :func:`repro.btb.base.batch_locate`,
   hoisted per chunk because ASID color and partition slice are constant
   within a scheduling turn;
-* a static *guaranteed-miss* filter (:meth:`repro.btb.base.BTBBase.batch_plan`)
+* a static *guaranteed-miss* filter (:meth:`repro.btb.base.SetAssociativeBTB.batch_plan`)
   marking PCs that provably miss the BTB for the whole chunk -- every BTB
   organization plans its chunks, so this engine has a single walk.
 

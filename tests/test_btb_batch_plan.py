@@ -58,7 +58,7 @@ def _assert_shadow_is_live(btb) -> None:
     """The residency shadow holds exactly the live ``(set, way, tag)`` triples."""
     import numpy as np
 
-    if btb._shadow_tags is None:
+    if getattr(btb, "_shadow_tags", None) is None:  # not built yet, or no sets (ideal)
         return
     live = set(btb._resident_ways())
     shadow = {
