@@ -11,7 +11,6 @@ Run with::
 """
 
 from repro import BTBStyle, FrontEndSimulator, build_workload, default_machine_config
-from repro.btb.storage import make_btb_for_budget
 
 BUDGETS_KIB = (1.8125, 3.625, 7.25, 14.5)
 INSTRUCTIONS = 150_000
@@ -28,10 +27,12 @@ def main() -> None:
     for budget in BUDGETS_KIB:
         row = [f"  {budget:6.2f}KB"]
         for style in (BTBStyle.CONVENTIONAL, BTBStyle.BTBX):
-            machine = default_machine_config(btb_style=style, fdip_enabled=True, isa=trace.isa)
-            btb = make_btb_for_budget(style, budget, isa=trace.isa)
-            result = FrontEndSimulator(machine, btb=btb).run(trace, warmup_instructions=WARMUP)
-            row.append(f"  {btb.capacity_entries():>6} {result.btb_mpki:6.2f} {result.ipc:5.3f}")
+            machine = default_machine_config(
+                btb_style=style, budget_kib=budget, fdip_enabled=True, isa=trace.isa
+            )
+            simulator = FrontEndSimulator(machine)
+            result = simulator.run(trace, warmup_instructions=WARMUP)
+            row.append(f"  {simulator.btb.capacity_entries():>6} {result.btb_mpki:6.2f} {result.ipc:5.3f}")
         print("".join(row))
 
     print()

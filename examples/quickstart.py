@@ -11,7 +11,6 @@ Run with::
 """
 
 from repro import BTBStyle, FrontEndSimulator, build_workload, default_machine_config
-from repro.btb.storage import make_btb_for_budget
 
 BUDGET_KIB = 14.5
 INSTRUCTIONS = 120_000
@@ -29,12 +28,14 @@ def main() -> None:
 
     baseline_ipc = None
     for style in (BTBStyle.CONVENTIONAL, BTBStyle.PDEDE, BTBStyle.BTBX):
-        machine = default_machine_config(btb_style=style, fdip_enabled=True, isa=trace.isa)
-        btb = make_btb_for_budget(style, BUDGET_KIB, isa=trace.isa)
-        result = FrontEndSimulator(machine, btb=btb).run(trace, warmup_instructions=WARMUP)
+        machine = default_machine_config(
+            btb_style=style, budget_kib=BUDGET_KIB, fdip_enabled=True, isa=trace.isa
+        )
+        simulator = FrontEndSimulator(machine)
+        result = simulator.run(trace, warmup_instructions=WARMUP)
         if baseline_ipc is None:
             baseline_ipc = result.ipc
-        print(f"{style.value:>13}: {btb.capacity_entries():>5} entries in {BUDGET_KIB} KB | "
+        print(f"{style.value:>13}: {simulator.btb.capacity_entries():>5} entries in {BUDGET_KIB} KB | "
               f"BTB MPKI {result.btb_mpki:6.2f} | IPC {result.ipc:5.3f} | "
               f"speedup vs Conv-BTB {result.ipc / baseline_ipc:5.2f}x")
 

@@ -24,7 +24,7 @@ Quickstart::
     from repro import BTBStyle, build_workload, simulate_trace
 
     trace = build_workload("server_030", 100_000)
-    result = simulate_trace(trace, btb_style=BTBStyle.BTBX, btb_entries=4096)
+    result = simulate_trace(trace, btb_style=BTBStyle.BTBX, budget_kib=14.5)
     print(result.btb_mpki, result.ipc)
 """
 
@@ -46,9 +46,8 @@ from repro.btb import (
     IdealBTB,
     PDedeBTB,
     ReducedBTB,
-    make_btb,
+    make_btb_for_budget,
 )
-from repro.btb.storage import make_btb_for_budget
 from repro.traces.trace import Trace
 from repro.workloads.suites import build_suite, build_workload
 
@@ -74,7 +73,6 @@ __all__ = [
     "IdealBTB",
     "PDedeBTB",
     "ReducedBTB",
-    "make_btb",
     "make_btb_for_budget",
     "Trace",
     "build_suite",

@@ -18,7 +18,8 @@ companion BTB-XC) and every BTB organization it is compared against:
   plus the BTB-XC companion for offsets longer than the largest way
   (Figure 8).
 * :mod:`repro.btb.storage` -- storage accounting used to reproduce Tables III
-  and IV and to size every organization for a given byte budget.
+  and IV, and :func:`make_btb_for_budget`, the one factory that builds every
+  organization for a storage budget.
 """
 
 from repro.btb.base import BTBBase, BTBLookupResult
@@ -33,14 +34,7 @@ from repro.btb.offsets import (
 )
 from repro.btb.pdede import PDedeBTB
 from repro.btb.rbtb import ReducedBTB
-from repro.btb.storage import (
-    BTBStorageModel,
-    btbx_capacity_for_budget,
-    conventional_capacity_for_budget,
-    make_btb,
-    pdede_capacity_for_budget,
-    storage_table,
-)
+from repro.btb.storage import BTBStorageModel, make_btb_for_budget
 
 __all__ = [
     "BTBBase",
@@ -58,9 +52,5 @@ __all__ = [
     "target_offset",
     "recover_target",
     "BTBStorageModel",
-    "btbx_capacity_for_budget",
-    "conventional_capacity_for_budget",
-    "pdede_capacity_for_budget",
-    "storage_table",
-    "make_btb",
+    "make_btb_for_budget",
 ]

@@ -42,6 +42,10 @@ from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
 
 
+#: Width of every main array's partial tag (Figure 1: 12 bits).
+TAG_BITS = 12
+
+
 class BTBLookupResult(NamedTuple):
     """Outcome of probing a BTB with a PC.
 
@@ -271,7 +275,11 @@ class SetAssociativeBTB(BTBBase):
     _entry_type: type
 
     def __init__(
-        self, entries: int, associativity: int, tag_bits: int, isa: ISAStyle, stats: Stats | None
+        self,
+        entries: int,
+        associativity: int = 8,
+        isa: ISAStyle = ISAStyle.ARM64,
+        stats: Stats | None = None,
     ) -> None:
         super().__init__(stats)
         if entries <= 0 or associativity <= 0 or entries % associativity != 0:
@@ -281,7 +289,7 @@ class SetAssociativeBTB(BTBBase):
             )
         self.isa = isa
         self.alignment_bits = isa.alignment_bits
-        self.tag_bits = tag_bits
+        self.tag_bits = TAG_BITS
         self.associativity = associativity
         self.num_sets = entries // associativity
         self._sets: List[list | None] = [None] * self.num_sets

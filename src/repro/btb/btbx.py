@@ -29,8 +29,8 @@ from repro.common.errors import ConfigurationError
 from repro.common.stats import Stats
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
-from repro.btb.base import BTBLookupResult, SetAssociativeBTB
-from repro.btb.conventional import FullTargetBTB, full_target_entry_bits
+from repro.btb.base import TAG_BITS, BTBLookupResult, SetAssociativeBTB
+from repro.btb.conventional import FULL_TARGET_ENTRY_BITS, FullTargetBTB
 from repro.btb.offsets import stored_offset_bits
 
 #: Per-way offset widths for Arm64 (Figure 8) and x86 (Section VI-G).
@@ -39,14 +39,17 @@ BTBX_WAY_OFFSET_BITS_X86: Tuple[int, ...] = (0, 5, 6, 7, 9, 12, 20, 27)
 
 #: Metadata bits per BTB-X entry: valid(1) + tag(12) + type(2) + rep_policy(3).
 VALID_BITS = 1
-TAG_BITS = 12
 TYPE_BITS = 2
 REPL_BITS = 3
 METADATA_BITS = VALID_BITS + TAG_BITS + TYPE_BITS + REPL_BITS
 
-#: A BTB-XC entry stores a full target, like a conventional entry: 64 bits,
-#: charged at the paper's Arm64 figure on both ISAs (Table III).
-BTBXC_ENTRY_BITS = full_target_entry_bits(ISAStyle.ARM64)
+#: BTB-XC has 64x fewer entries than BTB-X (at least one).
+COMPANION_DIVISOR = 64
+
+
+def companion_entries_for(btbx_entries: int) -> int:
+    """BTB-XC entries beside a BTB-X of ``btbx_entries`` entries."""
+    return max(btbx_entries // COMPANION_DIVISOR, 1)
 
 
 def default_way_offsets(isa: ISAStyle) -> Tuple[int, ...]:
@@ -87,13 +90,9 @@ class BTBXC(FullTargetBTB):
     _STRUCTURE = "companion"
 
     def __init__(
-        self,
-        entries: int,
-        tag_bits: int = TAG_BITS,
-        isa: ISAStyle = ISAStyle.ARM64,
-        stats: Stats | None = None,
+        self, entries: int, isa: ISAStyle = ISAStyle.ARM64, stats: Stats | None = None
     ) -> None:
-        super().__init__(entries, associativity=1, tag_bits=tag_bits, isa=isa, stats=stats)
+        super().__init__(entries, associativity=1, isa=isa, stats=stats)
 
     def update(self, instruction: Instruction) -> None:
         """Insert/refresh; direct-mapped, so the indexed entry is overwritten."""
@@ -109,12 +108,16 @@ class BTBXC(FullTargetBTB):
         self.record_write("companion")
 
     def storage_bits(self) -> int:
-        """Total storage of the companion."""
-        return self.capacity_entries() * BTBXC_ENTRY_BITS
+        """Total storage of the companion: one full-target entry per entry."""
+        return self.capacity_entries() * FULL_TARGET_ENTRY_BITS
 
 
 class BTBX(SetAssociativeBTB):
-    """BTB-X proper: skewed-width offset ways plus the BTB-XC companion."""
+    """BTB-X proper: skewed-width offset ways plus the BTB-XC companion.
+
+    ``companion_entries`` defaults to :func:`companion_entries_for`
+    ``entries``; zero builds no companion.
+    """
 
     name = "btbx"
     _entry_type = _Entry
@@ -123,8 +126,7 @@ class BTBX(SetAssociativeBTB):
         self,
         entries: int,
         way_offset_bits: Sequence[int] | None = None,
-        companion_divisor: int = 64,
-        tag_bits: int = TAG_BITS,
+        companion_entries: int | None = None,
         isa: ISAStyle = ISAStyle.ARM64,
         stats: Stats | None = None,
     ) -> None:
@@ -133,7 +135,7 @@ class BTBX(SetAssociativeBTB):
             raise ConfigurationError("BTB-X needs at least one way")
         if sorted(widths) != list(widths):
             raise ConfigurationError("BTB-X way offset widths must be non-decreasing")
-        super().__init__(entries, len(widths), tag_bits, isa, stats)
+        super().__init__(entries, len(widths), isa, stats)
         self.way_offset_bits = widths
         #: Constrained-LRU candidates: the ways whose offset field holds
         #: ``required`` stored bits, indexed by ``required``.
@@ -145,13 +147,13 @@ class BTBX(SetAssociativeBTB):
         # are exposed through way_hit_counts()/way_allocation_counts()).
         self._way_hits = [0] * self.associativity
         self._way_allocations = [0] * self.associativity
-        if companion_divisor and companion_divisor > 0:
-            companion_entries = max(entries // companion_divisor, 1)
-            self.companion: BTBXC | None = BTBXC(
-                companion_entries, tag_bits=tag_bits, isa=isa, stats=self._stats_registry
-            )
-        else:
-            self.companion = None
+        if companion_entries is None:
+            companion_entries = companion_entries_for(entries)
+        self.companion: BTBXC | None = (
+            BTBXC(companion_entries, isa=isa, stats=self._stats_registry)
+            if companion_entries
+            else None
+        )
 
     # -- geometry ----------------------------------------------------------
 

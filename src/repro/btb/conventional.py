@@ -2,32 +2,29 @@
 
 Each entry stores a valid bit, a 12-bit partial tag, a 2-bit branch type, a
 46-bit target (48-bit virtual addresses minus the two Arm64 alignment bits)
-and 3 replacement-policy bits -- 64 bits per entry in total.  This is the
-baseline (Conv-BTB) of every comparison in the paper.
+and 3 replacement-policy bits -- 64 bits per entry in total, on x86 too (the
+paper charges the Arm64 entry on both ISAs).  This is the baseline (Conv-BTB)
+of every comparison in the paper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.config import ISAStyle
-from repro.common.stats import Stats
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
-from repro.btb.base import BTBLookupResult, SetAssociativeBTB
+from repro.btb.base import TAG_BITS, BTBLookupResult, SetAssociativeBTB
 
 #: Field widths of a conventional BTB entry (Figure 1).
 VALID_BITS = 1
-TAG_BITS = 12
 TYPE_BITS = 2
 REPL_BITS = 3
+TARGET_BITS = 46
 
-
-def full_target_entry_bits(
-    isa: ISAStyle, tag_bits: int = TAG_BITS, virtual_address_bits: int = 48
-) -> int:
-    """Storage bits of one full-target entry (64 for the paper's Arm64 parameters)."""
-    return VALID_BITS + tag_bits + TYPE_BITS + REPL_BITS + virtual_address_bits - isa.alignment_bits
+#: Storage bits of one full-target entry: 64.  Conv-BTB, BTB-XC, the storage
+#: model and the energy model all charge it, on both ISAs, as Table IV and
+#: Section VI-G's x86 capacity ratio do.
+FULL_TARGET_ENTRY_BITS = VALID_BITS + TAG_BITS + TYPE_BITS + REPL_BITS + TARGET_BITS
 
 
 @dataclass(slots=True)
@@ -63,25 +60,13 @@ class ConventionalBTB(FullTargetBTB):
 
     name = "conventional"
 
-    def __init__(
-        self,
-        entries: int,
-        associativity: int = 8,
-        tag_bits: int = TAG_BITS,
-        isa: ISAStyle = ISAStyle.ARM64,
-        virtual_address_bits: int = 48,
-        stats: Stats | None = None,
-    ) -> None:
-        super().__init__(entries, associativity, tag_bits, isa, stats)
-        self.virtual_address_bits = virtual_address_bits
-
     def entry_bits(self) -> int:
-        """Storage bits of a single entry (64 for the paper's parameters)."""
-        return full_target_entry_bits(self.isa, self.tag_bits, self.virtual_address_bits)
+        """Storage bits of a single entry (64)."""
+        return FULL_TARGET_ENTRY_BITS
 
     def storage_bits(self) -> int:
         """Total storage of the BTB."""
-        return self.capacity_entries() * self.entry_bits()
+        return self.capacity_entries() * FULL_TARGET_ENTRY_BITS
 
     def update(self, instruction: Instruction) -> None:
         """Insert or refresh the committed taken branch ``instruction``."""

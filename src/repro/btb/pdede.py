@@ -33,10 +33,9 @@ from repro.common.errors import ConfigurationError
 from repro.common.stats import Stats
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
-from repro.btb.base import BTBLookupResult, PointerTable, SetAssociativeBTB
+from repro.btb.base import TAG_BITS, BTBLookupResult, PointerTable, SetAssociativeBTB
 
 VALID_BITS = 1
-TAG_BITS = 12
 TYPE_BITS = 2
 REPL_BITS = 3
 DELTA_BITS = 1
@@ -53,17 +52,15 @@ PAGE_ENTRY_BITS = REGION_PAGE_BITS + PAGE_ENTRY_REPL_BITS
 REGION_ENTRY_BITS = REGION_NUMBER_BITS + REGION_ENTRY_REPL_BITS
 
 
-def pdede_same_page_entry_bits(isa: ISAStyle, tag_bits: int = TAG_BITS) -> int:
+def pdede_same_page_entry_bits(isa: ISAStyle) -> int:
     """Storage bits of a same-page Main-BTB entry (Figure 7, 29 bits)."""
-    return VALID_BITS + tag_bits + TYPE_BITS + REPL_BITS + (PAGE_BITS - isa.alignment_bits) + DELTA_BITS
+    return VALID_BITS + TAG_BITS + TYPE_BITS + REPL_BITS + (PAGE_BITS - isa.alignment_bits) + DELTA_BITS
 
 
-def pdede_different_page_entry_bits(
-    isa: ISAStyle, page_entries: int, region_entries: int, tag_bits: int = TAG_BITS
-) -> int:
+def pdede_different_page_entry_bits(isa: ISAStyle, page_entries: int, region_entries: int) -> int:
     """Storage bits of a different-page Main-BTB entry (Figure 7)."""
     return (
-        VALID_BITS + tag_bits + TYPE_BITS + REPL_BITS + (PAGE_BITS - isa.alignment_bits)
+        VALID_BITS + TAG_BITS + TYPE_BITS + REPL_BITS + (PAGE_BITS - isa.alignment_bits)
         + log2_ceil(page_entries) + log2_ceil(region_entries)
     )
 
@@ -95,11 +92,10 @@ class PDedeBTB(SetAssociativeBTB):
         associativity: int = 8,
         page_associativity: int = 16,
         same_page_way_fraction: float = 0.5,
-        tag_bits: int = TAG_BITS,
         isa: ISAStyle = ISAStyle.ARM64,
         stats: Stats | None = None,
     ) -> None:
-        super().__init__(entries, associativity, tag_bits, isa, stats)
+        super().__init__(entries, associativity, isa, stats)
         if page_entries <= 0 or region_entries <= 0:
             raise ConfigurationError("Page-BTB and Region-BTB need at least one entry each")
         if not 0.0 <= same_page_way_fraction <= 1.0:
@@ -120,13 +116,11 @@ class PDedeBTB(SetAssociativeBTB):
 
     def same_page_entry_bits(self) -> int:
         """Storage bits of a same-page Main-BTB entry (Figure 7, 29 bits)."""
-        return pdede_same_page_entry_bits(self.isa, self.tag_bits)
+        return pdede_same_page_entry_bits(self.isa)
 
     def different_page_entry_bits(self) -> int:
         """Storage bits of a different-page Main-BTB entry (Figure 7)."""
-        return pdede_different_page_entry_bits(
-            self.isa, self.page_entries, self.region_entries, self.tag_bits
-        )
+        return pdede_different_page_entry_bits(self.isa, self.page_entries, self.region_entries)
 
     def average_entry_bits(self) -> float:
         """Average Main-BTB entry size, as reported in Table IV."""

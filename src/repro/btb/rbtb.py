@@ -26,10 +26,9 @@ from repro.common.errors import ConfigurationError
 from repro.common.stats import Stats
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
-from repro.btb.base import BTBLookupResult, PointerTable, SetAssociativeBTB
+from repro.btb.base import TAG_BITS, BTBLookupResult, PointerTable, SetAssociativeBTB
 
 VALID_BITS = 1
-TAG_BITS = 12
 TYPE_BITS = 2
 REPL_BITS = 3
 PAGE_BITS = 12  # 4 KiB pages
@@ -40,10 +39,10 @@ PAGE_NUMBER_BITS = 36  # 48-bit VA - 12-bit page offset
 PAGE_ENTRY_BITS = PAGE_NUMBER_BITS + VALID_BITS
 
 
-def rbtb_main_entry_bits(isa: ISAStyle, page_entries: int, tag_bits: int = TAG_BITS) -> int:
+def rbtb_main_entry_bits(isa: ISAStyle, page_entries: int) -> int:
     """Storage bits of one Main-BTB entry: metadata, page offset, Page-BTB pointer."""
     return (
-        VALID_BITS + tag_bits + TYPE_BITS + REPL_BITS
+        VALID_BITS + TAG_BITS + TYPE_BITS + REPL_BITS
         + (PAGE_BITS - isa.alignment_bits) + log2_ceil(page_entries)
     )
 
@@ -68,11 +67,10 @@ class ReducedBTB(SetAssociativeBTB):
         entries: int,
         page_entries: int = 128,
         associativity: int = 8,
-        tag_bits: int = TAG_BITS,
         isa: ISAStyle = ISAStyle.ARM64,
         stats: Stats | None = None,
     ) -> None:
-        super().__init__(entries, associativity, tag_bits, isa, stats)
+        super().__init__(entries, associativity, isa, stats)
         if page_entries <= 0:
             raise ConfigurationError("Page-BTB needs at least one entry")
         self.page_entries = page_entries
@@ -82,7 +80,7 @@ class ReducedBTB(SetAssociativeBTB):
 
     def main_entry_bits(self) -> int:
         """Storage bits of one Main-BTB entry."""
-        return rbtb_main_entry_bits(self.isa, self.page_entries, self.tag_bits)
+        return rbtb_main_entry_bits(self.isa, self.page_entries)
 
     def page_entry_bits(self) -> int:
         """Storage bits of one Page-BTB entry (page number + valid)."""

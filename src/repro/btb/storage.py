@@ -1,17 +1,19 @@
 """Storage accounting and budget-driven sizing of BTB organizations.
 
-This module reproduces the arithmetic behind Tables III and IV:
+This module reproduces the arithmetic behind Tables III and IV and builds
+every simulated BTB:
 
-* :func:`btbx_storage_bits` / :func:`storage_table` -- BTB-X storage for a
-  given entry count (Table III: 224-bit sets plus a 1/64-sized companion);
-* :func:`conventional_capacity_for_budget` -- how many 64-bit entries fit in a
-  byte budget;
-* :func:`pdede_capacity_for_budget` -- PDede's capacity for a budget, using
-  the paper's budget split (Page-BTB gets 2.5 KB of every 29 KB, the
-  Region-BTB is fixed at four entries, and the Main-BTB entry size depends on
-  the Page-BTB pointer width);
-* :func:`make_btb` -- construct a simulatable BTB organization that fits a
-  given storage budget (used by every MPKI/performance experiment).
+* :class:`BTBStorageModel` -- the storage arithmetic of one ISA (and one
+  BTB-X way sizing): BTB-X storage for an entry count (Table III: 224-bit
+  sets plus a 1/64-sized companion), how many 64-bit conventional entries fit
+  in a budget, and PDede's capacity under the paper's budget split (the
+  Page-BTB gets 2.5 KB of every 29 KB, the Region-BTB is fixed at four
+  entries, and the Main-BTB entry size depends on the Page-BTB pointer
+  width);
+* :func:`make_btb_for_budget` -- the one factory: it builds the organization
+  a :class:`~repro.common.config.BTBStyle` names, sized for a storage budget.
+  A machine's BTB (:class:`~repro.common.config.BTBConfig`) and every
+  experiment, scenario and benchmark cell get their BTB from it.
 
 The canonical budgets of the evaluation are those required by 256- to
 16K-entry BTB-X configurations: 0.9, 1.8, 3.6, 7.25, 14.5, 29 and 58 KB.
@@ -23,14 +25,20 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.common.bitutils import kib_to_bits
-from repro.common.config import BTBConfig, BTBStyle, ISAStyle
+from repro.common.config import BTBStyle, ISAStyle
 from repro.common.errors import ConfigurationError
 from repro.common.stats import Stats
 from repro.btb.base import BTBBase
-from repro.btb.btbx import BTBX, BTBXC_ENTRY_BITS, btbx_set_bits, default_way_offsets
-from repro.btb.conventional import ConventionalBTB, full_target_entry_bits
+from repro.btb.btbx import BTBX, btbx_set_bits, companion_entries_for, default_way_offsets
+from repro.btb.conventional import FULL_TARGET_ENTRY_BITS, ConventionalBTB
 from repro.btb.ideal import IdealBTB
-from repro.btb.pdede import PDedeBTB, pdede_different_page_entry_bits, pdede_same_page_entry_bits
+from repro.btb.pdede import (
+    PAGE_ENTRY_BITS as PDEDE_PAGE_ENTRY_BITS,
+    REGION_ENTRY_BITS,
+    PDedeBTB,
+    pdede_different_page_entry_bits,
+    pdede_same_page_entry_bits,
+)
 from repro.btb.rbtb import PAGE_ENTRY_BITS as RBTB_PAGE_ENTRY_BITS, ReducedBTB, rbtb_main_entry_bits
 
 #: BTB-X entry counts evaluated in the paper (Table III / Figure 11).
@@ -91,12 +99,19 @@ class CapacityRow:
 
 
 class BTBStorageModel:
-    """Storage arithmetic for every organization at a given ISA flavour."""
+    """Storage arithmetic for every organization at a given ISA flavour.
 
-    def __init__(self, isa: ISAStyle = ISAStyle.ARM64, companion_divisor: int = 64) -> None:
+    ``way_offset_bits`` replaces BTB-X's per-way offset widths (the paper's
+    for ``isa`` by default), as the way-sizing ablation does.
+    """
+
+    def __init__(
+        self, isa: ISAStyle = ISAStyle.ARM64, way_offset_bits: Sequence[int] | None = None
+    ) -> None:
         self.isa = isa
-        self.companion_divisor = companion_divisor
-        self.way_offset_bits = default_way_offsets(isa)
+        self.way_offset_bits = (
+            default_way_offsets(isa) if way_offset_bits is None else tuple(way_offset_bits)
+        )
 
     # -- BTB-X ---------------------------------------------------------------
 
@@ -110,14 +125,14 @@ class BTBStorageModel:
         if btbx_entries <= 0 or btbx_entries % ways != 0:
             raise ConfigurationError(f"BTB-X entries must be a multiple of {ways}")
         num_sets = btbx_entries // ways
-        companion_entries = max(btbx_entries // self.companion_divisor, 1) if self.companion_divisor else 0
-        storage_bits = num_sets * self.btbx_set_bits() + companion_entries * BTBXC_ENTRY_BITS
+        companion_entries = companion_entries_for(btbx_entries)
+        storage_bits = num_sets * self.btbx_set_bits() + companion_entries * FULL_TARGET_ENTRY_BITS
         return BTBStorageRow(
             btbx_entries=btbx_entries,
             companion_entries=companion_entries,
             num_sets=num_sets,
             set_bits=self.btbx_set_bits(),
-            companion_entry_bits=BTBXC_ENTRY_BITS,
+            companion_entry_bits=FULL_TARGET_ENTRY_BITS,
             storage_bits=storage_bits,
         )
 
@@ -136,29 +151,19 @@ class BTBStorageModel:
         sets = 0
         while True:
             candidate = sets + 1
-            entries = candidate * ways
-            companion = max(entries // self.companion_divisor, 1) if self.companion_divisor else 0
-            bits = candidate * self.btbx_set_bits() + companion * BTBXC_ENTRY_BITS
+            companion = companion_entries_for(candidate * ways)
+            bits = candidate * self.btbx_set_bits() + companion * FULL_TARGET_ENTRY_BITS
             if bits > budget_bits:
                 break
             sets = candidate
         entries = sets * ways
-        companion = max(entries // self.companion_divisor, 1) if (self.companion_divisor and entries) else 0
-        return entries, companion
+        return entries, companion_entries_for(entries) if entries else 0
 
     # -- Conventional ----------------------------------------------------------
 
-    def conventional_entry_bits(self) -> int:
-        """Entry bits of the conventional BTB: the paper's 64-bit Arm64 entry.
-
-        Table IV (and Section VI-G's x86 ratio) charge the Arm64 figure on
-        both ISAs.
-        """
-        return full_target_entry_bits(ISAStyle.ARM64)
-
     def conventional_capacity_for_budget(self, budget_kib: float) -> int:
-        """Branches a conventional BTB can track within ``budget_kib``."""
-        return int(kib_to_bits(budget_kib) // self.conventional_entry_bits())
+        """Branches a conventional BTB (64-bit entries) can track within ``budget_kib``."""
+        return int(kib_to_bits(budget_kib) // FULL_TARGET_ENTRY_BITS)
 
     # -- PDede -----------------------------------------------------------------
 
@@ -232,42 +237,19 @@ class BTBStorageModel:
         return rows
 
 
-# -- module-level conveniences ---------------------------------------------------
+# -- the factory -------------------------------------------------------------------
+
+#: Ways of the main array of Conv-BTB, R-BTB and PDede.
+MAIN_WAYS = 8
 
 
-def storage_table(isa: ISAStyle = ISAStyle.ARM64) -> List[BTBStorageRow]:
-    """Table III rows for the default (Arm64) configuration."""
-    return BTBStorageModel(isa).storage_table()
-
-
-def capacity_table(isa: ISAStyle = ISAStyle.ARM64) -> List[CapacityRow]:
-    """Table IV rows for the given ISA."""
-    return BTBStorageModel(isa).capacity_table()
-
-
-def btbx_capacity_for_budget(budget_kib: float, isa: ISAStyle = ISAStyle.ARM64) -> tuple[int, int]:
-    """(BTB-X entries, BTB-XC entries) fitting within ``budget_kib``."""
-    return BTBStorageModel(isa).btbx_capacity_for_budget(budget_kib)
-
-
-def conventional_capacity_for_budget(budget_kib: float, isa: ISAStyle = ISAStyle.ARM64) -> int:
-    """Conventional BTB entries fitting within ``budget_kib``."""
-    return BTBStorageModel(isa).conventional_capacity_for_budget(budget_kib)
-
-
-def pdede_capacity_for_budget(budget_kib: float, isa: ISAStyle = ISAStyle.ARM64) -> tuple[int, int, float, float, float]:
-    """PDede sizing for ``budget_kib`` (see :meth:`BTBStorageModel.pdede_capacity_for_budget`)."""
-    return BTBStorageModel(isa).pdede_capacity_for_budget(budget_kib)
-
-
-def canonical_budgets_kib(isa: ISAStyle = ISAStyle.ARM64) -> List[float]:
-    """The seven storage budgets of the evaluation (0.9 .. 58 KB)."""
-    model = BTBStorageModel(isa)
-    return [model.btbx_budget_kib(entries) for entries in CANONICAL_BTBX_ENTRIES]
-
-
-def _round_down_multiple(value: int, multiple: int) -> int:
-    return max((value // multiple) * multiple, multiple)
+def _require_one_set(style: BTBStyle, budget_kib: float, secondary_bits: float, set_bits: float) -> None:
+    """Raise unless ``budget_kib``, less the secondary structures, holds one main set."""
+    if kib_to_bits(budget_kib) < secondary_bits + set_bits:
+        raise ConfigurationError(
+            f"a {budget_kib} KiB budget cannot hold one set of a {style.value} BTB "
+            f"(the smallest needs {(secondary_bits + set_bits) / 8192:.4f} KiB)"
+        )
 
 
 def make_btb_for_budget(
@@ -275,89 +257,47 @@ def make_btb_for_budget(
     budget_kib: float,
     isa: ISAStyle = ISAStyle.ARM64,
     stats: Stats | None = None,
+    way_offset_bits: Sequence[int] | None = None,
 ) -> BTBBase:
     """Construct a simulatable BTB of the given style sized for ``budget_kib``.
 
-    Entry counts are rounded down to a multiple of the associativity so that
-    the structure is constructible; the capacity tables report the exact
-    (unrounded) numbers.
+    A bounded organization gets the whole sets its main array's share of the
+    budget holds (the capacity tables report the unrounded entry counts);
+    ``way_offset_bits`` replaces BTB-X's per-way offset widths.  A budget
+    that cannot hold one set beside the secondary structures raises
+    :class:`ConfigurationError`.
     """
-    model = BTBStorageModel(isa)
-    if style is BTBStyle.CONVENTIONAL:
-        entries = model.conventional_capacity_for_budget(budget_kib)
-        return ConventionalBTB(_round_down_multiple(entries, 8), associativity=8, isa=isa, stats=stats)
+    if style is BTBStyle.IDEAL:
+        return IdealBTB(stats=stats)
+    model = BTBStorageModel(isa, way_offset_bits)
     if style is BTBStyle.BTBX:
+        _require_one_set(style, budget_kib, FULL_TARGET_ENTRY_BITS, model.btbx_set_bits())
         entries, companion = model.btbx_capacity_for_budget(budget_kib)
-        divisor = (entries // companion) if companion else 0
-        return BTBX(entries, companion_divisor=divisor, isa=isa, stats=stats)
+        return BTBX(entries, model.way_offset_bits, companion, isa=isa, stats=stats)
+    if style is BTBStyle.CONVENTIONAL:
+        _require_one_set(style, budget_kib, 0, MAIN_WAYS * FULL_TARGET_ENTRY_BITS)
+        sets = model.conventional_capacity_for_budget(budget_kib) // MAIN_WAYS
+        return ConventionalBTB(sets * MAIN_WAYS, isa=isa, stats=stats)
+    if style is BTBStyle.REDUCED:
+        # R-BTB follows the same budget split as PDede's Page-BTB share.
+        page_budget_bits = kib_to_bits(budget_kib * PDEDE_PAGE_BUDGET_FRACTION)
+        page_entries = max(int(page_budget_bits // RBTB_PAGE_ENTRY_BITS), 4)
+        page_bits = page_entries * RBTB_PAGE_ENTRY_BITS
+        set_bits = MAIN_WAYS * rbtb_main_entry_bits(isa, page_entries)
+        _require_one_set(style, budget_kib, page_bits, set_bits)
+        sets = int((kib_to_bits(budget_kib) - page_bits) // set_bits)
+        return ReducedBTB(sets * MAIN_WAYS, page_entries=page_entries, isa=isa, stats=stats)
     if style is BTBStyle.PDEDE:
-        entries, page_entries, _, _, _ = model.pdede_capacity_for_budget(budget_kib)
+        entries, page_entries, avg_bits, _, _ = model.pdede_capacity_for_budget(budget_kib)
+        secondary_bits = (
+            page_entries * PDEDE_PAGE_ENTRY_BITS + PDEDE_REGION_ENTRIES * REGION_ENTRY_BITS
+        )
+        _require_one_set(style, budget_kib, secondary_bits, MAIN_WAYS * avg_bits)
         return PDedeBTB(
-            _round_down_multiple(entries, 8),
+            entries - entries % MAIN_WAYS,
             page_entries=page_entries,
             region_entries=PDEDE_REGION_ENTRIES,
             isa=isa,
             stats=stats,
         )
-    if style is BTBStyle.REDUCED:
-        # R-BTB follows the same budget split as PDede's Page-BTB share.
-        page_budget_bits = kib_to_bits(budget_kib * PDEDE_PAGE_BUDGET_FRACTION)
-        page_entries = max(int(page_budget_bits // RBTB_PAGE_ENTRY_BITS), 4)
-        main_budget_bits = kib_to_bits(budget_kib) - page_entries * RBTB_PAGE_ENTRY_BITS
-        entries = int(main_budget_bits // rbtb_main_entry_bits(isa, page_entries))
-        return ReducedBTB(
-            _round_down_multiple(entries, 8), page_entries=page_entries, isa=isa, stats=stats
-        )
-    if style is BTBStyle.IDEAL:
-        return IdealBTB(stats=stats)
-    raise ConfigurationError(f"unknown BTB style {style}")
-
-
-def make_btb(config: BTBConfig, stats: Stats | None = None) -> BTBBase:
-    """Construct a BTB organization from a :class:`BTBConfig` (entry-count based)."""
-    style = config.style
-    if style is BTBStyle.CONVENTIONAL:
-        return ConventionalBTB(
-            config.entries,
-            associativity=config.associativity,
-            tag_bits=config.tag_bits,
-            isa=config.isa,
-            stats=stats,
-        )
-    if style is BTBStyle.BTBX:
-        return BTBX(
-            config.entries,
-            way_offset_bits=config.btbx_way_offset_bits,
-            companion_divisor=config.btbx_companion_divisor,
-            tag_bits=config.tag_bits,
-            isa=config.isa,
-            stats=stats,
-        )
-    if style is BTBStyle.PDEDE:
-        page_entries = config.pdede_page_btb_entries
-        if page_entries is None:
-            model = BTBStorageModel(config.isa)
-            budget = config.entries * model.pdede_entry_bits(512)[2] / 8.0 / 1024.0
-            page_entries = model.pdede_page_entries_for_budget(max(budget, 0.5))
-        return PDedeBTB(
-            config.entries,
-            page_entries=page_entries,
-            region_entries=config.pdede_region_btb_entries,
-            associativity=config.associativity,
-            page_associativity=config.pdede_page_btb_assoc,
-            same_page_way_fraction=config.pdede_same_page_way_fraction,
-            tag_bits=config.tag_bits,
-            isa=config.isa,
-            stats=stats,
-        )
-    if style is BTBStyle.REDUCED:
-        return ReducedBTB(
-            config.entries,
-            associativity=config.associativity,
-            tag_bits=config.tag_bits,
-            isa=config.isa,
-            stats=stats,
-        )
-    if style is BTBStyle.IDEAL:
-        return IdealBTB(stats=stats)
     raise ConfigurationError(f"unknown BTB style {style}")

@@ -16,7 +16,7 @@ import enum
 import importlib.util
 import os
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.common.bitutils import is_power_of_two
 from repro.common.errors import ConfigurationError
@@ -193,7 +193,6 @@ class CacheConfig:
     associativity: int
     line_size: int = 64
     hit_latency: int = 4
-    mshrs: int = 8
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0 or self.associativity <= 0:
@@ -247,19 +246,10 @@ class FDIPConfig:
 
     enabled: bool = True
     ftq_instructions: int = 128
-    # Maximum number of distinct cache blocks the prefetch engine may have in
-    # flight; mirrors the L1-I MSHR count plus a small prefetch queue.
-    max_inflight_prefetches: int = 16
-    # Number of instructions of BPU run-ahead needed for a prefetch to fully
-    # hide an L2 hit; derived in the timing model from fetch width and L2
-    # latency, but can be pinned for experiments.
-    min_useful_lead_instructions: int = 24
 
     def __post_init__(self) -> None:
         if self.ftq_instructions <= 0:
             raise ConfigurationError("FTQ must hold at least one instruction")
-        if self.max_inflight_prefetches <= 0:
-            raise ConfigurationError("prefetch engine needs at least one MSHR")
 
 
 @dataclass(frozen=True)
@@ -267,20 +257,12 @@ class CoreConfig:
     """Pipeline-width and penalty parameters of the modelled core (Table II)."""
 
     fetch_width: int = 6
-    decode_width: int = 6
-    commit_width: int = 6
-    rob_entries: int = 352
-    scheduler_entries: int = 128
-    load_queue_entries: int = 128
-    store_queue_entries: int = 72
     # Penalty (in cycles) of a pipeline flush detected at the execute stage:
     # front-end refill depth of a Sunny-Cove-like pipeline.
     execute_flush_penalty: int = 17
     # Penalty of a resteer performed at the decode stage (Section VI-A's
     # improved branch resolution for direct branches that miss in the BTB).
     decode_resteer_penalty: int = 5
-    # Address-space width assumed by the paper for storage accounting.
-    virtual_address_bits: int = 48
 
     def __post_init__(self) -> None:
         if self.fetch_width <= 0:
@@ -293,47 +275,22 @@ class CoreConfig:
 
 @dataclass(frozen=True)
 class BTBConfig:
-    """Parameters common to every BTB organization.
+    """The BTB a machine runs: an organization sized for a storage budget.
 
-    ``entries`` is the nominal number of branch entries.  Organization-specific
-    classes interpret it (e.g. BTB-X derives its set count from it, PDede
-    derives its Main-BTB size from the equivalent storage budget).
+    :func:`repro.btb.storage.make_btb_for_budget` builds it, as it builds
+    every experiment's BTB, so organizations compare at equal storage as in
+    the paper.  ``btbx_way_offset_bits`` replaces BTB-X's per-way offset
+    widths (``None``: the paper's widths for ``isa``).
     """
 
     style: BTBStyle = BTBStyle.BTBX
-    entries: int = 4096
-    associativity: int = 8
-    tag_bits: int = 12
+    budget_kib: float = 14.5
     isa: ISAStyle = ISAStyle.ARM64
-    # BTB-X specific: per-way offset field widths.  ``None`` selects the
-    # paper's widths for the configured ISA.
     btbx_way_offset_bits: tuple[int, ...] | None = None
-    # BTB-XC (companion) entries as a fraction of BTB-X entries (1/64 in the
-    # paper).  Zero disables the companion.
-    btbx_companion_divisor: int = 64
-    # PDede specific knobs.
-    pdede_page_btb_entries: int | None = None
-    pdede_region_btb_entries: int = 4
-    pdede_page_btb_assoc: int = 16
-    pdede_same_page_way_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.entries <= 0:
-            raise ConfigurationError("BTB must have at least one entry")
-        if self.associativity <= 0:
-            raise ConfigurationError("BTB associativity must be positive")
-        if self.entries % self.associativity != 0:
-            raise ConfigurationError(
-                f"BTB entries ({self.entries}) must be divisible by associativity "
-                f"({self.associativity})"
-            )
-        if self.tag_bits <= 0:
-            raise ConfigurationError("BTB tag width must be positive")
-
-    @property
-    def num_sets(self) -> int:
-        """Number of sets of the (main) BTB structure."""
-        return self.entries // self.associativity
+        if not self.budget_kib > 0:
+            raise ConfigurationError(f"BTB storage budget must be positive, got {self.budget_kib!r}")
 
 
 @dataclass(frozen=True)
@@ -345,16 +302,16 @@ class MachineConfig:
     fdip: FDIPConfig = field(default_factory=FDIPConfig)
     btb: BTBConfig = field(default_factory=BTBConfig)
     l1i: CacheConfig = field(
-        default_factory=lambda: CacheConfig("L1I", 32 * 1024, 8, hit_latency=4, mshrs=8)
+        default_factory=lambda: CacheConfig("L1I", 32 * 1024, 8, hit_latency=4)
     )
     l1d: CacheConfig = field(
-        default_factory=lambda: CacheConfig("L1D", 48 * 1024, 12, hit_latency=5, mshrs=16)
+        default_factory=lambda: CacheConfig("L1D", 48 * 1024, 12, hit_latency=5)
     )
     l2: CacheConfig = field(
-        default_factory=lambda: CacheConfig("L2", 512 * 1024, 8, hit_latency=14, mshrs=32)
+        default_factory=lambda: CacheConfig("L2", 512 * 1024, 8, hit_latency=14)
     )
     llc: CacheConfig = field(
-        default_factory=lambda: CacheConfig("LLC", 2 * 1024 * 1024, 16, hit_latency=34, mshrs=64)
+        default_factory=lambda: CacheConfig("LLC", 2 * 1024 * 1024, 16, hit_latency=34)
     )
     memory_latency: int = 200
     #: Context-switch handling of front-end predictive state (scenario runs).
@@ -376,10 +333,6 @@ class MachineConfig:
                 f"unknown simulation backend {self.backend!r}; expected one of {BACKENDS}"
             )
 
-    def with_btb(self, **btb_overrides: object) -> "MachineConfig":
-        """Return a copy of this machine with BTB parameters replaced."""
-        return replace(self, btb=replace(self.btb, **btb_overrides))
-
     def with_fdip(self, enabled: bool) -> "MachineConfig":
         """Return a copy of this machine with FDIP enabled or disabled."""
         return replace(self, fdip=replace(self.fdip, enabled=enabled))
@@ -387,7 +340,7 @@ class MachineConfig:
 
 def default_machine_config(
     btb_style: BTBStyle = BTBStyle.BTBX,
-    btb_entries: int = 4096,
+    budget_kib: float = 14.5,
     fdip_enabled: bool = True,
     isa: ISAStyle = ISAStyle.ARM64,
     asid_mode: ASIDMode = ASIDMode.FLUSH,
@@ -396,37 +349,17 @@ def default_machine_config(
 ) -> MachineConfig:
     """Build the paper's Table II machine with the requested BTB organization.
 
-    ``btb_entries`` is interpreted as the branch capacity of the requested
-    organization; use :mod:`repro.btb.storage` to convert a storage budget into
-    per-organization entry counts.  ``cache_asid_mode=None`` keeps the legacy
+    The BTB is sized for ``budget_kib`` KiB of storage (14.5, the paper's
+    headline budget, by default).  ``cache_asid_mode=None`` keeps the legacy
     ASID-oblivious cache hierarchy.  ``backend=None`` consults the
     ``REPRO_BACKEND`` environment variable (see :func:`resolve_backend`), so a
     single CLI flag reaches every worker process.
     """
-    associativity = 8 if btb_style is not BTBStyle.IDEAL else 1
-    btb = BTBConfig(style=btb_style, entries=btb_entries, associativity=associativity, isa=isa)
     machine = MachineConfig(
-        btb=btb,
+        btb=BTBConfig(style=btb_style, budget_kib=budget_kib, isa=isa),
         asid_mode=asid_mode,
         cache_asid_mode=cache_asid_mode,
         backend=resolve_backend(backend),
     )
     return machine.with_fdip(fdip_enabled)
 
-
-def summarize_machine(config: MachineConfig) -> Mapping[str, str]:
-    """Return a human-readable flat summary of a machine configuration.
-
-    Useful for experiment logs and EXPERIMENTS.md generation.
-    """
-    return {
-        "fetch": f"{config.core.fetch_width}-wide, {config.fdip.ftq_instructions}-instruction FTQ",
-        "branch_predictor": config.branch_predictor.kind,
-        "ras": f"{config.branch_predictor.ras_entries} entries",
-        "btb": f"{config.btb.style.value}, {config.btb.entries} entries, {config.btb.associativity}-way",
-        "fdip": "enabled" if config.fdip.enabled else "disabled",
-        "l1i": f"{config.l1i.size_bytes // 1024}KB, {config.l1i.associativity}-way",
-        "l1d": f"{config.l1d.size_bytes // 1024}KB, {config.l1d.associativity}-way",
-        "l2": f"{config.l2.size_bytes // 1024}KB, {config.l2.associativity}-way",
-        "llc": f"{config.llc.size_bytes // 1024 // 1024}MB, {config.llc.associativity}-way",
-    }

@@ -35,7 +35,7 @@ from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.btb.base import BTBBase
-from repro.btb.storage import make_btb
+from repro.btb.storage import make_btb_for_budget
 from repro.traces.trace import Trace
 
 _FLUSH = PredictionOutcome.EXECUTE_FLUSH
@@ -130,7 +130,16 @@ class FrontEndSimulator:
     ) -> None:
         self.machine = machine if machine is not None else default_machine_config()
         self.stats = stats if stats is not None else Stats()
-        self.btb = btb if btb is not None else make_btb(self.machine.btb, self.stats)
+        if btb is None:
+            config = self.machine.btb
+            btb = make_btb_for_budget(
+                config.style,
+                config.budget_kib,
+                isa=config.isa,
+                stats=self.stats,
+                way_offset_bits=config.btbx_way_offset_bits,
+            )
+        self.btb = btb
         self.bpu = BranchPredictionUnit(self.btb, self.machine, self.stats)
         self.hierarchy = MemoryHierarchy(self.machine, self.stats)
         self.ftq = FetchTargetQueue(self.machine.fdip.ftq_instructions, self.stats)
@@ -441,21 +450,21 @@ class FrontEndSimulator:
 def simulate_trace(
     trace: Trace,
     btb_style: BTBStyle = BTBStyle.BTBX,
-    btb_entries: int = 4096,
+    budget_kib: float = 14.5,
     fdip_enabled: bool = True,
     warmup_fraction: float = 0.2,
     machine: MachineConfig | None = None,
 ) -> SimulationResult:
     """One-call convenience wrapper used by examples and quick experiments.
 
-    Builds the Table II machine with the requested BTB organization and FDIP
-    setting, warms up on the first ``warmup_fraction`` of the trace and
+    Builds the Table II machine with the requested BTB organization, sized for
+    ``budget_kib`` KiB of storage, and FDIP setting, warms up on the first ``warmup_fraction`` of the trace and
     measures the rest.
     """
     if machine is None:
         machine = default_machine_config(
             btb_style=btb_style,
-            btb_entries=btb_entries,
+            budget_kib=budget_kib,
             fdip_enabled=fdip_enabled,
             isa=trace.isa,
         )

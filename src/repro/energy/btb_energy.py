@@ -13,8 +13,8 @@ from typing import Dict, Mapping
 
 from repro.common.config import ISAStyle
 from repro.btb.base import BTBBase
-from repro.btb.btbx import BTBX, BTBXC_ENTRY_BITS
-from repro.btb.conventional import ConventionalBTB
+from repro.btb.btbx import BTBX
+from repro.btb.conventional import FULL_TARGET_ENTRY_BITS, ConventionalBTB
 from repro.btb.pdede import PAGE_ENTRY_BITS, REGION_ENTRY_BITS, PDedeBTB
 from repro.btb.rbtb import ReducedBTB
 from repro.btb.storage import PDEDE_REGION_ENTRIES, BTBStorageModel
@@ -94,8 +94,7 @@ class BTBEnergyModel:
     def arrays_for_conventional(self) -> Dict[str, SRAMArray]:
         """Arrays of the conventional BTB at the configured budget."""
         entries = self.storage.conventional_capacity_for_budget(self.budget_kib)
-        entry_bits = self.storage.conventional_entry_bits()
-        return {"main": SRAMArray("conv.main", entries, entry_bits, associativity=8)}
+        return {"main": SRAMArray("conv.main", entries, FULL_TARGET_ENTRY_BITS, associativity=8)}
 
     def arrays_for_btbx(self) -> Dict[str, SRAMArray]:
         """Arrays of BTB-X (main ways plus the BTB-XC companion)."""
@@ -106,7 +105,7 @@ class BTBEnergyModel:
         arrays = {"main": SRAMArray("btbx.main", sets * ways, avg_entry_bits, associativity=ways)}
         if companion:
             arrays["companion"] = SRAMArray(
-                "btbx.companion", companion, BTBXC_ENTRY_BITS, associativity=1
+                "btbx.companion", companion, FULL_TARGET_ENTRY_BITS, associativity=1
             )
         return arrays
 

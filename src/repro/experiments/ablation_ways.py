@@ -16,32 +16,16 @@ against.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.analysis.aggregate import arithmetic_mean
 from repro.analysis.offset_analysis import combined_distribution
 from repro.common.config import BTBStyle
-from repro.btb.btbx import BTBX_WAY_OFFSET_BITS_ARM64, BTBXC_ENTRY_BITS, btbx_set_bits
-from repro.common.bitutils import kib_to_bits
+from repro.btb.btbx import BTBX_WAY_OFFSET_BITS_ARM64
+from repro.btb.storage import BTBStorageModel
 from repro.experiments.config import DEFAULT_BUDGET_KIB, ExperimentScale, QUICK_SCALE
 from repro.experiments.engine import ExperimentEngine, SimJob, get_active_engine
 from repro.experiments.runner import evaluation_traces
-
-
-def _entries_for_budget(way_bits: Sequence[int], budget_kib: float, companion_divisor: int = 64) -> int:
-    """Largest entry count whose storage fits the budget for given way widths."""
-    ways = len(way_bits)
-    set_bits = btbx_set_bits(way_bits)
-    budget_bits = kib_to_bits(budget_kib)
-    sets = 0
-    while True:
-        candidate = sets + 1
-        entries = candidate * ways
-        companion = max(entries // companion_divisor, 1)
-        if candidate * set_bits + companion * BTBXC_ENTRY_BITS > budget_bits:
-            break
-        sets = candidate
-    return max(sets, 1) * ways
 
 
 def run(
@@ -63,7 +47,7 @@ def run(
     sized: Dict[str, tuple[List[int], int]] = {}
     for label, widths in variants.items():
         widths = sorted(widths)
-        entries = _entries_for_budget(widths, budget_kib)
+        entries, _ = BTBStorageModel(way_offset_bits=widths).btbx_capacity_for_budget(budget_kib)
         sized[label] = (widths, entries)
         jobs.extend(
             SimJob(
@@ -72,7 +56,7 @@ def run(
                 warmup_instructions=scale.warmup_instructions,
                 style=BTBStyle.BTBX,
                 fdip_enabled=True,
-                btbx_entries=entries,
+                budget_kib=budget_kib,
                 way_offset_bits=tuple(widths),
             )
             for trace in traces

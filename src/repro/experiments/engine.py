@@ -32,7 +32,7 @@ import tempfile
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, Iterator, List, Mapping, Sequence
 
 import repro
@@ -43,8 +43,6 @@ from repro.obs import JsonlRecorder, get_recorder, use_recorder
 from repro.core.metrics import ScenarioResult, SimulationResult
 from repro.core.simulator import FrontEndSimulator
 from repro.scenarios.spec import ScenarioSpec
-from repro.btb.btbx import BTBX
-from repro.btb.storage import make_btb_for_budget
 from repro.traces.store import TraceStore, default_store
 from repro.traces.trace import Trace
 
@@ -96,10 +94,10 @@ def _package_digest() -> str:
 class SimJob:
     """One independent simulation: a hashable cell of an experiment grid.
 
-    ``budget_kib`` sizes the BTB through :func:`make_btb_for_budget`; the
-    way-sizing ablation instead passes an explicit BTB-X geometry via
-    ``btbx_entries``/``way_offset_bits``.  Workers resolve ``workload`` to a
-    trace through the deterministic suite specs, so a job is self-contained.
+    ``budget_kib`` sizes the BTB through :func:`make_btb_for_budget`;
+    ``way_offset_bits`` replaces BTB-X's per-way offset widths (the way-sizing
+    ablation).  Workers resolve ``workload`` to a trace through the
+    deterministic suite specs, so a job is self-contained.
     """
 
     workload: str
@@ -108,15 +106,11 @@ class SimJob:
     style: BTBStyle
     fdip_enabled: bool
     budget_kib: float | None = None
-    btbx_entries: int | None = None
     way_offset_bits: tuple[int, ...] | None = None
-    companion_divisor: int = 64
 
     def __post_init__(self) -> None:
-        if self.budget_kib is None and self.way_offset_bits is None:
-            raise ConfigurationError("SimJob needs a budget or an explicit BTB-X geometry")
-        if self.way_offset_bits is not None and self.btbx_entries is None:
-            raise ConfigurationError("explicit way sizing also needs btbx_entries")
+        if self.budget_kib is None or not self.budget_kib > 0:
+            raise ConfigurationError(f"SimJob needs a positive storage budget, got {self.budget_kib!r}")
 
     def config_dict(self) -> Dict[str, object]:
         """Canonical JSON-able description of the job (the cache identity)."""
@@ -296,26 +290,17 @@ def execute_job(job: "EngineJob", trace: Trace | None = None,
     if trace is None:
         trace = (trace_store or default_store()).get(job.workload, job.instructions)
     machine = default_machine_config(
-        btb_style=job.style, fdip_enabled=job.fdip_enabled, isa=trace.isa
+        btb_style=job.style, budget_kib=job.budget_kib, fdip_enabled=job.fdip_enabled, isa=trace.isa
     )
-    if job.way_offset_bits is not None:
-        btb = BTBX(
-            job.btbx_entries,
-            way_offset_bits=list(job.way_offset_bits),
-            companion_divisor=job.companion_divisor,
-            isa=trace.isa,
-        )
-    else:
-        btb = make_btb_for_budget(job.style, job.budget_kib, isa=trace.isa)
+    machine = replace(machine, btb=replace(machine.btb, btbx_way_offset_bits=job.way_offset_bits))
+    simulator = FrontEndSimulator(machine)
     with recorder.span(
         "job.simulate",
         workload=job.workload,
         style=job.style.value,
         instructions=job.instructions,
     ):
-        result = FrontEndSimulator(machine, btb=btb).run(
-            trace, warmup_instructions=job.warmup_instructions
-        )
+        result = simulator.run(trace, warmup_instructions=job.warmup_instructions)
     # Access counters are maintained unconditionally by every BTB and are tiny
     # next to the result, so they ride along in every payload; that keeps the
     # energy analysis (Table V) on the same cached cells as the MPKI and
@@ -325,7 +310,7 @@ def execute_job(job: "EngineJob", trace: Trace | None = None,
     # whichever path computes Table V.
     return {
         "result": _result_to_payload(result),
-        "access_counts": btb.energy_access_counts(),
+        "access_counts": simulator.btb.energy_access_counts(),
     }
 
 

@@ -14,7 +14,6 @@ from repro.core.metrics import ScenarioResult
 from repro.core.simulator import FrontEndSimulator
 from repro.obs import get_recorder
 from repro.btb.base import BTBBase
-from repro.btb.storage import make_btb_for_budget
 from repro.scenarios.compose import TraceComposer
 from repro.scenarios.presets import get_scenario
 from repro.scenarios.spec import ScenarioSpec
@@ -123,16 +122,17 @@ def execute_scenario(
         composer = TraceComposer(spec, traces)
     machine = default_machine_config(
         btb_style=style,
+        budget_kib=budget_kib,
         fdip_enabled=fdip_enabled,
         isa=composer.isa,
         asid_mode=asid_mode,
         cache_asid_mode=cache_mode,
         backend=backend,
     )
-    btb = make_btb_for_budget(style, budget_kib, isa=composer.isa)
+    simulator = FrontEndSimulator(machine)
+    btb = simulator.btb
     if asid_mode is ASIDMode.PARTITIONED:
         btb.configure_partitions(spec.partition_weights)
-    simulator = FrontEndSimulator(machine, btb=btb)
     if cache_mode is ASIDMode.PARTITIONED:
         simulator.hierarchy.configure_partitions(spec.partition_weights)
     with recorder.span(

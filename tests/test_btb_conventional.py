@@ -23,9 +23,11 @@ class TestGeometry:
         assert btb.entry_bits() == 64
         assert btb.storage_bits() == 1024 * 64
 
-    def test_x86_targets_need_two_more_bits(self):
+    def test_x86_entry_is_charged_the_paper_figure(self):
+        # Table IV and Section VI-G charge the 64-bit entry on x86 too.
         btb = ConventionalBTB(entries=1024, isa=ISAStyle.X86)
-        assert btb.entry_bits() == 66
+        assert btb.entry_bits() == 64
+        assert btb.storage_bits() == 1024 * 64
 
     def test_non_multiple_entries_rejected(self):
         with pytest.raises(ConfigurationError):

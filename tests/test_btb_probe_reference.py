@@ -61,7 +61,7 @@ FACTORIES = {
     "pdede": lambda sets, isa: PDedeBTB(
         8 * sets, page_entries=4, region_entries=2, page_associativity=2, isa=isa
     ),
-    "btbx": lambda sets, isa: BTBX(8 * sets, companion_divisor=8, isa=isa),
+    "btbx": lambda sets, isa: BTBX(8 * sets, companion_entries=sets, isa=isa),
 }
 
 #: Branch PCs: a dense code region plus a far one, so PCs repeat, share sets

@@ -38,12 +38,12 @@ class TestGeometry:
         assert BTBX(entries=256, isa=ISAStyle.X86).set_bits() == 230
 
     def test_storage_matches_table3_row(self):
-        btb = BTBX(entries=4096, companion_divisor=64)
+        btb = BTBX(entries=4096)
         assert btb.storage_kib() == pytest.approx(14.5)
         assert btb.capacity_entries() == 4096 + 64
 
     def test_companion_disabled(self):
-        btb = BTBX(entries=256, companion_divisor=0)
+        btb = BTBX(entries=256, companion_entries=0)
         assert btb.companion is None
         assert btb.capacity_entries() == 256
 
@@ -85,7 +85,7 @@ class TestAllocationPolicy:
         assert result.target is None
 
     def test_offset_wider_than_largest_way_overflows_to_companion(self):
-        btb = BTBX(entries=64, companion_divisor=8)
+        btb = BTBX(entries=64, companion_entries=8)
         far_call = _branch(0x401000, 0x7F00_0000_1000, BranchType.CALL)
         assert stored_offset_bits(far_call.pc, far_call.target) > 25
         btb.update(far_call)
@@ -95,7 +95,7 @@ class TestAllocationPolicy:
         assert result.target == far_call.target
 
     def test_overflow_without_companion_is_a_miss(self):
-        btb = BTBX(entries=64, companion_divisor=0)
+        btb = BTBX(entries=64, companion_entries=0)
         far_call = _branch(0x401000, 0x7F00_0000_1000, BranchType.CALL)
         btb.update(far_call)
         assert not btb.lookup(far_call.pc).hit
@@ -136,7 +136,7 @@ class TestAllocationPolicy:
 
     def test_reset_stats_restarts_way_counters(self):
         """After the warmup boundary the way counters cover measured traffic only."""
-        btb = BTBX(entries=64, companion_divisor=8)
+        btb = BTBX(entries=64, companion_entries=8)
         near = _branch(0x401000, 0x401010)
         far_call = _branch(0x402000, 0x7F00_0000_1000, BranchType.CALL)
         for branch in (near, far_call):

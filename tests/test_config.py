@@ -18,7 +18,6 @@ from repro.common.config import (
     default_machine_config,
     partition_set_counts,
     resolve_backend,
-    summarize_machine,
     validate_partition_weights,
 )
 from repro.common.errors import ConfigurationError
@@ -43,7 +42,8 @@ class TestCoreAndPredictorConfig:
     def test_defaults_match_table2(self):
         core = CoreConfig()
         assert core.fetch_width == 6
-        assert core.rob_entries == 352
+        assert core.execute_flush_penalty == 17
+        assert core.decode_resteer_penalty == 5
         predictor = BranchPredictorConfig()
         assert predictor.kind == "hashed_perceptron"
         assert predictor.ras_entries == 64
@@ -62,13 +62,16 @@ class TestCoreAndPredictorConfig:
 
 
 class TestBTBConfig:
-    def test_num_sets(self):
-        config = BTBConfig(entries=4096, associativity=8)
-        assert config.num_sets == 512
+    def test_default_is_btbx_at_the_paper_budget(self):
+        config = BTBConfig()
+        assert config.style is BTBStyle.BTBX
+        assert config.budget_kib == 14.5
+        assert config.btbx_way_offset_bits is None
 
-    def test_entries_must_divide(self):
-        with pytest.raises(ConfigurationError):
-            BTBConfig(entries=100, associativity=8)
+    @pytest.mark.parametrize("budget_kib", [0, -1.0])
+    def test_budget_must_be_positive(self, budget_kib):
+        with pytest.raises(ConfigurationError, match="budget"):
+            BTBConfig(budget_kib=budget_kib)
 
 
 class TestISAStyle:
@@ -83,19 +86,19 @@ class TestMachineConfig:
             machine = default_machine_config(btb_style=style)
             assert machine.btb.style is style
 
-    def test_with_btb_and_with_fdip_return_copies(self):
+    def test_default_machine_records_the_budget_and_isa(self):
+        machine = default_machine_config(
+            btb_style=BTBStyle.CONVENTIONAL, budget_kib=3.625, isa=ISAStyle.X86
+        )
+        assert machine.btb == BTBConfig(BTBStyle.CONVENTIONAL, 3.625, ISAStyle.X86)
+
+    def test_with_fdip_returns_a_copy(self):
         machine = MachineConfig()
-        other = machine.with_btb(entries=1024).with_fdip(False)
-        assert other.btb.entries == 1024
+        other = machine.with_fdip(False)
         assert other.fdip.enabled is False
         # The original is untouched (frozen dataclasses + replace).
-        assert machine.btb.entries != 1024 or machine.fdip.enabled
-
-    def test_summary_contains_key_parameters(self):
-        summary = summarize_machine(default_machine_config())
-        assert "6-wide" in summary["fetch"]
-        assert "hashed_perceptron" in summary["branch_predictor"]
-        assert "32KB" in summary["l1i"]
+        assert machine.fdip.enabled is True
+        assert other.btb == machine.btb
 
 
 class TestResolveBackend:

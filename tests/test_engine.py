@@ -79,20 +79,22 @@ class TestSimJob:
             dataclasses.replace(base, style=BTBStyle.PDEDE),
             dataclasses.replace(base, fdip_enabled=False),
             dataclasses.replace(base, budget_kib=14.5),
-            dataclasses.replace(base, companion_divisor=32),
+            dataclasses.replace(base, way_offset_bits=(25,) * 8),
         ]
         hashes = {job.config_hash() for job in variants}
         assert len(hashes) == len(variants)
         assert base.config_hash() not in hashes
 
-    def test_requires_budget_or_geometry(self):
-        with pytest.raises(ConfigurationError):
+    @pytest.mark.parametrize("budget_kib", [None, 0.0])
+    def test_requires_a_positive_budget(self, budget_kib):
+        with pytest.raises(ConfigurationError, match="budget"):
             SimJob(
                 workload="client_001",
                 instructions=1_000,
                 warmup_instructions=0,
                 style=BTBStyle.BTBX,
                 fdip_enabled=True,
+                budget_kib=budget_kib,
             )
 
     def test_grid_jobs_cover_the_grid(self):

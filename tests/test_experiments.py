@@ -116,6 +116,25 @@ class TestTraceDrivers:
         variants = result["variants"]
         assert variants["uniform25"]["entries"] < variants["paper"]["entries"]
         assert "Ablation" in ablation_ways.format_report(result)
+        # Pinned: the variants as sized by the ablation's own copy of the
+        # BTB-X budget loop, before the storage model took the way widths.
+        assert variants == {
+            "paper": {
+                "way_offset_bits": [0, 4, 5, 7, 9, 11, 19, 25],
+                "entries": 4096,
+                "avg_btb_mpki": 33.833333333333336,
+            },
+            "uniform25": {
+                "way_offset_bits": [25] * 8,
+                "entries": 2696,
+                "avg_btb_mpki": 33.75,
+            },
+            "calibrated": {
+                "way_offset_bits": [1, 1, 4, 5, 6, 7, 11, 45],
+                "entries": 4096,
+                "avg_btb_mpki": 34.0,
+            },
+        }
 
 
 class TestCLI:

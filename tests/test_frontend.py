@@ -101,7 +101,7 @@ class TestFDIP:
 
 
 def _bpu(btb=None, machine: MachineConfig | None = None) -> BranchPredictionUnit:
-    machine = machine or default_machine_config(btb_style=BTBStyle.CONVENTIONAL, btb_entries=512)
+    machine = machine or default_machine_config(btb_style=BTBStyle.CONVENTIONAL, budget_kib=4.0)
     return BranchPredictionUnit(btb if btb is not None else ConventionalBTB(512), machine)
 
 
@@ -199,7 +199,7 @@ class TestNonBranchMissShortCircuit:
     def _warm_bpu(self):
         stats = Stats()
         btb = ConventionalBTB(512, stats=stats)
-        machine = default_machine_config(btb_style=BTBStyle.CONVENTIONAL, btb_entries=512)
+        machine = default_machine_config(btb_style=BTBStyle.CONVENTIONAL, budget_kib=4.0)
         bpu = BranchPredictionUnit(btb, machine, stats)
         jump = Instruction.branch(0x401000, BranchType.UNCONDITIONAL, True, 0x402000)
         call = Instruction.branch(0x402000, BranchType.CALL, True, 0x500000)

@@ -27,7 +27,7 @@ class TestPackageSurface:
 
     def test_quickstart_flow(self):
         trace = repro.build_workload("client_001", 4_000)
-        result = repro.simulate_trace(trace, btb_style=repro.BTBStyle.BTBX, btb_entries=512)
+        result = repro.simulate_trace(trace, btb_style=repro.BTBStyle.BTBX, budget_kib=1.8125)
         assert result.instructions > 0
         assert result.btb_storage_kib > 0
 

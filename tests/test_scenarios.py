@@ -408,7 +408,7 @@ class TestPartitionedCapacity:
                 btb.configure_partitions(weights)
 
     def test_btbx_companion_falls_back_to_sharing_when_too_small(self):
-        btb = BTBX(256, companion_divisor=256)  # 1-entry companion
+        btb = BTBX(256, companion_entries=1)  # 1-entry companion
         btb.configure_partitions((1, 1))
         assert btb.partition_set_counts() == [16, 16]
         assert btb.companion.partition_set_counts() is None

@@ -68,7 +68,7 @@ class TestSimulatorBasics:
         assert result.l1i_misses <= result.l1i_accesses
 
     def test_warmup_excluded_from_measurement(self, small_server_trace):
-        machine = default_machine_config(btb_style=BTBStyle.CONVENTIONAL, btb_entries=1024)
+        machine = default_machine_config(btb_style=BTBStyle.CONVENTIONAL, budget_kib=8.0)
         full = FrontEndSimulator(machine).run(small_server_trace, warmup_instructions=0)
         warmed = FrontEndSimulator(machine).run(small_server_trace, warmup_instructions=10_000)
         assert warmed.instructions == full.instructions - 10_000

@@ -2,25 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.common.config import BTBConfig, BTBStyle, ISAStyle
+from repro.common.config import BTBStyle, ISAStyle, default_machine_config
+from repro.common.errors import ConfigurationError
 from repro.btb.btbx import BTBX
 from repro.btb.conventional import ConventionalBTB
 from repro.btb.ideal import IdealBTB
 from repro.btb.pdede import PDedeBTB
 from repro.btb.rbtb import ReducedBTB
-from repro.btb.storage import (
-    CANONICAL_BTBX_ENTRIES,
-    BTBStorageModel,
-    canonical_budgets_kib,
-    make_btb,
-    make_btb_for_budget,
-)
+from repro.btb.storage import CANONICAL_BTBX_ENTRIES, BTBStorageModel, make_btb_for_budget
+from repro.core.simulator import FrontEndSimulator
 
 PAPER_TABLE3_KIB = (0.90625, 1.8125, 3.625, 7.25, 14.5, 29.0, 58.0)
 PAPER_TABLE4_PDEDE = (210, 415, 820, 1617, 3190, 6292, 12405)
 PAPER_TABLE4_CONV = (116, 232, 464, 928, 1856, 3712, 7424)
+BOUNDED_STYLES = [style for style in BTBStyle if style is not BTBStyle.IDEAL]
 
 
 class TestTable3:
@@ -35,7 +34,8 @@ class TestTable3:
         assert row.companion_entries == max(entries // 64, 1)
 
     def test_canonical_budgets(self):
-        assert canonical_budgets_kib() == pytest.approx(list(PAPER_TABLE3_KIB))
+        budgets = [row.storage_kib for row in BTBStorageModel().storage_table()]
+        assert budgets == pytest.approx(list(PAPER_TABLE3_KIB))
 
 
 class TestTable4:
@@ -82,11 +82,38 @@ class TestFactories:
         assert isinstance(make_btb_for_budget(BTBStyle.REDUCED, 14.5), ReducedBTB)
         assert isinstance(make_btb_for_budget(BTBStyle.IDEAL, 14.5), IdealBTB)
 
-    @pytest.mark.parametrize("style", [BTBStyle.CONVENTIONAL, BTBStyle.PDEDE, BTBStyle.BTBX])
-    def test_budget_respected(self, style):
-        for budget in (0.90625, 7.25, 14.5, 58.0):
-            btb = make_btb_for_budget(style, budget)
-            assert btb.storage_kib() <= budget * 1.01
+    @pytest.mark.parametrize("isa", list(ISAStyle))
+    @pytest.mark.parametrize("style", BOUNDED_STYLES)
+    def test_budget_respected(self, style, isa):
+        for budget in PAPER_TABLE3_KIB:
+            btb = make_btb_for_budget(style, budget, isa=isa)
+            assert btb.storage_kib() <= budget, (style, isa, budget)
+
+    @pytest.mark.parametrize("isa", list(ISAStyle))
+    @pytest.mark.parametrize(
+        "style,budget_kib",
+        [
+            (BTBStyle.CONVENTIONAL, 0.05),
+            (BTBStyle.PDEDE, 0.05),
+            (BTBStyle.REDUCED, 0.01),
+            (BTBStyle.BTBX, 0.01),
+        ],
+    )
+    def test_a_budget_too_small_for_one_set_is_refused(self, style, budget_kib, isa):
+        with pytest.raises(ConfigurationError, match=rf"{budget_kib} KiB .* {style.value} BTB"):
+            make_btb_for_budget(style, budget_kib, isa=isa)
+
+    @pytest.mark.parametrize("style", BOUNDED_STYLES)
+    def test_the_smallest_budget_builds_one_set(self, style):
+        smallest = {
+            BTBStyle.CONVENTIONAL: 8 * 64,
+            BTBStyle.PDEDE: 4 * 29 + 4 * 32 + 4 * 20 + 4 * 22,
+            BTBStyle.REDUCED: 8 * 30 + 4 * 37,
+            BTBStyle.BTBX: 224 + 64,
+        }[style]
+        btb = make_btb_for_budget(style, smallest / 8192)
+        assert btb.num_sets == 1
+        assert btb.storage_bits() == smallest
 
     def test_btbx_has_more_entries_than_others_at_same_budget(self):
         conv = make_btb_for_budget(BTBStyle.CONVENTIONAL, 14.5)
@@ -94,13 +121,35 @@ class TestFactories:
         btbx = make_btb_for_budget(BTBStyle.BTBX, 14.5)
         assert btbx.capacity_entries() > pdede.capacity_entries() > conv.capacity_entries()
 
-    def test_make_btb_from_config(self):
-        for style, cls in [
-            (BTBStyle.CONVENTIONAL, ConventionalBTB),
-            (BTBStyle.PDEDE, PDedeBTB),
-            (BTBStyle.BTBX, BTBX),
-            (BTBStyle.REDUCED, ReducedBTB),
-            (BTBStyle.IDEAL, IdealBTB),
-        ]:
-            btb = make_btb(BTBConfig(style=style, entries=512, associativity=8))
-            assert isinstance(btb, cls)
+    def test_default_btbx_geometry(self):
+        btb = make_btb_for_budget(BTBStyle.BTBX, 14.5)
+        assert btb.num_sets * btb.associativity == 4096
+        assert btb.capacity_entries() == 4096 + 64
+        assert btb.storage_bits() == 118_784
+
+
+class TestOnePath:
+    """A machine config's BTB is the one ``make_btb_for_budget`` builds."""
+
+    @pytest.mark.parametrize("isa", list(ISAStyle))
+    @pytest.mark.parametrize("style", list(BTBStyle))
+    def test_simulator_builds_the_budget_factory_btb(self, style, isa):
+        for budget in (0.90625, 14.5):
+            machine = default_machine_config(btb_style=style, budget_kib=budget, isa=isa)
+            built = FrontEndSimulator(machine).btb
+            expected = make_btb_for_budget(style, budget, isa=isa)
+            assert type(built) is type(expected)
+            assert built.capacity_entries() == expected.capacity_entries()
+            assert built.storage_bits() == expected.storage_bits()
+
+    def test_way_widths_reach_the_btb(self):
+        widths = (25,) * 8
+        machine = default_machine_config(btb_style=BTBStyle.BTBX)
+        machine = dataclasses.replace(
+            machine, btb=dataclasses.replace(machine.btb, btbx_way_offset_bits=widths)
+        )
+        btb = FrontEndSimulator(machine).btb
+        assert btb.way_offset_bits == widths
+        entries, _ = BTBStorageModel(way_offset_bits=widths).btbx_capacity_for_budget(14.5)
+        assert btb.num_sets * 8 == entries == 2696
+        assert btb.storage_bits() <= 14.5 * 8192
