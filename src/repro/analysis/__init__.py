@@ -1,7 +1,7 @@
 """Analysis helpers: offset distributions, MPKI aggregation, sweep plotting."""
 
 from repro.analysis.offset_analysis import OffsetDistribution, offset_distribution, combined_distribution
-from repro.analysis.aggregate import geometric_mean, summarize_results
+from repro.analysis.aggregate import geometric_mean
 from repro.analysis.plotting import PlotSchemaError, plot_csv, render_svg
 
 __all__ = [
@@ -9,7 +9,6 @@ __all__ = [
     "offset_distribution",
     "combined_distribution",
     "geometric_mean",
-    "summarize_results",
     "PlotSchemaError",
     "plot_csv",
     "render_svg",

@@ -1,11 +1,9 @@
-"""Aggregation helpers for experiment results (geomeans, per-suite summaries)."""
+"""Aggregation helpers for experiment results (the paper's suite means)."""
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Sequence
-
-from repro.core.metrics import SimulationResult
+from typing import Iterable
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -20,58 +18,3 @@ def arithmetic_mean(values: Iterable[float]) -> float:
     """Arithmetic mean (the paper's aggregation for MPKI)."""
     values = list(values)
     return sum(values) / len(values) if values else 0.0
-
-
-def summarize_results(results: Sequence[SimulationResult]) -> Dict[str, float]:
-    """Aggregate a list of per-workload results into suite-level numbers."""
-    if not results:
-        return {}
-    return {
-        "workloads": len(results),
-        "avg_btb_mpki": arithmetic_mean(r.btb_mpki for r in results),
-        "avg_l1i_mpki": arithmetic_mean(r.l1i_mpki for r in results),
-        "avg_direction_mpki": arithmetic_mean(r.direction_mpki for r in results),
-        "gmean_ipc": geometric_mean(r.ipc for r in results),
-        "total_instructions": sum(r.instructions for r in results),
-    }
-
-
-def speedups_over_baseline(
-    results: Mapping[str, SimulationResult], baseline: Mapping[str, SimulationResult]
-) -> Dict[str, float]:
-    """Per-workload speedups of ``results`` over ``baseline`` (matched by name)."""
-    speedups: Dict[str, float] = {}
-    for workload, result in results.items():
-        base = baseline.get(workload)
-        if base is not None and base.ipc > 0:
-            speedups[workload] = result.ipc / base.ipc
-    return speedups
-
-
-def gmean_speedup(
-    results: Mapping[str, SimulationResult], baseline: Mapping[str, SimulationResult]
-) -> float:
-    """Geometric-mean speedup over matched workloads."""
-    return geometric_mean(speedups_over_baseline(results, baseline).values())
-
-
-def format_table(rows: List[Mapping[str, object]], columns: Sequence[str] | None = None) -> str:
-    """Render rows of dictionaries as a fixed-width text table."""
-    if not rows:
-        return "(no data)"
-    columns = list(columns) if columns else list(rows[0].keys())
-    widths = {
-        column: max(len(str(column)), *(len(_fmt(row.get(column))) for row in rows))
-        for column in columns
-    }
-    header = "  ".join(str(column).ljust(widths[column]) for column in columns)
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append("  ".join(_fmt(row.get(column)).ljust(widths[column]) for column in columns))
-    return "\n".join(lines)
-
-
-def _fmt(value: object) -> str:
-    if isinstance(value, float):
-        return f"{value:.3f}"
-    return str(value)

@@ -75,10 +75,6 @@ class OffsetDistribution:
         """
         return [self.quantile_bits((i + 1) / num_ways) for i in range(num_ways)]
 
-    def to_rows(self, max_bits: int = 46) -> List[tuple[int, float]]:
-        """(bits, cumulative fraction) rows for reporting."""
-        return [(bits, self.fraction_covered(bits)) for bits in range(max_bits + 1)]
-
 
 def offset_distribution(trace: Trace, name: str | None = None) -> OffsetDistribution:
     """Compute the stored-offset-bit distribution of one trace."""

@@ -7,14 +7,10 @@ facet (``preset``) and its series (``config``); this module renders one
 line chart per (axis, preset, metric), one series per ``config``.  Per-tenant
 rows are a ``--json`` analysis, not a headline figure.
 
-Two backends:
-
-* **svg** -- a small built-in renderer writing hand-rolled SVG.  It has no
-  dependencies and its output is *deterministic* (pure function of the rows),
-  so figures can be committed and diffed like golden results;
-* **mpl** -- matplotlib PNGs, when matplotlib is installed.  The container
-  images used by CI deliberately do not ship it, so ``auto`` falls back to
-  the SVG renderer rather than failing.
+The renderer is a small built-in one writing hand-rolled SVG.  It has no
+dependencies and its output is *deterministic* (a pure function of the
+rows), so figures can be committed and diffed like golden results, and the
+output does not depend on what the host has installed.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from repro.experiments.sweep import AGGREGATE, METRICS
 
 
 class PlotSchemaError(ValueError):
-    """The CSV is not a sweep's row output (or the backend is unusable)."""
+    """The CSV is not a sweep's row output."""
 
 
 #: Columns every sweep row carries that the charts are built from.
@@ -218,71 +214,17 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-# -- backends ------------------------------------------------------------------
-
-
-def _render_mpl(chart: LineChart, path: str) -> None:  # pragma: no cover - optional dep
-    import matplotlib
-
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-
-    figure, axes = plt.subplots(figsize=(7.2, 4.4))
-    for position, (label, points) in enumerate(chart.series.items()):
-        xs = [x for x, _ in points]
-        ys = [y for _, y in points]
-        axes.plot(xs, ys, marker="o", label=label, color=_COLORS[position % len(_COLORS)])
-    axes.set_title(chart.title)
-    axes.set_xlabel(chart.x_label)
-    axes.set_ylabel(chart.y_label)
-    axes.grid(axis="y", alpha=0.4)
-    axes.legend(loc="center left", bbox_to_anchor=(1.02, 0.5), fontsize=8)
-    figure.tight_layout()
-    figure.savefig(path, dpi=120)
-    plt.close(figure)
-
-
-def matplotlib_available() -> bool:
-    """Whether the optional matplotlib backend can be used."""
-    try:  # pragma: no cover - environment-dependent
-        import matplotlib  # noqa: F401
-    except ImportError:
-        return False
-    return True  # pragma: no cover - environment-dependent
-
-
-def resolve_backend(backend: str = "auto") -> str:
-    """Map a requested backend name to a usable one ('svg' or 'mpl')."""
-    if backend == "svg":
-        return "svg"
-    if backend == "mpl":
-        if not matplotlib_available():
-            raise PlotSchemaError(
-                "matplotlib is not installed; use --backend svg (the built-in "
-                "deterministic renderer) instead"
-            )
-        return "mpl"
-    if backend == "auto":
-        return "mpl" if matplotlib_available() else "svg"
-    raise PlotSchemaError(f"unknown plot backend {backend!r}")
-
-
 # -- entry point ---------------------------------------------------------------
 
 
-def plot_csv(
-    csv_path: str,
-    out_dir: str | None = None,
-    backend: str = "auto",
-) -> List[str]:
+def plot_csv(csv_path: str, out_dir: str | None = None) -> List[str]:
     """Render every chart a sweep CSV contains; returns the written paths.
 
-    Figures are named ``<csv stem>_<chart slug>.<ext>`` and written next to
-    the CSV unless ``out_dir`` is given.  The SVG backend's output is a pure
-    function of the CSV rows, so regenerating a committed figure from an
-    unchanged CSV is a no-op diff.
+    Figures are named ``<csv stem>_<chart slug>.svg`` and written next to
+    the CSV unless ``out_dir`` is given.  The output is a pure function of
+    the CSV rows, so regenerating a committed figure from an unchanged CSV is
+    a no-op diff.
     """
-    chosen = resolve_backend(backend)
     with open(csv_path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
@@ -299,15 +241,11 @@ def plot_csv(
     directory = out_dir if out_dir is not None else (os.path.dirname(csv_path) or ".")
     os.makedirs(directory, exist_ok=True)
     stem = os.path.splitext(os.path.basename(csv_path))[0]
-    extension = "svg" if chosen == "svg" else "png"
 
     written: List[str] = []
     for chart in charts:
-        path = os.path.join(directory, f"{stem}_{_chart_slug(chart)}.{extension}")
-        if chosen == "svg":
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(render_svg(chart))
-        else:  # pragma: no cover - optional dep
-            _render_mpl(chart, path)
+        path = os.path.join(directory, f"{stem}_{_chart_slug(chart)}.svg")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(render_svg(chart))
         written.append(path)
     return written

@@ -15,8 +15,6 @@ store no offset at all (0 bits).
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.common.config import ISAStyle
 from repro.common.bitutils import mask
 from repro.isa.branch import BranchType
@@ -84,19 +82,3 @@ def instruction_stored_offset_bits(inst: Instruction, isa: ISAStyle = ISAStyle.A
     """Stored offset bits for a retired instruction record."""
     return stored_offset_bits(inst.pc, inst.target, isa=isa, branch_type=inst.branch_type)
 
-
-def offset_histogram(
-    branches: Iterable[Instruction], isa: ISAStyle = ISAStyle.ARM64
-) -> dict[int, int]:
-    """Histogram of stored offset bit counts over a stream of dynamic branches.
-
-    This is the raw data behind Figures 4, 12 and 13; turning it into a CDF is
-    done by :mod:`repro.analysis.offset_analysis`.
-    """
-    histogram: dict[int, int] = {}
-    for inst in branches:
-        if not inst.is_branch:
-            continue
-        bits = instruction_stored_offset_bits(inst, isa)
-        histogram[bits] = histogram.get(bits, 0) + 1
-    return histogram

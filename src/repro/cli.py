@@ -13,7 +13,7 @@ Examples::
     btbx-repro sweep scenarios --scale smoke --backend numpy
     btbx-repro sweep caches --preset consolidated_server --json caches.json --csv caches.csv
     btbx-repro sweep tenants --tenant-counts 4,64,1024 --csv tenants.csv
-    btbx-repro plot caches.csv --out-dir figures --backend svg
+    btbx-repro plot caches.csv --out-dir figures
     btbx-repro cache stats --cache-dir results/cache
     btbx-repro cache prune --cache-dir results/cache --max-age-days 30
     btbx-repro run-all --scale smoke --workers 4 --trace-out run_all.trace.jsonl
@@ -50,7 +50,6 @@ from repro.experiments.config import (
 from repro.experiments.engine import ExperimentEngine, ResultCache, use_engine
 from repro.obs import (
     OBS_ENV_VAR,
-    OBS_FORMAT_ENV_VAR,
     JsonlRecorder,
     get_recorder,
     trace_path_from_env,
@@ -371,17 +370,8 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         dest="trace_out",
         default=None,
         help="record structured telemetry (spans + metrics) of this run to the "
-        f"given file (default: the {OBS_ENV_VAR} environment variable, else off)",
-    )
-    parser.add_argument(
-        "--trace-format",
-        dest="trace_format",
-        choices=["jsonl", "chrome"],
-        default=None,
-        help="trace file format: 'jsonl' = one event per line (obs report "
-        "input), 'chrome' = Chrome trace-event JSON loadable in "
-        f"about://tracing or Perfetto (default: the {OBS_FORMAT_ENV_VAR} "
-        "environment variable, else jsonl)",
+        "given file as JSON Lines, the input of 'obs report' and 'obs export' "
+        f"(default: the {OBS_ENV_VAR} environment variable, else off)",
     )
 
 
@@ -464,13 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out-dir",
         dest="out_dir",
         help="directory for the emitted figures (default: next to the CSV)",
-    )
-    plot_parser.add_argument(
-        "--backend",
-        choices=["auto", "svg", "mpl"],
-        default="auto",
-        help="'svg' = built-in deterministic SVG renderer, 'mpl' = matplotlib "
-        "(if installed); 'auto' prefers matplotlib when available",
     )
 
     obs_parser = sub.add_parser(
@@ -716,9 +699,7 @@ def run_plot_command(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     if not os.path.isfile(args.csv_path):
         parser.error(f"no such CSV file: {args.csv_path}")
     try:
-        figures = plotting.plot_csv(
-            args.csv_path, out_dir=args.out_dir, backend=args.backend
-        )
+        figures = plotting.plot_csv(args.csv_path, out_dir=args.out_dir)
     except plotting.PlotSchemaError as exc:
         parser.error(str(exc))
     for path in figures:
@@ -795,17 +776,6 @@ def run_obs_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     return 0
 
 
-def _write_trace(recorder: JsonlRecorder, path: str, trace_format: str) -> str:
-    """Serialize a finished recording in the requested format."""
-    if trace_format == "chrome":
-        from repro.obs.chrome import export_chrome
-
-        export_chrome(recorder.drain(), path)
-        return path
-    recorder.write(path)
-    return path
-
-
 @contextlib.contextmanager
 def _scoped_environ(updates: Dict[str, str]) -> Iterator[None]:
     """Apply environment ``updates`` for one command, then restore.
@@ -835,10 +805,9 @@ def main(argv: list[str] | None = None) -> int:
 
     # One central knob for the simulation backend: subcommands that build an
     # engine expose --backend, which routes through the environment so pooled
-    # worker processes inherit it (the ``plot`` subcommand's --backend is its
-    # unrelated rendering knob).  The export is scoped to this command.
+    # worker processes inherit it.  The export is scoped to this command.
     env_updates: Dict[str, str] = {}
-    if args.command != "plot" and getattr(args, "backend", None):
+    if getattr(args, "backend", None):
         from repro.common.config import resolve_backend
         from repro.common.errors import ConfigurationError
 
@@ -854,19 +823,12 @@ def main(argv: list[str] | None = None) -> int:
     # subcommand only *reads* traces, so it never records itself.
     trace_out = getattr(args, "trace_out", None) or trace_path_from_env()
     if trace_out and args.command != "obs":
-        trace_format = (
-            getattr(args, "trace_format", None)
-            or os.environ.get(OBS_FORMAT_ENV_VAR, "").strip()
-            or "jsonl"
-        )
-        if trace_format not in ("jsonl", "chrome"):
-            parser.error(f"{OBS_FORMAT_ENV_VAR} must be 'jsonl' or 'chrome', got {trace_format!r}")
         env_updates[OBS_ENV_VAR] = trace_out
         recorder = JsonlRecorder()
         with _scoped_environ(env_updates):
             with use_recorder(recorder):
                 exit_code = _dispatch(args, parser)
-        _write_trace(recorder, trace_out, trace_format)
+        recorder.write(trace_out)
         log.info(f"(telemetry trace written to {trace_out})")
         return exit_code
     with _scoped_environ(env_updates):

@@ -3,14 +3,15 @@
 The :mod:`repro.common` package intentionally has no dependencies on the rest of
 the code base.  It provides:
 
-* :mod:`repro.common.bitutils` -- bit manipulation helpers (alignment, masking,
-  bit-length arithmetic) used by the BTB organizations and the offset analysis.
+* :mod:`repro.common.bitutils` -- bit manipulation helpers (masking, folding,
+  bit-length and page arithmetic) used by the BTB organizations and the
+  offset analysis.
 * :mod:`repro.common.config` -- frozen dataclass configuration objects for the
   core, caches, BTBs and simulations.
 * :mod:`repro.common.stats` -- a lightweight named-counter registry with
   hierarchical grouping, used by every simulated structure.
-* :mod:`repro.common.lru` -- reusable LRU/pseudo-LRU replacement state shared by
-  the caches and the BTB organizations.
+* :mod:`repro.common.lru` -- reusable LRU replacement state shared by the
+  caches and the BTB organizations.
 * :mod:`repro.common.errors` -- exception hierarchy for the package.
 * :mod:`repro.common.asid` -- the cross-layer address-space policy (tag
   coloring, capacity partitioning, duplication accounting) adopted by the BTB
@@ -23,15 +24,10 @@ from repro.common.asid import (
     retains_across_switch,
 )
 from repro.common.bitutils import (
-    align_down,
-    align_up,
     bit_length,
-    bits_to_bytes,
-    bits_to_kib,
     extract_bits,
     fold_xor,
     is_power_of_two,
-    log2_exact,
     mask,
 )
 from repro.common.config import (
@@ -49,22 +45,17 @@ from repro.common.errors import (
     SimulationError,
     TraceFormatError,
 )
-from repro.common.lru import LRUState, TreePLRUState
+from repro.common.lru import LRUState
 from repro.common.stats import StatGroup, Stats
 
 __all__ = [
     "AddressSpacePolicy",
     "ASIDCheckpointStore",
     "retains_across_switch",
-    "align_down",
-    "align_up",
     "bit_length",
-    "bits_to_bytes",
-    "bits_to_kib",
     "extract_bits",
     "fold_xor",
     "is_power_of_two",
-    "log2_exact",
     "mask",
     "BTBStyle",
     "BranchPredictorConfig",
@@ -78,7 +69,6 @@ __all__ = [
     "SimulationError",
     "TraceFormatError",
     "LRUState",
-    "TreePLRUState",
     "StatGroup",
     "Stats",
 ]

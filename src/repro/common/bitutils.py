@@ -7,8 +7,6 @@ free of dependencies so they can be unit- and property-tested exhaustively.
 
 from __future__ import annotations
 
-from repro.common.errors import ConfigurationError
-
 
 def mask(num_bits: int) -> int:
     """Return an integer with the ``num_bits`` least significant bits set.
@@ -52,36 +50,11 @@ def is_power_of_two(value: int) -> bool:
     return value > 0 and (value & (value - 1)) == 0
 
 
-def log2_exact(value: int) -> int:
-    """Return ``log2(value)`` for a value that must be a power of two.
-
-    Raises :class:`ConfigurationError` otherwise.  Used to size index/pointer
-    fields for set-associative structures.
-    """
-    if not is_power_of_two(value):
-        raise ConfigurationError(f"{value} is not a power of two")
-    return value.bit_length() - 1
-
-
 def log2_ceil(value: int) -> int:
     """Return the number of bits needed to index ``value`` distinct items."""
     if value <= 0:
         raise ValueError(f"log2_ceil requires a positive value, got {value}")
     return (value - 1).bit_length() if value > 1 else 0
-
-
-def align_down(value: int, alignment: int) -> int:
-    """Round ``value`` down to the nearest multiple of ``alignment``."""
-    if not is_power_of_two(alignment):
-        raise ConfigurationError(f"alignment must be a power of two, got {alignment}")
-    return value & ~(alignment - 1)
-
-
-def align_up(value: int, alignment: int) -> int:
-    """Round ``value`` up to the nearest multiple of ``alignment``."""
-    if not is_power_of_two(alignment):
-        raise ConfigurationError(f"alignment must be a power of two, got {alignment}")
-    return (value + alignment - 1) & ~(alignment - 1)
 
 
 def fold_xor(value: int, width: int) -> int:
@@ -101,16 +74,6 @@ def fold_xor(value: int, width: int) -> int:
         folded ^= remaining & low
         remaining >>= width
     return folded
-
-
-def bits_to_bytes(bits: int) -> float:
-    """Convert a bit count to bytes (may be fractional for odd bit counts)."""
-    return bits / 8.0
-
-
-def bits_to_kib(bits: int) -> float:
-    """Convert a bit count to kibibytes (KiB)."""
-    return bits / 8.0 / 1024.0
 
 
 def kib_to_bits(kib: float) -> int:

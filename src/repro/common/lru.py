@@ -1,21 +1,17 @@
 """Reusable replacement-policy state for set-associative structures.
 
-Two policies are provided:
+:class:`LRUState` is true least-recently-used ordering, used by the caches
+and all BTB organizations.  BTB-X uses the *constrained* variant
+(:meth:`LRUState.victim` with an ``eligible`` subset) described in Section V:
+only the ways whose offset field can hold the incoming branch's offset
+compete for replacement, but recency updates are shared across the whole set.
 
-* :class:`LRUState` -- true least-recently-used ordering, used by the caches
-  and all BTB organizations.  BTB-X uses the *constrained* variant
-  (:meth:`LRUState.victim` with an ``eligible`` subset) described in Section V:
-  only the ways whose offset field can hold the incoming branch's offset
-  compete for replacement, but recency updates are shared across the whole set.
-* :class:`TreePLRUState` -- tree pseudo-LRU, provided for ablation studies of
-  replacement-policy sensitivity.
-
-Both classes manage a single set; callers keep one instance per set.
+An instance manages a single set; callers keep one instance per set.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class LRUState:
@@ -69,68 +65,3 @@ class LRUState:
     def _check_way(self, way: int) -> None:
         if not 0 <= way < self._num_ways:
             raise IndexError(f"way {way} out of range [0, {self._num_ways})")
-
-
-class TreePLRUState:
-    """Tree pseudo-LRU for one set; requires a power-of-two way count."""
-
-    def __init__(self, num_ways: int) -> None:
-        if num_ways <= 0 or num_ways & (num_ways - 1):
-            raise ValueError("tree PLRU requires a positive power-of-two way count")
-        self._num_ways = num_ways
-        self._bits = [False] * max(num_ways - 1, 1)
-
-    @property
-    def num_ways(self) -> int:
-        """Number of ways tracked by this state."""
-        return self._num_ways
-
-    def touch(self, way: int) -> None:
-        """Update the tree so that ``way`` becomes protected (recently used)."""
-        if not 0 <= way < self._num_ways:
-            raise IndexError(f"way {way} out of range")
-        if self._num_ways == 1:
-            return
-        node = 0
-        low, high = 0, self._num_ways
-        while high - low > 1:
-            mid = (low + high) // 2
-            went_right = way >= mid
-            # Point the bit away from the accessed side.
-            self._bits[node] = not went_right
-            if went_right:
-                node = 2 * node + 2
-                low = mid
-            else:
-                node = 2 * node + 1
-                high = mid
-
-    def victim(self, eligible: Iterable[int] | None = None) -> int:
-        """Return the pseudo-LRU victim.
-
-        When ``eligible`` is given, the tree walk is still followed but the
-        result is snapped to the eligible way with the smallest protection,
-        falling back to the first eligible way.  (Exact constrained PLRU is not
-        defined in the paper; this approximation is only used in ablations.)
-        """
-        if self._num_ways == 1:
-            return 0
-        node = 0
-        low, high = 0, self._num_ways
-        while high - low > 1:
-            mid = (low + high) // 2
-            if self._bits[node]:
-                node = 2 * node + 2
-                low = mid
-            else:
-                node = 2 * node + 1
-                high = mid
-        choice = low
-        if eligible is None:
-            return choice
-        eligible_list = list(eligible)
-        if not eligible_list:
-            raise ValueError("victim selection requires at least one eligible way")
-        if choice in eligible_list:
-            return choice
-        return eligible_list[0]

@@ -4,66 +4,16 @@ Hardware simulators accumulate large numbers of named event counters (hits,
 misses, flushes, prefetches issued, ...).  :class:`Stats` provides a small,
 dependency-free registry with:
 
-* integer counters (``inc``) and floating accumulators (``add``),
-* hierarchical grouping via :class:`StatGroup` (``stats.group("btb")``),
-* distribution recording (``observe``) with cheap summary statistics,
-* merging of registries from independent simulations (``merge``),
-* conversion to a flat ``dict`` for reporting and JSON export.
+* integer counters (``inc``) and floating accumulators (``add``), read back
+  with ``get`` or all at once with ``counters``,
+* prefixed views via :class:`StatGroup` (``stats.group("btb")``), one per
+  simulated structure.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Mapping
-
-
-@dataclass
-class Distribution:
-    """Streaming summary of an observed value distribution.
-
-    Only constant-space summary statistics are kept (count, sum, min, max and a
-    bounded histogram) so that distributions can be recorded for every dynamic
-    branch without memory blow-up.
-    """
-
-    count: int = 0
-    total: float = 0.0
-    minimum: float = float("inf")
-    maximum: float = float("-inf")
-    histogram: Dict[int, int] = field(default_factory=dict)
-
-    def observe(self, value: float, bucket: int | None = None) -> None:
-        """Record one observation; ``bucket`` overrides the histogram bucket."""
-        self.count += 1
-        self.total += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-        key = int(value) if bucket is None else bucket
-        self.histogram[key] = self.histogram.get(key, 0) + 1
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of the observed values (0.0 when empty)."""
-        return self.total / self.count if self.count else 0.0
-
-    def cumulative_fraction(self, threshold: int) -> float:
-        """Fraction of observations whose histogram bucket is <= ``threshold``."""
-        if not self.count:
-            return 0.0
-        covered = sum(n for bucket, n in self.histogram.items() if bucket <= threshold)
-        return covered / self.count
-
-    def merge(self, other: "Distribution") -> None:
-        """Fold another distribution's observations into this one."""
-        self.count += other.count
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-        for bucket, n in other.histogram.items():
-            self.histogram[bucket] = self.histogram.get(bucket, 0) + n
+from typing import Dict, Mapping
 
 
 class StatGroup:
@@ -108,29 +58,16 @@ class StatGroup:
             key = self._key_cache[name] = f"{self._prefix}.{name}"
         self._counters[key] += amount
 
-    def observe(self, name: str, value: float, bucket: int | None = None) -> None:
-        """Record ``value`` in the distribution ``name``."""
-        self._stats.observe(self._key(name), value, bucket)
-
     def get(self, name: str) -> float:
         """Read the counter ``name`` (0 when never written)."""
         return self._stats.get(self._key(name))
 
-    def distribution(self, name: str) -> Distribution:
-        """Return the distribution ``name``, creating it if necessary."""
-        return self._stats.distribution(self._key(name))
-
-    def subgroup(self, name: str) -> "StatGroup":
-        """Return a nested group (``prefix.name``)."""
-        return StatGroup(self._stats, self._key(name))
-
 
 class Stats:
-    """Flat registry of named counters, accumulators and distributions."""
+    """Flat registry of named counters and accumulators."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, float] = defaultdict(float)
-        self._distributions: Dict[str, Distribution] = {}
 
     # -- writing ---------------------------------------------------------
 
@@ -146,71 +83,22 @@ class Stats:
         """Overwrite counter ``name`` with ``value``."""
         self._counters[name] = value
 
-    def observe(self, name: str, value: float, bucket: int | None = None) -> None:
-        """Record ``value`` into the distribution ``name``."""
-        self.distribution(name).observe(value, bucket)
-
     # -- reading ---------------------------------------------------------
 
     def get(self, name: str) -> float:
         """Read counter ``name``; missing counters read as 0."""
         return self._counters.get(name, 0.0)
 
-    def distribution(self, name: str) -> Distribution:
-        """Return (and lazily create) the distribution ``name``."""
-        if name not in self._distributions:
-            self._distributions[name] = Distribution()
-        return self._distributions[name]
-
     def counters(self) -> Mapping[str, float]:
         """Read-only view of all counters."""
         return dict(self._counters)
 
-    def distributions(self) -> Mapping[str, Distribution]:
-        """Read-only view of all distributions."""
-        return dict(self._distributions)
-
     def group(self, prefix: str) -> StatGroup:
         """Return a prefixed view used by one simulated structure."""
         return StatGroup(self, prefix)
-
-    def ratio(self, numerator: str, denominator: str) -> float:
-        """Convenience: counter ratio with a zero-safe denominator."""
-        denom = self.get(denominator)
-        return self.get(numerator) / denom if denom else 0.0
-
-    def per_kilo(self, numerator: str, denominator: str) -> float:
-        """Events per 1000 units of ``denominator`` (e.g. MPKI)."""
-        return 1000.0 * self.ratio(numerator, denominator)
-
-    # -- combination ------------------------------------------------------
-
-    def merge(self, other: "Stats") -> None:
-        """Fold counters and distributions from ``other`` into this registry."""
-        for name, value in other._counters.items():
-            self._counters[name] += value
-        for name, dist in other._distributions.items():
-            self.distribution(name).merge(dist)
-
-    def to_dict(self) -> Dict[str, float]:
-        """Flatten to a plain dict (counters only) for reporting/JSON export."""
-        return {name: value for name, value in sorted(self._counters.items())}
-
-    def __iter__(self) -> Iterator[tuple[str, float]]:
-        return iter(sorted(self._counters.items()))
-
-    def __len__(self) -> int:
-        return len(self._counters)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = ", ".join(f"{k}={v:g}" for k, v in sorted(self._counters.items())[:8])
         suffix = ", ..." if len(self._counters) > 8 else ""
         return f"Stats({body}{suffix})"
 
-
-def merge_all(stats_list: Iterable[Stats]) -> Stats:
-    """Merge an iterable of registries into a fresh one."""
-    merged = Stats()
-    for stats in stats_list:
-        merged.merge(stats)
-    return merged

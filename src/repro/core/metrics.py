@@ -48,11 +48,6 @@ class SimulationResult:
         return self.instructions / self.cycles if self.cycles else 0.0
 
     @property
-    def cpi(self) -> float:
-        """Cycles per instruction."""
-        return self.cycles / self.instructions if self.instructions else 0.0
-
-    @property
     def btb_mpki(self) -> float:
         """BTB misses (taken branches only) per kilo-instruction (Figure 9)."""
         if not self.instructions:
@@ -86,12 +81,6 @@ class SimulationResult:
         if not self.instructions:
             return 0.0
         return 1000.0 * self.direction_mispredictions / self.instructions
-
-    def speedup_over(self, baseline: "SimulationResult") -> float:
-        """IPC ratio of this run over ``baseline`` (same workload expected)."""
-        if baseline.ipc == 0:
-            return 0.0
-        return self.ipc / baseline.ipc
 
     def to_dict(self) -> Dict[str, float]:
         """Flatten the headline metrics for reporting."""

@@ -93,7 +93,3 @@ class TimingModel:
         """Compute the base cycles and return the final breakdown."""
         self.breakdown.base_cycles = self._instructions / max(self.core.fetch_width, 1)
         return self.breakdown
-
-    def total_cycles(self) -> float:
-        """Convenience: finalize and return the total cycle count."""
-        return self.finalize().total

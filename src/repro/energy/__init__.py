@@ -20,14 +20,11 @@ Total energy for a workload multiplies the per-access numbers by the access
 counts collected by the simulator, as Table V does.
 """
 
-from repro.energy.sram import SRAMArray, sram_access_latency_ns, sram_read_energy_pj, sram_write_energy_pj
+from repro.energy.sram import SRAMArray
 from repro.energy.btb_energy import BTBEnergyModel, BTBEnergyReport, DesignEnergy
 
 __all__ = [
     "SRAMArray",
-    "sram_read_energy_pj",
-    "sram_write_energy_pj",
-    "sram_access_latency_ns",
     "BTBEnergyModel",
     "BTBEnergyReport",
     "DesignEnergy",

@@ -104,17 +104,3 @@ class SRAMArray:
         value = _evaluate(_LATENCY_COEF, self.rows, self.row_bits, self.total_bits)
         return max(value, _LATENCY_FLOOR_NS)
 
-
-def sram_read_energy_pj(entries: int, entry_bits: float, associativity: int = 1) -> float:
-    """Convenience wrapper: read energy of an array with the given geometry."""
-    return SRAMArray("array", entries, entry_bits, associativity).read_energy_pj()
-
-
-def sram_write_energy_pj(entries: int, entry_bits: float, associativity: int = 1) -> float:
-    """Convenience wrapper: write energy of an array with the given geometry."""
-    return SRAMArray("array", entries, entry_bits, associativity).write_energy_pj()
-
-
-def sram_access_latency_ns(entries: int, entry_bits: float, associativity: int = 1) -> float:
-    """Convenience wrapper: access latency of an array with the given geometry."""
-    return SRAMArray("array", entries, entry_bits, associativity).access_latency_ns()

@@ -19,20 +19,16 @@ from typing import Dict, List, Sequence, Tuple
 from repro.common.config import BTBStyle
 from repro.core.metrics import SimulationResult
 from repro.experiments.config import ExperimentScale
-from repro.common.errors import WorkloadError
 from repro.experiments.engine import (
     ExperimentEngine,
     JobOutcome,
-    SimJob,
-    _payload_to_outcome,
     clear_active_memo,
-    execute_job,
     get_active_engine,
     grid_jobs,
 )
 from repro.traces.store import default_store
 from repro.traces.trace import Trace
-from repro.workloads.suites import selected_workload_names, workload_spec_by_name
+from repro.workloads.suites import selected_workload_names
 
 #: The three organizations compared throughout the evaluation.
 EVALUATED_STYLES: tuple[BTBStyle, ...] = (
@@ -81,50 +77,6 @@ def clear_trace_cache() -> None:
     """Drop cached traces and the active engine's memo (bounds memory)."""
     default_store().clear()
     clear_active_memo()
-
-
-def _is_canonical_trace(trace: Trace, scale: ExperimentScale) -> bool:
-    """True when ``trace`` is exactly what its name and ``scale`` describe.
-
-    The engine's caches are keyed by ``(workload name, scale)``, which is only
-    sound for traces regenerable from those two facts.  Sliced, windowed or
-    custom-named traces must bypass the caches entirely.
-    """
-    if len(trace) != scale.instructions:
-        return False
-    try:
-        workload_spec_by_name(trace.name)
-    except WorkloadError:
-        return False
-    return True
-
-
-def simulate(
-    trace: Trace,
-    style: BTBStyle,
-    budget_kib: float,
-    fdip_enabled: bool,
-    scale: ExperimentScale,
-    engine: ExperimentEngine | None = None,
-) -> SimulationResult:
-    """Simulate one trace with one BTB organization sized for ``budget_kib``.
-
-    Canonical suite traces go through the (memoizing) engine; anything else —
-    custom names, non-``scale`` lengths, sliced traces — simulates directly so
-    a stale cache entry can never stand in for the trace actually passed.
-    """
-    job = SimJob(
-        workload=trace.name,
-        instructions=scale.instructions,
-        warmup_instructions=scale.warmup_instructions,
-        style=style,
-        fdip_enabled=fdip_enabled,
-        budget_kib=budget_kib,
-    )
-    if not _is_canonical_trace(trace, scale):
-        return _payload_to_outcome(execute_job(job, trace=trace)).result
-    engine = engine or get_active_engine()
-    return engine.run_job(job, trace=trace).result
 
 
 def simulate_full_grid(

@@ -58,24 +58,9 @@ class BranchType(enum.Enum):
         return self is BranchType.RETURN
 
     @property
-    def is_indirect(self) -> bool:
-        """True when the target is register-supplied (not decodable)."""
-        return self in (BranchType.INDIRECT, BranchType.INDIRECT_CALL)
-
-    @property
     def target_from_ras(self) -> bool:
         """True when the predicted target comes from the return address stack."""
         return self is BranchType.RETURN
-
-    @property
-    def decode_resolvable(self) -> bool:
-        """True when the target is encoded in the instruction bytes.
-
-        Such branches can be resolved at the decode stage when they miss in the
-        BTB (the Section VI-A optimization): the front end is resteered after
-        paying only the decode-resteer penalty instead of a full flush.
-        """
-        return self in (BranchType.CONDITIONAL, BranchType.UNCONDITIONAL, BranchType.CALL)
 
     def encoding(self) -> int:
         """Two-bit encoding stored in a BTB entry's ``type`` field.

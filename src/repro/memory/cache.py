@@ -1,10 +1,8 @@
 """A single set-associative cache level with LRU replacement.
 
 The model is functional (hit/miss state plus access counters) with the hit
-latency the interval timing model charges.  Writes are modelled as
-allocate-on-miss like reads;
-dirty state is tracked so write-back traffic can be reported, although the
-front-end experiments never generate dirty lines.
+latency the interval timing model charges.  Every access is a read: the
+front-end experiments fetch instructions and never write.
 
 Like the BTB organizations, every cache level adopts a
 :class:`repro.common.asid.AddressSpacePolicy`: lines can be tagged with the
@@ -47,7 +45,6 @@ class _Line:
     #: Raw (uncolored) block address, kept so evictions can report the victim
     #: without inverting the ASID color or the partition remap.
     block: int = 0
-    dirty: bool = False
 
 
 class SetAssociativeCache:
@@ -85,12 +82,6 @@ class SetAssociativeCache:
         # and probes become one dict lookup instead of a way scan.  Kept
         # write-through by fill/eviction/invalidation.
         self._where: Dict[int, int] = {}
-        # Precomputed per-kind counter names: access() is the memory model's
-        # innermost loop and must not build f-strings per probe.
-        self._kind_keys = {
-            kind: (f"accesses.{kind}", f"hits.{kind}", f"misses.{kind}")
-            for kind in ("read", "write")
-        }
         #: ASID mechanics (tag coloring + set partitioning) for this level.
         self.asid_policy = AddressSpacePolicy()
         # Identity-policy fast path for the per-probe index/tag computation;
@@ -165,26 +156,22 @@ class SetAssociativeCache:
 
     # -- operations -----------------------------------------------------------
 
-    def access(self, addr: int, is_write: bool = False) -> CacheAccessResult:
-        """Access the block containing ``addr``; on a miss the line is *not* filled.
+    def access(self, addr: int) -> CacheAccessResult:
+        """Read the block containing ``addr``; on a miss the line is *not* filled.
 
         The caller (the hierarchy) decides whether and when to fill.
         """
         index, tag = self._index_tag(addr)
-        accesses_key, hits_key, misses_key = self._kind_keys["write" if is_write else "read"]
-        self.stats.inc(accesses_key)
+        self.stats.inc("accesses.read")
         way = self._where.get(tag)
         if way is not None:
-            line = self._sets[index][way]
             self._lru[index].touch(way)
-            if is_write:
-                line.dirty = True
-            self.stats.inc(hits_key)
+            self.stats.inc("hits.read")
             return _HIT_RESULT
-        self.stats.inc(misses_key)
+        self.stats.inc("misses.read")
         return _MISS_RESULT
 
-    def fill(self, addr: int, dirty: bool = False) -> Optional[int]:
+    def fill(self, addr: int) -> Optional[int]:
         """Install the block containing ``addr``; returns the evicted block, if any."""
         index, tag = self._index_tag(addr)
         lines = self._sets[index]
@@ -192,10 +179,8 @@ class SetAssociativeCache:
             lines = self._materialize(index)
         present = self._where.get(tag)
         if present is not None:
-            # Already present: refresh recency and dirtiness.
-            line = lines[present]
+            # Already present: refresh recency.
             self._lru[index].touch(present)
-            line.dirty = line.dirty or dirty
             return None
         evicted: Optional[int] = None
         if len(lines) < self.associativity:
@@ -206,15 +191,12 @@ class SetAssociativeCache:
             victim = lines[victim_way]
             evicted = victim.block << self._offset_bits
             del self._where[victim.tag]
-            if victim.dirty:
-                self.stats.inc("writebacks")
             self.stats.inc("evictions")
         line = lines[victim_way]
         self._where[tag] = victim_way
         line.valid = True
         line.tag = tag
         line.block = addr >> self._offset_bits
-        line.dirty = dirty
         self._lru[index].touch(victim_way)
         self.stats.inc("fills")
         return evicted

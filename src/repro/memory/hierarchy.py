@@ -15,9 +15,10 @@ FDIP issues no prefetches into the hierarchy: it charges each L1-I miss the
 residual latency its run-ahead could not hide
 (:meth:`repro.frontend.fdip.FDIPPrefetcher.cover_demand_miss`).
 
-The L1-D is constructed for completeness (data accesses can be replayed
-through :meth:`MemoryHierarchy.data_access`) but the paper's experiments only
-exercise the instruction side.
+The L1-D is constructed but never accessed: the paper's experiments only
+exercise the instruction side.  It still takes part in context switches and
+partitioning, so its per-tenant set counts appear in
+:meth:`MemoryHierarchy.partition_report`.
 
 Context switches: the hierarchy is a tenant-aware citizen like the BTBs.
 :attr:`MachineConfig.cache_asid_mode` selects what happens when a different
@@ -65,7 +66,6 @@ class FetchResult(NamedTuple):
 #: invisible).  Misses share one result per supplier level, built per
 #: hierarchy from its latencies.
 _L1I_HIT = FetchResult(latency=0, level="L1I", l1i_hit=True)
-_L1D_HIT = FetchResult(latency=0, level="L1D", l1i_hit=False)
 
 #: Per-supplier fill counter names, precomputed so the miss path doesn't build
 #: f-strings per fill.
@@ -216,17 +216,6 @@ class MemoryHierarchy:
             l1i.stats.inc("accesses.read", hits)
             l1i.stats.inc("hits.read", hits)
         return results
-
-    # -- data side (provided for completeness) ---------------------------------
-
-    def data_access(self, addr: int, is_write: bool = False) -> FetchResult:
-        """Demand data access through L1-D -> L2 -> LLC -> memory."""
-        self.stats.inc("dfetch.accesses")
-        if self.l1d.access(addr, is_write=is_write).hit:
-            return _L1D_HIT
-        result = self._miss_result(addr)
-        self.l1d.fill(addr, dirty=is_write)
-        return result
 
     # -- maintenance -------------------------------------------------------------
 

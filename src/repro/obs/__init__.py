@@ -8,7 +8,6 @@ aggregation behind ``btbx-repro obs report``.
 from repro.obs.recorder import (
     NULL_RECORDER,
     OBS_ENV_VAR,
-    OBS_FORMAT_ENV_VAR,
     JsonlRecorder,
     NullRecorder,
     Recorder,
@@ -23,7 +22,6 @@ from repro.obs.recorder import (
 __all__ = [
     "NULL_RECORDER",
     "OBS_ENV_VAR",
-    "OBS_FORMAT_ENV_VAR",
     "JsonlRecorder",
     "NullRecorder",
     "Recorder",

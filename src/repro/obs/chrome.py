@@ -13,9 +13,7 @@ Mapping:
   attributes (plus ids) under ``args``;
 * counters -> counter events (``"ph": "C"``) pinned after the last span so
   final totals show as a bar per counter name;
-* gauges/histograms -> metadata is folded into the counter track where a
-  scalar exists; raw histogram observations are omitted (Perfetto has no
-  native histogram track), but remain available in the JSONL file.
+* gauges are left out; they remain available in the JSONL file.
 
 The export is deterministic: given the same event list, the output is
 byte-identical (events keep input order, keys are sorted on serialization).

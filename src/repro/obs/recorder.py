@@ -1,4 +1,4 @@
-"""Zero-dependency structured telemetry: spans, counters, gauges, histograms.
+"""Zero-dependency structured telemetry: spans, counters and gauges.
 
 The subsystem is built around a tiny :class:`Recorder` protocol with exactly
 two implementations:
@@ -12,7 +12,9 @@ two implementations:
   JSON Lines.  Spans are hierarchical (a thread-local stack supplies parent
   ids), carry wall-clock start timestamps (``time.time``, comparable across
   processes) and monotonic durations (``time.perf_counter``), and may attach
-  arbitrary JSON-serializable attributes.
+  arbitrary JSON-serializable attributes.  :meth:`JsonlRecorder.write` is
+  the one output path: ``btbx-repro obs report`` aggregates the file and
+  ``btbx-repro obs export`` converts it to Chrome trace-event JSON.
 
 Cross-process story: pool workers build their own ``JsonlRecorder`` with a
 pid-derived ``origin`` (span ids are ``"<origin>-<n>"``, so ids never collide
@@ -41,9 +43,6 @@ from typing import Any, Dict, Iterator, List, Optional, Protocol, runtime_checka
 #: Environment variable naming a trace output path (the CLI exports it so
 #: pool workers and child processes know recording is enabled).
 OBS_ENV_VAR = "REPRO_OBS"
-
-#: Environment variable selecting the trace output format (``jsonl``/``chrome``).
-OBS_FORMAT_ENV_VAR = "REPRO_OBS_FORMAT"
 
 
 class _NullSpan:
@@ -80,8 +79,6 @@ class Recorder(Protocol):
 
     def gauge(self, name: str, value: float) -> None: ...
 
-    def observe(self, name: str, value: float) -> None: ...
-
 
 class NullRecorder:
     """The disabled recorder: every operation is a cheap no-op."""
@@ -95,9 +92,6 @@ class NullRecorder:
         return None
 
     def gauge(self, name: str, value: float) -> None:
-        return None
-
-    def observe(self, name: str, value: float) -> None:
         return None
 
 
@@ -159,7 +153,6 @@ class JsonlRecorder:
         self.events: List[Dict[str, Any]] = []
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
-        self._histograms: Dict[str, List[float]] = {}
         self._next_id = 0
         self._lock = threading.Lock()
         self._stacks = threading.local()
@@ -247,19 +240,10 @@ class JsonlRecorder:
         with self._lock:
             self._gauges[name] = value
 
-    def observe(self, name: str, value: float) -> None:
-        """Append one observation to the named histogram."""
-        with self._lock:
-            self._histograms.setdefault(name, []).append(value)
-
     def metrics_snapshot(self) -> Dict[str, Dict[str, Any]]:
-        """Current registry contents (counters/gauges/histograms by name)."""
+        """Current registry contents (counters and gauges by name)."""
         with self._lock:
-            return {
-                "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
-                "histograms": {k: list(v) for k, v in self._histograms.items()},
-            }
+            return {"counters": dict(self._counters), "gauges": dict(self._gauges)}
 
     def _flush_metrics(self) -> None:
         """Convert registry contents into metric events and clear them."""
@@ -273,13 +257,8 @@ class JsonlRecorder:
                 self.events.append(
                     {"type": "gauge", "name": name, "value": self._gauges[name], "pid": pid}
                 )
-            for name in sorted(self._histograms):
-                self.events.append(
-                    {"type": "histogram", "name": name, "values": self._histograms[name], "pid": pid}
-                )
             self._counters.clear()
             self._gauges.clear()
-            self._histograms.clear()
 
     # -- shipping / merging / serialization -------------------------------
 

@@ -108,9 +108,6 @@ class HashedPerceptronPredictor(DirectionPredictor):
         self._memo = (indices, total)
         return indices, total
 
-    def _sum(self, pc: int) -> int:
-        return self._locate(pc)[1]
-
     # -- interface ------------------------------------------------------------
 
     def predict(self, pc: int) -> bool:

@@ -1,11 +1,14 @@
 """Streaming interleave of per-tenant traces into one scheduled stream.
 
 :class:`TraceComposer` walks the scenario's schedule (round-robin or weighted
-round-robin over the tenants, one quantum per turn) and yields
-``(asid, tenant_name, instruction)`` triples one at a time.  Nothing about the
-merged stream is ever materialized: each tenant is read through a wrapping
-:class:`~repro.traces.trace.TraceCursor`, so composing a billion-instruction
-stream costs the memory of the per-tenant traces and nothing more.
+round-robin over the tenants, one quantum per turn) once, in
+:meth:`TraceComposer.stream_batches`, which yields contiguous
+:class:`ScheduledChunk` slices of the tenant traces; :meth:`TraceComposer.stream`
+expands those chunks into ``(asid, tenant_name, instruction)`` triples one at
+a time.  Nothing about the merged stream is ever materialized: a tenant's
+read position is an index into its trace that wraps at the end, so composing
+a billion-instruction stream costs the memory of the per-tenant traces and
+nothing more.
 
 ASID assignment implements the spec's switch semantics:
 
@@ -58,20 +61,20 @@ from typing import Dict, Iterator, List, Mapping, Tuple
 from repro.common.errors import ConfigurationError
 from repro.isa.instruction import Instruction
 from repro.scenarios.spec import ScenarioSpec
-from repro.traces.trace import Trace, TraceCursor
+from repro.traces.trace import Trace
 
 
 @dataclass(frozen=True)
 class ScheduledChunk:
-    """One contiguous piece of a scheduling turn, for the batched backend.
+    """One contiguous piece of a scheduling turn.
 
     Covers ``trace.instructions[start:stop]`` run by ``tenant`` under
-    ``asid``.  A turn whose cursor wraps past the trace end is split into
-    multiple chunks so every chunk is a contiguous slice -- which is what lets
-    the backend index straight into the trace's structure-of-arrays view.
-    Concatenating the chunks' instructions reproduces
-    :meth:`TraceComposer.stream` element for element (pinned by the
-    round-trip property suite).
+    ``asid``.  A turn whose read position wraps past the trace end is split
+    into multiple chunks so every chunk is a contiguous slice.  Both backends
+    consume the schedule as chunks: the scalar one through
+    :meth:`TraceComposer.stream`, which expands each chunk's slice, and the
+    batched one by indexing straight into the trace's structure-of-arrays
+    view.
     """
 
     asid: int
@@ -327,47 +330,28 @@ class TraceComposer:
     def stream(self, total_instructions: int) -> Iterator[Tuple[int, str, Instruction]]:
         """Yield exactly ``total_instructions`` scheduled ``(asid, tenant, instruction)``.
 
-        Tenant traces wrap when exhausted, so any total length is valid.  The
+        The instructions of :meth:`stream_batches`' chunks, in order.  Tenant
+        traces wrap when exhausted, so any total length is valid.  The
         schedule is a pure function of the spec and the total length: two
         streams composed from equal specs are element-for-element identical,
         which is what lets scenario cells live in the content-addressed result
         cache.
         """
-        if total_instructions < 0:
-            raise ConfigurationError("composed stream length cannot be negative")
-        spec = self.spec
-        tenants = spec.tenants
-        cursors = [TraceCursor(trace) for trace in self._tenant_traces]
-        quanta = self.turn_lengths()
-        cold = spec.switch_semantics == "cold"
-
-        remaining = total_instructions
-        turn = 0
-        next_cold_asid = 0
-        while remaining > 0:
-            tenant_index = turn % len(tenants)
-            tenant_name = tenants[tenant_index].name
-            if cold:
-                asid = next_cold_asid
-                next_cold_asid += 1
-            else:
-                asid = tenant_index
-            count = min(quanta[tenant_index], remaining)
-            for instruction in cursors[tenant_index].take(count):
-                yield asid, tenant_name, instruction
-            remaining -= count
-            turn += 1
+        for chunk in self.stream_batches(total_instructions):
+            asid = chunk.asid
+            tenant = chunk.tenant
+            for instruction in chunk.trace.instructions[chunk.start:chunk.stop]:
+                yield asid, tenant, instruction
 
     def stream_batches(self, total_instructions: int) -> Iterator[ScheduledChunk]:
-        """Yield the schedule of :meth:`stream` as contiguous trace chunks.
+        """Yield the schedule of ``total_instructions`` as contiguous trace chunks.
 
-        Mirrors :meth:`stream`'s scheduling exactly -- same turn order, same
-        per-turn quanta, same ASID assignment, same wrapping cursor positions
-        -- but instead of yielding instructions one at a time it yields
-        ``(asid, tenant, trace, start, stop)`` chunks, splitting a turn
-        wherever its cursor wraps.  Feeding every chunk's slice to a consumer
-        in order therefore produces the identical ``(asid, tenant,
-        instruction)`` sequence.
+        Turns go round the tenants in order, each running the tenant's
+        quantum (the last turn is cut to the remaining length).  Under
+        ``warm`` semantics tenant *i* runs as ASID *i*; under ``cold`` every
+        turn takes the next fresh ASID.  Each tenant resumes where its
+        previous turn stopped, and a turn is split into one more chunk each
+        time it wraps past the end of the tenant's trace.
         """
         if total_instructions < 0:
             raise ConfigurationError("composed stream length cannot be negative")
@@ -408,27 +392,3 @@ class TraceComposer:
             positions[tenant_index] = position
             remaining -= count
             turn += 1
-
-    def context_switch_count(self, total_instructions: int) -> int:
-        """Number of ASID changes the composed stream will trigger.
-
-        Useful for sizing tests and reports without walking the stream.  The
-        first turn never counts (the machine boots into it).
-        """
-        tenants = self.spec.tenants
-        quanta = self.turn_lengths()
-        cycle = sum(quanta)
-        if total_instructions <= 0:
-            return 0
-        full_cycles, leftover = divmod(total_instructions, cycle)
-        turns = full_cycles * len(tenants)
-        for quantum in quanta:
-            if leftover <= 0:
-                break
-            turns += 1
-            leftover -= quantum
-        if self.spec.switch_semantics == "cold":
-            return max(turns - 1, 0)
-        # Warm: consecutive turns of the same tenant (single-tenant scenarios)
-        # do not switch.
-        return max(turns - 1, 0) if len(tenants) > 1 else 0

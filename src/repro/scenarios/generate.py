@@ -19,8 +19,8 @@ Memory stays bounded at four-digit tenant counts because a recipe draws its
 tenants from a small ``workload_population`` (default 8, capped at the trace
 store's LRU bound): a thousand tenants share a handful of distinct
 workloads, and every tenant replaying workload W shares the same in-memory
-:class:`~repro.traces.trace.Trace` object -- the composer wraps each tenant
-in its own cursor over it.
+:class:`~repro.traces.trace.Trace` object -- the composer keeps only each
+tenant's read position into it.
 """
 
 from __future__ import annotations

@@ -71,7 +71,7 @@ def execute_scenario(
 ) -> ScenarioResult:
     """Compose and simulate ``scenario`` for ``instructions`` total instructions.
 
-    Each tenant's trace is generated at the full stream length (cursors wrap,
+    Each tenant's trace is generated at the full stream length (reads wrap,
     so a tenant scheduled for only a fraction of the stream still replays its
     own deterministic workload).  Full-length generation is a deliberate
     choice: a tenant's trace is then identical to the one the single-trace

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterator
 
 from repro.common.config import ISAStyle
 from repro.common.errors import TraceFormatError
@@ -126,14 +126,3 @@ def read_binary_trace(path: str | Path) -> Trace:
         metadata=dict(header.get("metadata", {})),
     )
 
-
-def write_many(traces: Iterable[Trace], directory: str | Path) -> list[Path]:
-    """Write each trace to ``directory/<name>.btbx``; return the paths."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for trace in traces:
-        path = directory / f"{trace.name}.btbx"
-        write_binary_trace(trace, path)
-        paths.append(path)
-    return paths

@@ -138,60 +138,6 @@ class Trace:
         return f"Trace(name={self.name!r}, instructions={len(self)}, isa={self.isa})"
 
 
-class TraceCursor:
-    """A resumable, wrapping read position over a trace.
-
-    The scenario composer deschedules a tenant mid-trace and later resumes it
-    where it left off; a cursor keeps that position without copying or slicing
-    the underlying instruction list.  Reads past the end wrap to the start
-    (the workload loops), so a tenant stays schedulable for arbitrarily long
-    composed streams.
-    """
-
-    __slots__ = ("trace", "position", "laps", "consumed", "_instructions", "_length")
-
-    def __init__(self, trace: Trace, position: int = 0) -> None:
-        if len(trace) == 0:
-            raise ValueError(f"cannot iterate over empty trace {trace.name!r}")
-        self.trace = trace
-        self._instructions = trace.instructions
-        self._length = len(trace)
-        self.position = position % self._length
-        #: Completed wraps; ``laps > 0`` means the workload is replaying.
-        self.laps = 0
-        #: Total instructions read since construction.
-        self.consumed = 0
-
-    def take(self, count: int) -> Iterator[Instruction]:
-        """Yield the next ``count`` instructions, wrapping at the trace end.
-
-        State is committed in one piece when the generator finishes --
-        whether it ran to completion, was closed early, or raised -- so
-        ``position``/``laps``/``consumed`` always agree on how far the
-        cursor actually advanced.  A consumer that abandons a ``take()``
-        mid-way therefore leaves the cursor resumable at exactly the next
-        unread instruction, never with a lap counted ahead of the position.
-        """
-        instructions = self._instructions
-        length = self._length
-        position = self.position
-        laps = 0
-        taken = 0
-        try:
-            for _ in range(count):
-                instruction = instructions[position]
-                position += 1
-                if position == length:
-                    position = 0
-                    laps += 1
-                taken += 1
-                yield instruction
-        finally:
-            self.position = position
-            self.laps += laps
-            self.consumed += taken
-
-
 @dataclass
 class TraceSet:
     """A named collection of traces forming a workload suite."""

@@ -28,11 +28,7 @@ from repro.workloads.spec import WorkloadClass, WorkloadSpec
 from repro.workloads.suites import (
     SUITE_NAMES,
     build_suite,
-    client_suite,
-    cvp_like_suite,
-    server_suite,
     workload_spec_by_name,
-    x86_server_suite,
 )
 
 __all__ = [
@@ -47,9 +43,5 @@ __all__ = [
     "WorkloadSpec",
     "SUITE_NAMES",
     "build_suite",
-    "client_suite",
-    "server_suite",
-    "cvp_like_suite",
-    "x86_server_suite",
     "workload_spec_by_name",
 ]

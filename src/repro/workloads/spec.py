@@ -143,16 +143,6 @@ class WorkloadSpec:
         if self.root_fan_out < 1:
             raise WorkloadError(f"{self.name}: need at least one root function")
 
-    @property
-    def total_application_functions(self) -> int:
-        """Total number of application (non-library) functions."""
-        return self.num_modules * self.functions_per_module
-
-    @property
-    def total_library_functions(self) -> int:
-        """Total number of library functions."""
-        return self.num_library_modules * self.library_functions_per_module
-
     def scaled(self, footprint_scale: float, name: str | None = None, seed: int | None = None) -> "WorkloadSpec":
         """Return a spec with the instruction footprint scaled by ``footprint_scale``.
 

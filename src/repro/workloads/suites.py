@@ -22,7 +22,7 @@ from repro.common.config import ISAStyle
 from repro.common.errors import WorkloadError
 from repro.traces.trace import Trace, TraceSet
 from repro.workloads.execution import generate_trace
-from repro.workloads.spec import WorkloadClass, WorkloadSpec, client_spec, server_spec
+from repro.workloads.spec import WorkloadSpec, client_spec, server_spec
 
 #: Names on the Figure 9 / Figure 10 x-axis.
 CLIENT_WORKLOAD_NAMES: tuple[str, ...] = tuple(f"client_{i:03d}" for i in range(1, 9))
@@ -164,11 +164,6 @@ def workload_spec_by_name(name: str) -> WorkloadSpec:
     raise WorkloadError(f"unknown workload {name!r}")
 
 
-def all_workload_names() -> List[str]:
-    """All known workload names across suites."""
-    return list(_SPECS)
-
-
 def build_workload(name: str, instructions: int) -> Trace:
     """Generate the trace of a single named workload."""
     return generate_trace(workload_spec_by_name(name), instructions, name=name)
@@ -203,27 +198,3 @@ def build_suite(suite: str, instructions: int, limit: int | None = None) -> Trac
         suite_set.add(build_workload(name, instructions))
     return suite_set
 
-
-def client_suite(instructions: int = 50_000, limit: int | None = None) -> TraceSet:
-    """IPC-1-like client suite."""
-    return build_suite("ipc1_client", instructions, limit)
-
-
-def server_suite(instructions: int = 50_000, limit: int | None = None) -> TraceSet:
-    """IPC-1-like server suite."""
-    return build_suite("ipc1_server", instructions, limit)
-
-
-def cvp_like_suite(instructions: int = 50_000, limit: int | None = None) -> TraceSet:
-    """CVP-1-like server suite (used for the Figure 12 cross-check)."""
-    return build_suite("cvp1_server", instructions, limit)
-
-
-def x86_server_suite(instructions: int = 50_000, limit: int | None = None) -> TraceSet:
-    """x86-compiled server applications (used for the Figure 13 ISA study)."""
-    return build_suite("x86_server", instructions, limit)
-
-
-def workload_class_of(name: str) -> WorkloadClass:
-    """Workload class (server/client) of a named workload."""
-    return workload_spec_by_name(name).workload_class

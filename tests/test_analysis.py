@@ -5,14 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis.aggregate import (
-    arithmetic_mean,
-    format_table,
-    geometric_mean,
-    gmean_speedup,
-    speedups_over_baseline,
-    summarize_results,
-)
+from repro.analysis.aggregate import arithmetic_mean, geometric_mean
 from repro.analysis.offset_analysis import (
     OffsetDistribution,
     combined_distribution,
@@ -20,19 +13,6 @@ from repro.analysis.offset_analysis import (
     offset_distribution,
 )
 from repro.common.config import ISAStyle
-from repro.core.metrics import SimulationResult
-
-
-def _result(workload: str, ipc: float, mpki: float) -> SimulationResult:
-    cycles = 1000.0 / ipc
-    return SimulationResult(
-        workload=workload, btb_style="btbx", btb_storage_kib=14.5, fdip_enabled=True,
-        instructions=1000, cycles=cycles, base_cycles=cycles, flush_cycles=0.0,
-        resteer_cycles=0.0, icache_stall_cycles=0.0, btb_extra_cycles=0.0,
-        btb_misses_taken=int(mpki), decode_resteers=0, execute_flushes=0,
-        direction_mispredictions=0, target_mispredictions=0, taken_branches=100,
-        branches=150, l1i_accesses=60, l1i_misses=5, l1i_misses_covered=1,
-    )
 
 
 class TestOffsetDistribution:
@@ -85,23 +65,3 @@ class TestAggregation:
     def test_gmean_bounded_by_min_max(self, values):
         gmean = geometric_mean(values)
         assert min(values) - 1e-9 <= gmean <= max(values) + 1e-9
-
-    def test_summarize_results(self):
-        results = [_result("a", 1.0, 10), _result("b", 2.0, 20)]
-        summary = summarize_results(results)
-        assert summary["workloads"] == 2
-        assert summary["avg_btb_mpki"] == pytest.approx(15.0)
-
-    def test_speedups_and_gmean(self):
-        baseline = {"a": _result("a", 1.0, 10), "b": _result("b", 1.0, 10)}
-        improved = {"a": _result("a", 1.2, 5), "b": _result("b", 1.5, 5)}
-        speedups = speedups_over_baseline(improved, baseline)
-        assert speedups["a"] == pytest.approx(1.2)
-        assert gmean_speedup(improved, baseline) == pytest.approx(geometric_mean([1.2, 1.5]))
-
-    def test_format_table(self):
-        text = format_table([{"a": 1, "b": 2.5}, {"a": 10, "b": 0.1}])
-        assert "a" in text and "2.500" in text
-
-    def test_format_table_empty(self):
-        assert format_table([]) == "(no data)"

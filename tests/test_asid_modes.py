@@ -140,13 +140,10 @@ class TestRemapOffInvariance:
         assert composer.tenant_trace(0) is traces["server_001"]
         assert composer.tenant_trace(1) is traces["client_001"]
 
-        # And the schedule is the plain alternating cursor walk of old.
-        from repro.traces.trace import TraceCursor
-
-        cursors = {
-            "a": TraceCursor(traces["server_001"]),
-            "b": TraceCursor(traces["client_001"]),
-        }
+        # And the schedule is the plain alternating walk of old: each tenant
+        # resumes where it stopped, wrapping at the end of its trace.
+        tenant_traces = {"a": traces["server_001"], "b": traces["client_001"]}
+        positions = {"a": 0, "b": 0}
         expected = []
         order = ["a", "b"]
         turn = 0
@@ -154,8 +151,10 @@ class TestRemapOffInvariance:
         while remaining > 0:
             tenant = order[turn % 2]
             count = min(512, remaining)
-            for instruction in cursors[tenant].take(count):
-                expected.append((turn % 2, tenant, instruction))
+            trace = tenant_traces[tenant]
+            for _ in range(count):
+                expected.append((turn % 2, tenant, trace[positions[tenant] % len(trace)]))
+                positions[tenant] += 1
             remaining -= count
             turn += 1
         assert list(composer.stream(3_000)) == expected

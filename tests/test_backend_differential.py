@@ -167,7 +167,7 @@ _RESULT_FIELDS = (
 
 def _raw_stats(result, btb_counts) -> dict:
     """The raw statistics registry, headline result fields and BTB counters."""
-    stats = dict(result.stats.to_dict())
+    stats = dict(result.stats.counters())
     for name in _RESULT_FIELDS:
         stats[f"result.{name}"] = getattr(result, name, None)
     for key, value in btb_counts.items():

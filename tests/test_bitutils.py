@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common import bitutils
-from repro.common.errors import ConfigurationError
 
 
 class TestMaskAndExtract:
@@ -39,13 +38,6 @@ class TestPowersOfTwo:
         assert not bitutils.is_power_of_two(0)
         assert not bitutils.is_power_of_two(12)
 
-    def test_log2_exact(self):
-        assert bitutils.log2_exact(1024) == 10
-
-    def test_log2_exact_rejects_non_power(self):
-        with pytest.raises(ConfigurationError):
-            bitutils.log2_exact(12)
-
     def test_log2_ceil(self):
         assert bitutils.log2_ceil(1) == 0
         assert bitutils.log2_ceil(2) == 1
@@ -58,27 +50,6 @@ class TestPowersOfTwo:
         assert (1 << bits) >= value
         if value > 1:
             assert (1 << (bits - 1)) < value
-
-
-class TestAlignment:
-    def test_align_down(self):
-        assert bitutils.align_down(0x1234, 16) == 0x1230
-
-    def test_align_up(self):
-        assert bitutils.align_up(0x1234, 16) == 0x1240
-
-    def test_align_rejects_non_power_of_two(self):
-        with pytest.raises(ConfigurationError):
-            bitutils.align_up(10, 3)
-
-    @given(st.integers(min_value=0, max_value=2**40), st.sampled_from([1, 2, 4, 16, 64, 4096]))
-    def test_align_properties(self, value, alignment):
-        down = bitutils.align_down(value, alignment)
-        up = bitutils.align_up(value, alignment)
-        assert down <= value <= up
-        assert down % alignment == 0
-        assert up % alignment == 0
-        assert up - down in (0, alignment)
 
 
 class TestFoldXor:
@@ -98,9 +69,6 @@ class TestFoldXor:
 
 
 class TestConversionsAndPages:
-    def test_bits_to_kib(self):
-        assert bitutils.bits_to_kib(8 * 1024) == 1.0
-
     def test_kib_to_bits(self):
         assert bitutils.kib_to_bits(14.5) == 14.5 * 1024 * 8
 

@@ -424,15 +424,19 @@ class TestPlotCommand:
         import pathlib
 
         smoke = pathlib.Path(__file__).parent.parent / "results" / "shared_footprint_smoke.csv"
-        exit_code = main(
-            ["plot", str(smoke), "--out-dir", str(tmp_path), "--backend", "svg"]
-        )
+        exit_code = main(["plot", str(smoke), "--out-dir", str(tmp_path)])
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "wrote" in out
         written = list(tmp_path.glob("*.svg"))
         assert written, "plot command produced no figures"
         assert any("btb_mpki" in path.name for path in written)
+        assert sorted(tmp_path.iterdir()) == sorted(written), "plot writes SVG only"
+
+    def test_plot_has_no_backend_option(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["plot", str(tmp_path / "x.csv"), "--backend", "svg"])
+        assert excinfo.value.code == 2
 
 
 class TestCacheCommands:

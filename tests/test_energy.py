@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.errors import EnergyModelError
 from repro.energy.btb_energy import BTBEnergyModel
-from repro.energy.sram import SRAMArray, sram_access_latency_ns, sram_read_energy_pj
+from repro.energy.sram import SRAMArray
 
 
 class TestSRAMArray:
@@ -41,10 +41,6 @@ class TestSRAMArray:
         array = SRAMArray("page", 512, 20, associativity=16)
         assert array.search_energy_pj(16) == pytest.approx(6.2, abs=0.3)
         assert array.search_energy_pj(512) > array.search_energy_pj(16)
-
-    def test_wrappers(self):
-        assert sram_read_energy_pj(1856, 64, 8) == pytest.approx(13.2, abs=0.3)
-        assert sram_access_latency_ns(1856, 64, 8) == pytest.approx(0.36, abs=0.02)
 
 
 class TestBTBEnergyModel:

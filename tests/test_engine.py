@@ -303,21 +303,6 @@ class TestTraceStore:
         clear_trace_cache()
         assert not engine._memo
 
-    def test_non_canonical_trace_bypasses_the_caches(self):
-        from repro.experiments.runner import simulate
-        from repro.workloads.execution import generate_trace
-        from repro.workloads.spec import server_spec
-
-        # A custom-named trace must never be served from (or poison) the
-        # name-keyed caches, even when a canonical-looking scale is used.
-        custom = generate_trace(server_spec("not_a_suite_workload", seed=5), 8_000)
-        engine = ExperimentEngine(workers=1)
-        with use_engine(engine):
-            scale = dataclasses.replace(SMOKE_SCALE, instructions=8_000)
-            result = simulate(custom, BTBStyle.BTBX, 1.8125, True, scale)
-        assert result.workload == "not_a_suite_workload"
-        assert engine.stats()["submitted"] == 0
-
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):
             TraceStore(max_traces=0)

@@ -256,9 +256,8 @@ def _shared_records():
         "btb._MISS_RESULT": btb_base._MISS_RESULT,
         "cache._HIT_RESULT": cache_module._HIT_RESULT,
         "cache._MISS_RESULT": cache_module._MISS_RESULT,
+        "hierarchy._L1I_HIT": hierarchy_module._L1I_HIT,
     }
-    for name in ("_L1I_HIT", "_L1D_HIT"):
-        records[f"hierarchy.{name}"] = getattr(hierarchy_module, name)
     for level, result in hierarchy._miss_results.items():
         records[f"hierarchy.miss.{level}"] = result
     return records

@@ -24,13 +24,6 @@ class TestBranchType:
         assert BranchType.INDIRECT_CALL.is_call
         assert not BranchType.CONDITIONAL.is_call
 
-    def test_decode_resolvable(self):
-        assert BranchType.UNCONDITIONAL.decode_resolvable
-        assert BranchType.CALL.decode_resolvable
-        assert BranchType.CONDITIONAL.decode_resolvable
-        assert not BranchType.RETURN.decode_resolvable
-        assert not BranchType.INDIRECT.decode_resolvable
-
     def test_two_bit_encoding(self):
         encodings = {bt.encoding() for bt in BranchType if bt.is_branch}
         assert encodings == {0, 1, 2, 3}

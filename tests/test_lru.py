@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.lru import LRUState, TreePLRUState
+from repro.common.lru import LRUState
 
 
 class TestLRU:
@@ -68,31 +68,3 @@ class TestLRU:
             lru.touch(way)
         assert lru.victim(sorted(eligible)) in eligible
 
-
-class TestTreePLRU:
-    def test_requires_power_of_two(self):
-        with pytest.raises(ValueError):
-            TreePLRUState(6)
-
-    def test_single_way(self):
-        plru = TreePLRUState(1)
-        plru.touch(0)
-        assert plru.victim() == 0
-
-    def test_victim_avoids_recent_way(self):
-        plru = TreePLRUState(4)
-        plru.touch(0)
-        assert plru.victim() != 0
-
-    def test_eligible_fallback(self):
-        plru = TreePLRUState(4)
-        plru.touch(0)
-        victim = plru.victim([1])
-        assert victim == 1
-
-    @given(st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=40))
-    def test_victim_in_range(self, touches):
-        plru = TreePLRUState(8)
-        for way in touches:
-            plru.touch(way)
-        assert 0 <= plru.victim() < 8

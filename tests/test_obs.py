@@ -7,7 +7,7 @@ export (deterministic, Perfetto-loadable shape), the report aggregation
 (percentiles, pool utilization, cache hit rates, per-driver throughput), the
 cross-process story (pool workers ship spans back and the parent merges them
 under consistent parent ids), and the CLI surface (``--trace-out``,
-``--trace-format chrome``, ``obs report|export``, ``--quiet``/``--verbose``).
+``obs report|export``, ``--quiet``/``--verbose``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.experiments.runner import clear_trace_cache
 from repro.obs import (
     NULL_RECORDER,
     OBS_ENV_VAR,
-    OBS_FORMAT_ENV_VAR,
     JsonlRecorder,
     NullRecorder,
     Recorder,
@@ -42,7 +41,6 @@ from repro.traces.store import TraceStore
 @pytest.fixture(autouse=True)
 def _clean_obs_state(monkeypatch):
     monkeypatch.delenv(OBS_ENV_VAR, raising=False)
-    monkeypatch.delenv(OBS_FORMAT_ENV_VAR, raising=False)
     yield
     set_recorder(None)
     clear_trace_cache()
@@ -138,24 +136,25 @@ class TestMetricsRegistry:
         recorder.gauge("workers", 8)
         assert recorder.metrics_snapshot()["gauges"] == {"workers": 8}
 
-    def test_histograms_collect_observations(self):
+    def test_snapshot_holds_counters_and_gauges_only(self):
         recorder = JsonlRecorder(origin="t")
-        recorder.observe("latency", 0.1)
-        recorder.observe("latency", 0.3)
-        assert recorder.metrics_snapshot()["histograms"] == {"latency": [0.1, 0.3]}
+        recorder.count("jobs")
+        recorder.gauge("workers", 2)
+        assert recorder.metrics_snapshot() == {
+            "counters": {"jobs": 1},
+            "gauges": {"workers": 2},
+        }
 
     def test_drain_flushes_metrics_as_sorted_events(self):
         recorder = JsonlRecorder(origin="t")
         recorder.count("b.count", 2)
         recorder.count("a.count", 1)
         recorder.gauge("g", 3.5)
-        recorder.observe("h", 1.0)
         events = recorder.drain()
         assert [(e["type"], e["name"]) for e in events] == [
             ("counter", "a.count"),
             ("counter", "b.count"),
             ("gauge", "g"),
-            ("histogram", "h"),
         ]
         # Drain clears everything: a second drain is empty.
         assert recorder.drain() == []
@@ -170,7 +169,6 @@ class TestNullRecorder:
         assert span.span_id is None
         recorder.count("x")
         recorder.gauge("y", 1.0)
-        recorder.observe("z", 2.0)
 
     def test_null_span_is_a_shared_singleton(self):
         assert NULL_RECORDER.span("a") is NULL_RECORDER.span("b")
@@ -461,15 +459,22 @@ class TestCliSurface:
         assert "scenario.simulate" in names and "scenario.compose" in names
         assert f"(telemetry trace written to {trace})" in capsys.readouterr().out
 
-    def test_trace_format_chrome_writes_trace_events(self, tmp_path):
-        trace = tmp_path / "run.chrome.json"
+    def test_obs_export_converts_a_recorded_run(self, tmp_path):
+        trace = tmp_path / "run.jsonl"
+        chrome = tmp_path / "run.chrome.json"
         assert main(
             ["scenario", "run", "noisy_neighbor", "--scale", "smoke",
-             "--cache-dir", str(tmp_path / "cache"),
-             "--trace-out", str(trace), "--trace-format", "chrome"]
+             "--cache-dir", str(tmp_path / "cache"), "--trace-out", str(trace)]
         ) == 0
-        document = json.loads(trace.read_text())
-        assert document["traceEvents"]
+        assert main(["obs", "export", str(trace), "--out", str(chrome)]) == 0
+        document = json.loads(chrome.read_text())
+        assert document["traceEvents"] == to_chrome_events(read_trace(trace))
+        assert "scenario.simulate" in {e["name"] for e in document["traceEvents"]}
+
+    def test_trace_format_is_not_an_option(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["scenario", "run", "noisy_neighbor", "--scale", "smoke",
+                  "--trace-out", str(tmp_path / "t.json"), "--trace-format", "chrome"])
 
     def test_env_var_enables_recording(self, tmp_path, monkeypatch):
         trace = tmp_path / "env.jsonl"

@@ -5,17 +5,18 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.analysis.offset_analysis import offset_distribution
 from repro.common.config import ISAStyle
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
 from repro.btb.offsets import (
     instruction_stored_offset_bits,
     offset_bits,
-    offset_histogram,
     recover_target,
     stored_offset_bits,
     target_offset,
 )
+from repro.traces.trace import Trace
 
 addresses = st.integers(min_value=0, max_value=(1 << 48) - 1)
 
@@ -84,7 +85,8 @@ class TestInstructionHelpers:
         assert instruction_stored_offset_bits(call) > 25
         assert instruction_stored_offset_bits(ret) == 0
 
-    def test_offset_histogram(self, handmade_branches):
-        histogram = offset_histogram(handmade_branches)
-        assert sum(histogram.values()) == len(handmade_branches)
-        assert histogram.get(0, 0) >= 1  # the return contributes a zero-bit entry
+    def test_offset_distribution_counts_every_branch(self, handmade_branches):
+        distribution = offset_distribution(Trace("handmade", handmade_branches))
+        assert distribution.total_branches == len(handmade_branches)
+        # The return contributes a zero-bit entry.
+        assert distribution.histogram.get(0, 0) >= 1

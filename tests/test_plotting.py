@@ -55,7 +55,7 @@ class TestEverySweepPlots:
         monkeypatch.setenv("REPRO_SCALE", "smoke")
         csv_path = tmp_path / "sweep.csv"
         assert main(["sweep"] + argv + ["--csv", str(csv_path)]) == 0
-        figures = plotting.plot_csv(str(csv_path), backend="svg")
+        figures = plotting.plot_csv(str(csv_path))
         by_name = {pathlib.Path(p).name: pathlib.Path(p) for p in figures}
         assert f"sweep_{figure}.svg" in by_name, sorted(by_name)
         text = by_name[f"sweep_{figure}.svg"].read_text(encoding="utf-8")
@@ -64,7 +64,7 @@ class TestEverySweepPlots:
 
     def test_x_axis_and_series_come_from_the_rows(self, tmp_path):
         (figure,) = [
-            p for p in plotting.plot_csv(_tiny_csv(tmp_path), backend="svg")
+            p for p in plotting.plot_csv(_tiny_csv(tmp_path))
             if p.endswith("btb_mpki.svg")
         ]
         text = pathlib.Path(figure).read_text(encoding="utf-8")
@@ -80,7 +80,7 @@ class TestEverySweepPlots:
 
 class TestSvgRendering:
     def test_plot_csv_writes_valid_svg_per_metric(self, tmp_path):
-        figures = plotting.plot_csv(_tiny_csv(tmp_path), backend="svg")
+        figures = plotting.plot_csv(_tiny_csv(tmp_path))
         assert len(figures) == 2  # btb_mpki + ipc
         for figure in figures:
             root = ElementTree.parse(figure).getroot()
@@ -93,13 +93,13 @@ class TestSvgRendering:
 
     def test_output_is_deterministic(self, tmp_path):
         csv_path = _tiny_csv(tmp_path)
-        first = [pathlib.Path(p).read_text() for p in plotting.plot_csv(csv_path, backend="svg")]
-        second = [pathlib.Path(p).read_text() for p in plotting.plot_csv(csv_path, backend="svg")]
+        first = [pathlib.Path(p).read_text() for p in plotting.plot_csv(csv_path)]
+        second = [pathlib.Path(p).read_text() for p in plotting.plot_csv(csv_path)]
         assert first == second
 
     def test_out_dir_is_respected(self, tmp_path):
         out = tmp_path / "figures"
-        figures = plotting.plot_csv(_tiny_csv(tmp_path), out_dir=str(out), backend="svg")
+        figures = plotting.plot_csv(_tiny_csv(tmp_path), out_dir=str(out))
         assert all(pathlib.Path(p).parent == out for p in figures)
 
     def test_empty_csv_raises_schema_error(self, tmp_path):
@@ -114,7 +114,7 @@ class TestCommittedFigure:
 
     def test_committed_figure_matches_its_csv(self, tmp_path):
         assert SMOKE_CSV.exists() and COMMITTED_FIGURE.exists()
-        figures = plotting.plot_csv(str(SMOKE_CSV), out_dir=str(tmp_path), backend="svg")
+        figures = plotting.plot_csv(str(SMOKE_CSV), out_dir=str(tmp_path))
         regenerated = {pathlib.Path(p).name: pathlib.Path(p).read_text() for p in figures}
         assert COMMITTED_FIGURE.name in regenerated
         assert COMMITTED_FIGURE.read_text() == regenerated[COMMITTED_FIGURE.name], (
@@ -126,19 +126,3 @@ class TestCommittedFigure:
         root = ElementTree.parse(COMMITTED_FIGURE).getroot()
         assert root.tag.endswith("svg")
 
-
-class TestBackendResolution:
-    def test_svg_backend_always_available(self):
-        assert plotting.resolve_backend("svg") == "svg"
-
-    def test_auto_resolves_to_an_available_backend(self):
-        assert plotting.resolve_backend("auto") in ("svg", "mpl")
-
-    def test_mpl_requested_without_matplotlib_raises(self, monkeypatch):
-        monkeypatch.setattr(plotting, "matplotlib_available", lambda: False)
-        with pytest.raises(plotting.PlotSchemaError, match="matplotlib"):
-            plotting.resolve_backend("mpl")
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(plotting.PlotSchemaError, match="unknown plot backend"):
-            plotting.resolve_backend("gnuplot")

@@ -2,18 +2,26 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
-from repro.common.config import BTBStyle
 from repro.experiments.config import SMOKE_SCALE
 from repro.experiments.runner import (
     EVALUATED_STYLES,
     clear_trace_cache,
     evaluation_traces,
     is_server_workload,
-    simulate,
     style_label,
+)
+
+#: Every ``repro.*`` package (a module with submodules), imported by name.
+PACKAGES = ["repro"] + sorted(
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    if info.ispkg
 )
 
 
@@ -21,9 +29,11 @@ class TestPackageSurface:
     def test_version(self):
         assert repro.__version__ == "1.0.0"
 
-    def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_all_exports_resolve(self, package):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            assert hasattr(module, name), f"{package}.{name}"
 
     def test_quickstart_flow(self):
         trace = repro.build_workload("client_001", 4_000)
@@ -52,22 +62,4 @@ class TestRunnerHelpers:
         assert len(traces) == SMOKE_SCALE.client_workloads + SMOKE_SCALE.server_workloads
         for trace in traces:
             assert len(trace) == SMOKE_SCALE.instructions
-        clear_trace_cache()
-
-    def test_simulate_single_config(self):
-        clear_trace_cache()
-        trace = evaluation_traces(SMOKE_SCALE, suites=("ipc1_client",))[0]
-        result = simulate(trace, BTBStyle.CONVENTIONAL, 0.90625, fdip_enabled=True, scale=SMOKE_SCALE)
-        assert result.workload == trace.name
-        assert result.instructions == SMOKE_SCALE.instructions - SMOKE_SCALE.warmup_instructions
-        assert result.btb_storage_kib <= 0.91
-        clear_trace_cache()
-
-    @pytest.mark.parametrize("style", EVALUATED_STYLES)
-    def test_simulate_all_styles_produce_metrics(self, style):
-        clear_trace_cache()
-        trace = evaluation_traces(SMOKE_SCALE, suites=("ipc1_client",))[0]
-        result = simulate(trace, style, 1.8125, fdip_enabled=False, scale=SMOKE_SCALE)
-        assert result.cycles > 0
-        assert result.ipc > 0
         clear_trace_cache()

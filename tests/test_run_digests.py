@@ -77,7 +77,7 @@ def run_cell(style, budget_kib, max_instructions, backend) -> dict:
         "result": _sha256(
             {"payload": _result_to_payload(result), "btb": btb.energy_access_counts()}
         ),
-        "stats": _sha256(simulator.stats.to_dict()),
+        "stats": _sha256(simulator.stats.counters()),
     }
 
 

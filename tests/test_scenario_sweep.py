@@ -102,7 +102,9 @@ class TestComposerWeightProperties:
         total=st.integers(min_value=0, max_value=4_096),
         semantics=st.sampled_from(["warm", "cold"]),
     )
-    def test_switch_count_prediction_matches_any_stream(self, quantum, total, semantics):
+    def test_switch_count_matches_the_turn_count(self, quantum, total, semantics):
+        """Two tenants alternate every turn, so each turn after the first
+        switches, under warm and cold semantics alike."""
         spec = ScenarioSpec(
             name="prop_switches",
             tenants=(TenantSpec("a", "server_001"), TenantSpec("b", "client_001")),
@@ -111,13 +113,13 @@ class TestComposerWeightProperties:
         )
         store = default_store()
         traces = {w: store.get(w, 2_048) for w in set(spec.workloads)}
-        composer = TraceComposer(spec, traces)
         switches, previous = 0, None
-        for asid, _, _ in composer.stream(total):
+        for asid, _, _ in TraceComposer(spec, traces).stream(total):
             if previous is not None and asid != previous:
                 switches += 1
             previous = asid
-        assert switches == composer.context_switch_count(total)
+        turns = -(-total // quantum)
+        assert switches == max(turns - 1, 0)
 
 
 # -- variant derivation -------------------------------------------------------

@@ -40,7 +40,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.presets import PRESET_NAMES
 from repro.traces.store import default_store
-from repro.traces.trace import Trace, TraceCursor
+from repro.traces.trace import Trace
 
 
 @pytest.fixture(autouse=True)
@@ -130,54 +130,86 @@ class TestScenarioSpec:
             get_scenario("no_such_scenario")
 
 
-class TestTraceCursor:
-    def test_wraps_and_counts(self, small_client_trace):
-        cursor = TraceCursor(small_client_trace)
-        length = len(small_client_trace)
-        first = list(cursor.take(length + 10))
-        assert len(first) == length + 10
-        assert cursor.laps == 1
-        assert cursor.position == 10
-        assert cursor.consumed == length + 10
-        # The wrapped tail replays the head of the trace.
-        assert [i.pc for i in first[length:]] == [
-            small_client_trace[i].pc for i in range(10)
-        ]
+def _straight_line_trace(name: str, base: int, count: int) -> Trace:
+    """``count`` 4-byte non-branch instructions at ``base``, ``base + 4``, ..."""
+    return Trace(name, [Instruction(pc=base + 4 * i, size=4) for i in range(count)])
 
-    def test_abandoned_take_leaves_cursor_consistent(self, small_client_trace):
-        """Regression: a ``take()`` dropped mid-way must commit exactly what
-        it yielded -- position, laps, and consumed all agreeing -- so the
-        cursor resumes at the next unread instruction."""
-        cursor = TraceCursor(small_client_trace)
-        length = len(small_client_trace)
-        partial = cursor.take(length + 10)
-        first = [next(partial) for _ in range(length + 3)]
-        partial.close()  # abandon the take after wrapping once
-        assert cursor.position == 3
-        assert cursor.laps == 1
-        assert cursor.consumed == length + 3
-        assert [i.pc for i in first[length:]] == [
-            small_client_trace[i].pc for i in range(3)
-        ]
-        # The next take starts at exactly the next unread instruction.
-        resumed = list(cursor.take(2))
-        assert [i.pc for i in resumed] == [
-            small_client_trace[3].pc,
-            small_client_trace[4].pc,
-        ]
-        assert cursor.consumed == length + 5
-        assert cursor.laps == 1
 
-    def test_take_abandoned_by_exception_still_commits(self, small_client_trace):
-        cursor = TraceCursor(small_client_trace)
-        taking = cursor.take(100)
-        for _ in range(7):
-            next(taking)
-        with pytest.raises(RuntimeError):
-            taking.throw(RuntimeError("consumer died"))
-        assert cursor.position == 7
-        assert cursor.consumed == 7
-        assert cursor.laps == 0
+class TestComposerSchedule:
+    """The composer's schedule against hand-built ``(asid, tenant, pc)`` sequences.
+
+    Tiny straight-line traces make every expected element writable by hand:
+    tenant ``a`` runs at ``A + 4 * i`` and tenant ``b`` at ``B + 4 * i``.
+    """
+
+    A, B = 0x10000, 0x20000
+
+    def _composer(self, a_length=20, b_length=20, tenants=("a", "b"), **settings):
+        traces = {
+            "wl_a": _straight_line_trace("wl_a", self.A, a_length),
+            "wl_b": _straight_line_trace("wl_b", self.B, b_length),
+        }
+        weights = settings.pop("weights", {})
+        spec = ScenarioSpec(
+            name="schedule",
+            tenants=tuple(
+                TenantSpec(name, f"wl_{name}", weight=weights.get(name, 1)) for name in tenants
+            ),
+            **settings,
+        )
+        return TraceComposer(spec, traces)
+
+    def _turn(self, asid, tenant, indices):
+        base = self.A if tenant == "a" else self.B
+        return [(asid, tenant, base + 4 * i) for i in indices]
+
+    @staticmethod
+    def _stream(composer, total):
+        return [(asid, tenant, inst.pc) for asid, tenant, inst in composer.stream(total)]
+
+    def test_warm_two_tenants_with_unequal_quanta(self):
+        composer = self._composer(
+            quantum_instructions=3, policy="weighted", weights={"a": 2, "b": 1}
+        )
+        expected = (
+            self._turn(0, "a", range(0, 6))
+            + self._turn(1, "b", range(0, 3))
+            + self._turn(0, "a", range(6, 11))
+        )
+        assert self._stream(composer, 14) == expected
+
+    def test_a_tenant_trace_wraps_mid_turn(self):
+        composer = self._composer(a_length=4, b_length=10, quantum_instructions=3)
+        expected = (
+            self._turn(0, "a", [0, 1, 2])
+            + self._turn(1, "b", [0, 1, 2])
+            + self._turn(0, "a", [3, 0, 1])
+            + self._turn(1, "b", [3, 4, 5])
+        )
+        assert self._stream(composer, 12) == expected
+
+    def test_cold_takes_a_fresh_asid_every_turn(self):
+        composer = self._composer(quantum_instructions=2, switch_semantics="cold")
+        expected = (
+            self._turn(0, "a", [0, 1])
+            + self._turn(1, "b", [0, 1])
+            + self._turn(2, "a", [2, 3])
+            + self._turn(3, "b", [2])
+        )
+        assert self._stream(composer, 7) == expected
+
+    def test_one_warm_tenant_never_switches(self):
+        composer = self._composer(a_length=5, tenants=("a",), quantum_instructions=3)
+        assert self._stream(composer, 8) == self._turn(0, "a", [0, 1, 2, 3, 4, 0, 1, 2])
+
+    @pytest.mark.parametrize("total", [0, 1, 5, 6, 7, 61])
+    def test_stream_has_the_exact_length(self, total):
+        composer = self._composer(a_length=4, b_length=9, quantum_instructions=5)
+        assert len(self._stream(composer, total)) == total
+
+    def test_negative_length_is_rejected(self):
+        with pytest.raises(ConfigurationError):
+            list(self._composer().stream(-1))
 
 
 class TestTraceComposer:
@@ -229,18 +261,6 @@ class TestTraceComposer:
         slots = list(TraceComposer(spec, traces).stream(5_000))
         trace = traces["client_001"]
         assert [i.pc for _, _, i in slots[2_000:4_000]] == [inst.pc for inst in trace]
-
-    def test_context_switch_count_matches_stream(self):
-        for semantics in ("warm", "cold"):
-            spec = _two_tenant_spec(switch_semantics=semantics)
-            composer = TraceComposer(spec, self._traces(spec))
-            changes = 0
-            previous = None
-            for asid, _, _ in composer.stream(5_500):
-                if previous is not None and asid != previous:
-                    changes += 1
-                previous = asid
-            assert changes == composer.context_switch_count(5_500)
 
     def test_mixed_isa_rejected(self, small_server_trace, small_x86_trace):
         spec = ScenarioSpec(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.common.stats import Distribution, Stats, merge_all
+from repro.common.stats import Stats
 
 
 class TestCounters:
@@ -23,39 +23,13 @@ class TestCounters:
         stats.set("x", 3)
         assert stats.get("x") == 3
 
-    def test_ratio_and_per_kilo(self):
+    def test_counters_is_a_snapshot(self):
         stats = Stats()
-        stats.inc("misses", 5)
-        stats.inc("instructions", 1000)
-        assert stats.ratio("misses", "instructions") == 0.005
-        assert stats.per_kilo("misses", "instructions") == 5.0
-
-    def test_ratio_zero_denominator(self):
-        assert Stats().ratio("a", "b") == 0.0
-
-    def test_merge(self):
-        a, b = Stats(), Stats()
-        a.inc("hits", 2)
-        b.inc("hits", 3)
-        b.inc("misses", 1)
-        a.merge(b)
-        assert a.get("hits") == 5
-        assert a.get("misses") == 1
-
-    def test_merge_all(self):
-        parts = []
-        for i in range(3):
-            s = Stats()
-            s.inc("n", i + 1)
-            parts.append(s)
-        assert merge_all(parts).get("n") == 6
-
-    def test_iteration_and_len(self):
-        stats = Stats()
-        stats.inc("b")
+        stats.inc("a", 2)
+        snapshot = stats.counters()
         stats.inc("a")
-        assert len(stats) == 2
-        assert [name for name, _ in stats] == ["a", "b"]
+        assert snapshot == {"a": 2}
+        assert stats.counters() == {"a": 3}
 
 
 class TestGroups:
@@ -63,48 +37,15 @@ class TestGroups:
         stats = Stats()
         group = stats.group("btb")
         group.inc("hits")
+        group.add("cycles", 1.5)
+        assert group.prefix == "btb"
         assert stats.get("btb.hits") == 1
         assert group.get("hits") == 1
+        assert stats.counters() == {"btb.hits": 1, "btb.cycles": 1.5}
 
-    def test_nested_groups(self):
+    def test_groups_share_one_registry(self):
         stats = Stats()
-        sub = stats.group("core").subgroup("fetch")
-        sub.inc("stalls", 7)
-        assert stats.get("core.fetch.stalls") == 7
-
-
-class TestDistribution:
-    def test_observe_and_summary(self):
-        dist = Distribution()
-        for value in (1, 2, 2, 10):
-            dist.observe(value)
-        assert dist.count == 4
-        assert dist.minimum == 1
-        assert dist.maximum == 10
-        assert dist.mean == 3.75
-
-    def test_cumulative_fraction(self):
-        dist = Distribution()
-        for value in (1, 2, 3, 4):
-            dist.observe(value)
-        assert dist.cumulative_fraction(2) == 0.5
-        assert dist.cumulative_fraction(10) == 1.0
-
-    def test_empty_distribution(self):
-        dist = Distribution()
-        assert dist.mean == 0.0
-        assert dist.cumulative_fraction(5) == 0.0
-
-    def test_merge(self):
-        a, b = Distribution(), Distribution()
-        a.observe(1)
-        b.observe(5)
-        a.merge(b)
-        assert a.count == 2
-        assert a.maximum == 5
-
-    def test_stats_observe_creates_distribution(self):
-        stats = Stats()
-        stats.observe("offsets", 6)
-        stats.observe("offsets", 20)
-        assert stats.distribution("offsets").count == 2
+        stats.group("l1i").inc("misses", 2)
+        stats.group("l2").inc("misses", 3)
+        assert stats.get("l1i.misses") == 2
+        assert stats.get("l2.misses") == 3

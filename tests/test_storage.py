@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from repro.common.bitutils import kib_to_bits
 from repro.common.config import BTBStyle, ISAStyle, default_machine_config
 from repro.common.errors import ConfigurationError
 from repro.btb.btbx import BTBX
@@ -20,6 +21,11 @@ PAPER_TABLE3_KIB = (0.90625, 1.8125, 3.625, 7.25, 14.5, 29.0, 58.0)
 PAPER_TABLE4_PDEDE = (210, 415, 820, 1617, 3190, 6292, 12405)
 PAPER_TABLE4_CONV = (116, 232, 464, 928, 1856, 3712, 7424)
 BOUNDED_STYLES = [style for style in BTBStyle if style is not BTBStyle.IDEAL]
+
+#: Budgets between and around the canonical ones, from below one set to 100 KiB.
+OFF_CANONICAL_BUDGETS_KIB = (
+    0.05, 0.1, 0.2, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 12.0, 20.0, 40.0, 50.0, 75.0, 100.0
+)
 
 
 class TestTable3:
@@ -88,6 +94,19 @@ class TestFactories:
         for budget in PAPER_TABLE3_KIB:
             btb = make_btb_for_budget(style, budget, isa=isa)
             assert btb.storage_kib() <= budget, (style, isa, budget)
+
+    @pytest.mark.parametrize("isa", list(ISAStyle))
+    @pytest.mark.parametrize("style", BOUNDED_STYLES)
+    @pytest.mark.parametrize("budget_kib", OFF_CANONICAL_BUDGETS_KIB)
+    def test_any_budget_builds_within_it_or_is_refused(self, style, budget_kib, isa):
+        """Off the canonical grid too: PDede's Page-BTB rounds to a power of
+        two of entries, which at budgets such as 12 and 100 KiB rounds past its
+        share."""
+        try:
+            btb = make_btb_for_budget(style, budget_kib, isa=isa)
+        except ConfigurationError:
+            return
+        assert btb.storage_bits() <= kib_to_bits(budget_kib), (style, isa, budget_kib)
 
     @pytest.mark.parametrize("isa", list(ISAStyle))
     @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Tests for the trace container, formats and slicing helpers."""
+"""Tests for the trace container and its on-disk formats."""
 
 from __future__ import annotations
 
@@ -9,8 +9,7 @@ from repro.common.config import ISAStyle
 from repro.common.errors import TraceFormatError
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
-from repro.traces.binary_io import iter_binary_trace, read_binary_trace, write_binary_trace, write_many
-from repro.traces.filters import branch_only, iter_windows, split_warmup, taken_branches, window
+from repro.traces.binary_io import iter_binary_trace, read_binary_trace, write_binary_trace
 from repro.traces.text_io import read_text_trace, write_text_trace
 from repro.traces.trace import Trace, TraceSet
 
@@ -93,11 +92,6 @@ class TestBinaryFormat:
         with pytest.raises(TraceFormatError):
             read_binary_trace(path)
 
-    def test_write_many(self, tmp_path):
-        paths = write_many([_tiny_trace()], tmp_path / "suite")
-        assert len(paths) == 1
-        assert paths[0].exists()
-
     @settings(max_examples=25, deadline=None)
     @given(
         st.lists(
@@ -141,32 +135,3 @@ class TestTextFormat:
         path.write_text("0x1000 4 mystery 1 0x2000\n")
         with pytest.raises(TraceFormatError):
             read_text_trace(path)
-
-
-class TestFilters:
-    def test_split_warmup(self):
-        warm, measured = split_warmup(_tiny_trace(), 2)
-        assert len(warm) == 2
-        assert len(measured) == 4
-
-    def test_split_warmup_longer_than_trace(self):
-        warm, measured = split_warmup(_tiny_trace(), 100)
-        assert len(warm) == 6
-        assert len(measured) == 0
-
-    def test_split_warmup_negative_rejected(self):
-        with pytest.raises(ValueError):
-            split_warmup(_tiny_trace(), -1)
-
-    def test_window(self):
-        piece = window(_tiny_trace(), 2, 3)
-        assert len(piece) == 3
-
-    def test_branch_only_and_taken(self):
-        trace = _tiny_trace()
-        assert len(branch_only(trace)) == 4
-        assert len(taken_branches(trace)) == 3
-
-    def test_iter_windows(self):
-        pieces = list(iter_windows(_tiny_trace(), 4))
-        assert [len(p) for p in pieces] == [4, 2]
