@@ -195,17 +195,14 @@ class BTBStorageModel:
         """PDede sizing for a budget.
 
         Returns ``(main_entries, page_entries, avg_entry_bits, page_budget_kib,
-        main_budget_kib)`` following the paper's split: the Page-BTB gets
-        ~8.6 % of the budget, the Region-BTB a fixed 0.0107 KB, and the
-        Main-BTB the rest.  Where rounding the Page-BTB to a power of two of
-        entries takes more than its share, its actual bits are charged
-        instead, so the whole never exceeds the budget.  At the canonical
-        Arm64 budgets the share and the actual bits are equal.
+        main_budget_kib)`` following the paper's split: the Page-BTB gets the
+        power of two of entries nearest ~8.6 % of the budget and is charged
+        its actual bits, the Region-BTB a fixed 0.0107 KB, and the Main-BTB
+        the rest.  At the canonical Arm64 budgets the Page-BTB's bits are
+        exactly its 8.6 % share.
         """
         page_entries = self.pdede_page_entries_for_budget(budget_kib)
-        page_budget_kib = max(
-            budget_kib * PDEDE_PAGE_BUDGET_FRACTION, page_entries * PDEDE_PAGE_ENTRY_BITS / 8192
-        )
+        page_budget_kib = page_entries * PDEDE_PAGE_ENTRY_BITS / 8192
         main_budget_kib = budget_kib - page_budget_kib - PDEDE_REGION_STORAGE_KIB
         _, _, avg_bits = self.pdede_entry_bits(page_entries)
         main_entries = int(kib_to_bits(main_budget_kib) // avg_bits)

@@ -23,8 +23,6 @@ Examples::
 Scale resolution honors the ``REPRO_SCALE`` environment variable: when set
 (to ``smoke``, ``quick`` or ``full``) it overrides the ``--scale`` flag, so
 CI and batch jobs can redirect every invocation without editing commands.
-Telemetry recording honors ``REPRO_OBS`` the same way: when set to a path it
-acts like ``--trace-out`` for every command.
 """
 
 from __future__ import annotations
@@ -48,13 +46,7 @@ from repro.experiments.config import (
     current_scale,
 )
 from repro.experiments.engine import ExperimentEngine, ResultCache, use_engine
-from repro.obs import (
-    OBS_ENV_VAR,
-    JsonlRecorder,
-    get_recorder,
-    trace_path_from_env,
-    use_recorder,
-)
+from repro.obs import JsonlRecorder, get_recorder, use_recorder
 
 #: Experiment name -> module path (relative to repro.experiments).
 EXPERIMENTS: Dict[str, str] = {
@@ -371,7 +363,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="record structured telemetry (spans + metrics) of this run to the "
         "given file as JSON Lines, the input of 'obs report' and 'obs export' "
-        f"(default: the {OBS_ENV_VAR} environment variable, else off)",
+        "(default: off)",
     )
 
 
@@ -817,13 +809,11 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(str(exc))
         env_updates[BACKEND_ENV_VAR] = args.backend
 
-    # Telemetry follows the same pattern: --trace-out (or REPRO_OBS) turns on
-    # a JsonlRecorder around the whole command; the env export lets nested
-    # invocations and subprocesses see that recording is on.  The `obs`
+    # --trace-out turns on a JsonlRecorder around the whole command; pool
+    # workers record per job and ship their events back to it.  The `obs`
     # subcommand only *reads* traces, so it never records itself.
-    trace_out = getattr(args, "trace_out", None) or trace_path_from_env()
+    trace_out = getattr(args, "trace_out", None)
     if trace_out and args.command != "obs":
-        env_updates[OBS_ENV_VAR] = trace_out
         recorder = JsonlRecorder()
         with _scoped_environ(env_updates):
             with use_recorder(recorder):

@@ -4,8 +4,8 @@ The :mod:`repro.common` package intentionally has no dependencies on the rest of
 the code base.  It provides:
 
 * :mod:`repro.common.bitutils` -- bit manipulation helpers (masking, folding,
-  bit-length and page arithmetic) used by the BTB organizations and the
-  offset analysis.
+  power-of-two and budget arithmetic) used by the BTB organizations and the
+  storage model.
 * :mod:`repro.common.config` -- frozen dataclass configuration objects for the
   core, caches, BTBs and simulations.
 * :mod:`repro.common.stats` -- a lightweight named-counter registry with
@@ -24,8 +24,6 @@ from repro.common.asid import (
     retains_across_switch,
 )
 from repro.common.bitutils import (
-    bit_length,
-    extract_bits,
     fold_xor,
     is_power_of_two,
     mask,
@@ -52,8 +50,6 @@ __all__ = [
     "AddressSpacePolicy",
     "ASIDCheckpointStore",
     "retains_across_switch",
-    "bit_length",
-    "extract_bits",
     "fold_xor",
     "is_power_of_two",
     "mask",

@@ -21,30 +21,6 @@ def mask(num_bits: int) -> int:
     return (1 << num_bits) - 1
 
 
-def extract_bits(value: int, low: int, high: int) -> int:
-    """Extract bits ``low`` (inclusive) through ``high`` (exclusive) from ``value``.
-
-    Bit 0 is the least significant bit.
-
-    >>> extract_bits(0b101100, 2, 4)
-    3
-    """
-    if low < 0 or high < low:
-        raise ValueError(f"invalid bit range [{low}, {high})")
-    return (value >> low) & mask(high - low)
-
-
-def bit_length(value: int) -> int:
-    """Return the number of bits required to represent ``value``.
-
-    Unlike :meth:`int.bit_length`, negative values are rejected because the
-    simulated structures only ever deal with unsigned quantities.
-    """
-    if value < 0:
-        raise ValueError(f"bit_length is defined for non-negative values, got {value}")
-    return value.bit_length()
-
-
 def is_power_of_two(value: int) -> bool:
     """Return ``True`` when ``value`` is a positive power of two."""
     return value > 0 and (value & (value - 1)) == 0
@@ -79,32 +55,3 @@ def fold_xor(value: int, width: int) -> int:
 def kib_to_bits(kib: float) -> int:
     """Convert a kibibyte budget to an integer bit budget (rounded down)."""
     return int(kib * 1024 * 8)
-
-
-def same_page(addr_a: int, addr_b: int, page_bits: int = 12) -> bool:
-    """Return ``True`` when two addresses share a virtual page.
-
-    ``page_bits`` defaults to 12 (4 KiB pages), the page size assumed by the
-    paper's PDede and R-BTB descriptions.
-    """
-    return (addr_a >> page_bits) == (addr_b >> page_bits)
-
-
-def page_number(addr: int, page_bits: int = 12) -> int:
-    """Return the virtual page number of ``addr``."""
-    return addr >> page_bits
-
-
-def page_offset(addr: int, page_bits: int = 12) -> int:
-    """Return the page offset of ``addr``."""
-    return addr & mask(page_bits)
-
-
-def region_number(addr: int, page_bits: int = 12, region_page_bits: int = 16) -> int:
-    """Return the region number of ``addr``.
-
-    A *region* in PDede is a group of contiguous pages; with 48-bit virtual
-    addresses, 4 KiB pages and 16-bit page-number field inside a region, the
-    region number is the top ``48 - page_bits - region_page_bits`` = 20 bits.
-    """
-    return addr >> (page_bits + region_page_bits)

@@ -220,24 +220,17 @@ class CacheConfig:
 
 @dataclass(frozen=True)
 class BranchPredictorConfig:
-    """Direction predictor and return-address-stack parameters."""
+    """Hashed-perceptron direction predictor and return-address-stack parameters."""
 
-    kind: str = "hashed_perceptron"
     ras_entries: int = 64
     # Hashed perceptron parameters (ChampSim-like defaults).
     perceptron_history_lengths: tuple[int, ...] = (3, 8, 14, 21, 31)
     perceptron_table_bits: int = 12
     perceptron_weight_bits: int = 8
-    # gshare / bimodal parameters.
-    gshare_table_bits: int = 14
-    gshare_history_bits: int = 14
-    bimodal_table_bits: int = 14
 
     def __post_init__(self) -> None:
         if self.ras_entries <= 0:
             raise ConfigurationError("RAS must have at least one entry")
-        if self.kind not in {"hashed_perceptron", "gshare", "bimodal", "always_taken"}:
-            raise ConfigurationError(f"unknown direction predictor kind: {self.kind!r}")
 
 
 @dataclass(frozen=True)

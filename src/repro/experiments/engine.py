@@ -607,10 +607,11 @@ class ExperimentEngine:
                     resolved[config_hash] = {}  # placeholder; filled by execution
                     misses.append((config_hash, job))
 
+            missed_jobs = dict(misses)
             for config_hash, payload in self._execute(misses, traces or {}):
                 self.counters.executed += 1
                 recorder.count("engine.executed")
-                job = self._job_by_hash(misses, config_hash)
+                job = missed_jobs[config_hash]
                 self.counters.instructions_simulated += job.instructions
                 recorder.count("engine.instructions_simulated", job.instructions)
                 self._memoize(config_hash, payload)
@@ -702,13 +703,6 @@ class ExperimentEngine:
                         )
                     recorder.merge(events, parent_id=parent_id)
                 yield config_hash, payload
-
-    @staticmethod
-    def _job_by_hash(misses: Sequence[tuple[str, "EngineJob"]], config_hash: str) -> "EngineJob":
-        for candidate_hash, job in misses:
-            if candidate_hash == config_hash:
-                return job
-        raise KeyError(config_hash)  # pragma: no cover - executor invariant
 
     # -- bookkeeping ---------------------------------------------------------
 

@@ -37,7 +37,6 @@ from repro.common.stats import Stats
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
 from repro.btb.base import BTBBase, BTBLookupResult
-from repro.predictor.base import DirectionPredictor
 from repro.predictor.factory import make_direction_predictor
 from repro.predictor.ras import ReturnAddressStack
 
@@ -100,13 +99,12 @@ class BranchPredictionUnit:
         btb: BTBBase,
         config: MachineConfig,
         stats: Stats | None = None,
-        direction_predictor: DirectionPredictor | None = None,
     ) -> None:
         self._stats_registry = stats if stats is not None else Stats()
         self.stats = self._stats_registry.group("bpu")
         self.btb = btb
         self.config = config
-        self.direction_predictor = direction_predictor or make_direction_predictor(
+        self.direction_predictor = make_direction_predictor(
             config.branch_predictor, self._stats_registry
         )
         self.ras = ReturnAddressStack(config.branch_predictor.ras_entries, self._stats_registry)

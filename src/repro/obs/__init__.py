@@ -7,7 +7,6 @@ aggregation behind ``btbx-repro obs report``.
 
 from repro.obs.recorder import (
     NULL_RECORDER,
-    OBS_ENV_VAR,
     JsonlRecorder,
     NullRecorder,
     Recorder,
@@ -15,13 +14,11 @@ from repro.obs.recorder import (
     get_recorder,
     read_trace,
     set_recorder,
-    trace_path_from_env,
     use_recorder,
 )
 
 __all__ = [
     "NULL_RECORDER",
-    "OBS_ENV_VAR",
     "JsonlRecorder",
     "NullRecorder",
     "Recorder",
@@ -29,6 +26,5 @@ __all__ = [
     "get_recorder",
     "read_trace",
     "set_recorder",
-    "trace_path_from_env",
     "use_recorder",
 ]

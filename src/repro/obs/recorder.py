@@ -24,9 +24,8 @@ re-parent the worker's root spans under the submitting job span, producing a
 single trace file that covers the whole pool.
 
 The active recorder is process-global (``get_recorder`` /
-``use_recorder``); ``REPRO_OBS`` (:data:`OBS_ENV_VAR`) names a trace output
-path so forked pool workers -- and nested CLI invocations -- inherit the
-"recording is on" decision the same way ``REPRO_BACKEND`` selects a backend.
+``use_recorder``); the engine tells each pool job explicitly whether the
+parent is recording.
 """
 
 from __future__ import annotations
@@ -39,10 +38,6 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Protocol, runtime_checkable
-
-#: Environment variable naming a trace output path (the CLI exports it so
-#: pool workers and child processes know recording is enabled).
-OBS_ENV_VAR = "REPRO_OBS"
 
 
 class _NullSpan:
@@ -339,9 +334,3 @@ def use_recorder(recorder: Optional[Recorder]) -> Iterator[Recorder]:
         yield _ACTIVE
     finally:
         _ACTIVE = previous
-
-
-def trace_path_from_env() -> Optional[str]:
-    """The trace output path named by ``REPRO_OBS``, if any."""
-    value = os.environ.get(OBS_ENV_VAR, "").strip()
-    return value or None

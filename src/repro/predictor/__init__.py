@@ -1,28 +1,15 @@
-"""Branch direction predictors and the return address stack.
+"""Branch direction predictor and the return address stack.
 
 The modelled core (Table II) uses a hashed-perceptron direction predictor and
-a 64-entry return address stack.  Simpler predictors (gshare, bimodal,
-always-taken) are provided for ablations and for tests that need a
-deterministic predictor.
-
-All predictors implement the same two-method interface
-(:meth:`~repro.predictor.base.DirectionPredictor.predict` /
-:meth:`~repro.predictor.base.DirectionPredictor.update`), so the front end is
-agnostic to which one is configured.
+a 64-entry return address stack.  :func:`make_direction_predictor` builds the
+perceptron from a :class:`~repro.common.config.BranchPredictorConfig`.
 """
 
-from repro.predictor.base import AlwaysTakenPredictor, DirectionPredictor
-from repro.predictor.bimodal import BimodalPredictor
-from repro.predictor.gshare import GSharePredictor
 from repro.predictor.perceptron import HashedPerceptronPredictor
 from repro.predictor.ras import ReturnAddressStack
 from repro.predictor.factory import make_direction_predictor
 
 __all__ = [
-    "DirectionPredictor",
-    "AlwaysTakenPredictor",
-    "BimodalPredictor",
-    "GSharePredictor",
     "HashedPerceptronPredictor",
     "ReturnAddressStack",
     "make_direction_predictor",

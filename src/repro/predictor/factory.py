@@ -3,33 +3,17 @@
 from __future__ import annotations
 
 from repro.common.config import BranchPredictorConfig
-from repro.common.errors import ConfigurationError
 from repro.common.stats import Stats
-from repro.predictor.base import AlwaysTakenPredictor, DirectionPredictor
-from repro.predictor.bimodal import BimodalPredictor
-from repro.predictor.gshare import GSharePredictor
 from repro.predictor.perceptron import HashedPerceptronPredictor
 
 
 def make_direction_predictor(
     config: BranchPredictorConfig, stats: Stats | None = None
-) -> DirectionPredictor:
-    """Instantiate the direction predictor described by ``config``."""
-    if config.kind == "hashed_perceptron":
-        return HashedPerceptronPredictor(
-            history_lengths=config.perceptron_history_lengths,
-            table_bits=config.perceptron_table_bits,
-            weight_bits=config.perceptron_weight_bits,
-            stats=stats,
-        )
-    if config.kind == "gshare":
-        return GSharePredictor(
-            table_bits=config.gshare_table_bits,
-            history_bits=config.gshare_history_bits,
-            stats=stats,
-        )
-    if config.kind == "bimodal":
-        return BimodalPredictor(table_bits=config.bimodal_table_bits, stats=stats)
-    if config.kind == "always_taken":
-        return AlwaysTakenPredictor(stats=stats)
-    raise ConfigurationError(f"unknown direction predictor kind {config.kind!r}")
+) -> HashedPerceptronPredictor:
+    """Instantiate the hashed perceptron described by ``config``."""
+    return HashedPerceptronPredictor(
+        history_lengths=config.perceptron_history_lengths,
+        table_bits=config.perceptron_table_bits,
+        weight_bits=config.perceptron_weight_bits,
+        stats=stats,
+    )

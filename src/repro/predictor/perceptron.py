@@ -1,4 +1,4 @@
-"""Hashed perceptron direction predictor (the Table II default).
+"""Hashed perceptron direction predictor (Table II).
 
 This follows the structure of the hashed-perceptron predictor shipped with
 ChampSim: several weight tables, each indexed by a hash of the branch PC and a
@@ -12,14 +12,16 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.common.errors import ConfigurationError
-from repro.common.stats import Stats
-from repro.predictor.base import DirectionPredictor
+from repro.common.stats import StatGroup, Stats
 
 
-class HashedPerceptronPredictor(DirectionPredictor):
-    """Multi-table hashed perceptron over geometric history lengths."""
+class HashedPerceptronPredictor:
+    """Multi-table hashed perceptron over geometric history lengths.
 
-    name = "hashed_perceptron"
+    The front end consults it for every branch the BTB identifies as
+    conditional (unconditional branches bypass it): :meth:`predict` at
+    prediction time and :meth:`update` with the resolved outcome at commit.
+    """
 
     def __init__(
         self,
@@ -28,7 +30,8 @@ class HashedPerceptronPredictor(DirectionPredictor):
         weight_bits: int = 8,
         stats: Stats | None = None,
     ) -> None:
-        super().__init__(stats)
+        registry = stats if stats is not None else Stats()
+        self.stats: StatGroup = registry.group("predictor.hashed_perceptron")
         if not history_lengths:
             raise ConfigurationError("the perceptron needs at least one history length")
         if table_bits <= 0 or weight_bits <= 1:
@@ -57,7 +60,7 @@ class HashedPerceptronPredictor(DirectionPredictor):
         self._memo: tuple[List[int], int] | None = None
 
     def reset(self) -> None:
-        """Zero every weight table and the global history register."""
+        """Zero every weight table and the global history register (context-switch flush)."""
         zero = [0] * self.table_size
         for table in self._tables:
             table[:] = zero
@@ -129,6 +132,14 @@ class HashedPerceptronPredictor(DirectionPredictor):
             (1 << self.max_history) - 1
         )
         self._memo_pc = None
+
+    def record_outcome(self, predicted: bool, taken: bool) -> None:
+        """Book-keeping helper used by the front end to track accuracy."""
+        self.stats.inc("predictions")
+        if predicted == taken:
+            self.stats.inc("correct")
+        else:
+            self.stats.inc("mispredictions")
 
     def storage_bits(self) -> int:
         """Weight tables plus the global history register."""

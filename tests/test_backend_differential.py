@@ -16,19 +16,16 @@ counter cannot hide.  A further set of *capacity-pressure* cells does the
 same for R-BTB, PDede and the ideal BTB at the smallest budget, where
 evictions, Page-BTB evictions and dangling-pointer invalidations are
 frequent -- the paths that must write through to the batched residency
-shadow.  *Predictor-kind* cells run every direction predictor on Conv-BTB and
-BTB-X, so each Section VI-A resolution rule the batched walk applies inline
-fires against both a commit plan and the live predictor (``always_taken``
-has no plan).  No raw counter is tolerated to differ: the two backends must report
-identical raw statistics on every compared cell.
+shadow.  *Predictor* cells run Conv-BTB and BTB-X at that budget, so each
+Section VI-A resolution rule the batched walk applies inline fires against
+the direction predictor's commit plan.  No raw counter is tolerated to differ:
+the two backends must report identical raw statistics on every compared cell.
 
 Requires numpy; the module skips cleanly on the numpy-free CI leg, where the
 scalar half of the equality is still enforced by the golden suite itself.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 
@@ -138,11 +135,8 @@ BOUNDARY_CELLS = (
     (BTBStyle.IDEAL, 1042),
 )
 
-#: Direction predictors of the predictor-kind cells; ``always_taken`` has no
-#: commit plan, so its cells drive the walk's live-predictor path.
-PREDICTOR_KINDS = ("always_taken", "gshare", "bimodal", "hashed_perceptron")
 PREDICTOR_STYLES = (BTBStyle.CONVENTIONAL, BTBStyle.BTBX)
-#: Resolution counters every predictor-kind cell must fire: false hits,
+#: Resolution counters every predictor cell must fire: false hits,
 #: target mispredictions and taken BTB misses.
 RESOLUTION_COUNTERS = ("bpu.false_hits", "bpu.target_mispredictions", "bpu.btb_miss_taken")
 
@@ -189,23 +183,18 @@ def _cell_stats(preset, style, mode, cache_mode, backend, budget_kib=GOLDEN_BUDG
     return _raw_stats(result.aggregate, result.btb_access_counts)
 
 
-def _run_simulator(style, backend, budget_kib, predictor=None):
+def _run_simulator(style, backend, budget_kib):
     trace = default_store().get(PRESSURE_WORKLOAD, GOLDEN_INSTRUCTIONS)
     machine = default_machine_config(
         btb_style=style, fdip_enabled=True, isa=trace.isa, backend=backend
     )
-    if predictor is not None:
-        machine = dataclasses.replace(
-            machine,
-            branch_predictor=dataclasses.replace(machine.branch_predictor, kind=predictor),
-        )
     btb = make_btb_for_budget(style, budget_kib, isa=trace.isa)
     return FrontEndSimulator(machine, btb=btb), trace
 
 
-def _run_stats(style, backend, budget_kib, warmup=GOLDEN_WARMUP, predictor=None):
+def _run_stats(style, backend, budget_kib, warmup=GOLDEN_WARMUP):
     """Raw stats of a single-trace ``run`` cell (same length as the golden cells)."""
-    simulator, trace = _run_simulator(style, backend, budget_kib, predictor)
+    simulator, trace = _run_simulator(style, backend, budget_kib)
     result = simulator.run(trace, warmup_instructions=warmup)
     return _raw_stats(result, simulator.btb.energy_access_counts())
 
@@ -266,10 +255,9 @@ def test_backends_agree_under_capacity_pressure(preset, style, mode):
 
 
 @pytest.mark.parametrize("style", PREDICTOR_STYLES, ids=[style.value for style in PREDICTOR_STYLES])
-@pytest.mark.parametrize("predictor", PREDICTOR_KINDS)
-def test_backends_agree_for_every_direction_predictor(predictor, style):
-    python = _run_stats(style, "python", PRESSURE_BUDGET_KIB, predictor=predictor)
-    numpy = _run_stats(style, "numpy", PRESSURE_BUDGET_KIB, predictor=predictor)
+def test_backends_agree_on_every_resolution_rule(style):
+    python = _run_stats(style, "python", PRESSURE_BUDGET_KIB)
+    numpy = _run_stats(style, "numpy", PRESSURE_BUDGET_KIB)
     _assert_backends_agree(python, numpy)
     idle = [name for name in RESOLUTION_COUNTERS if not python.get(name)]
     assert not idle, f"resolution rules never fired on this cell: {idle} stayed zero"

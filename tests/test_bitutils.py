@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from repro.common import bitutils
 
 
-class TestMaskAndExtract:
+class TestMask:
     def test_mask_zero(self):
         assert bitutils.mask(0) == 0
 
@@ -18,17 +18,6 @@ class TestMaskAndExtract:
     def test_mask_negative_rejected(self):
         with pytest.raises(ValueError):
             bitutils.mask(-1)
-
-    def test_extract_bits(self):
-        assert bitutils.extract_bits(0b101100, 2, 4) == 0b11
-
-    def test_extract_bits_invalid_range(self):
-        with pytest.raises(ValueError):
-            bitutils.extract_bits(0b1, 4, 2)
-
-    @given(st.integers(min_value=0, max_value=2**48 - 1), st.integers(min_value=0, max_value=48))
-    def test_mask_extract_roundtrip(self, value, width):
-        assert bitutils.extract_bits(value, 0, width) == value & bitutils.mask(width)
 
 
 class TestPowersOfTwo:
@@ -68,19 +57,6 @@ class TestFoldXor:
         assert 0 <= bitutils.fold_xor(value, width) < (1 << width)
 
 
-class TestConversionsAndPages:
+class TestConversions:
     def test_kib_to_bits(self):
         assert bitutils.kib_to_bits(14.5) == 14.5 * 1024 * 8
-
-    def test_same_page(self):
-        assert bitutils.same_page(0x401000, 0x401FFC)
-        assert not bitutils.same_page(0x401000, 0x402000)
-
-    def test_page_number_and_offset(self):
-        assert bitutils.page_number(0x12345678) == 0x12345
-        assert bitutils.page_offset(0x12345678) == 0x678
-
-    def test_region_number(self):
-        # 48-bit address; region = bits above page(12) + page-number-in-region(16).
-        addr = 0x7F00_1234_5678
-        assert bitutils.region_number(addr) == addr >> 28

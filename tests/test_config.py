@@ -45,16 +45,12 @@ class TestCoreAndPredictorConfig:
         assert core.execute_flush_penalty == 17
         assert core.decode_resteer_penalty == 5
         predictor = BranchPredictorConfig()
-        assert predictor.kind == "hashed_perceptron"
+        assert predictor.perceptron_history_lengths == (3, 8, 14, 21, 31)
         assert predictor.ras_entries == 64
 
     def test_flush_cheaper_than_resteer_rejected(self):
         with pytest.raises(ConfigurationError):
             CoreConfig(execute_flush_penalty=2, decode_resteer_penalty=5)
-
-    def test_unknown_predictor_rejected(self):
-        with pytest.raises(ConfigurationError):
-            BranchPredictorConfig(kind="tage_unimplemented")
 
     def test_fdip_validation(self):
         with pytest.raises(ConfigurationError):

@@ -23,14 +23,12 @@ from repro.experiments.engine import ExperimentEngine, SimJob
 from repro.experiments.runner import clear_trace_cache
 from repro.obs import (
     NULL_RECORDER,
-    OBS_ENV_VAR,
     JsonlRecorder,
     NullRecorder,
     Recorder,
     get_recorder,
     read_trace,
     set_recorder,
-    trace_path_from_env,
     use_recorder,
 )
 from repro.obs.chrome import export_chrome, to_chrome_events
@@ -39,8 +37,7 @@ from repro.traces.store import TraceStore
 
 
 @pytest.fixture(autouse=True)
-def _clean_obs_state(monkeypatch):
-    monkeypatch.delenv(OBS_ENV_VAR, raising=False)
+def _clean_obs_state():
     yield
     set_recorder(None)
     clear_trace_cache()
@@ -234,13 +231,6 @@ class TestActiveRecorderPlumbing:
         set_recorder(JsonlRecorder(origin="t"))
         set_recorder(None)
         assert get_recorder() is NULL_RECORDER
-
-    def test_trace_path_from_env(self, monkeypatch):
-        assert trace_path_from_env() is None
-        monkeypatch.setenv(OBS_ENV_VAR, "  ")
-        assert trace_path_from_env() is None
-        monkeypatch.setenv(OBS_ENV_VAR, "out.jsonl")
-        assert trace_path_from_env() == "out.jsonl"
 
 
 class TestMergeAndSerialization:
@@ -475,15 +465,6 @@ class TestCliSurface:
         with pytest.raises(SystemExit):
             main(["scenario", "run", "noisy_neighbor", "--scale", "smoke",
                   "--trace-out", str(tmp_path / "t.json"), "--trace-format", "chrome"])
-
-    def test_env_var_enables_recording(self, tmp_path, monkeypatch):
-        trace = tmp_path / "env.jsonl"
-        monkeypatch.setenv(OBS_ENV_VAR, str(trace))
-        assert main(
-            ["scenario", "run", "noisy_neighbor", "--scale", "smoke",
-             "--cache-dir", str(tmp_path / "cache")]
-        ) == 0
-        assert read_trace(trace)
 
     def test_obs_report_renders_phase_table(self, tmp_path, capsys):
         recorder = JsonlRecorder(origin="t")

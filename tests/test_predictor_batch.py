@@ -1,7 +1,7 @@
 """Property suite: batched commit plans are bit-exact twins of the scalar path.
 
 :mod:`repro.predictor.batch` precomputes, per scheduling piece, every
-conditional-branch commit's direction prediction and training effect.  The
+conditional-branch commit's history value and perceptron table indices.  The
 contract is strict bit-exactness against the scalar ``predict``/``update``
 pair *including* interleaved live reads (a false BTB hit consults
 ``predict(pc)`` between commits and must observe exactly-current tables).
@@ -9,13 +9,13 @@ pair *including* interleaved live reads (a false BTB hit consults
 Hypothesis drives the dimensions the plan's correctness argument leans on:
 
 * **conflict density** -- PCs drawn from small pools against tiny tables force
-  index repeats, which is what exercises the segment-cut machinery (both the
-  vectorized >=8-element segments and the scalar short-segment path);
-* **history lengths** -- gshare/perceptron history register widths around the
-  sliding-window edge cases (0, 1, < table_bits, > table_bits);
+  index repeats, so a commit often reads weights an earlier commit of the
+  same plan has just trained;
+* **history lengths** -- perceptron history register widths around the
+  sliding-window and XOR-fold edge cases (1, < table_bits, > table_bits);
 * **weight widths** -- perceptron weights as narrow as 2 bits saturate within
   a few commits, exercising the training rule's bounds;
-* **warmup-boundary mid-segment** -- a stream cut at an arbitrary point into
+* **warmup-boundary mid-chunk** -- a stream cut at an arbitrary point into
   two consecutive plans (exactly what the engine does when a chunk straddles
   the warmup boundary) must equal one uncut scalar replay.
 """
@@ -31,32 +31,21 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.common.stats import Stats
-from repro.predictor.batch import plan_commits, segment_cuts
-from repro.predictor.bimodal import BimodalPredictor
-from repro.predictor.gshare import GSharePredictor
+from repro.predictor.batch import plan_commits
 from repro.predictor.perceptron import HashedPerceptronPredictor
 
 
-def _make(kind: str, geometry: int, history: int, weight_bits: int = 8):
-    stats = Stats()
-    if kind == "bimodal":
-        return BimodalPredictor(table_bits=geometry, stats=stats)
-    if kind == "gshare":
-        return GSharePredictor(table_bits=geometry, history_bits=history, stats=stats)
+def _make(geometry: int, history: int, weight_bits: int):
     return HashedPerceptronPredictor(
         history_lengths=tuple(sorted({1, history, 2 * history + 1})),
         table_bits=geometry,
         weight_bits=weight_bits,
-        stats=stats,
+        stats=Stats(),
     )
 
 
 def _state(predictor):
-    if isinstance(predictor, HashedPerceptronPredictor):
-        return ([list(t) for t in predictor._tables], predictor._history)
-    if isinstance(predictor, GSharePredictor):
-        return (list(predictor._counters), predictor._history)
-    return list(predictor._counters)
+    return ([list(t) for t in predictor._tables], predictor._history)
 
 
 def _scalar_replay(predictor, commits, probes):
@@ -106,9 +95,8 @@ _commits = st.lists(
     min_size=1,
     max_size=64,
 )
-_kinds = st.sampled_from(["bimodal", "gshare", "perceptron"])
 _geometry = st.integers(min_value=1, max_value=6)
-_history = st.integers(min_value=0, max_value=20)
+_history = st.integers(min_value=1, max_value=20)
 _weight_bits = st.integers(min_value=2, max_value=8)
 
 
@@ -116,17 +104,14 @@ class TestCommitPlanProperties:
     @settings(deadline=None, max_examples=60)
     @given(
         commits=_commits,
-        kind=_kinds,
         geometry=_geometry,
         history=_history,
         weight_bits=_weight_bits,
         data=st.data(),
     )
     def test_plan_matches_scalar_with_interleaved_reads(
-        self, commits, kind, geometry, history, weight_bits, data
+        self, commits, geometry, history, weight_bits, data
     ):
-        if kind == "perceptron":
-            history = max(history, 1)
         probe_positions = data.draw(
             st.sets(st.integers(min_value=0, max_value=len(commits) - 1), max_size=8)
         )
@@ -134,8 +119,8 @@ class TestCommitPlanProperties:
             position: 0x40_0000 + 4 * data.draw(st.integers(0, 7), label="probe pc")
             for position in probe_positions
         }
-        scalar = _make(kind, geometry, history, weight_bits)
-        planned = _make(kind, geometry, history, weight_bits)
+        scalar = _make(geometry, history, weight_bits)
+        planned = _make(geometry, history, weight_bits)
 
         scalar_pred, scalar_reads = _scalar_replay(scalar, commits, probes)
         plan_pred, plan_reads = _plan_replay(planned, commits, probes)
@@ -149,23 +134,20 @@ class TestCommitPlanProperties:
     @settings(deadline=None, max_examples=40)
     @given(
         commits=_commits,
-        kind=_kinds,
         geometry=_geometry,
         history=_history,
         weight_bits=_weight_bits,
         cut_fraction=st.floats(min_value=0.0, max_value=1.0),
     )
     def test_split_plans_equal_one_scalar_stream(
-        self, commits, kind, geometry, history, weight_bits, cut_fraction
+        self, commits, geometry, history, weight_bits, cut_fraction
     ):
         """A stream cut into two consecutive plans (the warmup boundary falling
         mid-chunk) trains the predictor identically to one uncut scalar pass --
         the second plan must pick up the exact post-first-plan state."""
-        if kind == "perceptron":
-            history = max(history, 1)
         cut = int(cut_fraction * len(commits))
-        scalar = _make(kind, geometry, history, weight_bits)
-        planned = _make(kind, geometry, history, weight_bits)
+        scalar = _make(geometry, history, weight_bits)
+        planned = _make(geometry, history, weight_bits)
 
         scalar_pred, _ = _scalar_replay(scalar, commits, {})
         head_pred, _ = _plan_replay(planned, commits[:cut], {}) if cut else ([], [])
@@ -174,37 +156,4 @@ class TestCommitPlanProperties:
         )
 
         assert head_pred + tail_pred == scalar_pred
-        assert _state(planned) == _state(scalar)
-
-    @settings(deadline=None, max_examples=60)
-    @given(indices=st.lists(st.integers(min_value=0, max_value=5), max_size=64))
-    def test_segment_cuts_invariants(self, indices):
-        """Within every segment all indices are distinct, segments tile the
-        stream, and each non-initial segment starts at a repeat point."""
-        cuts = segment_cuts(indices)
-        assert cuts[0] == 0 and cuts[-1] == len(indices)
-        assert cuts == sorted(cuts)
-        for left, right in zip(cuts, cuts[1:]):
-            segment = indices[left:right]
-            assert len(set(segment)) == len(segment)
-            if left > 0:
-                # The cut was forced: its first index appeared in the previous
-                # segment (greedy first-repeat rule).
-                assert indices[left] in indices[cuts[cuts.index(left) - 1]:left]
-
-    @settings(deadline=None, max_examples=30)
-    @given(
-        commits=st.lists(
-            st.tuples(st.just(0x40_0000), st.booleans()), min_size=8, max_size=64
-        ),
-        kind=st.sampled_from(["bimodal", "gshare"]),
-    )
-    def test_single_pc_stream_is_one_conflict_chain(self, commits, kind):
-        """The worst segment-cut case -- every commit hits one table entry, so
-        every segment has length 1 and the plan degenerates to a scalar chain."""
-        scalar = _make(kind, 4, 6)
-        planned = _make(kind, 4, 6)
-        scalar_pred, _ = _scalar_replay(scalar, commits, {})
-        plan_pred, _ = _plan_replay(planned, commits, {})
-        assert plan_pred == scalar_pred
         assert _state(planned) == _state(scalar)

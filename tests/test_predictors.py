@@ -1,4 +1,4 @@
-"""Tests for the direction predictors and the return address stack."""
+"""Tests for the hashed-perceptron direction predictor and the return address stack."""
 
 from __future__ import annotations
 
@@ -9,40 +9,29 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.config import BranchPredictorConfig
 from repro.common.errors import ConfigurationError
-from repro.predictor.base import AlwaysTakenPredictor
-from repro.predictor.bimodal import BimodalPredictor
+from repro.common.stats import Stats
 from repro.predictor.factory import make_direction_predictor
-from repro.predictor.gshare import GSharePredictor
 from repro.predictor.perceptron import HashedPerceptronPredictor
 from repro.predictor.ras import ReturnAddressStack
 
-ALL_PREDICTORS = [
-    lambda: AlwaysTakenPredictor(),
-    lambda: BimodalPredictor(table_bits=10),
-    lambda: GSharePredictor(table_bits=10, history_bits=8),
-    lambda: HashedPerceptronPredictor(table_bits=8),
-]
-
 
 class TestPredictorLearning:
-    @pytest.mark.parametrize("factory", ALL_PREDICTORS[1:], ids=["bimodal", "gshare", "perceptron"])
-    def test_learns_always_taken_branch(self, factory):
-        predictor = factory()
+    def test_learns_always_taken_branch(self):
+        predictor = HashedPerceptronPredictor(table_bits=8)
         pc = 0x401000
         for _ in range(64):
             predictor.update(pc, True)
         assert predictor.predict(pc) is True
 
-    @pytest.mark.parametrize("factory", ALL_PREDICTORS[1:], ids=["bimodal", "gshare", "perceptron"])
-    def test_learns_never_taken_branch(self, factory):
-        predictor = factory()
+    def test_learns_never_taken_branch(self):
+        predictor = HashedPerceptronPredictor(table_bits=8)
         pc = 0x402000
         for _ in range(64):
             predictor.update(pc, False)
         assert predictor.predict(pc) is False
 
-    def test_gshare_learns_alternating_pattern(self):
-        predictor = GSharePredictor(table_bits=12, history_bits=8)
+    def test_learns_alternating_pattern(self):
+        predictor = HashedPerceptronPredictor(table_bits=10)
         pc = 0x403000
         outcome = True
         correct = 0
@@ -53,7 +42,7 @@ class TestPredictorLearning:
                 correct += 1
             predictor.update(pc, outcome)
             outcome = not outcome
-        # After warmup the history-based predictor should track the alternation.
+        # After warmup the history-indexed tables track the alternation.
         assert correct / total > 0.7
 
     def test_perceptron_learns_correlated_branches(self):
@@ -84,46 +73,52 @@ class TestPredictorLearning:
             predictor.update(pc, outcome)
         assert correct / total > 0.85
 
-    def test_always_taken(self):
-        predictor = AlwaysTakenPredictor()
-        assert predictor.predict(0x1000)
-        predictor.update(0x1000, False)
-        assert predictor.predict(0x1000)
+    def test_reset_forgets_training(self):
+        predictor = HashedPerceptronPredictor(table_bits=8)
+        fresh = HashedPerceptronPredictor(table_bits=8)
+        pc = 0x406000
+        for _ in range(64):
+            predictor.update(pc, False)
+        predictor.reset()
+        assert predictor._tables == fresh._tables
+        assert predictor._history == 0
+        assert predictor.predict(pc) is True
 
-    @pytest.mark.parametrize("factory", ALL_PREDICTORS, ids=["always", "bimodal", "gshare", "perceptron"])
-    def test_storage_bits_non_negative(self, factory):
-        assert factory().storage_bits() >= 0
+    def test_storage_bits(self):
+        predictor = HashedPerceptronPredictor()
+        # Five history tables plus the bias table of 2^12 8-bit weights, and
+        # the 31-bit global history register.
+        assert predictor.storage_bits() == 6 * 4096 * 8 + 31
 
     def test_record_outcome_counters(self):
-        predictor = BimodalPredictor(table_bits=8)
+        stats = Stats()
+        predictor = HashedPerceptronPredictor(table_bits=8, stats=stats)
         predictor.record_outcome(True, True)
         predictor.record_outcome(True, False)
         assert predictor.stats.get("predictions") == 2
         assert predictor.stats.get("mispredictions") == 1
+        assert stats.get("predictor.hashed_perceptron.correct") == 1
 
 
 class TestPredictorValidation:
-    def test_bimodal_rejects_bad_size(self):
-        with pytest.raises(ConfigurationError):
-            BimodalPredictor(table_bits=0)
-
-    def test_gshare_rejects_bad_size(self):
-        with pytest.raises(ConfigurationError):
-            GSharePredictor(table_bits=0)
-
     def test_perceptron_rejects_empty_history(self):
         with pytest.raises(ConfigurationError):
             HashedPerceptronPredictor(history_lengths=())
 
-    def test_factory_builds_each_kind(self):
-        for kind, cls in [
-            ("hashed_perceptron", HashedPerceptronPredictor),
-            ("gshare", GSharePredictor),
-            ("bimodal", BimodalPredictor),
-            ("always_taken", AlwaysTakenPredictor),
-        ]:
-            predictor = make_direction_predictor(BranchPredictorConfig(kind=kind))
-            assert isinstance(predictor, cls)
+    @pytest.mark.parametrize("table_bits,weight_bits", [(0, 8), (8, 1)])
+    def test_perceptron_rejects_bad_geometry(self, table_bits, weight_bits):
+        with pytest.raises(ConfigurationError):
+            HashedPerceptronPredictor(table_bits=table_bits, weight_bits=weight_bits)
+
+    def test_factory_builds_the_configured_perceptron(self):
+        config = BranchPredictorConfig(
+            perceptron_history_lengths=(2, 5), perceptron_table_bits=6, perceptron_weight_bits=4
+        )
+        predictor = make_direction_predictor(config)
+        assert isinstance(predictor, HashedPerceptronPredictor)
+        assert predictor.history_lengths == (2, 5)
+        assert predictor.table_size == 64
+        assert predictor.weight_max == 7
 
 
 class TestReturnAddressStack:

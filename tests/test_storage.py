@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -12,9 +13,14 @@ from repro.common.errors import ConfigurationError
 from repro.btb.btbx import BTBX
 from repro.btb.conventional import ConventionalBTB
 from repro.btb.ideal import IdealBTB
-from repro.btb.pdede import PDedeBTB
+from repro.btb.pdede import PAGE_ENTRY_BITS, PDedeBTB
 from repro.btb.rbtb import ReducedBTB
-from repro.btb.storage import CANONICAL_BTBX_ENTRIES, BTBStorageModel, make_btb_for_budget
+from repro.btb.storage import (
+    CANONICAL_BTBX_ENTRIES,
+    PDEDE_REGION_STORAGE_KIB,
+    BTBStorageModel,
+    make_btb_for_budget,
+)
 from repro.core.simulator import FrontEndSimulator
 
 PAPER_TABLE3_KIB = (0.90625, 1.8125, 3.625, 7.25, 14.5, 29.0, 58.0)
@@ -57,6 +63,26 @@ class TestTable4:
             assert abs(entries - expected) <= 4  # small rounding differences only
             assert page_entries in (32, 64, 128, 256, 512, 1024, 2048)
             assert 31.5 <= avg_bits <= 35.5
+
+    @pytest.mark.parametrize("isa", list(ISAStyle))
+    def test_pdede_main_btb_gets_the_whole_remaining_budget(self, isa):
+        """The Main-BTB is charged what the Page-BTB and the Region-BTB really
+        take, so at every Table IV budget it holds as many average-width
+        entries as the rest of the budget fits."""
+        model = BTBStorageModel(isa)
+        for row in model.capacity_table():
+            entries, page_entries, avg_bits, page_kib, _ = model.pdede_capacity_for_budget(
+                row.storage_kib
+            )
+            page_bits = page_entries * PAGE_ENTRY_BITS
+            assert page_kib * 8192 == page_bits
+            remaining = row.storage_kib * 8192 - page_bits - PDEDE_REGION_STORAGE_KIB * 8192
+            assert entries == math.floor(remaining / avg_bits), (isa, row.storage_kib)
+            assert row.pdede_entries == entries
+
+    def test_x86_pdede_fills_its_budget(self):
+        entries = [row.pdede_entries for row in BTBStorageModel(ISAStyle.X86).capacity_table()]
+        assert entries == [202, 401, 794, 1569, 3098, 6113, 12064]
 
     def test_headline_capacity_ratios(self):
         rows = BTBStorageModel().capacity_table()
