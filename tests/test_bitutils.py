@@ -19,6 +19,12 @@ class TestMask:
         with pytest.raises(ValueError):
             bitutils.mask(-1)
 
+    @given(st.integers(min_value=0, max_value=128))
+    def test_mask_sets_exactly_the_low_bits(self, width):
+        value = bitutils.mask(width)
+        assert bin(value).count("1") == width
+        assert value >> width == 0
+
 
 class TestPowersOfTwo:
     def test_is_power_of_two(self):
@@ -60,3 +66,8 @@ class TestFoldXor:
 class TestConversions:
     def test_kib_to_bits(self):
         assert bitutils.kib_to_bits(14.5) == 14.5 * 1024 * 8
+
+    def test_kib_to_bits_rounds_down(self):
+        assert bitutils.kib_to_bits(0.90625) == 7424
+        assert bitutils.kib_to_bits(1 / 8192 - 1e-9) == 0
+        assert bitutils.kib_to_bits(0.0107) == 87

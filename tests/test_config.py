@@ -48,6 +48,16 @@ class TestCoreAndPredictorConfig:
         assert predictor.perceptron_history_lengths == (3, 8, 14, 21, 31)
         assert predictor.ras_entries == 64
 
+    def test_ras_needs_an_entry(self):
+        with pytest.raises(ConfigurationError):
+            BranchPredictorConfig(ras_entries=0)
+
+    def test_predictor_has_no_kind_selector(self):
+        """The hashed perceptron is the only direction predictor, so a
+        configuration that still names a kind fails instead of being ignored."""
+        with pytest.raises(TypeError):
+            BranchPredictorConfig(kind="gshare")
+
     def test_flush_cheaper_than_resteer_rejected(self):
         with pytest.raises(ConfigurationError):
             CoreConfig(execute_flush_penalty=2, decode_resteer_penalty=5)

@@ -31,7 +31,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.common.stats import Stats
-from repro.predictor.batch import plan_commits
+from repro.predictor.batch import history_values, plan_commits
 from repro.predictor.perceptron import HashedPerceptronPredictor
 
 
@@ -157,3 +157,53 @@ class TestCommitPlanProperties:
 
         assert head_pred + tail_pred == scalar_pred
         assert _state(planned) == _state(scalar)
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        commits=st.lists(
+            st.tuples(st.just(0x40_0000), st.booleans()), min_size=8, max_size=64
+        ),
+        weight_bits=_weight_bits,
+    )
+    def test_single_pc_stream_is_one_conflict_chain(self, commits, weight_bits):
+        """The worst conflict case -- every commit reads the bias weight the
+        previous commit just trained."""
+        scalar = _make(4, 6, weight_bits)
+        planned = _make(4, 6, weight_bits)
+        scalar_pred, _ = _scalar_replay(scalar, commits, {})
+        plan_pred, _ = _plan_replay(planned, commits, {})
+        assert plan_pred == scalar_pred
+        assert _state(planned) == _state(scalar)
+
+    def test_table2_geometry_plan_matches_scalar(self):
+        """The product configuration: 4096-entry tables and a 31-bit history."""
+        rng = np.random.default_rng(11)
+        pcs = 0x40_0000 + 4 * rng.integers(0, 200, size=3000)
+        outcomes = rng.random(3000) < 0.7
+        commits = [(int(pc), bool(taken)) for pc, taken in zip(pcs, outcomes)]
+        scalar = HashedPerceptronPredictor(stats=Stats())
+        planned = HashedPerceptronPredictor(stats=Stats())
+        scalar_pred, _ = _scalar_replay(scalar, commits, {})
+        plan_pred, _ = _plan_replay(planned, commits, {})
+        assert plan_pred == scalar_pred
+        assert _state(planned) == _state(scalar)
+
+    def test_no_commits_means_no_plan(self):
+        predictor = _make(4, 6, 8)
+        empty = np.array([], dtype=np.uint64)
+        assert plan_commits(predictor, empty, np.array([], dtype=bool)) is None
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        initial=st.integers(min_value=0, max_value=2**40),
+        taken=st.lists(st.booleans(), max_size=64),
+        bits=st.integers(min_value=0, max_value=40),
+    )
+    def test_history_values_match_the_shift_register(self, initial, taken, bits):
+        initial &= (1 << bits) - 1
+        before, after = history_values(initial, np.array(taken, dtype=bool), bits)
+        register = initial
+        for k, outcome in enumerate(taken):
+            assert before[k] == register
+            register = ((register << 1) | int(outcome)) & ((1 << bits) - 1)
+            assert after[k] == register

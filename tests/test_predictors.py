@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.bitutils import fold_xor, mask
 from repro.common.config import BranchPredictorConfig
 from repro.common.errors import ConfigurationError
 from repro.common.stats import Stats
@@ -90,6 +91,98 @@ class TestPredictorLearning:
         # the 31-bit global history register.
         assert predictor.storage_bits() == 6 * 4096 * 8 + 31
 
+    def test_storage_bits_of_a_small_geometry(self):
+        predictor = HashedPerceptronPredictor(history_lengths=(2, 5), table_bits=6, weight_bits=4)
+        assert predictor.storage_bits() == 3 * 64 * 4 + 5
+
+    @pytest.mark.parametrize("weight_bits", [2, 3, 4])
+    def test_weights_saturate_at_their_width(self, weight_bits):
+        # Six tables of weights this narrow never sum past the threshold, so
+        # every update trains and the selected weights run into their bounds.
+        predictor = HashedPerceptronPredictor(table_bits=4, weight_bits=weight_bits)
+        for taken in (True, False):
+            for _ in range(300):
+                predictor.update(0x407000, taken)
+            weights = [weight for table in predictor._tables for weight in table]
+            assert min(weights) >= -(1 << (weight_bits - 1))
+            assert max(weights) <= (1 << (weight_bits - 1)) - 1
+        # The bias weight of the last direction trained sits at its bound.
+        bias_index = (0x407000 >> 2) & (predictor.table_size - 1)
+        assert predictor._tables[0][bias_index] == predictor.weight_min
+
+    def test_threshold_follows_the_longest_history(self):
+        assert HashedPerceptronPredictor().threshold == int(1.93 * 31 + 14)
+        assert HashedPerceptronPredictor(history_lengths=(2, 5)).threshold == int(1.93 * 5 + 14)
+
+    def test_training_stops_once_confident_and_correct(self):
+        predictor = HashedPerceptronPredictor(history_lengths=(1,), table_bits=6, weight_bits=8)
+        pc = 0x408000
+        for _ in range(200):
+            predictor.update(pc, True)
+        assert predictor._locate(pc)[1] >= predictor.threshold
+        tables = [list(table) for table in predictor._tables]
+        predictor.update(pc, True)
+        assert predictor._tables == tables
+
+    def test_history_register_keeps_the_newest_outcomes(self):
+        predictor = HashedPerceptronPredictor(history_lengths=(3, 6), table_bits=6)
+        outcomes = [True, False, False, True, True, True, False, True, False]
+        for taken in outcomes:
+            predictor.update(0x409000, taken)
+        expected = 0
+        for taken in outcomes[-6:]:
+            expected = (expected << 1) | int(taken)
+        assert predictor._history == expected
+
+    def test_predict_leaves_the_state_unchanged(self):
+        predictor = HashedPerceptronPredictor(table_bits=6)
+        rng = random.Random(3)
+        for _ in range(50):
+            predictor.update(0x40A000 + 4 * rng.randrange(16), rng.random() < 0.5)
+        tables = [list(table) for table in predictor._tables]
+        history = predictor._history
+        for offset in range(16):
+            predictor.predict(0x40A000 + 4 * offset)
+        assert predictor._tables == tables
+        assert predictor._history == history
+
+    def test_update_of_another_branch_refreshes_the_prediction(self):
+        """A predict memo must not outlive a weight or history change made by a
+        different branch that shares its table entries."""
+        predictor = HashedPerceptronPredictor(history_lengths=(1,), table_bits=1)
+        pc, alias = 0x40B000, 0x40B008  # same bias index in a 2-entry table
+        assert predictor.predict(pc) is True
+        for _ in range(8):
+            predictor.update(alias, False)
+        assert predictor.predict(pc) is False
+
+    def test_reset_drops_a_pending_prediction(self):
+        predictor = HashedPerceptronPredictor(table_bits=8)
+        pc = 0x40C000
+        for _ in range(64):
+            predictor.update(pc, False)
+        assert predictor.predict(pc) is False
+        predictor.reset()
+        assert predictor.predict(pc) is True
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pc=st.integers(min_value=0, max_value=2**48),
+        history=st.integers(min_value=0, max_value=2**31 - 1),
+        table_bits=st.integers(min_value=1, max_value=12),
+    )
+    def test_indices_xor_the_folded_history_into_the_pc(self, pc, history, table_bits):
+        """Each history table's index is the PC index XORed with the newest
+        ``length`` history bits folded to the table width."""
+        predictor = HashedPerceptronPredictor(table_bits=table_bits)
+        predictor._history = history
+        base = (pc >> 2) & mask(table_bits)
+        expected = [base] + [
+            base ^ fold_xor(history & mask(length), table_bits)
+            for length in predictor.history_lengths
+        ]
+        assert predictor._indices(pc) == expected
+
     def test_record_outcome_counters(self):
         stats = Stats()
         predictor = HashedPerceptronPredictor(table_bits=8, stats=stats)
@@ -119,6 +212,18 @@ class TestPredictorValidation:
         assert predictor.history_lengths == (2, 5)
         assert predictor.table_size == 64
         assert predictor.weight_max == 7
+
+    def test_factory_default_is_the_table2_perceptron(self):
+        predictor = make_direction_predictor(BranchPredictorConfig())
+        assert predictor.history_lengths == (3, 8, 14, 21, 31)
+        assert predictor.table_size == 4096
+        assert predictor.weight_bits == 8
+
+    def test_factory_books_outcomes_in_the_given_stats(self):
+        stats = Stats()
+        predictor = make_direction_predictor(BranchPredictorConfig(), stats)
+        predictor.record_outcome(False, True)
+        assert stats.get("predictor.hashed_perceptron.mispredictions") == 1
 
 
 class TestReturnAddressStack:

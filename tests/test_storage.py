@@ -80,6 +80,18 @@ class TestTable4:
             assert entries == math.floor(remaining / avg_bits), (isa, row.storage_kib)
             assert row.pdede_entries == entries
 
+    @pytest.mark.parametrize("isa", list(ISAStyle))
+    def test_pdede_split_fits_any_budget(self, isa):
+        """Off the canonical budgets too, the Page-, Region- and Main-BTB
+        shares add up to the budget and the Main-BTB's entries fit its share
+        with less than one entry's bits left over."""
+        model = BTBStorageModel(isa)
+        for budget in OFF_CANONICAL_BUDGETS_KIB:
+            entries, _, avg_bits, page_kib, main_kib = model.pdede_capacity_for_budget(budget)
+            assert page_kib + PDEDE_REGION_STORAGE_KIB + main_kib == pytest.approx(budget)
+            main_bits = kib_to_bits(main_kib)
+            assert entries * avg_bits <= main_bits < (entries + 1) * avg_bits, (isa, budget)
+
     def test_x86_pdede_fills_its_budget(self):
         entries = [row.pdede_entries for row in BTBStorageModel(ISAStyle.X86).capacity_table()]
         assert entries == [202, 401, 794, 1569, 3098, 6113, 12064]
