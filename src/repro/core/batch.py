@@ -137,8 +137,6 @@ class _BatchEngine:
         self.chunks_planned = 0
         self.instructions_fast = 0
         self.instructions_slow = 0
-        self.commits_vectorized = 0
-        self.commits_scalar = 0
 
     def emit_metrics(self) -> None:
         """Publish the per-chunk fast/slow split to the active recorder."""
@@ -150,8 +148,6 @@ class _BatchEngine:
         recorder.count("batch.chunks_planned", self.chunks_planned)
         recorder.count("batch.instructions_fast", self.instructions_fast)
         recorder.count("batch.instructions_slow", self.instructions_slow)
-        recorder.count("batch.commits_vectorized", self.commits_vectorized)
-        recorder.count("batch.commits_scalar", self.commits_scalar)
 
     # -- boundaries --------------------------------------------------------
 
@@ -216,17 +212,10 @@ class _BatchEngine:
         # and table indices are precomputable: build the commit plan (after
         # the chunk context -- a FLUSH-mode switch resets the predictor).
         cond_mask = arrays.branch_type[start:stop] == _CONDITIONAL_CODE
-        cond_count = int(np.count_nonzero(cond_mask))
-        dplan = None
-        if cond_count:
-            cond_positions = np.flatnonzero(cond_mask)
-            dplan = plan_commits(
-                self.bpu.direction_predictor, pcs[cond_positions], taken[cond_positions]
-            )
-        if dplan is None:
-            self.commits_scalar += cond_count
-        else:
-            self.commits_vectorized += cond_count
+        cond_positions = np.flatnonzero(cond_mask)
+        dplan = plan_commits(
+            self.bpu.direction_predictor, pcs[cond_positions], taken[cond_positions]
+        )
 
         taken_branch_pcs = np.unique(pcs[is_branch & taken])
         plan = self.btb.batch_plan(pcs, taken_branch_pcs)
@@ -234,8 +223,7 @@ class _BatchEngine:
         self._run_planned(
             plan, chunk.trace, start, stop, pcs, new_block, is_branch, taken, cond_mask, dplan
         )
-        if dplan is not None:
-            dplan.finish()
+        dplan.finish()
         self.previous_block = int(blocks[n - 1])
         self.position += n
 
@@ -291,8 +279,8 @@ class _BatchEngine:
         A slow position is resolved here, by the Section VI-A rules of
         :class:`~repro.frontend.bpu.BranchPredictionUnit` and its commit-time
         training, against the plan's lookup: the direction predictor through
-        the piece's commit plan (or the live predictor when there is none,
-        and for a false hit that merely identifies as conditional), calls
+        the piece's commit plan (the live predictor only for a false hit
+        that merely identifies as conditional), calls
         push and returns pop the RAS, and taken branches train the BTB.  No
         prediction record is built, and the BPU's resolution counters are
         summed in locals and added once per piece -- only the piece
@@ -334,8 +322,7 @@ class _BatchEngine:
         # proven-miss probe counters, so it skips the lookup entirely.
         bf_mask = guaranteed_miss & is_branch & ~taken
         slow_bf = bf_mask[slow].tolist()
-        use_plan = dplan is not None
-        dk = -1
+        k = -1
 
         fast_total = n - len(slow_positions)
         self.instructions_fast += fast_total
@@ -382,19 +369,12 @@ class _BatchEngine:
             if occ > cap:
                 occ = cap
             cursor = i + 1
-            # k >= 0: this is the plan's k-th conditional-branch commit.
-            if is_cond and use_plan:
-                dk += 1
-                k = dk
-            else:
-                k = -1
+            # A conditional branch is the plan's k-th commit.
+            if is_cond:
+                k += 1
             if is_bf:
-                if k >= 0:
-                    dplan.record_outcome(False, False)
-                    dplan.update(k)
-                else:
-                    predictor.record_outcome(False, False)
-                    predictor.update(pc, False)
+                dplan.record_outcome(False, False)
+                dplan.update(k)
                 continue
             instruction = instructions[start + i]
             actually_taken = instruction.taken
@@ -403,7 +383,7 @@ class _BatchEngine:
                 # The front end knows the branch type and (usually) its target.
                 identified = lookup.branch_type or instruction.branch_type
                 if identified is _CONDITIONAL:
-                    predicted = dplan.predict(k) if k >= 0 else predictor.predict(pc)
+                    predicted = dplan.predict(k) if is_cond else predictor.predict(pc)
                 else:
                     predicted = True
                 if not is_br:
@@ -437,8 +417,7 @@ class _BatchEngine:
                 btb_miss_taken += 1
                 branch_type = instruction.branch_type
                 if branch_type is _UNCONDITIONAL or branch_type is _CALL or (
-                    branch_type is _CONDITIONAL
-                    and (dplan.predict(k) if k >= 0 else predictor.predict(pc))
+                    branch_type is _CONDITIONAL and dplan.predict(k)
                 ):
                     resteers += 1
                 else:
@@ -455,12 +434,8 @@ class _BatchEngine:
                 continue
             # Commit-time training.
             if is_cond:
-                if k >= 0:
-                    dplan.record_outcome(predicted, actually_taken)
-                    dplan.update(k)
-                else:
-                    predictor.record_outcome(predicted, actually_taken)
-                    predictor.update(pc, actually_taken)
+                dplan.record_outcome(predicted, actually_taken)
+                dplan.update(k)
             if actually_taken:
                 branch_type = instruction.branch_type
                 if branch_type is _CALL or branch_type is _INDIRECT_CALL:

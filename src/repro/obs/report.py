@@ -100,29 +100,18 @@ def aggregate(events: List[Dict[str, Any]]) -> Dict[str, Any]:
     if caches:
         report["caches"] = caches
 
-    # Batched-backend split: how much of the stream ran on the vectorized
-    # paths (bulk-compensated fast runs, planned commits) versus the exact
-    # per-instruction replay.  Emitted once per batched run by
-    # _BatchEngine.emit_metrics.
-    commits_vectorized = counters.get("batch.commits_vectorized", 0)
-    commits_scalar = counters.get("batch.commits_scalar", 0)
+    # Batched-backend split: how much of the stream ran as bulk-compensated
+    # fast runs versus the per-instruction walk.  Emitted once per batched
+    # run by _BatchEngine.emit_metrics.
     fast = counters.get("batch.instructions_fast", 0)
     slow = counters.get("batch.instructions_slow", 0)
-    if commits_vectorized + commits_scalar or fast + slow:
-        batch: Dict[str, Any] = {
-            "commits_vectorized": commits_vectorized,
-            "commits_scalar": commits_scalar,
+    if fast + slow:
+        report["batch"] = {
             "instructions_fast": fast,
             "instructions_slow": slow,
             "chunks_planned": counters.get("batch.chunks_planned", 0),
+            "instructions_fast_fraction": round(fast / (fast + slow), 4),
         }
-        if commits_vectorized + commits_scalar:
-            batch["commit_vectorized_fraction"] = round(
-                commits_vectorized / (commits_vectorized + commits_scalar), 4
-            )
-        if fast + slow:
-            batch["instructions_fast_fraction"] = round(fast / (fast + slow), 4)
-        report["batch"] = batch
 
     # Instructions/sec per driver from run-all's driver.* spans.
     drivers: Dict[str, Any] = {}
@@ -188,24 +177,12 @@ def format_report(report: Dict[str, Any]) -> str:
     batch = report.get("batch")
     if batch:
         lines.append("")
-        commit_total = batch["commits_vectorized"] + batch["commits_scalar"]
-        commit_part = (
-            f" ({batch['commit_vectorized_fraction']:.1%} vectorized)"
-            if commit_total
-            else ""
-        )
         lines.append(
-            f"batch commits: {batch['commits_vectorized']} vectorized,"
-            f" {batch['commits_scalar']} scalar{commit_part}"
+            f"batch stream : {batch['instructions_fast']} fast,"
+            f" {batch['instructions_slow']} slow"
+            f" ({batch['instructions_fast_fraction']:.1%} fast),"
+            f" {batch['chunks_planned']} chunks"
         )
-        stream_total = batch["instructions_fast"] + batch["instructions_slow"]
-        if stream_total:
-            lines.append(
-                f"batch stream : {batch['instructions_fast']} fast,"
-                f" {batch['instructions_slow']} slow"
-                f" ({batch['instructions_fast_fraction']:.1%} fast),"
-                f" {batch['chunks_planned']} chunks"
-            )
 
     drivers = report.get("drivers")
     if drivers:

@@ -26,28 +26,21 @@ The weight *sums* are deliberately not batched: measured commit streams cut
 at bias-table conflicts have median segment length 2 (same branch PCs recur
 immediately), far below numpy's per-call break-even, so the plan applies the
 sum + training rule per commit through plain list indexing.  See TESTING.md.
-
-No numpy or an empty commit sub-array yields ``None`` and the engine falls
-back to the scalar ``predict``/``update`` calls (counted as
-``batch.commits_scalar``).
 """
 
 from __future__ import annotations
 
 from repro.predictor.perceptron import HashedPerceptronPredictor
-from repro.traces.batch import HAVE_NUMPY, np
+from repro.traces.batch import np
 
 
-def plan_commits(predictor: HashedPerceptronPredictor, pcs, taken):
+def plan_commits(predictor: HashedPerceptronPredictor, pcs, taken) -> _PerceptronPlan:
     """Build a commit plan for this piece's conditional-branch sub-array.
 
     ``pcs``/``taken`` are numpy arrays holding the PCs and architectural
-    outcomes of the piece's conditional branch commits, in stream order.
-    Returns ``None`` when there is nothing to plan (no numpy or no commits);
-    the caller then stays on the scalar path.
+    outcomes of the piece's conditional branch commits, in stream order
+    (possibly none).
     """
-    if not HAVE_NUMPY or len(pcs) == 0:
-        return None
     return _PerceptronPlan(predictor, pcs, taken)
 
 
@@ -181,13 +174,6 @@ class _PerceptronPlan:
 
     def finish(self) -> None:
         """Flush the deferred accuracy counters at piece end."""
-        if not self._predictions:
-            return
-        stats = self._predictor.stats
-        stats.inc("predictions", self._predictions)
-        stats.inc("correct", self._correct)
-        mispredictions = self._predictions - self._correct
-        if mispredictions:
-            stats.inc("mispredictions", mispredictions)
+        self._predictor.record_outcomes(self._predictions, self._correct)
         self._predictions = 0
         self._correct = 0

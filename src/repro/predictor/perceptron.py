@@ -69,15 +69,6 @@ class HashedPerceptronPredictor:
 
     # -- hashing ------------------------------------------------------------
 
-    def _fold_history(self, length: int) -> int:
-        """Fold the newest ``length`` history bits down to the table index width."""
-        history = self._history & ((1 << length) - 1)
-        folded = 0
-        while history:
-            folded ^= history & (self.table_size - 1)
-            history >>= self.table_bits
-        return folded
-
     def _indices(self, pc: int) -> List[int]:
         mask = self.table_size - 1
         bits = self.table_bits
@@ -85,8 +76,8 @@ class HashedPerceptronPredictor:
         history = self._history
         indices = [base]
         append = indices.append
-        # _fold_history inlined per length (this is the hottest loop of the
-        # whole direction predictor).
+        # Fold the newest ``length`` history bits down to the index width
+        # and XOR them into the PC bits (the predictor's hottest loop).
         for length_mask in self._length_masks:
             folded = 0
             h = history & length_mask
@@ -135,12 +126,14 @@ class HashedPerceptronPredictor:
 
     def record_outcome(self, predicted: bool, taken: bool) -> None:
         """Book-keeping helper used by the front end to track accuracy."""
-        self.stats.inc("predictions")
-        if predicted == taken:
-            self.stats.inc("correct")
-        else:
-            self.stats.inc("mispredictions")
+        self.record_outcomes(1, 1 if predicted == taken else 0)
 
-    def storage_bits(self) -> int:
-        """Weight tables plus the global history register."""
-        return len(self._tables) * self.table_size * self.weight_bits + self.max_history
+    def record_outcomes(self, predictions: int, correct: int) -> None:
+        """Book ``predictions`` outcomes at once, ``correct`` of them right."""
+        if not predictions:
+            return
+        self.stats.inc("predictions", predictions)
+        if correct:
+            self.stats.inc("correct", correct)
+        if predictions != correct:
+            self.stats.inc("mispredictions", predictions - correct)

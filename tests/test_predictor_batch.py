@@ -48,6 +48,11 @@ def _state(predictor):
     return ([list(t) for t in predictor._tables], predictor._history)
 
 
+def _counters(predictor):
+    """Every counter the predictor booked, with its key set."""
+    return predictor.stats._stats.counters()
+
+
 def _scalar_replay(predictor, commits, probes):
     """The scalar front end's commit loop, with interleaved live reads."""
     predictions = []
@@ -68,7 +73,6 @@ def _plan_replay(predictor, commits, probes):
     pcs = np.array([pc for pc, _ in commits], dtype=np.uint64)
     taken = np.array([taken for _, taken in commits], dtype=bool)
     plan = plan_commits(predictor, pcs, taken)
-    assert plan is not None
     predictions = []
     interleaved = []
     for k in range(len(commits)):
@@ -128,8 +132,7 @@ class TestCommitPlanProperties:
         assert plan_pred == scalar_pred
         assert plan_reads == scalar_reads
         assert _state(planned) == _state(scalar)
-        assert planned.stats.get("predictions") == scalar.stats.get("predictions")
-        assert planned.stats.get("mispredictions") == scalar.stats.get("mispredictions")
+        assert _counters(planned) == _counters(scalar)
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -150,13 +153,13 @@ class TestCommitPlanProperties:
         planned = _make(geometry, history, weight_bits)
 
         scalar_pred, _ = _scalar_replay(scalar, commits, {})
-        head_pred, _ = _plan_replay(planned, commits[:cut], {}) if cut else ([], [])
-        tail_pred, _ = (
-            _plan_replay(planned, commits[cut:], {}) if cut < len(commits) else ([], [])
-        )
+        # Either piece may hold no commit at all (cut at 0 or at the end).
+        head_pred, _ = _plan_replay(planned, commits[:cut], {})
+        tail_pred, _ = _plan_replay(planned, commits[cut:], {})
 
         assert head_pred + tail_pred == scalar_pred
         assert _state(planned) == _state(scalar)
+        assert _counters(planned) == _counters(scalar)
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -188,10 +191,18 @@ class TestCommitPlanProperties:
         assert plan_pred == scalar_pred
         assert _state(planned) == _state(scalar)
 
-    def test_no_commits_means_no_plan(self):
+    def test_a_plan_without_commits_changes_nothing(self):
+        """A piece with no conditional branch still gets a plan, and finishing
+        it books no counter and leaves the tables and history alone."""
         predictor = _make(4, 6, 8)
-        empty = np.array([], dtype=np.uint64)
-        assert plan_commits(predictor, empty, np.array([], dtype=bool)) is None
+        predictor.update(0x40_0000, True)
+        before = _state(predictor)
+        plan = plan_commits(
+            predictor, np.array([], dtype=np.uint64), np.array([], dtype=bool)
+        )
+        plan.finish()
+        assert _state(predictor) == before
+        assert _counters(predictor) == {}
 
     @settings(deadline=None, max_examples=60)
     @given(

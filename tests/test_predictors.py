@@ -85,16 +85,6 @@ class TestPredictorLearning:
         assert predictor._history == 0
         assert predictor.predict(pc) is True
 
-    def test_storage_bits(self):
-        predictor = HashedPerceptronPredictor()
-        # Five history tables plus the bias table of 2^12 8-bit weights, and
-        # the 31-bit global history register.
-        assert predictor.storage_bits() == 6 * 4096 * 8 + 31
-
-    def test_storage_bits_of_a_small_geometry(self):
-        predictor = HashedPerceptronPredictor(history_lengths=(2, 5), table_bits=6, weight_bits=4)
-        assert predictor.storage_bits() == 3 * 64 * 4 + 5
-
     @pytest.mark.parametrize("weight_bits", [2, 3, 4])
     def test_weights_saturate_at_their_width(self, weight_bits):
         # Six tables of weights this narrow never sum past the threshold, so
@@ -191,6 +181,19 @@ class TestPredictorLearning:
         assert predictor.stats.get("predictions") == 2
         assert predictor.stats.get("mispredictions") == 1
         assert stats.get("predictor.hashed_perceptron.correct") == 1
+
+    @pytest.mark.parametrize("predictions,correct", [(0, 0), (4, 4), (4, 0), (5, 3)])
+    def test_record_outcomes_books_like_single_outcomes(self, predictions, correct):
+        """A batch of outcomes books the same counters, with the same key set,
+        as recording them one at a time."""
+        batched, single = Stats(), Stats()
+        HashedPerceptronPredictor(table_bits=4, stats=batched).record_outcomes(
+            predictions, correct
+        )
+        one_by_one = HashedPerceptronPredictor(table_bits=4, stats=single)
+        for position in range(predictions):
+            one_by_one.record_outcome(True, position < correct)
+        assert batched.counters() == single.counters()
 
 
 class TestPredictorValidation:
