@@ -46,6 +46,18 @@ from repro.isa.instruction import Instruction
 TAG_BITS = 12
 
 
+def fold12(value: int) -> int:
+    """``fold_xor(value, TAG_BITS)`` in closed form, exact for ``value < 2**96``.
+
+    Each step folds the upper half of the remaining width onto the lower
+    one: 48 bits, then 24, then 12.  Every 64-bit PC is inside the bound.
+    """
+    value ^= value >> 48
+    value ^= value >> 24
+    value ^= value >> 12
+    return value & 0xFFF
+
+
 class BTBLookupResult(NamedTuple):
     """Outcome of probing a BTB with a PC.
 
@@ -95,6 +107,9 @@ class BTBBase(abc.ABC):
         self.reads: dict[str, int] = {}
         self.writes: dict[str, int] = {}
         self.searches: dict[str, int] = {}
+        #: Whether a miss happened before the last :meth:`reset_stats`, so
+        #: the derived ``misses`` counter reads 0 rather than vanishing.
+        self._missed_before_reset = False
         #: All ASID machinery (tag coloring, partitioning, duplication
         #: accounting) for this organization and its secondary structures.
         self.asid_policy = AddressSpacePolicy()
@@ -171,11 +186,10 @@ class BTBBase(abc.ABC):
         """Account ``count`` lookups the batched engine proved to be misses.
 
         The engine never performs those probes; this applies their only
-        architectural footprint -- read-access and miss counters (a missing
-        lookup touches no LRU state).
+        architectural footprint -- the read counter, from which the misses
+        are derived (a missing lookup touches no LRU state).
         """
         self.reads[self._STRUCTURE] = self.reads.get(self._STRUCTURE, 0) + count
-        self.stats.inc("misses", count)
 
     def record_allocation(self, structure: str, key: int) -> None:
         """Note that ``structure`` was asked to track ``key`` (duplication stats).
@@ -207,13 +221,22 @@ class BTBBase(abc.ABC):
         self.searches[structure] = self.searches.get(structure, 0) + 1
 
     def access_counts(self) -> dict[str, float]:
-        """Read/write/search counters plus event counters (flat dict)."""
+        """Read/write/search counters plus event counters (flat dict).
+
+        ``misses`` is derived, never counted: every probe reads its primary
+        structure exactly once and counts at most one hit.  It is reported
+        from the first miss on, and as 0 after a :meth:`reset_stats` that
+        followed one.
+        """
         prefix = self.stats.prefix + "."
         counts: dict[str, float] = {
             key[len(prefix):]: value
             for key, value in self._stats_registry.counters().items()
             if key.startswith(prefix)
         }
+        misses = self.reads.get(self._STRUCTURE, 0) - counts.get("hits", 0.0)
+        if misses or self._missed_before_reset:
+            counts["misses"] = float(misses)
         for structure, count in self.reads.items():
             counts[f"reads.{structure}"] = counts.get(f"reads.{structure}", 0.0) + count
         counts["reads.total"] = float(sum(self.reads.values()))
@@ -237,6 +260,9 @@ class BTBBase(abc.ABC):
 
     def reset_stats(self) -> None:
         """Zero all access counters (used between warmup and measurement)."""
+        self._missed_before_reset = self._missed_before_reset or (
+            self.reads.get(self._STRUCTURE, 0) > self.stats.get("hits")
+        )
         prefix = self.stats.prefix + "."
         for key in list(self._stats_registry.counters()):
             if key.startswith(prefix):
@@ -256,9 +282,10 @@ class SetAssociativeBTB(BTBBase):
     """A main array of ``num_sets`` x ``associativity`` tagged, true-LRU ways.
 
     Owns everything the bounded organizations share: the geometry, the probe
-    (:meth:`lookup`), the allocator (invalid eligible way first, else the
-    constrained-LRU victim), whole-array invalidation, the per-PC location
-    memo, the resident-tag index and the batched backend's residency shadow.
+    (:meth:`lookup`: one computed key, one read of the resident-tag index),
+    the allocator (invalid eligible way first, else the constrained-LRU
+    victim), whole-array invalidation and the batched backend's residency
+    shadow.
     A subclass names its entry type (a slotted dataclass with ``valid`` and
     ``tag`` fields) and implements :meth:`_hit`, its :meth:`update` and its
     storage formulas.
@@ -294,14 +321,11 @@ class SetAssociativeBTB(BTBBase):
         self.num_sets = entries // associativity
         self._sets: List[list | None] = [None] * self.num_sets
         self._lru: List[LRUState | None] = [None] * self.num_sets
-        #: Location memo (see :meth:`_locate`): ``pc -> (index << tag_bits) |
-        #: raw_tag`` for the active partition slice, one dict per slice in
-        #: ``_loc_memos`` (keyed by the ``(base, count)`` slice, ``None`` when
-        #: shared).
-        self._loc_memo: dict[int, int] = {}
-        self._loc_memos: dict[tuple[int, int] | None, dict[int, int]] = {None: self._loc_memo}
-        #: The active ASID's color, folded to ``tag_bits``: XORed into a
-        #: memoized location it gives the colored lookup key.
+        #: The active tenant's ``(base, count)`` slice of the sets (all of
+        #: them when shared) and the active ASID's color folded to
+        #: ``tag_bits``; :meth:`_select_locations` refreshes all three.
+        self._slice_base = 0
+        self._slice_count = self.num_sets
         self._tag_color = 0
         #: Resident-tag index: ``(index << tag_bits) | tag -> way`` of every
         #: valid way.  No two valid ways of a set share a tag (an update
@@ -331,17 +355,18 @@ class SetAssociativeBTB(BTBBase):
 
         ``way`` is a batch plan's preresolution (``-1`` certain miss, ``>= 0``
         the hit way); ``None`` reads the resident-tag index.  Both give the
-        same result, counters and LRU movement.  A miss costs no call beyond
-        the read counter: most probes miss, because most instructions are
-        not branches.
+        same result, counters and LRU movement.  A miss costs the read
+        counter and nothing else -- most probes miss, because most
+        instructions are not branches -- and :meth:`access_counts` derives
+        the misses from the reads and hits.
         """
-        self.record_read(self._STRUCTURE)
+        reads = self.reads
+        reads[self._STRUCTURE] = reads.get(self._STRUCTURE, 0) + 1
         if way is None:
             way = self._resident.get(key, -1)
         if way < 0:
-            self.stats.inc("misses")
             return _MISS_RESULT
-        index = key >> self.tag_bits
+        index = key >> TAG_BITS
         self._lru[index].touch(way)
         return self._hit(pc, index, way)
 
@@ -350,7 +375,8 @@ class SetAssociativeBTB(BTBBase):
         """The result of a tag match in way ``way`` of set ``index``.
 
         Counts the hit -- or, for an entry whose pointer went stale, clears
-        the way and counts a miss.
+        the way and returns a miss (counting nothing: a miss is a read
+        without a hit).
         """
 
     # -- allocation ----------------------------------------------------------
@@ -460,8 +486,7 @@ class SetAssociativeBTB(BTBBase):
 
         The structure is invalidated whenever the partition map changes
         (including back to shared): entries installed under a different map
-        would be unreachable or, worse, reachable from the wrong slice.  The
-        per-slice location memos are dropped with the old map.
+        would be unreachable or, worse, reachable from the wrong slice.
         """
         super().configure_partitions(weights)
         if weights is None or self.num_sets < len(weights):
@@ -469,7 +494,6 @@ class SetAssociativeBTB(BTBBase):
         else:
             self.asid_policy.configure(self._MAIN_DOMAIN, self.num_sets, weights)
             changed = True
-        self._loc_memos = {}
         self._select_locations()
         if changed:
             self.invalidate_all()
@@ -481,43 +505,32 @@ class SetAssociativeBTB(BTBBase):
         resident-tag index's key, so a probe is
         ``_resident.get(_locate(pc), -1)``.
 
-        Locations come from the active slice's memo; a PC seen for the first
-        time is located by :meth:`_locate_raw`.  The memo holds the
-        *uncolored* tag and the ASID color is one XOR with the folded color
-        constant -- exact because :func:`~repro.common.bitutils.fold_xor` is
-        XOR-linear -- so a context switch never invalidates the memo.
-        """
-        location = self._loc_memo.get(pc)
-        if location is None:
-            location = self._loc_memo[pc] = self._locate_raw(pc)
-        return location ^ self._tag_color
-
-    def _locate_raw(self, pc: int) -> int:
-        """``(index << tag_bits) | raw_tag`` of ``pc``, computed from scratch.
-
         The set index uses the raw PC, confined to the active tenant's
-        partition slice when there is one.  The partial tag XOR-folds the
-        whole PC above the alignment bits down to ``tag_bits``, as real BTBs
+        partition slice.  The partial tag XOR-folds the whole PC above the
+        alignment bits down to ``tag_bits`` (:func:`fold12`), as real BTBs
         do to keep tag storage small with minimal aliasing.  The index bits
         are deliberately *included* in the hash: organizations sized to an
         exact storage budget can have non-power-of-two set counts (e.g. a
         1856-entry conventional BTB) whose modulo indexing would otherwise
         let two PCs that differ only in low-order bits share both a set and a
-        tag.  Only the tag sees the ASID color (:meth:`_locate` applies it)
-        -- set indexing and target recovery (BTB-X offset concatenation,
-        PDede same-page rebuild) keep the raw PC.
+        tag.  Only the tag sees the ASID color, one XOR with the folded color
+        constant -- exact because XOR-folding is XOR-linear -- while set
+        indexing and target recovery (BTB-X offset concatenation, PDede
+        same-page rebuild) keep the raw PC.
         """
-        align = self.alignment_bits
-        index = self.asid_policy.set_index(self._MAIN_DOMAIN, pc, self.num_sets, align)
-        high = pc >> align
-        return (index << self.tag_bits) | (fold_xor(high, self.tag_bits) if high else 0)
+        high = pc >> self.alignment_bits
+        return ((self._slice_base + high % self._slice_count) << TAG_BITS) | (
+            fold12(high) ^ self._tag_color
+        )
 
     def _select_locations(self) -> None:
-        """Point the location memo and tag color at the active ASID."""
+        """Cache the active ASID's partition slice and folded tag color."""
         policy = self.asid_policy
         color = policy.color_constant()
-        self._tag_color = fold_xor(color >> self.alignment_bits, self.tag_bits) if color else 0
-        self._loc_memo = self._loc_memos.setdefault(policy.active_slice(self._MAIN_DOMAIN), {})
+        self._tag_color = fold_xor(color >> self.alignment_bits, TAG_BITS) if color else 0
+        self._slice_base, self._slice_count = policy.active_slice(self._MAIN_DOMAIN) or (
+            0, self.num_sets
+        )
 
     # -- residency -----------------------------------------------------------
     #
@@ -592,7 +605,7 @@ class SetAssociativeBTB(BTBBase):
         """
         from repro.traces.batch import np
 
-        index, tag = batch_locate(self, pcs, self.num_sets)
+        index, tag = batch_locate(self, pcs)
         valid, tags = self._ensure_shadow()
         match = valid[index] & (tags[index] == tag[:, None])
         hit_any = match.any(axis=1)
@@ -601,7 +614,7 @@ class SetAssociativeBTB(BTBBase):
         shift = np.uint64(self.tag_bits)
         key = (index << shift) | tag
         if len(taken_branch_pcs):
-            tb_index, tb_tag = batch_locate(self, taken_branch_pcs, self.num_sets)
+            tb_index, tb_tag = batch_locate(self, taken_branch_pcs)
             guaranteed_miss &= ~np.isin(key, (tb_index << shift) | tb_tag)
         gen = np.asarray(self._set_gen, dtype=np.int64)[index]
         return SetBatchPlan(
@@ -755,32 +768,24 @@ class SetBatchPlan(BatchPlan):
         return btb.lookup_prelocated(pc, key, way, self.secondary, position)
 
 
-def batch_locate(btb: SetAssociativeBTB, pcs, num_sets: int):
+def batch_locate(btb: SetAssociativeBTB, pcs):
     """Vectorized twin of :meth:`SetAssociativeBTB._locate`.
 
     Computes the set index and partial tag of every PC in the uint64 array
-    ``pcs`` for ``btb``'s *current* ASID state -- the active
-    :class:`~repro.common.asid.AddressSpacePolicy` slice and the folded color
-    (``_tag_color``) the scalar ``_locate`` XORs into its memoized locations,
-    both constant within a scheduling chunk.  The arithmetic is element-wise
-    identical: raw-PC set indexing (confined to the active partition slice)
-    and an XOR-folded tag over the ASID-colored PC.  Color constants can
-    exceed 64 bits (cold-semantics ASIDs), so the constant is folded in
-    arbitrary precision once per ASID switch and XORed into the vectorized
-    fold -- exact, because XOR-folding is XOR-linear.
+    ``pcs`` from the same cached ASID state the scalar ``_locate`` reads --
+    the active partition slice and the folded color (``_tag_color``), both
+    constant within a scheduling chunk.  The arithmetic is element-wise
+    identical: raw-PC set indexing within the slice and an XOR-folded tag.
+    Color constants can exceed 64 bits (cold-semantics ASIDs), which is why
+    the color is folded in arbitrary precision once per ASID switch and
+    XORed into the vectorized fold.
     """
     from repro.traces.batch import fold_xor_array, np, set_index_array
 
-    align = btb.alignment_bits
-    shifted = pcs >> np.uint64(align)
-    sliced = btb.asid_policy.active_slice(btb._MAIN_DOMAIN)
-    if sliced is None:
-        index = set_index_array(shifted, num_sets)
-    else:
-        base, count = sliced
-        index = set_index_array(shifted, count)
-        if base:
-            index = index + np.uint64(base)
+    shifted = pcs >> np.uint64(btb.alignment_bits)
+    index = set_index_array(shifted, btb._slice_count)
+    if btb._slice_base:
+        index = index + np.uint64(btb._slice_base)
     tags = fold_xor_array(shifted, btb.tag_bits)
     if btb._tag_color:
         tags = tags ^ np.uint64(btb._tag_color)

@@ -43,6 +43,9 @@ TYPE_BITS = 2
 REPL_BITS = 3
 METADATA_BITS = VALID_BITS + TAG_BITS + TYPE_BITS + REPL_BITS
 
+#: The partial-tag bits of a lookup key.
+_TAG_MASK = (1 << TAG_BITS) - 1
+
 #: BTB-XC has 64x fewer entries than BTB-X (at least one).
 COMPANION_DIVISOR = 64
 
@@ -216,9 +219,11 @@ class BTBX(SetAssociativeBTB):
     def energy_access_counts(self) -> dict[str, float]:
         """Main counters plus the companion's read/write/search traffic.
 
-        Only the access-counter keys are merged: the companion's *event*
-        counters (hits/misses) are already folded into the main BTB's stats
-        by :meth:`lookup`, so summing those as well would double-count.
+        Only the access-counter keys are merged.  A companion hit already
+        counts as one of BTB-X's ``hits`` (and ``hits.companion``), and
+        BTB-X's derived ``misses`` are the probes that missed both
+        structures, so summing the companion's hits and misses as well would
+        double-count.
         """
         counts = super().energy_access_counts()
         if self.companion is not None:
@@ -268,24 +273,29 @@ class BTBX(SetAssociativeBTB):
         :meth:`SetAssociativeBTB.lookup_prelocated`).  On a main miss the
         companion is probed through ``companion_plan`` (the batched
         backend's plan of BTB-XC, at the same chunk ``position``) or, without
-        one, located lazily -- the scalar path computes the companion's
-        location only when the main ways miss.
+        one, at a key derived from ``key``: both structures share the tag
+        width, the alignment and the ASID color, so only the set index is
+        recomputed, within the companion's own partition slice.
         """
         if way is None:
             way = self._resident.get(key, -1)
-        if way >= 0 or self.companion is None:
+        companion = self.companion
+        if way >= 0 or companion is None:
             return super().lookup_prelocated(pc, key, way)
-        self.record_read("main")
+        reads = self.reads
+        reads["main"] = reads.get("main", 0) + 1
         if companion_plan is None:
-            companion_result = self.companion.lookup(pc)
+            high = pc >> self.alignment_bits
+            companion_key = (
+                (companion._slice_base + high % companion._slice_count) << TAG_BITS
+            ) | (key & _TAG_MASK)
+            companion_result = companion.lookup_prelocated(pc, companion_key)
         else:
             companion_result = companion_plan.lookup(position, pc)
         if companion_result.hit:
             self.stats.inc("hits")
             self.stats.inc("hits.companion")
-            return companion_result
-        self.stats.inc("misses")
-        return BTBLookupResult.miss()
+        return companion_result
 
     def _hit(self, pc: int, index: int, way: int) -> BTBLookupResult:
         entry = self._sets[index][way]

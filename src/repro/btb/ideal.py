@@ -31,10 +31,10 @@ class IdealBTB(BTBBase):
 
     def lookup(self, pc: int) -> BTBLookupResult:
         """Hit whenever the branch has been seen (and committed taken) before."""
-        self.record_read("main")
+        reads = self.reads
+        reads["main"] = reads.get("main", 0) + 1
         entry = self._entries.get((self.active_asid, pc))
         if entry is None:
-            self.stats.inc("misses")
             return BTBLookupResult.miss()
         branch_type, target = entry
         self.stats.inc("hits")

@@ -197,7 +197,6 @@ class PDedeBTB(SetAssociativeBTB):
         region = self._regions.slots[entry.region_pointer]
         if not page.valid or not region.valid:
             self._clear_way(index, way, entry)
-            self.stats.inc("misses")
             return BTBLookupResult.miss()
         self.record_read("page")
         target = (

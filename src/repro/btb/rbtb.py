@@ -120,7 +120,6 @@ class ReducedBTB(SetAssociativeBTB):
         if not page.valid:
             # Stale pointer (page evicted): treat as a BTB miss.
             self._clear_way(index, way, entry)
-            self.stats.inc("misses")
             return BTBLookupResult.miss()
         self.record_read("page")
         target = (

@@ -87,20 +87,6 @@ def partition_ranges_or_shared(
     return partition_ranges(total, weights)
 
 
-def set_index(key: int, num_sets: int, alignment_bits: int) -> int:
-    """Set index for a key: low-order bits above the alignment bits.
-
-    Non-power-of-two set counts (which arise when matching a storage budget
-    exactly, e.g. a 1856-entry conventional BTB) use modulo indexing.
-    """
-    if num_sets <= 0:
-        raise ValueError("a set-associative structure needs at least one set")
-    shifted = key >> alignment_bits
-    if num_sets & (num_sets - 1) == 0:
-        return shifted & (num_sets - 1)
-    return shifted % num_sets
-
-
 class AddressSpacePolicy:
     """ASID mechanics for one structure family (primary + secondary domains).
 
@@ -108,7 +94,7 @@ class AddressSpacePolicy:
     optional per-tenant partition map.  Structures delegate four things to it:
 
     * which tag value to match (:meth:`colored`),
-    * which set/slot range a key may touch (:meth:`set_index`,
+    * which set/slot range a key may touch (:meth:`active_slice`,
       :meth:`modulo_index`, :meth:`entry_slice`),
     * what to report (:meth:`domain_counts`, :meth:`partition_report`),
     * duplication bookkeeping (:meth:`record_allocation`,
@@ -233,10 +219,9 @@ class AddressSpacePolicy:
     def active_slice(self, domain: str) -> Tuple[int, int] | None:
         """``(base, count)`` slice of the *active* tenant, ``None`` when shared.
 
-        The batched backend hoists this out of its per-chunk vectorized set
-        indexing: within one scheduling turn the active ASID -- and therefore
-        the slice -- is constant, so the whole chunk indexes against one
-        ``(base, count)`` pair exactly as :meth:`set_index` would per key.
+        A set-associative BTB caches it at every ASID switch and partition
+        change, and indexes a key's set at ``base + (key >> alignment) %
+        count`` (the whole structure when shared).
         """
         return self._slice(domain)
 
@@ -254,22 +239,8 @@ class AddressSpacePolicy:
             return 0
         return (asid * ASID_SALT) << ASID_SHIFT
 
-    def set_index(self, domain: str, key: int, num_sets: int, alignment_bits: int) -> int:
-        """Set index for ``key``, confined to the active tenant's partition.
-
-        With ``domain`` shared this is exactly :func:`set_index` over the
-        whole structure; with partitions, the key indexes *within* the active
-        slice and is offset to the slice's base, so lookups and updates of
-        different tenants can never touch the same set.
-        """
-        ranges = self._domains.get(domain)  # _slice, inlined: once per BTB probe
-        if ranges is None:
-            return set_index(key, num_sets, alignment_bits)
-        base, count = ranges[self.active_asid % len(ranges)]
-        return base + set_index(key, count, alignment_bits)
-
     def modulo_index(self, domain: str, value: int, num_sets: int) -> int:
-        """Like :meth:`set_index` for an already-hashed value (plain modulo)."""
+        """Index of an already-hashed ``value``, within the active tenant's slice."""
         sliced = self._slice(domain)
         if sliced is None:
             return value % num_sets

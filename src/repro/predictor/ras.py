@@ -66,7 +66,3 @@ class ReturnAddressStack:
     def capacity(self) -> int:
         """Maximum number of return addresses held."""
         return self.entries
-
-    def storage_bits(self, address_bits: int = 48) -> int:
-        """Storage footprint of the RAS."""
-        return self.entries * address_bits

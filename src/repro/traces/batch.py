@@ -12,8 +12,8 @@ array plumbing:
   format via one ``frombuffer`` instead of a per-record ``struct.unpack``
   (the round-trip suite pins it against the scalar decoder);
 * :func:`fold_xor_array` / :func:`set_index_array` -- vectorized twins of
-  :func:`repro.common.bitutils.fold_xor` and
-  :func:`repro.common.asid.set_index`, bit-exact by construction.
+  :func:`repro.common.bitutils.fold_xor` and the scalar BTB probe's set
+  indexing, bit-exact by construction.
 
 Everything degrades gracefully without numpy: :data:`HAVE_NUMPY` gates the
 backend, and importing this module never fails -- the pure-Python oracle is
@@ -187,11 +187,11 @@ def fold_xor_array(values, width: int):
 
 
 def set_index_array(shifted_keys, count: int):
-    """Vectorized :func:`repro.common.asid.set_index` over pre-shifted keys.
+    """Set indices ``shifted_keys % count`` over pre-shifted keys.
 
     ``shifted_keys`` is ``key >> alignment_bits`` (uint64); power-of-two set
-    counts mask, everything else takes the modulo, exactly like the scalar
-    helper.
+    counts mask, everything else takes the modulo -- the scalar BTB probe's
+    ``high % count``.
     """
     if count <= 0:
         raise ValueError("a set-associative structure needs at least one set")

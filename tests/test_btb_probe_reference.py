@@ -1,11 +1,12 @@
-"""The memoized, indexed BTB probe against a from-scratch reference.
+"""The computed-key, indexed BTB probe against a from-scratch reference.
 
-Every set-associative organization probes through a per-PC location memo
-and a resident-tag index (``BTBBase._locate`` and ``BTBBase._resident``).
-Here each organization runs in lockstep with a *reference* instance of the
-same class whose location is recomputed from scratch on every call (the
-ASID-colored PC folded down to a partial tag) and whose probe scans the
-set's ways.  Budgets are tiny, so LRU evictions, Page-/Region-BTB evictions
+Every set-associative organization probes with a key computed from cached
+ASID state (``SetAssociativeBTB._locate``; BTB-X derives BTB-XC's key from
+its own) and one read of a resident-tag index (``_resident``), and derives
+its miss counter from reads and hits.  Here each organization runs in
+lockstep with a *reference* instance of the same class whose location is
+recomputed from scratch on every call (the ASID-colored PC folded down to a
+partial tag by the generic fold) and whose probe scans the set's ways.  Budgets are tiny, so LRU evictions, Page-/Region-BTB evictions
 with their pointer invalidations, BTB-X/PDede reallocations and BTB-XC
 conflicts all happen; lookups, taken-branch updates, tagged ASID switches,
 partition-map changes and whole-structure invalidations interleave.
@@ -41,9 +42,10 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repro.btb.base import PointerTable
+from repro.btb.base import PointerTable, fold12
 from repro.btb.btbx import BTBX
 from repro.btb.conventional import ConventionalBTB
+from repro.btb.ideal import IdealBTB
 from repro.btb.pdede import PDedeBTB
 from repro.btb.rbtb import ReducedBTB
 from repro.common.bitutils import fold_xor
@@ -88,11 +90,11 @@ ASIDS = (0, 1, 2, 7, 1_000_003)
 
 PARTITIONS = (None, (1, 1), (1, 3), (2, 1, 1))
 
-#: Per-structure state excluded from the lockstep comparison: the memo and
-#: index under test, the reference's patched-in probe, and objects compared
-#: through their own reports.
+#: Per-structure state excluded from the lockstep comparison: the cached
+#: key inputs and the index under test, the reference's patched-in probe,
+#: and objects compared through their own reports.
 _UNCOMPARED = frozenset({
-    "_loc_memo", "_loc_memos", "_tag_color", "_resident", "_locate",
+    "_slice_base", "_slice_count", "_tag_color", "_resident", "_locate",
     "_shadow_valid", "_shadow_tags", "_set_gen",
     "_stats_registry", "stats", "asid_policy", "companion", "isa",
 })
@@ -125,7 +127,8 @@ def _ways(btb, index):
 def _scratch_locate(btb, pc):
     """Lookup key from scratch: raw-PC set index, tag over the colored PC."""
     align = btb.isa.alignment_bits
-    index = btb.asid_policy.set_index(btb._MAIN_DOMAIN, pc, btb.num_sets, align)
+    base, count = btb.asid_policy.active_slice(btb._MAIN_DOMAIN) or (0, btb.num_sets)
+    index = base + (pc >> align) % count
     high = btb.asid_policy.colored(pc) >> align
     return (index << btb.tag_bits) | (fold_xor(high, btb.tag_bits) if high else 0)
 
@@ -241,7 +244,7 @@ PRESSURE = tuple(("update", pc, 0x40, BranchType.CALL) for pc in PCS) + tuple(
     isa=st.sampled_from(tuple(ISAStyle)),
     ops=st.lists(OPS, max_size=120),
 )
-def test_memoized_probe_matches_scratch_reference(name, sets, isa, ops):
+def test_computed_probe_matches_scratch_reference(name, sets, isa, ops):
     btb = FACTORIES[name](sets, isa)
     reference = _reference(name, sets, isa)
     for op in (*ops, *PRESSURE):
@@ -278,6 +281,91 @@ def test_reallocations_are_exercised():
             _assert_index_is_live(btb)
         assert btb.access_counts()["reallocations"] == 1
         assert btb.lookup(pc).target == pc + far
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**64 - 1))
+def test_fold12_is_the_generic_fold(value):
+    assert fold12(value) == fold_xor(value, 12)
+
+
+@pytest.mark.parametrize("isa", tuple(ISAStyle), ids=lambda isa: isa.value)
+@pytest.mark.parametrize("companion_entries", (1, 3), ids=("shared1", "sliced3"))
+def test_companion_key_is_derived_from_the_main_key(isa, companion_entries):
+    """BTB-XC is probed at its from-scratch key under every ASID and map.
+
+    A one-entry companion stays shared beside a partitioned main array; a
+    three-entry one is partitioned with it whenever the main array is.
+    """
+    btb = BTBX(8 * 3, companion_entries=companion_entries, isa=isa)
+    companion = btb.companion
+    probed = []
+    probe = companion.lookup_prelocated
+
+    def spy(pc, key, way=None):
+        probed.append(key)
+        return probe(pc, key, way)
+
+    companion.lookup_prelocated = spy
+    for weights in PARTITIONS:
+        btb.configure_partitions(weights)
+        for asid in ASIDS:
+            btb.set_active_asid(asid)
+            for pc in PCS:
+                probed.clear()
+                assert not btb.lookup(pc).hit
+                assert probed == [_scratch_locate(companion, pc)], (weights, asid, pc)
+
+
+#: Every organization, the ideal BTB included.
+ALL_FACTORIES = {**FACTORIES, "ideal": lambda sets, isa: IdealBTB()}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FACTORIES))
+def test_misses_are_reads_minus_hits(name):
+    """``misses`` counts the lookups that missed, from the first one on.
+
+    It is absent while only updates ran, present from the first miss, and
+    still present (as 0) after a reset that followed a miss, even with no
+    lookup since.  The structures BTB-X keeps beside it follow the same rule.
+    """
+    btb = ALL_FACTORIES[name](2, ISAStyle.ARM64)
+    rng = random.Random(2023)
+    for pc in PCS[:12]:
+        btb.update(Instruction.branch(pc, BranchType.CALL, True, pc + rng.choice(DELTAS)))
+    for structure in _structures(btb):
+        assert "misses" not in structure.access_counts()
+    missed = 0
+    for op in [*_draw_ops(7), *PRESSURE]:
+        result = _apply(btb, op)
+        missed += result is not None and not result.hit
+        counts = btb.access_counts()
+        assert counts.get("misses", 0.0) == missed, op
+        if missed:
+            assert counts["misses"] == counts["reads.main"] - counts.get("hits", 0.0)
+        else:
+            assert "misses" not in counts
+    for structure in _structures(btb):
+        counts = structure.access_counts()
+        assert counts["misses"] > 0
+        reads = counts[f"reads.{structure._STRUCTURE}"]
+        assert counts["misses"] == reads - counts.get("hits", 0.0)
+    btb.reset_stats()
+    btb.update(Instruction.branch(PCS[0], BranchType.CALL, True, PCS[0] + 8))
+    for structure in _structures(btb):
+        assert structure.access_counts()["misses"] == 0.0
+    assert btb.lookup(PCS[0]).hit
+    assert btb.access_counts()["misses"] == 0.0
+
+
+def test_a_reset_without_misses_reports_none():
+    btb = FACTORIES["conventional"](2, ISAStyle.ARM64)
+    btb.update(Instruction.branch(PCS[0], BranchType.CALL, True, PCS[0] + 8))
+    assert btb.lookup(PCS[0]).hit
+    btb.reset_stats()
+    assert "misses" not in btb.access_counts()
+    assert not btb.lookup(PCS[1]).hit
+    assert btb.access_counts()["misses"] == 1.0
 
 
 # -- pinned organization digests ---------------------------------------------

@@ -211,6 +211,7 @@ class TestNonBranchMissShortCircuit:
         bpu, btb, stats, _ = self._warm_bpu()
         counters = stats.counters()
         reads = dict(btb.reads)
+        misses = btb.access_counts().get("misses", 0.0)
         ras = bpu.ras.snapshot()
         resident = sorted(btb._resident_ways())
 
@@ -225,13 +226,9 @@ class TestNonBranchMissShortCircuit:
         assert prediction.outcome is PredictionOutcome.CORRECT
         assert not prediction.stream_break and not prediction.extra_btb_cycles
         assert not prediction.btb_miss_taken_branch
-        moved = {
-            name: value - counters.get(name, 0.0)
-            for name, value in stats.counters().items()
-            if value != counters.get(name, 0.0)
-        }
-        assert moved == {"btb.conventional.misses": 1}
+        assert stats.counters() == counters
         assert btb.reads == {**reads, "main": reads["main"] + 1}
+        assert btb.access_counts()["misses"] == misses + 1
         assert bpu.ras.snapshot() == ras
         assert sorted(btb._resident_ways()) == resident
 

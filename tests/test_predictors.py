@@ -266,9 +266,6 @@ class TestReturnAddressStack:
         with pytest.raises(ConfigurationError):
             ReturnAddressStack(entries=0)
 
-    def test_storage_bits(self):
-        assert ReturnAddressStack(entries=64).storage_bits(48) == 64 * 48
-
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=40))
     def test_balanced_push_pop_matches_list_semantics(self, addresses):
