@@ -372,12 +372,7 @@ class SetAssociativeBTB(BTBBase):
 
     @abc.abstractmethod
     def _hit(self, pc: int, index: int, way: int) -> BTBLookupResult:
-        """The result of a tag match in way ``way`` of set ``index``.
-
-        Counts the hit -- or, for an entry whose pointer went stale, clears
-        the way and returns a miss (counting nothing: a miss is a read
-        without a hit).
-        """
+        """The result of a tag match in way ``way`` of set ``index``; counts the hit."""
 
     # -- allocation ----------------------------------------------------------
 
@@ -484,16 +479,12 @@ class SetAssociativeBTB(BTBBase):
         tagged sharing, reported as such (:meth:`partition_set_counts`
         returns ``None``), rather than refusing to run.
 
-        The structure is invalidated whenever the partition map changes
-        (including back to shared): entries installed under a different map
-        would be unreachable or, worse, reachable from the wrong slice.
+        The structure is invalidated whenever the partition map may have
+        changed (including back to shared): entries installed under a
+        different map would be unreachable or, worse, reachable from the
+        wrong slice.
         """
-        super().configure_partitions(weights)
-        if weights is None or self.num_sets < len(weights):
-            changed = self.asid_policy.clear(self._MAIN_DOMAIN)
-        else:
-            self.asid_policy.configure(self._MAIN_DOMAIN, self.num_sets, weights)
-            changed = True
+        changed = self.asid_policy.configure(self._MAIN_DOMAIN, self.num_sets, weights)
         self._select_locations()
         if changed:
             self.invalidate_all()
@@ -528,9 +519,7 @@ class SetAssociativeBTB(BTBBase):
         policy = self.asid_policy
         color = policy.color_constant()
         self._tag_color = fold_xor(color >> self.alignment_bits, TAG_BITS) if color else 0
-        self._slice_base, self._slice_count = policy.active_slice(self._MAIN_DOMAIN) or (
-            0, self.num_sets
-        )
+        self._slice_base, self._slice_count = policy.active_slice(self._MAIN_DOMAIN, self.num_sets)
 
     # -- residency -----------------------------------------------------------
     #
@@ -587,7 +576,7 @@ class SetAssociativeBTB(BTBBase):
           (``taken_branch_pcs``) could install.  Within a chunk the active
           ASID -- hence coloring and partition slice -- is constant, updates
           install only at taken-branch keys and evictions (LRU victims,
-          dangling Page-/Region-BTB pointers, reallocations) only remove
+          Page-/Region-BTB pointer invalidations, reallocations) only remove
           entries, so the filter is static and exact;
         * ``lookup(position, pc)`` -- perform the real lookup for the chunk's
           ``position``-th instruction, with the result, LRU movement and

@@ -119,7 +119,7 @@ class BTBX(SetAssociativeBTB):
     """BTB-X proper: skewed-width offset ways plus the BTB-XC companion.
 
     ``companion_entries`` defaults to :func:`companion_entries_for`
-    ``entries``; zero builds no companion.
+    ``entries`` and must be positive: every BTB-X has its BTB-XC.
     """
 
     name = "btbx"
@@ -152,11 +152,9 @@ class BTBX(SetAssociativeBTB):
         self._way_allocations = [0] * self.associativity
         if companion_entries is None:
             companion_entries = companion_entries_for(entries)
-        self.companion: BTBXC | None = (
-            BTBXC(companion_entries, isa=isa, stats=self._stats_registry)
-            if companion_entries
-            else None
-        )
+        if companion_entries <= 0:
+            raise ConfigurationError("BTB-X needs a BTB-XC of at least one entry")
+        self.companion: BTBXC = BTBXC(companion_entries, isa=isa, stats=self._stats_registry)
 
     # -- geometry ----------------------------------------------------------
 
@@ -170,24 +168,19 @@ class BTBX(SetAssociativeBTB):
         return btbx_set_bits(self.way_offset_bits)
 
     def storage_bits(self) -> int:
-        """Total storage, including the BTB-XC companion when present."""
-        total = self.num_sets * self.set_bits()
-        if self.companion is not None:
-            total += self.companion.storage_bits()
-        return total
+        """Total storage, including the BTB-XC companion."""
+        return self.num_sets * self.set_bits() + self.companion.storage_bits()
 
     def capacity_entries(self) -> int:
         """Branch capacity: BTB-X entries plus companion entries."""
-        companion = self.companion.capacity_entries() if self.companion is not None else 0
-        return super().capacity_entries() + companion
+        return super().capacity_entries() + self.companion.capacity_entries()
 
     # -- operations --------------------------------------------------------
 
     def set_active_asid(self, asid: int) -> None:
         """Propagate the ASID to the companion so both structures agree."""
         super().set_active_asid(asid)
-        if self.companion is not None:
-            self.companion.set_active_asid(asid)
+        self.companion.set_active_asid(asid)
 
     def configure_partitions(self, weights: Sequence[int] | None) -> None:
         """Partition BTB-X sets per tenant; the companion follows when it can.
@@ -199,21 +192,17 @@ class BTBX(SetAssociativeBTB):
         sliver of capacity).
         """
         super().configure_partitions(weights)
-        if self.companion is not None:
-            self.companion.configure_partitions(weights)
+        self.companion.configure_partitions(weights)
 
     def secondary_partition_counts(self) -> dict[str, list[int]]:
         """Per-tenant companion slices, when the companion is partitioned."""
-        if self.companion is None:
-            return {}
         counts = self.companion.partition_set_counts()
         return {} if counts is None else {"companion": counts}
 
     def duplication_counts(self) -> dict[str, dict[str, int]]:
         """Main-BTB duplication plus the companion's, under one report."""
         counts = super().duplication_counts()
-        if self.companion is not None:
-            counts.update(self.companion.duplication_counts())
+        counts.update(self.companion.duplication_counts())
         return counts
 
     def energy_access_counts(self) -> dict[str, float]:
@@ -226,10 +215,9 @@ class BTBX(SetAssociativeBTB):
         double-count.
         """
         counts = super().energy_access_counts()
-        if self.companion is not None:
-            for key, value in self.companion.access_counts().items():
-                if key.startswith(("reads.", "writes.", "searches.")):
-                    counts[key] = counts.get(key, 0.0) + float(value)
+        for key, value in self.companion.access_counts().items():
+            if key.startswith(("reads.", "writes.", "searches.")):
+                counts[key] = counts.get(key, 0.0) + float(value)
         return counts
 
     def reset_stats(self) -> None:
@@ -244,8 +232,7 @@ class BTBX(SetAssociativeBTB):
         super().reset_stats()
         self._way_hits = [0] * self.associativity
         self._way_allocations = [0] * self.associativity
-        if self.companion is not None:
-            self.companion.reset_stats()
+        self.companion.reset_stats()
 
     def _recover_target(self, pc: int, entry: _Entry) -> int:
         """Concatenate the branch PC's high bits with the stored offset.
@@ -279,9 +266,9 @@ class BTBX(SetAssociativeBTB):
         """
         if way is None:
             way = self._resident.get(key, -1)
-        companion = self.companion
-        if way >= 0 or companion is None:
+        if way >= 0:
             return super().lookup_prelocated(pc, key, way)
+        companion = self.companion
         reads = self.reads
         reads["main"] = reads.get("main", 0) + 1
         if companion_plan is None:
@@ -330,8 +317,7 @@ class BTBX(SetAssociativeBTB):
         )
         if required > self.max_offset_bits:
             self.stats.inc("overflow_to_companion")
-            if self.companion is not None:
-                self.companion.update(instruction)
+            self.companion.update(instruction)
             return
 
         self.record_allocation("main", instruction.pc)
@@ -371,8 +357,7 @@ class BTBX(SetAssociativeBTB):
     def invalidate_all(self) -> None:
         """Clear every entry, including the companion (tests/warmup control)."""
         super().invalidate_all()
-        if self.companion is not None:
-            self.companion.invalidate_all()
+        self.companion.invalidate_all()
 
     # -- batched backend ---------------------------------------------------
 
@@ -387,13 +372,11 @@ class BTBX(SetAssociativeBTB):
         plan, live, so companion mutations mid-chunk need no static analysis.
         """
         plan = super().batch_plan(pcs, taken_branch_pcs)
-        if self.companion is not None:
-            plan.secondary = self.companion.batch_plan(pcs, taken_branch_pcs)
-            plan.guaranteed_miss &= plan.secondary.guaranteed_miss
+        plan.secondary = self.companion.batch_plan(pcs, taken_branch_pcs)
+        plan.guaranteed_miss &= plan.secondary.guaranteed_miss
         return plan
 
     def note_skipped_miss_lookups(self, count: int) -> None:
         """Bulk-account ``count`` proven-miss lookups (main and companion)."""
         super().note_skipped_miss_lookups(count)
-        if self.companion is not None:
-            self.companion.note_skipped_miss_lookups(count)
+        self.companion.note_skipped_miss_lookups(count)

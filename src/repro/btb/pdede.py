@@ -91,21 +91,19 @@ class PDedeBTB(SetAssociativeBTB):
         region_entries: int = 4,
         associativity: int = 8,
         page_associativity: int = 16,
-        same_page_way_fraction: float = 0.5,
         isa: ISAStyle = ISAStyle.ARM64,
         stats: Stats | None = None,
     ) -> None:
         super().__init__(entries, associativity, isa, stats)
         if page_entries <= 0 or region_entries <= 0:
             raise ConfigurationError("Page-BTB and Region-BTB need at least one entry each")
-        if not 0.0 <= same_page_way_fraction <= 1.0:
-            raise ConfigurationError("same-page way fraction must be within [0, 1]")
         self.page_entries = page_entries
         self.region_entries = region_entries
         self.page_associativity = min(page_associativity, page_entries)
         # Ways [0, same_page_ways) are reserved for same-page entries; the rest
-        # may hold either kind (the paper reserves half for same-page).
-        self.same_page_ways = int(round(associativity * same_page_way_fraction))
+        # may hold either kind (the paper reserves half for same-page).  At
+        # least one way is left for different-page entries.
+        self.same_page_ways = associativity // 2
         self._any_way = list(range(associativity))
         self._pointer_ways = list(range(self.same_page_ways, associativity))
         self._pages = PointerTable("page", page_entries)
@@ -159,14 +157,8 @@ class PDedeBTB(SetAssociativeBTB):
         does this whenever more than four tenants consolidate.
         """
         super().configure_partitions(weights)
-        if weights is None:
-            self.asid_policy.clear("page")
-            self.asid_policy.clear("region")
-            return
-        self.asid_policy.configure("page", self._page_sets, weights, fallback_to_shared=True)
-        self.asid_policy.configure(
-            "region", self.region_entries, weights, fallback_to_shared=True
-        )
+        self.asid_policy.configure("page", self._page_sets, weights)
+        self.asid_policy.configure("region", self.region_entries, weights)
 
     def invalidate_all(self) -> None:
         """Clear the Main-, Page- and Region-BTB (context-switch flush)."""
@@ -195,9 +187,6 @@ class PDedeBTB(SetAssociativeBTB):
             )
         page = self._pages.slots[entry.page_pointer]
         region = self._regions.slots[entry.region_pointer]
-        if not page.valid or not region.valid:
-            self._clear_way(index, way, entry)
-            return BTBLookupResult.miss()
         self.record_read("page")
         target = (
             (region.value << (PAGE_BITS + REGION_PAGE_BITS))
@@ -240,11 +229,12 @@ class PDedeBTB(SetAssociativeBTB):
         page_number = (target >> PAGE_BITS) & mask(REGION_PAGE_BITS)
         policy = self.asid_policy
         self.record_allocation("region", region_number)
-        first, count = policy.entry_slice("region", self.region_entries)
+        first, count = policy.active_slice("region", self.region_entries)
         region_slot = self._regions.find_or_install(self, region_number, first, count)
         self.record_search("page")
         self.record_allocation("page", (region_number << REGION_PAGE_BITS) | page_number)
-        page_set = policy.modulo_index("page", page_number ^ region_number, self._page_sets)
+        base, count = policy.active_slice("page", self._page_sets)
+        page_set = base + (page_number ^ region_number) % count
         page_slot = self._pages.find_or_install(
             self, page_number, page_set * self.page_associativity, self.page_associativity
         )
@@ -273,11 +263,6 @@ class PDedeBTB(SetAssociativeBTB):
         eligible = self._eligible_ways(same_page)
         entry = self._resident_entry(key, eligible)
         if entry is None:
-            if not eligible:
-                # Degenerate configuration (every way reserved for same-page
-                # entries): a different-page branch simply cannot be tracked.
-                self.stats.inc("unallocatable")
-                return
             _, entry = self._allocate(key, eligible)
         else:
             self.record_write("main")

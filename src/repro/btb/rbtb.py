@@ -103,10 +103,7 @@ class ReducedBTB(SetAssociativeBTB):
         to sharing (still ASID-tagged), like BTB-X's companion.
         """
         super().configure_partitions(weights)
-        if weights is None:
-            self.asid_policy.clear("page")
-            return
-        self.asid_policy.configure("page", self.page_entries, weights, fallback_to_shared=True)
+        self.asid_policy.configure("page", self.page_entries, weights)
 
     def invalidate_all(self) -> None:
         """Clear the Main-BTB and the Page-BTB (context-switch flush)."""
@@ -117,10 +114,6 @@ class ReducedBTB(SetAssociativeBTB):
         """Follow the page pointer (serial access)."""
         entry = self._sets[index][way]
         page = self._pages.slots[entry.page_pointer]
-        if not page.valid:
-            # Stale pointer (page evicted): treat as a BTB miss.
-            self._clear_way(index, way, entry)
-            return BTBLookupResult.miss()
         self.record_read("page")
         target = (
             (page.value << PAGE_BITS)
@@ -152,7 +145,7 @@ class ReducedBTB(SetAssociativeBTB):
 
         self.record_search("page")
         self.record_allocation("page", page_number)
-        first, count = self.asid_policy.entry_slice("page", self.page_entries)
+        first, count = self.asid_policy.active_slice("page", self.page_entries)
         # Installing the page may invalidate Main-BTB entries (this one
         # included), so the resident-tag index is read after it.
         page_slot = self._pages.find_or_install(self, page_number, first, count)

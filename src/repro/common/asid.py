@@ -1,42 +1,41 @@
 """Cross-layer address-space (ASID) policy shared by every taggable structure.
 
-Context switches touch three different kinds of predictive/cached state in
-this model -- BTB organizations (main arrays plus their Page-/Region-/
-companion secondaries), the branch-prediction unit's RAS, and the memory
-hierarchy's set-associative caches.  All of them need the *same* mechanics:
+Context switches touch three kinds of predictive/cached state in this model
+-- the BTB organizations (main arrays plus their Page-/Region-/companion
+secondaries), the branch-prediction unit's RAS and the memory hierarchy's
+set-associative caches.  Every set-indexed structure among them follows one
+address-space rule: a key of the active ASID lives at
 
-* **tag coloring** -- fold the active ASID into whatever value the structure
-  tag-matches on, so entries installed by one address space never hit for
-  another while everyone shares storage.  ASID 0 colors to the identity, so a
-  single-address-space run is bit-identical whether or not tagging is in
-  effect;
-* **flush-on-switch** -- the conservative hardware baseline: discard the
-  structure whenever a different address space is scheduled in
-  (:func:`retains_across_switch` is the one place that spells out which
-  :class:`~repro.common.config.ASIDMode` retains);
-* **capacity partitioning** -- split a structure's sets (or a fully
-  associative structure's entries) among tenants proportionally to their
-  scheduling weights, with a deterministic apportionment and, for small
-  secondary structures, a fall-back to (still tagged) sharing when there are
-  fewer sets/entries than tenants;
-* **partition reporting** -- per-tenant slice sizes for results;
-* **duplication accounting** -- distinct contents versus distinct
-  ``(asid, content)`` pairs, the storage tagging spends on shared code.
+    ``base + raw_index % count``,  matched on ``raw_tag ^ color``
 
-:class:`AddressSpacePolicy` bundles those mechanics for one structure family:
-a primary array plus any number of named secondary *domains* that share its
-active ASID (PDede registers ``"page"`` and ``"region"`` domains next to its
-``"main"`` one; a cache registers just ``"sets"``).  The structures keep their
-own arrays, LRU state and replacement logic -- the policy owns everything
-ASID-shaped, so the mode semantics live in exactly one module instead of once
-per structure.
+where ``(base, count)`` is the active tenant's slice of the structure (all of
+it when shared) and ``color`` is the active ASID's color constant (0 for
+ASID 0).  The policy answers the three questions that rule needs:
+
+* :meth:`AddressSpacePolicy.configure` -- partition a domain's sets or
+  entries among tenants by scheduling weight, or return it to sharing.  A
+  structure with fewer sets/entries than tenants stays shared (and still
+  tagged);
+* :meth:`AddressSpacePolicy.active_slice` -- the active tenant's
+  ``(base, count)`` range;
+* :meth:`AddressSpacePolicy.color_constant` -- the XOR constant folded into
+  tags.  ASID 0 colors to the identity, so a single-address-space run is
+  bit-identical whether or not tagging is in effect.
+
+Adopters cache the slice and color at every ASID switch and partition change
+and compute index and tag in closed form.  *When* to flush is decided by
+:func:`retains_across_switch`, the one place that spells out which
+:class:`~repro.common.config.ASIDMode` retains state.  The policy also keeps
+per-tenant slice reports and duplication accounting (distinct contents
+versus distinct ``(asid, content)`` pairs, the storage tagging spends on
+shared code).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.common.config import ASIDMode, partition_set_counts
+from repro.common.config import ASIDMode, partition_set_counts, validate_partition_weights
 
 #: Multiplier spreading an ASID over the bits folded into partial tags.
 #: ASID 0 colors to the identity, so single-address-space simulations are
@@ -72,37 +71,24 @@ def partition_ranges(total: int, weights: Sequence[int]) -> List[Tuple[int, int]
     return ranges
 
 
-def partition_ranges_or_shared(
-    total: int, weights: Sequence[int]
-) -> List[Tuple[int, int]] | None:
-    """Like :func:`partition_ranges`, but fall back to sharing when too small.
-
-    A structure with fewer sets/entries than tenants cannot give everyone a
-    slice; it stays shared instead (``None``), exactly like BTB-X's companion
-    -- its entries are still ASID-colored/tagged, so sharing is false-hit
-    free and the only cross-tenant effect is eviction pressure.
-    """
-    if total < len(weights):
-        return None
-    return partition_ranges(total, weights)
-
-
 class AddressSpacePolicy:
     """ASID mechanics for one structure family (primary + secondary domains).
 
     The policy tracks one *active* address space and, per named domain, an
-    optional per-tenant partition map.  Structures delegate four things to it:
+    optional per-tenant partition map.  A structure registers one domain per
+    set-indexed array -- PDede registers ``"page"`` and ``"region"`` next to
+    its ``"main"``, a cache just ``"sets"`` -- and asks three questions:
 
-    * which tag value to match (:meth:`colored`),
-    * which set/slot range a key may touch (:meth:`active_slice`,
-      :meth:`modulo_index`, :meth:`entry_slice`),
-    * what to report (:meth:`domain_counts`, :meth:`partition_report`),
-    * duplication bookkeeping (:meth:`record_allocation`,
-      :meth:`duplication_counts`).
+    * :meth:`configure` -- set or clear a domain's partition map;
+    * :meth:`active_slice` -- which ``(base, count)`` range the active tenant
+      may touch;
+    * :meth:`color_constant` -- which constant to XOR into tags.
 
-    The policy is deliberately mode-agnostic: *when* to flush or retag is the
-    adopter's decision (driven by :func:`retains_across_switch`); the policy
-    supplies the mechanism so the decision is one line.
+    The rest is reporting (:meth:`domain_counts`, :meth:`partition_report`)
+    and duplication bookkeeping (:meth:`record_allocation`,
+    :meth:`duplication_counts`).  The policy is deliberately mode-agnostic:
+    *when* to flush or retag is the adopter's decision (driven by
+    :func:`retains_across_switch`).
     """
 
     __slots__ = ("active_asid", "_domains", "_alloc_distinct", "_alloc_tagged", "_alloc_hot")
@@ -135,60 +121,58 @@ class AddressSpacePolicy:
         self.active_asid = asid
         self._alloc_hot.clear()
 
-    def is_trivial(self, domain: str) -> bool:
-        """True when every policy operation over ``domain`` is the identity.
+    # -- the three queries ----------------------------------------------------
 
-        Holds for ASID 0 (identity color) with ``domain`` unpartitioned --
-        the single-tenant and legacy cases.  Hot structures cache this to
-        skip the per-probe policy calls; they must re-query it after every
-        :meth:`activate`, :meth:`configure` or :meth:`clear`.
+    def configure(self, domain: str, total: int, weights: Sequence[int] | None) -> bool:
+        """Partition ``domain``'s ``total`` sets/entries by tenant ``weights``.
+
+        ``None`` returns the domain to sharing.  Weights are validated either
+        way, and a domain with fewer sets/entries than tenants stays shared
+        (still tagged, so sharing is false-hit free and the only cross-tenant
+        effect is eviction pressure).  Returns True when the domain was
+        partitioned before or is partitioned now -- exactly when the map may
+        have changed and the adopter must invalidate.
         """
-        return not self.active_asid and self._domains.get(domain) is None
+        was_partitioned = self._domains.get(domain) is not None
+        ranges = None
+        if weights is not None:
+            validate_partition_weights(weights)
+            if total >= len(weights):
+                ranges = partition_ranges(total, weights)
+        self._domains[domain] = ranges
+        return was_partitioned or ranges is not None
 
-    def colored(self, value: int) -> int:
-        """``value`` with the active ASID mixed into the bits a tag hash folds.
+    def active_slice(self, domain: str, total: int) -> Tuple[int, int]:
+        """``(base, count)`` range of the *active* tenant in ``domain``.
 
-        Used for tag *matching* only -- set indexing and target recovery
-        (BTB-X offset concatenation, PDede same-page rebuild) must keep using
-        the raw key.  The color constants sit far above any 48-bit virtual
-        address, so structures that match full (unhashed) tags can never see
-        a cross-ASID false hit; partial-tag structures alias exactly as they
-        would between two unrelated PCs.
+        The whole structure, ``(0, total)``, when the domain is shared.  ASID
+        ``a`` indexes partition ``a % tenants``: under warm switch semantics
+        that is the tenant itself, and under cold semantics every incarnation
+        of a tenant lands in the same slice.
+        """
+        ranges = self._domains.get(domain)
+        if ranges is None:
+            return 0, total
+        return ranges[self.active_asid % len(ranges)]
+
+    def color_constant(self) -> int:
+        """The constant XORed into tags under the active ASID.
+
+        Zero for ASID 0 (the identity color).  Tags only: set indexing and
+        target recovery (BTB-X offset concatenation, PDede same-page rebuild)
+        keep the raw key.  The constant sits far above any 48-bit virtual
+        address, so structures that match full tags never see a cross-ASID
+        false hit; it may exceed 64 bits for large (cold-semantics) ASIDs,
+        and partial-tag structures fold it separately --
+        :func:`repro.common.bitutils.fold_xor` is XOR-linear, which makes the
+        split exact.
         """
         asid = self.active_asid
         if not asid:
-            return value
-        return value ^ ((asid * ASID_SALT) << ASID_SHIFT)
+            return 0
+        return (asid * ASID_SALT) << ASID_SHIFT
 
-    # -- partitioning ---------------------------------------------------------
-
-    def configure(
-        self,
-        domain: str,
-        total: int,
-        weights: Sequence[int],
-        fallback_to_shared: bool = False,
-    ) -> bool:
-        """Partition ``domain``'s ``total`` sets/entries by tenant ``weights``.
-
-        With ``fallback_to_shared`` the domain stays shared (still tagged)
-        when it has fewer sets/entries than tenants -- the right semantics
-        for small secondary structures; without it, a too-small structure is
-        a configuration error (the right semantics for primary arrays).
-        Returns True when the domain actually ended up partitioned.
-        """
-        if fallback_to_shared:
-            ranges = partition_ranges_or_shared(total, weights)
-        else:
-            ranges = partition_ranges(total, weights)
-        self._domains[domain] = ranges
-        return ranges is not None
-
-    def clear(self, domain: str) -> bool:
-        """Return ``domain`` to sharing; True when it had been partitioned."""
-        was_partitioned = self._domains.get(domain) is not None
-        self._domains[domain] = None
-        return was_partitioned
+    # -- reporting ------------------------------------------------------------
 
     def domain_counts(self, domain: str) -> List[int] | None:
         """Sets/entries per tenant in ``domain`` (``None`` when shared)."""
@@ -209,50 +193,6 @@ class AddressSpacePolicy:
                 continue
             report[domain] = [count for _, count in ranges]
         return report
-
-    def _slice(self, domain: str) -> Tuple[int, int] | None:
-        ranges = self._domains.get(domain)
-        if ranges is None:
-            return None
-        return ranges[self.active_asid % len(ranges)]
-
-    def active_slice(self, domain: str) -> Tuple[int, int] | None:
-        """``(base, count)`` slice of the *active* tenant, ``None`` when shared.
-
-        A set-associative BTB caches it at every ASID switch and partition
-        change, and indexes a key's set at ``base + (key >> alignment) %
-        count`` (the whole structure when shared).
-        """
-        return self._slice(domain)
-
-    def color_constant(self) -> int:
-        """The XOR constant :meth:`colored` applies under the active ASID.
-
-        Zero for ASID 0 (the identity color).  May exceed 64 bits for large
-        (cold-semantics) ASIDs, so vectorized tag hashing folds this constant
-        separately in arbitrary precision and XORs the folded pieces --
-        :func:`repro.common.bitutils.fold_xor` is XOR-linear, which makes the
-        split exact.
-        """
-        asid = self.active_asid
-        if not asid:
-            return 0
-        return (asid * ASID_SALT) << ASID_SHIFT
-
-    def modulo_index(self, domain: str, value: int, num_sets: int) -> int:
-        """Index of an already-hashed ``value``, within the active tenant's slice."""
-        sliced = self._slice(domain)
-        if sliced is None:
-            return value % num_sets
-        base, count = sliced
-        return base + value % count
-
-    def entry_slice(self, domain: str, total: int) -> Tuple[int, int]:
-        """``(base, count)`` entry range a fully-associative scan may touch."""
-        sliced = self._slice(domain)
-        if sliced is None:
-            return 0, total
-        return sliced
 
     # -- duplication accounting ----------------------------------------------
 

@@ -102,12 +102,12 @@ class BTBEnergyModel:
         ways = len(self.storage.way_offset_bits)
         sets = max(entries // ways, 1)
         avg_entry_bits = self.storage.btbx_set_bits() / ways
-        arrays = {"main": SRAMArray("btbx.main", sets * ways, avg_entry_bits, associativity=ways)}
-        if companion:
-            arrays["companion"] = SRAMArray(
+        return {
+            "main": SRAMArray("btbx.main", sets * ways, avg_entry_bits, associativity=ways),
+            "companion": SRAMArray(
                 "btbx.companion", companion, FULL_TARGET_ENTRY_BITS, associativity=1
-            )
-        return arrays
+            ),
+        }
 
     def arrays_for_pdede(self) -> Dict[str, SRAMArray]:
         """Arrays of PDede: Main-, Page- and Region-BTB."""

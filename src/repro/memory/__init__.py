@@ -7,14 +7,14 @@ only exercise the instruction side, but the hierarchy is modelled generally:
 * :class:`repro.memory.cache.SetAssociativeCache` -- one set-associative level
   with LRU replacement and an
   :class:`~repro.common.asid.AddressSpacePolicy` for ASID tagging and
-  per-tenant set partitioning (``Cache`` remains as the historical alias);
+  per-tenant set partitioning;
 * :class:`repro.memory.hierarchy.MemoryHierarchy` -- the L1-I/L2/LLC/memory
   chain used for demand instruction fetch, with
   flush/tagged/partitioned context-switch behaviour selected by
   :attr:`~repro.common.config.MachineConfig.cache_asid_mode`.
 """
 
-from repro.memory.cache import Cache, CacheAccessResult, SetAssociativeCache
+from repro.memory.cache import CacheAccessResult, SetAssociativeCache
 from repro.memory.hierarchy import MemoryHierarchy
 
-__all__ = ["Cache", "CacheAccessResult", "SetAssociativeCache", "MemoryHierarchy"]
+__all__ = ["CacheAccessResult", "SetAssociativeCache", "MemoryHierarchy"]

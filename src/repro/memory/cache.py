@@ -5,12 +5,15 @@ latency the interval timing model charges.  Every access is a read: the
 front-end experiments fetch instructions and never write.
 
 Like the BTB organizations, every cache level adopts a
-:class:`repro.common.asid.AddressSpacePolicy`: lines can be tagged with the
-active address space (PIPT-style sharing without cross-tenant false hits) and
-the sets can be partitioned weight-proportionally among tenants.  With ASID 0
-active and no partitions configured -- the single-tenant and legacy cases --
-every policy operation is the identity and the cache behaves bit-identically
-to the historical untagged model.
+:class:`repro.common.asid.AddressSpacePolicy` and indexes like them: a block
+lives at set ``base + block % count`` of the active tenant's slice and
+matches on ``block ^ color``, both cached at every ASID switch and partition
+change.  Lines can thus be tagged with the active address space (PIPT-style
+sharing without cross-tenant false hits) and the sets partitioned
+weight-proportionally among tenants.  With ASID 0 active and no partitions
+configured -- the single-tenant and legacy cases -- the slice is every set
+and the color is 0, so the cache behaves bit-identically to the historical
+untagged model.
 """
 
 from __future__ import annotations
@@ -84,26 +87,25 @@ class SetAssociativeCache:
         self._where: Dict[int, int] = {}
         #: ASID mechanics (tag coloring + set partitioning) for this level.
         self.asid_policy = AddressSpacePolicy()
-        # Identity-policy fast path for the per-probe index/tag computation;
-        # refreshed at every point the policy can change (ASID switches,
-        # partition map changes).
-        self._policy_trivial = True
+        #: The active tenant's ``(base, count)`` slice of the sets (all of
+        #: them when shared) and the active ASID's color constant;
+        #: :meth:`_select_locations` refreshes all three.
+        self._slice_base = 0
+        self._slice_count = self.num_sets
+        self._color = 0
 
     # -- address helpers ----------------------------------------------------
 
     def _index_tag(self, addr: int) -> tuple[int, int]:
         block = addr >> self._offset_bits
-        if self._policy_trivial:
-            return block % self.num_sets, block
-        index = self.asid_policy.modulo_index("sets", block, self.num_sets)
-        return index, self.asid_policy.colored(block)
+        return self._slice_base + block % self._slice_count, block ^ self._color
 
     # -- address-space handling ---------------------------------------------
 
     def set_active_asid(self, asid: int) -> None:
         """Switch the address space new lines are tagged with (retention modes)."""
         self.asid_policy.activate(asid)
-        self._policy_trivial = self.asid_policy.is_trivial("sets")
+        self._select_locations()
 
     def configure_partitions(self, weights: Sequence[int] | None) -> None:
         """Split this level's sets among tenants (``None`` to share).
@@ -111,17 +113,19 @@ class SetAssociativeCache:
         Weight-proportional contiguous set slices, exactly like the BTB
         organizations; a level with fewer sets than tenants falls back to
         (still tagged) sharing.  The level is invalidated whenever the
-        partition map changes: lines installed under a different map would be
-        unreachable or reachable from the wrong slice.
+        partition map may have changed: lines installed under a different
+        map would be unreachable or reachable from the wrong slice.
         """
-        if weights is None:
-            if self.asid_policy.clear("sets"):
-                self.invalidate_all()
-            self._policy_trivial = self.asid_policy.is_trivial("sets")
-            return
-        self.asid_policy.configure("sets", self.num_sets, weights, fallback_to_shared=True)
-        self._policy_trivial = self.asid_policy.is_trivial("sets")
-        self.invalidate_all()
+        changed = self.asid_policy.configure("sets", self.num_sets, weights)
+        self._select_locations()
+        if changed:
+            self.invalidate_all()
+
+    def _select_locations(self) -> None:
+        """Cache the active ASID's set slice and color constant."""
+        policy = self.asid_policy
+        self._slice_base, self._slice_count = policy.active_slice("sets", self.num_sets)
+        self._color = policy.color_constant()
 
     def partition_set_counts(self) -> List[int] | None:
         """Sets per tenant partition (``None`` when the level is shared)."""
@@ -145,9 +149,7 @@ class SetAssociativeCache:
 
     def contains(self, addr: int) -> bool:
         """True when the block holding ``addr`` is resident (no LRU update)."""
-        block = addr >> self._offset_bits
-        tag = block if self._policy_trivial else self.asid_policy.colored(block)
-        return tag in self._where
+        return ((addr >> self._offset_bits) ^ self._color) in self._where
 
     @property
     def hit_latency(self) -> int:
@@ -218,7 +220,3 @@ class SetAssociativeCache:
             for line in lines
             if line.valid
         )
-
-
-#: Historical name of the class, kept for callers and tests.
-Cache = SetAssociativeCache

@@ -186,18 +186,17 @@ class MemoryHierarchy:
 
         An L1-I hit is settled here, bit-exact against :meth:`fetch`: the
         probe reads the L1-I's resident-line directory with the set index and
-        colored tag of the active ASID policy -- constant within a chunk, so
-        its slice and color are read once -- and touches the way's LRU state;
-        the three hit counters are added once for the batch (nothing reads
-        them in between).  A miss takes :meth:`fetch`, whose fills the later
-        probes observe.
+        colored tag from the level's cached slice and color -- constant
+        within a chunk, so they are read once -- and touches the way's LRU
+        state; the three hit counters are added once for the batch (nothing
+        reads them in between).  A miss takes :meth:`fetch`, whose fills the
+        later probes observe.
         """
         l1i = self.l1i
         where = l1i._where
         lru = l1i._lru
         shift = l1i._offset_bits
-        base, count = l1i.asid_policy.entry_slice("sets", l1i.num_sets)
-        color = l1i.asid_policy.colored(0)
+        base, count, color = l1i._slice_base, l1i._slice_count, l1i._color
         fetch = self.fetch
         results: List[FetchResult] = []
         append = results.append

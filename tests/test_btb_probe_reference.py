@@ -12,8 +12,9 @@ conflicts all happen; lookups, taken-branch updates, tagged ASID switches,
 partition-map changes and whole-structure invalidations interleave.
 
 After every step the two instances must agree on the lookup result, every
-counter, every entry and every LRU stamp, and the resident-tag index must
-equal ``{key: way}`` over the valid entries, with no tag twice in a set.
+counter, every entry and every LRU stamp; the resident-tag index must
+equal ``{key: way}`` over the valid entries, with no tag twice in a set; and
+no valid entry may point at an invalid Page- or Region-BTB slot.
 No numpy: this is the scalar probe's own proof.
 
 Lockstep runs two instances of the *same* class, so a change to code both
@@ -127,9 +128,9 @@ def _ways(btb, index):
 def _scratch_locate(btb, pc):
     """Lookup key from scratch: raw-PC set index, tag over the colored PC."""
     align = btb.isa.alignment_bits
-    base, count = btb.asid_policy.active_slice(btb._MAIN_DOMAIN) or (0, btb.num_sets)
+    base, count = btb.asid_policy.active_slice(btb._MAIN_DOMAIN, btb.num_sets)
     index = base + (pc >> align) % count
-    high = btb.asid_policy.colored(pc) >> align
+    high = (pc ^ btb.asid_policy.color_constant()) >> align
     return (index << btb.tag_bits) | (fold_xor(high, btb.tag_bits) if high else 0)
 
 
@@ -213,6 +214,22 @@ def _assert_index_is_live(btb) -> None:
         assert structure._resident == live, f"{structure.name}: index != valid entries"
 
 
+def _assert_pointers_are_live(btb) -> None:
+    """No valid main entry points at an invalid Page- or Region-BTB slot.
+
+    A slot is invalidated only together with the main array, or after the
+    entries pointing at it were (``PointerTable.find_or_install``), so a hit
+    never follows a stale pointer.  PDede's same-page entries hold -1.
+    """
+    tables = [table for table in vars(btb).values() if isinstance(table, PointerTable)]
+    for index in range(btb.num_sets):
+        for entry in _ways(btb, index):
+            for table in tables:
+                pointer = getattr(entry, table.pointer_field)
+                if entry.valid and pointer >= 0:
+                    assert table.slots[pointer].valid, f"{btb.name}: set {index} -> stale {table.name}"
+
+
 def _apply(btb, op):
     kind = op[0]
     if kind == "lookup":
@@ -254,6 +271,7 @@ def test_computed_probe_matches_scratch_reference(name, sets, isa, ops):
         assert _apply(btb, op) == _apply(reference, op), op
         assert _observable(btb) == _observable(reference), op
         _assert_index_is_live(btb)
+        _assert_pointers_are_live(btb)
     counts = btb.access_counts()
     assert counts["evictions"] > 0
     if name == "rbtb":

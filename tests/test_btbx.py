@@ -42,10 +42,10 @@ class TestGeometry:
         assert btb.storage_kib() == pytest.approx(14.5)
         assert btb.capacity_entries() == 4096 + 64
 
-    def test_companion_disabled(self):
-        btb = BTBX(entries=256, companion_entries=0)
-        assert btb.companion is None
-        assert btb.capacity_entries() == 256
+    def test_companion_is_required(self):
+        with pytest.raises(ConfigurationError, match="BTB-XC"):
+            BTBX(entries=256, companion_entries=0)
+        assert BTBX(entries=256).capacity_entries() == 256 + 4
 
     def test_way_widths_must_be_sorted(self):
         with pytest.raises(ConfigurationError):
@@ -93,12 +93,6 @@ class TestAllocationPolicy:
         assert result.hit
         assert result.structure == "companion"
         assert result.target == far_call.target
-
-    def test_overflow_without_companion_is_a_miss(self):
-        btb = BTBX(entries=64, companion_entries=0)
-        far_call = _branch(0x401000, 0x7F00_0000_1000, BranchType.CALL)
-        btb.update(far_call)
-        assert not btb.lookup(far_call.pc).hit
 
     def test_constrained_lru_only_evicts_eligible_ways(self):
         btb = BTBX(entries=8)  # a single set

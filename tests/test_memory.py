@@ -7,12 +7,13 @@ import random
 import pytest
 
 from repro.common.config import ASIDMode, CacheConfig, MachineConfig
-from repro.memory.cache import Cache, SetAssociativeCache
+from repro.common.errors import ConfigurationError
+from repro.memory.cache import SetAssociativeCache
 from repro.memory.hierarchy import MemoryHierarchy
 
 
-def _small_cache(size=4096, assoc=4, line=64) -> Cache:
-    return Cache(CacheConfig("T", size, assoc, line_size=line, hit_latency=3))
+def _small_cache(size=4096, assoc=4, line=64) -> SetAssociativeCache:
+    return SetAssociativeCache(CacheConfig("T", size, assoc, line_size=line, hit_latency=3))
 
 
 class TestCache:
@@ -62,10 +63,6 @@ class TestCache:
 
 class TestCacheASIDPolicy:
     """ASID tagging and set partitioning on a single level."""
-
-    def test_cache_is_the_set_associative_cache(self):
-        # The historical name must keep working.
-        assert Cache is SetAssociativeCache
 
     def test_tagged_lines_do_not_cross_address_spaces(self):
         cache = _small_cache()
@@ -121,6 +118,32 @@ class TestCacheASIDPolicy:
         cache = _small_cache(size=2 * 64, assoc=1)  # 2 sets
         cache.configure_partitions((1, 1, 1))
         assert cache.partition_set_counts() is None  # shared (still tagged)
+
+    @pytest.mark.parametrize("sets", (2, 8))
+    def test_too_small_cache_still_validates_weights(self, sets):
+        """A zero weight is rejected whether or not the level can partition."""
+        cache = _small_cache(size=sets * 64, assoc=1)
+        with pytest.raises(ConfigurationError, match="partition weight #1"):
+            cache.configure_partitions((1, 0, 1))
+        assert cache.partition_set_counts() is None
+
+    def test_a_shared_map_that_stays_shared_keeps_the_lines(self):
+        """Only a map that may have changed invalidates the level.
+
+        A 2-set level configured for three tenants stays shared, so its
+        lines stay valid; partitioning it for two tenants, and back, drops
+        them.
+        """
+        cache = _small_cache(size=2 * 64, assoc=1)
+        cache.fill(0x40)
+        cache.configure_partitions((1, 1, 1))
+        cache.configure_partitions(None)
+        assert cache.contains(0x40)
+        cache.configure_partitions((1, 1))
+        assert not cache.contains(0x40)
+        cache.fill(0x40)
+        cache.configure_partitions((1, 1, 1))
+        assert not cache.contains(0x40)
 
     def test_eviction_reports_raw_victim_address_under_tagging(self):
         cache = _small_cache(size=1 * 64, assoc=1)

@@ -29,7 +29,7 @@ class TestPDedeGeometry:
         assert btb.region_entry_bits() == 22
 
     def test_same_page_way_reservation(self):
-        btb = PDedeBTB(entries=64, page_entries=16, same_page_way_fraction=0.5)
+        btb = PDedeBTB(entries=64, page_entries=16)
         assert btb.same_page_ways == 4
         assert btb._eligible_ways(True) == list(range(8))
         assert btb._eligible_ways(False) == [4, 5, 6, 7]
@@ -39,8 +39,6 @@ class TestPDedeGeometry:
             PDedeBTB(entries=63)
         with pytest.raises(ConfigurationError):
             PDedeBTB(entries=64, page_entries=0)
-        with pytest.raises(ConfigurationError):
-            PDedeBTB(entries=64, same_page_way_fraction=1.5)
 
 
 class TestPDedeBehaviour:
@@ -89,15 +87,16 @@ class TestPDedeBehaviour:
         assert not all(hits)
 
     def test_stale_same_page_entry_reallocated_when_target_moves(self):
-        btb = PDedeBTB(entries=8, page_entries=16, same_page_way_fraction=1.0)
+        btb = PDedeBTB(entries=8, page_entries=16)
         near = _branch(0x401000, 0x401100, BranchType.INDIRECT)
         btb.update(near)
         far = _branch(0x401000, 0x980000, BranchType.INDIRECT)
         btb.update(far)
-        # With every way reserved for same-page entries there is nowhere to put
-        # the far target, so the lookup must not return a wrong target.
+        # The same-page entry sat in a reserved way; the far target needs
+        # pointers, so it moves to a pointer way.
         result = btb.lookup(0x401000)
-        assert not result.hit or result.target == far.target
+        assert result.hit and result.target == far.target
+        assert btb.access_counts()["reallocations"] == 1
 
     def test_capacity_and_storage(self):
         btb = PDedeBTB(entries=3184, page_entries=512)
