@@ -45,6 +45,9 @@ from repro.isa.instruction import Instruction
 #: Width of every main array's partial tag (Figure 1: 12 bits).
 TAG_BITS = 12
 
+#: Ways of the main array of Conv-BTB, R-BTB and PDede.
+MAIN_WAYS = 8
+
 
 def fold12(value: int) -> int:
     """``fold_xor(value, TAG_BITS)`` in closed form, exact for ``value < 2**96``.
@@ -62,7 +65,8 @@ class BTBLookupResult(NamedTuple):
     """Outcome of probing a BTB with a PC.
 
     An immutable tuple, which is cheap to build on every hit; every miss
-    shares one instance (:meth:`miss`).
+    shares one instance (:data:`_MISS_RESULT`), which the simulator's loop
+    tests by identity.
     """
 
     hit: bool
@@ -75,11 +79,6 @@ class BTBLookupResult(NamedTuple):
     #: Name of the structure/partition that produced the hit (for energy
     #: accounting and debugging); empty on a miss.
     structure: str = ""
-
-    @staticmethod
-    def miss() -> "BTBLookupResult":
-        """The canonical (shared) miss result."""
-        return _MISS_RESULT
 
 
 #: Shared immutable miss result, avoiding one allocation per missing lookup.
@@ -304,7 +303,7 @@ class SetAssociativeBTB(BTBBase):
     def __init__(
         self,
         entries: int,
-        associativity: int = 8,
+        associativity: int = MAIN_WAYS,
         isa: ISAStyle = ISAStyle.ARM64,
         stats: Stats | None = None,
     ) -> None:
@@ -347,18 +346,40 @@ class SetAssociativeBTB(BTBBase):
     # -- probe ---------------------------------------------------------------
 
     def lookup(self, pc: int) -> BTBLookupResult:
-        """Probe all ways of the indexed set in parallel."""
-        return self.lookup_prelocated(pc, self._locate(pc))
+        """Probe all ways of the indexed set in parallel.
+
+        One call per probe: the key of :meth:`_locate` is computed inline
+        (the :func:`fold12` steps, the cached partition slice and color),
+        then one read of the resident-tag index, and :meth:`_hit` only on a
+        hit.  A miss costs the read counter and nothing else -- most probes
+        miss, because most instructions are not branches -- returns the
+        shared :data:`_MISS_RESULT`, and :meth:`access_counts` derives the
+        misses from the reads and hits.
+        """
+        reads = self.reads
+        structure = self._STRUCTURE
+        reads[structure] = reads.get(structure, 0) + 1
+        high = pc >> self.alignment_bits
+        tag = high ^ (high >> 48)
+        tag ^= tag >> 24
+        tag ^= tag >> 12
+        key = ((self._slice_base + high % self._slice_count) << TAG_BITS) | (
+            (tag & 0xFFF) ^ self._tag_color
+        )
+        way = self._resident.get(key, -1)
+        if way < 0:
+            return _MISS_RESULT
+        index = key >> TAG_BITS
+        self._lru[index].touch(way)
+        return self._hit(pc, index, way)
 
     def lookup_prelocated(self, pc: int, key: int, way: int | None = None) -> BTBLookupResult:
-        """The lookup proper, with the lookup key (:meth:`_locate`) computed.
+        """:meth:`lookup` with the key (:meth:`_locate`) already computed.
 
-        ``way`` is a batch plan's preresolution (``-1`` certain miss, ``>= 0``
-        the hit way); ``None`` reads the resident-tag index.  Both give the
-        same result, counters and LRU movement.  A miss costs the read
-        counter and nothing else -- most probes miss, because most
-        instructions are not branches -- and :meth:`access_counts` derives
-        the misses from the reads and hits.
+        The batched backend's plans probe through it.  ``way`` is a plan's
+        preresolution (``-1`` certain miss, ``>= 0`` the hit way); ``None``
+        reads the resident-tag index.  Both give :meth:`lookup`'s result,
+        counters and LRU movement.
         """
         reads = self.reads
         reads[self._STRUCTURE] = reads.get(self._STRUCTURE, 0) + 1

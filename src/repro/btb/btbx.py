@@ -29,7 +29,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.stats import Stats
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
-from repro.btb.base import TAG_BITS, BTBLookupResult, SetAssociativeBTB
+from repro.btb.base import _MISS_RESULT, TAG_BITS, BTBLookupResult, SetAssociativeBTB
 from repro.btb.conventional import FULL_TARGET_ENTRY_BITS, FullTargetBTB
 from repro.btb.offsets import stored_offset_bits
 
@@ -246,6 +246,43 @@ class BTBX(SetAssociativeBTB):
         width = entry.offset_width + align
         return ((pc >> width) << width) | (entry.offset_payload << align)
 
+    def lookup(self, pc: int) -> BTBLookupResult:
+        """The main probe, then BTB-XC's on a main miss, in one call.
+
+        The main key is computed inline as in
+        :meth:`SetAssociativeBTB.lookup`.  BTB-XC's key is derived from it:
+        both structures share the tag width, the alignment and the ASID
+        color, so only the set index is recomputed, within the companion's
+        own partition slice.  A miss in both returns the shared
+        :data:`_MISS_RESULT`; a companion hit counts as one of BTB-X's hits.
+        """
+        reads = self.reads
+        reads["main"] = reads.get("main", 0) + 1
+        high = pc >> self.alignment_bits
+        tag = high ^ (high >> 48)
+        tag ^= tag >> 24
+        tag ^= tag >> 12
+        tag = (tag & 0xFFF) ^ self._tag_color
+        key = ((self._slice_base + high % self._slice_count) << TAG_BITS) | tag
+        way = self._resident.get(key, -1)
+        if way >= 0:
+            index = key >> TAG_BITS
+            self._lru[index].touch(way)
+            return self._hit(pc, index, way)
+        companion = self.companion
+        reads = companion.reads
+        reads["companion"] = reads.get("companion", 0) + 1
+        key = ((companion._slice_base + high % companion._slice_count) << TAG_BITS) | tag
+        way = companion._resident.get(key, -1)
+        if way < 0:
+            return _MISS_RESULT
+        index = key >> TAG_BITS
+        companion._lru[index].touch(way)
+        result = companion._hit(pc, index, way)
+        self.stats.inc("hits")
+        self.stats.inc("hits.companion")
+        return result
+
     def lookup_prelocated(
         self,
         pc: int,
@@ -254,15 +291,13 @@ class BTBX(SetAssociativeBTB):
         companion_plan=None,
         position: int = -1,
     ) -> BTBLookupResult:
-        """The main probe, then BTB-XC's on a main miss (both ways in parallel).
+        """:meth:`lookup` with the main key (:meth:`_locate`) already computed.
 
         ``way`` is a batch plan's preresolution of the main ways (see
         :meth:`SetAssociativeBTB.lookup_prelocated`).  On a main miss the
         companion is probed through ``companion_plan`` (the batched
         backend's plan of BTB-XC, at the same chunk ``position``) or, without
-        one, at a key derived from ``key``: both structures share the tag
-        width, the alignment and the ASID color, so only the set index is
-        recomputed, within the companion's own partition slice.
+        one, at the key :meth:`lookup` derives from ``key``.
         """
         if way is None:
             way = self._resident.get(key, -1)

@@ -13,7 +13,7 @@ from typing import Dict, Tuple
 from repro.common.stats import Stats
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
-from repro.btb.base import BatchPlan, BTBBase, BTBLookupResult
+from repro.btb.base import _MISS_RESULT, BatchPlan, BTBBase, BTBLookupResult
 
 
 class IdealBTB(BTBBase):
@@ -35,7 +35,7 @@ class IdealBTB(BTBBase):
         reads["main"] = reads.get("main", 0) + 1
         entry = self._entries.get((self.active_asid, pc))
         if entry is None:
-            return BTBLookupResult.miss()
+            return _MISS_RESULT
         branch_type, target = entry
         self.stats.inc("hits")
         return BTBLookupResult(

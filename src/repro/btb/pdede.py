@@ -33,7 +33,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.stats import Stats
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
-from repro.btb.base import TAG_BITS, BTBLookupResult, PointerTable, SetAssociativeBTB
+from repro.btb.base import MAIN_WAYS, TAG_BITS, BTBLookupResult, PointerTable, SetAssociativeBTB
 
 VALID_BITS = 1
 TYPE_BITS = 2
@@ -79,7 +79,7 @@ class _MainEntry:
 
 
 class PDedeBTB(SetAssociativeBTB):
-    """PDede Multi-Entry-Size BTB: Main-BTB + Page-BTB + Region-BTB."""
+    """PDede Multi-Entry-Size BTB: ``MAIN_WAYS``-way Main-BTB + Page-BTB + Region-BTB."""
 
     name = "pdede"
     _entry_type = _MainEntry
@@ -89,23 +89,21 @@ class PDedeBTB(SetAssociativeBTB):
         entries: int,
         page_entries: int = 512,
         region_entries: int = 4,
-        associativity: int = 8,
         page_associativity: int = 16,
         isa: ISAStyle = ISAStyle.ARM64,
         stats: Stats | None = None,
     ) -> None:
-        super().__init__(entries, associativity, isa, stats)
+        super().__init__(entries, isa=isa, stats=stats)
         if page_entries <= 0 or region_entries <= 0:
             raise ConfigurationError("Page-BTB and Region-BTB need at least one entry each")
         self.page_entries = page_entries
         self.region_entries = region_entries
         self.page_associativity = min(page_associativity, page_entries)
         # Ways [0, same_page_ways) are reserved for same-page entries; the rest
-        # may hold either kind (the paper reserves half for same-page).  At
-        # least one way is left for different-page entries.
-        self.same_page_ways = associativity // 2
-        self._any_way = list(range(associativity))
-        self._pointer_ways = list(range(self.same_page_ways, associativity))
+        # may hold either kind (the paper reserves half for same-page).
+        self.same_page_ways = MAIN_WAYS // 2
+        self._any_way = list(range(MAIN_WAYS))
+        self._pointer_ways = list(range(self.same_page_ways, MAIN_WAYS))
         self._pages = PointerTable("page", page_entries)
         self._page_sets = max(page_entries // self.page_associativity, 1)
         self._regions = PointerTable("region", region_entries)
@@ -135,7 +133,7 @@ class PDedeBTB(SetAssociativeBTB):
     def storage_bits(self) -> int:
         """Total storage across Main-, Page- and Region-BTB."""
         same = self.same_page_ways
-        diff = self.associativity - same
+        diff = MAIN_WAYS - same
         main_bits = self.num_sets * (
             same * self.same_page_entry_bits() + diff * self.different_page_entry_bits()
         )

@@ -57,7 +57,7 @@ class _MainEntry:
 
 
 class ReducedBTB(SetAssociativeBTB):
-    """R-BTB: Main-BTB with page offsets + fully-associative Page-BTB."""
+    """R-BTB: ``MAIN_WAYS``-way Main-BTB with page offsets + fully-associative Page-BTB."""
 
     name = "rbtb"
     _entry_type = _MainEntry
@@ -66,11 +66,10 @@ class ReducedBTB(SetAssociativeBTB):
         self,
         entries: int,
         page_entries: int = 128,
-        associativity: int = 8,
         isa: ISAStyle = ISAStyle.ARM64,
         stats: Stats | None = None,
     ) -> None:
-        super().__init__(entries, associativity, isa, stats)
+        super().__init__(entries, isa=isa, stats=stats)
         if page_entries <= 0:
             raise ConfigurationError("Page-BTB needs at least one entry")
         self.page_entries = page_entries

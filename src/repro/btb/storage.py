@@ -28,7 +28,7 @@ from repro.common.bitutils import kib_to_bits
 from repro.common.config import BTBStyle, ISAStyle
 from repro.common.errors import ConfigurationError
 from repro.common.stats import Stats
-from repro.btb.base import BTBBase
+from repro.btb.base import MAIN_WAYS, BTBBase
 from repro.btb.btbx import BTBX, btbx_set_bits, companion_entries_for, default_way_offsets
 from repro.btb.conventional import FULL_TARGET_ENTRY_BITS, ConventionalBTB
 from repro.btb.ideal import IdealBTB
@@ -240,10 +240,6 @@ class BTBStorageModel:
 
 
 # -- the factory -------------------------------------------------------------------
-
-#: Ways of the main array of Conv-BTB, R-BTB and PDede.
-MAIN_WAYS = 8
-
 
 def _require_one_set(style: BTBStyle, budget_kib: float, secondary_bits: float, set_bits: float) -> None:
     """Raise unless ``budget_kib``, less the secondary structures, holds one main set."""

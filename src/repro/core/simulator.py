@@ -3,8 +3,10 @@
 :class:`FrontEndSimulator` ties every substrate together: for each retired
 instruction of a trace it
 
-1. lets the :class:`~repro.frontend.bpu.BranchPredictionUnit` predict and
-   resolve the instruction (BTB lookup, direction prediction, RAS);
+1. probes the BTB and lets the
+   :class:`~repro.frontend.bpu.BranchPredictionUnit` predict and resolve the
+   instruction against that lookup (direction prediction, RAS) -- except a
+   non-branch the BTB misses, which the loop settles itself;
 2. models instruction fetch through the L1-I (one demand access per new cache
    block on the correct path) with FDIP hiding part of the miss latency based
    on the FTQ's run-ahead distance;
@@ -20,7 +22,7 @@ measurement protocol (at a smaller scale).
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterable, Tuple
 
 from repro.common.config import BTBStyle, MachineConfig, default_machine_config
@@ -34,7 +36,7 @@ from repro.frontend.ftq import FetchTargetQueue
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.btb.base import BTBBase
+from repro.btb.base import _MISS_RESULT, BTBBase
 from repro.btb.storage import make_btb_for_budget
 from repro.traces.trace import Trace
 
@@ -175,7 +177,7 @@ class FrontEndSimulator:
             chunk = ScheduledChunk(asid=0, tenant=trace.name, trace=trace, start=0, stop=total)
             scenario = self.run_scenario_batches((chunk,), warmup_instructions, trace.name)
         else:
-            schedule = ((0, trace.name, instruction) for instruction in islice(trace, total))
+            schedule = zip(repeat(0), repeat(trace.name), islice(trace, total))
             scenario = self.run_scenario(schedule, warmup_instructions, trace.name)
         return scenario.aggregate
 
@@ -201,12 +203,21 @@ class FrontEndSimulator:
         the BTB study is about.
 
         This is the scalar oracle loop (:meth:`run` is its one-tenant case).
-        It stays fast in pure Python by hoisting bound methods out of the
-        loop, counting measured events in loop locals charged through
-        :meth:`_TenantAccount.charge`, and letting
-        :meth:`~repro.frontend.bpu.BranchPredictionUnit.process` settle the
-        most common instruction -- a non-branch the BTB misses -- with the
-        shared :data:`~repro.frontend.bpu.SEQUENTIAL` prediction.  Events are
+        It stays fast in pure Python by binding methods at run start (not at
+        construction, so instance-level instrumentation installed after the
+        simulator is built is honoured), counting measured events in loop
+        locals charged through :meth:`_TenantAccount.charge`, and settling
+        the most common instruction itself.  The loop probes the BTB for
+        every PC; when the probe returns the shared miss
+        (:data:`~repro.btb.base._MISS_RESULT`, tested by identity) and the
+        instruction is not a branch, the sequential path is correct and
+        nothing trains, so the instruction costs the fetch-block check, the
+        FTQ push and its retirement count -- no prediction record is built
+        or read.  Branches and false hits (non-branches that hit by
+        partial-tag aliasing) go to
+        :meth:`~repro.frontend.bpu.BranchPredictionUnit.process` with their
+        lookup result; any other miss instance takes that path too and
+        still resolves correctly.  Events are
         attributed to the tenant whose instruction incurred them: the
         loop-local counts are charged to the current tenant's account at
         every tenant switch and at the end, and direction/target
@@ -221,6 +232,7 @@ class FrontEndSimulator:
         line_mask = ~(self.hierarchy.line_size() - 1)
         bpu = self.bpu
         hierarchy = self.hierarchy
+        lookup = self.btb.lookup
         process = bpu.process
         fetch = hierarchy.fetch
         cover = self.fdip.cover_demand_miss
@@ -296,9 +308,13 @@ class FrontEndSimulator:
                     current_account = accounts[tenant] = _TenantAccount(TimingModel(core))
                     tenant_order.append(tenant)
 
-            prediction = process(instruction)
-
             pc = instruction.pc
+            found = lookup(pc)
+            if found is _MISS_RESULT and instruction.branch_type is _NOT_BRANCH:
+                prediction = None
+            else:
+                prediction = process(instruction, found)
+
             block = pc & line_mask
             if block != previous_block:
                 previous_block = block
@@ -318,6 +334,10 @@ class FrontEndSimulator:
                             covered_misses += 1
 
             push()
+            if prediction is None:
+                if measuring:
+                    retired += 1
+                continue
             if prediction.stream_break:
                 ftq.flush()
 

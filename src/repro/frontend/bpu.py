@@ -21,9 +21,14 @@ The resolution rules follow the improved branch handling of Section VI-A:
   full execute-stage flush.
 
 These rules and the commit-time training live here once for the scalar
-oracle.  The batched backend (:mod:`repro.core.batch`) applies the same rules
-inline in its walk, without building a :class:`FrontEndPrediction`; the
-oracle-differential suite holds the two to identical raw statistics.
+oracle.  The BPU does not probe the BTB itself: the simulator's loop probes
+every PC and settles the most common instruction -- a non-branch the BTB
+misses, for which the sequential path is correct and nothing trains -- on
+its own, so :meth:`BranchPredictionUnit.process` sees only branches and
+false hits, together with their lookup result.  The batched backend
+(:mod:`repro.core.batch`) applies the same rules inline in its walk, without
+building a :class:`FrontEndPrediction`; the oracle-differential suite holds
+the two to identical raw statistics.
 """
 
 from __future__ import annotations
@@ -89,6 +94,14 @@ SEQUENTIAL = FrontEndPrediction(
 )
 
 _NOT_BRANCH = BranchType.NOT_BRANCH
+_CONDITIONAL = BranchType.CONDITIONAL
+_UNCONDITIONAL = BranchType.UNCONDITIONAL
+_CALL = BranchType.CALL
+_INDIRECT_CALL = BranchType.INDIRECT_CALL
+_RETURN = BranchType.RETURN
+_RESTEER = PredictionOutcome.DECODE_RESTEER
+_FLUSH = PredictionOutcome.EXECUTE_FLUSH
+_CORRECT = PredictionOutcome.CORRECT
 
 
 class BranchPredictionUnit:
@@ -146,24 +159,22 @@ class BranchPredictionUnit:
 
     # -- prediction -----------------------------------------------------------
 
-    def process(self, instruction: Instruction) -> FrontEndPrediction:
-        """Predict the instruction's control flow and resolve it against truth.
+    def process(self, instruction: Instruction, lookup: BTBLookupResult) -> FrontEndPrediction:
+        """Resolve ``instruction`` against its BTB ``lookup`` and train at commit.
 
-        The architectural outcome carried by ``instruction`` is only used to
-        classify the prediction (correct / decode resteer / execute flush) and
-        to train the predictors at commit -- the prediction itself relies
-        exclusively on the BTB, the direction predictor and the RAS.
+        ``lookup`` is the caller's probe of ``instruction.pc`` (the
+        simulator's loop probes every PC).  The architectural outcome carried
+        by ``instruction`` is only used to classify the prediction (correct /
+        decode resteer / execute flush) and to train the predictors at commit
+        -- the prediction itself relies exclusively on the BTB, the direction
+        predictor and the RAS.
 
-        A BTB miss on a non-branch -- most instructions -- is settled right
-        here: the sequential path is correct and nothing trains on a
-        non-branch, so it returns :data:`SEQUENTIAL` without classifying or
-        committing.  A non-branch that *hits* (partial-tag aliasing) takes
-        the full path, since a predicted-taken false hit breaks the stream.
+        The loop settles a non-branch BTB miss without calling this; any
+        input still resolves correctly here, a non-branch miss to
+        :data:`SEQUENTIAL`.  A non-branch that *hits* (partial-tag aliasing)
+        comes here, since a predicted-taken false hit breaks the stream.
         """
-        lookup = self.btb.lookup(instruction.pc)
         is_branch = instruction.branch_type is not _NOT_BRANCH
-        if not (is_branch or lookup.hit):
-            return SEQUENTIAL
         prediction = self._classify(instruction, lookup, is_branch)
         self._commit(instruction, prediction, is_branch)
         return prediction
@@ -177,6 +188,8 @@ class BranchPredictionUnit:
 
         Records are built positionally, in :class:`FrontEndPrediction` field
         order: keyword construction of a tuple costs about twice as much.
+        Branch classes are tested by identity against module constants
+        rather than through the :class:`BranchType` properties.
         """
         actually_taken = instruction.taken
 
@@ -190,24 +203,24 @@ class BranchPredictionUnit:
                 return SEQUENTIAL
             self.stats.inc("btb_miss_taken")
             branch_type = instruction.branch_type
-            if branch_type is BranchType.UNCONDITIONAL or branch_type is BranchType.CALL:
-                outcome = PredictionOutcome.DECODE_RESTEER
-            elif branch_type is BranchType.CONDITIONAL and self.direction_predictor.predict(
+            if branch_type is _UNCONDITIONAL or branch_type is _CALL:
+                outcome = _RESTEER
+            elif branch_type is _CONDITIONAL and self.direction_predictor.predict(
                 instruction.pc
             ):
-                outcome = PredictionOutcome.DECODE_RESTEER
+                outcome = _RESTEER
             else:
-                outcome = PredictionOutcome.EXECUTE_FLUSH
+                outcome = _FLUSH
             return FrontEndPrediction(False, False, False, None, outcome, True, 0, True)
 
         # BTB hit: the front end knows the branch type and (usually) its target.
         identified_type = lookup.branch_type or instruction.branch_type
-        if identified_type.is_conditional:
+        if identified_type is _CONDITIONAL:
             predicted_taken = self.direction_predictor.predict(instruction.pc)
         else:
             predicted_taken = True
 
-        if lookup.target_from_ras or identified_type.target_from_ras:
+        if lookup.target_from_ras or identified_type is _RETURN:
             predicted_target = self.ras.peek()
         else:
             predicted_target = lookup.target
@@ -221,24 +234,24 @@ class BranchPredictionUnit:
                 self.stats.inc("false_hits")
                 return FrontEndPrediction(
                     True, True, predicted_taken, predicted_target,
-                    PredictionOutcome.DECODE_RESTEER, False, extra_cycles, True,
+                    _RESTEER, False, extra_cycles, True,
                 )
             return FrontEndPrediction(
                 True, True, predicted_taken, predicted_target,
-                PredictionOutcome.CORRECT, False, extra_cycles, False,
+                _CORRECT, False, extra_cycles, False,
             )
 
         if predicted_taken != actually_taken:
             self.stats.inc("direction_mispredictions")
-            outcome = PredictionOutcome.EXECUTE_FLUSH
+            outcome = _FLUSH
             stream_break = True
         elif actually_taken and predicted_target != instruction.target:
             # Wrong target: stale indirect target, RAS mismatch or aliasing.
             self.stats.inc("target_mispredictions")
-            outcome = PredictionOutcome.EXECUTE_FLUSH
+            outcome = _FLUSH
             stream_break = True
         else:
-            outcome = PredictionOutcome.CORRECT
+            outcome = _CORRECT
             stream_break = False
 
         return FrontEndPrediction(
@@ -251,19 +264,25 @@ class BranchPredictionUnit:
     def _commit(
         self, instruction: Instruction, prediction: FrontEndPrediction, is_branch: bool
     ) -> None:
-        """Commit-time training: predictors, RAS and BTB updates."""
+        """Commit-time training: predictors, RAS and BTB updates.
+
+        The predictor, RAS and BTB are looked up on ``self`` per commit, so
+        instance-level instrumentation installed after construction is seen.
+        """
         if not is_branch:
             return
         branch_type = instruction.branch_type
-        if branch_type.is_conditional:
+        taken = instruction.taken
+        if branch_type is _CONDITIONAL:
+            predictor = self.direction_predictor
             predicted = prediction.predicted_taken if prediction.identified_branch else False
-            self.direction_predictor.record_outcome(predicted, instruction.taken)
-            self.direction_predictor.update(instruction.pc, instruction.taken)
+            predictor.record_outcome(predicted, taken)
+            predictor.update(instruction.pc, taken)
         # Architectural RAS maintenance: calls push, returns pop.
-        if branch_type.is_call:
-            self.ras.push(instruction.fall_through)
-        elif branch_type.is_return:
+        elif branch_type is _CALL or branch_type is _INDIRECT_CALL:
+            self.ras.push(instruction.pc + instruction.size)
+        elif branch_type is _RETURN:
             self.ras.pop()
         # The BTB is updated at commit by taken branches only (Section VI-A).
-        if instruction.taken:
+        if taken:
             self.btb.update(instruction)

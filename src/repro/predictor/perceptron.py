@@ -9,8 +9,10 @@ when the prediction was wrong or the sum's magnitude was below a threshold.
 
 from __future__ import annotations
 
+from operator import getitem
 from typing import List, Sequence
 
+from repro.common.bitutils import fold_xor
 from repro.common.errors import ConfigurationError
 from repro.common.stats import StatGroup, Stats
 
@@ -21,6 +23,21 @@ class HashedPerceptronPredictor:
     The front end consults it for every branch the BTB identifies as
     conditional (unconditional branches bypass it): :meth:`predict` at
     prediction time and :meth:`update` with the resolved outcome at commit.
+
+    Table ``i`` is indexed by the PC bits XORed with the newest
+    ``history_lengths[i]`` history bits XOR-folded to ``table_bits``
+    (:func:`~repro.common.bitutils.fold_xor`; the bias table folds none).
+    Rather than refolding at every branch, the predictor keeps one folded
+    register per table, as TAGE and ChampSim's hashed perceptron do, and
+    updates it at each history shift: for a fold width ``T`` and a length
+    ``L``, ``f' = rotl_T(f) ^ taken ^ (outgoing << (L % T))``, where the
+    outgoing bit is the one the shift pushes past the length.  Shifting a
+    value left by one rotates every ``T``-bit chunk and carries each
+    chunk's top bit into the next one's bottom, so the fold rotates; the
+    rule is exact and gives the from-scratch indices bit for bit.  The
+    registers are the folds of the history value they were last synced to,
+    so a writer that assigns ``_history`` directly (the batched commit plan)
+    needs no hook: :meth:`_indices` refolds once when the two differ.
     """
 
     def __init__(
@@ -50,6 +67,13 @@ class HashedPerceptronPredictor:
         ]
         self._history = 0
         self.max_history = max(self.history_lengths)
+        self._history_mask = (1 << self.max_history) - 1
+        # Folded-history registers, one per table (the bias table's is a
+        # length-0 fold, always 0), and the history value they fold.
+        self._fold_lengths = (0, *self.history_lengths)
+        self._fold_positions = tuple(length % table_bits for length in self._fold_lengths)
+        self._folded = [0] * len(self._fold_lengths)
+        self._folded_history = 0
         # Training threshold from the perceptron literature: ~1.93*h + 14.
         self.threshold = int(1.93 * self.max_history + 14)
         # predict() -> update() memo for the common per-branch call pair: both
@@ -65,27 +89,27 @@ class HashedPerceptronPredictor:
         for table in self._tables:
             table[:] = zero
         self._history = 0
+        self._folded = [0] * len(self._fold_lengths)
+        self._folded_history = 0
         self._memo_pc = None
 
     # -- hashing ------------------------------------------------------------
 
     def _indices(self, pc: int) -> List[int]:
-        mask = self.table_size - 1
-        bits = self.table_bits
-        base = (pc >> 2) & mask
+        """Selected index of every table: PC bits XOR its folded register."""
+        if self._folded_history != self._history:
+            self._refold()
+        base = (pc >> 2) & (self.table_size - 1)
+        return [base ^ folded for folded in self._folded]
+
+    def _refold(self) -> None:
+        """Recompute the folded registers from the history register."""
         history = self._history
-        indices = [base]
-        append = indices.append
-        # Fold the newest ``length`` history bits down to the index width
-        # and XOR them into the PC bits (the predictor's hottest loop).
-        for length_mask in self._length_masks:
-            folded = 0
-            h = history & length_mask
-            while h:
-                folded ^= h & mask
-                h >>= bits
-            append((base ^ folded) & mask)
-        return indices
+        bits = self.table_bits
+        self._folded = [
+            fold_xor(history & ((1 << length) - 1), bits) for length in self._fold_lengths
+        ]
+        self._folded_history = history
 
     def _locate(self, pc: int) -> tuple[List[int], int]:
         """Selected table indices and their weight sum for ``pc``, memoized.
@@ -97,7 +121,7 @@ class HashedPerceptronPredictor:
         if pc == self._memo_pc:
             return self._memo  # type: ignore[return-value]
         indices = self._indices(pc)
-        total = sum(table[index] for table, index in zip(self._tables, indices))
+        total = sum(map(getitem, self._tables, indices))
         self._memo_pc = pc
         self._memo = (indices, total)
         return indices, total
@@ -109,19 +133,41 @@ class HashedPerceptronPredictor:
         return self._locate(pc)[1] >= 0
 
     def update(self, pc: int, taken: bool) -> None:
-        """Perceptron training rule with a magnitude threshold, then shift history."""
+        """Perceptron training rule with a magnitude threshold, then shift history.
+
+        Weights start at 0 and only ever move by one inside
+        ``[weight_min, weight_max]``, so saturation is a bound check per
+        weight.  The shift updates the folded registers too, when they fold
+        the history being shifted (see the class docstring).
+        """
         indices, total = self._locate(pc)
-        predicted = total >= 0
-        if predicted != taken or abs(total) < self.threshold:
-            direction = 1 if taken else -1
-            weight_min = self.weight_min
-            weight_max = self.weight_max
-            for table, index in zip(self._tables, indices):
-                updated = table[index] + direction
-                table[index] = max(weight_min, min(weight_max, updated))
-        self._history = ((self._history << 1) | (1 if taken else 0)) & (
-            (1 << self.max_history) - 1
-        )
+        if (total >= 0) != taken or abs(total) < self.threshold:
+            if taken:
+                weight_max = self.weight_max
+                for table, index in zip(self._tables, indices):
+                    weight = table[index]
+                    if weight < weight_max:
+                        table[index] = weight + 1
+            else:
+                weight_min = self.weight_min
+                for table, index in zip(self._tables, indices):
+                    weight = table[index]
+                    if weight > weight_min:
+                        table[index] = weight - 1
+        history = self._history
+        bit = 1 if taken else 0
+        shifted = (history << 1) | bit
+        self._history = shifted & self._history_mask
+        if self._folded_history == history:
+            mask = self.table_size - 1
+            top = self.table_bits - 1
+            self._folded = [
+                ((folded << 1) & mask | folded >> top) ^ bit ^ ((shifted >> length & 1) << position)
+                for folded, length, position in zip(
+                    self._folded, self._fold_lengths, self._fold_positions
+                )
+            ]
+            self._folded_history = self._history
         self._memo_pc = None
 
     def record_outcome(self, predicted: bool, taken: bool) -> None:

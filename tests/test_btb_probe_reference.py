@@ -1,12 +1,14 @@
 """The computed-key, indexed BTB probe against a from-scratch reference.
 
-Every set-associative organization probes with a key computed from cached
-ASID state (``SetAssociativeBTB._locate``; BTB-X derives BTB-XC's key from
-its own) and one read of a resident-tag index (``_resident``), and derives
-its miss counter from reads and hits.  Here each organization runs in
-lockstep with a *reference* instance of the same class whose location is
+Every set-associative organization probes in one call (``lookup``) with a
+key computed inline from cached ASID state -- the key
+``SetAssociativeBTB._locate`` gives its updates; BTB-X derives BTB-XC's key
+from its own -- and one read of a resident-tag index (``_resident``), and
+derives its miss counter from reads and hits.  Here each organization runs
+in lockstep with a *reference* instance of the same class whose location is
 recomputed from scratch on every call (the ASID-colored PC folded down to a
-partial tag by the generic fold) and whose probe scans the set's ways.  Budgets are tiny, so LRU evictions, Page-/Region-BTB evictions
+partial tag by the generic fold), whose lookups go through
+``lookup_prelocated`` at that key, and whose probe scans the set's ways.  Budgets are tiny, so LRU evictions, Page-/Region-BTB evictions
 with their pointer invalidations, BTB-X/PDede reallocations and BTB-XC
 conflicts all happen; lookups, taken-branch updates, tagged ASID switches,
 partition-map changes and whole-structure invalidations interleave.
@@ -43,7 +45,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repro.btb.base import PointerTable, fold12
+from repro.btb.base import _MISS_RESULT, PointerTable, fold12
 from repro.btb.btbx import BTBX
 from repro.btb.conventional import ConventionalBTB
 from repro.btb.ideal import IdealBTB
@@ -95,7 +97,7 @@ PARTITIONS = (None, (1, 1), (1, 3), (2, 1, 1))
 #: key inputs and the index under test, the reference's patched-in probe,
 #: and objects compared through their own reports.
 _UNCOMPARED = frozenset({
-    "_slice_base", "_slice_count", "_tag_color", "_resident", "_locate",
+    "_slice_base", "_slice_count", "_tag_color", "_resident", "_locate", "lookup",
     "_shadow_valid", "_shadow_tags", "_set_gen",
     "_stats_registry", "stats", "asid_policy", "companion", "isa",
 })
@@ -165,11 +167,17 @@ class _WayScan:
         pass
 
 
+def _scratch_lookup(btb, pc):
+    """The probe at the from-scratch key, past the inline key of ``lookup``."""
+    return btb.lookup_prelocated(pc, _scratch_locate(btb, pc))
+
+
 def _reference(name, sets, isa):
     btb = FACTORIES[name](sets, isa)
     for structure in _structures(btb):
         structure._locate = types.MethodType(_scratch_locate, structure)
         structure._resident = _WayScan(structure)
+    btb.lookup = types.MethodType(_scratch_lookup, btb)
     return btb
 
 
@@ -312,27 +320,52 @@ def test_fold12_is_the_generic_fold(value):
 def test_companion_key_is_derived_from_the_main_key(isa, companion_entries):
     """BTB-XC is probed at its from-scratch key under every ASID and map.
 
-    A one-entry companion stays shared beside a partitioned main array; a
-    three-entry one is partitioned with it whenever the main array is.
+    Each branch is installed straight into BTB-XC at ``_scratch_locate``'s
+    key, with the main array empty, so ``lookup`` hits only if its derived
+    companion key is that key.  A one-entry companion stays shared beside a
+    partitioned main array; a three-entry one is partitioned with it
+    whenever the main array is.
     """
     btb = BTBX(8 * 3, companion_entries=companion_entries, isa=isa)
     companion = btb.companion
-    probed = []
-    probe = companion.lookup_prelocated
-
-    def spy(pc, key, way=None):
-        probed.append(key)
-        return probe(pc, key, way)
-
-    companion.lookup_prelocated = spy
     for weights in PARTITIONS:
         btb.configure_partitions(weights)
         for asid in ASIDS:
             btb.set_active_asid(asid)
             for pc in PCS:
-                probed.clear()
-                assert not btb.lookup(pc).hit
-                assert probed == [_scratch_locate(companion, pc)], (weights, asid, pc)
+                btb.invalidate_all()
+                _, entry = companion._allocate(_scratch_locate(companion, pc))
+                entry.branch_type = BranchType.INDIRECT
+                entry.target = pc + 0x40_0000_0000
+                result = btb.lookup(pc)
+                assert result.hit, (weights, asid, pc)
+                assert result.structure == "companion" and result.target == entry.target
+
+
+def _prelocated_lookup(btb, pc):
+    return btb.lookup_prelocated(pc, btb._locate(pc))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(sorted(FACTORIES)),
+    sets=st.sampled_from((2, 3)),
+    isa=st.sampled_from(tuple(ISAStyle)),
+    ops=st.lists(OPS, max_size=120),
+)
+def test_lookup_is_lookup_prelocated_at_the_located_key(name, sets, isa, ops):
+    """``lookup(pc)`` is ``lookup_prelocated(pc, _locate(pc))``, side effects included.
+
+    Two instances run the same operations; one probes with the one-call
+    ``lookup``, the other at ``_locate``'s key.  Results, counters, entries
+    and LRU stamps must agree after every operation.
+    """
+    btb = FACTORIES[name](sets, isa)
+    prelocated = FACTORIES[name](sets, isa)
+    prelocated.lookup = types.MethodType(_prelocated_lookup, prelocated)
+    for op in (*ops, *PRESSURE, *(("lookup", pc) for pc in PCS)):
+        assert _apply(btb, op) == _apply(prelocated, op), op
+        assert _observable(btb) == _observable(prelocated), op
 
 
 #: Every organization, the ideal BTB included.
@@ -374,6 +407,19 @@ def test_misses_are_reads_minus_hits(name):
         assert structure.access_counts()["misses"] == 0.0
     assert btb.lookup(PCS[0]).hit
     assert btb.access_counts()["misses"] == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FACTORIES))
+def test_every_miss_is_the_shared_miss_result(name):
+    """The simulator's loop settles a non-branch miss by the result's identity."""
+    btb = ALL_FACTORIES[name](2, ISAStyle.ARM64)
+    missed = 0
+    for op in (*_draw_ops(2023), *PRESSURE, *(("lookup", pc) for pc in PCS)):
+        result = _apply(btb, op)
+        if result is not None and not result.hit:
+            assert result is _MISS_RESULT, op
+            missed += 1
+    assert missed
 
 
 def test_a_reset_without_misses_reports_none():

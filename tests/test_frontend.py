@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from repro.common.config import BTBStyle, MachineConfig, default_machine_config
 from repro.common.errors import ConfigurationError
 from repro.common.stats import Stats
+from repro.core.simulator import FrontEndSimulator
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
 from repro.btb.conventional import ConventionalBTB
@@ -19,6 +20,7 @@ from repro.frontend.ftq import FetchTargetQueue
 from repro.memory import cache as cache_module
 from repro.memory import hierarchy as hierarchy_module
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.traces.trace import Trace
 
 
 class TestFTQ:
@@ -105,11 +107,16 @@ def _bpu(btb=None, machine: MachineConfig | None = None) -> BranchPredictionUnit
     return BranchPredictionUnit(btb if btb is not None else ConventionalBTB(512), machine)
 
 
+def _process(bpu: BranchPredictionUnit, instruction: Instruction):
+    """Probe ``instruction``'s PC and resolve it, as the simulator's loop does."""
+    return bpu.process(instruction, bpu.btb.lookup(instruction.pc))
+
+
 class TestBPU:
     def test_btb_miss_on_taken_direct_branch_is_decode_resteer(self):
         bpu = _bpu()
         jump = Instruction.branch(0x401000, BranchType.UNCONDITIONAL, True, 0x402000)
-        prediction = bpu.process(jump)
+        prediction = _process(bpu, jump)
         assert not prediction.btb_hit
         assert prediction.btb_miss_taken_branch
         assert prediction.outcome is PredictionOutcome.DECODE_RESTEER
@@ -118,21 +125,21 @@ class TestBPU:
     def test_btb_miss_on_not_taken_conditional_is_harmless(self):
         bpu = _bpu()
         branch = Instruction.branch(0x401000, BranchType.CONDITIONAL, False, 0x402000)
-        prediction = bpu.process(branch)
+        prediction = _process(bpu, branch)
         assert prediction.outcome is PredictionOutcome.CORRECT
         assert not prediction.btb_miss_taken_branch
 
     def test_btb_miss_on_indirect_branch_is_execute_flush(self):
         bpu = _bpu()
         indirect = Instruction.branch(0x401000, BranchType.INDIRECT, True, 0x480000)
-        prediction = bpu.process(indirect)
+        prediction = _process(bpu, indirect)
         assert prediction.outcome is PredictionOutcome.EXECUTE_FLUSH
 
     def test_second_visit_hits_and_is_correct(self):
         bpu = _bpu()
         jump = Instruction.branch(0x401000, BranchType.UNCONDITIONAL, True, 0x402000)
-        bpu.process(jump)
-        prediction = bpu.process(jump)
+        _process(bpu, jump)
+        prediction = _process(bpu, jump)
         assert prediction.btb_hit
         assert prediction.outcome is PredictionOutcome.CORRECT
         assert prediction.predicted_target == jump.target
@@ -142,10 +149,10 @@ class TestBPU:
         call = Instruction.branch(0x401000, BranchType.CALL, True, 0x500000)
         ret = Instruction.branch(0x500040, BranchType.RETURN, True, call.fall_through)
         # Visit once so both branches are in the (ideal) BTB, then replay.
-        bpu.process(call)
-        bpu.process(ret)
-        bpu.process(call)
-        prediction = bpu.process(ret)
+        _process(bpu, call)
+        _process(bpu, ret)
+        _process(bpu, call)
+        prediction = _process(bpu, ret)
         assert prediction.btb_hit
         assert prediction.predicted_target == call.fall_through
         assert prediction.outcome is PredictionOutcome.CORRECT
@@ -154,14 +161,14 @@ class TestBPU:
         bpu = _bpu(btb=IdealBTB())
         first = Instruction.branch(0x401000, BranchType.INDIRECT, True, 0x480000)
         second = Instruction.branch(0x401000, BranchType.INDIRECT, True, 0x490000)
-        bpu.process(first)
-        prediction = bpu.process(second)
+        _process(bpu, first)
+        prediction = _process(bpu, second)
         assert prediction.btb_hit
         assert prediction.outcome is PredictionOutcome.EXECUTE_FLUSH
 
     def test_non_branches_are_correct_and_cheap(self):
         bpu = _bpu()
-        prediction = bpu.process(Instruction.non_branch(0x401000))
+        prediction = _process(bpu, Instruction.non_branch(0x401000))
         assert prediction.outcome is PredictionOutcome.CORRECT
         assert not prediction.stream_break
 
@@ -169,8 +176,8 @@ class TestBPU:
         bpu = _bpu(btb=IdealBTB())
         branch_taken = Instruction.branch(0x401000, BranchType.CONDITIONAL, True, 0x401100)
         for _ in range(50):
-            bpu.process(branch_taken)
-        prediction = bpu.process(branch_taken)
+            _process(bpu, branch_taken)
+        prediction = _process(bpu, branch_taken)
         assert prediction.predicted_taken
         assert prediction.outcome is PredictionOutcome.CORRECT
 
@@ -178,7 +185,7 @@ class TestBPU:
         btb = ConventionalBTB(512)
         bpu = _bpu(btb=btb)
         not_taken = Instruction.branch(0x401000, BranchType.CONDITIONAL, False, 0x401100)
-        bpu.process(not_taken)
+        _process(bpu, not_taken)
         assert not btb.lookup(0x401000).hit
 
 
@@ -193,8 +200,8 @@ def _aliasing_pc(btb: ConventionalBTB, pc: int) -> int:
     raise AssertionError("no aliasing PC found")
 
 
-class TestNonBranchMissShortCircuit:
-    """``process`` settles a non-branch BTB miss without classify/commit."""
+class TestNonBranchMiss:
+    """The BPU still resolves a non-branch miss; the loop never hands it one."""
 
     def _warm_bpu(self):
         stats = Stats()
@@ -204,31 +211,24 @@ class TestNonBranchMissShortCircuit:
         jump = Instruction.branch(0x401000, BranchType.UNCONDITIONAL, True, 0x402000)
         call = Instruction.branch(0x402000, BranchType.CALL, True, 0x500000)
         for instruction in (jump, call):
-            bpu.process(instruction)
+            _process(bpu, instruction)
         return bpu, btb, stats, jump
 
-    def test_non_branch_miss_returns_shared_prediction_and_only_probes(self, monkeypatch):
+    def test_non_branch_miss_resolves_to_the_shared_prediction(self):
         bpu, btb, stats, _ = self._warm_bpu()
         counters = stats.counters()
         reads = dict(btb.reads)
-        misses = btb.access_counts().get("misses", 0.0)
         ras = bpu.ras.snapshot()
         resident = sorted(btb._resident_ways())
 
-        def never(*args):
-            raise AssertionError("a non-branch BTB miss must not be classified or committed")
-
-        monkeypatch.setattr(bpu, "_classify", never)
-        monkeypatch.setattr(bpu, "_commit", never)
-        prediction = bpu.process(Instruction.non_branch(0x600000))
+        prediction = bpu.process(Instruction.non_branch(0x600000), btb_base._MISS_RESULT)
 
         assert prediction is SEQUENTIAL
         assert prediction.outcome is PredictionOutcome.CORRECT
         assert not prediction.stream_break and not prediction.extra_btb_cycles
         assert not prediction.btb_miss_taken_branch
         assert stats.counters() == counters
-        assert btb.reads == {**reads, "main": reads["main"] + 1}
-        assert btb.access_counts()["misses"] == misses + 1
+        assert btb.reads == reads
         assert bpu.ras.snapshot() == ras
         assert sorted(btb._resident_ways()) == resident
 
@@ -237,13 +237,57 @@ class TestNonBranchMissShortCircuit:
         alias = Instruction.non_branch(_aliasing_pc(btb, jump.pc))
         false_hits = stats.get("bpu.false_hits")
 
-        prediction = bpu.process(alias)
+        prediction = _process(bpu, alias)
 
         assert prediction is not SEQUENTIAL
         assert prediction.btb_hit and prediction.predicted_taken
         assert prediction.outcome is PredictionOutcome.DECODE_RESTEER
         assert prediction.stream_break
         assert stats.get("bpu.false_hits") == false_hits + 1
+
+
+class TestLoopFastPath:
+    """The simulator's loop settles a non-branch miss without the BPU, and only that.
+
+    The trace is a taken jump, then non-branches, one of which aliases the
+    jump's lookup key (same set, same partial tag) once the jump is
+    resident: the loop must tell that false hit from a miss by the probe's
+    result, not by the instruction's branch type.
+    """
+
+    def _run(self, monkeypatch):
+        stats = Stats()
+        btb = ConventionalBTB(512, stats=stats)
+        machine = default_machine_config(btb_style=BTBStyle.CONVENTIONAL, budget_kib=4.0)
+        simulator = FrontEndSimulator(machine, btb=btb, stats=stats)
+        jump = Instruction.branch(0x401000, BranchType.UNCONDITIONAL, True, 0x402000)
+        alias = Instruction.non_branch(_aliasing_pc(btb, jump.pc))
+        assert btb._locate(alias.pc) == btb._locate(jump.pc)
+        instructions = [
+            jump, Instruction.non_branch(0x402000), Instruction.non_branch(0x402004), alias,
+        ]
+        processed = []
+        process = simulator.bpu.process
+
+        def spy(instruction, lookup):
+            processed.append(instruction)
+            return process(instruction, lookup)
+
+        monkeypatch.setattr(simulator.bpu, "process", spy)
+        result = simulator.run(Trace("alias", instructions))
+        return result, stats, processed, jump, alias
+
+    def test_only_branches_and_false_hits_reach_the_bpu(self, monkeypatch):
+        _, _, processed, jump, alias = self._run(monkeypatch)
+        assert processed == [jump, alias]
+
+    def test_a_false_hit_on_a_non_branch_is_counted(self, monkeypatch):
+        result, stats, _, _, _ = self._run(monkeypatch)
+        assert stats.get("bpu.false_hits") == 1
+        # The jump's first visit misses (decode resteer), and so does the alias.
+        assert result.decode_resteers == 2
+        assert result.btb_misses_taken == 1
+        assert result.instructions == 4 and result.branches == 1
 
 
 def _shared_records():

@@ -30,6 +30,7 @@ hypothesis = pytest.importorskip("hypothesis")
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.common.bitutils import fold_xor
 from repro.common.stats import Stats
 from repro.predictor.batch import history_values, plan_commits
 from repro.predictor.perceptron import HashedPerceptronPredictor
@@ -203,6 +204,31 @@ class TestCommitPlanProperties:
         plan.finish()
         assert _state(predictor) == before
         assert _counters(predictor) == {}
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        head=_commits,
+        tail=_commits,
+        geometry=_geometry,
+        history=_history,
+        weight_bits=_weight_bits,
+    )
+    def test_scalar_indices_after_a_plan_are_the_scratch_fold(
+        self, head, tail, geometry, history, weight_bits
+    ):
+        """A plan assigns the history register without touching the folded
+        registers; the scalar commits after it still index exactly."""
+        predictor = _make(geometry, history, weight_bits)
+        _scalar_replay(predictor, head[: len(head) // 2], {})
+        _plan_replay(predictor, head, {})
+        for pc, taken in tail:
+            expected = [(pc >> 2) & ((1 << geometry) - 1)]
+            expected += [
+                expected[0] ^ fold_xor(predictor._history & ((1 << length) - 1), geometry)
+                for length in predictor.history_lengths
+            ]
+            assert predictor._indices(pc) == expected
+            predictor.update(pc, taken)
 
     @settings(deadline=None, max_examples=60)
     @given(

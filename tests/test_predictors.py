@@ -196,6 +196,76 @@ class TestPredictorLearning:
         assert batched.counters() == single.counters()
 
 
+@st.composite
+def _folded_geometries(draw):
+    """A table width and history lengths below, equal to, a multiple of and above it."""
+    table_bits = draw(st.integers(min_value=1, max_value=12))
+    lengths = {table_bits, draw(st.sampled_from((2, 3))) * table_bits}
+    if table_bits > 1:
+        lengths.add(draw(st.integers(min_value=1, max_value=table_bits - 1)))
+    above = draw(st.integers(min_value=table_bits + 1, max_value=40))
+    if above % table_bits or table_bits == 1:
+        lengths.add(above)
+    return table_bits, tuple(sorted(lengths))
+
+
+_FOLD_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("update"),
+            st.integers(min_value=0, max_value=2**48).map(lambda pc: pc & ~3),
+            st.booleans(),
+        ),
+        st.tuples(st.just("reset")),
+        # What the batched commit plan does: assign the history register.
+        st.tuples(st.just("assign"), st.integers(min_value=0, max_value=2**40)),
+    ),
+    max_size=80,
+)
+
+
+def _scratch_indices(predictor, pc):
+    """Every table's index from the history register, folded from scratch."""
+    bits = predictor.table_bits
+    base = (pc >> 2) & mask(bits)
+    history = predictor._history
+    return [base] + [
+        base ^ fold_xor(history & mask(length), bits) for length in predictor.history_lengths
+    ]
+
+
+class TestFoldedHistory:
+    """The folded-history registers give the from-scratch fold bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(geometry=_folded_geometries(), ops=_FOLD_OPS, probe=st.integers(0, 2**48))
+    def test_registers_match_the_scratch_fold(self, geometry, ops, probe):
+        table_bits, lengths = geometry
+        predictor = HashedPerceptronPredictor(history_lengths=lengths, table_bits=table_bits)
+        for op in ops:
+            if op[0] == "update":
+                _, pc, taken = op
+                synced = predictor._folded_history == predictor._history
+                predictor.update(pc, taken)
+                # A shift keeps synced registers synced: no refold needed.
+                assert (predictor._folded_history == predictor._history) or not synced
+            elif op[0] == "reset":
+                predictor.reset()
+            else:
+                predictor._history = op[1] & mask(predictor.max_history)
+            for pc in (probe, *(op[1:2] if op[0] == "update" else ())):
+                assert predictor._indices(pc) == _scratch_indices(predictor, pc), op
+
+    def test_registers_stay_synced_over_a_long_stream(self):
+        predictor = HashedPerceptronPredictor()
+        rng = random.Random(7)
+        for _ in range(2000):
+            pc = 0x40_0000 + 4 * rng.randrange(64)
+            predictor.update(pc, rng.random() < 0.6)
+            assert predictor._folded_history == predictor._history
+            assert predictor._indices(pc) == _scratch_indices(predictor, pc)
+
+
 class TestPredictorValidation:
     def test_perceptron_rejects_empty_history(self):
         with pytest.raises(ConfigurationError):
