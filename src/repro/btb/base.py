@@ -100,9 +100,9 @@ class BTBBase(abc.ABC):
     def __init__(self, stats: Stats | None = None) -> None:
         self._stats_registry = stats if stats is not None else Stats()
         self.stats: StatGroup = self._stats_registry.group(f"btb.{self.name}")
-        # Hot-path access counters are plain integers (the per-instruction
-        # lookup path is the simulator's inner loop); they are folded into the
-        # Stats registry lazily by :meth:`access_counts`.
+        # Hot-path access counters are plain integers kept out of the Stats
+        # registry (the per-instruction lookup path is the simulator's inner
+        # loop); :meth:`access_counts` merges them into the dict it returns.
         self.reads: dict[str, int] = {}
         self.writes: dict[str, int] = {}
         self.searches: dict[str, int] = {}

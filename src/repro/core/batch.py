@@ -43,9 +43,8 @@ from itertools import compress
 from typing import Iterable
 
 from repro.common.errors import SimulationError
-from repro.common.stats import Stats
 from repro.core.metrics import ScenarioResult
-from repro.core.timing import TimingModel
+from repro.core.simulator import _Ledger
 from repro.isa.branch import BranchType
 from repro.predictor.batch import plan_commits
 from repro.scenarios.compose import ScheduledChunk
@@ -80,23 +79,8 @@ def run_scenario_batched(
     engine = _BatchEngine(simulator, warmup_instructions)
     for chunk in chunks:
         engine.process_chunk(chunk)
-    if engine.measuring:
-        engine.drain_mispredictions()
     engine.emit_metrics()
-    per_tenant = {
-        name: simulator._account_result(name, engine.accounts[name], Stats())
-        for name in engine.tenant_order
-    }
-    aggregate = simulator._aggregate_result(scenario_name, per_tenant)
-    cache_asid_mode = simulator.machine.cache_asid_mode
-    return ScenarioResult(
-        scenario=scenario_name,
-        asid_mode=simulator.machine.asid_mode.value,
-        context_switches=engine.context_switches,
-        aggregate=aggregate,
-        per_tenant=per_tenant,
-        cache_mode=None if cache_asid_mode is None else cache_asid_mode.value,
-    )
+    return engine.ledger.result(scenario_name, engine.measuring)
 
 
 class _BatchEngine:
@@ -124,14 +108,9 @@ class _BatchEngine:
         self.position = 0
         self.measuring = warmup_instructions == 0
         self.previous_block: int | None = None
-        self.dir_before = self.bpu.stats.get("direction_mispredictions")
-        self.tgt_before = self.bpu.stats.get("target_mispredictions")
         self.current_asid: int | None = None
         self.current_tenant: str | None = None
-        self.current_account = None
-        self.context_switches = 0
-        self.accounts: dict[str, object] = {}
-        self.tenant_order: list[str] = []
+        self.ledger = _Ledger(simulator)
         # Fast/slow split telemetry: plain int adds in the hot
         # path, emitted once per run via emit_metrics() so recording is free.
         self.chunks_planned = 0
@@ -155,19 +134,7 @@ class _BatchEngine:
         """The warmup/measurement boundary, identical to the scalar loop."""
         self.measuring = True
         self.previous_block = None
-        self.btb.reset_stats()
-        self.dir_before = self.bpu.stats.get("direction_mispredictions")
-        self.tgt_before = self.bpu.stats.get("target_mispredictions")
-
-    def drain_mispredictions(self) -> None:
-        """Attribute BPU misprediction deltas to the current account."""
-        now_dir = self.bpu.stats.get("direction_mispredictions")
-        now_tgt = self.bpu.stats.get("target_mispredictions")
-        account = self.current_account
-        if account is not None:
-            account.direction_mispredictions += int(now_dir - self.dir_before)
-            account.target_mispredictions += int(now_tgt - self.tgt_before)
-        self.dir_before, self.tgt_before = now_dir, now_tgt
+        self.ledger.start_measuring()
 
     # -- chunk processing --------------------------------------------------
 
@@ -238,9 +205,7 @@ class _BatchEngine:
                 self.hierarchy.context_switch(asid)
             else:
                 if self.measuring:
-                    self.context_switches += 1
-                    if self.current_account is not None:
-                        self.drain_mispredictions()
+                    self.ledger.context_switches += 1
                 self.bpu.context_switch(asid)
                 self.hierarchy.context_switch(asid)
                 self.ftq.flush()
@@ -249,13 +214,7 @@ class _BatchEngine:
             self.current_tenant = None
         if chunk.tenant != self.current_tenant:
             self.current_tenant = chunk.tenant
-            account = self.accounts.get(chunk.tenant)
-            if account is None:
-                from repro.core.simulator import _TenantAccount
-
-                account = self.accounts[chunk.tenant] = _TenantAccount(TimingModel(self.core))
-                self.tenant_order.append(chunk.tenant)
-            self.current_account = account
+            self.ledger.enter(chunk.tenant, self.measuring)
 
     # -- instruction walks -------------------------------------------------
 
@@ -477,8 +436,11 @@ class _BatchEngine:
             self.btb.note_skipped_miss_lookups(skipped_probes)
         if measuring:
             beyond_l2 = sum(1 for result in miss_results if result.level != "L2")
-            self.current_account.charge(
-                n, stall_sum, flushes, resteers, btb_extra, btb_miss_taken,
-                int(np.count_nonzero(is_branch)), int(np.count_nonzero(is_branch & taken)),
-                len(nb_positions), len(miss_results), beyond_l2, covered_cnt,
+            self.ledger.current.charge(
+                n, stall_sum, btb_extra, execute_flushes=flushes, decode_resteers=resteers,
+                branches=int(np.count_nonzero(is_branch)),
+                taken_branches=int(np.count_nonzero(is_branch & taken)),
+                l1i_accesses=len(nb_positions), l1i_misses=len(miss_results),
+                l1i_misses_covered=covered_cnt, l2_accesses=len(miss_results),
+                l2_misses=beyond_l2,
             )

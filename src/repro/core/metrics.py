@@ -2,10 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict
 
 from repro.common.stats import Stats
+
+#: Metadata of the fields a run measures per tenant.  The aggregate sums each
+#: over the tenants in scheduling order, counts as integers.
+_COUNT = {"measured": int}
+_CYCLES = {"measured": float}
+
+
+def _counter(bpu_stat: str | None = None, **kwargs: Any) -> Any:
+    """A per-tenant event count kept by the tenant's account.
+
+    ``bpu_stat`` names the BPU counter the count is drained from, as
+    measured deltas at tenant boundaries; without one, the simulation loops
+    count it and charge it to the account.
+    """
+    return field(metadata={**_COUNT, "counter": bpu_stat}, **kwargs)
 
 
 @dataclass
@@ -16,28 +31,28 @@ class SimulationResult:
     btb_style: str
     btb_storage_kib: float
     fdip_enabled: bool
-    instructions: int
-    cycles: float
-    base_cycles: float
-    flush_cycles: float
-    resteer_cycles: float
-    icache_stall_cycles: float
-    btb_extra_cycles: float
-    btb_misses_taken: int
-    decode_resteers: int
-    execute_flushes: int
-    direction_mispredictions: int
-    target_mispredictions: int
-    taken_branches: int
-    branches: int
-    l1i_accesses: int
-    l1i_misses: int
-    l1i_misses_covered: int
+    instructions: int = field(metadata=_COUNT)
+    cycles: float = field(metadata=_CYCLES)
+    base_cycles: float = field(metadata=_CYCLES)
+    flush_cycles: float = field(metadata=_CYCLES)
+    resteer_cycles: float = field(metadata=_CYCLES)
+    icache_stall_cycles: float = field(metadata=_CYCLES)
+    btb_extra_cycles: float = field(metadata=_CYCLES)
+    btb_misses_taken: int = _counter("btb_miss_taken")
+    decode_resteers: int = _counter()
+    execute_flushes: int = _counter()
+    direction_mispredictions: int = _counter("direction_mispredictions")
+    target_mispredictions: int = _counter("target_mispredictions")
+    taken_branches: int = _counter()
+    branches: int = _counter()
+    l1i_accesses: int = _counter()
+    l1i_misses: int = _counter()
+    l1i_misses_covered: int = _counter()
     #: Demand L2 traffic of the instruction stream: every L1-I demand miss
     #: probes the L2 (``l2_accesses``); ``l2_misses`` counts the ones the L2
     #: could not supply (filled from the LLC or memory).
-    l2_accesses: int = 0
-    l2_misses: int = 0
+    l2_accesses: int = _counter(default=0)
+    l2_misses: int = _counter(default=0)
     stats: Stats = field(repr=False, default_factory=Stats)
 
     # -- derived metrics -----------------------------------------------------
@@ -98,6 +113,12 @@ class SimulationResult:
             "flush_pki": self.flush_rate_pki,
             "direction_mpki": self.direction_mpki,
         }
+
+
+#: Every field a run measures per tenant -> ``int`` (the aggregate casts its sum) or ``float``.
+MEASURED_FIELDS = {f.name: f.metadata["measured"] for f in fields(SimulationResult) if f.metadata}
+#: Every per-tenant event count -> the BPU counter it is drained from, or None.
+COUNTERS = {f.name: f.metadata["counter"] for f in fields(SimulationResult) if "counter" in f.metadata}
 
 
 @dataclass

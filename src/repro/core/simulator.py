@@ -25,10 +25,10 @@ from __future__ import annotations
 from itertools import islice, repeat
 from typing import Iterable, Tuple
 
-from repro.common.config import BTBStyle, MachineConfig, default_machine_config
+from repro.common.config import BTBStyle, CoreConfig, MachineConfig, default_machine_config
 from repro.common.errors import SimulationError
 from repro.common.stats import Stats
-from repro.core.metrics import ScenarioResult, SimulationResult
+from repro.core.metrics import COUNTERS, MEASURED_FIELDS, ScenarioResult, SimulationResult
 from repro.core.timing import TimingModel
 from repro.frontend.bpu import BranchPredictionUnit, PredictionOutcome
 from repro.frontend.fdip import FDIPPrefetcher
@@ -45,80 +45,130 @@ _RESTEER = PredictionOutcome.DECODE_RESTEER
 _NOT_BRANCH = BranchType.NOT_BRANCH
 
 
+#: The counters the BPU keeps, drained per tenant: result field -> BPU stat.
+_DRAINED = tuple((name, stat) for name, stat in COUNTERS.items() if stat)
+
+
 class _TenantAccount:
-    """Measured-phase counters of one tenant (a single-trace run is one tenant)."""
+    """Measured-phase timing and event counts of one tenant (a single-trace run is one tenant)."""
 
-    __slots__ = (
-        "timing",
-        "btb_misses_taken",
-        "decode_resteers",
-        "execute_flushes",
-        "direction_mispredictions",
-        "target_mispredictions",
-        "taken_branches",
-        "branches",
-        "l1i_accesses",
-        "l1i_misses",
-        "l1i_misses_covered",
-        "l2_accesses",
-        "l2_misses",
-    )
+    __slots__ = ("timing", "counts")
 
-    def __init__(self, timing: TimingModel) -> None:
-        self.timing = timing
-        self.btb_misses_taken = 0
-        self.decode_resteers = 0
-        self.execute_flushes = 0
-        self.direction_mispredictions = 0
-        self.target_mispredictions = 0
-        self.taken_branches = 0
-        self.branches = 0
-        self.l1i_accesses = 0
-        self.l1i_misses = 0
-        self.l1i_misses_covered = 0
-        self.l2_accesses = 0
-        self.l2_misses = 0
+    def __init__(self, core: CoreConfig) -> None:
+        self.timing = TimingModel(core)
+        #: One count per :data:`~repro.core.metrics.COUNTERS` field.
+        self.counts = dict.fromkeys(COUNTERS, 0)
 
     def charge(
-        self,
-        retired: int,
-        stall_cycles: float,
-        execute_flushes: int,
-        decode_resteers: int,
-        btb_extra_cycles: int,
-        btb_misses_taken: int,
-        branches: int,
-        taken_branches: int,
-        l1i_accesses: int,
-        l1i_misses: int,
-        l2_misses: int,
-        l1i_misses_covered: int,
+        self, retired: int, stall_cycles: float, btb_extra_cycles: int, **counts: int
     ) -> None:
         """Add the loop-local sums of a run of measured instructions.
 
         The simulation loops count in locals and charge them here at the end
-        of a run (and at each tenant switch).  Every term is an
-        integer-valued commutative sum, so one charge is bit-exact against
-        per-instruction timing calls.  Every L1-I miss is an L2 access.
+        of a run (and at each tenant switch), each count named by its
+        :class:`SimulationResult` field.  Every term is an integer-valued
+        commutative sum, so one charge is bit-exact against per-instruction
+        timing calls.
         """
         timing = self.timing
         timing.retire_instructions(retired)
         timing.icache_stall(stall_cycles)
-        if execute_flushes:
-            timing.execute_flush(execute_flushes)
-            self.execute_flushes += execute_flushes
-        if decode_resteers:
-            timing.decode_resteer(decode_resteers)
-            self.decode_resteers += decode_resteers
         timing.btb_extra_cycle(btb_extra_cycles)
-        self.btb_misses_taken += btb_misses_taken
-        self.branches += branches
-        self.taken_branches += taken_branches
-        self.l1i_accesses += l1i_accesses
-        self.l1i_misses += l1i_misses
-        self.l2_accesses += l1i_misses
-        self.l2_misses += l2_misses
-        self.l1i_misses_covered += l1i_misses_covered
+        timing.execute_flush(counts["execute_flushes"])
+        timing.decode_resteer(counts["decode_resteers"])
+        mine = self.counts
+        for name, count in counts.items():
+            mine[name] += count
+
+
+class _Ledger:
+    """The tenant accounts of one run, in scheduling order.
+
+    Both simulation loops keep one.  They charge their loop-local counts to
+    the current account; the ledger drains the BPU's counters
+    (:data:`_DRAINED`) into the account, as deltas read while measuring,
+    whenever the run leaves it and at the end.
+    """
+
+    def __init__(self, simulator: FrontEndSimulator) -> None:
+        self.simulator = simulator
+        self.accounts: dict[str, _TenantAccount] = {}
+        self.current: _TenantAccount | None = None
+        self.context_switches = 0
+        self._read_bpu = simulator.bpu.stats.get
+        self._before = self._drained_now()
+
+    def _drained_now(self) -> list[float]:
+        return [self._read_bpu(stat) for _, stat in _DRAINED]
+
+    def start_measuring(self) -> None:
+        """The warmup/measurement boundary: counters restart from here."""
+        self.simulator.btb.reset_stats()
+        self._before = self._drained_now()
+
+    def _drain(self) -> None:
+        now = self._drained_now()
+        counts = self.current.counts
+        for (name, _), after, before in zip(_DRAINED, now, self._before):
+            counts[name] += int(after - before)
+        self._before = now
+
+    def enter(self, tenant: str, measuring: bool) -> _TenantAccount:
+        """Make ``tenant``'s account current, draining into the one it leaves."""
+        if measuring and self.current is not None:
+            self._drain()
+        account = self.accounts.get(tenant)
+        if account is None:
+            account = self.accounts[tenant] = _TenantAccount(self.simulator.machine.core)
+        self.current = account
+        return account
+
+    def result(self, scenario_name: str, measuring: bool) -> ScenarioResult:
+        """Drain into the last account and package the run's results.
+
+        Every measured field comes from the field list
+        (:data:`~repro.core.metrics.MEASURED_FIELDS`): a tenant's from its
+        timing model and counts, the aggregate's as the sum over tenants in
+        scheduling order.
+        """
+        if measuring and self.current is not None:
+            self._drain()
+        machine = self.simulator.machine
+        btb = self.simulator.btb
+
+        def package(workload: str, measured: dict, stats: Stats) -> SimulationResult:
+            return SimulationResult(
+                workload=workload,
+                btb_style=btb.name,
+                btb_storage_kib=btb.storage_kib(),
+                fdip_enabled=machine.fdip.enabled,
+                stats=stats,
+                **measured,
+            )
+
+        per_tenant = {}
+        for name, account in self.accounts.items():
+            timing = account.timing
+            breakdown = timing.finalize()
+            measured = dict(vars(breakdown), **account.counts)
+            measured.update(instructions=timing.instructions, cycles=breakdown.total)
+            per_tenant[name] = package(name, measured, Stats())
+
+        def total(name: str) -> float:
+            value = sum(getattr(tenant, name) for tenant in per_tenant.values())
+            return int(value) if MEASURED_FIELDS[name] is int else value
+
+        measured = {name: total(name) for name in MEASURED_FIELDS}
+        aggregate = package(scenario_name, measured, self.simulator.stats)
+        cache_asid_mode = machine.cache_asid_mode
+        return ScenarioResult(
+            scenario=scenario_name,
+            asid_mode=machine.asid_mode.value,
+            context_switches=self.context_switches,
+            aggregate=aggregate,
+            per_tenant=per_tenant,
+            cache_mode=None if cache_asid_mode is None else cache_asid_mode.value,
+        )
 
 
 class FrontEndSimulator:
@@ -217,18 +267,18 @@ class FrontEndSimulator:
         partial-tag aliasing) go to
         :meth:`~repro.frontend.bpu.BranchPredictionUnit.process` with their
         lookup result; any other miss instance takes that path too and
-        still resolves correctly.  Events are
-        attributed to the tenant whose instruction incurred them: the
-        loop-local counts are charged to the current tenant's account at
-        every tenant switch and at the end, and direction/target
-        mispredictions are drained from the BPU's counters at switch
-        boundaries and at the end of the measured phase (they are cheap to
+        still resolves correctly.  Events are attributed to the tenant whose
+        instruction incurred them, through one :class:`_Ledger` per run that
+        both simulation loops share: the loop-local counts are charged to
+        the current tenant's account at every tenant switch and at the end,
+        and the counters the BPU keeps (BTB misses of taken branches,
+        direction and target mispredictions) are drained from its
+        statistics as measured deltas at the same points (they are cheap to
         read there and switches are rare relative to instructions).  A
         stream that ends inside its warmup measures nothing.
         """
         if warmup_instructions < 0:
             raise SimulationError("warmup length cannot be negative")
-        core = self.machine.core
         line_mask = ~(self.hierarchy.line_size() - 1)
         bpu = self.bpu
         hierarchy = self.hierarchy
@@ -238,36 +288,29 @@ class FrontEndSimulator:
         cover = self.fdip.cover_demand_miss
         ftq = self.ftq
         push = ftq.push
-        width2 = 2 * core.fetch_width
-        bpu_stats = bpu.stats
+        width2 = 2 * self.machine.core.fetch_width
 
-        accounts: dict[str, _TenantAccount] = {}
-        tenant_order: list[str] = []
-        current_account: _TenantAccount | None = None
+        ledger = _Ledger(self)
+        account: _TenantAccount | None = None
         current_asid: int | None = None
         current_tenant: str | None = None
-        context_switches = 0
 
         # Measured-phase counts of the current tenant's run, charged to its
         # account at the next tenant switch and after the loop.
         retired = 0
         stall_sum = 0.0
-        flushes = resteers = btb_extra = btb_misses_taken = 0
+        flushes = resteers = btb_extra = 0
         branches = taken_branches = 0
         l1i_accesses = l1i_misses = l2_misses = covered_misses = 0
 
         previous_block = None
         measuring = warmup_instructions == 0
-        dir_before = bpu_stats.get("direction_mispredictions")
-        tgt_before = bpu_stats.get("target_mispredictions")
 
         for position, (asid, tenant, instruction) in enumerate(schedule):
             if not measuring and position >= warmup_instructions:
                 measuring = True
                 previous_block = None
-                self.btb.reset_stats()
-                dir_before = bpu_stats.get("direction_mispredictions")
-                tgt_before = bpu_stats.get("target_mispredictions")
+                ledger.start_measuring()
 
             if asid != current_asid:
                 if current_asid is None:
@@ -278,13 +321,7 @@ class FrontEndSimulator:
                     hierarchy.context_switch(asid)
                 else:
                     if measuring:
-                        context_switches += 1
-                        if current_account is not None:
-                            now_dir = bpu_stats.get("direction_mispredictions")
-                            now_tgt = bpu_stats.get("target_mispredictions")
-                            current_account.direction_mispredictions += int(now_dir - dir_before)
-                            current_account.target_mispredictions += int(now_tgt - tgt_before)
-                            dir_before, tgt_before = now_dir, now_tgt
+                        ledger.context_switches += 1
                     bpu.context_switch(asid)
                     hierarchy.context_switch(asid)
                     ftq.flush()
@@ -292,21 +329,20 @@ class FrontEndSimulator:
                 current_asid = asid
                 current_tenant = None
             if tenant != current_tenant:
-                if current_account is not None:
-                    current_account.charge(
-                        retired, stall_sum, flushes, resteers, btb_extra, btb_misses_taken,
-                        branches, taken_branches, l1i_accesses, l1i_misses, l2_misses,
-                        covered_misses,
+                if account is not None:
+                    account.charge(
+                        retired, stall_sum, btb_extra, execute_flushes=flushes,
+                        decode_resteers=resteers, branches=branches,
+                        taken_branches=taken_branches, l1i_accesses=l1i_accesses,
+                        l1i_misses=l1i_misses, l1i_misses_covered=covered_misses,
+                        l2_accesses=l1i_misses, l2_misses=l2_misses,
                     )
-                    retired = flushes = resteers = btb_extra = btb_misses_taken = 0
+                    retired = flushes = resteers = btb_extra = 0
                     branches = taken_branches = 0
                     l1i_accesses = l1i_misses = l2_misses = covered_misses = 0
                     stall_sum = 0.0
                 current_tenant = tenant
-                current_account = accounts.get(tenant)
-                if current_account is None:
-                    current_account = accounts[tenant] = _TenantAccount(TimingModel(core))
-                    tenant_order.append(tenant)
+                account = ledger.enter(tenant, measuring)
 
             pc = instruction.pc
             found = lookup(pc)
@@ -351,37 +387,19 @@ class FrontEndSimulator:
                     flushes += 1
                 elif outcome is _RESTEER:
                     resteers += 1
-                if prediction.btb_miss_taken_branch:
-                    btb_misses_taken += 1
                 if instruction.branch_type is not _NOT_BRANCH:
                     branches += 1
                     if instruction.taken:
                         taken_branches += 1
 
-        if current_account is not None:
-            current_account.charge(
-                retired, stall_sum, flushes, resteers, btb_extra, btb_misses_taken,
-                branches, taken_branches, l1i_accesses, l1i_misses, l2_misses, covered_misses,
+        if account is not None:
+            account.charge(
+                retired, stall_sum, btb_extra, execute_flushes=flushes,
+                decode_resteers=resteers, branches=branches, taken_branches=taken_branches,
+                l1i_accesses=l1i_accesses, l1i_misses=l1i_misses,
+                l1i_misses_covered=covered_misses, l2_accesses=l1i_misses, l2_misses=l2_misses,
             )
-            if measuring:
-                now_dir = bpu_stats.get("direction_mispredictions")
-                now_tgt = bpu_stats.get("target_mispredictions")
-                current_account.direction_mispredictions += int(now_dir - dir_before)
-                current_account.target_mispredictions += int(now_tgt - tgt_before)
-
-        per_tenant = {
-            name: self._account_result(name, accounts[name], Stats()) for name in tenant_order
-        }
-        aggregate = self._aggregate_result(scenario_name, per_tenant)
-        cache_asid_mode = self.machine.cache_asid_mode
-        return ScenarioResult(
-            scenario=scenario_name,
-            asid_mode=self.machine.asid_mode.value,
-            context_switches=context_switches,
-            aggregate=aggregate,
-            per_tenant=per_tenant,
-            cache_mode=None if cache_asid_mode is None else cache_asid_mode.value,
-        )
+        return ledger.result(scenario_name, measuring)
 
     def run_scenario_batches(
         self,
@@ -399,72 +417,6 @@ class FrontEndSimulator:
         from repro.core.batch import run_scenario_batched
 
         return run_scenario_batched(self, chunks, warmup_instructions, scenario_name)
-
-    def _account_result(
-        self, workload: str, account: _TenantAccount, stats: Stats
-    ) -> SimulationResult:
-        """Package one tenant's measured counters as a :class:`SimulationResult`."""
-        breakdown = account.timing.finalize()
-        return SimulationResult(
-            workload=workload,
-            btb_style=self.btb.name,
-            btb_storage_kib=self.btb.storage_kib(),
-            fdip_enabled=self.machine.fdip.enabled,
-            instructions=account.timing.instructions,
-            cycles=breakdown.total,
-            base_cycles=breakdown.base_cycles,
-            flush_cycles=breakdown.flush_cycles,
-            resteer_cycles=breakdown.resteer_cycles,
-            icache_stall_cycles=breakdown.icache_stall_cycles,
-            btb_extra_cycles=breakdown.btb_extra_cycles,
-            btb_misses_taken=account.btb_misses_taken,
-            decode_resteers=account.decode_resteers,
-            execute_flushes=account.execute_flushes,
-            direction_mispredictions=account.direction_mispredictions,
-            target_mispredictions=account.target_mispredictions,
-            taken_branches=account.taken_branches,
-            branches=account.branches,
-            l1i_accesses=account.l1i_accesses,
-            l1i_misses=account.l1i_misses,
-            l1i_misses_covered=account.l1i_misses_covered,
-            l2_accesses=account.l2_accesses,
-            l2_misses=account.l2_misses,
-            stats=stats,
-        )
-
-    def _aggregate_result(
-        self, scenario_name: str, per_tenant: dict[str, SimulationResult]
-    ) -> SimulationResult:
-        """Sum per-tenant results into the whole-stream result."""
-        def total(field: str) -> float:
-            return sum(getattr(result, field) for result in per_tenant.values())
-
-        return SimulationResult(
-            workload=scenario_name,
-            btb_style=self.btb.name,
-            btb_storage_kib=self.btb.storage_kib(),
-            fdip_enabled=self.machine.fdip.enabled,
-            instructions=int(total("instructions")),
-            cycles=total("cycles"),
-            base_cycles=total("base_cycles"),
-            flush_cycles=total("flush_cycles"),
-            resteer_cycles=total("resteer_cycles"),
-            icache_stall_cycles=total("icache_stall_cycles"),
-            btb_extra_cycles=total("btb_extra_cycles"),
-            btb_misses_taken=int(total("btb_misses_taken")),
-            decode_resteers=int(total("decode_resteers")),
-            execute_flushes=int(total("execute_flushes")),
-            direction_mispredictions=int(total("direction_mispredictions")),
-            target_mispredictions=int(total("target_mispredictions")),
-            taken_branches=int(total("taken_branches")),
-            branches=int(total("branches")),
-            l1i_accesses=int(total("l1i_accesses")),
-            l1i_misses=int(total("l1i_misses")),
-            l1i_misses_covered=int(total("l1i_misses_covered")),
-            l2_accesses=int(total("l2_accesses")),
-            l2_misses=int(total("l2_misses")),
-            stats=self.stats,
-        )
 
 
 def simulate_trace(

@@ -66,14 +66,11 @@ class FrontEndPrediction(NamedTuple):
     nothing per-instruction is one shared instance (:data:`SEQUENTIAL`).
     """
 
-    btb_hit: bool
+    #: True on a BTB hit: the front end knows this PC is a branch.
     identified_branch: bool
     predicted_taken: bool
     predicted_target: int | None
     outcome: PredictionOutcome
-    #: True when the instruction is a taken branch that missed in the BTB
-    #: (the events counted by the paper's BTB MPKI metric).
-    btb_miss_taken_branch: bool
     #: Extra BTB port cycles beyond the first (PDede different-page lookups).
     extra_btb_cycles: int = 0
     #: True when the prediction breaks the fetch stream (any wrong next-PC);
@@ -85,12 +82,10 @@ class FrontEndPrediction(NamedTuple):
 #: continues on the sequential path, which is correct.  Shared, because it
 #: is by far the most common outcome (every non-branch the BTB misses).
 SEQUENTIAL = FrontEndPrediction(
-    btb_hit=False,
     identified_branch=False,
     predicted_taken=False,
     predicted_target=None,
     outcome=PredictionOutcome.CORRECT,
-    btb_miss_taken_branch=False,
 )
 
 _NOT_BRANCH = BranchType.NOT_BRANCH
@@ -201,6 +196,8 @@ class BranchPredictionUnit:
             # (a taken conditional branch that decode might resteer).
             if not is_branch or not actually_taken:
                 return SEQUENTIAL
+            # The events of the paper's BTB MPKI, drained per tenant into
+            # ``SimulationResult.btb_misses_taken``.
             self.stats.inc("btb_miss_taken")
             branch_type = instruction.branch_type
             if branch_type is _UNCONDITIONAL or branch_type is _CALL:
@@ -211,7 +208,7 @@ class BranchPredictionUnit:
                 outcome = _RESTEER
             else:
                 outcome = _FLUSH
-            return FrontEndPrediction(False, False, False, None, outcome, True, 0, True)
+            return FrontEndPrediction(False, False, None, outcome, 0, True)
 
         # BTB hit: the front end knows the branch type and (usually) its target.
         identified_type = lookup.branch_type or instruction.branch_type
@@ -233,12 +230,10 @@ class BranchPredictionUnit:
             if predicted_taken:
                 self.stats.inc("false_hits")
                 return FrontEndPrediction(
-                    True, True, predicted_taken, predicted_target,
-                    _RESTEER, False, extra_cycles, True,
+                    True, predicted_taken, predicted_target, _RESTEER, extra_cycles, True
                 )
             return FrontEndPrediction(
-                True, True, predicted_taken, predicted_target,
-                _CORRECT, False, extra_cycles, False,
+                True, predicted_taken, predicted_target, _CORRECT, extra_cycles, False
             )
 
         if predicted_taken != actually_taken:
@@ -255,8 +250,7 @@ class BranchPredictionUnit:
             stream_break = False
 
         return FrontEndPrediction(
-            True, True, predicted_taken, predicted_target, outcome, False, extra_cycles,
-            stream_break,
+            True, predicted_taken, predicted_target, outcome, extra_cycles, stream_break
         )
 
     # -- commit-time updates ------------------------------------------------------

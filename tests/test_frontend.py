@@ -117,8 +117,8 @@ class TestBPU:
         bpu = _bpu()
         jump = Instruction.branch(0x401000, BranchType.UNCONDITIONAL, True, 0x402000)
         prediction = _process(bpu, jump)
-        assert not prediction.btb_hit
-        assert prediction.btb_miss_taken_branch
+        assert not prediction.identified_branch
+        assert bpu.stats.get("btb_miss_taken") == 1
         assert prediction.outcome is PredictionOutcome.DECODE_RESTEER
         assert prediction.stream_break
 
@@ -127,7 +127,7 @@ class TestBPU:
         branch = Instruction.branch(0x401000, BranchType.CONDITIONAL, False, 0x402000)
         prediction = _process(bpu, branch)
         assert prediction.outcome is PredictionOutcome.CORRECT
-        assert not prediction.btb_miss_taken_branch
+        assert bpu.stats.get("btb_miss_taken") == 0
 
     def test_btb_miss_on_indirect_branch_is_execute_flush(self):
         bpu = _bpu()
@@ -140,7 +140,7 @@ class TestBPU:
         jump = Instruction.branch(0x401000, BranchType.UNCONDITIONAL, True, 0x402000)
         _process(bpu, jump)
         prediction = _process(bpu, jump)
-        assert prediction.btb_hit
+        assert prediction.identified_branch
         assert prediction.outcome is PredictionOutcome.CORRECT
         assert prediction.predicted_target == jump.target
 
@@ -153,7 +153,7 @@ class TestBPU:
         _process(bpu, ret)
         _process(bpu, call)
         prediction = _process(bpu, ret)
-        assert prediction.btb_hit
+        assert prediction.identified_branch
         assert prediction.predicted_target == call.fall_through
         assert prediction.outcome is PredictionOutcome.CORRECT
 
@@ -163,7 +163,7 @@ class TestBPU:
         second = Instruction.branch(0x401000, BranchType.INDIRECT, True, 0x490000)
         _process(bpu, first)
         prediction = _process(bpu, second)
-        assert prediction.btb_hit
+        assert prediction.identified_branch
         assert prediction.outcome is PredictionOutcome.EXECUTE_FLUSH
 
     def test_non_branches_are_correct_and_cheap(self):
@@ -226,7 +226,6 @@ class TestNonBranchMiss:
         assert prediction is SEQUENTIAL
         assert prediction.outcome is PredictionOutcome.CORRECT
         assert not prediction.stream_break and not prediction.extra_btb_cycles
-        assert not prediction.btb_miss_taken_branch
         assert stats.counters() == counters
         assert btb.reads == reads
         assert bpu.ras.snapshot() == ras
@@ -240,7 +239,7 @@ class TestNonBranchMiss:
         prediction = _process(bpu, alias)
 
         assert prediction is not SEQUENTIAL
-        assert prediction.btb_hit and prediction.predicted_taken
+        assert prediction.identified_branch and prediction.predicted_taken
         assert prediction.outcome is PredictionOutcome.DECODE_RESTEER
         assert prediction.stream_break
         assert stats.get("bpu.false_hits") == false_hits + 1
