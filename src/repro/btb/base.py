@@ -24,6 +24,13 @@ Everything ASID-shaped -- tag coloring, capacity partitioning, duplication
 accounting -- is delegated to one :class:`repro.common.asid.AddressSpacePolicy`
 per organization (secondary structures register extra *domains* on the same
 policy), so the context-switch semantics live in exactly one module.
+
+Each organization counts in one place: a plain dict of integers
+(:attr:`BTBBase.counters`) keyed by the names of its report -- event counts
+(``hits``, ``evictions``, ...) and per-structure accesses (``reads.main``,
+``writes.page``, ``searches.page``).  :meth:`BTBBase.energy_access_counts`
+is the one report built from it, for the energy model (Table V) and the
+exported ``btb_access_counts`` alike.
 """
 
 from __future__ import annotations
@@ -37,7 +44,6 @@ from repro.common.bitutils import fold_xor
 from repro.common.config import ISAStyle, validate_partition_weights
 from repro.common.errors import ConfigurationError
 from repro.common.lru import LRUState
-from repro.common.stats import StatGroup, Stats
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
 
@@ -47,6 +53,9 @@ TAG_BITS = 12
 
 #: Ways of the main array of Conv-BTB, R-BTB and PDede.
 MAIN_WAYS = 8
+
+#: Key prefixes of the access counters; every other counter is an event count.
+_ACCESS_KINDS = ("reads.", "writes.", "searches.")
 
 
 def fold12(value: int) -> int:
@@ -76,9 +85,6 @@ class BTBLookupResult(NamedTuple):
     #: Number of cycles the lookup occupies the BTB port (PDede's
     #: different-page lookups take two cycles, everything else one).
     latency_cycles: int = 1
-    #: Name of the structure/partition that produced the hit (for energy
-    #: accounting and debugging); empty on a miss.
-    structure: str = ""
 
 
 #: Shared immutable miss result, avoiding one allocation per missing lookup.
@@ -94,18 +100,15 @@ class BTBBase(abc.ABC):
     #: Policy domain of the organization's primary (main) array.
     _MAIN_DOMAIN = "main"
 
-    #: Access-counter name of the primary array (BTB-XC counts "companion").
-    _STRUCTURE = "main"
+    #: Read and write counters of the primary array (BTB-XC counts "companion").
+    _READS = "reads.main"
+    _WRITES = "writes.main"
 
-    def __init__(self, stats: Stats | None = None) -> None:
-        self._stats_registry = stats if stats is not None else Stats()
-        self.stats: StatGroup = self._stats_registry.group(f"btb.{self.name}")
-        # Hot-path access counters are plain integers kept out of the Stats
-        # registry (the per-instruction lookup path is the simulator's inner
-        # loop); :meth:`access_counts` merges them into the dict it returns.
-        self.reads: dict[str, int] = {}
-        self.writes: dict[str, int] = {}
-        self.searches: dict[str, int] = {}
+    def __init__(self) -> None:
+        #: The one counter store: event counts and per-structure accesses,
+        #: plain integers bumped in place (the lookup is the simulator's inner
+        #: loop).  :meth:`energy_access_counts` is the report built from it.
+        self.counters: dict[str, int] = {}
         #: Whether a miss happened before the last :meth:`reset_stats`, so
         #: the derived ``misses`` counter reads 0 rather than vanishing.
         self._missed_before_reset = False
@@ -188,7 +191,12 @@ class BTBBase(abc.ABC):
         architectural footprint -- the read counter, from which the misses
         are derived (a missing lookup touches no LRU state).
         """
-        self.reads[self._STRUCTURE] = self.reads.get(self._STRUCTURE, 0) + count
+        self.count(self._READS, count)
+
+    def count(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to counter ``name``: an event (``hits``) or an access (``reads.main``)."""
+        counters = self.counters
+        counters[name] = counters.get(name, 0) + amount
 
     def record_allocation(self, structure: str, key: int) -> None:
         """Note that ``structure`` was asked to track ``key`` (duplication stats).
@@ -207,68 +215,43 @@ class BTBBase(abc.ABC):
         """
         return self.asid_policy.duplication_counts()
 
-    def record_read(self, structure: str = "main") -> None:
-        """Count one read access of ``structure`` (used by the energy model)."""
-        self.reads[structure] = self.reads.get(structure, 0) + 1
-
-    def record_write(self, structure: str = "main") -> None:
-        """Count one write access of ``structure``."""
-        self.writes[structure] = self.writes.get(structure, 0) + 1
-
-    def record_search(self, structure: str) -> None:
-        """Count one associative search of ``structure`` (PDede page lookups)."""
-        self.searches[structure] = self.searches.get(structure, 0) + 1
-
-    def access_counts(self) -> dict[str, float]:
-        """Read/write/search counters plus event counters (flat dict).
-
-        ``misses`` is derived, never counted: every probe reads its primary
-        structure exactly once and counts at most one hit.  It is reported
-        from the first miss on, and as 0 after a :meth:`reset_stats` that
-        followed one.
-        """
-        prefix = self.stats.prefix + "."
-        counts: dict[str, float] = {
-            key[len(prefix):]: value
-            for key, value in self._stats_registry.counters().items()
-            if key.startswith(prefix)
-        }
-        misses = self.reads.get(self._STRUCTURE, 0) - counts.get("hits", 0.0)
-        if misses or self._missed_before_reset:
-            counts["misses"] = float(misses)
-        for structure, count in self.reads.items():
-            counts[f"reads.{structure}"] = counts.get(f"reads.{structure}", 0.0) + count
-        counts["reads.total"] = float(sum(self.reads.values()))
-        for structure, count in self.writes.items():
-            counts[f"writes.{structure}"] = counts.get(f"writes.{structure}", 0.0) + count
-        counts["writes.total"] = float(sum(self.writes.values()))
-        for structure, count in self.searches.items():
-            counts[f"searches.{structure}"] = counts.get(f"searches.{structure}", 0.0) + count
-        return counts
-
     def energy_access_counts(self) -> dict[str, float]:
-        """Access counters exactly as the energy model consumes them.
+        """The organization's one counter report, as the energy model consumes it.
 
-        The one authoritative merge point for organizations whose secondary
-        structures keep their own counters (BTB-X's companion overrides
-        this): both :meth:`repro.energy.btb_energy.BTBEnergyModel.energy_from_btb`
-        and the scenario runner's exported ``btb_access_counts`` consume this
-        method, so the two can never drift apart.
+        Event counters come first, then ``misses``, then each access kind's
+        per-structure counters, with ``reads.total`` and ``writes.total``.
+        ``misses`` is derived, never counted: every probe reads its primary
+        structure once and counts at most one hit.  It is reported from the
+        first miss on, and as 0 after a :meth:`reset_stats` that followed
+        one.  Across a reset an event counter stays (as 0), and an access
+        counter drops out until its structure is accessed again.  The energy
+        model and the exported ``btb_access_counts`` both read this report
+        (BTB-X's adds its companion's accesses), so they cannot drift apart.
         """
-        return {key: float(value) for key, value in self.access_counts().items()}
+        counters = self.counters
+        report = {
+            name: float(value) for name, value in counters.items()
+            if not name.startswith(_ACCESS_KINDS)
+        }
+        misses = counters.get(self._READS, 0) - counters.get("hits", 0)
+        if misses or self._missed_before_reset:
+            report["misses"] = float(misses)
+        for kind in _ACCESS_KINDS:
+            accesses = {name: float(value) for name, value in counters.items() if name.startswith(kind)}
+            report.update(accesses)
+            if kind != "searches.":
+                report[f"{kind}total"] = float(sum(accesses.values()))
+        return report
 
     def reset_stats(self) -> None:
-        """Zero all access counters (used between warmup and measurement)."""
+        """Restart the counters (used between warmup and measurement)."""
+        counters = self.counters
         self._missed_before_reset = self._missed_before_reset or (
-            self.reads.get(self._STRUCTURE, 0) > self.stats.get("hits")
+            counters.get(self._READS, 0) > counters.get("hits", 0)
         )
-        prefix = self.stats.prefix + "."
-        for key in list(self._stats_registry.counters()):
-            if key.startswith(prefix):
-                self._stats_registry.set(key, 0.0)
-        self.reads.clear()
-        self.writes.clear()
-        self.searches.clear()
+        self.counters = {
+            name: 0 for name in counters if not name.startswith(_ACCESS_KINDS)
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -305,9 +288,8 @@ class SetAssociativeBTB(BTBBase):
         entries: int,
         associativity: int = MAIN_WAYS,
         isa: ISAStyle = ISAStyle.ARM64,
-        stats: Stats | None = None,
     ) -> None:
-        super().__init__(stats)
+        super().__init__()
         if entries <= 0 or associativity <= 0 or entries % associativity != 0:
             raise ConfigurationError(
                 f"{self.name} entries ({entries}) must be a positive multiple of "
@@ -353,12 +335,12 @@ class SetAssociativeBTB(BTBBase):
         then one read of the resident-tag index, and :meth:`_hit` only on a
         hit.  A miss costs the read counter and nothing else -- most probes
         miss, because most instructions are not branches -- returns the
-        shared :data:`_MISS_RESULT`, and :meth:`access_counts` derives the
-        misses from the reads and hits.
+        shared :data:`_MISS_RESULT`, and :meth:`energy_access_counts` derives
+        the misses from the reads and hits.
         """
-        reads = self.reads
-        structure = self._STRUCTURE
-        reads[structure] = reads.get(structure, 0) + 1
+        counters = self.counters
+        reads = self._READS
+        counters[reads] = counters.get(reads, 0) + 1
         high = pc >> self.alignment_bits
         tag = high ^ (high >> 48)
         tag ^= tag >> 24
@@ -381,8 +363,9 @@ class SetAssociativeBTB(BTBBase):
         reads the resident-tag index.  Both give :meth:`lookup`'s result,
         counters and LRU movement.
         """
-        reads = self.reads
-        reads[self._STRUCTURE] = reads.get(self._STRUCTURE, 0) + 1
+        counters = self.counters
+        reads = self._READS
+        counters[reads] = counters.get(reads, 0) + 1
         if way is None:
             way = self._resident.get(key, -1)
         if way < 0:
@@ -414,7 +397,7 @@ class SetAssociativeBTB(BTBBase):
             self._lru[index].touch(way)
             return entry
         self._clear_way(index, way, entry)
-        self.stats.inc("reallocations")
+        self.count("reallocations")
         return None
 
     def _allocate(self, key: int, eligible: Sequence[int] | None = None):
@@ -433,12 +416,12 @@ class SetAssociativeBTB(BTBBase):
         lru = self._lru[index]
         if victim is None:
             victim = lru.victim(eligible)
-            self.stats.inc("evictions")
+            self.count("evictions")
         entry = entries[victim]
         self._fill_way(key, victim, entry)
         lru.touch(victim)
-        self.record_write(self._STRUCTURE)
-        self.stats.inc("allocations")
+        self.count(self._WRITES)
+        self.count("allocations")
         return victim, entry
 
     def _materialize(self, index: int) -> list:
@@ -456,7 +439,7 @@ class SetAssociativeBTB(BTBBase):
             for way, entry in enumerate(entries):
                 if entry.valid and getattr(entry, field) == slot:
                     self._clear_way(index, way, entry)
-                    self.stats.inc("pointer_invalidations")
+                    self.count("pointer_invalidations")
 
     def invalidate_all(self) -> None:
         """Clear every way of the main array."""
@@ -706,13 +689,13 @@ class PointerTable:
         if slot is None:
             slot = self._lru.victim(candidates)
             btb._invalidate_pointers(self.pointer_field, slot)
-            btb.stats.inc(f"{self.name}_evictions")
+            btb.count(f"{self.name}_evictions")
         entry = slots[slot]
         entry.valid = True
         entry.value = value
         entry.asid = asid
         self._lru.touch(slot)
-        btb.record_write(self.name)
+        btb.count(f"writes.{self.name}")
         return slot
 
     def invalidate(self) -> None:

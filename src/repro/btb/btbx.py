@@ -22,14 +22,13 @@ LRU.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.common.config import ISAStyle
 from repro.common.errors import ConfigurationError
-from repro.common.stats import Stats
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
-from repro.btb.base import _MISS_RESULT, TAG_BITS, BTBLookupResult, SetAssociativeBTB
+from repro.btb.base import _ACCESS_KINDS, _MISS_RESULT, TAG_BITS, BTBLookupResult, SetAssociativeBTB
 from repro.btb.conventional import FULL_TARGET_ENTRY_BITS, FullTargetBTB
 from repro.btb.offsets import stored_offset_bits
 
@@ -90,12 +89,11 @@ class BTBXC(FullTargetBTB):
     """
 
     name = "btbxc"
-    _STRUCTURE = "companion"
+    _READS = "reads.companion"
+    _WRITES = "writes.companion"
 
-    def __init__(
-        self, entries: int, isa: ISAStyle = ISAStyle.ARM64, stats: Stats | None = None
-    ) -> None:
-        super().__init__(entries, associativity=1, isa=isa, stats=stats)
+    def __init__(self, entries: int, isa: ISAStyle = ISAStyle.ARM64) -> None:
+        super().__init__(entries, associativity=1, isa=isa)
 
     def update(self, instruction: Instruction) -> None:
         """Insert/refresh; direct-mapped, so the indexed entry is overwritten."""
@@ -104,11 +102,11 @@ class BTBXC(FullTargetBTB):
         index = key >> self.tag_bits
         entry = (self._sets[index] or self._materialize(index))[0]
         if entry.valid and key not in self._resident:
-            self.stats.inc("evictions")
+            self.count("evictions")
         self._fill_way(key, 0, entry)
         entry.branch_type = instruction.branch_type
         entry.target = instruction.target
-        self.record_write("companion")
+        self.count(self._WRITES)
 
     def storage_bits(self) -> int:
         """Total storage of the companion: one full-target entry per entry."""
@@ -131,14 +129,13 @@ class BTBX(SetAssociativeBTB):
         way_offset_bits: Sequence[int] | None = None,
         companion_entries: int | None = None,
         isa: ISAStyle = ISAStyle.ARM64,
-        stats: Stats | None = None,
     ) -> None:
         widths = tuple(way_offset_bits) if way_offset_bits is not None else default_way_offsets(isa)
         if not widths:
             raise ConfigurationError("BTB-X needs at least one way")
         if sorted(widths) != list(widths):
             raise ConfigurationError("BTB-X way offset widths must be non-decreasing")
-        super().__init__(entries, len(widths), isa, stats)
+        super().__init__(entries, len(widths), isa)
         self.way_offset_bits = widths
         #: Constrained-LRU candidates: the ways whose offset field holds
         #: ``required`` stored bits, indexed by ``required``.
@@ -146,15 +143,11 @@ class BTBX(SetAssociativeBTB):
             [way for way, width in enumerate(widths) if width >= required]
             for required in range(widths[-1] + 1)
         ]
-        # Per-way hit/allocation counters (kept as plain lists for speed; they
-        # are exposed through way_hit_counts()/way_allocation_counts()).
-        self._way_hits = [0] * self.associativity
-        self._way_allocations = [0] * self.associativity
         if companion_entries is None:
             companion_entries = companion_entries_for(entries)
         if companion_entries <= 0:
             raise ConfigurationError("BTB-X needs a BTB-XC of at least one entry")
-        self.companion: BTBXC = BTBXC(companion_entries, isa=isa, stats=self._stats_registry)
+        self.companion: BTBXC = BTBXC(companion_entries, isa=isa)
 
     # -- geometry ----------------------------------------------------------
 
@@ -215,23 +208,20 @@ class BTBX(SetAssociativeBTB):
         double-count.
         """
         counts = super().energy_access_counts()
-        for key, value in self.companion.access_counts().items():
-            if key.startswith(("reads.", "writes.", "searches.")):
-                counts[key] = counts.get(key, 0.0) + float(value)
+        for key, value in self.companion.energy_access_counts().items():
+            if key.startswith(_ACCESS_KINDS):
+                counts[key] = counts.get(key, 0.0) + value
         return counts
 
     def reset_stats(self) -> None:
-        """Zero the main counters *and* the companion's.
+        """Restart the main counters *and* the companion's.
 
         The companion is a separate :class:`BTBBase` with its own counter
-        dicts and stats prefix; without this override a warmup/measurement
-        boundary would reset the main BTB only, leaving warmup traffic in
-        the companion's counters (and so in the exported energy numbers).
-        The per-way hit and allocation counters restart with them.
+        store; without this override a warmup/measurement boundary would
+        reset the main BTB only, leaving warmup traffic in the companion's
+        counters (and so in the exported energy numbers).
         """
         super().reset_stats()
-        self._way_hits = [0] * self.associativity
-        self._way_allocations = [0] * self.associativity
         self.companion.reset_stats()
 
     def _recover_target(self, pc: int, entry: _Entry) -> int:
@@ -256,8 +246,8 @@ class BTBX(SetAssociativeBTB):
         own partition slice.  A miss in both returns the shared
         :data:`_MISS_RESULT`; a companion hit counts as one of BTB-X's hits.
         """
-        reads = self.reads
-        reads["main"] = reads.get("main", 0) + 1
+        counters = self.counters
+        counters["reads.main"] = counters.get("reads.main", 0) + 1
         high = pc >> self.alignment_bits
         tag = high ^ (high >> 48)
         tag ^= tag >> 24
@@ -270,8 +260,8 @@ class BTBX(SetAssociativeBTB):
             self._lru[index].touch(way)
             return self._hit(pc, index, way)
         companion = self.companion
-        reads = companion.reads
-        reads["companion"] = reads.get("companion", 0) + 1
+        companion_counters = companion.counters
+        companion_counters["reads.companion"] = companion_counters.get("reads.companion", 0) + 1
         key = ((companion._slice_base + high % companion._slice_count) << TAG_BITS) | tag
         way = companion._resident.get(key, -1)
         if way < 0:
@@ -279,8 +269,8 @@ class BTBX(SetAssociativeBTB):
         index = key >> TAG_BITS
         companion._lru[index].touch(way)
         result = companion._hit(pc, index, way)
-        self.stats.inc("hits")
-        self.stats.inc("hits.companion")
+        self.count("hits")
+        self.count("hits.companion")
         return result
 
     def lookup_prelocated(
@@ -304,8 +294,8 @@ class BTBX(SetAssociativeBTB):
         if way >= 0:
             return super().lookup_prelocated(pc, key, way)
         companion = self.companion
-        reads = self.reads
-        reads["main"] = reads.get("main", 0) + 1
+        counters = self.counters
+        counters["reads.main"] = counters.get("reads.main", 0) + 1
         if companion_plan is None:
             high = pc >> self.alignment_bits
             companion_key = (
@@ -315,27 +305,24 @@ class BTBX(SetAssociativeBTB):
         else:
             companion_result = companion_plan.lookup(position, pc)
         if companion_result.hit:
-            self.stats.inc("hits")
-            self.stats.inc("hits.companion")
+            self.count("hits")
+            self.count("hits.companion")
         return companion_result
 
     def _hit(self, pc: int, index: int, way: int) -> BTBLookupResult:
         entry = self._sets[index][way]
-        self.stats.inc("hits")
-        self._way_hits[way] += 1
+        self.count("hits")
         if entry.branch_type.target_from_ras:
             return BTBLookupResult(
                 hit=True,
                 branch_type=entry.branch_type,
                 target=None,
                 target_from_ras=True,
-                structure=f"way{way}",
             )
         return BTBLookupResult(
             hit=True,
             branch_type=entry.branch_type,
             target=self._recover_target(pc, entry),
-            structure=f"way{way}",
         )
 
     def update(self, instruction: Instruction) -> None:
@@ -351,7 +338,7 @@ class BTBX(SetAssociativeBTB):
             instruction.pc, instruction.target, isa=self.isa, branch_type=instruction.branch_type
         )
         if required > self.max_offset_bits:
-            self.stats.inc("overflow_to_companion")
+            self.count("overflow_to_companion")
             self.companion.update(instruction)
             return
 
@@ -363,14 +350,13 @@ class BTBX(SetAssociativeBTB):
         eligible = self._eligible[required]
         entry = self._resident_entry(key, eligible)
         if entry is None:
-            way, entry = self._allocate(key, eligible)
-            self._way_allocations[way] += 1
+            _, entry = self._allocate(key, eligible)
         elif (
             entry.offset_payload != payload
             or entry.branch_type != instruction.branch_type
             or entry.offset_width != required
         ):
-            self.record_write("main")
+            self.count("writes.main")
         entry.branch_type = instruction.branch_type
         entry.offset_payload = payload
         entry.offset_width = required
@@ -380,14 +366,6 @@ class BTBX(SetAssociativeBTB):
         if required_bits == 0:
             return 0
         return (instruction.target >> self.alignment_bits) & ((1 << required_bits) - 1)
-
-    def way_hit_counts(self) -> List[int]:
-        """Per-way hit counts accumulated so far."""
-        return list(self._way_hits)
-
-    def way_allocation_counts(self) -> List[int]:
-        """Per-way allocation counts accumulated so far."""
-        return list(self._way_allocations)
 
     def invalidate_all(self) -> None:
         """Clear every entry, including the companion (tests/warmup control)."""

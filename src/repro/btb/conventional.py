@@ -45,13 +45,12 @@ class FullTargetBTB(SetAssociativeBTB):
 
     def _hit(self, pc: int, index: int, way: int) -> BTBLookupResult:
         entry = self._sets[index][way]
-        self.stats.inc("hits")
+        self.count("hits")
         return BTBLookupResult(
             hit=True,
             branch_type=entry.branch_type,
             target=entry.target,
             target_from_ras=entry.branch_type.target_from_ras,
-            structure=self._STRUCTURE,
         )
 
 
@@ -78,6 +77,6 @@ class ConventionalBTB(FullTargetBTB):
         if entry is None:
             _, entry = self._allocate(key)
         elif entry.target != instruction.target or entry.branch_type != instruction.branch_type:
-            self.record_write("main")
+            self.count("writes.main")
         entry.branch_type = instruction.branch_type
         entry.target = instruction.target

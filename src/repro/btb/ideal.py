@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.common.stats import Stats
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
 from repro.btb.base import _MISS_RESULT, BatchPlan, BTBBase, BTBLookupResult
@@ -21,8 +20,8 @@ class IdealBTB(BTBBase):
 
     name = "ideal"
 
-    def __init__(self, stats: Stats | None = None) -> None:
-        super().__init__(stats)
+    def __init__(self) -> None:
+        super().__init__()
         # Keyed by (asid, pc): the ideal BTB discriminates address spaces
         # perfectly, mirroring what tag coloring does for the bounded designs,
         # so partitioned and tagged retention are identical upper bounds (a
@@ -31,26 +30,25 @@ class IdealBTB(BTBBase):
 
     def lookup(self, pc: int) -> BTBLookupResult:
         """Hit whenever the branch has been seen (and committed taken) before."""
-        reads = self.reads
-        reads["main"] = reads.get("main", 0) + 1
+        counters = self.counters
+        counters["reads.main"] = counters.get("reads.main", 0) + 1
         entry = self._entries.get((self.active_asid, pc))
         if entry is None:
             return _MISS_RESULT
         branch_type, target = entry
-        self.stats.inc("hits")
+        self.count("hits")
         return BTBLookupResult(
             hit=True,
             branch_type=branch_type,
             target=target,
             target_from_ras=branch_type.target_from_ras,
-            structure="main",
         )
 
     def update(self, instruction: Instruction) -> None:
         """Remember the branch forever."""
         if not instruction.is_branch:
             return
-        self.record_write("main")
+        self.count("writes.main")
         self.record_allocation("main", instruction.pc)
         self._entries[(self.active_asid, instruction.pc)] = (
             instruction.branch_type,

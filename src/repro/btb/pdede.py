@@ -30,7 +30,6 @@ from typing import List, Sequence
 from repro.common.bitutils import log2_ceil, mask
 from repro.common.config import ISAStyle
 from repro.common.errors import ConfigurationError
-from repro.common.stats import Stats
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
 from repro.btb.base import MAIN_WAYS, TAG_BITS, BTBLookupResult, PointerTable, SetAssociativeBTB
@@ -91,9 +90,8 @@ class PDedeBTB(SetAssociativeBTB):
         region_entries: int = 4,
         page_associativity: int = 16,
         isa: ISAStyle = ISAStyle.ARM64,
-        stats: Stats | None = None,
     ) -> None:
-        super().__init__(entries, isa=isa, stats=stats)
+        super().__init__(entries, isa=isa)
         if page_entries <= 0 or region_entries <= 0:
             raise ConfigurationError("Page-BTB and Region-BTB need at least one entry each")
         self.page_entries = page_entries
@@ -173,33 +171,31 @@ class PDedeBTB(SetAssociativeBTB):
                 ((pc >> PAGE_BITS) << PAGE_BITS)
                 | (entry.page_offset << self.alignment_bits)
             )
-            self.stats.inc("hits")
-            self.stats.inc("hits.same_page")
+            self.count("hits")
+            self.count("hits.same_page")
             return BTBLookupResult(
                 hit=True,
                 branch_type=entry.branch_type,
                 target=target,
                 target_from_ras=entry.branch_type.target_from_ras,
                 latency_cycles=1,
-                structure="main",
             )
         page = self._pages.slots[entry.page_pointer]
         region = self._regions.slots[entry.region_pointer]
-        self.record_read("page")
+        self.count("reads.page")
         target = (
             (region.value << (PAGE_BITS + REGION_PAGE_BITS))
             | (page.value << PAGE_BITS)
             | (entry.page_offset << self.alignment_bits)
         )
-        self.stats.inc("hits")
-        self.stats.inc("hits.different_page")
+        self.count("hits")
+        self.count("hits.different_page")
         return BTBLookupResult(
             hit=True,
             branch_type=entry.branch_type,
             target=target,
             target_from_ras=entry.branch_type.target_from_ras,
             latency_cycles=2,
-            structure="main+page",
         )
 
     def _eligible_ways(self, same_page: bool) -> List[int]:
@@ -229,7 +225,7 @@ class PDedeBTB(SetAssociativeBTB):
         self.record_allocation("region", region_number)
         first, count = policy.active_slice("region", self.region_entries)
         region_slot = self._regions.find_or_install(self, region_number, first, count)
-        self.record_search("page")
+        self.count("searches.page")
         self.record_allocation("page", (region_number << REGION_PAGE_BITS) | page_number)
         base, count = policy.active_slice("page", self._page_sets)
         page_set = base + (page_number ^ region_number) % count
@@ -263,7 +259,7 @@ class PDedeBTB(SetAssociativeBTB):
         if entry is None:
             _, entry = self._allocate(key, eligible)
         else:
-            self.record_write("main")
+            self.count("writes.main")
         entry.branch_type = instruction.branch_type
         entry.page_offset = page_offset
         entry.same_page = same_page

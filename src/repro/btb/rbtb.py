@@ -23,7 +23,6 @@ from typing import Sequence
 from repro.common.bitutils import log2_ceil, mask
 from repro.common.config import ISAStyle
 from repro.common.errors import ConfigurationError
-from repro.common.stats import Stats
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
 from repro.btb.base import TAG_BITS, BTBLookupResult, PointerTable, SetAssociativeBTB
@@ -67,9 +66,8 @@ class ReducedBTB(SetAssociativeBTB):
         entries: int,
         page_entries: int = 128,
         isa: ISAStyle = ISAStyle.ARM64,
-        stats: Stats | None = None,
     ) -> None:
-        super().__init__(entries, isa=isa, stats=stats)
+        super().__init__(entries, isa=isa)
         if page_entries <= 0:
             raise ConfigurationError("Page-BTB needs at least one entry")
         self.page_entries = page_entries
@@ -113,19 +111,18 @@ class ReducedBTB(SetAssociativeBTB):
         """Follow the page pointer (serial access)."""
         entry = self._sets[index][way]
         page = self._pages.slots[entry.page_pointer]
-        self.record_read("page")
+        self.count("reads.page")
         target = (
             (page.value << PAGE_BITS)
             | (entry.page_offset << self.alignment_bits)
         )
-        self.stats.inc("hits")
+        self.count("hits")
         return BTBLookupResult(
             hit=True,
             branch_type=entry.branch_type,
             target=target,
             target_from_ras=entry.branch_type.target_from_ras,
             latency_cycles=2,
-            structure="main+page",
         )
 
     def update(self, instruction: Instruction) -> None:
@@ -142,7 +139,7 @@ class ReducedBTB(SetAssociativeBTB):
         page_number = instruction.target >> PAGE_BITS
         page_offset = (instruction.target & mask(PAGE_BITS)) >> self.alignment_bits
 
-        self.record_search("page")
+        self.count("searches.page")
         self.record_allocation("page", page_number)
         first, count = self.asid_policy.active_slice("page", self.page_entries)
         # Installing the page may invalidate Main-BTB entries (this one
@@ -152,7 +149,7 @@ class ReducedBTB(SetAssociativeBTB):
         if entry is None:
             _, entry = self._allocate(key)
         else:
-            self.record_write("main")
+            self.count("writes.main")
         entry.branch_type = instruction.branch_type
         entry.page_offset = page_offset
         entry.page_pointer = page_slot

@@ -27,7 +27,6 @@ from typing import List, Sequence
 from repro.common.bitutils import kib_to_bits
 from repro.common.config import BTBStyle, ISAStyle
 from repro.common.errors import ConfigurationError
-from repro.common.stats import Stats
 from repro.btb.base import MAIN_WAYS, BTBBase
 from repro.btb.btbx import BTBX, btbx_set_bits, companion_entries_for, default_way_offsets
 from repro.btb.conventional import FULL_TARGET_ENTRY_BITS, ConventionalBTB
@@ -254,7 +253,6 @@ def make_btb_for_budget(
     style: BTBStyle,
     budget_kib: float,
     isa: ISAStyle = ISAStyle.ARM64,
-    stats: Stats | None = None,
     way_offset_bits: Sequence[int] | None = None,
 ) -> BTBBase:
     """Construct a simulatable BTB of the given style sized for ``budget_kib``.
@@ -266,16 +264,16 @@ def make_btb_for_budget(
     :class:`ConfigurationError`.
     """
     if style is BTBStyle.IDEAL:
-        return IdealBTB(stats=stats)
+        return IdealBTB()
     model = BTBStorageModel(isa, way_offset_bits)
     if style is BTBStyle.BTBX:
         _require_one_set(style, budget_kib, FULL_TARGET_ENTRY_BITS, model.btbx_set_bits())
         entries, companion = model.btbx_capacity_for_budget(budget_kib)
-        return BTBX(entries, model.way_offset_bits, companion, isa=isa, stats=stats)
+        return BTBX(entries, model.way_offset_bits, companion, isa=isa)
     if style is BTBStyle.CONVENTIONAL:
         _require_one_set(style, budget_kib, 0, MAIN_WAYS * FULL_TARGET_ENTRY_BITS)
         sets = model.conventional_capacity_for_budget(budget_kib) // MAIN_WAYS
-        return ConventionalBTB(sets * MAIN_WAYS, isa=isa, stats=stats)
+        return ConventionalBTB(sets * MAIN_WAYS, isa=isa)
     if style is BTBStyle.REDUCED:
         # R-BTB follows the same budget split as PDede's Page-BTB share.
         page_budget_bits = kib_to_bits(budget_kib * PDEDE_PAGE_BUDGET_FRACTION)
@@ -284,7 +282,7 @@ def make_btb_for_budget(
         set_bits = MAIN_WAYS * rbtb_main_entry_bits(isa, page_entries)
         _require_one_set(style, budget_kib, page_bits, set_bits)
         sets = int((kib_to_bits(budget_kib) - page_bits) // set_bits)
-        return ReducedBTB(sets * MAIN_WAYS, page_entries=page_entries, isa=isa, stats=stats)
+        return ReducedBTB(sets * MAIN_WAYS, page_entries=page_entries, isa=isa)
     if style is BTBStyle.PDEDE:
         entries, page_entries, avg_bits, _, _ = model.pdede_capacity_for_budget(budget_kib)
         secondary_bits = (
@@ -296,6 +294,5 @@ def make_btb_for_budget(
             page_entries=page_entries,
             region_entries=PDEDE_REGION_ENTRIES,
             isa=isa,
-            stats=stats,
         )
     raise ConfigurationError(f"unknown BTB style {style}")

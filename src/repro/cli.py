@@ -31,6 +31,7 @@ import argparse
 import contextlib
 import importlib
 import json
+import math
 import os
 import sys
 import time
@@ -86,14 +87,14 @@ def _positive_int(value: str) -> int:
 
 
 def _positive(value: float, flag: str, parser: argparse.ArgumentParser) -> float:
-    if value <= 0:
-        parser.error(f"{flag} must be positive, got {value}")
+    if not 0 < value < math.inf:
+        parser.error(f"{flag} must be positive and finite, got {value}")
     return value
 
 
-def _non_negative(value: int, flag: str, parser: argparse.ArgumentParser) -> int:
-    if value < 0:
-        parser.error(f"{flag} must be non-negative, got {value}")
+def _non_negative(value: float, flag: str, parser: argparse.ArgumentParser) -> float:
+    if not 0 <= value < math.inf:
+        parser.error(f"{flag} must be non-negative and finite, got {value}")
     return value
 
 
@@ -708,8 +709,8 @@ def run_cache_command(args: argparse.Namespace, parser: argparse.ArgumentParser)
     report that and exit 0 without creating the directory as a side effect
     (``ResultCache`` would, which surprises ``stats`` users probing a path).
     """
-    import os
-
+    if getattr(args, "max_age_days", None) is not None:
+        _non_negative(args.max_age_days, "--max-age-days", parser)
     if not os.path.isdir(args.cache_dir):
         if args.cache_command == "prune":
             log.result(f"pruned 0 entries (cache directory {args.cache_dir} does not exist)")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import importlib.util
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -104,6 +105,14 @@ def require_positive_int(value: object, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ConfigurationError(f"{what} must be a positive integer, got {value!r}")
     return value
+
+
+def require_budget_kib(budget_kib: float | None, owner: str) -> None:
+    """Raise :class:`ConfigurationError` unless ``budget_kib`` is positive and finite."""
+    if budget_kib is None or not 0 < budget_kib < math.inf:
+        raise ConfigurationError(
+            f"{owner} needs a positive, finite storage budget, got {budget_kib!r}"
+        )
 
 
 def validate_partition_weights(weights: "Sequence[int]") -> tuple[int, ...]:
@@ -282,8 +291,7 @@ class BTBConfig:
     btbx_way_offset_bits: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not self.budget_kib > 0:
-            raise ConfigurationError(f"BTB storage budget must be positive, got {self.budget_kib!r}")
+        require_budget_kib(self.budget_kib, "a BTB")
 
 
 @dataclass(frozen=True)

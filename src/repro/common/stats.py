@@ -6,7 +6,7 @@ dependency-free registry with:
 
 * integer counters (``inc``) and floating accumulators (``add``), read back
   with ``get`` or all at once with ``counters``,
-* prefixed views via :class:`StatGroup` (``stats.group("btb")``), one per
+* prefixed views via :class:`StatGroup` (``stats.group("bpu")``), one per
   simulated structure.
 """
 
@@ -32,11 +32,6 @@ class StatGroup:
         # the registry's counter dict (one dict op instead of two calls).
         self._counters = stats._counters
         self._key_cache: Dict[str, str] = {}
-
-    @property
-    def prefix(self) -> str:
-        """The name prefix applied to every counter in this group."""
-        return self._prefix
 
     def _key(self, name: str) -> str:
         key = self._key_cache.get(name)
@@ -78,10 +73,6 @@ class Stats:
     def add(self, name: str, amount: float) -> None:
         """Add a floating ``amount`` to counter ``name``."""
         self._counters[name] += amount
-
-    def set(self, name: str, value: float) -> None:
-        """Overwrite counter ``name`` with ``value``."""
-        self._counters[name] = value
 
     # -- reading ---------------------------------------------------------
 

@@ -188,7 +188,6 @@ class FrontEndSimulator:
                 config.style,
                 config.budget_kib,
                 isa=config.isa,
-                stats=self.stats,
                 way_offset_bits=config.btbx_way_offset_bits,
             )
         self.btb = btb

@@ -158,10 +158,9 @@ class BTBEnergyModel:
     def energy_from_btb(self, btb: BTBBase) -> DesignEnergy:
         """Evaluate a simulated BTB instance using its recorded access counts.
 
-        :meth:`~repro.btb.base.BTBBase.energy_access_counts` is the one
-        merge point for organizations with separately-counted secondaries
-        (BTB-X's companion), so this report and any counters exported
-        alongside it always agree.
+        :meth:`~repro.btb.base.BTBBase.energy_access_counts` is the BTB's
+        one counter report (BTB-X's includes its companion's accesses), so
+        this report and any counters exported alongside it always agree.
         """
         return self.design_energy(_design_name(btb), btb.energy_access_counts())
 

@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, Iterator, List, Mapping, Sequence
 
 import repro
-from repro.common.config import ASIDMode, BTBStyle, default_machine_config
+from repro.common.config import ASIDMode, BTBStyle, default_machine_config, require_budget_kib
 from repro.common.errors import ConfigurationError
 from repro.common.stats import Stats
 from repro.obs import JsonlRecorder, get_recorder, use_recorder
@@ -109,8 +109,7 @@ class SimJob:
     way_offset_bits: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.budget_kib is None or not self.budget_kib > 0:
-            raise ConfigurationError(f"SimJob needs a positive storage budget, got {self.budget_kib!r}")
+        require_budget_kib(self.budget_kib, "SimJob")
 
     def config_dict(self) -> Dict[str, object]:
         """Canonical JSON-able description of the job (the cache identity)."""
@@ -155,8 +154,7 @@ class ScenarioJob:
     def __post_init__(self) -> None:
         if self.instructions < 1:
             raise ConfigurationError("scenario stream needs at least one instruction")
-        if self.budget_kib <= 0:
-            raise ConfigurationError("scenario job needs a positive storage budget")
+        require_budget_kib(self.budget_kib, "a scenario job")
         if self.spec is None:
             from repro.scenarios.presets import get_scenario
 
@@ -305,9 +303,9 @@ def execute_job(job: "EngineJob", trace: Trace | None = None,
     # next to the result, so they ride along in every payload; that keeps the
     # energy analysis (Table V) on the same cached cells as the MPKI and
     # performance figures instead of forking the cache key.
-    # energy_access_counts() is the same merge point the scenario runner and
-    # BTBEnergyModel use, so BTB-X's companion traffic is priced identically
-    # whichever path computes Table V.
+    # energy_access_counts() is the BTB's one counter report, the same one
+    # the scenario runner exports and BTBEnergyModel prices, so BTB-X's
+    # companion traffic is priced identically whichever path computes Table V.
     return {
         "result": _result_to_payload(result),
         "access_counts": simulator.btb.energy_access_counts(),

@@ -174,9 +174,9 @@ def execute_scenario(
             for level, level_counts in cache_partitions.items()
         }
     result.duplication = btb.duplication_counts()
-    # One merge point with the energy model: BTB-X's companion counters are
-    # folded in by energy_access_counts(), so re-deriving energy from these
-    # exported counters reproduces the energy field exactly.
+    # The BTB's one counter report, the same one the energy model prices
+    # (BTB-X's adds its companion's accesses), so re-deriving energy from
+    # these exported counters reproduces the energy field exactly.
     result.btb_access_counts = btb.energy_access_counts()
     result.energy = _energy_report(btb, budget_kib, composer.isa)
     return result

@@ -159,28 +159,46 @@ _RESULT_FIELDS = (
 )
 
 
-def _raw_stats(result, btb_counts) -> dict:
-    """The raw statistics registry, headline result fields and BTB counters."""
+def _raw_stats(result, btb) -> dict:
+    """The raw statistics registry, headline result fields and BTB counter reports.
+
+    BTB-X's report carries BTB-XC's accesses only; BTB-XC's own report (its
+    hits, misses and evictions) is compared too, under ``btbxc.``.
+    """
     stats = dict(result.stats.counters())
     for name in _RESULT_FIELDS:
         stats[f"result.{name}"] = getattr(result, name, None)
-    for key, value in btb_counts.items():
-        stats[f"btb.{key}"] = value
+    for prefix, structure in (("btb", btb), ("btbxc", getattr(btb, "companion", None))):
+        for key, value in (structure.energy_access_counts() if structure else {}).items():
+            stats[f"{prefix}.{key}"] = value
     return stats
 
 
 def _cell_stats(preset, style, mode, cache_mode, backend, budget_kib=GOLDEN_BUDGET_KIB):
-    result = execute_scenario(
-        preset,
-        style=style,
-        asid_mode=mode,
-        cache_mode=cache_mode,
-        budget_kib=budget_kib,
-        instructions=GOLDEN_INSTRUCTIONS,
-        warmup_instructions=GOLDEN_WARMUP,
-        backend=backend,
-    )
-    return _raw_stats(result.aggregate, result.btb_access_counts)
+    built = []
+
+    class KeptSimulator(FrontEndSimulator):
+        """The scenario runner's simulator, kept for its BTB's reports."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.scenarios.run.FrontEndSimulator", KeptSimulator)
+        result = execute_scenario(
+            preset,
+            style=style,
+            asid_mode=mode,
+            cache_mode=cache_mode,
+            budget_kib=budget_kib,
+            instructions=GOLDEN_INSTRUCTIONS,
+            warmup_instructions=GOLDEN_WARMUP,
+            backend=backend,
+        )
+    (simulator,) = built
+    assert result.btb_access_counts == simulator.btb.energy_access_counts()
+    return _raw_stats(result.aggregate, simulator.btb)
 
 
 def _run_simulator(style, backend, budget_kib):
@@ -196,7 +214,7 @@ def _run_stats(style, backend, budget_kib, warmup=GOLDEN_WARMUP):
     """Raw stats of a single-trace ``run`` cell (same length as the golden cells)."""
     simulator, trace = _run_simulator(style, backend, budget_kib)
     result = simulator.run(trace, warmup_instructions=warmup)
-    return _raw_stats(result, simulator.btb.energy_access_counts())
+    return _raw_stats(result, simulator.btb)
 
 
 def _assert_backends_agree(python: dict, numpy: dict) -> None:

@@ -82,7 +82,7 @@ class TestLookupAndUpdate:
     def test_non_branch_update_ignored(self):
         btb = ConventionalBTB(entries=64)
         btb.update(Instruction.non_branch(0x401000))
-        assert btb.access_counts().get("writes.total", 0) == 0
+        assert btb.energy_access_counts().get("writes.total", 0) == 0
 
     def test_capacity_entries(self):
         assert ConventionalBTB(entries=512).capacity_entries() == 512
@@ -99,11 +99,11 @@ class TestLookupAndUpdate:
         branch = _branch(0x401000, 0x401080)
         btb.update(branch)
         btb.lookup(branch.pc)
-        counts = btb.access_counts()
+        counts = btb.energy_access_counts()
         assert counts["reads.total"] == 1
         assert counts["writes.total"] == 1
         btb.reset_stats()
-        assert btb.access_counts()["reads.total"] == 0
+        assert btb.energy_access_counts()["reads.total"] == 0
 
 
 class TestIdealBTB:

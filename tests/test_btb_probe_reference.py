@@ -98,8 +98,7 @@ PARTITIONS = (None, (1, 1), (1, 3), (2, 1, 1))
 #: and objects compared through their own reports.
 _UNCOMPARED = frozenset({
     "_slice_base", "_slice_count", "_tag_color", "_resident", "_locate", "lookup",
-    "_shadow_valid", "_shadow_tags", "_set_gen",
-    "_stats_registry", "stats", "asid_policy", "companion", "isa",
+    "_shadow_valid", "_shadow_tags", "_set_gen", "asid_policy", "companion", "isa",
 })
 
 OPS = st.one_of(
@@ -202,7 +201,7 @@ def _observable(btb):
         }
         state.append((
             fields,
-            structure.access_counts(),
+            structure.energy_access_counts(),
             structure.partition_set_counts(),
             structure.duplication_counts(),
             structure.active_asid,
@@ -280,14 +279,14 @@ def test_computed_probe_matches_scratch_reference(name, sets, isa, ops):
         assert _observable(btb) == _observable(reference), op
         _assert_index_is_live(btb)
         _assert_pointers_are_live(btb)
-    counts = btb.access_counts()
+    counts = btb.energy_access_counts()
     assert counts["evictions"] > 0
     if name == "rbtb":
         assert counts["page_evictions"] > 0 and counts["pointer_invalidations"] > 0
     if name == "pdede":
         assert counts["page_evictions"] > 0 and counts["region_evictions"] > 0
     if name == "btbx":
-        assert btb.companion.access_counts()["evictions"] > 0
+        assert btb.companion.energy_access_counts()["evictions"] > 0
 
 
 def test_reallocations_are_exercised():
@@ -305,7 +304,7 @@ def test_reallocations_are_exercised():
             assert _apply(btb, op) == _apply(reference, op)
             assert _observable(btb) == _observable(reference)
             _assert_index_is_live(btb)
-        assert btb.access_counts()["reallocations"] == 1
+        assert btb.energy_access_counts()["reallocations"] == 1
         assert btb.lookup(pc).target == pc + far
 
 
@@ -337,9 +336,11 @@ def test_companion_key_is_derived_from_the_main_key(isa, companion_entries):
                 _, entry = companion._allocate(_scratch_locate(companion, pc))
                 entry.branch_type = BranchType.INDIRECT
                 entry.target = pc + 0x40_0000_0000
+                hits = btb.counters.get("hits.companion", 0)
                 result = btb.lookup(pc)
                 assert result.hit, (weights, asid, pc)
-                assert result.structure == "companion" and result.target == entry.target
+                assert btb.counters["hits.companion"] == hits + 1
+                assert result.target == entry.target
 
 
 def _prelocated_lookup(btb, pc):
@@ -385,28 +386,28 @@ def test_misses_are_reads_minus_hits(name):
     for pc in PCS[:12]:
         btb.update(Instruction.branch(pc, BranchType.CALL, True, pc + rng.choice(DELTAS)))
     for structure in _structures(btb):
-        assert "misses" not in structure.access_counts()
+        assert "misses" not in structure.energy_access_counts()
     missed = 0
     for op in [*_draw_ops(7), *PRESSURE]:
         result = _apply(btb, op)
         missed += result is not None and not result.hit
-        counts = btb.access_counts()
+        counts = btb.energy_access_counts()
         assert counts.get("misses", 0.0) == missed, op
         if missed:
             assert counts["misses"] == counts["reads.main"] - counts.get("hits", 0.0)
         else:
             assert "misses" not in counts
     for structure in _structures(btb):
-        counts = structure.access_counts()
+        counts = structure.energy_access_counts()
         assert counts["misses"] > 0
-        reads = counts[f"reads.{structure._STRUCTURE}"]
+        reads = counts[structure._READS]
         assert counts["misses"] == reads - counts.get("hits", 0.0)
     btb.reset_stats()
     btb.update(Instruction.branch(PCS[0], BranchType.CALL, True, PCS[0] + 8))
     for structure in _structures(btb):
-        assert structure.access_counts()["misses"] == 0.0
+        assert structure.energy_access_counts()["misses"] == 0.0
     assert btb.lookup(PCS[0]).hit
-    assert btb.access_counts()["misses"] == 0.0
+    assert btb.energy_access_counts()["misses"] == 0.0
 
 
 @pytest.mark.parametrize("name", sorted(ALL_FACTORIES))
@@ -422,14 +423,32 @@ def test_every_miss_is_the_shared_miss_result(name):
     assert missed
 
 
-def test_a_reset_without_misses_reports_none():
-    btb = FACTORIES["conventional"](2, ISAStyle.ARM64)
-    btb.update(Instruction.branch(PCS[0], BranchType.CALL, True, PCS[0] + 8))
+@pytest.mark.parametrize("name", sorted(ALL_FACTORIES))
+def test_a_reset_without_misses_reports_none(name):
+    """The report's rules across ``reset_stats``, for every organization.
+
+    An event counter touched only before the reset reports 0; a structure
+    read or written only before it drops out of ``reads.*`` and
+    ``writes.*``; ``reads.total`` and ``writes.total`` are always present;
+    ``misses`` appears only once a miss has happened.  The far target goes
+    through every secondary structure: Page-/Region-BTB or BTB-XC.
+    """
+    btb = ALL_FACTORIES[name](2, ISAStyle.ARM64)
+    btb.update(Instruction.branch(PCS[0], BranchType.CALL, True, PCS[0] + DELTAS[-1]))
     assert btb.lookup(PCS[0]).hit
+    warm = btb.energy_access_counts()
+    assert "misses" not in warm
+    assert {"reads.main", "reads.total", "writes.total"} <= set(warm)
+    events = {key: 0.0 for key in warm if not key.startswith(("reads.", "writes.", "searches."))}
+    assert "hits" in events
     btb.reset_stats()
-    assert "misses" not in btb.access_counts()
+    assert btb.energy_access_counts() == {**events, "reads.total": 0.0, "writes.total": 0.0}
     assert not btb.lookup(PCS[1]).hit
-    assert btb.access_counts()["misses"] == 1.0
+    counts = btb.energy_access_counts()
+    assert counts["misses"] == counts["reads.main"] == 1.0
+    assert counts["reads.total"] == 1.0 + counts.get("reads.companion", 0.0)
+    assert [key for key in counts if key.startswith(("writes.", "searches."))] == ["writes.total"]
+    assert counts["writes.total"] == 0.0
 
 
 # -- pinned organization digests ---------------------------------------------
@@ -487,7 +506,6 @@ def _reports(btb, result) -> list:
         result[1] = None if result[1] is None else result[1].name
     return [
         result,
-        btb.access_counts(),
         btb.energy_access_counts(),
         btb.duplication_counts(),
         btb.partition_set_counts(),

@@ -91,7 +91,7 @@ class TestAllocationPolicy:
         btb.update(far_call)
         result = btb.lookup(far_call.pc)
         assert result.hit
-        assert result.structure == "companion"
+        assert btb.energy_access_counts()["hits.companion"] == 1
         assert result.target == far_call.target
 
     def test_constrained_lru_only_evicts_eligible_ways(self):
@@ -121,33 +121,34 @@ class TestAllocationPolicy:
         assert result.hit
         assert result.target == far.target
 
-    def test_way_hit_counters(self):
+    def test_main_hit_counters(self):
         btb = BTBX(entries=64)
         branch = _branch(0x401000, 0x401010)
         btb.update(branch)
         btb.lookup(branch.pc)
-        assert sum(btb.way_hit_counts()) == 1
+        counts = btb.energy_access_counts()
+        assert counts["hits"] == counts["allocations"] == 1
+        assert "hits.companion" not in counts
 
-    def test_reset_stats_restarts_way_counters(self):
-        """After the warmup boundary the way counters cover measured traffic only."""
+    def test_reset_stats_restarts_the_hit_counters(self):
+        """After the warmup boundary the hit counters cover measured traffic only."""
         btb = BTBX(entries=64, companion_entries=8)
         near = _branch(0x401000, 0x401010)
         far_call = _branch(0x402000, 0x7F00_0000_1000, BranchType.CALL)
         for branch in (near, far_call):
             btb.update(branch)
             btb.lookup(branch.pc)
-        assert sum(btb.way_hit_counts()) == 1
-        assert sum(btb.way_allocation_counts()) == 1
+        counts = btb.energy_access_counts()
+        assert counts["hits"] == 2 and counts["hits.companion"] == 1
 
         btb.reset_stats()
-        assert btb.way_hit_counts() == [0] * btb.associativity
-        assert btb.way_allocation_counts() == [0] * btb.associativity
+        counts = btb.energy_access_counts()
+        assert counts["hits"] == counts["hits.companion"] == counts["allocations"] == 0.0
         for _ in range(3):
             btb.lookup(near.pc)
             btb.lookup(far_call.pc)
-        counts = btb.access_counts()
-        assert counts["hits"] == 6
-        assert sum(btb.way_hit_counts()) == counts["hits"] - counts["hits.companion"] == 3
+        counts = btb.energy_access_counts()
+        assert counts["hits"] == 6 and counts["hits.companion"] == 3
 
 
 class TestCompanion:

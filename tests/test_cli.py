@@ -192,7 +192,7 @@ class TestSweepCommand:
         for flags in (["--quanta", "1024,banana"], ["--quanta", "0"],
                       ["--tenant-counts", "-2"], ["--styles", "warp-drive"],
                       ["--asid-modes", "lukewarm"], ["--budget-kib", "-1"],
-                      ["--budget-kib", "0"]):
+                      ["--budget-kib", "0"], ["--budget-kib", "inf"], ["--budget-kib", "nan"]):
             with pytest.raises(SystemExit) as excinfo:
                 main(["sweep", "scenarios", "--preset", "solo_baseline"] + flags)
             assert excinfo.value.code == 2
@@ -475,6 +475,11 @@ class TestCacheCommands:
 
     def test_prune_by_age_keeps_young_entries(self, tmp_path, capsys):
         expected = _seed_cache(tmp_path)
+        for age in ("nan", "inf", "-1"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["cache", "prune", "--cache-dir", str(tmp_path), "--max-age-days", age])
+            assert excinfo.value.code == 2, age
+            assert len(ResultCache(tmp_path)) == expected, age
         assert main(["cache", "prune", "--cache-dir", str(tmp_path),
                      "--max-age-days", "1"]) == 0
         assert "pruned 0 entries" in capsys.readouterr().out

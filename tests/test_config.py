@@ -74,7 +74,7 @@ class TestBTBConfig:
         assert config.budget_kib == 14.5
         assert config.btbx_way_offset_bits is None
 
-    @pytest.mark.parametrize("budget_kib", [0, -1.0])
+    @pytest.mark.parametrize("budget_kib", [0, -1.0, float("inf"), float("nan")])
     def test_budget_must_be_positive(self, budget_kib):
         with pytest.raises(ConfigurationError, match="budget"):
             BTBConfig(budget_kib=budget_kib)

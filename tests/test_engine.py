@@ -85,7 +85,7 @@ class TestSimJob:
         assert len(hashes) == len(variants)
         assert base.config_hash() not in hashes
 
-    @pytest.mark.parametrize("budget_kib", [None, 0.0])
+    @pytest.mark.parametrize("budget_kib", [None, 0.0, float("inf"), float("nan")])
     def test_requires_a_positive_budget(self, budget_kib):
         with pytest.raises(ConfigurationError, match="budget"):
             SimJob(

@@ -205,7 +205,7 @@ class TestNonBranchMiss:
 
     def _warm_bpu(self):
         stats = Stats()
-        btb = ConventionalBTB(512, stats=stats)
+        btb = ConventionalBTB(512)
         machine = default_machine_config(btb_style=BTBStyle.CONVENTIONAL, budget_kib=4.0)
         bpu = BranchPredictionUnit(btb, machine, stats)
         jump = Instruction.branch(0x401000, BranchType.UNCONDITIONAL, True, 0x402000)
@@ -217,7 +217,7 @@ class TestNonBranchMiss:
     def test_non_branch_miss_resolves_to_the_shared_prediction(self):
         bpu, btb, stats, _ = self._warm_bpu()
         counters = stats.counters()
-        reads = dict(btb.reads)
+        btb_counters = dict(btb.counters)
         ras = bpu.ras.snapshot()
         resident = sorted(btb._resident_ways())
 
@@ -227,7 +227,7 @@ class TestNonBranchMiss:
         assert prediction.outcome is PredictionOutcome.CORRECT
         assert not prediction.stream_break and not prediction.extra_btb_cycles
         assert stats.counters() == counters
-        assert btb.reads == reads
+        assert btb.counters == btb_counters
         assert bpu.ras.snapshot() == ras
         assert sorted(btb._resident_ways()) == resident
 
@@ -256,7 +256,7 @@ class TestLoopFastPath:
 
     def _run(self, monkeypatch):
         stats = Stats()
-        btb = ConventionalBTB(512, stats=stats)
+        btb = ConventionalBTB(512)
         machine = default_machine_config(btb_style=BTBStyle.CONVENTIONAL, budget_kib=4.0)
         simulator = FrontEndSimulator(machine, btb=btb, stats=stats)
         jump = Instruction.branch(0x401000, BranchType.UNCONDITIONAL, True, 0x402000)

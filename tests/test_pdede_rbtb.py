@@ -63,7 +63,7 @@ class TestPDedeBehaviour:
     def test_returns_do_not_allocate_pages(self):
         btb = PDedeBTB(entries=64, page_entries=16)
         btb.update(_branch(0x401000, 0x7F0000000000, BranchType.RETURN))
-        counts = btb.access_counts()
+        counts = btb.energy_access_counts()
         assert counts.get("writes.page", 0) == 0
         assert btb.lookup(0x401000).hit
 
@@ -72,7 +72,7 @@ class TestPDedeBehaviour:
         # Two branches targeting the same page share one Page-BTB entry.
         btb.update(_branch(0x401000, 0x480010, BranchType.CALL))
         btb.update(_branch(0x402000, 0x480020, BranchType.CALL))
-        assert btb.access_counts()["writes.page"] == 1
+        assert btb.energy_access_counts()["writes.page"] == 1
 
     def test_page_eviction_invalidates_pointers(self):
         btb = PDedeBTB(entries=64, page_entries=2, page_associativity=2)
@@ -96,7 +96,7 @@ class TestPDedeBehaviour:
         # pointers, so it moves to a pointer way.
         result = btb.lookup(0x401000)
         assert result.hit and result.target == far.target
-        assert btb.access_counts()["reallocations"] == 1
+        assert btb.energy_access_counts()["reallocations"] == 1
 
     def test_capacity_and_storage(self):
         btb = PDedeBTB(entries=3184, page_entries=512)
@@ -118,7 +118,7 @@ class TestReducedBTB:
         btb = ReducedBTB(entries=64, page_entries=16)
         btb.update(_branch(0x401000, 0x480010))
         btb.update(_branch(0x402000, 0x480020))
-        assert btb.access_counts()["writes.page"] == 1
+        assert btb.energy_access_counts()["writes.page"] == 1
 
     def test_page_eviction_invalidates_main_entries(self):
         btb = ReducedBTB(entries=64, page_entries=2)

@@ -704,8 +704,9 @@ class TestScenarioJobs:
     def test_rejects_bad_jobs(self):
         with pytest.raises(ConfigurationError):
             self._job(instructions=0)
-        with pytest.raises(ConfigurationError):
-            self._job(budget_kib=0.0)
+        for budget_kib in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigurationError, match="budget"):
+                self._job(budget_kib=budget_kib)
         with pytest.raises(ConfigurationError):
             self._job(scenario="never_registered")
 

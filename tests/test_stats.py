@@ -17,12 +17,6 @@ class TestCounters:
         assert stats.get("hits") == 5
         assert stats.get("latency") == 2.5
 
-    def test_set_overwrites(self):
-        stats = Stats()
-        stats.inc("x", 10)
-        stats.set("x", 3)
-        assert stats.get("x") == 3
-
     def test_counters_is_a_snapshot(self):
         stats = Stats()
         stats.inc("a", 2)
@@ -38,7 +32,6 @@ class TestGroups:
         group = stats.group("btb")
         group.inc("hits")
         group.add("cycles", 1.5)
-        assert group.prefix == "btb"
         assert stats.get("btb.hits") == 1
         assert group.get("hits") == 1
         assert stats.counters() == {"btb.hits": 1, "btb.cycles": 1.5}
