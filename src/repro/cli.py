@@ -8,6 +8,7 @@ Examples::
     btbx-repro run-all --scale smoke --workers 4 --timings BENCH_run_all.json
     btbx-repro scenario list
     btbx-repro scenario run consolidated_server --scale smoke --json scenario.json
+    btbx-repro scenario run noisy_neighbor --asid-modes flush,tagged --csv noisy.csv
     btbx-repro sweep scenarios --preset consolidated_server --json sweep.json --csv sweep.csv
     btbx-repro sweep shared --preset shared_services --json shared.json --csv shared.csv
     btbx-repro sweep scenarios --scale smoke --backend numpy
@@ -221,12 +222,13 @@ _BUDGET_OPTION = _option(
     type=float,
 )
 
-#: ``sweep`` subcommand -> (driver module, help, options).  Each option's
-#: dest is the driver's ``run`` keyword it sets; ``None`` marks where the
-#: engine arguments go.  ``--json`` and ``--csv`` close every option list.
+#: ``sweep`` subcommand -> (driver's :data:`EXPERIMENTS` key, help, options).
+#: Each option's dest is the driver's ``run`` keyword it sets; ``None`` marks
+#: where the engine arguments go.  ``--json`` and ``--csv`` close every option
+#: list.
 SWEEP_COMMANDS: Dict[str, tuple] = {
     "scenarios": (
-        "repro.experiments.scenario_sweep",
+        "scenario_sweep",
         "MPKI vs quantum and vs tenant count across BTB styles and ASID modes",
         (
             _PRESETS_OPTION,
@@ -239,7 +241,7 @@ SWEEP_COMMANDS: Dict[str, tuple] = {
         ),
     ),
     "shared": (
-        "repro.experiments.shared_footprint",
+        "shared_footprint",
         "MPKI + duplication vs shared-code overlap fraction "
         "(ASID tagging's duplication cost)",
         (
@@ -261,7 +263,7 @@ SWEEP_COMMANDS: Dict[str, tuple] = {
         ),
     ),
     "caches": (
-        "repro.experiments.cache_interference",
+        "cache_interference",
         "per-tenant L1-I/L2 MPKI vs quantum and tenant count across cache "
         "ASID modes (flush/tagged/partitioned hierarchy)",
         (
@@ -280,7 +282,7 @@ SWEEP_COMMANDS: Dict[str, tuple] = {
         ),
     ),
     "tenants": (
-        "repro.experiments.tenant_scale",
+        "tenant_scale",
         "tenant-count scaling (4..1024+) on seeded generated scenarios: "
         "aggregate/percentile MPKI and partition-fallback occupancy per "
         "(tenant count x ASID mode x cache mode)",
@@ -335,6 +337,18 @@ SWEEP_COMMANDS: Dict[str, tuple] = {
     ),
 }
 
+#: ``scenario run``, declared like a :data:`SWEEP_COMMANDS` entry: the study
+#: at one preset's own quantum.
+SCENARIO_RUN: tuple = (
+    "scenario_study",
+    "run one scenario across BTB styles and ASID modes",
+    (
+        _option("presets", "registered scenario preset name", _presets, nargs=1, metavar="NAME"),
+        None,
+        _ASID_MODES_OPTION,
+    ),
+)
+
 
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -366,6 +380,21 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         "given file as JSON Lines, the input of 'obs report' and 'obs export' "
         "(default: off)",
     )
+
+
+def _add_declared_command(sub, name: str, entry: tuple) -> None:
+    """Add subcommand ``name`` with the options its table ``entry`` declares."""
+    _experiment, help_text, options = entry
+    command = sub.add_parser(name, help=help_text)
+    for option in options:
+        if option is None:
+            _add_engine_arguments(command)
+            continue
+        flag, option_help, _parse, settings = option
+        command.add_argument(flag, help=option_help, **settings)
+    command.add_argument("--json", dest="json_path", help="dump the raw result as JSON")
+    command.add_argument("--csv", dest="csv_path", help="dump flat per-point rows as CSV")
+    command.set_defaults(declared=entry)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,34 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario_sub = scenario_parser.add_subparsers(dest="scenario_command", required=True)
     scenario_sub.add_parser("list", help="list registered scenario presets")
-    scenario_run = scenario_sub.add_parser(
-        "run", help="run one scenario across BTB styles and ASID modes"
-    )
-    scenario_run.add_argument("scenario", help="registered scenario preset name")
-    _add_engine_arguments(scenario_run)
-    scenario_run.add_argument(
-        "--asid-mode",
-        choices=["flush", "tagged", "partitioned", "both", "all"],
-        default="all",
-        help="context-switch policy to simulate ('both' = flush+tagged; "
-        "default: all three)",
-    )
-    scenario_run.add_argument("--json", dest="json_path", help="also dump the raw result as JSON")
+    _add_declared_command(scenario_sub, "run", SCENARIO_RUN)
 
     sweep_parser = sub.add_parser(
         "sweep", help="grid sweeps over the scenario presets"
     )
     sweep_sub = sweep_parser.add_subparsers(dest="sweep_command", required=True)
-    for name, (_module, help_text, options) in SWEEP_COMMANDS.items():
-        command = sweep_sub.add_parser(name, help=help_text)
-        for option in options:
-            if option is None:
-                _add_engine_arguments(command)
-                continue
-            flag, option_help, _parse, settings = option
-            command.add_argument(flag, help=option_help, **settings)
-        command.add_argument("--json", dest="json_path", help="dump the raw result as JSON")
-        command.add_argument("--csv", dest="csv_path", help="dump flat per-point rows as CSV")
+    for name, entry in SWEEP_COMMANDS.items():
+        _add_declared_command(sweep_sub, name, entry)
 
     plot_parser = sub.add_parser(
         "plot", help="render the CSV output of any sweep subcommand as figures"
@@ -617,58 +626,33 @@ def _write_result_outputs(
 
 
 def run_scenario_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    """Handle ``scenario list`` and ``scenario run``."""
-    from repro.common.errors import ConfigurationError
-    from repro.experiments import scenario_study
+    """Handle ``scenario list``."""
     from repro.scenarios.presets import get_scenario, scenario_names
 
-    if args.scenario_command == "list":
-        for name in scenario_names():
-            spec = get_scenario(name)
-            tenants = ", ".join(
-                f"{t.name}:{t.workload}" + (f" x{t.weight}" if t.weight != 1 else "")
-                for t in spec.tenants
-            )
-            log.result(f"{name:<22} {spec.policy}/{spec.switch_semantics}, "
-                       f"quantum {spec.quantum_instructions}: {tenants}")
-            if spec.description:
-                log.result(f"{'':<22} {spec.description}")
-        return 0
-
-    try:
-        get_scenario(args.scenario)
-    except ConfigurationError as exc:
-        parser.error(str(exc))
-    try:
-        engine = make_engine(workers=args.workers, cache_dir=args.cache_dir)
-    except OSError as exc:
-        parser.error(f"cannot use cache directory {args.cache_dir!r}: {exc}")
-    if args.asid_mode == "all":
-        asid_modes: List[ASIDMode] = list(scenario_study.STUDY_ASID_MODES)
-    elif args.asid_mode == "both":
-        asid_modes = [ASIDMode.FLUSH, ASIDMode.TAGGED]
-    else:
-        asid_modes = [ASIDMode(args.asid_mode)]
-    scale = resolve_scale(args.scale)
-    result = scenario_study.run(
-        scale, scenarios=[args.scenario], asid_modes=asid_modes, engine=engine
-    )
-    log.result(scenario_study.format_report(result))
-    _write_result_outputs(result, args.json_path)
+    for name in scenario_names():
+        spec = get_scenario(name)
+        tenants = ", ".join(
+            f"{t.name}:{t.workload}" + (f" x{t.weight}" if t.weight != 1 else "")
+            for t in spec.tenants
+        )
+        log.result(f"{name:<22} {spec.policy}/{spec.switch_semantics}, "
+                   f"quantum {spec.quantum_instructions}: {tenants}")
+        if spec.description:
+            log.result(f"{'':<22} {spec.description}")
     return 0
 
 
 def run_sweep_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    """Handle ``sweep <name>`` as its :data:`SWEEP_COMMANDS` entry declares.
+    """Handle ``sweep <name>`` and ``scenario run`` as their table entry declares.
 
     Every flag the user set is checked and converted by its parse function
     and passed to the driver's ``run`` under its dest; unset flags keep the
     driver's defaults.
     """
-    module_name, _help, options = SWEEP_COMMANDS[args.sweep_command]
+    experiment, _help, options = args.declared
     kwargs: Dict[str, object] = {}
     for flag, _option_help, parse, settings in filter(None, options):
-        dest = settings.get("dest", flag[2:].replace("-", "_"))
+        dest = settings.get("dest", flag.lstrip("-").replace("-", "_"))
         value = getattr(args, dest)
         if value is not None:
             kwargs[dest] = value if parse is None else parse(value, flag, parser)
@@ -676,7 +660,7 @@ def run_sweep_command(args: argparse.Namespace, parser: argparse.ArgumentParser)
         engine = make_engine(workers=args.workers, cache_dir=args.cache_dir)
     except OSError as exc:
         parser.error(f"cannot use cache directory {args.cache_dir!r}: {exc}")
-    module = importlib.import_module(module_name)
+    module = importlib.import_module(EXPERIMENTS[experiment])
     result = module.run(resolve_scale(args.scale), engine=engine, **kwargs)
     log.result(module.format_report(result))
     _write_result_outputs(result, args.json_path, args.csv_path)
@@ -835,11 +819,11 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             log.result(f"{name:<18} {summary}")
         return 0
 
+    if getattr(args, "declared", None) is not None:
+        return run_sweep_command(args, parser)
+
     if args.command == "scenario":
         return run_scenario_command(args, parser)
-
-    if args.command == "sweep":
-        return run_sweep_command(args, parser)
 
     if args.command == "plot":
         return run_plot_command(args, parser)

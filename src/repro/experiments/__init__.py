@@ -26,9 +26,10 @@ module                    reproduces
 ``tenant_scale``          (extension) MPKI and partition fallback vs tenant count
 ========================  ====================================================
 
-The four extension sweeps are declarations over one core,
-:mod:`repro.experiments.sweep`, which expands their grids and emits the same
-long-format result rows for all of them.
+The five scenario drivers (``scenario_study`` and the four sweeps after it)
+are declarations over one core, :mod:`repro.experiments.sweep`, which
+expands their grids and emits the same long-format result rows for all of
+them.
 
 The amount of simulated work is controlled by :class:`ExperimentScale`
 (``QUICK_SCALE`` for benchmarks/CI, ``FULL_SCALE`` for paper-style runs; the
@@ -36,8 +37,9 @@ The amount of simulated work is controlled by :class:`ExperimentScale`
 
 Simulation grids execute through :class:`ExperimentEngine`
 (:mod:`repro.experiments.engine`): drivers expand their grids into hashable
-:class:`SimJob` lists, the engine fans them out over a worker pool and
-memoizes each result in an on-disk cache keyed by the job's config hash.
+jobs (:class:`SimJob` for a single-trace cell, :class:`ScenarioJob` for a
+scenario cell), and the engine fans them out over a worker pool and memoizes
+each result in an on-disk cache keyed by the job's config hash.
 """
 
 from repro.experiments.config import (

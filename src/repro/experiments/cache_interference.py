@@ -27,22 +27,13 @@ core submits the grid in one pooled engine pass like every other grid.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 from repro.common.config import ASIDMode, BTBStyle
 from repro.experiments import sweep
 from repro.experiments.config import DEFAULT_BUDGET_KIB, ExperimentScale, QUICK_SCALE
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.scenario_sweep import DEFAULT_QUANTA, pressure_axes
-
-#: Cache context-switch policies swept by default (the legacy ASID-oblivious
-#: hierarchy is deliberately absent: it false-shares lines between tenants,
-#: so its per-tenant MPKI is not comparable -- run a scenario study for it).
-SWEEP_CACHE_MODES: Tuple[ASIDMode, ...] = (
-    ASIDMode.FLUSH,
-    ASIDMode.TAGGED,
-    ASIDMode.PARTITIONED,
-)
 
 #: The organization the sweep runs on (the paper's proposal); the BTB's own
 #: retention mode is fixed to ``tagged`` so only the hierarchy varies.
@@ -56,16 +47,19 @@ def run(
     presets: Sequence[str] | None = None,
     style: BTBStyle = DEFAULT_STYLE,
     btb_asid_mode: ASIDMode = DEFAULT_BTB_ASID_MODE,
-    cache_modes: Sequence[ASIDMode] = SWEEP_CACHE_MODES,
+    cache_modes: Sequence[ASIDMode] = sweep.ASID_MODES,
     quanta: Sequence[int] = DEFAULT_QUANTA,
     tenant_counts: Sequence[int] | None = None,
     engine: ExperimentEngine | None = None,
 ) -> Dict[str, object]:
     """Run both sweep axes for every preset (``None``: all) in one engine pass.
 
-    ``tenant_counts=None`` sweeps 1..len(tenants) per preset.  Returns the
-    :func:`~repro.experiments.sweep.run_sweep` rows; a curve (``config``) is
-    ``<style>/cache-<mode>``.
+    ``tenant_counts=None`` sweeps 1..len(tenants) per preset.  All three
+    cache modes run by default; the legacy ASID-oblivious hierarchy is
+    deliberately absent, since it false-shares lines between tenants and its
+    per-tenant MPKI is not comparable (run a scenario study for it).
+    Returns the :func:`~repro.experiments.sweep.run_sweep` rows; a curve
+    (``config``) is ``<style>/cache-<mode>``.
     """
     return sweep.run_sweep(
         sweep.Sweep(

@@ -1,9 +1,9 @@
 """Scenario study: does BTB-X's storage advantage survive consolidation?
 
-Sweeps every registered scenario preset across BTB organizations and ASID
-modes at the paper's headline 14.5 KB budget, all through the shared
-experiment engine (scenario cells are cacheable jobs like any figure cell).
-Questions this answers that the paper's single-trace evaluation cannot:
+Runs every registered scenario preset (or the given ones) across BTB
+organizations and ASID modes at the paper's headline 14.5 KB budget, each at
+the preset's own timeslice.  Questions this answers that the paper's
+single-trace evaluation cannot:
 
 * how much MPKI does timeslicing add over the solo baseline?
 * does ASID-tagged retention beat flush-on-switch, and for which tenants?
@@ -11,107 +11,54 @@ Questions this answers that the paper's single-trace evaluation cannot:
 * is a tenant's damage cross-tenant pollution or its own cold-start misses
   (tagged vs partitioned-capacity retention)?
 
+The study is a :mod:`~repro.experiments.sweep` declaration with one
+single-valued axis, the preset's own quantum, so each of its rows is the
+:mod:`~repro.experiments.scenario_sweep` row at that quantum (the same
+cacheable cell).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.common.config import ASIDMode, BTBStyle
+from repro.experiments import sweep
 from repro.experiments.config import DEFAULT_BUDGET_KIB, ExperimentScale, QUICK_SCALE
-from repro.experiments.engine import ExperimentEngine, ScenarioJob, get_active_engine
-from repro.experiments.runner import style_label
-from repro.scenarios.presets import scenario_names
-
-#: Organizations compared in the scenario study.
-STUDY_STYLES: tuple[BTBStyle, ...] = (BTBStyle.CONVENTIONAL, BTBStyle.BTBX)
-
-#: All three context-switch policies (flush, tagged, partitioned-capacity).
-STUDY_ASID_MODES: tuple[ASIDMode, ...] = (
-    ASIDMode.FLUSH,
-    ASIDMode.TAGGED,
-    ASIDMode.PARTITIONED,
-)
-
-
-def scenario_jobs(
-    scale: ExperimentScale,
-    scenarios: Sequence[str],
-    styles: Sequence[BTBStyle] = STUDY_STYLES,
-    asid_modes: Sequence[ASIDMode] = STUDY_ASID_MODES,
-    budget_kib: float = DEFAULT_BUDGET_KIB,
-) -> List[ScenarioJob]:
-    """Expand the scenario x style x asid_mode grid into its job list."""
-    return [
-        ScenarioJob(
-            scenario=scenario,
-            instructions=scale.instructions,
-            warmup_instructions=scale.warmup_instructions,
-            style=style,
-            asid_mode=asid_mode,
-            fdip_enabled=True,
-            budget_kib=budget_kib,
-        )
-        for scenario in scenarios
-        for style in styles
-        for asid_mode in asid_modes
-    ]
+from repro.experiments.engine import ExperimentEngine
+from repro.experiments.scenario_sweep import QUANTUM_AXIS, SWEEP_STYLES, quantum_variant
 
 
 def run(
     scale: ExperimentScale = QUICK_SCALE,
     budget_kib: float = DEFAULT_BUDGET_KIB,
-    scenarios: Sequence[str] | None = None,
-    styles: Sequence[BTBStyle] = STUDY_STYLES,
-    asid_modes: Sequence[ASIDMode] = STUDY_ASID_MODES,
+    presets: Sequence[str] | None = None,
+    styles: Sequence[BTBStyle] = SWEEP_STYLES,
+    asid_modes: Sequence[ASIDMode] = sweep.ASID_MODES,
     engine: ExperimentEngine | None = None,
 ) -> Dict[str, object]:
-    """Run the scenario grid and collect per-tenant and aggregate metrics."""
-    engine = engine or get_active_engine()
-    names = list(scenarios) if scenarios is not None else scenario_names()
-    jobs = scenario_jobs(scale, names, styles, asid_modes, budget_kib)
-    outcomes = engine.run_jobs(jobs)
+    """Run every preset (``None``: all) at its own quantum in one engine pass.
 
-    cells: Dict[str, Dict[str, object]] = {}
-    for job, outcome in zip(jobs, outcomes):
-        scenario_result = outcome.scenario
-        cell = cells.setdefault(job.scenario, {"configs": {}})
-        cell["context_switches"] = scenario_result.context_switches
-        cell["tenants"] = list(scenario_result.per_tenant)
-        cell["configs"][f"{style_label(job.style)}/{job.asid_mode.value}"] = {
-            "aggregate": scenario_result.aggregate.to_dict(),
-            "per_tenant": {
-                name: {"btb_mpki": result.btb_mpki, "ipc": result.ipc}
-                for name, result in scenario_result.per_tenant.items()
-            },
-        }
-    return {
-        "experiment": "scenario_study",
-        "scale": scale.name,
-        "budget_kib": budget_kib,
-        "styles": [style_label(style) for style in styles],
-        "asid_modes": [mode.value for mode in asid_modes],
-        "scenarios": cells,
-    }
+    Returns the :func:`~repro.experiments.sweep.run_sweep` rows; a curve
+    (``config``) is ``<style>/<asid_mode>`` with one point.
+    """
+    return sweep.run_sweep(
+        sweep.Sweep(
+            experiment="scenario_study",
+            bases=sweep.preset_bases(presets),
+            axes=(
+                sweep.Axis(
+                    QUANTUM_AXIS, lambda spec: (spec.quantum_instructions,), quantum_variant
+                ),
+            ),
+            styles=styles,
+            asid_modes=asid_modes,
+            budget_kib=budget_kib,
+        ),
+        scale,
+        engine,
+    )
 
 
 def format_report(result: Dict[str, object]) -> str:
-    """Text rendering of the scenario study."""
-    lines = [
-        f"Scenario study at {result['budget_kib']} KB "
-        f"(styles: {', '.join(result['styles'])}; asid modes: {', '.join(result['asid_modes'])})",
-    ]
-    for scenario, cell in result["scenarios"].items():
-        lines.append("")
-        lines.append(f"  {scenario} ({cell['context_switches']} context switches)")
-        lines.append(f"    {'config':<22} {'agg MPKI':>9} {'agg IPC':>8}  per-tenant MPKI")
-        for config, data in cell["configs"].items():
-            aggregate = data["aggregate"]
-            tenants = "  ".join(
-                f"{name}={metrics['btb_mpki']:.1f}"
-                for name, metrics in data["per_tenant"].items()
-            )
-            lines.append(
-                f"    {config:<22} {aggregate['btb_mpki']:9.2f} {aggregate['ipc']:8.3f}  {tenants}"
-            )
-    return "\n".join(lines)
+    """Aggregate MPKI, IPC and context switches per configuration and preset."""
+    return sweep.format_report(result, "Scenario study", ("btb_mpki", "ipc", "context_switches"))

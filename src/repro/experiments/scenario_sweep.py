@@ -16,9 +16,9 @@ along two axes:
 Every (preset x axis-value x organization x ASID-mode) cell is an ordinary
 cacheable :class:`~repro.experiments.engine.ScenarioJob`; the
 :mod:`~repro.experiments.sweep` core submits the whole grid in one pooled
-engine pass, so sweeps parallelize and memoize exactly like the figure grids
-(and share cache cells with :mod:`~repro.experiments.scenario_study`
-wherever the grids overlap).
+engine pass, so sweeps parallelize and memoize exactly like the figure grids.
+:mod:`~repro.experiments.scenario_study` is this sweep's quantum axis
+narrowed to each preset's own quantum.
 """
 
 from __future__ import annotations
@@ -35,14 +35,6 @@ from repro.scenarios.spec import ScenarioSpec, TenantSpec
 #: Organizations swept by default (the paper's baseline and its proposal).
 SWEEP_STYLES: Tuple[BTBStyle, ...] = (BTBStyle.CONVENTIONAL, BTBStyle.BTBX)
 
-#: All three context-switch policies, so pollution (tagged vs partitioned)
-#: and cold-start (flush vs tagged) read off the same plot.
-SWEEP_ASID_MODES: Tuple[ASIDMode, ...] = (
-    ASIDMode.FLUSH,
-    ASIDMode.TAGGED,
-    ASIDMode.PARTITIONED,
-)
-
 #: Default timeslice lengths (instructions per scheduling turn).
 DEFAULT_QUANTA: Tuple[int, ...] = (1_024, 2_048, 4_096, 8_192, 16_384)
 
@@ -58,7 +50,8 @@ def quantum_variant(spec: ScenarioSpec, quantum: int) -> ScenarioSpec:
     """``spec`` rescheduled with a ``quantum``-instruction timeslice.
 
     The preset's own quantum returns the preset unchanged, so that sweep cell
-    is cache-identical to the plain :mod:`scenario_study` cell.
+    is cache-identical to the preset's own cell (the :mod:`scenario_study`
+    cell).
     """
     if quantum == spec.quantum_instructions:
         return spec
@@ -113,13 +106,15 @@ def run(
     budget_kib: float = DEFAULT_BUDGET_KIB,
     presets: Sequence[str] | None = None,
     styles: Sequence[BTBStyle] = SWEEP_STYLES,
-    asid_modes: Sequence[ASIDMode] = SWEEP_ASID_MODES,
+    asid_modes: Sequence[ASIDMode] = sweep.ASID_MODES,
     quanta: Sequence[int] = DEFAULT_QUANTA,
     tenant_counts: Sequence[int] | None = None,
     engine: ExperimentEngine | None = None,
 ) -> Dict[str, object]:
     """Run both sweep axes for every preset (``None``: all) in one engine pass.
 
+    All three ASID modes run by default, so pollution (tagged vs
+    partitioned) and cold-start (flush vs tagged) read off the same plot.
     Returns the :func:`~repro.experiments.sweep.run_sweep` rows; a curve
     (``config``) is ``<style>/<asid_mode>``.
     """

@@ -55,14 +55,6 @@ SWEEP_STYLES: Tuple[BTBStyle, ...] = (
     BTBStyle.REDUCED,
 )
 
-#: All three context-switch policies: flush pays cold-start, tagged pays
-#: duplication, partitioned pays duplication inside private slices.
-SWEEP_ASID_MODES: Tuple[ASIDMode, ...] = (
-    ASIDMode.FLUSH,
-    ASIDMode.TAGGED,
-    ASIDMode.PARTITIONED,
-)
-
 #: Axis name (the ``axis`` column of the result rows).
 SHARED_AXIS = "shared_fraction"
 
@@ -74,7 +66,8 @@ def shared_variant(spec: ScenarioSpec, fraction: float) -> ScenarioSpec:
     """``spec`` with its shared-code fraction replaced by ``fraction``.
 
     The preset's own fraction returns the preset unchanged, so that sweep
-    cell is cache-identical to the plain scenario_study cell.
+    cell is cache-identical to the preset's own cell (the
+    :mod:`~repro.experiments.scenario_study` cell).
     """
     if (
         isinstance(fraction, bool)
@@ -108,11 +101,13 @@ def run(
     preset: str = DEFAULT_PRESET,
     fractions: Sequence[float] = DEFAULT_FRACTIONS,
     styles: Sequence[BTBStyle] = SWEEP_STYLES,
-    asid_modes: Sequence[ASIDMode] = SWEEP_ASID_MODES,
+    asid_modes: Sequence[ASIDMode] = sweep.ASID_MODES,
     engine: ExperimentEngine | None = None,
 ) -> Dict[str, object]:
     """Sweep the overlap fraction of one preset in one engine pass.
 
+    All three ASID modes run by default: flush pays cold-start, tagged pays
+    duplication, partitioned pays duplication inside private slices.
     Returns the :func:`~repro.experiments.sweep.run_sweep` rows; a curve
     (``config``) is ``<style>/<asid_mode>``, and every ``(aggregate)`` row
     carries the :func:`duplication_counters` of its cell.

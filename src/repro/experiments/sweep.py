@@ -1,9 +1,10 @@
 """One sweep core: axis declarations expanded into long-format result rows.
 
 Figure 11 reads a BTB organization's behaviour off one axis, the storage
-budget.  The consolidation sweeps (:mod:`scenario_sweep`,
-:mod:`shared_footprint`, :mod:`cache_interference`, :mod:`tenant_scale`) do
-the same along other axes.  Each of them only *declares* its :class:`Sweep`:
+budget.  The consolidation drivers (:mod:`scenario_study`,
+:mod:`scenario_sweep`, :mod:`shared_footprint`, :mod:`cache_interference`,
+:mod:`tenant_scale`) do the same along other axes.  Each of them only
+*declares* its :class:`Sweep`:
 
 * the base scenarios (presets, or a generated-scenario recipe);
 * named :class:`Axis` objects, each a spec transform over a value list;
@@ -40,6 +41,10 @@ AGGREGATE = "(aggregate)"
 
 #: Metric columns of every row (aggregate and per-tenant).
 METRICS: Tuple[str, ...] = ("btb_mpki", "l1i_mpki", "l2_mpki", "ipc")
+
+#: All three context-switch policies (flush, tagged, partitioned), in the
+#: order every driver's default lists them.
+ASID_MODES: Tuple[ASIDMode, ...] = tuple(ASIDMode)
 
 
 @dataclass(frozen=True)

@@ -43,13 +43,6 @@ from repro.scenarios.spec import ScenarioSpec
 #: Tenant counts swept by default; 1024 is the headline consolidation point.
 DEFAULT_TENANT_COUNTS: Tuple[int, ...] = (4, 16, 64, 256, 1024)
 
-#: All three BTB context-switch policies.
-SWEEP_ASID_MODES: Tuple[ASIDMode, ...] = (
-    ASIDMode.FLUSH,
-    ASIDMode.TAGGED,
-    ASIDMode.PARTITIONED,
-)
-
 #: Cache hierarchy modes: legacy shared hierarchy and set-partitioned.
 SWEEP_CACHE_MODES: Tuple[Optional[ASIDMode], ...] = (None, ASIDMode.PARTITIONED)
 
@@ -160,7 +153,7 @@ def run(
     scale: ExperimentScale = QUICK_SCALE,
     budget_kib: float = DEFAULT_BUDGET_KIB,
     tenant_counts: Sequence[int] = DEFAULT_TENANT_COUNTS,
-    asid_modes: Sequence[ASIDMode] = SWEEP_ASID_MODES,
+    asid_modes: Sequence[ASIDMode] = sweep.ASID_MODES,
     cache_modes: Sequence[Optional[ASIDMode]] = SWEEP_CACHE_MODES,
     style: BTBStyle = BTBStyle.BTBX,
     seed: int = DEFAULT_SEED,

@@ -87,14 +87,15 @@ class TestArgumentParsing:
 
     def test_scenario_run_arguments(self):
         args = build_parser().parse_args(
-            ["scenario", "run", "noisy_neighbor", "--asid-mode", "tagged",
-             "--scale", "smoke", "--json", "s.json"]
+            ["scenario", "run", "noisy_neighbor", "--asid-modes", "tagged",
+             "--scale", "smoke", "--json", "s.json", "--csv", "s.csv"]
         )
         assert args.command == "scenario"
         assert args.scenario_command == "run"
-        assert args.scenario == "noisy_neighbor"
-        assert args.asid_mode == "tagged"
+        assert args.presets == ["noisy_neighbor"]
+        assert args.asid_modes == "tagged"
         assert args.json_path == "s.json"
+        assert args.csv_path == "s.csv"
 
     def test_cache_commands_require_cache_dir(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -145,23 +146,39 @@ class TestListCommands:
 class TestScenarioRun:
     def test_scenario_run_writes_json(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "smoke")
-        json_path = tmp_path / "scenario.json"
+        json_path, csv_path = tmp_path / "scenario.json", tmp_path / "scenario.csv"
         exit_code = main(
-            ["scenario", "run", "solo_baseline", "--asid-mode", "flush",
-             "--json", str(json_path)]
+            ["scenario", "run", "solo_baseline", "--asid-modes", "flush",
+             "--json", str(json_path), "--csv", str(csv_path)]
         )
         assert exit_code == 0
-        assert "solo_baseline" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Scenario study" in out and "solo_baseline vs quantum: 8192" in out
         record = json.loads(json_path.read_text())
         assert record["experiment"] == "scenario_study"
         assert record["scale"] == "smoke"
-        assert set(record["scenarios"]) == {"solo_baseline"}
+        assert record["presets"] == ["solo_baseline"]
+        assert record["asid_modes"] == ["flush"]
+        curves = aggregate_curves(record["rows"])
+        assert list(curves) == [("quantum", "solo_baseline")]
+        points = curves[("quantum", "solo_baseline")]
+        assert set(points) == {"Conv-BTB/flush", "BTB-X/flush"}
+        for (point,) in points.values():
+            assert point["axis_value"] == 8192 and point["context_switches"] == 0
+        _csv_matches_json_rows(csv_path, record)
 
     def test_unknown_scenario_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["scenario", "run", "no_such_scenario"])
         assert excinfo.value.code == 2
         assert "unknown scenario" in capsys.readouterr().err
+
+    def test_bad_asid_modes_exit_2(self, capsys):
+        for modes in ("both", "all", "lukewarm", "flush,"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["scenario", "run", "solo_baseline", "--asid-modes", modes])
+            assert excinfo.value.code == 2
+            assert "--asid-modes:" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -191,8 +208,9 @@ class TestSweepCommand:
     def test_bad_quanta_exit_2(self, capsys):
         for flags in (["--quanta", "1024,banana"], ["--quanta", "0"],
                       ["--tenant-counts", "-2"], ["--styles", "warp-drive"],
-                      ["--asid-modes", "lukewarm"], ["--budget-kib", "-1"],
-                      ["--budget-kib", "0"], ["--budget-kib", "inf"], ["--budget-kib", "nan"]):
+                      ["--asid-modes", "lukewarm"], ["--asid-modes", "both"],
+                      ["--budget-kib", "-1"], ["--budget-kib", "0"],
+                      ["--budget-kib", "inf"], ["--budget-kib", "nan"]):
             with pytest.raises(SystemExit) as excinfo:
                 main(["sweep", "scenarios", "--preset", "solo_baseline"] + flags)
             assert excinfo.value.code == 2
@@ -245,8 +263,8 @@ class TestSharedSweepCommand:
     def test_bad_shared_sweep_flags_exit_2(self, capsys):
         for flags in (["--fractions", "0.5,banana"], ["--fractions", "1.5"],
                       ["--fractions", "-0.25"], ["--styles", "warp-drive"],
-                      ["--asid-modes", "lukewarm"], ["--budget-kib", "0"],
-                      ["--preset", "no_such_preset"]):
+                      ["--asid-modes", "lukewarm"], ["--asid-modes", "both"],
+                      ["--budget-kib", "0"], ["--preset", "no_such_preset"]):
             with pytest.raises(SystemExit) as excinfo:
                 main(["sweep", "shared"] + flags)
             assert excinfo.value.code == 2

@@ -10,7 +10,8 @@ pinned numbers (the golden suite owns bit-exactness):
 * sweep results are identical across engine worker counts;
 * a warm engine cache replays a full sweep with zero simulations;
 * variant derivation reuses the preset spec where the axes cross the preset's
-  own coordinates, so sweep and study cells share cache entries.
+  own coordinates, so sweep and study cells share cache entries, and every
+  study row is the sweep row at the preset's own quantum.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.experiments.engine import (
     _result_to_payload,
 )
 from repro.experiments.runner import clear_trace_cache
-from repro.experiments import scenario_sweep
+from repro.experiments import scenario_study, scenario_sweep
 from repro.experiments.sweep import aggregate_curves, write_csv
 from repro.experiments.scenario_sweep import (
     DEFAULT_QUANTA,
@@ -128,7 +129,7 @@ class TestComposerWeightProperties:
 class TestVariantDerivation:
     def test_preset_coordinates_reuse_the_preset_spec(self):
         """Sweep cells crossing the preset's own quantum/size must be
-        cache-identical to the plain scenario_study cells."""
+        cache-identical to the preset's own (scenario_study) cells."""
         spec = get_scenario("consolidated_server")
         assert quantum_variant(spec, spec.quantum_instructions) is spec
         assert tenant_count_variant(spec, len(spec.tenants)) is spec
@@ -277,6 +278,29 @@ class TestSweepEngineProperties:
         assert len(aggregates) == 12
         partitioned = [row for row in aggregates if row["asid_mode"] == "partitioned"]
         assert all(json.loads(row["partition_sets"]) for row in partitioned)
+
+    def test_study_rows_are_the_sweep_rows_at_the_preset_quantum(self):
+        """Each scenario_study row equals the scenario_sweep row at the same
+        (preset, axis_value, config, tenant), and the study keeps exactly the
+        sweep's rows at each preset's own quantum."""
+        engine = ExperimentEngine(workers=1)
+        presets = ["consolidated_server", "noisy_neighbor"]  # quanta 4096, 2048
+        study = scenario_study.run(TINY, presets=presets, engine=engine)
+        swept = scenario_sweep.run(
+            TINY, presets=presets, quanta=(2_048, 4_096), tenant_counts=(1,), engine=engine
+        )
+
+        def key(row):
+            return (row["preset"], row["axis"], row["axis_value"], row["config"], row["tenant"])
+
+        own_quantum = {
+            key(row): row for row in swept["rows"]
+            if row["axis"] == "quantum"
+            and row["axis_value"] == get_scenario(row["preset"]).quantum_instructions
+        }
+        assert [key(row) for row in study["rows"]] == list(own_quantum)
+        for row in study["rows"]:
+            assert row == own_quantum[key(row)]
 
     def test_default_quanta_are_sane(self):
         assert list(DEFAULT_QUANTA) == sorted(DEFAULT_QUANTA)

@@ -686,17 +686,29 @@ class TestScenarioJobs:
             name="tiny", instructions=10_000, warmup_fraction=0.3,
             server_workloads=1, client_workloads=1,
         )
+        from repro.experiments.sweep import AGGREGATE, aggregate_curves
+
         result = scenario_study.run(
             tiny,
-            scenarios=["solo_baseline", "consolidated_server"],
+            presets=["solo_baseline", "consolidated_server"],
             styles=(BTBStyle.BTBX,),
             engine=ExperimentEngine(workers=1),
         )
-        assert set(result["scenarios"]) == {"solo_baseline", "consolidated_server"}
-        cell = result["scenarios"]["consolidated_server"]
-        assert set(cell["configs"]) == {
-            "BTB-X/flush", "BTB-X/tagged", "BTB-X/partitioned"
-        }
+        curves = aggregate_curves(result["rows"])
+        assert list(curves) == [
+            ("quantum", "solo_baseline"), ("quantum", "consolidated_server")
+        ]
+        consolidated = curves[("quantum", "consolidated_server")]
+        assert list(consolidated) == ["BTB-X/flush", "BTB-X/tagged", "BTB-X/partitioned"]
+        quantum = get_scenario("consolidated_server").quantum_instructions
+        for (point,) in consolidated.values():
+            assert point["axis_value"] == quantum and point["context_switches"] > 0
+        tenants = [
+            row["tenant"] for row in result["rows"]
+            if row["preset"] == "consolidated_server" and row["config"] == "BTB-X/tagged"
+        ]
+        # 10,000 instructions at a 4,096-instruction quantum schedule three turns.
+        assert tenants == [AGGREGATE, "frontend", "search", "ads"]
         report = scenario_study.format_report(result)
         assert "consolidated_server" in report and "BTB-X/tagged" in report
         assert "BTB-X/partitioned" in report

@@ -211,6 +211,23 @@ def test_sweep_jobs_and_cells_are_pinned(fixture, case):
         )
 
 
+def test_scenario_study_cells_are_pinned_sweep_cells(fixture):
+    """The study runs each preset at its own quantum, so every one of its
+    cells is a pinned ``scenarios/default`` cell, with the pinned metrics."""
+    from repro.experiments import scenario_study
+
+    pinned = fixture["sweeps"]["scenarios/default"]
+    engine = _RecordingEngine()
+    scenario_study.run(GOLDEN_SCALE, engine=engine)
+    hashes = {job.config_hash() for job, _ in engine.cells}
+    assert len(hashes) == 30  # 5 presets x 2 styles x 3 ASID modes
+    assert hashes <= set(pinned["jobs"])
+    for job, outcome in engine.cells:
+        assert pinned["cells"][cell_label(job)] == {
+            "job": job.config_hash(), "metrics": cell_digest(outcome.scenario)
+        }
+
+
 def regenerate() -> None:  # pragma: no cover - developer tool
     """Rerun every sweep case and rewrite the fixture."""
     sweeps = {}
