@@ -11,7 +11,8 @@ The package is organised bottom-up:
 * :mod:`repro.predictor`   -- direction predictors and the return address stack;
 * :mod:`repro.memory`      -- the L1-I/L2/LLC cache hierarchy;
 * :mod:`repro.frontend`    -- branch prediction unit, FTQ and FDIP;
-* :mod:`repro.core`        -- the trace-driven front-end simulator and timing model;
+* :mod:`repro.core`        -- the trace-driven front-end simulator and its results,
+  with cycles derived from the counts by an interval model;
 * :mod:`repro.energy`      -- the calibrated SRAM energy/latency model (Table V);
 * :mod:`repro.analysis`    -- offset-distribution and aggregation helpers;
 * :mod:`repro.scenarios`   -- multi-tenant trace composition with context

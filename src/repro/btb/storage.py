@@ -135,10 +135,6 @@ class BTBStorageModel:
             storage_bits=storage_bits,
         )
 
-    def btbx_storage_bits(self, btbx_entries: int) -> int:
-        """Total BTB-X + BTB-XC storage bits for an entry count."""
-        return self.btbx_storage_row(btbx_entries).storage_bits
-
     def btbx_budget_kib(self, btbx_entries: int) -> float:
         """Storage budget (KiB) implied by a BTB-X entry count."""
         return self.btbx_storage_row(btbx_entries).storage_kib

@@ -50,25 +50,31 @@ from repro.experiments.config import (
 from repro.experiments.engine import ExperimentEngine, ResultCache, use_engine
 from repro.obs import JsonlRecorder, get_recorder, use_recorder
 
-#: Experiment name -> module path (relative to repro.experiments).
-EXPERIMENTS: Dict[str, str] = {
-    "table1_exynos": "repro.experiments.table1_exynos",
-    "fig04_offsets": "repro.experiments.fig04_offsets",
-    "table3_storage": "repro.experiments.table3_storage",
-    "table4_capacity": "repro.experiments.table4_capacity",
-    "fig09_mpki": "repro.experiments.fig09_mpki",
-    "fig10_performance": "repro.experiments.fig10_performance",
-    "table5_energy": "repro.experiments.table5_energy",
-    "fig11_sweep": "repro.experiments.fig11_sweep",
-    "fig12_cvp": "repro.experiments.fig12_cvp",
-    "fig13_x86": "repro.experiments.fig13_x86",
-    "ablation_ways": "repro.experiments.ablation_ways",
-    "scenario_study": "repro.experiments.scenario_study",
-    "scenario_sweep": "repro.experiments.scenario_sweep",
-    "shared_footprint": "repro.experiments.shared_footprint",
-    "cache_interference": "repro.experiments.cache_interference",
-    "tenant_scale": "repro.experiments.tenant_scale",
-}
+#: Every experiment driver, in run-all order: ``name`` is ``repro.experiments.<name>``.
+EXPERIMENTS = (
+    "table1_exynos",
+    "fig04_offsets",
+    "table3_storage",
+    "table4_capacity",
+    "fig09_mpki",
+    "fig10_performance",
+    "table5_energy",
+    "fig11_sweep",
+    "fig12_cvp",
+    "fig13_x86",
+    "ablation_ways",
+    "scenario_study",
+    "scenario_sweep",
+    "shared_footprint",
+    "cache_interference",
+    "tenant_scale",
+)
+
+
+def experiment_module(name: str):
+    """The driver module of experiment ``name``."""
+    return importlib.import_module(f"repro.experiments.{name}")
+
 
 _SCALES = {"smoke": SMOKE_SCALE, "quick": QUICK_SCALE, "full": FULL_SCALE}
 
@@ -222,7 +228,7 @@ _BUDGET_OPTION = _option(
     type=float,
 )
 
-#: ``sweep`` subcommand -> (driver's :data:`EXPERIMENTS` key, help, options).
+#: ``sweep`` subcommand -> (driver's :data:`EXPERIMENTS` name, help, options).
 #: Each option's dest is the driver's ``run`` keyword it sets; ``None`` marks
 #: where the engine arguments go.  ``--json`` and ``--csv`` close every option
 #: list.
@@ -515,7 +521,7 @@ def run_experiment(
     engine: ExperimentEngine | None = None,
 ) -> Dict[str, object]:
     """Run a named experiment at the requested scale and return its raw result."""
-    module = importlib.import_module(EXPERIMENTS[name])
+    module = experiment_module(name)
     scale = resolve_scale(scale_name)
     if engine is None:
         return module.run(scale)
@@ -660,7 +666,7 @@ def run_sweep_command(args: argparse.Namespace, parser: argparse.ArgumentParser)
         engine = make_engine(workers=args.workers, cache_dir=args.cache_dir)
     except OSError as exc:
         parser.error(f"cannot use cache directory {args.cache_dir!r}: {exc}")
-    module = importlib.import_module(EXPERIMENTS[experiment])
+    module = experiment_module(experiment)
     result = module.run(resolve_scale(args.scale), engine=engine, **kwargs)
     log.result(module.format_report(result))
     _write_result_outputs(result, args.json_path, args.csv_path)
@@ -814,7 +820,7 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """Route a parsed command line to its handler."""
     if args.command == "list":
         for name in sorted(EXPERIMENTS):
-            module = importlib.import_module(EXPERIMENTS[name])
+            module = experiment_module(name)
             summary = (module.__doc__ or "").strip().splitlines()[0]
             log.result(f"{name:<18} {summary}")
         return 0
@@ -850,7 +856,7 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 log.result(f"[{name}: FAILED after {summary['timings_s'][name]:.2f}s: "
                            f"{summary['errors'][name]}]\n")
                 continue
-            module = importlib.import_module(EXPERIMENTS[name])
+            module = experiment_module(name)
             log.result(module.format_report(summary["results"][name]))
             driver = summary["engine_per_driver"][name]
             reuse = f"{driver['memo_hits']} memo + {driver['disk_hits']} disk hits"
@@ -880,7 +886,7 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         return 1 if summary["failed"] else 0
 
     result = run_experiment(args.experiment, args.scale, engine=engine)
-    module = importlib.import_module(EXPERIMENTS[args.experiment])
+    module = experiment_module(args.experiment)
     log.result(module.format_report(result))
     _write_result_outputs(result, args.json_path)
     return 0

@@ -287,8 +287,8 @@ class _BatchEngine:
         self.instructions_fast += fast_total
         self.instructions_slow += len(slow_positions)
 
-        # Accumulators, applied once at the end of the piece.  Every timing
-        # hook is a commutative sum of integer-valued terms, so batching is
+        # Accumulators, applied once at the end of the piece.  Every charged
+        # count is a commutative sum of integer-valued terms, so batching is
         # bit-exact; the measured ones are charged only when measuring.
         stall_sum = 0.0
         flushes = 0
@@ -436,11 +436,11 @@ class _BatchEngine:
             self.btb.note_skipped_miss_lookups(skipped_probes)
         if measuring:
             beyond_l2 = sum(1 for result in miss_results if result.level != "L2")
-            self.ledger.current.charge(
-                n, stall_sum, btb_extra, execute_flushes=flushes, decode_resteers=resteers,
+            self.ledger.charge(
+                instructions=n, icache_stall_cycles=stall_sum, btb_extra_cycles=btb_extra,
+                execute_flushes=flushes, decode_resteers=resteers,
                 branches=int(np.count_nonzero(is_branch)),
                 taken_branches=int(np.count_nonzero(is_branch & taken)),
                 l1i_accesses=len(nb_positions), l1i_misses=len(miss_results),
-                l1i_misses_covered=covered_cnt, l2_accesses=len(miss_results),
-                l2_misses=beyond_l2,
+                l1i_misses_covered=covered_cnt, l2_misses=beyond_l2,
             )

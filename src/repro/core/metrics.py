@@ -1,26 +1,34 @@
-"""Result container and derived metrics for one simulation run."""
+"""Result containers of a simulation run, and the interval model behind its cycles.
+
+:class:`SimulationResult`'s field table is the whole of a run's accounting:
+every measured field declares how a run produces it.
+
+* ``charged`` -- the simulation loops count it in locals and charge it, by
+  field name, to the account of the tenant whose instruction incurred it;
+* ``drained`` -- the branch prediction unit counts it; the run drains its
+  measured deltas into the current account at tenant boundaries;
+* ``derived`` -- packaging computes it from the tenant's other fields and the
+  :class:`~repro.common.config.CoreConfig` (:func:`tenant_fields`).
+
+Results are plain data: two runs agree exactly when their results are ``==``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict
+from typing import Dict
 
-from repro.common.stats import Stats
-
-#: Metadata of the fields a run measures per tenant.  The aggregate sums each
-#: over the tenants in scheduling order, counts as integers.
-_COUNT = {"measured": int}
-_CYCLES = {"measured": float}
+from repro.common.config import CoreConfig
 
 
-def _counter(bpu_stat: str | None = None, **kwargs: Any) -> Any:
-    """A per-tenant event count kept by the tenant's account.
+def _measured(produced: str, kind: type = int, bpu_stat: str | None = None):
+    """A field a run measures per tenant.
 
-    ``bpu_stat`` names the BPU counter the count is drained from, as
-    measured deltas at tenant boundaries; without one, the simulation loops
-    count it and charge it to the account.
+    ``kind`` is ``int`` or ``float``: the aggregate casts its sum to it, and a
+    charged count starts at ``kind()``.  ``bpu_stat`` names the BPU counter a
+    drained field is drained from.
     """
-    return field(metadata={**_COUNT, "counter": bpu_stat}, **kwargs)
+    return field(metadata={"measured": kind, "produced": produced, "bpu_stat": bpu_stat})
 
 
 @dataclass
@@ -31,29 +39,28 @@ class SimulationResult:
     btb_style: str
     btb_storage_kib: float
     fdip_enabled: bool
-    instructions: int = field(metadata=_COUNT)
-    cycles: float = field(metadata=_CYCLES)
-    base_cycles: float = field(metadata=_CYCLES)
-    flush_cycles: float = field(metadata=_CYCLES)
-    resteer_cycles: float = field(metadata=_CYCLES)
-    icache_stall_cycles: float = field(metadata=_CYCLES)
-    btb_extra_cycles: float = field(metadata=_CYCLES)
-    btb_misses_taken: int = _counter("btb_miss_taken")
-    decode_resteers: int = _counter()
-    execute_flushes: int = _counter()
-    direction_mispredictions: int = _counter("direction_mispredictions")
-    target_mispredictions: int = _counter("target_mispredictions")
-    taken_branches: int = _counter()
-    branches: int = _counter()
-    l1i_accesses: int = _counter()
-    l1i_misses: int = _counter()
-    l1i_misses_covered: int = _counter()
+    instructions: int = _measured("charged")
+    cycles: float = _measured("derived", float)
+    base_cycles: float = _measured("derived", float)
+    flush_cycles: float = _measured("derived", float)
+    resteer_cycles: float = _measured("derived", float)
+    icache_stall_cycles: float = _measured("charged", float)
+    btb_extra_cycles: float = _measured("charged", float)
+    btb_misses_taken: int = _measured("drained", bpu_stat="btb_miss_taken")
+    decode_resteers: int = _measured("charged")
+    execute_flushes: int = _measured("charged")
+    direction_mispredictions: int = _measured("drained", bpu_stat="direction_mispredictions")
+    target_mispredictions: int = _measured("drained", bpu_stat="target_mispredictions")
+    taken_branches: int = _measured("charged")
+    branches: int = _measured("charged")
+    l1i_accesses: int = _measured("charged")
+    l1i_misses: int = _measured("charged")
+    l1i_misses_covered: int = _measured("charged")
     #: Demand L2 traffic of the instruction stream: every L1-I demand miss
     #: probes the L2 (``l2_accesses``); ``l2_misses`` counts the ones the L2
     #: could not supply (filled from the LLC or memory).
-    l2_accesses: int = _counter(default=0)
-    l2_misses: int = _counter(default=0)
-    stats: Stats = field(repr=False, default_factory=Stats)
+    l2_accesses: int = _measured("derived")
+    l2_misses: int = _measured("charged")
 
     # -- derived metrics -----------------------------------------------------
 
@@ -83,42 +90,53 @@ class SimulationResult:
             return 0.0
         return 1000.0 * self.l2_misses / self.instructions
 
-    @property
-    def flush_rate_pki(self) -> float:
-        """Execute-stage flushes per kilo-instruction."""
-        if not self.instructions:
-            return 0.0
-        return 1000.0 * self.execute_flushes / self.instructions
 
-    @property
-    def direction_mpki(self) -> float:
-        """Direction mispredictions per kilo-instruction."""
-        if not self.instructions:
-            return 0.0
-        return 1000.0 * self.direction_mispredictions / self.instructions
-
-    def to_dict(self) -> Dict[str, float]:
-        """Flatten the headline metrics for reporting."""
-        return {
-            "workload": self.workload,
-            "btb_style": self.btb_style,
-            "btb_storage_kib": self.btb_storage_kib,
-            "fdip": self.fdip_enabled,
-            "instructions": self.instructions,
-            "cycles": self.cycles,
-            "ipc": self.ipc,
-            "btb_mpki": self.btb_mpki,
-            "l1i_mpki": self.l1i_mpki,
-            "l2_mpki": self.l2_mpki,
-            "flush_pki": self.flush_rate_pki,
-            "direction_mpki": self.direction_mpki,
-        }
-
-
-#: Every field a run measures per tenant -> ``int`` (the aggregate casts its sum) or ``float``.
+#: Every field a run measures per tenant -> ``int`` or ``float``.
 MEASURED_FIELDS = {f.name: f.metadata["measured"] for f in fields(SimulationResult) if f.metadata}
-#: Every per-tenant event count -> the BPU counter it is drained from, or None.
-COUNTERS = {f.name: f.metadata["counter"] for f in fields(SimulationResult) if "counter" in f.metadata}
+#: How each measured field is produced: ``"charged"``, ``"drained"`` or ``"derived"``.
+PRODUCED = {f.name: f.metadata["produced"] for f in fields(SimulationResult) if f.metadata}
+#: Every drained field -> the BPU counter it is drained from.
+DRAINED = {f.name: f.metadata["bpu_stat"] for f in fields(SimulationResult) if f.metadata.get("bpu_stat")}
+
+
+def tenant_fields(account: Dict[str, float], core: CoreConfig) -> Dict[str, float]:
+    """Every measured field of one tenant: its account plus the derived fields.
+
+    Cycles follow interval analysis (Eyerman et al., "A Mechanistic
+    Performance Model for Superscalar Out-of-Order Processors", TOCS 2009).
+    Full cycle-accurate simulation of an out-of-order core is neither feasible
+    in pure Python at trace scale nor necessary for the paper's experiments,
+    which are dominated by front-end events.  A core with fetch width ``W``
+    retires ``N`` instructions in ``N / W`` cycles in the absence of
+    disruptions, and each disruptive event adds a penalty on top:
+
+    * an **execute-stage flush** (direction misprediction, wrong target, or a
+      BTB miss that decode could not fix) costs the pipeline refill depth;
+    * a **decode-stage resteer** (taken branch that missed in the BTB but
+      whose target was recovered at decode, Section VI-A) costs the shorter
+      fetch-to-decode depth;
+    * an **uncovered L1-I miss** stalls fetch for the residual latency FDIP
+      could not hide (charged as ``icache_stall_cycles``);
+    * a **PDede different-page lookup** adds one bubble cycle per taken
+      branch that needed the second BTB access cycle (Section VI-E, charged
+      as ``btb_extra_cycles``).
+
+    The defaults (17-cycle flush, 5-cycle resteer) approximate the
+    Sunny-Cove-like pipeline of Table II.  Every L1-I demand miss probes the
+    L2, so ``l2_accesses`` is ``l1i_misses``.
+    """
+    base = account["instructions"] / core.fetch_width
+    flush = float(core.execute_flush_penalty * account["execute_flushes"])
+    resteer = float(core.decode_resteer_penalty * account["decode_resteers"])
+    cycles = base + flush + resteer + account["icache_stall_cycles"] + account["btb_extra_cycles"]
+    return dict(
+        account,
+        cycles=cycles,
+        base_cycles=base,
+        flush_cycles=flush,
+        resteer_cycles=resteer,
+        l2_accesses=account["l1i_misses"],
+    )
 
 
 @dataclass
@@ -127,9 +145,12 @@ class ScenarioResult:
 
     ``aggregate`` covers the whole interleaved stream; ``per_tenant`` breaks
     the same counters down by tenant so consolidation effects (who pays for
-    the context switches?) are visible.  Tenant cycle counts attribute each
-    penalty to the tenant whose instruction incurred it, so the per-tenant
-    cycles sum exactly to the aggregate.
+    the context switches?) are visible.  Each penalty is charged to the tenant
+    whose instruction incurred it, and every measured field of the aggregate,
+    derived cycles included, is the sum of the tenants' in scheduling order.
+    Like :class:`SimulationResult` this is plain data: the experiment engine
+    serializes every field, and two runs agree exactly when their results are
+    ``==``.
     """
 
     scenario: str
@@ -167,32 +188,3 @@ class ScenarioResult:
     #: "lookup_latency_ns", "structures": {name: {...}}}``.  ``None`` when no
     #: energy model exists for the organization (ideal).
     energy: Dict[str, object] | None = None
-
-    @property
-    def tenant_names(self) -> list[str]:
-        """Tenants in scheduling order."""
-        return list(self.per_tenant)
-
-    def to_dict(self) -> Dict[str, object]:
-        """Flatten for reporting/serialization (headline metrics only).
-
-        Every scenario-level field of this class must appear here: the JSON
-        and CSV emitters (and the engine's cache payload) all feed off this
-        dict, so an omitted field silently vanishes from every report.  A
-        schema regression test (``test_to_dict_covers_every_field``) enforces
-        the invariant.
-        """
-        return {
-            "scenario": self.scenario,
-            "asid_mode": self.asid_mode,
-            "cache_mode": self.cache_mode,
-            "context_switches": self.context_switches,
-            "partition_sets": self.partition_sets,
-            "secondary_partition_sets": self.secondary_partition_sets,
-            "cache_partition_sets": self.cache_partition_sets,
-            "duplication": self.duplication,
-            "btb_access_counts": self.btb_access_counts,
-            "energy": self.energy,
-            "aggregate": self.aggregate.to_dict(),
-            "per_tenant": {name: result.to_dict() for name, result in self.per_tenant.items()},
-        }

@@ -10,8 +10,9 @@ instruction of a trace it
 2. models instruction fetch through the L1-I (one demand access per new cache
    block on the correct path) with FDIP hiding part of the miss latency based
    on the FTQ's run-ahead distance;
-3. charges the timing model with the appropriate penalty (execute flush,
-   decode resteer, residual L1-I stall, PDede extra lookup cycle);
+3. counts the events the interval model prices (execute flush, decode
+   resteer, residual L1-I stall, PDede extra lookup cycle), charged to the
+   tenant whose instruction incurred them;
 4. applies commit-time updates (direction predictor, RAS, BTB insertion for
    taken branches) -- these happen inside the BPU.
 
@@ -25,11 +26,17 @@ from __future__ import annotations
 from itertools import islice, repeat
 from typing import Iterable, Tuple
 
-from repro.common.config import BTBStyle, CoreConfig, MachineConfig, default_machine_config
+from repro.common.config import BTBStyle, MachineConfig, default_machine_config
 from repro.common.errors import SimulationError
 from repro.common.stats import Stats
-from repro.core.metrics import COUNTERS, MEASURED_FIELDS, ScenarioResult, SimulationResult
-from repro.core.timing import TimingModel
+from repro.core.metrics import (
+    DRAINED,
+    MEASURED_FIELDS,
+    PRODUCED,
+    ScenarioResult,
+    SimulationResult,
+    tenant_fields,
+)
 from repro.frontend.bpu import BranchPredictionUnit, PredictionOutcome
 from repro.frontend.fdip import FDIPPrefetcher
 from repro.frontend.ftq import FetchTargetQueue
@@ -45,121 +52,101 @@ _RESTEER = PredictionOutcome.DECODE_RESTEER
 _NOT_BRANCH = BranchType.NOT_BRANCH
 
 
-#: The counters the BPU keeps, drained per tenant: result field -> BPU stat.
-_DRAINED = tuple((name, stat) for name, stat in COUNTERS.items() if stat)
-
-
-class _TenantAccount:
-    """Measured-phase timing and event counts of one tenant (a single-trace run is one tenant)."""
-
-    __slots__ = ("timing", "counts")
-
-    def __init__(self, core: CoreConfig) -> None:
-        self.timing = TimingModel(core)
-        #: One count per :data:`~repro.core.metrics.COUNTERS` field.
-        self.counts = dict.fromkeys(COUNTERS, 0)
-
-    def charge(
-        self, retired: int, stall_cycles: float, btb_extra_cycles: int, **counts: int
-    ) -> None:
-        """Add the loop-local sums of a run of measured instructions.
-
-        The simulation loops count in locals and charge them here at the end
-        of a run (and at each tenant switch), each count named by its
-        :class:`SimulationResult` field.  Every term is an integer-valued
-        commutative sum, so one charge is bit-exact against per-instruction
-        timing calls.
-        """
-        timing = self.timing
-        timing.retire_instructions(retired)
-        timing.icache_stall(stall_cycles)
-        timing.btb_extra_cycle(btb_extra_cycles)
-        timing.execute_flush(counts["execute_flushes"])
-        timing.decode_resteer(counts["decode_resteers"])
-        mine = self.counts
-        for name, count in counts.items():
-            mine[name] += count
+#: A tenant's empty account: a zero of each charged and drained field's kind.
+_EMPTY_ACCOUNT = {
+    name: kind() for name, kind in MEASURED_FIELDS.items() if PRODUCED[name] != "derived"
+}
 
 
 class _Ledger:
     """The tenant accounts of one run, in scheduling order.
 
-    Both simulation loops keep one.  They charge their loop-local counts to
-    the current account; the ledger drains the BPU's counters
-    (:data:`_DRAINED`) into the account, as deltas read while measuring,
+    An account is one dict of a tenant's charged and drained
+    :class:`SimulationResult` fields (a single-trace run is one tenant).
+    Both simulation loops keep one ledger.  They charge their loop-local
+    counts to the current account; the ledger drains the BPU's counters
+    (:data:`~repro.core.metrics.DRAINED`) into the account, as deltas read while measuring,
     whenever the run leaves it and at the end.
     """
 
     def __init__(self, simulator: FrontEndSimulator) -> None:
         self.simulator = simulator
-        self.accounts: dict[str, _TenantAccount] = {}
-        self.current: _TenantAccount | None = None
+        self.accounts: dict[str, dict[str, float]] = {}
+        self.current: dict[str, float] | None = None
         self.context_switches = 0
         self._read_bpu = simulator.bpu.stats.get
         self._before = self._drained_now()
 
     def _drained_now(self) -> list[float]:
-        return [self._read_bpu(stat) for _, stat in _DRAINED]
+        return [self._read_bpu(stat) for stat in DRAINED.values()]
 
     def start_measuring(self) -> None:
         """The warmup/measurement boundary: counters restart from here."""
         self.simulator.btb.reset_stats()
         self._before = self._drained_now()
 
+    def charge(self, **counts: float) -> None:
+        """Add the loop-local sums of a run of measured instructions.
+
+        The simulation loops count in locals and charge them here, to the
+        current account, at the end of a run (and at each tenant switch), each
+        count named by its :class:`SimulationResult` field; a field the loops
+        do not charge is not in the account and raises :class:`KeyError`.
+        Every term is an integer-valued commutative sum, so one charge is
+        bit-exact against per-instruction accounting.
+        """
+        account = self.current
+        for name, count in counts.items():
+            account[name] += count
+
     def _drain(self) -> None:
         now = self._drained_now()
-        counts = self.current.counts
-        for (name, _), after, before in zip(_DRAINED, now, self._before):
-            counts[name] += int(after - before)
+        account = self.current
+        for name, after, before in zip(DRAINED, now, self._before):
+            account[name] += int(after - before)
         self._before = now
 
-    def enter(self, tenant: str, measuring: bool) -> _TenantAccount:
+    def enter(self, tenant: str, measuring: bool) -> None:
         """Make ``tenant``'s account current, draining into the one it leaves."""
         if measuring and self.current is not None:
             self._drain()
         account = self.accounts.get(tenant)
         if account is None:
-            account = self.accounts[tenant] = _TenantAccount(self.simulator.machine.core)
+            account = self.accounts[tenant] = dict(_EMPTY_ACCOUNT)
         self.current = account
-        return account
 
     def result(self, scenario_name: str, measuring: bool) -> ScenarioResult:
         """Drain into the last account and package the run's results.
 
-        Every measured field comes from the field list
-        (:data:`~repro.core.metrics.MEASURED_FIELDS`): a tenant's from its
-        timing model and counts, the aggregate's as the sum over tenants in
-        scheduling order.
+        A tenant's measured fields are its account plus the fields derived
+        from it (:func:`~repro.core.metrics.tenant_fields`); the aggregate's
+        are the sums over tenants in scheduling order, derived fields
+        included.
         """
         if measuring and self.current is not None:
             self._drain()
         machine = self.simulator.machine
         btb = self.simulator.btb
 
-        def package(workload: str, measured: dict, stats: Stats) -> SimulationResult:
+        def package(workload: str, measured: dict) -> SimulationResult:
             return SimulationResult(
                 workload=workload,
                 btb_style=btb.name,
                 btb_storage_kib=btb.storage_kib(),
                 fdip_enabled=machine.fdip.enabled,
-                stats=stats,
                 **measured,
             )
 
-        per_tenant = {}
-        for name, account in self.accounts.items():
-            timing = account.timing
-            breakdown = timing.finalize()
-            measured = dict(vars(breakdown), **account.counts)
-            measured.update(instructions=timing.instructions, cycles=breakdown.total)
-            per_tenant[name] = package(name, measured, Stats())
+        per_tenant = {
+            name: package(name, tenant_fields(account, machine.core))
+            for name, account in self.accounts.items()
+        }
 
         def total(name: str) -> float:
             value = sum(getattr(tenant, name) for tenant in per_tenant.values())
             return int(value) if MEASURED_FIELDS[name] is int else value
 
-        measured = {name: total(name) for name in MEASURED_FIELDS}
-        aggregate = package(scenario_name, measured, self.simulator.stats)
+        aggregate = package(scenario_name, {name: total(name) for name in MEASURED_FIELDS})
         cache_asid_mode = machine.cache_asid_mode
         return ScenarioResult(
             scenario=scenario_name,
@@ -255,7 +242,7 @@ class FrontEndSimulator:
         It stays fast in pure Python by binding methods at run start (not at
         construction, so instance-level instrumentation installed after the
         simulator is built is honoured), counting measured events in loop
-        locals charged through :meth:`_TenantAccount.charge`, and settling
+        locals charged through :meth:`_Ledger.charge`, and settling
         the most common instruction itself.  The loop probes the BTB for
         every PC; when the probe returns the shared miss
         (:data:`~repro.btb.base._MISS_RESULT`, tested by identity) and the
@@ -290,7 +277,6 @@ class FrontEndSimulator:
         width2 = 2 * self.machine.core.fetch_width
 
         ledger = _Ledger(self)
-        account: _TenantAccount | None = None
         current_asid: int | None = None
         current_tenant: str | None = None
 
@@ -328,20 +314,21 @@ class FrontEndSimulator:
                 current_asid = asid
                 current_tenant = None
             if tenant != current_tenant:
-                if account is not None:
-                    account.charge(
-                        retired, stall_sum, btb_extra, execute_flushes=flushes,
+                if ledger.current is not None:
+                    ledger.charge(
+                        instructions=retired, icache_stall_cycles=stall_sum,
+                        btb_extra_cycles=btb_extra, execute_flushes=flushes,
                         decode_resteers=resteers, branches=branches,
                         taken_branches=taken_branches, l1i_accesses=l1i_accesses,
                         l1i_misses=l1i_misses, l1i_misses_covered=covered_misses,
-                        l2_accesses=l1i_misses, l2_misses=l2_misses,
+                        l2_misses=l2_misses,
                     )
                     retired = flushes = resteers = btb_extra = 0
                     branches = taken_branches = 0
                     l1i_accesses = l1i_misses = l2_misses = covered_misses = 0
                     stall_sum = 0.0
                 current_tenant = tenant
-                account = ledger.enter(tenant, measuring)
+                ledger.enter(tenant, measuring)
 
             pc = instruction.pc
             found = lookup(pc)
@@ -391,12 +378,12 @@ class FrontEndSimulator:
                     if instruction.taken:
                         taken_branches += 1
 
-        if account is not None:
-            account.charge(
-                retired, stall_sum, btb_extra, execute_flushes=flushes,
-                decode_resteers=resteers, branches=branches, taken_branches=taken_branches,
-                l1i_accesses=l1i_accesses, l1i_misses=l1i_misses,
-                l1i_misses_covered=covered_misses, l2_accesses=l1i_misses, l2_misses=l2_misses,
+        if ledger.current is not None:
+            ledger.charge(
+                instructions=retired, icache_stall_cycles=stall_sum, btb_extra_cycles=btb_extra,
+                execute_flushes=flushes, decode_resteers=resteers, branches=branches,
+                taken_branches=taken_branches, l1i_accesses=l1i_accesses,
+                l1i_misses=l1i_misses, l1i_misses_covered=covered_misses, l2_misses=l2_misses,
             )
         return ledger.result(scenario_name, measuring)
 

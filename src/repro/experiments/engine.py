@@ -32,13 +32,12 @@ import tempfile
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, Iterator, List, Mapping, Sequence
 
 import repro
 from repro.common.config import ASIDMode, BTBStyle, default_machine_config, require_budget_kib
 from repro.common.errors import ConfigurationError
-from repro.common.stats import Stats
 from repro.obs import JsonlRecorder, get_recorder, use_recorder
 from repro.core.metrics import ScenarioResult, SimulationResult
 from repro.core.simulator import FrontEndSimulator
@@ -49,9 +48,6 @@ from repro.traces.trace import Trace
 #: Part of every job's config hash, frozen at 6 and never bumped again: cache
 #: entries go stale through :func:`source_digest` instead.
 CACHE_FORMAT_VERSION = 6
-
-#: SimulationResult fields carried through the payload (everything but stats).
-_RESULT_FIELDS = tuple(field.name for field in fields(SimulationResult) if field.name != "stats")
 
 
 def _hash_config(config: Mapping[str, object]) -> str:
@@ -229,14 +225,6 @@ def grid_jobs(
 # -- job execution (runs in the parent or in a worker process) ---------------
 
 
-def _result_to_payload(result: SimulationResult) -> Dict[str, object]:
-    return {name: getattr(result, name) for name in _RESULT_FIELDS}
-
-
-def _payload_to_result(payload: Mapping[str, object]) -> SimulationResult:
-    return SimulationResult(stats=Stats(), **{name: payload[name] for name in _RESULT_FIELDS})
-
-
 def _execute_scenario_job(job: ScenarioJob,
                           trace_store: TraceStore | None = None) -> Dict[str, object]:
     """Run one scenario cell and serialize aggregate + per-tenant results."""
@@ -253,23 +241,16 @@ def _execute_scenario_job(job: ScenarioJob,
         trace_store=trace_store,
         cache_mode=job.cache_asid_mode,
     )
-    scenario = {
-        field.name: getattr(scenario_result, field.name)
-        for field in fields(ScenarioResult)
-        if field.name != "aggregate"
-    }
-    scenario["per_tenant"] = {
-        name: _result_to_payload(result) for name, result in scenario_result.per_tenant.items()
-    }
-    return {"result": _result_to_payload(scenario_result.aggregate), "scenario": scenario}
+    scenario = asdict(scenario_result)
+    return {"result": scenario.pop("aggregate"), "scenario": scenario}
 
 
 def _payload_to_scenario(payload: Mapping[str, object]) -> ScenarioResult:
     scenario = dict(payload["scenario"])
     scenario["per_tenant"] = {
-        name: _payload_to_result(tenant) for name, tenant in scenario["per_tenant"].items()
+        name: SimulationResult(**tenant) for name, tenant in scenario["per_tenant"].items()
     }
-    return ScenarioResult(aggregate=_payload_to_result(payload["result"]), **scenario)
+    return ScenarioResult(aggregate=SimulationResult(**payload["result"]), **scenario)
 
 
 def execute_job(job: "EngineJob", trace: Trace | None = None,
@@ -307,7 +288,7 @@ def execute_job(job: "EngineJob", trace: Trace | None = None,
     # the scenario runner exports and BTBEnergyModel prices, so BTB-X's
     # companion traffic is priced identically whichever path computes Table V.
     return {
-        "result": _result_to_payload(result),
+        "result": asdict(result),
         "access_counts": simulator.btb.energy_access_counts(),
     }
 
@@ -337,7 +318,7 @@ def _worker_execute(
 
 def _payload_to_outcome(payload: Mapping[str, object]) -> JobOutcome:
     return JobOutcome(
-        result=_payload_to_result(payload["result"]),
+        result=SimulationResult(**payload["result"]),
         access_counts=payload.get("access_counts"),
         scenario=_payload_to_scenario(payload) if "scenario" in payload else None,
     )

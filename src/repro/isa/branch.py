@@ -12,8 +12,8 @@ differently:
   offset bits for them (Section V-A).
 
 Indirect branches (excluding returns) are modelled as unconditional branches
-whose target cannot be recovered at decode; they are tracked separately so the
-timing model can charge them the full execute-stage flush on a BTB miss.
+whose target cannot be recovered at decode; they are tracked separately so a
+BTB miss on one costs the full execute-stage flush.
 """
 
 from __future__ import annotations
@@ -51,11 +51,6 @@ class BranchType(enum.Enum):
     def is_call(self) -> bool:
         """True for direct and indirect calls (they push onto the RAS)."""
         return self in (BranchType.CALL, BranchType.INDIRECT_CALL)
-
-    @property
-    def is_return(self) -> bool:
-        """True for return instructions (target supplied by the RAS)."""
-        return self is BranchType.RETURN
 
     @property
     def target_from_ras(self) -> bool:

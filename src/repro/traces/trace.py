@@ -39,13 +39,6 @@ class TraceSummary:
             return 0.0
         return self.branch_count / self.instruction_count
 
-    @property
-    def taken_fraction(self) -> float:
-        """Taken branches as a fraction of all dynamic branches."""
-        if not self.branch_count:
-            return 0.0
-        return self.taken_branch_count / self.branch_count
-
 
 class Trace:
     """A named sequence of retired instructions plus metadata."""

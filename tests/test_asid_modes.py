@@ -24,7 +24,6 @@ from __future__ import annotations
 import pytest
 
 from repro.common.config import ASIDMode, BTBStyle
-from repro.experiments.engine import _result_to_payload
 from repro.experiments.runner import clear_trace_cache
 from repro.scenarios.presets import PRESET_NAMES, get_scenario
 from repro.scenarios.run import execute_scenario
@@ -70,13 +69,11 @@ def solo_variant(preset: str) -> ScenarioSpec:
 
 
 def result_fingerprint(result) -> dict:
-    """Everything comparable about a scenario result, payload-flattened."""
+    """Everything comparable about a scenario result across retention modes."""
     return {
         "context_switches": result.context_switches,
-        "aggregate": _result_to_payload(result.aggregate),
-        "per_tenant": {
-            name: _result_to_payload(tenant) for name, tenant in result.per_tenant.items()
-        },
+        "aggregate": result.aggregate,
+        "per_tenant": result.per_tenant,
         "duplication": result.duplication,
     }
 

@@ -27,6 +27,8 @@ scalar half of the equality is still enforced by the golden suite itself.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.btb.storage import make_btb_for_budget
@@ -147,27 +149,16 @@ PRESSURE_COUNTERS = ("evictions", "page_evictions", "pointer_invalidations")
 #: is covered by its other cells and by ``tests/test_btb_batch_plan.py``.
 PRESSURE_UNREACHABLE = {(BTBStyle.PDEDE, ASIDMode.FLUSH): ("pointer_invalidations",)}
 
-_RESULT_FIELDS = (
-    "cycles",
-    "instructions",
-    "branches",
-    "taken_branches",
-    "btb_misses_taken",
-    "l1i_misses",
-    "l2_misses",
-    "context_switches",
-)
-
-
-def _raw_stats(result, btb) -> dict:
-    """The raw statistics registry, headline result fields and BTB counter reports.
+def _raw_stats(simulator, result) -> dict:
+    """The simulator's raw statistics registry, every result field and the BTB's counter reports.
 
     BTB-X's report carries BTB-XC's accesses only; BTB-XC's own report (its
     hits, misses and evictions) is compared too, under ``btbxc.``.
     """
-    stats = dict(result.stats.counters())
-    for name in _RESULT_FIELDS:
-        stats[f"result.{name}"] = getattr(result, name, None)
+    btb = simulator.btb
+    stats = dict(simulator.stats.counters())
+    for name, value in asdict(result).items():
+        stats[f"result.{name}"] = value
     for prefix, structure in (("btb", btb), ("btbxc", getattr(btb, "companion", None))):
         for key, value in (structure.energy_access_counts() if structure else {}).items():
             stats[f"{prefix}.{key}"] = value
@@ -198,7 +189,9 @@ def _cell_stats(preset, style, mode, cache_mode, backend, budget_kib=GOLDEN_BUDG
         )
     (simulator,) = built
     assert result.btb_access_counts == simulator.btb.energy_access_counts()
-    return _raw_stats(result.aggregate, simulator.btb)
+    stats = _raw_stats(simulator, result.aggregate)
+    stats["scenario.context_switches"] = result.context_switches
+    return stats
 
 
 def _run_simulator(style, backend, budget_kib):
@@ -214,7 +207,7 @@ def _run_stats(style, backend, budget_kib, warmup=GOLDEN_WARMUP):
     """Raw stats of a single-trace ``run`` cell (same length as the golden cells)."""
     simulator, trace = _run_simulator(style, backend, budget_kib)
     result = simulator.run(trace, warmup_instructions=warmup)
-    return _raw_stats(result, simulator.btb)
+    return _raw_stats(simulator, result)
 
 
 def _assert_backends_agree(python: dict, numpy: dict) -> None:

@@ -224,4 +224,4 @@ class TestJobIdentity:
         second = ExperimentEngine(workers=1, cache_dir=tmp_path).run_job(job)
         assert second.scenario.cache_mode == "partitioned"
         assert second.scenario.cache_partition_sets == first.scenario.cache_partition_sets
-        assert second.scenario.to_dict() == first.scenario.to_dict()
+        assert second.scenario == first.scenario

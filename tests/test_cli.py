@@ -528,7 +528,7 @@ class TestRunAllResilience:
     @pytest.fixture
     def _failing_registry(self, monkeypatch):
         """A registry with one healthy experiment and one that raises."""
-        boom = types.ModuleType("tests_fake_boom")
+        boom = types.ModuleType("repro.experiments.boom")
         boom.__doc__ = "Always fails (test fixture)."
 
         def run(scale, engine=None):
@@ -538,14 +538,9 @@ class TestRunAllResilience:
             return "boom"
 
         boom.run, boom.format_report = run, format_report
-        monkeypatch.setitem(sys.modules, "tests_fake_boom", boom)
+        monkeypatch.setitem(sys.modules, "repro.experiments.boom", boom)
         monkeypatch.setattr(
-            "repro.cli.EXPERIMENTS",
-            {
-                "table3_storage": "repro.experiments.table3_storage",
-                "boom": "tests_fake_boom",
-                "table4_capacity": "repro.experiments.table4_capacity",
-            },
+            "repro.cli.EXPERIMENTS", ("table3_storage", "boom", "table4_capacity")
         )
 
     def test_run_all_continues_past_failures(self, _failing_registry):
@@ -574,10 +569,7 @@ class TestRunAllResilience:
         assert set(record["timings_s"]) == {"table3_storage", "boom", "table4_capacity"}
 
     def test_main_run_all_exits_0_when_all_ok(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(
-            "repro.cli.EXPERIMENTS",
-            {"table4_capacity": "repro.experiments.table4_capacity"},
-        )
+        monkeypatch.setattr("repro.cli.EXPERIMENTS", ("table4_capacity",))
         timings = tmp_path / "timings.json"
         assert main(["run-all", "--scale", "smoke", "--timings", str(timings)]) == 0
         record = json.loads(timings.read_text())
@@ -588,7 +580,7 @@ class TestRunAllResilience:
         self, monkeypatch, tmp_path
     ):
         """Drivers that simulate report instructions/sec; analytical ones report 0."""
-        tiny = types.ModuleType("tests_fake_tiny_sim")
+        tiny = types.ModuleType("repro.experiments.tiny_sim")
         tiny.__doc__ = "Simulates one tiny job (test fixture)."
 
         def run(scale, engine=None):
@@ -607,14 +599,8 @@ class TestRunAllResilience:
 
         tiny.run = run
         tiny.format_report = lambda result: "tiny"
-        monkeypatch.setitem(sys.modules, "tests_fake_tiny_sim", tiny)
-        monkeypatch.setattr(
-            "repro.cli.EXPERIMENTS",
-            {
-                "tiny_sim": "tests_fake_tiny_sim",
-                "table4_capacity": "repro.experiments.table4_capacity",
-            },
-        )
+        monkeypatch.setitem(sys.modules, "repro.experiments.tiny_sim", tiny)
+        monkeypatch.setattr("repro.cli.EXPERIMENTS", ("tiny_sim", "table4_capacity"))
         timings = tmp_path / "timings.json"
         assert main(["run-all", "--scale", "smoke", "--timings", str(timings)]) == 0
         record = json.loads(timings.read_text())

@@ -25,7 +25,6 @@ from repro.experiments.engine import (
     ExperimentEngine,
     ResultCache,
     SimJob,
-    _RESULT_FIELDS,
     get_active_engine,
     grid_jobs,
     set_active_engine,
@@ -59,10 +58,6 @@ def _small_jobs(styles=(BTBStyle.CONVENTIONAL, BTBStyle.BTBX), budgets=(0.90625,
         for style in styles
         for budget in budgets
     ]
-
-
-def _result_fields(outcome):
-    return {name: getattr(outcome.result, name) for name in _RESULT_FIELDS}
 
 
 class TestSimJob:
@@ -117,7 +112,7 @@ class TestDeterminism:
         serial = ExperimentEngine(workers=1).run_jobs(jobs)
         parallel = ExperimentEngine(workers=2).run_jobs(jobs)
         for left, right in zip(serial, parallel):
-            assert _result_fields(left) == _result_fields(right)
+            assert left.result == right.result
 
     def test_simulate_grid_matches_across_worker_counts(self):
         traces = evaluation_traces(SMOKE_SCALE, suites=("ipc1_client",))
@@ -129,7 +124,7 @@ class TestDeterminism:
         for trace in traces:
             left = serial[BTBStyle.BTBX][trace.name]
             right = parallel[BTBStyle.BTBX][trace.name]
-            assert left.to_dict() == right.to_dict()
+            assert left == right
 
     def test_access_counts_cross_process(self):
         job = _small_jobs()[0]
@@ -158,7 +153,7 @@ class TestResultCache:
             "instructions_simulated": 0,
         }
         for left, right in zip(warm_outcomes, cold_outcomes):
-            assert _result_fields(left) == _result_fields(right)
+            assert left.result == right.result
 
     def test_config_change_invalidates(self, tmp_path):
         job = _small_jobs()[0]
@@ -335,13 +330,7 @@ class TestCLI:
     def test_run_all_shares_the_engine(self, monkeypatch):
         # A two-driver registry keeps this an engine-sharing test, not a rerun
         # of every experiment at smoke scale.
-        monkeypatch.setattr(
-            "repro.cli.EXPERIMENTS",
-            {
-                "table3_storage": "repro.experiments.table3_storage",
-                "fig09_mpki": "repro.experiments.fig09_mpki",
-            },
-        )
+        monkeypatch.setattr("repro.cli.EXPERIMENTS", ("table3_storage", "fig09_mpki"))
         engine = ExperimentEngine(workers=1)
         summary = run_all("smoke", engine=engine)
         assert set(summary["results"]) == {"table3_storage", "fig09_mpki"}
@@ -349,10 +338,7 @@ class TestCLI:
         assert summary["total_s"] > 0
 
     def test_main_run_all_writes_timings(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(
-            "repro.cli.EXPERIMENTS",
-            {"table4_capacity": "repro.experiments.table4_capacity"},
-        )
+        monkeypatch.setattr("repro.cli.EXPERIMENTS", ("table4_capacity",))
         timings = tmp_path / "BENCH_run_all.json"
         exit_code = main(
             ["run-all", "--scale", "smoke", "--workers", "2", "--timings", str(timings)]

@@ -23,13 +23,13 @@ import hashlib
 import json
 import pathlib
 import sys
+from dataclasses import asdict
 
 import pytest
 
 from repro.btb.storage import make_btb_for_budget
 from repro.common.config import BTBStyle, default_machine_config
 from repro.core.simulator import FrontEndSimulator
-from repro.experiments.engine import _result_to_payload
 from repro.traces.batch import HAVE_NUMPY
 from repro.traces.store import default_store
 
@@ -75,7 +75,7 @@ def run_cell(style, budget_kib, max_instructions, backend) -> dict:
     )
     return {
         "result": _sha256(
-            {"payload": _result_to_payload(result), "btb": btb.energy_access_counts()}
+            {"payload": asdict(result), "btb": btb.energy_access_counts()}
         ),
         "stats": _sha256(simulator.stats.counters()),
     }

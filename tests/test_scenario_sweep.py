@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,6 @@ from repro.experiments.engine import (
     ExperimentEngine,
     ScenarioJob,
     SimJob,
-    _result_to_payload,
 )
 from repro.experiments.runner import clear_trace_cache
 from repro.experiments import scenario_study, scenario_sweep
@@ -191,8 +191,6 @@ class TestSweepEngineProperties:
                 budget_kib=14.5,
             )
         )
-        expected = _result_to_payload(plain.result)
-        expected.pop("workload")
         for mode in (ASIDMode.FLUSH, ASIDMode.TAGGED, ASIDMode.PARTITIONED):
             cell = engine.run_job(
                 ScenarioJob(
@@ -206,9 +204,8 @@ class TestSweepEngineProperties:
                 )
             )
             assert cell.scenario.context_switches == 0
-            actual = _result_to_payload(cell.scenario.aggregate)
-            actual.pop("workload")
-            assert actual == expected, f"solo sweep cell diverged under {mode.value}"
+            actual = replace(cell.scenario.aggregate, workload=plain.result.workload)
+            assert actual == plain.result, f"solo sweep cell diverged under {mode.value}"
 
     def test_repeated_presets_and_axis_values_are_deduplicated(self):
         engine = ExperimentEngine(workers=1)

@@ -10,8 +10,9 @@ disk-cacheable).
 
 from __future__ import annotations
 
+import json
 import threading
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 
 import pytest
 
@@ -26,8 +27,6 @@ from repro.btb.storage import make_btb_for_budget
 from repro.experiments.engine import (
     ExperimentEngine,
     ScenarioJob,
-    _RESULT_FIELDS,
-    _result_to_payload,
 )
 from repro.experiments.runner import clear_trace_cache
 from repro.isa.branch import BranchType
@@ -486,10 +485,7 @@ class TestRunScenario:
             solo = FrontEndSimulator(machine, btb=btb).run(trace, warmup_instructions=warmup)
 
             assert scenario.context_switches == 0
-            left = _result_to_payload(scenario.aggregate)
-            right = _result_to_payload(solo)
-            left.pop("workload"), right.pop("workload")
-            assert left == right
+            assert replace(scenario.aggregate, workload=solo.workload) == solo
 
     def test_flush_and_tagged_mpki_differ_measurably(self):
         """Acceptance: consolidated_server separates the two ASID modes."""
@@ -528,7 +524,7 @@ class TestRunScenario:
         )
         tenants = list(result.per_tenant.values())
         assert len(tenants) > 1 and result.context_switches > len(tenants)
-        identity = {"workload", "btb_style", "btb_storage_kib", "fdip_enabled", "stats"}
+        identity = {"workload", "btb_style", "btb_storage_kib", "fdip_enabled"}
         measured = [f.name for f in fields(SimulationResult) if f.name not in identity]
         for name in measured:
             expected = sum(getattr(t, name) for t in tenants)
@@ -656,12 +652,9 @@ class TestScenarioJobs:
         serial = ExperimentEngine(workers=1).run_jobs(jobs)
         parallel = ExperimentEngine(workers=2).run_jobs(jobs)
         for left, right in zip(serial, parallel):
-            assert _result_to_payload(left.result) == _result_to_payload(right.result)
+            assert left.result == right.result
             assert left.scenario is not None and right.scenario is not None
-            assert left.scenario.context_switches == right.scenario.context_switches
-            for name in left.scenario.per_tenant:
-                assert _result_to_payload(left.scenario.per_tenant[name]) == \
-                    _result_to_payload(right.scenario.per_tenant[name])
+            assert left.scenario == right.scenario
 
     def test_warm_cache_rerun_runs_zero_scenario_simulations(self, tmp_path):
         """Acceptance: a warm-cache rerun performs zero simulations."""
@@ -675,8 +668,8 @@ class TestScenarioJobs:
         assert second.stats()["executed"] == 0
         assert second.stats()["disk_hits"] == len(jobs)
         for left, right in zip(warm, cold):
-            assert _result_to_payload(left.result) == _result_to_payload(right.result)
-            assert left.scenario.to_dict() == right.scenario.to_dict()
+            assert left.result == right.result
+            assert left.scenario == right.scenario
 
     def test_scenario_study_driver(self):
         from repro.experiments import scenario_study
@@ -749,7 +742,7 @@ class TestScenarioJobs:
             _REGISTRY.pop("custom_pinned", None)
 
     def test_result_fields_stay_complete(self):
-        """Every SimulationResult field (minus stats) survives the payload."""
+        """Every SimulationResult field survives the disk cache's JSON payload."""
         outcome = ExperimentEngine(workers=1).run_job(self._job(instructions=6_000))
-        payload = _result_to_payload(outcome.result)
-        assert set(payload) == set(_RESULT_FIELDS)
+        payload = json.loads(json.dumps(asdict(outcome.result)))
+        assert SimulationResult(**payload) == outcome.result

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.config import ASIDMode, BTBStyle
 from repro.common.errors import ConfigurationError
 from repro.experiments.config import ExperimentScale
-from repro.experiments.engine import ExperimentEngine, ScenarioJob, _result_to_payload
+from repro.experiments.engine import ExperimentEngine, ScenarioJob
 from repro.experiments.runner import clear_trace_cache
 from repro.experiments import shared_footprint
 from repro.experiments.shared_footprint import shared_variant
@@ -42,6 +42,7 @@ from repro.scenarios.compose import (
     tenant_code_pages,
 )
 from repro.scenarios.presets import get_scenario
+from repro.scenarios.run import execute_scenario
 from repro.scenarios.spec import ScenarioSpec, TenantSpec
 from repro.traces.store import default_store
 
@@ -317,9 +318,9 @@ class TestRemapScheduleProperties:
         serial = ExperimentEngine(workers=1).run_jobs(jobs)
         parallel = ExperimentEngine(workers=2).run_jobs(jobs)
         for left, right in zip(serial, parallel):
-            assert _result_to_payload(left.result) == _result_to_payload(right.result)
+            assert left.result == right.result
             assert left.scenario.duplication == right.scenario.duplication
-            assert left.scenario.to_dict() == right.scenario.to_dict()
+            assert left.scenario == right.scenario
 
 
 class TestSpecValidation:
@@ -444,14 +445,9 @@ class TestSharedFootprintSweep:
 
 
 class TestResultSchema:
-    """Small-fix satellite: to_dict/payload must round-trip every new field."""
+    """The engine's payload must round-trip every result field."""
 
-    def test_to_dict_covers_every_field(self):
-        import dataclasses
-
-        from repro.core.metrics import ScenarioResult
-
-        field_names = {field.name for field in dataclasses.fields(ScenarioResult)}
+    def test_rehydrated_result_equals_a_live_run(self):
         job = ScenarioJob(
             scenario="shared_services",
             instructions=4_000,
@@ -460,25 +456,28 @@ class TestResultSchema:
             asid_mode=ASIDMode.PARTITIONED,
             budget_kib=14.5,
         )
-        outcome = ExperimentEngine(workers=1).run_job(job)
-        flattened = outcome.scenario.to_dict()
-        assert field_names <= set(flattened), (
-            "ScenarioResult.to_dict() dropped fields: "
-            f"{sorted(field_names - set(flattened))}"
+        scenario = ExperimentEngine(workers=1).run_job(job).scenario
+        live = execute_scenario(
+            job.spec,
+            style=job.style,
+            asid_mode=job.asid_mode,
+            budget_kib=job.budget_kib,
+            instructions=job.instructions,
+            warmup_instructions=job.warmup_instructions,
+            fdip_enabled=job.fdip_enabled,
+            cache_mode=job.cache_asid_mode,
         )
-        assert flattened["duplication"] is not None
-        assert flattened["secondary_partition_sets"] is not None
-        assert flattened["partition_sets"] is not None
+        assert scenario == live
+        assert scenario.duplication is not None
+        assert scenario.secondary_partition_sets is not None
+        assert scenario.partition_sets is not None
         # Scenario-aware energy accounting: the BTB's access counters and
         # their Table V evaluation must ride along on every scenario cell.
-        assert flattened["btb_access_counts"], "BTB access counters missing"
-        assert flattened["btb_access_counts"]["reads.total"] > 0
-        assert flattened["energy"] is not None
-        assert flattened["energy"]["total_energy_uj"] > 0
-        assert set(flattened["energy"]["structures"]) >= {"main", "page"}
-        # Per-tenant cache metrics: every tenant row carries l2_mpki.
-        for tenant_payload in flattened["per_tenant"].values():
-            assert "l2_mpki" in tenant_payload
+        assert scenario.btb_access_counts, "BTB access counters missing"
+        assert scenario.btb_access_counts["reads.total"] > 0
+        assert scenario.energy is not None
+        assert scenario.energy["total_energy_uj"] > 0
+        assert set(scenario.energy["structures"]) >= {"main", "page"}
 
     def test_payload_round_trips_new_counters(self, tmp_path):
         job = ScenarioJob(
@@ -498,4 +497,4 @@ class TestResultSchema:
         )
         assert second.scenario.btb_access_counts == first.scenario.btb_access_counts
         assert second.scenario.energy == first.scenario.energy
-        assert second.scenario.to_dict() == first.scenario.to_dict()
+        assert second.scenario == first.scenario

@@ -1,15 +1,14 @@
-"""Integration tests for the front-end simulator and timing model."""
+"""Integration tests for the front-end simulator and the cycles derived from its counts."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.common.config import BTBStyle, CoreConfig, default_machine_config
-from repro.core.simulator import FrontEndSimulator, simulate_trace
-from repro.core.timing import TimingModel
+from repro.core.metrics import DRAINED, MEASURED_FIELDS, PRODUCED, tenant_fields
+from repro.core.simulator import _EMPTY_ACCOUNT, FrontEndSimulator, _Ledger, simulate_trace
 from repro.btb.ideal import IdealBTB
 from repro.btb.storage import make_btb_for_budget
-from repro.experiments.engine import _result_to_payload
 from repro.scenarios.run import execute_scenario
 from repro.scenarios.spec import ScenarioSpec, TenantSpec
 from repro.traces.batch import HAVE_NUMPY
@@ -23,33 +22,57 @@ BACKENDS = (
 )
 
 
-class TestTimingModel:
+def _account(**counts):
+    return dict(_EMPTY_ACCOUNT, **counts)
+
+
+class TestCycleDerivation:
     def test_base_cycles_from_fetch_width(self):
-        timing = TimingModel(CoreConfig(fetch_width=6))
-        timing.retire_instructions(600)
-        assert timing.finalize().base_cycles == 100
+        derived = tenant_fields(_account(instructions=600), CoreConfig(fetch_width=6))
+        assert derived["base_cycles"] == 100
+        assert derived["cycles"] == 100
 
-    def test_penalties_accumulate(self):
+    def test_penalties_add_to_the_base(self):
         core = CoreConfig()
-        timing = TimingModel(core)
-        timing.retire_instructions(60)
-        timing.execute_flush()
-        timing.decode_resteer()
-        timing.icache_stall(12)
-        timing.btb_extra_cycle()
-        breakdown = timing.finalize()
-        assert breakdown.flush_cycles == core.execute_flush_penalty
-        assert breakdown.resteer_cycles == core.decode_resteer_penalty
-        assert breakdown.icache_stall_cycles == 12
-        assert breakdown.btb_extra_cycles == 1
-        assert breakdown.total == pytest.approx(
-            10 + core.execute_flush_penalty + core.decode_resteer_penalty + 12 + 1
+        derived = tenant_fields(
+            _account(
+                instructions=60, execute_flushes=2, decode_resteers=3,
+                icache_stall_cycles=12.0, btb_extra_cycles=1.0,
+            ),
+            core,
         )
+        assert derived["flush_cycles"] == 2 * core.execute_flush_penalty
+        assert derived["resteer_cycles"] == 3 * core.decode_resteer_penalty
+        assert derived["cycles"] == (
+            10 + 2 * core.execute_flush_penalty + 3 * core.decode_resteer_penalty + 12 + 1
+        )
+        for name in ("cycles", "base_cycles", "flush_cycles", "resteer_cycles"):
+            assert type(derived[name]) is float, name
 
-    def test_negative_stall_ignored(self):
-        timing = TimingModel(CoreConfig())
-        timing.icache_stall(-5)
-        assert timing.finalize().icache_stall_cycles == 0
+    def test_a_tenant_without_stalls_reports_float_zeros(self):
+        derived = tenant_fields(_account(), CoreConfig())
+        for name, kind in MEASURED_FIELDS.items():
+            assert derived[name] == 0 and type(derived[name]) is kind, name
+
+    def test_every_l1i_demand_miss_is_an_l2_access(self):
+        derived = tenant_fields(_account(l1i_misses=7, l2_misses=2), CoreConfig())
+        assert derived["l2_accesses"] == 7
+
+    def test_every_measured_field_is_produced_exactly_one_way(self):
+        kinds = {"charged", "drained", "derived"}
+        by_kind = {kind: {n for n, p in PRODUCED.items() if p == kind} for kind in kinds}
+        assert set(PRODUCED) == set(MEASURED_FIELDS)
+        assert set(PRODUCED.values()) == kinds
+        assert sum(len(names) for names in by_kind.values()) == len(MEASURED_FIELDS)
+        assert set(DRAINED) == by_kind["drained"]
+        assert set(_EMPTY_ACCOUNT) == by_kind["charged"] | by_kind["drained"]
+        assert set(tenant_fields(_account(), CoreConfig())) == set(MEASURED_FIELDS)
+        # A derived field is not in the account, so a loop cannot charge it.
+        ledger = _Ledger(FrontEndSimulator())
+        ledger.enter("tenant", measuring=True)
+        ledger.charge(instructions=1)
+        with pytest.raises(KeyError):
+            ledger.charge(l2_accesses=1)
 
 
 class TestSimulatorBasics:
@@ -92,14 +115,7 @@ class TestSimulatorBasics:
     def test_results_deterministic(self, small_client_trace):
         first = simulate_trace(small_client_trace, btb_style=BTBStyle.BTBX)
         second = simulate_trace(small_client_trace, btb_style=BTBStyle.BTBX)
-        assert first.cycles == second.cycles
-        assert first.btb_misses_taken == second.btb_misses_taken
-
-    def test_to_dict_headline_metrics(self, small_client_trace):
-        result = simulate_trace(small_client_trace, btb_style=BTBStyle.CONVENTIONAL)
-        row = result.to_dict()
-        assert row["workload"] == small_client_trace.name
-        assert row["btb_mpki"] == pytest.approx(result.btb_mpki)
+        assert first == second
 
 
 class TestPaperShapes:
@@ -192,12 +208,11 @@ class TestRunIsAOneTenantScenario:
     """``run`` is the one-tenant scenario of the machine's backend."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_result_is_named_after_the_trace_and_carries_the_simulator_stats(self, backend):
+    def test_result_is_named_after_the_trace(self, backend):
         trace = default_store().get("server_001", 4_000)
         simulator = FrontEndSimulator(default_machine_config(isa=trace.isa, backend=backend))
         result = simulator.run(trace, warmup_instructions=1_000)
         assert result.workload == trace.name
-        assert result.stats is simulator.stats
         assert result.instructions == 3_000
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -209,4 +224,4 @@ class TestRunIsAOneTenantScenario:
         )
         uncapped = FrontEndSimulator(machine).run(trace, warmup_instructions=1_000)
         assert capped.instructions == 3_000
-        assert _result_to_payload(capped) == _result_to_payload(uncapped)
+        assert capped == uncapped
