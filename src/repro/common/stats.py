@@ -6,7 +6,7 @@ dependency-free registry with:
 
 * integer counters (``inc``) and floating accumulators (``add``), read back
   with ``get`` or all at once with ``counters``,
-* prefixed views via :class:`StatGroup` (``stats.group("bpu")``), one per
+* prefixed views via :class:`StatGroup` (``stats.group("memory")``), one per
   simulated structure.
 """
 

@@ -29,12 +29,14 @@ and tag), and the Section VI-A resolution rules and commit-time training of
 :class:`~repro.frontend.bpu.BranchPredictionUnit` are applied inline, the
 direction predictor going through the piece's commit plan
 (:mod:`repro.predictor.batch`).  Allocations stay the organizations' own
-``update``.  The engine is bit-exact against the oracle loop -- enforced
-cell-for-cell, over the full raw statistics, by the differential backend
-suite.  Demand fetches of a chunk are pre-executed front-to-back
-(:meth:`repro.memory.hierarchy.MemoryHierarchy.fetch_batch`, which settles
-L1-I hits in bulk); that is exact because nothing else mutates the hierarchy
-within a chunk and nothing between them reads it.
+``update``.  Like the scalar loop, the engine charges every measured count
+itself, the taken BTB misses and mispredictions included.  It is bit-exact
+against the oracle loop -- enforced cell-for-cell, over every result field,
+the BTB's access reports and the predictor, cache and memory counters, by the
+differential backend suite.  Demand fetches of a chunk are pre-executed
+front-to-back (:meth:`repro.memory.hierarchy.MemoryHierarchy.fetch_batch`,
+which settles L1-I hits in bulk); that is exact because nothing else mutates
+the hierarchy within a chunk and nothing between them reads it.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def run_scenario_batched(
     for chunk in chunks:
         engine.process_chunk(chunk)
     engine.emit_metrics()
-    return engine.ledger.result(scenario_name, engine.measuring)
+    return engine.ledger.result(scenario_name)
 
 
 class _BatchEngine:
@@ -214,7 +216,7 @@ class _BatchEngine:
             self.current_tenant = None
         if chunk.tenant != self.current_tenant:
             self.current_tenant = chunk.tenant
-            self.ledger.enter(chunk.tenant, self.measuring)
+            self.ledger.enter(chunk.tenant)
 
     # -- instruction walks -------------------------------------------------
 
@@ -241,9 +243,9 @@ class _BatchEngine:
         the piece's commit plan (the live predictor only for a false hit
         that merely identifies as conditional), calls
         push and returns pop the RAS, and taken branches train the BTB.  No
-        prediction record is built, and the BPU's resolution counters are
-        summed in locals and added once per piece -- only the piece
-        boundaries (the warmup flip and the misprediction drain) read them.
+        prediction record is built: the taken BTB misses and the direction
+        and target mispredictions are summed in locals and charged with the
+        piece's other counts.
         """
         n = stop - start
         guaranteed_miss = plan.guaranteed_miss
@@ -295,18 +297,14 @@ class _BatchEngine:
         resteers = 0
         btb_extra = 0
         btb_miss_taken = 0
-        false_hits = 0
         direction_mispredictions = 0
         target_mispredictions = 0
         covered_cnt = 0
         # The FTQ's occupancy lives in a local for the piece; it is written
-        # back before every coverage read and at the end, and its flush
-        # statistics are added once.
+        # back before every coverage read and at the end.
         ftq = self.ftq
         cap = ftq.capacity
         occ = ftq.occupancy
-        ftq_flushes = 0
-        ftq_flushed = 0
         width2 = 2 * self.core.fetch_width
 
         cursor = 0
@@ -350,7 +348,6 @@ class _BatchEngine:
                     # breaks the stream until decode if predicted taken.
                     if not predicted:
                         continue
-                    false_hits += 1
                     resteers += 1
                     stream_break = True
                 elif predicted != actually_taken:
@@ -402,9 +399,7 @@ class _BatchEngine:
                 elif branch_type is _RETURN:
                     ras.pop()
                 btb_update(instruction)
-            if stream_break and occ:
-                ftq_flushes += 1
-                ftq_flushed += occ
+            if stream_break:
                 occ = 0
             if extra and occ < width2:
                 btb_extra += extra
@@ -419,18 +414,6 @@ class _BatchEngine:
             next_head = miss_heads[head_ptr]
         occ += n - cursor
         ftq.occupancy = occ if occ < cap else cap
-        if ftq_flushes:
-            ftq.stats.inc("flushes", ftq_flushes)
-            ftq.stats.inc("flushed_entries", ftq_flushed)
-        bpu_stats = bpu.stats
-        if btb_miss_taken:
-            bpu_stats.inc("btb_miss_taken", btb_miss_taken)
-        if false_hits:
-            bpu_stats.inc("false_hits", false_hits)
-        if direction_mispredictions:
-            bpu_stats.inc("direction_mispredictions", direction_mispredictions)
-        if target_mispredictions:
-            bpu_stats.inc("target_mispredictions", target_mispredictions)
         skipped_probes = fast_total + int(np.count_nonzero(bf_mask))
         if skipped_probes:
             self.btb.note_skipped_miss_lookups(skipped_probes)
@@ -439,6 +422,9 @@ class _BatchEngine:
             self.ledger.charge(
                 instructions=n, icache_stall_cycles=stall_sum, btb_extra_cycles=btb_extra,
                 execute_flushes=flushes, decode_resteers=resteers,
+                btb_misses_taken=btb_miss_taken,
+                direction_mispredictions=direction_mispredictions,
+                target_mispredictions=target_mispredictions,
                 branches=int(np.count_nonzero(is_branch)),
                 taken_branches=int(np.count_nonzero(is_branch & taken)),
                 l1i_accesses=len(nb_positions), l1i_misses=len(miss_results),

@@ -5,8 +5,6 @@ every measured field declares how a run produces it.
 
 * ``charged`` -- the simulation loops count it in locals and charge it, by
   field name, to the account of the tenant whose instruction incurred it;
-* ``drained`` -- the branch prediction unit counts it; the run drains its
-  measured deltas into the current account at tenant boundaries;
 * ``derived`` -- packaging computes it from the tenant's other fields and the
   :class:`~repro.common.config.CoreConfig` (:func:`tenant_fields`).
 
@@ -21,14 +19,13 @@ from typing import Dict
 from repro.common.config import CoreConfig
 
 
-def _measured(produced: str, kind: type = int, bpu_stat: str | None = None):
+def _measured(produced: str, kind: type = int):
     """A field a run measures per tenant.
 
-    ``kind`` is ``int`` or ``float``: the aggregate casts its sum to it, and a
-    charged count starts at ``kind()``.  ``bpu_stat`` names the BPU counter a
-    drained field is drained from.
+    ``kind`` is ``int`` or ``float``: a charged count and the aggregate's sum
+    start at ``kind()``.
     """
-    return field(metadata={"measured": kind, "produced": produced, "bpu_stat": bpu_stat})
+    return field(metadata={"measured": kind, "produced": produced})
 
 
 @dataclass
@@ -46,11 +43,11 @@ class SimulationResult:
     resteer_cycles: float = _measured("derived", float)
     icache_stall_cycles: float = _measured("charged", float)
     btb_extra_cycles: float = _measured("charged", float)
-    btb_misses_taken: int = _measured("drained", bpu_stat="btb_miss_taken")
+    btb_misses_taken: int = _measured("charged")
     decode_resteers: int = _measured("charged")
     execute_flushes: int = _measured("charged")
-    direction_mispredictions: int = _measured("drained", bpu_stat="direction_mispredictions")
-    target_mispredictions: int = _measured("drained", bpu_stat="target_mispredictions")
+    direction_mispredictions: int = _measured("charged")
+    target_mispredictions: int = _measured("charged")
     taken_branches: int = _measured("charged")
     branches: int = _measured("charged")
     l1i_accesses: int = _measured("charged")
@@ -93,10 +90,8 @@ class SimulationResult:
 
 #: Every field a run measures per tenant -> ``int`` or ``float``.
 MEASURED_FIELDS = {f.name: f.metadata["measured"] for f in fields(SimulationResult) if f.metadata}
-#: How each measured field is produced: ``"charged"``, ``"drained"`` or ``"derived"``.
+#: How each measured field is produced: ``"charged"`` or ``"derived"``.
 PRODUCED = {f.name: f.metadata["produced"] for f in fields(SimulationResult) if f.metadata}
-#: Every drained field -> the BPU counter it is drained from.
-DRAINED = {f.name: f.metadata["bpu_stat"] for f in fields(SimulationResult) if f.metadata.get("bpu_stat")}
 
 
 def tenant_fields(account: Dict[str, float], core: CoreConfig) -> Dict[str, float]:

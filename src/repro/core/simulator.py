@@ -11,8 +11,9 @@ instruction of a trace it
    block on the correct path) with FDIP hiding part of the miss latency based
    on the FTQ's run-ahead distance;
 3. counts the events the interval model prices (execute flush, decode
-   resteer, residual L1-I stall, PDede extra lookup cycle), charged to the
-   tenant whose instruction incurred them;
+   resteer, residual L1-I stall, PDede extra lookup cycle) and the taken BTB
+   misses and mispredictions behind them, charged to the tenant whose
+   instruction incurred them;
 4. applies commit-time updates (direction predictor, RAS, BTB insertion for
    taken branches) -- these happen inside the BPU.
 
@@ -30,7 +31,6 @@ from repro.common.config import BTBStyle, MachineConfig, default_machine_config
 from repro.common.errors import SimulationError
 from repro.common.stats import Stats
 from repro.core.metrics import (
-    DRAINED,
     MEASURED_FIELDS,
     PRODUCED,
     ScenarioResult,
@@ -52,21 +52,18 @@ _RESTEER = PredictionOutcome.DECODE_RESTEER
 _NOT_BRANCH = BranchType.NOT_BRANCH
 
 
-#: A tenant's empty account: a zero of each charged and drained field's kind.
+#: A tenant's empty account: a zero of each charged field's kind.
 _EMPTY_ACCOUNT = {
-    name: kind() for name, kind in MEASURED_FIELDS.items() if PRODUCED[name] != "derived"
+    name: kind() for name, kind in MEASURED_FIELDS.items() if PRODUCED[name] == "charged"
 }
 
 
 class _Ledger:
     """The tenant accounts of one run, in scheduling order.
 
-    An account is one dict of a tenant's charged and drained
-    :class:`SimulationResult` fields (a single-trace run is one tenant).
-    Both simulation loops keep one ledger.  They charge their loop-local
-    counts to the current account; the ledger drains the BPU's counters
-    (:data:`~repro.core.metrics.DRAINED`) into the account, as deltas read while measuring,
-    whenever the run leaves it and at the end.
+    An account is one dict of a tenant's charged :class:`SimulationResult`
+    fields (a single-trace run is one tenant).  Both simulation loops keep
+    one ledger and charge their loop-local counts to the current account.
     """
 
     def __init__(self, simulator: FrontEndSimulator) -> None:
@@ -74,16 +71,10 @@ class _Ledger:
         self.accounts: dict[str, dict[str, float]] = {}
         self.current: dict[str, float] | None = None
         self.context_switches = 0
-        self._read_bpu = simulator.bpu.stats.get
-        self._before = self._drained_now()
-
-    def _drained_now(self) -> list[float]:
-        return [self._read_bpu(stat) for stat in DRAINED.values()]
 
     def start_measuring(self) -> None:
-        """The warmup/measurement boundary: counters restart from here."""
+        """The warmup/measurement boundary: the BTB's counters restart from here."""
         self.simulator.btb.reset_stats()
-        self._before = self._drained_now()
 
     def charge(self, **counts: float) -> None:
         """Add the loop-local sums of a run of measured instructions.
@@ -99,32 +90,21 @@ class _Ledger:
         for name, count in counts.items():
             account[name] += count
 
-    def _drain(self) -> None:
-        now = self._drained_now()
-        account = self.current
-        for name, after, before in zip(DRAINED, now, self._before):
-            account[name] += int(after - before)
-        self._before = now
-
-    def enter(self, tenant: str, measuring: bool) -> None:
-        """Make ``tenant``'s account current, draining into the one it leaves."""
-        if measuring and self.current is not None:
-            self._drain()
+    def enter(self, tenant: str) -> None:
+        """Make ``tenant``'s account current."""
         account = self.accounts.get(tenant)
         if account is None:
             account = self.accounts[tenant] = dict(_EMPTY_ACCOUNT)
         self.current = account
 
-    def result(self, scenario_name: str, measuring: bool) -> ScenarioResult:
-        """Drain into the last account and package the run's results.
+    def result(self, scenario_name: str) -> ScenarioResult:
+        """Package the run's results.
 
         A tenant's measured fields are its account plus the fields derived
         from it (:func:`~repro.core.metrics.tenant_fields`); the aggregate's
         are the sums over tenants in scheduling order, derived fields
-        included.
+        included, each started at a zero of the field's kind.
         """
-        if measuring and self.current is not None:
-            self._drain()
         machine = self.simulator.machine
         btb = self.simulator.btb
 
@@ -142,11 +122,13 @@ class _Ledger:
             for name, account in self.accounts.items()
         }
 
-        def total(name: str) -> float:
-            value = sum(getattr(tenant, name) for tenant in per_tenant.values())
-            return int(value) if MEASURED_FIELDS[name] is int else value
-
-        aggregate = package(scenario_name, {name: total(name) for name in MEASURED_FIELDS})
+        aggregate = package(
+            scenario_name,
+            {
+                name: sum((getattr(tenant, name) for tenant in per_tenant.values()), kind())
+                for name, kind in MEASURED_FIELDS.items()
+            },
+        )
         cache_asid_mode = machine.cache_asid_mode
         return ScenarioResult(
             scenario=scenario_name,
@@ -180,8 +162,8 @@ class FrontEndSimulator:
         self.btb = btb
         self.bpu = BranchPredictionUnit(self.btb, self.machine, self.stats)
         self.hierarchy = MemoryHierarchy(self.machine, self.stats)
-        self.ftq = FetchTargetQueue(self.machine.fdip.ftq_instructions, self.stats)
-        self.fdip = FDIPPrefetcher(self.machine, self.ftq, self.stats)
+        self.ftq = FetchTargetQueue(self.machine.fdip.ftq_instructions)
+        self.fdip = FDIPPrefetcher(self.machine, self.ftq)
 
     # -- simulation --------------------------------------------------------------
 
@@ -256,12 +238,14 @@ class FrontEndSimulator:
         still resolves correctly.  Events are attributed to the tenant whose
         instruction incurred them, through one :class:`_Ledger` per run that
         both simulation loops share: the loop-local counts are charged to
-        the current tenant's account at every tenant switch and at the end,
-        and the counters the BPU keeps (BTB misses of taken branches,
-        direction and target mispredictions) are drained from its
-        statistics as measured deltas at the same points (they are cheap to
-        read there and switches are rare relative to instructions).  A
-        stream that ends inside its warmup measures nothing.
+        the current tenant's account at every tenant switch and at the end.
+        The paper's BTB misses and the direction and target mispredictions
+        are read off the prediction record of a flush or resteer: an
+        unidentified one is a taken branch the BTB missed, and an identified
+        flush is a direction misprediction when the predicted direction was
+        wrong and a target misprediction otherwise (an identified resteer is
+        a false hit, which no result reports).  A stream that ends inside
+        its warmup measures nothing.
         """
         if warmup_instructions < 0:
             raise SimulationError("warmup length cannot be negative")
@@ -285,6 +269,7 @@ class FrontEndSimulator:
         retired = 0
         stall_sum = 0.0
         flushes = resteers = btb_extra = 0
+        btb_misses = direction_misses = target_misses = 0
         branches = taken_branches = 0
         l1i_accesses = l1i_misses = l2_misses = covered_misses = 0
 
@@ -318,17 +303,20 @@ class FrontEndSimulator:
                     ledger.charge(
                         instructions=retired, icache_stall_cycles=stall_sum,
                         btb_extra_cycles=btb_extra, execute_flushes=flushes,
-                        decode_resteers=resteers, branches=branches,
+                        decode_resteers=resteers, btb_misses_taken=btb_misses,
+                        direction_mispredictions=direction_misses,
+                        target_mispredictions=target_misses, branches=branches,
                         taken_branches=taken_branches, l1i_accesses=l1i_accesses,
                         l1i_misses=l1i_misses, l1i_misses_covered=covered_misses,
                         l2_misses=l2_misses,
                     )
                     retired = flushes = resteers = btb_extra = 0
+                    btb_misses = direction_misses = target_misses = 0
                     branches = taken_branches = 0
                     l1i_accesses = l1i_misses = l2_misses = covered_misses = 0
                     stall_sum = 0.0
                 current_tenant = tenant
-                ledger.enter(tenant, measuring)
+                ledger.enter(tenant)
 
             pc = instruction.pc
             found = lookup(pc)
@@ -371,8 +359,16 @@ class FrontEndSimulator:
                 outcome = prediction.outcome
                 if outcome is _FLUSH:
                     flushes += 1
+                    if not prediction.identified_branch:
+                        btb_misses += 1
+                    elif prediction.predicted_taken != instruction.taken:
+                        direction_misses += 1
+                    else:
+                        target_misses += 1
                 elif outcome is _RESTEER:
                     resteers += 1
+                    if not prediction.identified_branch:
+                        btb_misses += 1
                 if instruction.branch_type is not _NOT_BRANCH:
                     branches += 1
                     if instruction.taken:
@@ -381,11 +377,12 @@ class FrontEndSimulator:
         if ledger.current is not None:
             ledger.charge(
                 instructions=retired, icache_stall_cycles=stall_sum, btb_extra_cycles=btb_extra,
-                execute_flushes=flushes, decode_resteers=resteers, branches=branches,
-                taken_branches=taken_branches, l1i_accesses=l1i_accesses,
+                execute_flushes=flushes, decode_resteers=resteers, btb_misses_taken=btb_misses,
+                direction_mispredictions=direction_misses, target_mispredictions=target_misses,
+                branches=branches, taken_branches=taken_branches, l1i_accesses=l1i_accesses,
                 l1i_misses=l1i_misses, l1i_misses_covered=covered_misses, l2_misses=l2_misses,
             )
-        return ledger.result(scenario_name, measuring)
+        return ledger.result(scenario_name)
 
     def run_scenario_batches(
         self,

@@ -28,7 +28,11 @@ its own, so :meth:`BranchPredictionUnit.process` sees only branches and
 false hits, together with their lookup result.  The batched backend
 (:mod:`repro.core.batch`) applies the same rules inline in its walk, without
 building a :class:`FrontEndPrediction`; the oracle-differential suite holds
-the two to identical raw statistics.
+the two to identical results.
+
+The BPU keeps no counters: a loop reads each measured event (a taken branch
+the BTB missed, a direction or target misprediction) off the returned
+record's ``identified_branch``, ``predicted_taken`` and ``outcome``.
 """
 
 from __future__ import annotations
@@ -108,14 +112,11 @@ class BranchPredictionUnit:
         config: MachineConfig,
         stats: Stats | None = None,
     ) -> None:
-        self._stats_registry = stats if stats is not None else Stats()
-        self.stats = self._stats_registry.group("bpu")
+        """``stats`` is the registry the direction predictor counts in."""
         self.btb = btb
         self.config = config
-        self.direction_predictor = make_direction_predictor(
-            config.branch_predictor, self._stats_registry
-        )
-        self.ras = ReturnAddressStack(config.branch_predictor.ras_entries, self._stats_registry)
+        self.direction_predictor = make_direction_predictor(config.branch_predictor, stats)
+        self.ras = ReturnAddressStack(config.branch_predictor.ras_entries)
         # Context-switch state: the currently scheduled ASID and, under tagged
         # retention, the saved RAS contents of descheduled address spaces
         # (the RAS is positional, not tag-matched, so retention means
@@ -140,7 +141,6 @@ class BranchPredictionUnit:
         """
         if asid == self.active_asid:
             return
-        self.stats.inc("context_switches")
         if retains_across_switch(self.config.asid_mode):
             self.ras.restore(
                 self._ras_checkpoints.swap(self.active_asid, asid, self.ras.snapshot())
@@ -196,9 +196,7 @@ class BranchPredictionUnit:
             # (a taken conditional branch that decode might resteer).
             if not is_branch or not actually_taken:
                 return SEQUENTIAL
-            # The events of the paper's BTB MPKI, drained per tenant into
-            # ``SimulationResult.btb_misses_taken``.
-            self.stats.inc("btb_miss_taken")
+            # The events of the paper's BTB MPKI: every record from here on.
             branch_type = instruction.branch_type
             if branch_type is _UNCONDITIONAL or branch_type is _CALL:
                 outcome = _RESTEER
@@ -228,7 +226,6 @@ class BranchPredictionUnit:
             # A false BTB hit (partial-tag aliasing) on a non-branch: if it is
             # predicted taken the fetch stream is broken until decode notices.
             if predicted_taken:
-                self.stats.inc("false_hits")
                 return FrontEndPrediction(
                     True, predicted_taken, predicted_target, _RESTEER, extra_cycles, True
                 )
@@ -237,12 +234,10 @@ class BranchPredictionUnit:
             )
 
         if predicted_taken != actually_taken:
-            self.stats.inc("direction_mispredictions")
             outcome = _FLUSH
             stream_break = True
         elif actually_taken and predicted_target != instruction.target:
             # Wrong target: stale indirect target, RAS mismatch or aliasing.
-            self.stats.inc("target_mispredictions")
             outcome = _FLUSH
             stream_break = True
         else:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.common.config import MachineConfig
-from repro.common.stats import Stats
 from repro.frontend.ftq import FetchTargetQueue
 
 
@@ -33,21 +32,14 @@ class PrefetchCoverage(NamedTuple):
     residual_latency: int
     #: Cycles hidden by the prefetch (0 when FDIP is disabled or cold).
     hidden_latency: int
-    #: Classification used for statistics: "full", "partial", "none".
+    #: "full", "partial" or "none"; the loops count the "full" ones.
     coverage: str
 
 
 class FDIPPrefetcher:
     """Prefetch coverage of L1-I demand misses, read off the FTQ's occupancy."""
 
-    def __init__(
-        self,
-        config: MachineConfig,
-        ftq: FetchTargetQueue,
-        stats: Stats | None = None,
-    ) -> None:
-        registry = stats if stats is not None else Stats()
-        self.stats = registry.group("fdip")
+    def __init__(self, config: MachineConfig, ftq: FetchTargetQueue) -> None:
         self.config = config
         self.ftq = ftq
         self.enabled = config.fdip.enabled
@@ -63,21 +55,15 @@ class FDIPPrefetcher:
     def cover_demand_miss(self, miss_latency: int) -> PrefetchCoverage:
         """Compute the residual stall of an L1-I demand miss under FDIP."""
         if not self.enabled or miss_latency <= 0:
-            if miss_latency > 0:
-                self.stats.inc("misses_uncovered")
             return PrefetchCoverage(
                 residual_latency=max(miss_latency, 0), hidden_latency=0, coverage="none"
             )
         hidden = min(self.lead_cycles, miss_latency)
         residual = miss_latency - hidden
         if hidden == 0:
-            self.stats.inc("misses_uncovered")
             coverage = "none"
         elif residual == 0:
-            self.stats.inc("misses_fully_covered")
             coverage = "full"
         else:
-            self.stats.inc("misses_partially_covered")
             coverage = "partial"
-        self.stats.add("hidden_cycles", hidden)
         return PrefetchCoverage(residual_latency=residual, hidden_latency=hidden, coverage=coverage)

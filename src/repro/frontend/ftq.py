@@ -15,27 +15,20 @@ fetch engine consuming the oldest entry, keeping occupancy at capacity.
 from __future__ import annotations
 
 from repro.common.errors import ConfigurationError
-from repro.common.stats import Stats
 
 
 class FetchTargetQueue:
     """Occupancy of a bounded FIFO of predicted fetch addresses."""
 
-    def __init__(self, capacity: int = 128, stats: Stats | None = None) -> None:
+    def __init__(self, capacity: int = 128) -> None:
         if capacity <= 0:
             raise ConfigurationError("FTQ capacity must be positive")
         self.capacity = capacity
-        registry = stats if stats is not None else Stats()
-        self.stats = registry.group("ftq")
         #: Number of addresses currently queued (the BPU's run-ahead distance).
         self.occupancy = 0
 
     def push(self, count: int = 1) -> None:
-        """Enqueue ``count`` predicted addresses, saturating at capacity.
-
-        (This is the simulator's inner loop, so no per-push statistics are
-        recorded; flushes are counted because they are rare and meaningful.)
-        """
+        """Enqueue ``count`` predicted addresses, saturating at capacity."""
         occupancy = self.occupancy + count
         self.occupancy = occupancy if occupancy < self.capacity else self.capacity
 
@@ -43,7 +36,4 @@ class FetchTargetQueue:
         """Drop every queued address (pipeline flush / resteer); returns count."""
         dropped = self.occupancy
         self.occupancy = 0
-        if dropped:
-            self.stats.inc("flushes")
-            self.stats.inc("flushed_entries", dropped)
         return dropped

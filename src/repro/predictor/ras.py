@@ -12,34 +12,27 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.common.errors import ConfigurationError
-from repro.common.stats import Stats
 
 
 class ReturnAddressStack:
     """Fixed-capacity circular return address stack."""
 
-    def __init__(self, entries: int = 64, stats: Stats | None = None) -> None:
+    def __init__(self, entries: int = 64) -> None:
         if entries <= 0:
             raise ConfigurationError("RAS needs at least one entry")
         self.entries = entries
-        registry = stats if stats is not None else Stats()
-        self.stats = registry.group("ras")
         self._stack: List[int] = []
 
     def push(self, return_address: int) -> None:
         """Push a call's return address; overwrites the oldest on overflow."""
-        self.stats.inc("pushes")
         self._stack.append(return_address)
         if len(self._stack) > self.entries:
             # Circular overwrite: the oldest entry is lost.
             self._stack.pop(0)
-            self.stats.inc("overflows")
 
     def pop(self) -> Optional[int]:
         """Pop the predicted return target; ``None`` when the stack is empty."""
-        self.stats.inc("pops")
         if not self._stack:
-            self.stats.inc("underflows")
             return None
         return self._stack.pop()
 

@@ -10,16 +10,18 @@ equality on both backends is transitively python == numpy on every pinned
 counter, without paying for two simulations per cell.
 
 On top of the distilled golden counters, a small subset of cells is run on
-*both* backends in-process and compared over the full raw statistics
-registry and the BTB's access/event counters, so divergence in an unpinned
-counter cannot hide.  A further set of *capacity-pressure* cells does the
+*both* backends in-process and compared over every result field, the
+predictor, cache and memory counters of the raw statistics registry and the
+BTB's access/event counters, so divergence in an unpinned counter cannot
+hide.  A further set of *capacity-pressure* cells does the
 same for R-BTB, PDede and the ideal BTB at the smallest budget, where
 evictions, Page-BTB evictions and dangling-pointer invalidations are
 frequent -- the paths that must write through to the batched residency
 shadow.  *Predictor* cells run Conv-BTB and BTB-X at that budget, so each
 Section VI-A resolution rule the batched walk applies inline fires against
-the direction predictor's commit plan.  No raw counter is tolerated to differ:
-the two backends must report identical raw statistics on every compared cell.
+the direction predictor's commit plan.  No compared counter is tolerated to
+differ: the two backends must report identical statistics on every compared
+cell.
 
 Requires numpy; the module skips cleanly on the numpy-free CI leg, where the
 scalar half of the equality is still enforced by the golden suite itself.
@@ -34,6 +36,7 @@ import pytest
 from repro.btb.storage import make_btb_for_budget
 from repro.common.config import ASIDMode, BTBStyle, default_machine_config
 from repro.core.simulator import FrontEndSimulator
+from repro.frontend.bpu import PredictionOutcome
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
 from repro.obs import JsonlRecorder, use_recorder
@@ -60,8 +63,9 @@ pytestmark = [
     pytest.mark.skipif(not HAVE_NUMPY, reason="numpy backend not available"),
 ]
 
-#: Cells compared over the full raw statistics registry (one per BTB family
-#: plus a partitioned-hierarchy cell, where chunk boundaries are busiest).
+#: Cells compared over every result field, the raw statistics registry and the
+#: BTB reports (one per BTB family plus a partitioned-hierarchy cell, where
+#: chunk boundaries are busiest).
 FULL_STATS_CELLS = (
     ("consolidated_server", BTBStyle.CONVENTIONAL, ASIDMode.FLUSH, None),
     ("consolidated_server", BTBStyle.BTBX, ASIDMode.TAGGED, None),
@@ -128,7 +132,8 @@ PRESSURE_WORKLOAD = "server_001"
 #: splits a gap of non-branches fewer than 128 instructions after a stream
 #: break, with an L1-I miss in the gap a few instructions later.  The FTQ
 #: occupancy crosses the boundary unsaturated, and the miss's FDIP coverage
-#: (``fdip.hidden_cycles``) and the next flush (``ftq.flushed_entries``) read it.
+#: (``result.icache_stall_cycles``) and the PDede extra lookup cycles
+#: (``result.btb_extra_cycles``) read it.
 BOUNDARY_CELLS = (
     (BTBStyle.CONVENTIONAL, 2061),
     (BTBStyle.REDUCED, 2044),
@@ -138,9 +143,9 @@ BOUNDARY_CELLS = (
 )
 
 PREDICTOR_STYLES = (BTBStyle.CONVENTIONAL, BTBStyle.BTBX)
-#: Resolution counters every predictor cell must fire: false hits,
-#: target mispredictions and taken BTB misses.
-RESOLUTION_COUNTERS = ("bpu.false_hits", "bpu.target_mispredictions", "bpu.btb_miss_taken")
+#: Resolution counts every predictor cell must fire: target mispredictions and
+#: taken BTB misses (false hits are recounted from the prediction records).
+RESOLUTION_COUNTERS = ("result.target_mispredictions", "result.btb_misses_taken")
 
 #: Counters that prove the bounded organizations were really under pressure.
 PRESSURE_COUNTERS = ("evictions", "page_evictions", "pointer_invalidations")
@@ -267,10 +272,27 @@ def test_backends_agree_under_capacity_pressure(preset, style, mode):
 
 @pytest.mark.parametrize("style", PREDICTOR_STYLES, ids=[style.value for style in PREDICTOR_STYLES])
 def test_backends_agree_on_every_resolution_rule(style):
-    python = _run_stats(style, "python", PRESSURE_BUDGET_KIB)
+    simulator, trace = _run_simulator(style, "python", PRESSURE_BUDGET_KIB)
+    records = []
+    process = simulator.bpu.process
+
+    def recording_process(instruction, lookup):
+        prediction = process(instruction, lookup)
+        records.append(prediction)
+        return prediction
+
+    simulator.bpu.process = recording_process
+    result = simulator.run(trace, warmup_instructions=GOLDEN_WARMUP)
+    python = _raw_stats(simulator, result)
     numpy = _run_stats(style, "numpy", PRESSURE_BUDGET_KIB)
     _assert_backends_agree(python, numpy)
     idle = [name for name in RESOLUTION_COUNTERS if not python.get(name)]
+    # An identified resteer is a false hit (partial-tag aliasing).
+    if not any(
+        prediction.identified_branch and prediction.outcome is PredictionOutcome.DECODE_RESTEER
+        for prediction in records
+    ):
+        idle.append("false hits")
     assert not idle, f"resolution rules never fired on this cell: {idle} stayed zero"
 
 

@@ -31,15 +31,12 @@ class TestFTQ:
         assert ftq.occupancy == ftq.capacity == 4
 
     def test_flush(self):
-        stats = Stats()
-        ftq = FetchTargetQueue(capacity=8, stats=stats)
+        ftq = FetchTargetQueue(capacity=8)
         for _ in range(5):
             ftq.push()
         assert ftq.flush() == 5
         assert ftq.occupancy == 0
         assert ftq.flush() == 0
-        assert stats.get("ftq.flushes") == 1
-        assert stats.get("ftq.flushed_entries") == 5
 
     @given(
         capacity=st.integers(min_value=1, max_value=200),
@@ -64,9 +61,8 @@ class TestFTQ:
 class TestFDIP:
     def _make(self, enabled=True):
         machine = default_machine_config(fdip_enabled=enabled)
-        stats = Stats()
-        ftq = FetchTargetQueue(machine.fdip.ftq_instructions, stats)
-        return FDIPPrefetcher(machine, ftq, stats), ftq
+        ftq = FetchTargetQueue(machine.fdip.ftq_instructions)
+        return FDIPPrefetcher(machine, ftq), ftq
 
     def test_lead_grows_with_run_ahead(self):
         fdip, ftq = self._make()
@@ -112,13 +108,23 @@ def _process(bpu: BranchPredictionUnit, instruction: Instruction):
     return bpu.process(instruction, bpu.btb.lookup(instruction.pc))
 
 
+def _is_taken_btb_miss(prediction) -> bool:
+    """The loop's rule: an unidentified flush or resteer is a taken BTB miss."""
+    return not prediction.identified_branch and prediction.outcome is not PredictionOutcome.CORRECT
+
+
+def _is_false_hit(prediction) -> bool:
+    """The loop's rule: an identified resteer is a false hit."""
+    return prediction.identified_branch and prediction.outcome is PredictionOutcome.DECODE_RESTEER
+
+
 class TestBPU:
     def test_btb_miss_on_taken_direct_branch_is_decode_resteer(self):
         bpu = _bpu()
         jump = Instruction.branch(0x401000, BranchType.UNCONDITIONAL, True, 0x402000)
         prediction = _process(bpu, jump)
         assert not prediction.identified_branch
-        assert bpu.stats.get("btb_miss_taken") == 1
+        assert _is_taken_btb_miss(prediction)
         assert prediction.outcome is PredictionOutcome.DECODE_RESTEER
         assert prediction.stream_break
 
@@ -127,7 +133,7 @@ class TestBPU:
         branch = Instruction.branch(0x401000, BranchType.CONDITIONAL, False, 0x402000)
         prediction = _process(bpu, branch)
         assert prediction.outcome is PredictionOutcome.CORRECT
-        assert bpu.stats.get("btb_miss_taken") == 0
+        assert not _is_taken_btb_miss(prediction)
 
     def test_btb_miss_on_indirect_branch_is_execute_flush(self):
         bpu = _bpu()
@@ -234,7 +240,6 @@ class TestNonBranchMiss:
     def test_aliasing_non_branch_hit_is_still_classified(self):
         bpu, btb, stats, jump = self._warm_bpu()
         alias = Instruction.non_branch(_aliasing_pc(btb, jump.pc))
-        false_hits = stats.get("bpu.false_hits")
 
         prediction = _process(bpu, alias)
 
@@ -242,7 +247,7 @@ class TestNonBranchMiss:
         assert prediction.identified_branch and prediction.predicted_taken
         assert prediction.outcome is PredictionOutcome.DECODE_RESTEER
         assert prediction.stream_break
-        assert stats.get("bpu.false_hits") == false_hits + 1
+        assert _is_false_hit(prediction)
 
 
 class TestLoopFastPath:
@@ -255,10 +260,9 @@ class TestLoopFastPath:
     """
 
     def _run(self, monkeypatch):
-        stats = Stats()
         btb = ConventionalBTB(512)
         machine = default_machine_config(btb_style=BTBStyle.CONVENTIONAL, budget_kib=4.0)
-        simulator = FrontEndSimulator(machine, btb=btb, stats=stats)
+        simulator = FrontEndSimulator(machine, btb=btb)
         jump = Instruction.branch(0x401000, BranchType.UNCONDITIONAL, True, 0x402000)
         alias = Instruction.non_branch(_aliasing_pc(btb, jump.pc))
         assert btb._locate(alias.pc) == btb._locate(jump.pc)
@@ -269,21 +273,24 @@ class TestLoopFastPath:
         process = simulator.bpu.process
 
         def spy(instruction, lookup):
-            processed.append(instruction)
-            return process(instruction, lookup)
+            prediction = process(instruction, lookup)
+            processed.append((instruction, prediction))
+            return prediction
 
         monkeypatch.setattr(simulator.bpu, "process", spy)
         result = simulator.run(Trace("alias", instructions))
-        return result, stats, processed, jump, alias
+        return result, processed, jump, alias
 
     def test_only_branches_and_false_hits_reach_the_bpu(self, monkeypatch):
-        _, _, processed, jump, alias = self._run(monkeypatch)
-        assert processed == [jump, alias]
+        _, processed, jump, alias = self._run(monkeypatch)
+        assert [instruction for instruction, _ in processed] == [jump, alias]
 
     def test_a_false_hit_on_a_non_branch_is_counted(self, monkeypatch):
-        result, stats, _, _, _ = self._run(monkeypatch)
-        assert stats.get("bpu.false_hits") == 1
-        # The jump's first visit misses (decode resteer), and so does the alias.
+        result, processed, _, alias = self._run(monkeypatch)
+        assert [instruction for instruction, prediction in processed
+                if _is_false_hit(prediction)] == [alias]
+        # The jump's first visit misses (decode resteer), and so does the
+        # alias; one of the two resteers is no taken BTB miss: the false hit.
         assert result.decode_resteers == 2
         assert result.btb_misses_taken == 1
         assert result.instructions == 4 and result.branches == 1

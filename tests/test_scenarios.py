@@ -530,7 +530,7 @@ class TestRunScenario:
             expected = sum(getattr(t, name) for t in tenants)
             actual = getattr(result.aggregate, name)
             assert (actual, type(actual)) == (expected, type(expected)), name
-        # Every BPU-drained counter is attributed to more than one tenant.
+        # Every charged resolution count is attributed to more than one tenant.
         for name in ("btb_misses_taken", "direction_mispredictions", "target_mispredictions"):
             assert sum(1 for t in tenants if getattr(t, name)) > 1, name
         if scenario == "noisy_neighbor":

@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.common.config import BTBStyle, CoreConfig, default_machine_config
-from repro.core.metrics import DRAINED, MEASURED_FIELDS, PRODUCED, tenant_fields
+from repro.core.metrics import MEASURED_FIELDS, PRODUCED, tenant_fields
 from repro.core.simulator import _EMPTY_ACCOUNT, FrontEndSimulator, _Ledger, simulate_trace
 from repro.btb.ideal import IdealBTB
 from repro.btb.storage import make_btb_for_budget
+from repro.frontend.bpu import PredictionOutcome
 from repro.scenarios.run import execute_scenario
 from repro.scenarios.spec import ScenarioSpec, TenantSpec
 from repro.traces.batch import HAVE_NUMPY
@@ -59,17 +60,16 @@ class TestCycleDerivation:
         assert derived["l2_accesses"] == 7
 
     def test_every_measured_field_is_produced_exactly_one_way(self):
-        kinds = {"charged", "drained", "derived"}
+        kinds = {"charged", "derived"}
         by_kind = {kind: {n for n, p in PRODUCED.items() if p == kind} for kind in kinds}
         assert set(PRODUCED) == set(MEASURED_FIELDS)
         assert set(PRODUCED.values()) == kinds
         assert sum(len(names) for names in by_kind.values()) == len(MEASURED_FIELDS)
-        assert set(DRAINED) == by_kind["drained"]
-        assert set(_EMPTY_ACCOUNT) == by_kind["charged"] | by_kind["drained"]
+        assert set(_EMPTY_ACCOUNT) == by_kind["charged"]
         assert set(tenant_fields(_account(), CoreConfig())) == set(MEASURED_FIELDS)
         # A derived field is not in the account, so a loop cannot charge it.
         ledger = _Ledger(FrontEndSimulator())
-        ledger.enter("tenant", measuring=True)
+        ledger.enter("tenant")
         ledger.charge(instructions=1)
         with pytest.raises(KeyError):
             ledger.charge(l2_accesses=1)
@@ -202,6 +202,84 @@ class TestWarmupCoveringTheStream:
         assert sorted(result.per_tenant) == ["back", "front"]
         for tenant_result in (result.aggregate, *result.per_tenant.values()):
             assert self._measured(tenant_result) == (0, 0, 0)
+
+
+class TestEmptyRun:
+    """A run that measures nothing reports zeros of every field's kind."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_no_instruction_equals_warmup_only(self, backend):
+        trace = default_store().get("server_001", 4_000)
+        machine = default_machine_config(isa=trace.isa, backend=backend)
+        empty = FrontEndSimulator(machine).run(trace, max_instructions=0)
+        warmup_only = FrontEndSimulator(machine).run(
+            trace, warmup_instructions=100, max_instructions=0
+        )
+        assert empty == warmup_only
+        for result in (empty, warmup_only):
+            for name, kind in MEASURED_FIELDS.items():
+                assert getattr(result, name) == 0, name
+                assert type(getattr(result, name)) is kind, name
+
+
+class TestChargedResolutionCounts:
+    """The loop's taken BTB misses and mispredictions match a recount of its records.
+
+    The scalar loop reads these three counts off the outcome of each
+    prediction record it measures.  The recount below classifies the same
+    measured records by the architectural outcome instead: a taken branch the
+    BTB did not identify, an identified branch whose direction was wrong, and
+    an identified taken branch whose predicted target was wrong.
+    """
+
+    WARMUP = 5_000
+
+    @pytest.mark.parametrize("style", tuple(BTBStyle), ids=[style.value for style in BTBStyle])
+    def test_charged_counts_equal_a_recount_of_the_measured_records(self, style):
+        trace = default_store().get("server_001", 20_000)
+        machine = default_machine_config(btb_style=style, isa=trace.isa)
+        btb = make_btb_for_budget(style, 0.90625, isa=trace.isa)
+        simulator = FrontEndSimulator(machine, btb=btb)
+        # The loop probes the BTB once per instruction, so the probes count
+        # stream positions; an instruction object can recur in a trace.
+        probes = 0
+        records = []
+        lookup = btb.lookup
+        process = simulator.bpu.process
+
+        def counting_lookup(pc):
+            nonlocal probes
+            probes += 1
+            return lookup(pc)
+
+        def recording_process(instruction, found):
+            prediction = process(instruction, found)
+            if probes > self.WARMUP:
+                records.append((instruction, prediction))
+            return prediction
+
+        btb.lookup = counting_lookup
+        simulator.bpu.process = recording_process
+        result = simulator.run(trace, warmup_instructions=self.WARMUP)
+        assert probes == len(trace)
+
+        btb_misses = direction = target = 0
+        for instruction, prediction in records:
+            if not instruction.is_branch:
+                continue
+            if not prediction.identified_branch:
+                btb_misses += instruction.taken
+            elif prediction.predicted_taken != instruction.taken:
+                direction += 1
+            elif instruction.taken and prediction.predicted_target != instruction.target:
+                target += 1
+        assert btb_misses > 0 and direction > 0 and target > 0
+        assert (
+            result.btb_misses_taken, result.direction_mispredictions, result.target_mispredictions
+        ) == (btb_misses, direction, target)
+        assert result.execute_flushes == sum(
+            prediction.outcome is PredictionOutcome.EXECUTE_FLUSH for _, prediction in records
+        )
 
 
 class TestRunIsAOneTenantScenario:
