@@ -36,6 +36,7 @@ exported ``btb_access_counts`` alike.
 from __future__ import annotations
 
 import abc
+from bisect import insort
 from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence
 
@@ -99,10 +100,6 @@ class BTBBase(abc.ABC):
 
     #: Policy domain of the organization's primary (main) array.
     _MAIN_DOMAIN = "main"
-
-    #: Read and write counters of the primary array (BTB-XC counts "companion").
-    _READS = "reads.main"
-    _WRITES = "writes.main"
 
     def __init__(self) -> None:
         #: The one counter store: event counts and per-structure accesses,
@@ -191,12 +188,8 @@ class BTBBase(abc.ABC):
         architectural footprint -- the read counter, from which the misses
         are derived (a missing lookup touches no LRU state).
         """
-        self.count(self._READS, count)
-
-    def count(self, name: str, amount: int = 1) -> None:
-        """Add ``amount`` to counter ``name``: an event (``hits``) or an access (``reads.main``)."""
         counters = self.counters
-        counters[name] = counters.get(name, 0) + amount
+        counters["reads.main"] = counters.get("reads.main", 0) + count
 
     def record_allocation(self, structure: str, key: int) -> None:
         """Note that ``structure`` was asked to track ``key`` (duplication stats).
@@ -233,7 +226,7 @@ class BTBBase(abc.ABC):
             name: float(value) for name, value in counters.items()
             if not name.startswith(_ACCESS_KINDS)
         }
-        misses = counters.get(self._READS, 0) - counters.get("hits", 0)
+        misses = counters.get("reads.main", 0) - counters.get("hits", 0)
         if misses or self._missed_before_reset:
             report["misses"] = float(misses)
         for kind in _ACCESS_KINDS:
@@ -247,7 +240,7 @@ class BTBBase(abc.ABC):
         """Restart the counters (used between warmup and measurement)."""
         counters = self.counters
         self._missed_before_reset = self._missed_before_reset or (
-            counters.get(self._READS, 0) > counters.get("hits", 0)
+            counters.get("reads.main", 0) > counters.get("hits", 0)
         )
         self.counters = {
             name: 0 for name in counters if not name.startswith(_ACCESS_KINDS)
@@ -339,8 +332,7 @@ class SetAssociativeBTB(BTBBase):
         the misses from the reads and hits.
         """
         counters = self.counters
-        reads = self._READS
-        counters[reads] = counters.get(reads, 0) + 1
+        counters["reads.main"] = counters.get("reads.main", 0) + 1
         high = pc >> self.alignment_bits
         tag = high ^ (high >> 48)
         tag ^= tag >> 24
@@ -364,8 +356,7 @@ class SetAssociativeBTB(BTBBase):
         counters and LRU movement.
         """
         counters = self.counters
-        reads = self._READS
-        counters[reads] = counters.get(reads, 0) + 1
+        counters["reads.main"] = counters.get("reads.main", 0) + 1
         if way is None:
             way = self._resident.get(key, -1)
         if way < 0:
@@ -397,7 +388,8 @@ class SetAssociativeBTB(BTBBase):
             self._lru[index].touch(way)
             return entry
         self._clear_way(index, way, entry)
-        self.count("reallocations")
+        counters = self.counters
+        counters["reallocations"] = counters.get("reallocations", 0) + 1
         return None
 
     def _allocate(self, key: int, eligible: Sequence[int] | None = None):
@@ -414,14 +406,15 @@ class SetAssociativeBTB(BTBBase):
         ways = range(self.associativity) if eligible is None else eligible
         victim = next((way for way in ways if not entries[way].valid), None)
         lru = self._lru[index]
+        counters = self.counters
         if victim is None:
             victim = lru.victim(eligible)
-            self.count("evictions")
+            counters["evictions"] = counters.get("evictions", 0) + 1
         entry = entries[victim]
         self._fill_way(key, victim, entry)
         lru.touch(victim)
-        self.count(self._WRITES)
-        self.count("allocations")
+        counters["writes.main"] = counters.get("writes.main", 0) + 1
+        counters["allocations"] = counters.get("allocations", 0) + 1
         return victim, entry
 
     def _materialize(self, index: int) -> list:
@@ -439,7 +432,8 @@ class SetAssociativeBTB(BTBBase):
             for way, entry in enumerate(entries):
                 if entry.valid and getattr(entry, field) == slot:
                     self._clear_way(index, way, entry)
-                    self.count("pointer_invalidations")
+                    counters = self.counters
+                    counters["pointer_invalidations"] = counters.get("pointer_invalidations", 0) + 1
 
     def invalidate_all(self) -> None:
         """Clear every way of the main array."""
@@ -660,48 +654,67 @@ class PointerTable:
     slot pointer (field ``<name>_pointer``) instead.  One LRU clock orders
     every slot, so a set-associative table (PDede's Page-BTB) is a sequence
     of slot ranges searched one range at a time.
+
+    A search reads an index instead of scanning the range: the ascending
+    slots of every valid ``(value, asid)`` pair.  A pair can be resident in
+    more than one range (PDede holds one page number in two page sets), and
+    a partition change can leave a pair in a slot outside the ranges it was
+    installed from, so the search takes the lowest of the pair's slots
+    inside the range -- the one a scan in slot order finds.
     """
 
-    __slots__ = ("name", "pointer_field", "slots", "_lru")
+    __slots__ = ("name", "pointer_field", "slots", "_lru", "_index", "_evictions", "_writes")
 
     def __init__(self, name: str, entries: int) -> None:
         self.name = name
         self.pointer_field = f"{name}_pointer"
         self.slots = [_PointerSlot() for _ in range(entries)]
         self._lru = LRUState(entries)
+        self._index: dict[tuple[int, int], list[int]] = {}
+        self._evictions = f"{name}_evictions"
+        self._writes = f"writes.{name}"
 
     def find_or_install(self, btb: SetAssociativeBTB, value: int, first: int, count: int) -> int:
-        """The slot of ``(value, btb.active_asid)`` among ``[first, first + count)``.
+        """The slot of ``(value, btb's active ASID)`` among ``[first, first + count)``.
 
         A hit is made most recent.  A miss installs the pair in the range's
         first invalid slot, else in its least recently used one, after
         ``btb`` invalidated the main-array entries pointing at that slot.
         """
-        asid = btb.active_asid
+        asid = btb.asid_policy.active_asid
+        holders = self._index.get((value, asid))
+        if holders is not None:
+            for slot in holders:
+                if first <= slot < first + count:
+                    self._lru.touch(slot)
+                    return slot
         slots = self.slots
         candidates = range(first, first + count)
-        for slot in candidates:
-            entry = slots[slot]
-            if entry.valid and entry.value == value and entry.asid == asid:
-                self._lru.touch(slot)
-                return slot
         slot = next((slot for slot in candidates if not slots[slot].valid), None)
+        counters = btb.counters
         if slot is None:
             slot = self._lru.victim(candidates)
             btb._invalidate_pointers(self.pointer_field, slot)
-            btb.count(f"{self.name}_evictions")
+            counters[self._evictions] = counters.get(self._evictions, 0) + 1
+            victim = slots[slot]
+            evicted = self._index[(victim.value, victim.asid)]
+            evicted.remove(slot)
+            if not evicted:
+                del self._index[(victim.value, victim.asid)]
         entry = slots[slot]
         entry.valid = True
         entry.value = value
         entry.asid = asid
+        insort(self._index.setdefault((value, asid), []), slot)
         self._lru.touch(slot)
-        btb.count(f"writes.{self.name}")
+        counters[self._writes] = counters.get(self._writes, 0) + 1
         return slot
 
     def invalidate(self) -> None:
         """Clear every slot."""
         for entry in self.slots:
             entry.valid = False
+        self._index.clear()
 
 
 class BatchPlan:

@@ -28,7 +28,7 @@ from repro.common.config import ISAStyle
 from repro.common.errors import ConfigurationError
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
-from repro.btb.base import _ACCESS_KINDS, _MISS_RESULT, TAG_BITS, BTBLookupResult, SetAssociativeBTB
+from repro.btb.base import _MISS_RESULT, TAG_BITS, BTBLookupResult, SetAssociativeBTB
 from repro.btb.conventional import FULL_TARGET_ENTRY_BITS, FullTargetBTB
 from repro.btb.offsets import stored_offset_bits
 
@@ -86,11 +86,14 @@ class BTBXC(FullTargetBTB):
     eighth of the number of BTB-X sets).  Direct-mapped: every entry is its
     own one-way set (the partitioning granularity, and the shape of the
     batched residency shadow).
+
+    Its probes count nothing: BTB-X reads it once per main miss, so BTB-X
+    derives its reads (:meth:`BTBX.energy_access_counts`) and counts its
+    hits as its own (``hits.companion``).  Its counters hold its evictions
+    and writes.
     """
 
     name = "btbxc"
-    _READS = "reads.companion"
-    _WRITES = "writes.companion"
 
     def __init__(self, entries: int, isa: ISAStyle = ISAStyle.ARM64) -> None:
         super().__init__(entries, associativity=1, isa=isa)
@@ -101,12 +104,32 @@ class BTBXC(FullTargetBTB):
         key = self._locate(instruction.pc)
         index = key >> self.tag_bits
         entry = (self._sets[index] or self._materialize(index))[0]
+        counters = self.counters
         if entry.valid and key not in self._resident:
-            self.count("evictions")
+            counters["evictions"] = counters.get("evictions", 0) + 1
         self._fill_way(key, 0, entry)
         entry.branch_type = instruction.branch_type
         entry.target = instruction.target
-        self.count(self._WRITES)
+        counters["writes.companion"] = counters.get("writes.companion", 0) + 1
+
+    def lookup(self, pc: int) -> BTBLookupResult:
+        """Probe the companion (uncounted)."""
+        return self.lookup_prelocated(pc, self._locate(pc))
+
+    def lookup_prelocated(self, pc: int, key: int, way: int | None = None) -> BTBLookupResult:
+        """:meth:`lookup` with the key already computed (uncounted)."""
+        if way is None:
+            way = self._resident.get(key, -1)
+        if way < 0:
+            return _MISS_RESULT
+        index = key >> TAG_BITS
+        self._lru[index].touch(way)
+        return self._hit(pc, index, way)
+
+    def _hit(self, pc: int, index: int, way: int) -> BTBLookupResult:
+        entry = self._sets[index][way]
+        branch_type = entry.branch_type
+        return BTBLookupResult(True, branch_type, entry.target, branch_type.target_from_ras)
 
     def storage_bits(self) -> int:
         """Total storage of the companion: one full-target entry per entry."""
@@ -199,17 +222,28 @@ class BTBX(SetAssociativeBTB):
         return counts
 
     def energy_access_counts(self) -> dict[str, float]:
-        """Main counters plus the companion's read/write/search traffic.
+        """Main counters plus the companion's reads and writes.
 
-        Only the access-counter keys are merged.  A companion hit already
-        counts as one of BTB-X's ``hits`` (and ``hits.companion``), and
-        BTB-X's derived ``misses`` are the probes that missed both
-        structures, so summing the companion's hits and misses as well would
-        double-count.
+        The companion is read once per main miss, so its reads are derived
+        like ``misses``: main reads minus main-array hits (``hits`` less
+        ``hits.companion``), reported from the first main miss after the
+        last :meth:`reset_stats`.  Its writes are merged from its own
+        counters.  A companion hit already counts as one of BTB-X's ``hits``
+        (and ``hits.companion``), and BTB-X's derived ``misses`` are the
+        probes that missed both structures, so the companion's own hits and
+        misses are not merged.
         """
         counts = super().energy_access_counts()
+        counters = self.counters
+        companion_reads = (
+            counters.get("reads.main", 0) - counters.get("hits", 0)
+            + counters.get("hits.companion", 0)
+        )
+        if companion_reads:
+            counts["reads.companion"] = float(companion_reads)
+            counts["reads.total"] += companion_reads
         for key, value in self.companion.energy_access_counts().items():
-            if key.startswith(_ACCESS_KINDS):
+            if key.startswith("writes."):
                 counts[key] = counts.get(key, 0.0) + value
         return counts
 
@@ -260,8 +294,6 @@ class BTBX(SetAssociativeBTB):
             self._lru[index].touch(way)
             return self._hit(pc, index, way)
         companion = self.companion
-        companion_counters = companion.counters
-        companion_counters["reads.companion"] = companion_counters.get("reads.companion", 0) + 1
         key = ((companion._slice_base + high % companion._slice_count) << TAG_BITS) | tag
         way = companion._resident.get(key, -1)
         if way < 0:
@@ -269,8 +301,8 @@ class BTBX(SetAssociativeBTB):
         index = key >> TAG_BITS
         companion._lru[index].touch(way)
         result = companion._hit(pc, index, way)
-        self.count("hits")
-        self.count("hits.companion")
+        counters["hits"] = counters.get("hits", 0) + 1
+        counters["hits.companion"] = counters.get("hits.companion", 0) + 1
         return result
 
     def lookup_prelocated(
@@ -305,25 +337,18 @@ class BTBX(SetAssociativeBTB):
         else:
             companion_result = companion_plan.lookup(position, pc)
         if companion_result.hit:
-            self.count("hits")
-            self.count("hits.companion")
+            counters["hits"] = counters.get("hits", 0) + 1
+            counters["hits.companion"] = counters.get("hits.companion", 0) + 1
         return companion_result
 
     def _hit(self, pc: int, index: int, way: int) -> BTBLookupResult:
         entry = self._sets[index][way]
-        self.count("hits")
-        if entry.branch_type.target_from_ras:
-            return BTBLookupResult(
-                hit=True,
-                branch_type=entry.branch_type,
-                target=None,
-                target_from_ras=True,
-            )
-        return BTBLookupResult(
-            hit=True,
-            branch_type=entry.branch_type,
-            target=self._recover_target(pc, entry),
-        )
+        counters = self.counters
+        counters["hits"] = counters.get("hits", 0) + 1
+        branch_type = entry.branch_type
+        if branch_type.target_from_ras:
+            return BTBLookupResult(True, branch_type, None, True)
+        return BTBLookupResult(True, branch_type, self._recover_target(pc, entry))
 
     def update(self, instruction: Instruction) -> None:
         """Allocate or refresh the entry for a committed taken branch.
@@ -338,7 +363,8 @@ class BTBX(SetAssociativeBTB):
             instruction.pc, instruction.target, isa=self.isa, branch_type=instruction.branch_type
         )
         if required > self.max_offset_bits:
-            self.count("overflow_to_companion")
+            counters = self.counters
+            counters["overflow_to_companion"] = counters.get("overflow_to_companion", 0) + 1
             self.companion.update(instruction)
             return
 
@@ -356,7 +382,8 @@ class BTBX(SetAssociativeBTB):
             or entry.branch_type != instruction.branch_type
             or entry.offset_width != required
         ):
-            self.count("writes.main")
+            counters = self.counters
+            counters["writes.main"] = counters.get("writes.main", 0) + 1
         entry.branch_type = instruction.branch_type
         entry.offset_payload = payload
         entry.offset_width = required
@@ -388,8 +415,3 @@ class BTBX(SetAssociativeBTB):
         plan.secondary = self.companion.batch_plan(pcs, taken_branch_pcs)
         plan.guaranteed_miss &= plan.secondary.guaranteed_miss
         return plan
-
-    def note_skipped_miss_lookups(self, count: int) -> None:
-        """Bulk-account ``count`` proven-miss lookups (main and companion)."""
-        super().note_skipped_miss_lookups(count)
-        self.companion.note_skipped_miss_lookups(count)

@@ -45,13 +45,10 @@ class FullTargetBTB(SetAssociativeBTB):
 
     def _hit(self, pc: int, index: int, way: int) -> BTBLookupResult:
         entry = self._sets[index][way]
-        self.count("hits")
-        return BTBLookupResult(
-            hit=True,
-            branch_type=entry.branch_type,
-            target=entry.target,
-            target_from_ras=entry.branch_type.target_from_ras,
-        )
+        counters = self.counters
+        counters["hits"] = counters.get("hits", 0) + 1
+        branch_type = entry.branch_type
+        return BTBLookupResult(True, branch_type, entry.target, branch_type.target_from_ras)
 
 
 class ConventionalBTB(FullTargetBTB):
@@ -77,6 +74,7 @@ class ConventionalBTB(FullTargetBTB):
         if entry is None:
             _, entry = self._allocate(key)
         elif entry.target != instruction.target or entry.branch_type != instruction.branch_type:
-            self.count("writes.main")
+            counters = self.counters
+            counters["writes.main"] = counters.get("writes.main", 0) + 1
         entry.branch_type = instruction.branch_type
         entry.target = instruction.target

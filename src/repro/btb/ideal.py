@@ -32,23 +32,19 @@ class IdealBTB(BTBBase):
         """Hit whenever the branch has been seen (and committed taken) before."""
         counters = self.counters
         counters["reads.main"] = counters.get("reads.main", 0) + 1
-        entry = self._entries.get((self.active_asid, pc))
+        entry = self._entries.get((self.asid_policy.active_asid, pc))
         if entry is None:
             return _MISS_RESULT
         branch_type, target = entry
-        self.count("hits")
-        return BTBLookupResult(
-            hit=True,
-            branch_type=branch_type,
-            target=target,
-            target_from_ras=branch_type.target_from_ras,
-        )
+        counters["hits"] = counters.get("hits", 0) + 1
+        return BTBLookupResult(True, branch_type, target, branch_type.target_from_ras)
 
     def update(self, instruction: Instruction) -> None:
         """Remember the branch forever."""
         if not instruction.is_branch:
             return
-        self.count("writes.main")
+        counters = self.counters
+        counters["writes.main"] = counters.get("writes.main", 0) + 1
         self.record_allocation("main", instruction.pc)
         self._entries[(self.active_asid, instruction.pc)] = (
             instruction.branch_type,

@@ -165,38 +165,25 @@ class PDedeBTB(SetAssociativeBTB):
     def _hit(self, pc: int, index: int, way: int) -> BTBLookupResult:
         """Same-page hits rebuild the target from the PC; others follow both pointers."""
         entry = self._sets[index][way]
+        counters = self.counters
+        branch_type = entry.branch_type
         if entry.same_page:
             # Page and region numbers are recovered from the branch PC.
-            target = (
-                ((pc >> PAGE_BITS) << PAGE_BITS)
-                | (entry.page_offset << self.alignment_bits)
-            )
-            self.count("hits")
-            self.count("hits.same_page")
-            return BTBLookupResult(
-                hit=True,
-                branch_type=entry.branch_type,
-                target=target,
-                target_from_ras=entry.branch_type.target_from_ras,
-                latency_cycles=1,
-            )
+            target = ((pc >> PAGE_BITS) << PAGE_BITS) | (entry.page_offset << self.alignment_bits)
+            counters["hits"] = counters.get("hits", 0) + 1
+            counters["hits.same_page"] = counters.get("hits.same_page", 0) + 1
+            return BTBLookupResult(True, branch_type, target, branch_type.target_from_ras)
         page = self._pages.slots[entry.page_pointer]
         region = self._regions.slots[entry.region_pointer]
-        self.count("reads.page")
+        counters["reads.page"] = counters.get("reads.page", 0) + 1
         target = (
             (region.value << (PAGE_BITS + REGION_PAGE_BITS))
             | (page.value << PAGE_BITS)
             | (entry.page_offset << self.alignment_bits)
         )
-        self.count("hits")
-        self.count("hits.different_page")
-        return BTBLookupResult(
-            hit=True,
-            branch_type=entry.branch_type,
-            target=target,
-            target_from_ras=entry.branch_type.target_from_ras,
-            latency_cycles=2,
-        )
+        counters["hits"] = counters.get("hits", 0) + 1
+        counters["hits.different_page"] = counters.get("hits.different_page", 0) + 1
+        return BTBLookupResult(True, branch_type, target, branch_type.target_from_ras, 2)
 
     def _eligible_ways(self, same_page: bool) -> List[int]:
         """Ways an entry of the given kind may occupy.
@@ -225,7 +212,8 @@ class PDedeBTB(SetAssociativeBTB):
         self.record_allocation("region", region_number)
         first, count = policy.active_slice("region", self.region_entries)
         region_slot = self._regions.find_or_install(self, region_number, first, count)
-        self.count("searches.page")
+        counters = self.counters
+        counters["searches.page"] = counters.get("searches.page", 0) + 1
         self.record_allocation("page", (region_number << REGION_PAGE_BITS) | page_number)
         base, count = policy.active_slice("page", self._page_sets)
         page_set = base + (page_number ^ region_number) % count
@@ -259,7 +247,8 @@ class PDedeBTB(SetAssociativeBTB):
         if entry is None:
             _, entry = self._allocate(key, eligible)
         else:
-            self.count("writes.main")
+            counters = self.counters
+            counters["writes.main"] = counters.get("writes.main", 0) + 1
         entry.branch_type = instruction.branch_type
         entry.page_offset = page_offset
         entry.same_page = same_page

@@ -111,19 +111,12 @@ class ReducedBTB(SetAssociativeBTB):
         """Follow the page pointer (serial access)."""
         entry = self._sets[index][way]
         page = self._pages.slots[entry.page_pointer]
-        self.count("reads.page")
-        target = (
-            (page.value << PAGE_BITS)
-            | (entry.page_offset << self.alignment_bits)
-        )
-        self.count("hits")
-        return BTBLookupResult(
-            hit=True,
-            branch_type=entry.branch_type,
-            target=target,
-            target_from_ras=entry.branch_type.target_from_ras,
-            latency_cycles=2,
-        )
+        counters = self.counters
+        counters["reads.page"] = counters.get("reads.page", 0) + 1
+        target = (page.value << PAGE_BITS) | (entry.page_offset << self.alignment_bits)
+        counters["hits"] = counters.get("hits", 0) + 1
+        branch_type = entry.branch_type
+        return BTBLookupResult(True, branch_type, target, branch_type.target_from_ras, 2)
 
     def update(self, instruction: Instruction) -> None:
         """Insert/refresh the branch; finds or allocates its target page.
@@ -139,7 +132,8 @@ class ReducedBTB(SetAssociativeBTB):
         page_number = instruction.target >> PAGE_BITS
         page_offset = (instruction.target & mask(PAGE_BITS)) >> self.alignment_bits
 
-        self.count("searches.page")
+        counters = self.counters
+        counters["searches.page"] = counters.get("searches.page", 0) + 1
         self.record_allocation("page", page_number)
         first, count = self.asid_policy.active_slice("page", self.page_entries)
         # Installing the page may invalidate Main-BTB entries (this one
@@ -149,7 +143,8 @@ class ReducedBTB(SetAssociativeBTB):
         if entry is None:
             _, entry = self._allocate(key)
         else:
-            self.count("writes.main")
+            counters = self.counters
+            counters["writes.main"] = counters.get("writes.main", 0) + 1
         entry.branch_type = instruction.branch_type
         entry.page_offset = page_offset
         entry.page_pointer = page_slot

@@ -27,13 +27,14 @@ class StatGroup:
     def __init__(self, stats: "Stats", prefix: str) -> None:
         self._stats = stats
         self._prefix = prefix
-        # inc()/add() sit on the simulator's innermost loops: prefixed key
-        # strings are interned per group, and increments write straight into
-        # the registry's counter dict (one dict op instead of two calls).
-        self._counters = stats._counters
+        #: The registry's live counter dict.  Hot paths bump it in place under
+        #: keys resolved once with :meth:`key`, which books exactly what
+        #: :meth:`inc` would.
+        self.live = stats._counters
         self._key_cache: Dict[str, str] = {}
 
-    def _key(self, name: str) -> str:
+    def key(self, name: str) -> str:
+        """The registry key of the group's counter ``name``."""
         key = self._key_cache.get(name)
         if key is None:
             key = self._key_cache[name] = f"{self._prefix}.{name}"
@@ -41,21 +42,15 @@ class StatGroup:
 
     def inc(self, name: str, amount: int = 1) -> None:
         """Increment the integer counter ``name`` by ``amount``."""
-        key = self._key_cache.get(name)
-        if key is None:
-            key = self._key_cache[name] = f"{self._prefix}.{name}"
-        self._counters[key] += amount
+        self.live[self.key(name)] += amount
 
     def add(self, name: str, amount: float) -> None:
         """Add ``amount`` to the floating accumulator ``name``."""
-        key = self._key_cache.get(name)
-        if key is None:
-            key = self._key_cache[name] = f"{self._prefix}.{name}"
-        self._counters[key] += amount
+        self.live[self.key(name)] += amount
 
     def get(self, name: str) -> float:
         """Read the counter ``name`` (0 when never written)."""
-        return self._stats.get(self._key(name))
+        return self._stats.get(self.key(name))
 
 
 class Stats:

@@ -316,9 +316,10 @@ class _BatchEngine:
             while next_head <= i:
                 head_occ = occ + (next_head - cursor)
                 ftq.occupancy = head_occ if head_occ < cap else cap
-                coverage = cover(miss_results[head_ptr].latency)
-                stall_sum += coverage.residual_latency
-                if coverage.coverage == "full":
+                latency = miss_results[head_ptr].latency
+                residual = cover(latency)
+                stall_sum += residual
+                if residual == 0 < latency:
                     covered_cnt += 1
                 head_ptr += 1
                 next_head = miss_heads[head_ptr]
@@ -406,9 +407,10 @@ class _BatchEngine:
         while next_head < n:
             head_occ = occ + (next_head - cursor)
             ftq.occupancy = head_occ if head_occ < cap else cap
-            coverage = cover(miss_results[head_ptr].latency)
-            stall_sum += coverage.residual_latency
-            if coverage.coverage == "full":
+            latency = miss_results[head_ptr].latency
+            residual = cover(latency)
+            stall_sum += residual
+            if residual == 0 < latency:
                 covered_cnt += 1
             head_ptr += 1
             next_head = miss_heads[head_ptr]

@@ -333,14 +333,14 @@ class FrontEndSimulator:
                     if measuring:
                         l1i_accesses += 1
                 else:
-                    coverage = cover(fetched.latency)
+                    residual = cover(fetched.latency)
                     if measuring:
                         l1i_accesses += 1
                         l1i_misses += 1
-                        stall_sum += coverage.residual_latency
+                        stall_sum += residual
                         if fetched.level != "L2":
                             l2_misses += 1
-                        if coverage.coverage == "full":
+                        if residual == 0 < fetched.latency:
                             covered_misses += 1
 
             push()

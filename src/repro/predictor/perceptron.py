@@ -12,7 +12,6 @@ from __future__ import annotations
 from operator import getitem
 from typing import List, Sequence
 
-from repro.common.bitutils import fold_xor
 from repro.common.errors import ConfigurationError
 from repro.common.stats import StatGroup, Stats
 
@@ -27,17 +26,15 @@ class HashedPerceptronPredictor:
     Table ``i`` is indexed by the PC bits XORed with the newest
     ``history_lengths[i]`` history bits XOR-folded to ``table_bits``
     (:func:`~repro.common.bitutils.fold_xor`; the bias table folds none).
-    Rather than refolding at every branch, the predictor keeps one folded
-    register per table, as TAGE and ChampSim's hashed perceptron do, and
-    updates it at each history shift: for a fold width ``T`` and a length
-    ``L``, ``f' = rotl_T(f) ^ taken ^ (outgoing << (L % T))``, where the
-    outgoing bit is the one the shift pushes past the length.  Shifting a
-    value left by one rotates every ``T``-bit chunk and carries each
-    chunk's top bit into the next one's bottom, so the fold rotates; the
-    rule is exact and gives the from-scratch indices bit for bit.  The
-    registers are the folds of the history value they were last synced to,
-    so a writer that assigns ``_history`` directly (the batched commit plan)
-    needs no hook: :meth:`_indices` refolds once when the two differ.
+    :meth:`_indices` hashes every table in one pass over a packed integer
+    with one lane per table, each ``ceil(max_history / table_bits)`` chunks
+    of ``table_bits`` bits wide: the history is copied into every lane and
+    masked to the lane's length, the chunks are XORed down into the lowest,
+    and each lane's lowest chunk, XORed with the PC bits, is its table's
+    index.  A lane's chunks never reach into the next lane, so the indices
+    are the per-table folds bit for bit.  The predictor keeps no state
+    derived from ``_history``, so a writer that assigns it directly (the
+    batched commit plan) needs no hook.
     """
 
     def __init__(
@@ -49,6 +46,12 @@ class HashedPerceptronPredictor:
     ) -> None:
         registry = stats if stats is not None else Stats()
         self.stats: StatGroup = registry.group("predictor.hashed_perceptron")
+        # record_outcome runs per conditional commit: it bumps the registry's
+        # live counters under pre-resolved keys.
+        self._counters = self.stats.live
+        self._outcome_keys = tuple(
+            map(self.stats.key, ("predictions", "correct", "mispredictions"))
+        )
         if not history_lengths:
             raise ConfigurationError("the perceptron needs at least one history length")
         if table_bits <= 0 or weight_bits <= 1:
@@ -68,12 +71,17 @@ class HashedPerceptronPredictor:
         self._history = 0
         self.max_history = max(self.history_lengths)
         self._history_mask = (1 << self.max_history) - 1
-        # Folded-history registers, one per table (the bias table's is a
-        # length-0 fold, always 0), and the history value they fold.
-        self._fold_lengths = (0, *self.history_lengths)
-        self._fold_positions = tuple(length % table_bits for length in self._fold_lengths)
-        self._folded = [0] * len(self._fold_lengths)
-        self._folded_history = 0
+        # The packed hash (see the class docstring): lane offsets, the
+        # multiplier that copies the history into every lane, the lanes'
+        # length masks and the chunk shifts that fold each lane down.
+        lane = -(-self.max_history // table_bits) * table_bits
+        self._lane_shifts = tuple(lane * table for table in range(len(self._tables)))
+        self._spread = sum(1 << shift for shift in self._lane_shifts)
+        self._lane_masks = sum(
+            length_mask << shift
+            for length_mask, shift in zip((0, *self._length_masks), self._lane_shifts)
+        )
+        self._chunk_shifts = tuple(range(table_bits, lane, table_bits))
         # Training threshold from the perceptron literature: ~1.93*h + 14.
         self.threshold = int(1.93 * self.max_history + 14)
         # predict() -> update() memo for the common per-branch call pair: both
@@ -89,27 +97,18 @@ class HashedPerceptronPredictor:
         for table in self._tables:
             table[:] = zero
         self._history = 0
-        self._folded = [0] * len(self._fold_lengths)
-        self._folded_history = 0
         self._memo_pc = None
 
     # -- hashing ------------------------------------------------------------
 
     def _indices(self, pc: int) -> List[int]:
-        """Selected index of every table: PC bits XOR its folded register."""
-        if self._folded_history != self._history:
-            self._refold()
-        base = (pc >> 2) & (self.table_size - 1)
-        return [base ^ folded for folded in self._folded]
-
-    def _refold(self) -> None:
-        """Recompute the folded registers from the history register."""
-        history = self._history
-        bits = self.table_bits
-        self._folded = [
-            fold_xor(history & ((1 << length) - 1), bits) for length in self._fold_lengths
-        ]
-        self._folded_history = history
+        """Selected index of every table: PC bits XOR its folded history lane."""
+        packed = (self._history * self._spread) & self._lane_masks
+        folded = packed ^ ((pc >> 2) & (self.table_size - 1)) * self._spread
+        for shift in self._chunk_shifts:
+            folded ^= packed >> shift
+        mask = self.table_size - 1
+        return [folded >> shift & mask for shift in self._lane_shifts]
 
     def _locate(self, pc: int) -> tuple[List[int], int]:
         """Selected table indices and their weight sum for ``pc``, memoized.
@@ -137,8 +136,7 @@ class HashedPerceptronPredictor:
 
         Weights start at 0 and only ever move by one inside
         ``[weight_min, weight_max]``, so saturation is a bound check per
-        weight.  The shift updates the folded registers too, when they fold
-        the history being shifted (see the class docstring).
+        weight.
         """
         indices, total = self._locate(pc)
         if (total >= 0) != taken or abs(total) < self.threshold:
@@ -154,25 +152,18 @@ class HashedPerceptronPredictor:
                     weight = table[index]
                     if weight > weight_min:
                         table[index] = weight - 1
-        history = self._history
-        bit = 1 if taken else 0
-        shifted = (history << 1) | bit
-        self._history = shifted & self._history_mask
-        if self._folded_history == history:
-            mask = self.table_size - 1
-            top = self.table_bits - 1
-            self._folded = [
-                ((folded << 1) & mask | folded >> top) ^ bit ^ ((shifted >> length & 1) << position)
-                for folded, length, position in zip(
-                    self._folded, self._fold_lengths, self._fold_positions
-                )
-            ]
-            self._folded_history = self._history
+        self._history = ((self._history << 1) | (1 if taken else 0)) & self._history_mask
         self._memo_pc = None
 
     def record_outcome(self, predicted: bool, taken: bool) -> None:
-        """Book-keeping helper used by the front end to track accuracy."""
-        self.record_outcomes(1, 1 if predicted == taken else 0)
+        """Book one outcome: what :meth:`record_outcomes` books for ``(1, predicted == taken)``."""
+        counters = self._counters
+        predictions, correct, mispredictions = self._outcome_keys
+        counters[predictions] += 1
+        if predicted == taken:
+            counters[correct] += 1
+        else:
+            counters[mispredictions] += 1
 
     def record_outcomes(self, predictions: int, correct: int) -> None:
         """Book ``predictions`` outcomes at once, ``correct`` of them right."""

@@ -81,21 +81,19 @@ class TestFDIP:
         ftq.flush()
         assert fdip.lead_cycles == 0
 
-    def test_coverage_full_partial_none(self):
+    def test_residual_of_covered_and_partly_covered_misses(self):
         fdip, ftq = self._make()
         ftq.push(200)
         lead = fdip.lead_cycles
-        full = fdip.cover_demand_miss(lead - 1)
-        partial = fdip.cover_demand_miss(lead + 10)
-        assert full.coverage == "full" and full.residual_latency == 0
-        assert partial.coverage == "partial" and partial.residual_latency == 10
+        assert fdip.cover_demand_miss(lead - 1) == 0
+        assert fdip.cover_demand_miss(lead) == 0
+        assert fdip.cover_demand_miss(lead + 10) == 10
+        assert fdip.cover_demand_miss(0) == 0
 
     def test_disabled_fdip_hides_nothing(self):
         fdip, ftq = self._make(enabled=False)
         ftq.push(200)
-        coverage = fdip.cover_demand_miss(14)
-        assert coverage.coverage == "none"
-        assert coverage.residual_latency == 14
+        assert fdip.cover_demand_miss(14) == 14
 
 
 def _bpu(btb=None, machine: MachineConfig | None = None) -> BranchPredictionUnit:

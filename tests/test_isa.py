@@ -24,6 +24,18 @@ class TestBranchType:
         assert BranchType.INDIRECT_CALL.is_call
         assert not BranchType.CONDITIONAL.is_call
 
+    @pytest.mark.parametrize("bt", list(BranchType), ids=lambda bt: bt.name)
+    def test_flags_equal_their_definitions(self, bt):
+        """Each flag is a plain attribute equal to the property it replaced."""
+        always_taken = {BranchType.UNCONDITIONAL, BranchType.CALL, BranchType.RETURN,
+                        BranchType.INDIRECT, BranchType.INDIRECT_CALL}
+        assert bt.is_branch is (bt is not BranchType.NOT_BRANCH)
+        assert bt.is_conditional is (bt is BranchType.CONDITIONAL)
+        assert bt.is_always_taken is (bt in always_taken)
+        assert bt.is_call is (bt in (BranchType.CALL, BranchType.INDIRECT_CALL))
+        assert bt.target_from_ras is (bt is BranchType.RETURN)
+        assert "is_branch" in vars(bt)
+
     def test_two_bit_encoding(self):
         encodings = {bt.encoding() for bt in BranchType if bt.is_branch}
         assert encodings == {0, 1, 2, 3}

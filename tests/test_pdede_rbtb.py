@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
+from repro.btb.base import PointerTable
 from repro.btb.pdede import PDedeBTB
 from repro.btb.rbtb import ReducedBTB
 
@@ -138,3 +141,97 @@ class TestReducedBTB:
     def test_main_entry_smaller_than_conventional(self):
         btb = ReducedBTB(entries=64, page_entries=128)
         assert btb.main_entry_bits() < 64
+
+
+class _ScanCheckedTable(PointerTable):
+    """A pointer table whose every search is checked against a scan of its range.
+
+    The scan is the table's definition: the first slot of the range, in slot
+    order, holding the pair.  A found pair must come back unchanged and
+    unwritten; a missing one must be installed inside the range.
+    """
+
+    __slots__ = ()
+
+    def find_or_install(self, btb, value, first, count):
+        asid = btb.asid_policy.active_asid
+        found = next(
+            (slot for slot in range(first, first + count)
+             if self.slots[slot].valid and (self.slots[slot].value, self.slots[slot].asid) == (value, asid)),
+            None,
+        )
+        writes_key = f"writes.{self.name}"
+        writes = btb.counters.get(writes_key, 0)
+        slot = super().find_or_install(btb, value, first, count)
+        if found is None:
+            assert first <= slot < first + count
+            assert btb.counters[writes_key] == writes + 1
+        else:
+            assert slot == found
+            assert btb.counters.get(writes_key, 0) == writes
+        return slot
+
+
+def _scanned_index(table):
+    """The index a scan of every valid slot gives: ascending slots per pair."""
+    index = {}
+    for slot, entry in enumerate(table.slots):
+        if entry.valid:
+            index.setdefault((entry.value, entry.asid), []).append(slot)
+    return index
+
+
+def _pdede():
+    btb = PDedeBTB(entries=64, page_entries=32, region_entries=4, page_associativity=8)
+    btb._pages = _ScanCheckedTable("page", 32)
+    btb._regions = _ScanCheckedTable("region", 4)
+    return btb
+
+
+def _rbtb():
+    btb = ReducedBTB(entries=64, page_entries=16)
+    btb._pages = _ScanCheckedTable("page", 16)
+    return btb
+
+
+class TestPointerTableIndex:
+    """The slot index finds exactly what a scan of the slot range finds."""
+
+    @pytest.mark.parametrize("make", (_rbtb, _pdede), ids=("rbtb", "pdede"))
+    @pytest.mark.parametrize("partitions", (None, (1, 3), (2, 1, 1)), ids=("shared", "p13", "p211"))
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_searches_match_a_scan(self, make, partitions, seed):
+        rng = random.Random(seed)
+        btb = make()
+        btb.configure_partitions(partitions)
+        # A few page numbers in several regions: pages recur (hits), the
+        # tables overflow (evictions), and PDede sees one page number in
+        # more than one page set.
+        targets = [
+            (region << 28) | (page << 12) | (offset << 2)
+            for region in range(6) for page in range(5) for offset in (0, 9)
+        ]
+        pcs = [0x7000_0000 + 64 * n for n in range(48)]
+        tables = [table for table in (btb._pages, getattr(btb, "_regions", None)) if table]
+        in_two_sets = False
+        for _ in range(600):
+            roll = rng.random()
+            if roll < 0.8:
+                btb.update(_branch(rng.choice(pcs), rng.choice(targets)))
+            elif roll < 0.9:
+                btb.lookup(rng.choice(pcs))
+            elif roll < 0.97:
+                btb.set_active_asid(rng.randrange(4))
+            elif roll < 0.99:
+                btb.configure_partitions(rng.choice((None, (1, 3), (2, 1, 1))))
+            else:
+                btb.invalidate_all()
+            for table in tables:
+                assert table._index == _scanned_index(table)
+            if make is _pdede:
+                in_two_sets |= any(
+                    len({slot // btb.page_associativity for slot in slots}) > 1
+                    for slots in btb._pages._index.values()
+                )
+        assert in_two_sets or make is _rbtb
+        assert btb.counters.get("page_evictions", 0) > 0

@@ -216,8 +216,8 @@ class TestCommitPlanProperties:
     def test_scalar_indices_after_a_plan_are_the_scratch_fold(
         self, head, tail, geometry, history, weight_bits
     ):
-        """A plan assigns the history register without touching the folded
-        registers; the scalar commits after it still index exactly."""
+        """A plan assigns the history register directly; the scalar commits
+        after it still index exactly."""
         predictor = _make(geometry, history, weight_bits)
         _scalar_replay(predictor, head[: len(head) // 2], {})
         _plan_replay(predictor, head, {})
