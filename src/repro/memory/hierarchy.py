@@ -200,11 +200,13 @@ class MemoryHierarchy:
         hierarchy, so running them front-to-back before the per-instruction
         walk observes exactly the state the scalar loop would have.
 
-        An L1-I hit is settled here with :meth:`fetch`'s probe, the level's
-        slice and color read once (they are constant within a chunk), and
-        the three hit counters are added once for the batch (nothing reads
-        them in between).  A miss takes :meth:`fetch`, whose fills the later
-        probes observe.
+        An L1-I hit is settled here, bit-exact against :meth:`fetch`: the
+        probe reads the L1-I's resident-line directory with the set index and
+        colored tag from the level's cached slice and color -- constant
+        within a chunk, so they are read once -- and touches the way's LRU
+        state; the three hit counters are added once for the batch (nothing
+        reads them in between).  A miss takes :meth:`fetch`, whose fills the
+        later probes observe.
         """
         l1i = self.l1i
         where = l1i._where

@@ -235,3 +235,17 @@ class TestPointerTableIndex:
                 )
         assert in_two_sets or make is _rbtb
         assert btb.counters.get("page_evictions", 0) > 0
+
+    def test_a_re_slice_keeps_finding_pairs_outside_their_install_range(self):
+        """Three tenants leave a two-set Main-BTB shared, so re-slicing the
+        Page-BTB flushes nothing: a page installed from a tenant's slice is
+        still found by a search of the whole table, as a scan finds it."""
+        btb = ReducedBTB(entries=16, page_entries=4)
+        btb._pages = _ScanCheckedTable("page", 4)
+        btb.configure_partitions((1, 1, 1))
+        btb.set_active_asid(1)
+        btb.update(_branch(0x7000_0000, 0x9000_0000))
+        btb.configure_partitions(None)
+        writes = btb.counters["writes.page"]
+        btb.update(_branch(0x7000_0040, 0x9000_0040))
+        assert btb.counters["writes.page"] == writes
