@@ -43,6 +43,7 @@ from repro.frontend.ftq import FetchTargetQueue
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.predictor.trajectory import follow_trace
 from repro.btb.base import _MISS_RESULT, BTBBase
 from repro.btb.storage import make_btb_for_budget
 from repro.traces.trace import Trace
@@ -183,6 +184,15 @@ class FrontEndSimulator:
         A single trace is a one-tenant scenario that never switches context,
         so this runs the scenario loop of the machine's backend and returns
         its aggregate, named after the trace.
+
+        On the scalar backend a pristine direction predictor (every weight
+        and the history 0, as in a fresh simulator) follows the trace's
+        :mod:`~repro.predictor.trajectory` instead of computing its commits:
+        the perceptron trains only on the trace's outcomes, so the first run
+        of a trace and predictor geometry records it and every later cell
+        replays it.  At the end of the run the predictor's tables and
+        history are those of a computed run, bit for bit.  A predictor
+        trained by an earlier run, or written to directly, computes.
         """
         if warmup_instructions < 0:
             raise SimulationError("warmup length cannot be negative")
@@ -196,7 +206,12 @@ class FrontEndSimulator:
             scenario = self.run_scenario_batches((chunk,), warmup_instructions, trace.name)
         else:
             schedule = zip(repeat(0), repeat(trace.name), islice(trace, total))
-            scenario = self.run_scenario(schedule, warmup_instructions, trace.name)
+            predictor = self.bpu.direction_predictor
+            follow_trace(predictor, trace)
+            try:
+                scenario = self.run_scenario(schedule, warmup_instructions, trace.name)
+            finally:
+                predictor.stop_following()
         return scenario.aggregate
 
     # -- scenario simulation ------------------------------------------------------

@@ -35,6 +35,13 @@ the two to identical results.
 The BPU keeps no counters: a loop reads each measured event (a taken branch
 the BTB missed, a direction or target misprediction) off the returned
 record's ``identified_branch``, ``predicted_taken`` and ``outcome``.
+
+The direction predictor is asked the same ``predict``/``update`` calls
+whether it computes or follows a trajectory: in a single-trace
+:meth:`~repro.core.simulator.FrontEndSimulator.run` a pristine perceptron
+replays the trace's recorded commits (:mod:`repro.predictor.trajectory`),
+and answers every other query from caught-up tables, so nothing here
+depends on which it does.
 """
 
 from __future__ import annotations

@@ -10,10 +10,13 @@ when the prediction was wrong or the sum's magnitude was below a threshold.
 from __future__ import annotations
 
 from operator import getitem
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.stats import StatGroup, Stats
+
+if TYPE_CHECKING:
+    from repro.predictor.trajectory import Trajectory
 
 
 class HashedPerceptronPredictor:
@@ -33,8 +36,31 @@ class HashedPerceptronPredictor:
     and each lane's lowest chunk, XORed with the PC bits, is its table's
     index.  A lane's chunks never reach into the next lane, so the indices
     are the per-table folds bit for bit.  The predictor keeps no state
-    derived from ``_history``, so a writer that assigns it directly (the
-    batched commit plan) needs no hook.
+    derived from ``_history`` but the predict->update memo, so a writer that
+    assigns ``_history`` or a weight directly (the batched commit plan) needs
+    no hook beyond clearing ``_memo_pc``.  A run follows a trajectory only
+    from a *pristine* predictor, though: a direct write that leaves a weight
+    or the history nonzero makes the next run compute.
+
+    **Following a trajectory.**  The tables and history depend only on the
+    trace's conditional commits, so :meth:`follow` lets a pristine predictor
+    -- every weight and the history 0, checked exactly -- replay a
+    :class:`~repro.predictor.trajectory.Trajectory` recorded once per trace
+    instead of computing it.  While it follows, ``_commits`` counts the
+    commits made, and the tables and history lag behind them:
+
+    * :meth:`predict` returns the recorded prediction when ``pc`` is the
+      next commit's PC: the recording predicted that PC from the state the
+      commits so far produce;
+    * :meth:`update` only counts the commit, when it is the next one;
+    * any other query (a false BTB hit, a BTB-identified conditional type on
+      another instruction, a query after the last commit) first applies the
+      recorded writes up to now and sets the recorded history, then hashes
+      as a computing predictor does; an off-trajectory :meth:`update` then
+      stops following;
+    * :meth:`stop_following` (at run end) applies the remaining writes, so
+      the tables and history match a computed run bit for bit; :meth:`reset`
+      ends the replay first.
     """
 
     def __init__(
@@ -90,9 +116,16 @@ class HashedPerceptronPredictor:
         # change, so it never outlives one instruction's predict/update pair.
         self._memo_pc: int | None = None
         self._memo: tuple[List[int], int] | None = None
+        # The trajectory being followed (see the class docstring), the
+        # commits made while following it, and how many of them the tables
+        # and history reflect.
+        self._trajectory: Trajectory | None = None
+        self._commits = 0
+        self._applied = 0
 
     def reset(self) -> None:
         """Zero every weight table and the global history register (context-switch flush)."""
+        self._trajectory = None
         zero = [0] * self.table_size
         for table in self._tables:
             table[:] = zero
@@ -125,10 +158,44 @@ class HashedPerceptronPredictor:
         self._memo = (indices, total)
         return indices, total
 
+    # -- following a trajectory ---------------------------------------------------
+
+    def pristine(self) -> bool:
+        """True when every weight and the history are 0, as after construction."""
+        return self._history == 0 and not any(map(any, self._tables))
+
+    def follow(self, trajectory: Trajectory) -> None:
+        """Replay ``trajectory`` from its first commit instead of computing it."""
+        if not self.pristine():
+            raise SimulationError("only a pristine predictor can follow a trajectory")
+        self._trajectory = trajectory
+        self._commits = self._applied = 0
+        self._memo_pc = None
+
+    def stop_following(self) -> None:
+        """Bring the tables and history up to the commits made, and compute from here."""
+        if self._trajectory is not None:
+            self._catch_up()
+            self._trajectory = None
+
+    def _catch_up(self) -> None:
+        trajectory = self._trajectory
+        commits = self._commits
+        trajectory.apply(self._tables, self._applied, commits)
+        self._applied = commits
+        self._history = trajectory.history(commits)
+        self._memo_pc = None
+
     # -- interface ------------------------------------------------------------
 
     def predict(self, pc: int) -> bool:
         """Predict taken when the summed weights are non-negative."""
+        trajectory = self._trajectory
+        if trajectory is not None:
+            commit = self._commits
+            if trajectory.pcs[commit] == pc:
+                return trajectory.predictions[commit] == 1
+            self._catch_up()
         return self._locate(pc)[1] >= 0
 
     def update(self, pc: int, taken: bool) -> None:
@@ -138,6 +205,13 @@ class HashedPerceptronPredictor:
         ``[weight_min, weight_max]``, so saturation is a bound check per
         weight.
         """
+        trajectory = self._trajectory
+        if trajectory is not None:
+            commit = self._commits
+            if trajectory.pcs[commit] == pc and trajectory.outcomes[commit] == taken:
+                self._commits = commit + 1
+                return
+            self.stop_following()
         indices, total = self._locate(pc)
         if (total >= 0) != taken or abs(total) < self.threshold:
             if taken:
