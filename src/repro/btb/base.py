@@ -36,6 +36,7 @@ exported ``btb_access_counts`` alike.
 from __future__ import annotations
 
 import abc
+import weakref
 from bisect import insort
 from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence
@@ -47,6 +48,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.lru import LRUState
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
+from repro.traces.trace import Trace
 
 
 #: Width of every main array's partial tag (Figure 1: 12 bits).
@@ -181,12 +183,30 @@ class BTBBase(abc.ABC):
         """Storage requirement in KiB."""
         return self.storage_bits() / 8.0 / 1024.0
 
-    def note_skipped_miss_lookups(self, count: int) -> None:
-        """Account ``count`` lookups the batched engine proved to be misses.
+    def probe_aliases(self, trace: Trace) -> frozenset[int] | None:
+        """The non-branch PCs of ``trace`` whose probe may hit, or ``None``.
 
-        The engine never performs those probes; this applies their only
-        architectural footprint -- the read counter, from which the misses
-        are derived (a missing lookup touches no LRU state).
+        The answer holds for a run of ``trace`` that starts now and keeps
+        the active ASID and partition slice: the BTB is written only at
+        commit and only for taken branches, so a non-branch's probe can hit
+        only at a key already resident or at a key one of the trace's taken
+        branches installs.  The single-trace loop of
+        :meth:`~repro.core.simulator.FrontEndSimulator.run` probes a
+        non-branch only when its PC is in the set, and credits every other
+        probe through :meth:`note_skipped_miss_lookups`.  ``None`` means
+        unknown, and the loop probes every PC: that is this base answer.
+        """
+        return None
+
+    def note_skipped_miss_lookups(self, count: int) -> None:
+        """Account ``count`` lookups that were proved misses and not made.
+
+        The scalar loop skips the non-branch probes :meth:`probe_aliases`
+        rules out, and the batched engine the probes its plans prove to
+        miss.  This applies their only architectural footprint -- the read
+        counter, from which the misses are derived (a missing lookup touches
+        no LRU state, and BTB-X derives BTB-XC's reads from the same
+        counter).
         """
         counters = self.counters
         counters["reads.main"] = counters.get("reads.main", 0) + count
@@ -251,6 +271,24 @@ class BTBBase(abc.ABC):
             f"{type(self).__name__}(entries={self.capacity_entries()}, "
             f"storage={self.storage_kib():.2f}KiB)"
         )
+
+
+#: Alias sets (:meth:`BTBBase.probe_aliases`) per trace, then per probe
+#: geometry; a trace's entry is freed with the trace.
+_ALIASES: "weakref.WeakKeyDictionary[Trace, dict[tuple, frozenset[int]]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def cached_aliases(trace: Trace, geometry: tuple, compute) -> frozenset[int]:
+    """``trace``'s alias set for ``geometry``, computed by ``compute()`` on first use."""
+    per_trace = _ALIASES.get(trace)
+    if per_trace is None:
+        per_trace = _ALIASES[trace] = {}
+    aliases = per_trace.get(geometry)
+    if aliases is None:
+        aliases = per_trace[geometry] = compute()
+    return aliases
 
 
 class SetAssociativeBTB(BTBBase):
@@ -326,10 +364,12 @@ class SetAssociativeBTB(BTBBase):
         One call per probe: the key of :meth:`_locate` is computed inline
         (the :func:`fold12` steps, the cached partition slice and color),
         then one read of the resident-tag index, and :meth:`_hit` only on a
-        hit.  A miss costs the read counter and nothing else -- most probes
-        miss, because most instructions are not branches -- returns the
+        hit.  A miss costs the read counter and nothing else, returns the
         shared :data:`_MISS_RESULT`, and :meth:`energy_access_counts` derives
-        the misses from the reads and hits.
+        the misses from the reads and hits.  Most instructions are not
+        branches and miss; a single-trace run does not probe those that
+        :meth:`probe_aliases` rules out, and credits their reads through
+        :meth:`note_skipped_miss_lookups`.
         """
         counters = self.counters
         counters["reads.main"] = counters.get("reads.main", 0) + 1
@@ -511,6 +551,29 @@ class SetAssociativeBTB(BTBBase):
         return ((self._slice_base + high % self._slice_count) << TAG_BITS) | (
             fold12(high) ^ self._tag_color
         )
+
+    def probe_aliases(self, trace: Trace) -> frozenset[int]:
+        """The non-branch PCs whose key a taken branch of ``trace`` or a resident way holds.
+
+        See :meth:`BTBBase.probe_aliases`.  The taken-branch half depends
+        only on the trace and on what :meth:`_locate` reads, so it is cached
+        per trace and geometry; the resident half is keyed anew whenever the
+        array holds anything.
+        """
+        sites = trace.probe_sites()
+        pcs = sites.non_branch_pcs
+        locate = self._locate
+
+        def aliases_at(keys) -> frozenset[int]:
+            return frozenset(pc for pc, key in zip(pcs, map(locate, pcs)) if key in keys)
+
+        geometry = (self.alignment_bits, self._slice_base, self._slice_count, self._tag_color)
+        aliases = cached_aliases(
+            trace, geometry, lambda: aliases_at(set(map(locate, sites.taken_branch_pcs)))
+        )
+        if self._resident:
+            aliases |= aliases_at(self._resident)
+        return aliases
 
     def _select_locations(self) -> None:
         """Cache the active ASID's partition slice and folded tag color."""

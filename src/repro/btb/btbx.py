@@ -28,6 +28,7 @@ from repro.common.config import ISAStyle
 from repro.common.errors import ConfigurationError
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
+from repro.traces.trace import Trace
 from repro.btb.base import _MISS_RESULT, TAG_BITS, BTBLookupResult, SetAssociativeBTB
 from repro.btb.conventional import FULL_TARGET_ENTRY_BITS, FullTargetBTB
 from repro.btb.offsets import stored_offset_bits
@@ -257,6 +258,10 @@ class BTBX(SetAssociativeBTB):
         """
         super().reset_stats()
         self.companion.reset_stats()
+
+    def probe_aliases(self, trace: Trace) -> frozenset[int]:
+        """The main array's aliases plus BTB-XC's: a main miss probes BTB-XC too."""
+        return super().probe_aliases(trace) | self.companion.probe_aliases(trace)
 
     def _recover_target(self, pc: int, entry: _Entry) -> int:
         """Concatenate the branch PC's high bits with the stored offset.

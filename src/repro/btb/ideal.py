@@ -12,7 +12,8 @@ from typing import Dict, Tuple
 
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
-from repro.btb.base import _MISS_RESULT, BatchPlan, BTBBase, BTBLookupResult
+from repro.btb.base import _MISS_RESULT, BatchPlan, BTBBase, BTBLookupResult, cached_aliases
+from repro.traces.trace import Trace
 
 
 class IdealBTB(BTBBase):
@@ -50,6 +51,24 @@ class IdealBTB(BTBBase):
             instruction.branch_type,
             instruction.target,
         )
+
+    def probe_aliases(self, trace: Trace) -> frozenset[int]:
+        """The non-branch PCs of ``trace`` that a taken branch or an entry shares.
+
+        A probe hits only on full-PC equality within the active ASID.  The
+        taken-branch half is cached per trace; the entries are read anew
+        whenever there are any.
+        """
+        sites = trace.probe_sites()
+        pcs = sites.non_branch_pcs
+        aliases = cached_aliases(
+            trace, ("ideal",), lambda: frozenset(pcs).intersection(sites.taken_branch_pcs)
+        )
+        entries = self._entries
+        if entries:
+            asid = self.asid_policy.active_asid
+            aliases |= {pc for pc in pcs if (asid, pc) in entries}
+        return aliases
 
     def storage_bits(self) -> int:
         """An ideal BTB has no meaningful storage bound; report current usage."""

@@ -6,7 +6,8 @@ instruction of a trace it
 1. probes the BTB and lets the
    :class:`~repro.frontend.bpu.BranchPredictionUnit` predict and resolve the
    instruction against that lookup (direction prediction, RAS) -- except a
-   non-branch the BTB misses, which the loop settles itself;
+   non-branch the BTB misses, which the loop settles itself, and which a
+   single-trace run does not even probe where the probe provably misses;
 2. models instruction fetch through the L1-I (one demand access per new cache
    block on the correct path) with FDIP hiding part of the miss latency based
    on the FTQ's run-ahead distance;
@@ -193,6 +194,16 @@ class FrontEndSimulator:
         replays it.  At the end of the run the predictor's tables and
         history are those of a computed run, bit for bit.  A predictor
         trained by an earlier run, or written to directly, computes.
+
+        The scalar backend also skips the BTB probes that provably miss.
+        The stream never leaves ASID 0, so once the loop has booted to it,
+        the BTB's :meth:`~repro.btb.base.BTBBase.probe_aliases` names the
+        non-branch PCs whose key a resident entry or a taken branch of the
+        trace can hold; any other non-branch's probe misses, so the loop
+        credits it as a read (:meth:`~repro.btb.base.BTBBase.note_skipped_miss_lookups`)
+        instead of making it.  Results, counters and BTB state are those of
+        a run that probes every PC; an instance-level ``btb.lookup`` wrapper
+        sees only the probes that are made.
         """
         if warmup_instructions < 0:
             raise SimulationError("warmup length cannot be negative")
@@ -209,7 +220,9 @@ class FrontEndSimulator:
             predictor = self.bpu.direction_predictor
             follow_trace(predictor, trace)
             try:
-                scenario = self.run_scenario(schedule, warmup_instructions, trace.name)
+                scenario = self.run_scenario(
+                    schedule, warmup_instructions, trace.name, _probe_trace=trace
+                )
             finally:
                 predictor.stop_following()
         return scenario.aggregate
@@ -221,6 +234,8 @@ class FrontEndSimulator:
         schedule: Iterable[Tuple[int, str, Instruction]],
         warmup_instructions: int = 0,
         scenario_name: str = "scenario",
+        *,
+        _probe_trace: Trace | None = None,
     ) -> ScenarioResult:
         """Simulate a scheduled multi-tenant stream of ``(asid, tenant, instruction)``.
 
@@ -241,13 +256,18 @@ class FrontEndSimulator:
         simulator is built is honoured), counting measured events in loop
         locals charged through :meth:`_Ledger.charge`, and settling
         the most common instruction itself.  The loop probes the BTB for
-        every PC; when the probe returns the shared miss
-        (:data:`~repro.btb.base._MISS_RESULT`, tested by identity) and the
-        instruction is not a branch, the sequential path is correct and
+        every PC of a scheduled stream; when the probe returns the shared
+        miss (:data:`~repro.btb.base._MISS_RESULT`, tested by identity) and
+        the instruction is not a branch, the sequential path is correct and
         nothing trains, so the instruction costs the fetch-block check, the
         FTQ push and its retirement count -- no prediction record is built
-        or read.  Branches and false hits (non-branches that hit by
-        partial-tag aliasing) go to
+        or read.  ``_probe_trace`` is :meth:`run`'s private handoff: the
+        trace of a one-tenant stream, whose alias set
+        (:meth:`~repro.btb.base.BTBBase.probe_aliases`) the loop takes after
+        booting to the stream's ASID; a non-branch outside it is not probed
+        but counted, and the count is credited to the BTB before the warmup
+        boundary resets its counters and at the end.  Branches and false
+        hits (non-branches that hit by partial-tag aliasing) go to
         :meth:`~repro.frontend.bpu.BranchPredictionUnit.process` with their
         lookup result; any other miss instance takes that path too and
         still resolves correctly.  Events are attributed to the tenant whose
@@ -267,7 +287,8 @@ class FrontEndSimulator:
         line_mask = ~(self.hierarchy.line_size() - 1)
         bpu = self.bpu
         hierarchy = self.hierarchy
-        lookup = self.btb.lookup
+        btb = self.btb
+        lookup = btb.lookup
         process = bpu.process
         fetch = hierarchy.fetch
         cover = self.fdip.cover_demand_miss
@@ -290,11 +311,18 @@ class FrontEndSimulator:
 
         previous_block = None
         measuring = warmup_instructions == 0
+        # The non-branch PCs whose probe may hit (None: probe every PC), and
+        # the probes skipped since they were last credited to the BTB.
+        aliases = None
+        skipped = 0
 
         for position, (asid, tenant, instruction) in enumerate(schedule):
             if not measuring and position >= warmup_instructions:
                 measuring = True
                 previous_block = None
+                if skipped:
+                    btb.note_skipped_miss_lookups(skipped)
+                    skipped = 0
                 ledger.start_measuring()
 
             if asid != current_asid:
@@ -304,6 +332,8 @@ class FrontEndSimulator:
                     # its color.
                     bpu.context_switch(asid)
                     hierarchy.context_switch(asid)
+                    if _probe_trace is not None:
+                        aliases = btb.probe_aliases(_probe_trace)
                 else:
                     if measuring:
                         ledger.context_switches += 1
@@ -334,11 +364,14 @@ class FrontEndSimulator:
                 ledger.enter(tenant)
 
             pc = instruction.pc
-            found = lookup(pc)
-            if found is _MISS_RESULT and instruction.branch_type is _NOT_BRANCH:
-                prediction = None
+            if instruction.branch_type is not _NOT_BRANCH:
+                prediction = process(instruction, lookup(pc))
+            elif aliases is None or pc in aliases:
+                found = lookup(pc)
+                prediction = None if found is _MISS_RESULT else process(instruction, found)
             else:
-                prediction = process(instruction, found)
+                skipped += 1
+                prediction = None
 
             block = pc & line_mask
             if block != previous_block:
@@ -389,6 +422,8 @@ class FrontEndSimulator:
                     if instruction.taken:
                         taken_branches += 1
 
+        if skipped:
+            btb.note_skipped_miss_lookups(skipped)
         if ledger.current is not None:
             ledger.charge(
                 instructions=retired, icache_stall_cycles=stall_sum, btb_extra_cycles=btb_extra,

@@ -22,10 +22,11 @@ The resolution rules follow the improved branch handling of Section VI-A:
 
 These rules and the commit-time training live here once for the scalar
 oracle.  The BPU does not probe the BTB itself: the simulator's loop probes
-every PC and settles the most common instruction -- a non-branch the BTB
-misses, for which the sequential path is correct and nothing trains -- on
-its own, so :meth:`BranchPredictionUnit.process` sees only branches and
-false hits, together with their lookup result.  It is one body, the
+(every branch, and every non-branch whose probe could hit) and settles the
+most common instruction -- a non-branch the BTB misses, for which the
+sequential path is correct and nothing trains -- on its own, so
+:meth:`BranchPredictionUnit.process` sees only branches and false hits,
+together with their lookup result.  It is one body, the
 classification and then the commit training, and the records of a BTB miss
 are shared constants.  The batched backend
 (:mod:`repro.core.batch`) applies the same rules inline in its walk, without
@@ -173,11 +174,11 @@ class BranchPredictionUnit:
         """Resolve ``instruction`` against its BTB ``lookup`` and train at commit.
 
         ``lookup`` is the caller's probe of ``instruction.pc`` (the
-        simulator's loop probes every PC).  The architectural outcome carried
-        by ``instruction`` is only used to classify the prediction (correct /
-        decode resteer / execute flush) and to train the predictors at commit
-        -- the prediction itself relies exclusively on the BTB, the direction
-        predictor and the RAS.
+        simulator's loop probes every branch).  The architectural outcome
+        carried by ``instruction`` is only used to classify the prediction
+        (correct / decode resteer / execute flush) and to train the
+        predictors at commit -- the prediction itself relies exclusively on
+        the BTB, the direction predictor and the RAS.
 
         The loop settles a non-branch BTB miss without calling this; any
         input still resolves correctly here, a non-branch miss to

@@ -9,11 +9,26 @@ metadata describing how the trace was generated (seed, footprint, suite).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.common.config import ISAStyle
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
+
+_NOT_BRANCH = BranchType.NOT_BRANCH
+
+
+@dataclass(frozen=True)
+class ProbeSites:
+    """The distinct PCs of a trace that decide which BTB probes can hit.
+
+    A BTB is written only for taken branches, so a non-branch's probe can
+    hit only where its lookup key equals a taken branch's (or an entry
+    already resident).
+    """
+
+    non_branch_pcs: Tuple[int, ...]
+    taken_branch_pcs: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -55,6 +70,7 @@ class Trace:
         self.metadata: Dict[str, object] = dict(metadata or {})
         self._instructions: List[Instruction] = list(instructions)
         self._summary: TraceSummary | None = None
+        self._probe_sites: ProbeSites | None = None
 
     # -- sequence protocol -------------------------------------------------
 
@@ -126,6 +142,18 @@ class Trace:
             instruction_footprint_bytes=len(blocks) * line_size,
         )
         return self._summary
+
+    def probe_sites(self) -> ProbeSites:
+        """Compute (and cache) the trace's distinct non-branch and taken-branch PCs."""
+        if self._probe_sites is None:
+            instructions = self._instructions
+            self._probe_sites = ProbeSites(
+                non_branch_pcs=tuple(
+                    {inst.pc for inst in instructions if inst.branch_type is _NOT_BRANCH}
+                ),
+                taken_branch_pcs=tuple({inst.pc for inst in instructions if inst.taken}),
+            )
+        return self._probe_sites
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Trace(name={self.name!r}, instructions={len(self)}, isa={self.isa})"

@@ -34,12 +34,14 @@ and commit it with the change (see TESTING.md)::
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import pathlib
 import random
 import sys
 import types
+import weakref
 
 import pytest
 
@@ -56,6 +58,7 @@ from repro.common.config import ISAStyle
 from repro.common.lru import LRUState
 from repro.isa.branch import BranchType
 from repro.isa.instruction import Instruction
+from repro.traces.trace import Trace
 
 #: Tiny geometries: 2-3 main sets of 8 ways (3 sets index modulo), a 2-entry
 #: R-BTB Page-BTB, a 2x2 PDede Page-BTB with a 2-entry Region-BTB, and a
@@ -423,6 +426,108 @@ def test_every_miss_is_the_shared_miss_result(name):
             assert result is _MISS_RESULT, op
             missed += 1
     assert missed
+
+
+#: XORed into an Arm64 PC, this keeps its folded partial tag and, with an
+#: even number of sets, its set: the PCs alias in a 2-set array only.
+TWIN = (2 | 2 << 12) << 2
+
+#: One trace shared by every drawn example, so its cached alias sets span
+#: every geometry the drawn operations reach: a non-branch at every PC, and
+#: taken branches at every third one (their far targets in BTB-XC), each
+#: with a non-branch at its twin.
+ALIAS_TRACE = Trace(
+    "aliases",
+    [
+        inst
+        for k, pc in enumerate(PCS)
+        for inst in (
+            Instruction.non_branch(pc),
+            *(
+                [
+                    Instruction.branch(pc, BranchType.CALL, True, pc + DELTAS[k % len(DELTAS)]),
+                    Instruction.non_branch(pc ^ TWIN),
+                ]
+                if k % 3 == 0
+                else []
+            ),
+        )
+    ],
+)
+
+
+#: Fills at the PCs where the alias trace has no taken branch, near and far
+#: (BTB-XC) targets alternating: entries only a resident key accounts for.
+RESIDENT_FILLS = tuple(
+    ("update", pc, DELTAS[0] if k % 2 else DELTAS[-1], BranchType.CALL)
+    for k, pc in enumerate(PCS)
+    if k % 3
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(ALL_FACTORIES)),
+    sets=st.sampled_from((2, 3)),
+    isa=st.sampled_from(tuple(ISAStyle)),
+    ops=st.lists(OPS, max_size=60),
+    steps=st.lists(st.integers(0, len(ALIAS_TRACE) - 1), max_size=80),
+)
+def test_a_non_branch_outside_the_aliases_misses(name, sets, isa, ops, steps):
+    """``probe_aliases`` is sound for whatever state a run starts from.
+
+    After the drawn operations (fills, ASID switches, partition maps,
+    invalidations) and :data:`RESIDENT_FILLS`, the trace's instructions
+    replay in a drawn order and then in trace order, with the ASID and map
+    fixed: every taken branch installs, and a non-branch outside the alias
+    set must miss.  The fills leave entries (BTB-XC's included) that no
+    taken branch of the trace installs.
+    """
+    btb = ALL_FACTORIES[name](sets, isa)
+    for op in (*ops, *RESIDENT_FILLS):
+        _apply(btb, op)
+    aliases = btb.probe_aliases(ALIAS_TRACE)
+    for inst in (*(ALIAS_TRACE[step] for step in steps), *ALIAS_TRACE):
+        if inst.taken:
+            btb.update(inst)
+        elif inst.pc not in aliases:
+            assert btb.lookup(inst.pc) is _MISS_RESULT, inst.pc
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FACTORIES))
+def test_aliases_are_what_a_key_shares(name):
+    """A fresh BTB's aliases are the non-branches whose key a taken branch installs.
+
+    Every non-branch at a taken-branch PC is one, and a twin PC is one in a
+    2-set array only: a set cached for one geometry is never served to
+    another.  The cache holds no reference to its trace.
+    """
+    trace = Trace("keys", list(ALIAS_TRACE))
+    taken = {inst.pc for inst in trace if inst.taken}
+    non_branches = {inst.pc for inst in trace if not inst.is_branch}
+    found = []
+    for sets in (2, 3, 2):
+        btb = ALL_FACTORIES[name](sets, ISAStyle.ARM64)
+        if name == "ideal":
+            expected = taken & non_branches
+        else:
+            expected = {
+                pc
+                for pc in non_branches
+                if any(
+                    s._locate(pc) in {s._locate(branch) for branch in taken}
+                    for s in _structures(btb)
+                )
+            }
+        assert taken & non_branches <= expected
+        assert btb.probe_aliases(trace) == expected
+        found.append(expected)
+    if name != "ideal":
+        assert found[0] == found[2] != found[1]
+    collected = weakref.ref(trace)
+    del trace
+    gc.collect()
+    assert collected() is None
 
 
 @pytest.mark.parametrize("name", sorted(ALL_FACTORIES))

@@ -5,7 +5,10 @@ perceptron follow the trace's recorded trajectory
 (:mod:`repro.predictor.trajectory`).  The one-tenant ``run_scenario`` computes
 the predictor at every commit, so a twin simulator driven through it is the
 oracle: results, BTB reports, ``Stats`` counters and the predictor's tables
-and history must all be equal.
+and history must all be equal.  The twin also probes the BTB at every PC,
+while ``run`` skips the non-branch probes that ``probe_aliases`` rules out:
+a skipped probe that would have hit shows in the BTB reports (its ``hits``)
+or in the results.
 
 Every differential cell also counts its *off-trajectory* queries -- a
 ``predict`` whose PC is not the next commit's, which makes the follower apply
@@ -14,7 +17,8 @@ some, so the catch-up path is exercised in every organization.  Generated
 traces give those queries only where partial tags alias, so each cell's trace
 is a generated one with *rewritten code* spliced in twice: non-branches at
 the PCs of the conditional branches taken just before, which the BTB still
-identifies as conditional.
+identifies as conditional.  Those non-branches are aliases of every
+organization, so each cell must probe some and skip others.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from itertools import islice, repeat
 import pytest
 
 from repro.btb.storage import make_btb_for_budget
-from repro.common.config import BranchPredictorConfig, BTBStyle, default_machine_config
+from repro.common.config import ASIDMode, BranchPredictorConfig, BTBStyle, default_machine_config
 from repro.common.errors import SimulationError
 from repro.core.simulator import FrontEndSimulator
 from repro.isa.branch import BranchType
@@ -75,11 +79,53 @@ def _workload(workload_class: str, seed: int, scale: float) -> Trace:
     return _rewritten_code(build_workload(name, INSTRUCTIONS))
 
 
-def _simulator(trace: Trace, style: BTBStyle, budget_kib: float, predictor=None):
-    machine = default_machine_config(btb_style=style, isa=trace.isa, backend="python")
+def _simulator(
+    trace: Trace, style: BTBStyle, budget_kib: float, predictor=None, asid_mode=ASIDMode.FLUSH
+):
+    machine = default_machine_config(
+        btb_style=style, isa=trace.isa, asid_mode=asid_mode, backend="python"
+    )
     if predictor is not None:
         machine = dataclasses.replace(machine, branch_predictor=predictor)
     return FrontEndSimulator(machine, btb=make_btb_for_budget(style, budget_kib, isa=trace.isa))
+
+
+class _Probes:
+    """The BTB probes a simulator makes and those it credits as skipped misses.
+
+    Counted by instance wrappers, which the loop binds when ``run`` starts.
+    """
+
+    def __init__(self, simulator) -> None:
+        self.made = self.skipped = 0
+        btb = simulator.btb
+        lookup, note_skipped = btb.lookup, btb.note_skipped_miss_lookups
+
+        def counting_lookup(pc):
+            self.made += 1
+            return lookup(pc)
+
+        def counting_skipped(count):
+            self.skipped += count
+            return note_skipped(count)
+
+        btb.lookup = counting_lookup
+        btb.note_skipped_miss_lookups = counting_skipped
+
+    def check(self, instructions, aliased: bool) -> None:
+        """Every position probed or skipped once, some skipped; reset the counts.
+
+        Every branch is probed, so probes beyond the branches are aliased
+        non-branches; ``aliased`` requires some.
+        """
+        instructions = list(instructions)
+        branches = sum(1 for inst in instructions if inst.is_branch)
+        assert self.made + self.skipped == len(instructions)
+        assert self.skipped > 0, "no probe was skipped"
+        assert self.made >= branches
+        if aliased:
+            assert self.made > branches, "no aliased non-branch was probed"
+        self.made = self.skipped = 0
 
 
 def _count_off_trajectory(simulator) -> list:
@@ -113,6 +159,7 @@ def _assert_follows_like_computing(
 ):
     follower = _simulator(trace, style, budget_kib, predictor)
     off = _count_off_trajectory(follower)
+    probes = _Probes(follower)
     result = follower.run(trace, WARMUP, max_instructions)
 
     twin = _simulator(trace, style, budget_kib, predictor)
@@ -123,6 +170,9 @@ def _assert_follows_like_computing(
     assert follower.bpu.direction_predictor._trajectory is None
     assert result == expected
     assert _state(follower) == _state(twin)
+    # A 0.90625 KiB BTB must probe an aliased non-branch once the stream
+    # reaches the first rewritten block, in the middle of the trace.
+    probes.check(islice(trace, total), budget_kib == 0.90625 and total > len(trace) // 2)
     if off_required:
         assert off[0] > 0, "no off-trajectory query: the catch-up path did not run"
     return off[0]
@@ -227,14 +277,79 @@ def test_only_a_pristine_predictor_can_follow():
         predictor.follow(trajectory)
 
 
-def test_a_second_run_matches_a_twin_that_computed_both():
+def _one_tenant(trace: Trace):
+    return zip(repeat(0), repeat(trace.name), trace)
+
+
+def _revisited(trace: Trace, first: Trace) -> Trace:
+    """``trace`` after non-branches at ``first``'s last taken-branch PCs.
+
+    Run after ``first`` on one simulator, those non-branches alias entries
+    that ``first`` left resident and that no taken branch of this trace
+    installs.
+    """
+    installed = {inst.pc for inst in trace if inst.taken}
+    taken = [pc for pc in dict.fromkeys(inst.pc for inst in first if inst.taken)
+             if pc not in installed]
+    revisits = [Instruction.non_branch(pc) for pc in taken[-4 * REWRITTEN:]]
+    return Trace(f"{trace.name}+revisits", revisits + list(trace), isa=trace.isa)
+
+
+@pytest.mark.parametrize("style", tuple(BTBStyle), ids=lambda s: s.value)
+def test_a_second_run_matches_a_twin_that_computed_both(style):
+    """The second run measures from its start, so its revisits' hits count."""
+    first = _trace()
+    second = _revisited(_workload("server", 23, 1.0), first)
+    follower = _simulator(first, style, 0.90625)
+    twin = _simulator(first, style, 0.90625)
+    probes = _Probes(follower)
+    for trace, warmup in ((first, WARMUP), (second, 0)):
+        expected = twin.run_scenario(_one_tenant(trace), warmup, trace.name).aggregate
+        assert follower.run(trace, warmup) == expected
+        assert _state(follower) == _state(twin)
+        probes.check(trace, aliased=True)
+
+
+@pytest.mark.parametrize("mode", tuple(ASIDMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("style", tuple(BTBStyle), ids=lambda s: s.value)
+def test_a_run_after_a_multi_tenant_stream_matches_computing(style, mode):
+    """The run boots back to ASID 0 from the stream's last tenant, then skips."""
     trace = _trace()
-    follower = _simulator(trace, BTBStyle.PDEDE, 0.90625)
-    twin = _simulator(trace, BTBStyle.PDEDE, 0.90625)
-    schedule = lambda: zip(repeat(0), repeat(trace.name), trace)  # noqa: E731
+    other = _workload("server", 23, 1.0)
+    quantum = 500
+    stream = [
+        (asid, name, inst)
+        for start in range(0, 3 * quantum, quantum)
+        for asid, name, source in ((0, trace.name, trace), (1, other.name, other))
+        for inst in islice(source, start, start + quantum)
+    ]
+    simulators = []
     for _ in range(2):
-        assert follower.run(trace, WARMUP) == twin.run_scenario(schedule(), WARMUP, trace.name).aggregate
+        simulator = _simulator(trace, style, 0.90625, asid_mode=mode)
+        if mode is ASIDMode.PARTITIONED:
+            simulator.btb.configure_partitions((1, 1))
+        simulator.run_scenario(iter(stream), 0, "pair")
+        simulators.append(simulator)
+    follower, twin = simulators
+    probes = _Probes(follower)
+    expected = twin.run_scenario(_one_tenant(trace), WARMUP, trace.name).aggregate
+    assert follower.run(trace, WARMUP) == expected
     assert _state(follower) == _state(twin)
+    probes.check(trace, aliased=True)
+
+
+@pytest.mark.parametrize("style", tuple(BTBStyle), ids=lambda s: s.value)
+def test_a_run_that_ends_in_its_warmup_credits_its_skipped_probes(style):
+    """Skipped probes count before the next run's warmup boundary reads them."""
+    trace = _trace()
+    follower = _simulator(trace, style, 0.90625)
+    twin = _simulator(trace, style, 0.90625)
+    probes = _Probes(follower)
+    for warmup in (len(trace), len(trace) + 1, WARMUP):
+        expected = twin.run_scenario(_one_tenant(trace), warmup, trace.name).aggregate
+        assert follower.run(trace, warmup) == expected
+        assert _state(follower) == _state(twin)
+        probes.check(trace, aliased=True)
 
 
 def test_reset_while_following_ends_the_replay():

@@ -240,28 +240,46 @@ class TestChargedResolutionCounts:
         machine = default_machine_config(btb_style=style, isa=trace.isa)
         btb = make_btb_for_budget(style, 0.90625, isa=trace.isa)
         simulator = FrontEndSimulator(machine, btb=btb)
-        # The loop probes the BTB once per instruction, so the probes count
-        # stream positions; an instruction object can recur in a trace.
-        probes = 0
+        # The loop pushes every instruction into the FTQ once, after
+        # resolving it, so the pushes count stream positions (an instruction
+        # object can recur in a trace).  The BTB is probed only where a probe
+        # can hit; every other probe is credited as a skipped miss.
+        position = probes = skipped = 0
         records = []
+        push = simulator.ftq.push
         lookup = btb.lookup
+        note_skipped = btb.note_skipped_miss_lookups
         process = simulator.bpu.process
+
+        def counting_push():
+            nonlocal position
+            position += 1
+            return push()
 
         def counting_lookup(pc):
             nonlocal probes
             probes += 1
             return lookup(pc)
 
+        def counting_skipped(count):
+            nonlocal skipped
+            skipped += count
+            return note_skipped(count)
+
         def recording_process(instruction, found):
             prediction = process(instruction, found)
-            if probes > self.WARMUP:
+            if position >= self.WARMUP:
                 records.append((instruction, prediction))
             return prediction
 
+        simulator.ftq.push = counting_push
         btb.lookup = counting_lookup
+        btb.note_skipped_miss_lookups = counting_skipped
         simulator.bpu.process = recording_process
         result = simulator.run(trace, warmup_instructions=self.WARMUP)
-        assert probes == len(trace)
+        assert position == len(trace)
+        assert probes + skipped == len(trace) and skipped > 0
+        assert btb.energy_access_counts()["reads.main"] == result.instructions
 
         btb_misses = direction = target = 0
         for instruction, prediction in records:
